@@ -127,8 +127,8 @@ func benchmarkTable6Lookup(b *testing.B, alg memory.AlgSelect) {
 		c.Lookup(trace[i%len(trace)])
 	}
 	b.StopTimer()
-	stats := c.Stats()
-	report := c.MemoryReport()
+	rep := c.Report()
+	stats, report := rep.Stats, rep.Memory
 	b.ReportMetric(stats.AverageFieldAccesses(), "field_accesses/pkt")
 	b.ReportMetric(stats.AverageLatencyCycles(), "latency_cycles")
 	b.ReportMetric(float64(c.Pipeline().BottleneckInterval()), "cycles/pkt_provisioned")
@@ -165,8 +165,8 @@ func BenchmarkIPEngines(b *testing.B) {
 				c.Lookup(trace[i%len(trace)])
 			}
 			b.StopTimer()
-			stats := c.Stats()
-			report := c.MemoryReport()
+			rep := c.Report()
+			stats, report := rep.Stats, rep.Memory
 			b.ReportMetric(stats.AverageFieldAccesses(), "field_accesses/pkt")
 			b.ReportMetric(stats.AverageLatencyCycles(), "latency_cycles")
 			b.ReportMetric(float64(c.Pipeline().BottleneckInterval()), "cycles/pkt_provisioned")
@@ -333,8 +333,8 @@ func BenchmarkThroughputZipf(b *testing.B) {
 				runThroughputWorkers(b, workers, batch, trace, func(_ int, hs []fivetuple.Header) {
 					c.LookupBatch(hs)
 				})
-				if stats, ok := c.CacheStats(); ok {
-					b.ReportMetric(100*stats.HitRate(), "hit%")
+				if rep := c.Report(); rep.CacheEnabled {
+					b.ReportMetric(100*rep.Cache.HitRate(), "hit%")
 				}
 			})
 		}
@@ -474,7 +474,7 @@ func benchmarkClassifierLookup(b *testing.B, mode core.CombineMode) {
 		c.Lookup(trace[i%len(trace)])
 	}
 	b.StopTimer()
-	b.ReportMetric(c.Stats().AverageCombinations(), "combinations/pkt")
+	b.ReportMetric(c.Report().Stats.AverageCombinations(), "combinations/pkt")
 }
 
 func BenchmarkLookup_ExactCombination(b *testing.B) {
@@ -692,7 +692,7 @@ func BenchmarkUpdateLatency(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				stats := c.UpdateStats()
+				stats := c.Report().Updates
 				b.ReportMetric(float64(stats.DeltasApplied), "deltas")
 				b.ReportMetric(float64(stats.Rebuilds), "rebuilds")
 				b.ReportMetric(stats.PublishLatency.P99().Seconds()*1e9, "p99_ns")

@@ -79,7 +79,7 @@ func TestConcurrentUpdateStormIncremental(t *testing.T) {
 			t.Fatalf("delete flip: %v", err)
 		}
 		updates++
-		if debt := c.UpdateStats().DeltasSinceRebuild; debt >= rebuildAfterDeltas {
+		if debt := c.Report().Updates.DeltasSinceRebuild; debt >= rebuildAfterDeltas {
 			t.Fatalf("delta debt %d reached the bound %d; the amortising rebuild never fired", debt, rebuildAfterDeltas)
 		}
 	}
@@ -88,7 +88,7 @@ func TestConcurrentUpdateStormIncremental(t *testing.T) {
 
 	// Post-storm coherence: every update publish went through exactly one of
 	// the two paths, and the histogram saw them all.
-	stats := c.UpdateStats()
+	stats := c.Report().Updates
 	if stats.DeltaPublishes+stats.Rebuilds != updates {
 		t.Errorf("delta publishes (%d) + rebuilds (%d) != update publishes (%d)",
 			stats.DeltaPublishes, stats.Rebuilds, updates)
@@ -105,7 +105,7 @@ func TestConcurrentUpdateStormIncremental(t *testing.T) {
 	if err := c.SelectEngine("dcfl"); err != nil {
 		t.Fatalf("forcing a rebuild: %v", err)
 	}
-	if got := c.UpdateStats().DeltasSinceRebuild; got != 0 {
+	if got := c.Report().Updates.DeltasSinceRebuild; got != 0 {
 		t.Errorf("DeltasSinceRebuild after a forced rebuild = %d, want 0", got)
 	}
 
@@ -119,8 +119,8 @@ func TestConcurrentUpdateStormIncremental(t *testing.T) {
 			t.Fatalf("stable rule lost after the storm: %+v", r)
 		}
 	}
-	if cs, ok := c.CacheStats(); !ok || cs.Hits == 0 {
-		t.Errorf("the storm never hit the cache: %+v", cs)
+	if rep := c.Report(); !rep.CacheEnabled || rep.Cache.Hits == 0 {
+		t.Errorf("the storm never hit the cache: %+v", rep.Cache)
 	}
 }
 
@@ -226,7 +226,7 @@ func TestConcurrentServingDuringUpdates(t *testing.T) {
 	if r := c.Lookup(headerFlip); r.Matched {
 		t.Errorf("flip rule still installed after final delete: %+v", r)
 	}
-	stats := c.Stats()
+	stats := c.Report().Stats
 	if stats.Inserts != writerIterations+1 || stats.Deletes != writerIterations {
 		t.Errorf("stats = %d inserts / %d deletes, want %d / %d",
 			stats.Inserts, stats.Deletes, writerIterations+1, writerIterations)
@@ -327,12 +327,12 @@ func TestConcurrentCacheCoherenceDuringUpdates(t *testing.T) {
 		}
 		checkStable(c.Lookup(headerStable))
 	}
-	stats, ok := c.CacheStats()
-	if !ok {
+	rep := c.Report()
+	if !rep.CacheEnabled {
 		t.Fatal("cache disabled on a WithCache classifier")
 	}
-	if stats.Hits == 0 {
-		t.Errorf("the hammer never hit the cache: %+v", stats)
+	if rep.Cache.Hits == 0 {
+		t.Errorf("the hammer never hit the cache: %+v", rep.Cache)
 	}
 	if got := c.RuleCount(); got != 1 {
 		t.Errorf("RuleCount after the hammer = %d, want 1 (the stable rule)", got)

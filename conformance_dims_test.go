@@ -277,7 +277,7 @@ func TestMultiActionOrderingUnderChurn(t *testing.T) {
 			insert("reinsert-verdict", verdict)
 			insert("reinsert-observerA", observerA)
 
-			stats := c.UpdateStats()
+			stats := c.Report().Updates
 			if stats.DeltasApplied == 0 {
 				t.Fatalf("churn through %s applied no deltas — the splice path was never exercised: %+v", name, stats)
 			}

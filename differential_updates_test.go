@@ -467,12 +467,12 @@ func TestDifferentialUpdateSequences(t *testing.T) {
 			})
 
 			t.Run("delete-missing", func(t *testing.T) {
-				before := c.UpdateStats()
+				before := c.Report().Updates
 				missing := mk("172.16.0.0/12", 7777, 99, 0)
 				if _, err := c.DeleteRule(missing); err == nil {
 					t.Fatal("deleting a never-installed rule should fail")
 				}
-				after := c.UpdateStats()
+				after := c.Report().Updates
 				if after.PublishLatency.Total() != before.PublishLatency.Total() {
 					t.Fatal("a failed delete must not publish")
 				}
@@ -484,7 +484,7 @@ func TestDifferentialUpdateSequences(t *testing.T) {
 			// The sequence ran entirely on the delta path for incremental
 			// engines; pin that so the corpus cannot silently regress into
 			// testing the rebuild path.
-			stats := c.UpdateStats()
+			stats := c.Report().Updates
 			if def, _ := engine.Get(name); def.Incremental {
 				// At most the seed build pays a rebuild: engines that splice
 				// deltas straight into an empty structure (linear) report zero.

@@ -46,7 +46,7 @@ func main() {
 			dropped++
 		}
 	}
-	stats := classifier.Stats()
+	stats := classifier.Report().Stats
 	fmt.Printf("replayed %d packets: %d verdict mismatches against the reference classifier\n",
 		len(trace), mismatches)
 	fmt.Printf("dropped by policy: %d packets (%.1f%%)\n", dropped, 100*float64(dropped)/float64(len(trace)))
@@ -54,7 +54,7 @@ func main() {
 	fmt.Printf("average label combinations probed per packet: %.2f\n", stats.AverageCombinations())
 	fmt.Printf("average lookup latency: %.1f cycles\n", stats.AverageLatencyCycles())
 
-	report := classifier.MemoryReport()
+	report := classifier.Report().Memory
 	fmt.Printf("IP engine %q memory in use: %.1f Kbit; rule filter occupancy: %d/%d rules\n",
 		report.IPEngine, float64(report.IPAlgorithmUsedBits())/1024, report.RulesInstalled, report.RuleCapacity)
 }

@@ -58,7 +58,7 @@ func main() {
 		if err := classifier.SelectEngine(name); err != nil {
 			log.Fatalf("selecting %s: %v", name, err)
 		}
-		report := classifier.MemoryReport()
+		report := classifier.Report().Memory
 		tier, nodeBits := "field ", report.IPAlgorithmUsedBits()
 		if report.PacketEngine != "" {
 			tier, nodeBits = "packet", report.PacketEngineUsedBits

@@ -63,8 +63,8 @@ func runPhase(classifier *sdnpc.Classifier, ruleSet *sdnpc.RuleSet, trace []sdnp
 			mismatches++
 		}
 	}
-	stats := classifier.Stats()
-	report := classifier.MemoryReport()
+	rep := classifier.Report()
+	stats, report := rep.Stats, rep.Memory
 	fmt.Printf("  controller selects the %q engine\n", engineName)
 	fmt.Printf("  sustained rate: %.1f Mlookups/s -> %.2f Gbps at 40-byte packets, %.2f Gbps at 100-byte packets\n",
 		classifier.LookupsPerSecond()/1e6, classifier.ThroughputGbps(40), classifier.ThroughputGbps(100))

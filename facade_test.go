@@ -34,7 +34,7 @@ func TestFacadeUpdatePlane(t *testing.T) {
 			t.Fatalf("op %d failed: %v", i, opErr)
 		}
 	}
-	stats := c.UpdateStats()
+	stats := c.Report().Updates
 	if stats.DeltasApplied != 40 || stats.DeltaPublishes != 1 {
 		t.Errorf("UpdateStats = %+v, want one delta publish carrying all 40 ops", stats)
 	}
@@ -147,8 +147,8 @@ func TestFacadeCacheOption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New(WithCache): %v", err)
 	}
-	if _, ok := c.CacheStats(); !ok {
-		t.Fatal("CacheStats reports disabled after WithCache")
+	if !c.Report().CacheEnabled {
+		t.Fatal("Report().CacheEnabled is false after WithCache")
 	}
 	rule := NewRule(0).From("10.0.0.0/8").DstPort(443).Proto(TCP).Forward(1).MustBuild()
 	if _, err := c.Insert(rule); err != nil {
@@ -160,15 +160,15 @@ func TestFacadeCacheOption(t *testing.T) {
 	if first != second {
 		t.Errorf("cached lookup %+v differs from the filling one %+v", second, first)
 	}
-	stats, _ := c.CacheStats()
+	stats := c.Report().Cache
 	if stats.Hits == 0 {
 		t.Errorf("repeated lookup did not hit the cache: %+v", stats)
 	}
-	if rep := c.MemoryReport(); rep.CacheEntries == 0 || rep.CacheBits == 0 {
+	if rep := c.Report().Memory; rep.CacheEntries == 0 || rep.CacheBits == 0 {
 		t.Errorf("memory report omits the cache footprint: %+v entries / %d bits", rep.CacheEntries, rep.CacheBits)
 	}
-	if _, ok := MustNew().CacheStats(); ok {
-		t.Error("CacheStats reports enabled without WithCache")
+	if MustNew().Report().CacheEnabled {
+		t.Error("Report().CacheEnabled is true without WithCache")
 	}
 	if _, err := New(WithCache(0, -1)); err == nil {
 		t.Error("negative cache capacity should fail validation")

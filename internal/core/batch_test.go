@@ -67,7 +67,7 @@ func TestApplyUpdatesBatch(t *testing.T) {
 	if res := c.Lookup(header); !res.Matched || res.Priority != 2 {
 		t.Errorf("lookup after batch = %+v, want the priority-2 rule", res)
 	}
-	stats := c.Stats()
+	stats := c.Report().Stats
 	if stats.Inserts != 3 || stats.Deletes != 1 {
 		t.Errorf("stats = %d inserts / %d deletes, want 3 / 1", stats.Inserts, stats.Deletes)
 	}

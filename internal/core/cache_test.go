@@ -58,15 +58,15 @@ func TestCachedLookupMatchesUncached(t *testing.T) {
 					}
 				}
 			}
-			stats, ok := cached.CacheStats()
-			if !ok {
-				t.Fatal("CacheStats reported disabled on a cached classifier")
+			rep := cached.Report()
+			if !rep.CacheEnabled {
+				t.Fatal("Report().CacheEnabled is false on a cached classifier")
 			}
-			if stats.Hits == 0 {
-				t.Errorf("replaying the trace twice produced no cache hits: %+v", stats)
+			if rep.Cache.Hits == 0 {
+				t.Errorf("replaying the trace twice produced no cache hits: %+v", rep.Cache)
 			}
-			if _, ok := plain.CacheStats(); ok {
-				t.Error("CacheStats reported enabled on an uncached classifier")
+			if plain.Report().CacheEnabled {
+				t.Error("Report().CacheEnabled is true on an uncached classifier")
 			}
 		})
 	}
@@ -118,7 +118,7 @@ func TestCacheInvalidationOnUpdate(t *testing.T) {
 			t.Fatalf("lookup after switching to %s = %+v, want the installed rule", name, r)
 		}
 	}
-	stats, _ := c.CacheStats()
+	stats := c.Report().Cache
 	if stats.StaleGenerations == 0 {
 		t.Errorf("no stale-generation drops were recorded across %d invalidating updates: %+v", 5, stats)
 	}
@@ -135,7 +135,7 @@ func TestCacheRejectedUpdateKeepsCacheWarm(t *testing.T) {
 		t.Fatalf("no-op reselect: %v", err)
 	}
 	c.Lookup(h)
-	stats, _ := c.CacheStats()
+	stats := c.Report().Cache
 	if stats.Hits == 0 {
 		t.Errorf("warm entry was lost by a no-op reselect: %+v", stats)
 	}
@@ -144,11 +144,11 @@ func TestCacheRejectedUpdateKeepsCacheWarm(t *testing.T) {
 // TestCacheMemoryReport checks the honest footprint accounting.
 func TestCacheMemoryReport(t *testing.T) {
 	uncached := MustNew(DefaultConfig())
-	if rep := uncached.MemoryReport(); rep.CacheEntries != 0 || rep.CacheBits != 0 {
+	if rep := uncached.Report().Memory; rep.CacheEntries != 0 || rep.CacheBits != 0 {
 		t.Errorf("uncached report claims cache storage: %+v entries, %d bits", rep.CacheEntries, rep.CacheBits)
 	}
 	c := MustNew(cachedConfig(""))
-	rep := c.MemoryReport()
+	rep := c.Report().Memory
 	if rep.CacheEntries < 1024 {
 		t.Errorf("CacheEntries = %d, want >= the configured 1024", rep.CacheEntries)
 	}
@@ -156,7 +156,7 @@ func TestCacheMemoryReport(t *testing.T) {
 		t.Errorf("CacheBits = %d for %d entries: entries cannot fit in one byte each", rep.CacheBits, rep.CacheEntries)
 	}
 	// The cache is software state, not a modelled block memory.
-	if total := rep.TotalProvisionedBits(); total != MustNew(DefaultConfig()).MemoryReport().TotalProvisionedBits() {
+	if total := rep.TotalProvisionedBits(); total != MustNew(DefaultConfig()).Report().Memory.TotalProvisionedBits() {
 		t.Errorf("cache footprint leaked into the hardware block-memory total: %d", total)
 	}
 }

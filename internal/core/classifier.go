@@ -229,18 +229,6 @@ func (c *Classifier) CacheEnabled() bool {
 	return c.microflow != nil || (c.fleet != nil && c.cfg.CacheCapacity > 0)
 }
 
-// CacheStats returns the microflow cache counters; ok is false when the
-// cache is disabled.
-//
-// Deprecated: use Report, which returns these counters in its Cache field
-// (with CacheEnabled) alongside every other observability surface.
-func (c *Classifier) CacheStats() (stats cache.Stats, ok bool) {
-	if c.microflow == nil {
-		return cache.Stats{}, false
-	}
-	return c.microflow.Stats(), true
-}
-
 // Config returns the classifier configuration. It takes the writer mutex so
 // the copy is consistent with any concurrent SetUpdatePolicy.
 func (c *Classifier) Config() Config {

@@ -475,7 +475,7 @@ func TestMemoryReportBudget(t *testing.T) {
 	if _, err := c.InstallRuleSet(rs); err != nil {
 		t.Fatal(err)
 	}
-	report := c.MemoryReport()
+	report := c.Report().Memory
 	// The provisioned block-memory budget reproduces the ~2.1 Mbit figure of
 	// Tables V and VII (within 5%).
 	total := report.TotalProvisionedBits()
@@ -506,7 +506,7 @@ func TestMemoryReportBudget(t *testing.T) {
 	if err := c.SelectIPEngine("bst"); err != nil {
 		t.Fatal(err)
 	}
-	bstReport := c.MemoryReport()
+	bstReport := c.Report().Memory
 	if bstReport.BSTUsedBits == 0 || bstReport.MBTUsedBits != 0 {
 		t.Errorf("post-switch used bits = MBT %d / BST %d, want BST-only usage",
 			bstReport.MBTUsedBits, bstReport.BSTUsedBits)
@@ -562,7 +562,7 @@ func TestStatsAccumulation(t *testing.T) {
 	for _, h := range trace {
 		c.Lookup(h)
 	}
-	stats := c.Stats()
+	stats := c.Report().Stats
 	if stats.Lookups != 50 || stats.Matches == 0 {
 		t.Errorf("stats = %+v", stats)
 	}
@@ -577,7 +577,7 @@ func TestStatsAccumulation(t *testing.T) {
 		t.Errorf("derived stats should be positive: %+v", stats)
 	}
 	c.ResetStats()
-	reset := c.Stats()
+	reset := c.Report().Stats
 	if reset.Lookups != 0 || reset.Inserts != 0 {
 		t.Errorf("stats not reset: %+v", reset)
 	}

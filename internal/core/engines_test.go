@@ -43,7 +43,7 @@ func TestEveryIPEngineMatchesReferenceClassifier(t *testing.T) {
 						h, got.Matched, got.Priority, wantOK, wantIdx)
 				}
 			}
-			report := c.MemoryReport()
+			report := c.Report().Memory
 			if report.IPEngine != name {
 				t.Errorf("MemoryReport.IPEngine = %q, want %q", report.IPEngine, name)
 			}
@@ -123,7 +123,7 @@ func TestConfigIPEngineValidation(t *testing.T) {
 	if c.IPEngineName() != "segtrie" {
 		t.Errorf("IPEngineName = %q, want the explicit %q", c.IPEngineName(), "segtrie")
 	}
-	if c.MemoryReport().Algorithm != 0 {
-		t.Errorf("report algorithm = %v, want 0 for an engine with no legacy value", c.MemoryReport().Algorithm)
+	if c.Report().Memory.Algorithm != 0 {
+		t.Errorf("report algorithm = %v, want 0 for an engine with no legacy value", c.Report().Memory.Algorithm)
 	}
 }

@@ -588,16 +588,6 @@ func (c *Classifier) statsSnapshot() Stats {
 	return s
 }
 
-// Stats returns a snapshot of the accumulated counters, aggregated across
-// the serving replicas. It is safe to call concurrently with lookups and
-// updates; the individual counters are read atomically (the struct as a
-// whole is not one consistent cut, which is inherent to concurrent
-// collection).
-//
-// Deprecated: use Report, which returns these counters in its Stats field
-// alongside every other observability surface, from one snapshot read.
-func (c *Classifier) Stats() Stats { return c.statsSnapshot() }
-
 // LookupCounters is the served-request summary of one classifier: how many
 // lookups it answered and how many returned a rule. It is the cheap
 // per-tenant accounting surface of the serving layer — two counters, not the
@@ -616,24 +606,6 @@ func (lc LookupCounters) MatchRate() float64 {
 		return 0
 	}
 	return float64(lc.Matches) / float64(lc.Lookups)
-}
-
-// LookupCounters returns the served-request counters, aggregated across the
-// serving replicas. It reads two atomics per replica plus two shared ones,
-// so per-request stats endpoints can call it without paying for a full Stats
-// snapshot.
-//
-// Deprecated: use Report, which returns these counters in its Lookups field
-// alongside every other observability surface, from one snapshot read.
-func (c *Classifier) LookupCounters() LookupCounters {
-	lc := LookupCounters{Lookups: c.stats.lookups.Load(), Matches: c.stats.matches.Load()}
-	if c.fleet != nil {
-		for _, rep := range c.fleet.replicas {
-			lc.Lookups += rep.stats.lookups.Load()
-			lc.Matches += rep.stats.matches.Load()
-		}
-	}
-	return lc
 }
 
 // ResetStats zeroes the counters without touching installed rules. The

@@ -2,15 +2,13 @@ package core
 
 import "sdnpc/internal/cache"
 
-// Report is the one-call observability snapshot of a classifier: everything
-// the five historical accessors (Stats, LookupCounters, UpdateStats,
-// CacheStats, MemoryReport) returned, assembled against a single published
-// snapshot. Serving layers that used to stitch those five calls together —
-// and could observe each against a different snapshot when updates raced the
-// reads — get one struct whose engine names, rule counts, memory breakdown
-// and update-plane view are mutually consistent. (The atomic counters inside
-// Stats, Lookups and Updates remain individually atomic reads, which is
-// inherent to concurrent collection.)
+// Report is the one-call observability snapshot of a classifier: data-plane
+// counters, served-request summary, update-plane counters, cache counters and
+// the memory breakdown, assembled against a single published snapshot, so the
+// engine names, rule counts, memory breakdown and update-plane view are
+// mutually consistent even when updates race the read. (The atomic counters
+// inside Stats, Lookups and Updates remain individually atomic reads, which
+// is inherent to concurrent collection.)
 type Report struct {
 	// ActiveEngine is the registry name of the engine answering lookups;
 	// IPEngine and PacketEngine name the programmed engine of each tier

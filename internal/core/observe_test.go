@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"sdnpc/internal/classbench"
+	"sdnpc/internal/fivetuple"
 )
 
 // TestReportRuleCapacityTracksActiveTier pins the capacity bugfix: Report
@@ -105,26 +107,21 @@ func TestReplicatedStatsAggregation(t *testing.T) {
 	if rep.Lookups.Lookups != want {
 		t.Errorf("Report().Lookups = %d, want %d", rep.Lookups.Lookups, want)
 	}
-	if got := c.Stats().Lookups; got != want {
-		t.Errorf("Stats().Lookups = %d, want %d", got, want)
-	}
-	if got := c.LookupCounters().Lookups; got != want {
-		t.Errorf("LookupCounters().Lookups = %d, want %d", got, want)
-	}
 	if rep.Stats.FieldAccesses == 0 || rep.Stats.Matches == 0 {
 		t.Errorf("aggregate lost accounting fields: %+v", rep.Stats)
 	}
 
 	c.ResetStats()
-	if got := c.Stats().Lookups; got != 0 {
-		t.Errorf("after ResetStats Stats().Lookups = %d, want 0", got)
+	if got := c.Report().Stats.Lookups; got != 0 {
+		t.Errorf("after ResetStats Report().Stats.Lookups = %d, want 0", got)
 	}
 }
 
-// TestReportMatchesPerSurfaceAccessors pins the consolidation contract: the
-// one-call Report must agree field-for-field with the five per-surface
-// accessors it supersedes, on both tiers, with the cache on.
-func TestReportMatchesPerSurfaceAccessors(t *testing.T) {
+// TestReportMatchesAccessors pins the one-call Report against the surviving
+// single-value accessors and against itself (Lookups is the summary of
+// Stats, Memory and the top level agree on the rule count), on both tiers,
+// with the cache on.
+func TestReportMatchesAccessors(t *testing.T) {
 	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, classbench.Size1K))
 	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{
 		Packets: 500, Seed: 3, MatchFraction: 0.9, Locality: 0.3,
@@ -162,24 +159,102 @@ func TestReportMatchesPerSurfaceAccessors(t *testing.T) {
 				t.Errorf("rules = (%d, %d), want (%d, %d)",
 					rep.RulesInstalled, rep.RuleCapacity, c.RuleCount(), c.RuleCapacity())
 			}
-			if rep.Stats != c.Stats() {
-				t.Errorf("Stats = %+v, want %+v", rep.Stats, c.Stats())
+			if rep.Stats.Lookups != uint64(len(trace)) {
+				t.Errorf("Stats.Lookups = %d, want %d", rep.Stats.Lookups, len(trace))
 			}
-			if rep.Lookups != c.LookupCounters() {
-				t.Errorf("Lookups = %+v, want %+v", rep.Lookups, c.LookupCounters())
+			if want := (LookupCounters{Lookups: rep.Stats.Lookups, Matches: rep.Stats.Matches}); rep.Lookups != want {
+				t.Errorf("Lookups = %+v, want the Stats summary %+v", rep.Lookups, want)
 			}
-			if rep.Updates != c.UpdateStats() {
-				t.Errorf("Updates = %+v, want %+v", rep.Updates, c.UpdateStats())
+			// Two counted publishes: the install and the delete.
+			if got := rep.Updates.PublishLatency.Total(); got != 2 {
+				t.Errorf("Updates.PublishLatency saw %d publishes, want 2", got)
 			}
-			if rep.Memory != c.MemoryReport() {
-				t.Errorf("Memory = %+v, want %+v", rep.Memory, c.MemoryReport())
+			if rep.Memory.RulesInstalled != rep.RulesInstalled || rep.Memory.RuleCapacity != rep.RuleCapacity {
+				t.Errorf("Memory rules = (%d, %d), want (%d, %d)",
+					rep.Memory.RulesInstalled, rep.Memory.RuleCapacity, rep.RulesInstalled, rep.RuleCapacity)
 			}
-			cs, ok := c.CacheStats()
-			if rep.CacheEnabled != ok || rep.Cache != cs {
-				t.Errorf("Cache = (%v, %+v), want (%v, %+v)", rep.CacheEnabled, rep.Cache, ok, cs)
+			if !rep.CacheEnabled || !c.CacheEnabled() || rep.Cache != c.microflow.Stats() {
+				t.Errorf("Cache = (%v, %+v), want (true, %+v)", rep.CacheEnabled, rep.Cache, c.microflow.Stats())
 			}
 			if rep.Lookups.Lookups == 0 || rep.Stats.Deletes == 0 {
 				t.Errorf("report shows no traffic or no update: %+v", rep.Lookups)
+			}
+		})
+	}
+}
+
+// TestReaderMatchesClassifier pins the worker handle against the classifier
+// it wraps: Reader(w).Lookup / LookupBatchInto / LookupAllInto return what the
+// Classifier calls return, and their accounting lands in the same
+// Report().Stats counters — on both tiers, cached, shared and replicated.
+func TestReaderMatchesClassifier(t *testing.T) {
+	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, classbench.Size1K))
+	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{
+		Packets: 200, Seed: 11, MatchFraction: 0.9, Locality: 0.3,
+	})
+	for _, tc := range []struct {
+		name     string
+		engine   string
+		replicas int
+	}{
+		{"mbt/shared", "mbt", 0},
+		{"hypercuts/shared", "hypercuts", 0},
+		{"hypercuts/replicated", "hypercuts", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.CacheCapacity = 1024
+			cfg.Replicas = tc.replicas
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if err := c.SelectEngine(tc.engine); err != nil {
+				t.Fatalf("SelectEngine: %v", err)
+			}
+			if _, err := c.InstallRuleSet(rs); err != nil {
+				t.Fatalf("InstallRuleSet: %v", err)
+			}
+
+			// serve runs the three call shapes over the trace through one
+			// handle and returns everything it answered plus the counters the
+			// pass left behind.
+			type answers struct {
+				single []Result
+				batch  []Result
+				all    [][]ActionRef
+				allRes []Result
+			}
+			serve := func(lookup func(fivetuple.Header) Result,
+				batchInto func([]Result, []fivetuple.Header) []Result,
+				allInto func([]ActionRef, fivetuple.Header) ([]ActionRef, Result)) (answers, Stats) {
+				c.ResetStats()
+				var a answers
+				for _, h := range trace {
+					a.single = append(a.single, lookup(h))
+					refs, res := allInto(nil, h)
+					a.all = append(a.all, refs)
+					a.allRes = append(a.allRes, res)
+				}
+				a.batch = batchInto(nil, trace)
+				return a, c.Report().Stats
+			}
+			want, wantStats := serve(c.Lookup, c.LookupBatchInto, c.LookupAllInto)
+			if wantStats.Lookups != uint64(3*len(trace)) {
+				t.Fatalf("classifier pass recorded %d lookups, want %d", wantStats.Lookups, 3*len(trace))
+			}
+			for w := 0; w < 4; w++ {
+				r := c.Reader(w)
+				got, gotStats := serve(r.Lookup, r.LookupBatchInto, r.LookupAllInto)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("Reader(%d) answers differ from the Classifier's", w)
+				}
+				if gotStats != wantStats {
+					t.Errorf("Reader(%d) pass left Stats %+v, the Classifier pass %+v", w, gotStats, wantStats)
+				}
+				if r.Generation() != c.Generation() {
+					t.Errorf("Reader(%d).Generation() = %d, want %d", w, r.Generation(), c.Generation())
+				}
 			}
 		})
 	}

@@ -57,7 +57,7 @@ func TestEveryPacketEngineMatchesReferenceClassifier(t *testing.T) {
 					t.Fatalf("Lookup(%s) touched the field-tier machinery: %+v", h, got)
 				}
 			}
-			report := c.MemoryReport()
+			report := c.Report().Memory
 			if report.PacketEngine != name {
 				t.Errorf("MemoryReport.PacketEngine = %q, want %q", report.PacketEngine, name)
 			}

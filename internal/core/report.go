@@ -92,17 +92,8 @@ func (m MemoryReport) TotalUsedBits() int {
 		m.PacketEngineUsedBits
 }
 
-// MemoryReport computes the current memory breakdown. Like Lookup, it reads
-// one published snapshot, so it is safe to call while updates are in flight.
-//
-// Deprecated: use Report, which returns this breakdown in its Memory field
-// alongside every other observability surface, from one snapshot read.
-func (c *Classifier) MemoryReport() MemoryReport {
-	return c.memoryReport(c.view())
-}
-
-// memoryReport computes the memory breakdown of one snapshot — the shared
-// implementation behind Report and the deprecated MemoryReport.
+// memoryReport computes the memory breakdown of one snapshot, for Report
+// and ArchSpec.
 func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
 	report := MemoryReport{
 		IPEngine:           s.engineName,
@@ -241,7 +232,7 @@ func (c *Classifier) memoryBlockCount() int {
 // ArchSpec derives the synthesis-estimation input from the configured
 // geometry (see internal/hw/synth).
 func (c *Classifier) ArchSpec() synth.ArchSpec {
-	report := c.MemoryReport()
+	report := c.memoryReport(c.view())
 	// The datapath carries the 104-bit header five-tuple, the 68-bit label
 	// combination key, one label-list pointer and length per dimension and
 	// the rule-filter result word.

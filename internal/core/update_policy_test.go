@@ -41,7 +41,7 @@ func TestRebuildAfterDeltasPolicyPinsK(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The bulk install exceeds the delta budget outright: one rebuild.
-	stats := c.UpdateStats()
+	stats := c.Report().Updates
 	if stats.Rebuilds != 1 || stats.DeltasApplied != 0 || stats.DeltasSinceRebuild != 0 {
 		t.Fatalf("after bulk install: %+v, want exactly one rebuild and no deltas", stats)
 	}
@@ -66,14 +66,14 @@ func TestRebuildAfterDeltasPolicyPinsK(t *testing.T) {
 		if _, err := c.InsertRule(r); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
-		stats := c.UpdateStats()
+		stats := c.Report().Updates
 		if stats.Rebuilds != want[i].rebuilds || stats.DeltasApplied != want[i].deltas ||
 			stats.DeltasSinceRebuild != want[i].debt {
 			t.Fatalf("after single insert %d: rebuilds=%d deltas=%d debt=%d, want %+v",
 				i, stats.Rebuilds, stats.DeltasApplied, stats.DeltasSinceRebuild, want[i])
 		}
 	}
-	if got := c.UpdateStats().PublishLatency.Total(); got != uint64(1+len(extra)) {
+	if got := c.Report().Updates.PublishLatency.Total(); got != uint64(1+len(extra)) {
 		t.Errorf("PublishLatency.Total() = %d, want %d publishes", got, 1+len(extra))
 	}
 }
@@ -98,7 +98,7 @@ func TestDegradationThresholdTriggersRebuild(t *testing.T) {
 	if _, err := c.InstallRuleSet(fivetuple.NewRuleSet("wild", base)); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.UpdateStats().Rebuilds; got != 1 {
+	if got := c.Report().Updates.Rebuilds; got != 1 {
 		t.Fatalf("Rebuilds after install = %d, want 1", got)
 	}
 
@@ -110,8 +110,8 @@ func TestDegradationThresholdTriggersRebuild(t *testing.T) {
 		if _, err := c.InsertRule(r); err != nil {
 			t.Fatal(err)
 		}
-		stats := c.UpdateStats()
-		report := c.MemoryReport()
+		rep := c.Report()
+		stats, report := rep.Updates, rep.Memory
 		if i < 3 {
 			if stats.Rebuilds != 1 || stats.DeltasSinceRebuild != i+1 {
 				t.Fatalf("insert %d: rebuilds=%d debt=%d, want the delta path", i, stats.Rebuilds, stats.DeltasSinceRebuild)
@@ -155,11 +155,11 @@ func TestNegativeThresholdDisablesDegradationTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := c.UpdateStats()
+	stats := c.Report().Updates
 	if stats.Rebuilds != 1 || stats.DeltasSinceRebuild != 32 {
 		t.Fatalf("stats = %+v, want only the bulk-install rebuild and 32 carried deltas", stats)
 	}
-	if got := c.MemoryReport().PacketEngineDegradation; got <= 0.5 {
+	if got := c.Report().Memory.PacketEngineDegradation; got <= 0.5 {
 		t.Fatalf("degradation = %v, want the drift past the (disabled) default trip", got)
 	}
 }
@@ -182,7 +182,7 @@ func TestNonIncrementalEnginesAlwaysRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := c.UpdateStats()
+	stats := c.Report().Updates
 	if stats.Rebuilds != 4 || stats.DeltasApplied != 0 || stats.DeltaPublishes != 0 {
 		t.Fatalf("rfc-full stats = %+v, want one rebuild per publish and zero deltas", stats)
 	}
@@ -202,7 +202,7 @@ func TestFieldTierPublishesCountOnlyLatency(t *testing.T) {
 	if _, err := c.DeleteRule(rules[0]); err != nil {
 		t.Fatal(err)
 	}
-	stats := c.UpdateStats()
+	stats := c.Report().Updates
 	if stats.Rebuilds != 0 || stats.DeltasApplied != 0 || stats.DeltaPublishes != 0 {
 		t.Fatalf("field-tier stats = %+v, want zero packet-tier activity", stats)
 	}
@@ -240,7 +240,7 @@ func TestBatchedUpdatesDeltaApplyAsOnePublish(t *testing.T) {
 	if _, _, err := c.ApplyUpdates(ops); err != nil {
 		t.Fatal(err)
 	}
-	stats := c.UpdateStats()
+	stats := c.Report().Updates
 	if stats.DeltaPublishes != 1 || stats.DeltasApplied != 4 || stats.DeltasSinceRebuild != 4 {
 		t.Fatalf("after batch: %+v, want one delta publish absorbing all four ops", stats)
 	}

@@ -98,18 +98,9 @@ type UpdateStats struct {
 	PublishLatency LatencyHistogram
 }
 
-// UpdateStats returns a snapshot of the update-plane counters. Like Stats,
-// the individual counters are read atomically; the struct as a whole is not
-// one consistent cut.
-//
-// Deprecated: use Report, which returns these counters in its Updates field
-// alongside every other observability surface, from one snapshot read.
-func (c *Classifier) UpdateStats() UpdateStats {
-	return c.updateStats(c.view())
-}
-
-// updateStats reads the update-plane counters against one snapshot — the
-// shared implementation behind Report and the deprecated UpdateStats.
+// updateStats reads the update-plane counters against one snapshot, for
+// Report. The individual counters are read atomically; the struct as a whole
+// is not one consistent cut.
 func (c *Classifier) updateStats(s *snapshot) UpdateStats {
 	stats := UpdateStats{
 		DeltasApplied:      c.stats.deltasApplied.Load(),

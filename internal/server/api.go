@@ -242,8 +242,20 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // readJSON decodes the request body into v, bounding its size and rejecting
 // trailing garbage.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
+	return decodeOne(json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)), v)
+}
+
+// readJSONStrict is readJSON for a body in which every field is
+// configuration: a field v does not declare is an error naming it, so a
+// misspelt knob is refused instead of silently leaving its default in force.
+func readJSONStrict(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	return decodeOne(dec, v)
+}
+
+// decodeOne decodes exactly one JSON value from dec into v.
+func decodeOne(dec *json.Decoder, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request body: %w", err)
 	}
@@ -324,7 +336,7 @@ func (a *api) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (a *api) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	var req CreateTenantRequest
-	if err := readJSON(w, r, &req); err != nil {
+	if err := readJSONStrict(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

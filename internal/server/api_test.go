@@ -150,6 +150,28 @@ func TestCreateTenantMalformedBody(t *testing.T) {
 	wantStatus(t, do(t, h, "POST", "/v1/tenants", `{"id": "x"} trailing`), http.StatusBadRequest)
 }
 
+// TestCreateTenantUnknownField pins the honest refusal at the wire edge: a
+// configuration field the request does not declare (a misspelt knob here) is
+// a 400 naming the field and creates nothing, while a body of known fields
+// only still creates the tenant.
+func TestCreateTenantUnknownField(t *testing.T) {
+	_, h := newTestServer()
+	rec := do(t, h, "POST", "/v1/tenants", `{"id": "x", "engine": "hypercuts", "cache_capacty": 1024}`)
+	wantStatus(t, rec, http.StatusBadRequest)
+	if !strings.Contains(rec.Body.String(), "cache_capacty") {
+		t.Errorf("400 body %q does not name the unknown field", rec.Body.String())
+	}
+	wantStatus(t, do(t, h, "GET", "/v1/tenants/x", nil), http.StatusNotFound)
+
+	rec = do(t, h, "POST", "/v1/tenants", `{"id": "x", "engine": "hypercuts", "cache_shards": 4, "cache_capacity": 1024}`)
+	wantStatus(t, rec, http.StatusCreated)
+	var created server.WireTenant
+	decode(t, rec, &created)
+	if created.ID != "x" || created.Engine != "hypercuts" || !created.CacheEnabled {
+		t.Fatalf("created tenant = %+v", created)
+	}
+}
+
 func TestRulesCRUD(t *testing.T) {
 	_, h := newTestServer()
 	wantStatus(t, do(t, h, "POST", "/v1/tenants", server.CreateTenantRequest{ID: "crud"}), http.StatusCreated)

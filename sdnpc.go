@@ -350,45 +350,11 @@ func (c *Classifier) RuleCapacity() int { return c.inner.RuleCapacity() }
 // counters, served-request summary, update-plane counters, cache counters
 // and the memory breakdown, read against a single published snapshot so the
 // structural fields are mutually consistent even while updates are in
-// flight. It supersedes the five per-surface accessors.
+// flight.
 func (c *Classifier) Report() Report { return c.inner.Report() }
-
-// Stats returns a snapshot of the accumulated data-plane counters.
-//
-// Deprecated: use Report, which returns these counters in its Stats field.
-func (c *Classifier) Stats() Stats { return c.inner.Report().Stats }
-
-// LookupCounters returns the classifier's served-request counters — lookups
-// answered and matches returned.
-//
-// Deprecated: use Report, which returns these counters in its Lookups field.
-func (c *Classifier) LookupCounters() LookupCounters { return c.inner.Report().Lookups }
-
-// UpdateStats returns the update-plane counters: how many rule-update
-// publishes were served by incremental deltas versus full rebuilds of the
-// packet structure, the current delta debt, and the publish-latency
-// histogram.
-//
-// Deprecated: use Report, which returns these counters in its Updates field.
-func (c *Classifier) UpdateStats() UpdateStats { return c.inner.Report().Updates }
-
-// CacheStats returns the microflow cache counters; ok is false when the
-// classifier was built without WithCache.
-//
-// Deprecated: use Report, which returns these counters in its Cache field
-// (with CacheEnabled).
-func (c *Classifier) CacheStats() (stats CacheStats, ok bool) {
-	r := c.inner.Report()
-	return r.Cache, r.CacheEnabled
-}
 
 // ResetStats zeroes the counters without touching installed rules.
 func (c *Classifier) ResetStats() { c.inner.ResetStats() }
-
-// MemoryReport computes the current memory breakdown of the architecture.
-//
-// Deprecated: use Report, which returns this breakdown in its Memory field.
-func (c *Classifier) MemoryReport() MemoryReport { return c.inner.Report().Memory }
 
 // ThroughputGbps returns the modelled sustained line rate for the given
 // packet size under the active engine.

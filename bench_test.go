@@ -266,18 +266,12 @@ func BenchmarkThroughput(b *testing.B) {
 }
 
 // BenchmarkThroughputReplicated is BenchmarkThroughput in replicated-fleet
-// mode: one snapshot replica per worker (at least two, so the worker_1
-// baseline pays the same fleet serving path) and every worker pinned to its
-// replica through a Reader. Comparing its worker_4 rows against
-// BenchmarkThroughput's measures what replica-private snapshots buy over the
-// shared-pointer path; the min/max worker metrics expose replica imbalance.
-//
-// Before/after, per-replica stats fix: the fleet lookup path used to skip
-// the stats collector entirely (Report().Stats showed zero lookups in
-// replicated mode) and pinned readers funneled counters through one shared
-// cache line. With each replica owning its padded counter block, accounting
-// is restored at no measurable cost: mbt/workers_4 measured 20.6k pkts/s
-// before vs 21.3k after (medians of 5 at -benchtime 200ms, within noise).
+// mode: one replica per worker (at least two, since Replicas <= 1 is the
+// unreplicated configuration) and every worker pinned to its replica through
+// a Reader. Comparing its worker_4 rows against BenchmarkThroughput's
+// measures what replica-private counters buy over readers sharing one
+// replica (no cache is configured here); the min/max worker metrics expose
+// replica imbalance.
 func BenchmarkThroughputReplicated(b *testing.B) {
 	const batch = 64
 	for _, name := range engine.SelectableNames() {

@@ -60,7 +60,7 @@ func run(args []string) error {
 	cacheShards := fs.Int("cache-shards", 0, "microflow cache shard count for the throughput experiment (0 = cache default)")
 	cacheCapacity := fs.Int("cache-capacity", 0, "microflow cache entry budget; > 0 adds cached rows beside the uncached ones in the throughput experiment")
 	zipf := fs.Float64("zipf", 0, "Zipf skew (> 1, e.g. 1.1) for the throughput trace: replay a flow population with Zipf-ranked popularity")
-	replicated := fs.Bool("replicated", false, "add replicated-fleet rows (one snapshot/cache replica per worker) beside the shared-pointer rows in the throughput experiment")
+	replicated := fs.Bool("replicated", false, "add replicated-fleet rows (one cache/counter replica per worker) beside the single-replica rows in the throughput experiment")
 	shards := fs.Int("shards", 0, "rule-space shard count for the throughput experiment (> 1 partitions the table)")
 	partitionBy := fs.String("partition-by", "", "shard partition strategy: protocol (default) or src-byte")
 	churnOps := fs.Int("churn-ops", 2000, "update ops per cell in the churn experiment")

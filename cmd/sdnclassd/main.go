@@ -79,7 +79,7 @@ func run(args []string) error {
 	cacheCapacity := fs.Int("cache-capacity", 0, "microflow cache entry budget in front of the engines; 0 disables the cache")
 	zipf := fs.Float64("zipf", 0, "Zipf skew (> 1, e.g. 1.1) for the replay trace: repeat a flow population with Zipf-ranked popularity")
 	churnRate := fs.Float64("churn-rate", 0, "flow-mod churn rate in updates/sec applied to the switch during the replay; 0 disables churn")
-	replicas := fs.Int("replicas", 0, "serving-fleet replica count: > 1 fans every publish out to per-worker snapshot/cache replicas")
+	replicas := fs.Int("replicas", 0, "serving-fleet replica count: > 1 gives each worker a private cache and private lookup counters over the shared snapshot")
 	shardCount := fs.Int("shards", 0, "rule-space shard count: > 1 partitions the table so each shard serves only its rule slice")
 	partitionBy := fs.String("partition-by", "", "shard partition strategy: protocol (default) or src-byte")
 	advise := fs.Bool("advise", false, "sample the replayed traffic and print the advisor's engine/policy recommendations after the summary")

@@ -223,9 +223,9 @@ func differentialPaths(t testing.TB, rs *fivetuple.RuleSet, topo fuzzTopology) m
 	if covers("mbt") {
 		build("mbt+cache", bench.CachedEngineConfig("mbt", 4, 4096))
 
-		// Replicated fleet: every publish fans out to per-worker replicas with
-		// private caches; lookups rotate over replicas, so both passes cross
-		// replica boundaries.
+		// Replicated fleet: per-worker replicas with private caches serve the
+		// published snapshot; lookups rotate over replicas, so both passes
+		// cross replica boundaries.
 		repl := bench.CachedEngineConfig("mbt", 4, 4096)
 		repl.Replicas = topo.replicas
 		build(fmt.Sprintf("mbt+replicas=%d", topo.replicas), repl)

@@ -186,8 +186,8 @@ func runDifferentialUpdates(t testing.TB, init []fivetuple.Rule, ops []fuzzUpdat
 
 // runDifferentialUpdatesTopo is runDifferentialUpdates with an explicit
 // serving topology: beside the plain engines it drives the same mutation
-// sequence through a replicated fleet (every publish fans out to per-worker
-// replicas), a rule-space-sharded table (every update propagates to the
+// sequence through a replicated fleet (per-worker caches in front of every
+// published snapshot), a rule-space-sharded table (every update propagates to the
 // shards the rule covers) and the combination of both.
 func runDifferentialUpdatesTopo(t testing.TB, init []fivetuple.Rule, ops []fuzzUpdateOp, headers []fivetuple.Header, topo fuzzTopology) {
 	t.Helper()

@@ -130,8 +130,8 @@ func TestDocsCoverUpdatePlane(t *testing.T) {
 
 // TestDocsCoverReplicationKnobs keeps the sharded serving fleet documented:
 // the README must name the replication/sharding facade options and flags
-// (with the scaling gate beside them), ARCHITECTURE.md must describe the
-// publish fan-out and the shard steering/covering machinery, and ENGINES.md
+// (with the scaling gate beside them), ARCHITECTURE.md must describe what a
+// replica is and the shard steering/covering machinery, and ENGINES.md
 // must state the engine-side payoff (per-shard structures shrinking
 // super-linearly) — so the fleet knobs cannot drift from the docs silently.
 func TestDocsCoverReplicationKnobs(t *testing.T) {
@@ -153,9 +153,9 @@ func TestDocsCoverReplicationKnobs(t *testing.T) {
 		t.Fatalf("reading docs/ARCHITECTURE.md: %v", err)
 	}
 	for _, want := range []string{
-		"replicated serving fleet", "fan-out", "Config.Replicas",
+		"replicated serving fleet", "Config.Replicas",
 		"Config.Shards", "Config.PartitionBy", "Reader(worker)",
-		"FleetGeneration", "internal/shard", "Steer", "Assign",
+		"TestReaderScalingGate", "internal/shard", "Steer", "Assign",
 		"TestConcurrentReplicaCoherence", "scripts/check_scaling.sh",
 	} {
 		if !strings.Contains(string(arch), want) {

@@ -28,7 +28,6 @@ package bst
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"sdnpc/internal/label"
 )
@@ -93,13 +92,6 @@ type Engine struct {
 	// intervals is the sorted elementary-interval array rebuilt by the
 	// software side after each update.
 	intervals []interval
-
-	// The counters are atomic so that Lookup — read-only over the interval
-	// array — is safe to call from many goroutines at once.
-	lookups        atomic.Uint64
-	lookupAccesses atomic.Uint64
-	updateWrites   atomic.Uint64
-	rebuilds       atomic.Uint64
 }
 
 // New creates an engine with the given configuration.
@@ -189,7 +181,6 @@ func (e *Engine) prefixRange(p storedPrefix) (uint32, uint32) {
 // prefixes. It returns the number of node words written (the array length),
 // which is the block-download cost of the update.
 func (e *Engine) rebuild() int {
-	e.rebuilds.Add(1)
 	if len(e.prefixes) == 0 {
 		e.intervals = nil
 		return 0
@@ -229,7 +220,6 @@ func (e *Engine) rebuild() int {
 		}
 	}
 	e.intervals = intervals
-	e.updateWrites.Add(uint64(len(intervals)))
 	return len(intervals)
 }
 
@@ -244,10 +234,8 @@ func (e *Engine) Lookup(key uint32) (*label.List, int) {
 // LookupInto is the allocation-free variant of Lookup: it resets out, fills
 // it with the matching labels and returns the access count.
 func (e *Engine) LookupInto(key uint32, out *label.List) int {
-	e.lookups.Add(1)
 	out.Reset()
 	if len(e.intervals) == 0 {
-		e.lookupAccesses.Add(1)
 		return 1
 	}
 	accesses := 0
@@ -263,7 +251,6 @@ func (e *Engine) LookupInto(key uint32, out *label.List) int {
 			hi = mid - 1
 		}
 	}
-	e.lookupAccesses.Add(uint64(accesses))
 	out.Merge(e.intervals[match].labels)
 	return accesses
 }
@@ -296,55 +283,15 @@ func (e *Engine) LabelListBits() int {
 	return entries * e.cfg.LabelEntryBits
 }
 
-// Stats summarises the engine's access counters.
-type Stats struct {
-	Lookups        uint64
-	LookupAccesses uint64
-	UpdateWrites   uint64
-	Rebuilds       uint64
-}
-
-// AverageAccesses returns the mean node accesses per lookup.
-func (s Stats) AverageAccesses() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.LookupAccesses) / float64(s.Lookups)
-}
-
-// Stats returns a snapshot of the counters.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		Lookups:        e.lookups.Load(),
-		LookupAccesses: e.lookupAccesses.Load(),
-		UpdateWrites:   e.updateWrites.Load(),
-		Rebuilds:       e.rebuilds.Load(),
-	}
-}
-
-// ResetStats zeroes the counters without touching the structure.
-func (e *Engine) ResetStats() {
-	e.lookups.Store(0)
-	e.lookupAccesses.Store(0)
-	e.updateWrites.Store(0)
-	e.rebuilds.Store(0)
-}
-
 // Clone returns an independent copy of the engine. The stored prefixes are
 // deep-copied because Insert refreshes priorities in place; the interval
 // array can be shared because rebuild always replaces it wholesale with a
 // freshly allocated one, never mutating an existing array or its label
-// lists. Access counters carry over so cumulative statistics survive a
-// copy-on-write snapshot swap in internal/core.
+// lists.
 func (e *Engine) Clone() *Engine {
-	c := &Engine{
+	return &Engine{
 		cfg:       e.cfg,
 		prefixes:  append([]storedPrefix(nil), e.prefixes...),
 		intervals: e.intervals,
 	}
-	c.lookups.Store(e.lookups.Load())
-	c.lookupAccesses.Store(e.lookupAccesses.Load())
-	c.updateWrites.Store(e.updateWrites.Load())
-	c.rebuilds.Store(e.rebuilds.Load())
-	return c
 }

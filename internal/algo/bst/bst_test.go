@@ -281,32 +281,27 @@ func TestLabelPriorityOrdering(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
+// TestInsertReturnsRebuildWrites pins the update cost Insert returns: the
+// structure is re-downloaded on every change, so each insert writes the whole
+// interval array and the writes of successive inserts sum accordingly.
+func TestInsertReturnsRebuildWrites(t *testing.T) {
 	e := MustNew(SegmentConfig())
-	if _, err := e.Insert(0x1234, 16, 1, 0); err != nil {
-		t.Fatal(err)
+	total := 0
+	for i, v := range []uint32{0x1234, 0x8000, 0xFF00} {
+		writes, err := e.Insert(v, 16, label.Label(i+1), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if writes != e.IntervalCount() {
+			t.Errorf("insert %d returned %d writes, want the %d-interval array", i, writes, e.IntervalCount())
+		}
+		total += writes
 	}
-	e.Lookup(0x1234)
-	e.Lookup(0xFFFF)
-	stats := e.Stats()
-	if stats.Lookups != 2 || stats.LookupAccesses == 0 {
-		t.Errorf("stats = %+v", stats)
+	if total <= e.IntervalCount() {
+		t.Errorf("three inserts wrote %d words in total, want more than one %d-word download", total, e.IntervalCount())
 	}
-	if stats.Rebuilds != 1 {
-		t.Errorf("Rebuilds = %d, want 1", stats.Rebuilds)
-	}
-	if stats.UpdateWrites == 0 {
-		t.Error("UpdateWrites should be non-zero after an insert")
-	}
-	if stats.AverageAccesses() <= 0 {
-		t.Error("AverageAccesses should be positive")
-	}
-	e.ResetStats()
-	if s := e.Stats(); s.Lookups != 0 || s.LookupAccesses != 0 || s.UpdateWrites != 0 || s.Rebuilds != 0 {
-		t.Errorf("stats not reset: %+v", s)
-	}
-	if (Stats{}).AverageAccesses() != 0 {
-		t.Error("AverageAccesses of zero lookups should be 0")
+	if _, accesses := e.Lookup(0x1234); accesses < 2 {
+		t.Errorf("lookup over %d intervals returned %d accesses, want a binary search of >= 2", e.IntervalCount(), accesses)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"sdnpc/internal/arena"
 	"sdnpc/internal/fivetuple"
@@ -96,11 +95,6 @@ type Classifier struct {
 	staleCombos int
 	deltas      int
 	deltaWrites int
-
-	// Atomic so that a built classifier can serve Classify from any number
-	// of goroutines concurrently (read-only after build).
-	lookups        atomic.Uint64
-	lookupAccesses atomic.Uint64
 }
 
 // scratch is the per-lookup working set: the matching labels per field and
@@ -382,7 +376,6 @@ func rangeSearchCost(uniqueValues int) int {
 // any rule matched and the number of memory accesses performed (field
 // searches plus aggregation-table probes).
 func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, accesses int) {
-	c.lookups.Add(1)
 	sc := scratchPool.Get().(*scratch)
 	for f := range sc.labels {
 		sc.labels[f] = sc.labels[f][:0]
@@ -430,7 +423,6 @@ func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, 
 		}
 	}
 	scratchPool.Put(sc)
-	c.lookupAccesses.Add(uint64(accesses))
 	if best < 0 {
 		return 0, false, accesses
 	}
@@ -445,7 +437,6 @@ func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, 
 // combinations), so callers needing priority order must sort the result. dst
 // is appended to without allocating when it has sufficient capacity.
 func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
-	c.lookups.Add(1)
 	sc := scratchPool.Get().(*scratch)
 	for f := range sc.labels {
 		sc.labels[f] = sc.labels[f][:0]
@@ -492,7 +483,6 @@ func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 		}
 	}
 	scratchPool.Put(sc)
-	c.lookupAccesses.Add(uint64(accesses))
 	return dst, accesses
 }
 
@@ -519,28 +509,3 @@ func (c *Classifier) MemoryBits() int {
 // ArenaBytes returns the backing storage of the flattened structures — the
 // one allocation (plus the rule table) a snapshot hands the collector.
 func (c *Classifier) ArenaBytes() int { return c.ar.SizeBytes() }
-
-// Stats summarises lookup counters.
-type Stats struct {
-	Lookups        uint64
-	LookupAccesses uint64
-}
-
-// AverageAccesses returns the mean memory accesses per lookup.
-func (s Stats) AverageAccesses() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.LookupAccesses) / float64(s.Lookups)
-}
-
-// Stats returns a snapshot of the counters.
-func (c *Classifier) Stats() Stats {
-	return Stats{Lookups: c.lookups.Load(), LookupAccesses: c.lookupAccesses.Load()}
-}
-
-// ResetStats zeroes the counters without touching the built tables.
-func (c *Classifier) ResetStats() {
-	c.lookups.Store(0)
-	c.lookupAccesses.Store(0)
-}

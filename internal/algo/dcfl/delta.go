@@ -28,8 +28,7 @@ import (
 // Clone returns a deep copy of the classifier: the rule table and the whole
 // arena (field arrays, hash tables, directories and spans) are duplicated
 // with two memcpys, so delta updates applied to the copy are never
-// observable through the original. Lookup counters start at zero on the
-// copy.
+// observable through the original.
 func (c *Classifier) Clone() *Classifier {
 	cp := &Classifier{
 		rules:       append([]fivetuple.Rule(nil), c.rules...),

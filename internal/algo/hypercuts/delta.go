@@ -27,7 +27,7 @@ import (
 // Clone returns a deep structural copy of the classifier: the arena and the
 // rule table are duplicated (two memcpys — the flat layout's copy-on-write
 // dividend), so delta updates applied to the copy are never observable
-// through the original. Lookup counters start at zero on the copy.
+// through the original.
 func (c *Classifier) Clone() *Classifier {
 	cp := &Classifier{
 		cfg:          c.cfg,

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"sdnpc/internal/arena"
 	"sdnpc/internal/fivetuple"
@@ -198,11 +197,6 @@ type Classifier struct {
 	overflowPtrs int
 	deltas       int
 	deltaWrites  int
-
-	// Atomic so that a built classifier can serve Classify from any number
-	// of goroutines concurrently (read-only after build).
-	lookups        atomic.Uint64
-	lookupAccesses atomic.Uint64
 }
 
 // Build constructs a HyperCuts tree for the rule set and flattens it.
@@ -451,7 +445,6 @@ func ruleOverlapsNode(r fivetuple.Rule, rec []uint32) bool {
 // leaf rules scanned). The walk touches only the flat arena and the rule
 // table; it allocates nothing.
 func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, accesses int) {
-	c.lookups.Add(1)
 	w := c.words
 	fields := fivetuple.Fields()
 	base := 0
@@ -495,7 +488,6 @@ func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, 
 			break // leaf rules are sorted by priority
 		}
 	}
-	c.lookupAccesses.Add(uint64(accesses))
 	if best < 0 {
 		return 0, false, accesses
 	}
@@ -510,7 +502,6 @@ func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, 
 // sorted. dst is appended to without allocating when it has sufficient
 // capacity.
 func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
-	c.lookups.Add(1)
 	w := c.words
 	fields := fivetuple.Fields()
 	base := 0
@@ -553,7 +544,6 @@ func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 			dst = append(dst, ri)
 		}
 	}
-	c.lookupAccesses.Add(uint64(accesses))
 	return dst, accesses
 }
 
@@ -580,28 +570,3 @@ func (c *Classifier) MemoryBits() int {
 // ArenaBytes returns the backing storage of the flattened tree — the one
 // allocation (plus the rule table) a published snapshot hands the collector.
 func (c *Classifier) ArenaBytes() int { return c.ar.SizeBytes() }
-
-// Stats summarises lookup counters.
-type Stats struct {
-	Lookups        uint64
-	LookupAccesses uint64
-}
-
-// AverageAccesses returns the mean memory accesses per lookup.
-func (s Stats) AverageAccesses() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.LookupAccesses) / float64(s.Lookups)
-}
-
-// Stats returns a snapshot of the counters.
-func (c *Classifier) Stats() Stats {
-	return Stats{Lookups: c.lookups.Load(), LookupAccesses: c.lookupAccesses.Load()}
-}
-
-// ResetStats zeroes the counters without touching the built tree.
-func (c *Classifier) ResetStats() {
-	c.lookups.Store(0)
-	c.lookupAccesses.Store(0)
-}

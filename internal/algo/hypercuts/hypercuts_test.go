@@ -90,37 +90,45 @@ func TestBinthControlsLeafSizeAndAccesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{Packets: 500, Seed: 4, MatchFraction: 0.9})
+	smallAccesses, bigAccesses := 0, 0
 	for _, h := range trace {
-		cSmall.Classify(h)
-		cBig.Classify(h)
+		_, _, a := cSmall.Classify(h)
+		smallAccesses += a
+		_, _, a = cBig.Classify(h)
+		bigAccesses += a
 	}
 	// A larger binth means fewer nodes but longer leaf scans.
 	if cBig.NodeCount() >= cSmall.NodeCount() {
 		t.Errorf("node counts: binth=64 %d, binth=4 %d; want fewer nodes with the bigger leaf",
 			cBig.NodeCount(), cSmall.NodeCount())
 	}
-	if cBig.Stats().AverageAccesses() <= cSmall.Stats().AverageAccesses() {
-		t.Errorf("average accesses: binth=64 %.1f, binth=4 %.1f; want more accesses with the bigger leaf",
-			cBig.Stats().AverageAccesses(), cSmall.Stats().AverageAccesses())
+	if bigAccesses <= smallAccesses {
+		t.Errorf("accesses over %d lookups: binth=64 %d, binth=4 %d; want more accesses with the bigger leaf",
+			len(trace), bigAccesses, smallAccesses)
 	}
 }
 
-func TestStats(t *testing.T) {
+// TestClassifyAllScansTheWholeLeaf pins the returned access counts against
+// each other: Classify stops at the first matching leaf rule, ClassifyAll
+// scans the leaf to its end, so on the same header it never costs less.
+func TestClassifyAllScansTheWholeLeaf(t *testing.T) {
 	rs := classbench.Generate(classbench.Config{Class: classbench.IPC, Rules: 100, Seed: 91})
 	c, err := Build(rs, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if (Stats{}).AverageAccesses() != 0 {
-		t.Error("zero-lookup average should be 0")
-	}
 	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{Packets: 30, Seed: 5, MatchFraction: 1})
+	total := 0
 	for _, h := range trace {
-		c.Classify(h)
+		_, _, first := c.Classify(h)
+		_, all := c.ClassifyAll(h, nil)
+		if all < first {
+			t.Errorf("%s: ClassifyAll cost %d accesses, Classify %d", h, all, first)
+		}
+		total += first
 	}
-	s := c.Stats()
-	if s.Lookups != 30 || s.LookupAccesses == 0 {
-		t.Errorf("stats = %+v", s)
+	if total == 0 {
+		t.Error("30 matching lookups returned 0 accesses in total")
 	}
 }
 

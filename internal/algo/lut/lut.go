@@ -11,7 +11,6 @@ package lut
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"sdnpc/internal/label"
 )
@@ -30,12 +29,6 @@ type Table struct {
 
 	exact    [Entries]entrySlot
 	wildcard entrySlot
-
-	// The counters are atomic so that Lookup — two slot reads — is safe to
-	// call from many goroutines at once.
-	lookups        atomic.Uint64
-	lookupAccesses atomic.Uint64
-	updateWrites   atomic.Uint64
 }
 
 type entrySlot struct {
@@ -84,7 +77,6 @@ func (t *Table) install(slot *entrySlot, lbl label.Label, priority int) int {
 	} else {
 		*slot = entrySlot{valid: true, lbl: lbl, priority: priority}
 	}
-	t.updateWrites.Add(1)
 	return 1
 }
 
@@ -94,7 +86,6 @@ func (t *Table) RemoveExact(value uint8) (writes int, err error) {
 		return 0, fmt.Errorf("lut: protocol %d not present", value)
 	}
 	t.exact[value] = entrySlot{}
-	t.updateWrites.Add(1)
 	return 1, nil
 }
 
@@ -104,7 +95,6 @@ func (t *Table) RemoveWildcard() (writes int, err error) {
 		return 0, fmt.Errorf("lut: wildcard protocol not present")
 	}
 	t.wildcard = entrySlot{}
-	t.updateWrites.Add(1)
 	return 1, nil
 }
 
@@ -120,8 +110,6 @@ func (t *Table) Lookup(value uint8) (*label.List, int) {
 // LookupInto is the allocation-free variant of Lookup: it resets out, fills
 // it with the matching labels and returns the access count.
 func (t *Table) LookupInto(value uint8, out *label.List) int {
-	t.lookups.Add(1)
-	t.lookupAccesses.Add(1)
 	out.Reset()
 	if t.exact[value].valid {
 		// The exact match takes the first position regardless of rule
@@ -156,36 +144,12 @@ func (t *Table) MemoryBits() int {
 	return (Entries + 1) * (t.labelBits + 1)
 }
 
-// Stats summarises the access counters.
-type Stats struct {
-	Lookups        uint64
-	LookupAccesses uint64
-	UpdateWrites   uint64
-}
-
-// Stats returns a snapshot of the counters.
-func (t *Table) Stats() Stats {
-	return Stats{Lookups: t.lookups.Load(), LookupAccesses: t.lookupAccesses.Load(), UpdateWrites: t.updateWrites.Load()}
-}
-
-// ResetStats zeroes the counters.
-func (t *Table) ResetStats() {
-	t.lookups.Store(0)
-	t.lookupAccesses.Store(0)
-	t.updateWrites.Store(0)
-}
-
 // Clone returns an independent copy of the table: the slot arrays are plain
-// values, so a field-by-field copy suffices. Access counters carry over so
-// cumulative statistics survive a copy-on-write snapshot swap.
+// values, so a field-by-field copy suffices.
 func (t *Table) Clone() *Table {
-	c := &Table{
+	return &Table{
 		labelBits: t.labelBits,
 		exact:     t.exact,
 		wildcard:  t.wildcard,
 	}
-	c.lookups.Store(t.lookups.Load())
-	c.lookupAccesses.Store(t.lookupAccesses.Load())
-	c.updateWrites.Store(t.updateWrites.Load())
-	return c
 }

@@ -96,9 +96,6 @@ func TestInsertIdempotenceAndWrites(t *testing.T) {
 	if w := tbl.InsertWildcard(3, 9); w != 0 {
 		t.Errorf("no-op wildcard insert writes = %d, want 0", w)
 	}
-	if got := tbl.Stats().UpdateWrites; got != 3 {
-		t.Errorf("UpdateWrites = %d, want 3", got)
-	}
 }
 
 func TestRemove(t *testing.T) {
@@ -137,18 +134,16 @@ func TestMemoryBits(t *testing.T) {
 	}
 }
 
-func TestStatsAndReset(t *testing.T) {
+// TestLookupCostsOneAccessHitOrMiss pins the returned access count on both
+// sides of the table: a stored protocol and an absent one each read the table
+// once, which is what the single-cycle stage model charges.
+func TestLookupCostsOneAccessHitOrMiss(t *testing.T) {
 	tbl := MustNew(2)
 	tbl.InsertExact(6, 1, 0)
-	tbl.Lookup(6)
-	tbl.Lookup(17)
-	s := tbl.Stats()
-	if s.Lookups != 2 || s.LookupAccesses != 2 || s.UpdateWrites != 1 {
-		t.Errorf("stats = %+v", s)
-	}
-	tbl.ResetStats()
-	if s := tbl.Stats(); s.Lookups != 0 || s.LookupAccesses != 0 || s.UpdateWrites != 0 {
-		t.Errorf("stats not reset: %+v", s)
+	_, hit := tbl.Lookup(6)
+	_, miss := tbl.Lookup(17)
+	if hit+miss != 2 {
+		t.Errorf("accesses = %d (hit) + %d (miss), want 1 + 1", hit, miss)
 	}
 	if LookupCycles != 1 {
 		t.Errorf("LookupCycles = %d, want 1", LookupCycles)

@@ -20,7 +20,6 @@ package mbt
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"sdnpc/internal/label"
 )
@@ -117,12 +116,6 @@ type Engine struct {
 	// nodes counts allocated nodes per level for memory accounting.
 	nodesPerLevel []int
 	labelEntries  int
-	// Counters for the access model. They are atomic so that Lookup — which
-	// is otherwise read-only — stays safe to call from many goroutines at
-	// once (the read-only-after-build contract of internal/engine).
-	lookupAccesses atomic.Uint64
-	lookups        atomic.Uint64
-	updateWrites   atomic.Uint64
 }
 
 // New creates an engine with the given configuration.
@@ -177,9 +170,7 @@ func (e *Engine) Insert(value uint32, bits uint8, lbl label.Label, priority int)
 	if err := e.checkPrefix(value, bits); err != nil {
 		return 0, err
 	}
-	writes = e.insert(e.root, value, int(bits), 0, lbl, priority)
-	e.updateWrites.Add(uint64(writes))
-	return writes, nil
+	return e.insert(e.root, value, int(bits), 0, lbl, priority), nil
 }
 
 // insert walks the trie placing the label on every entry covered by the
@@ -228,7 +219,6 @@ func (e *Engine) Remove(value uint32, bits uint8, lbl label.Label) (writes int, 
 	if !found {
 		return writes, fmt.Errorf("mbt: prefix %#x/%d with label %d not present", value, bits, lbl)
 	}
-	e.updateWrites.Add(uint64(writes))
 	return writes, nil
 }
 
@@ -320,8 +310,6 @@ func (e *Engine) LookupInto(key uint32, out *label.List) int {
 		}
 		n = en.child
 	}
-	e.lookups.Add(1)
-	e.lookupAccesses.Add(uint64(accesses))
 	return accesses
 }
 
@@ -361,49 +349,17 @@ func (e *Engine) LabelListBits() int {
 	return e.labelEntries * e.cfg.LabelEntryBits
 }
 
-// Stats summarises the engine's access counters.
-type Stats struct {
-	Lookups        uint64
-	LookupAccesses uint64
-	UpdateWrites   uint64
-}
-
-// AverageAccesses returns the mean node accesses per lookup.
-func (s Stats) AverageAccesses() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.LookupAccesses) / float64(s.Lookups)
-}
-
-// Stats returns a snapshot of the counters.
-func (e *Engine) Stats() Stats {
-	return Stats{Lookups: e.lookups.Load(), LookupAccesses: e.lookupAccesses.Load(), UpdateWrites: e.updateWrites.Load()}
-}
-
-// ResetStats zeroes the counters without touching the trie.
-func (e *Engine) ResetStats() {
-	e.lookups.Store(0)
-	e.lookupAccesses.Store(0)
-	e.updateWrites.Store(0)
-}
-
 // Clone returns an independent deep copy of the engine: every node and label
 // list is duplicated, so mutating the copy never touches the original. The
 // copy-on-write update path of internal/core relies on this to build a new
-// classifier snapshot while readers keep traversing the old trie. Access
-// counters carry over so cumulative statistics survive the swap.
+// classifier snapshot while readers keep traversing the old trie.
 func (e *Engine) Clone() *Engine {
-	c := &Engine{
+	return &Engine{
 		cfg:           e.cfg,
 		root:          cloneNode(e.root),
 		nodesPerLevel: append([]int(nil), e.nodesPerLevel...),
 		labelEntries:  e.labelEntries,
 	}
-	c.lookups.Store(e.lookups.Load())
-	c.lookupAccesses.Store(e.lookupAccesses.Load())
-	c.updateWrites.Store(e.updateWrites.Load())
-	return c
 }
 
 func cloneNode(n *node) *node {

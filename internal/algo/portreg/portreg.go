@@ -16,7 +16,6 @@ package portreg
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/label"
@@ -33,12 +32,6 @@ type Bank struct {
 	labelBits int
 
 	entries []regEntry
-
-	// The counters are atomic so that Lookup — a pure scan of the register
-	// file — is safe to call from many goroutines at once.
-	lookups        atomic.Uint64
-	lookupAccesses atomic.Uint64
-	updateWrites   atomic.Uint64
 }
 
 type regEntry struct {
@@ -91,7 +84,6 @@ func (b *Bank) Insert(rng fivetuple.PortRange, lbl label.Label, priority int) (w
 				if priority < e.priority {
 					b.entries[i].priority = priority
 				}
-				b.updateWrites.Add(1)
 				return 1, nil
 			}
 			return 0, nil
@@ -101,7 +93,6 @@ func (b *Bank) Insert(rng fivetuple.PortRange, lbl label.Label, priority int) (w
 		return 0, fmt.Errorf("%w: %d registers", ErrBankFull, b.capacity)
 	}
 	b.entries = append(b.entries, regEntry{rng: rng, lbl: lbl, priority: priority})
-	b.updateWrites.Add(1)
 	return 1, nil
 }
 
@@ -110,7 +101,6 @@ func (b *Bank) Remove(rng fivetuple.PortRange) (writes int, err error) {
 	for i, e := range b.entries {
 		if e.rng == rng {
 			b.entries = append(b.entries[:i], b.entries[i+1:]...)
-			b.updateWrites.Add(1)
 			return 1, nil
 		}
 	}
@@ -129,8 +119,6 @@ func (b *Bank) Lookup(port uint16) (*label.List, int) {
 // LookupInto is the allocation-free variant of Lookup: it resets out, fills
 // it with the matching labels and returns the access count.
 func (b *Bank) LookupInto(port uint16, out *label.List) int {
-	b.lookups.Add(1)
-	b.lookupAccesses.Add(1)
 	out.Reset()
 	for _, e := range b.entries {
 		if !e.rng.Matches(port) {
@@ -169,36 +157,12 @@ func (b *Bank) RegisterBits() int { return 16 + 16 + b.labelBits }
 // bit count.
 func (b *Bank) MemoryBits() int { return b.capacity * b.RegisterBits() }
 
-// Stats summarises the access counters.
-type Stats struct {
-	Lookups        uint64
-	LookupAccesses uint64
-	UpdateWrites   uint64
-}
-
-// Stats returns a snapshot of the counters.
-func (b *Bank) Stats() Stats {
-	return Stats{Lookups: b.lookups.Load(), LookupAccesses: b.lookupAccesses.Load(), UpdateWrites: b.updateWrites.Load()}
-}
-
-// ResetStats zeroes the counters.
-func (b *Bank) ResetStats() {
-	b.lookups.Store(0)
-	b.lookupAccesses.Store(0)
-	b.updateWrites.Store(0)
-}
-
 // Clone returns an independent copy of the bank: the register file is
-// copied because Insert refreshes priorities in place. Access counters
-// carry over so cumulative statistics survive a copy-on-write snapshot swap.
+// copied because Insert refreshes priorities in place.
 func (b *Bank) Clone() *Bank {
-	c := &Bank{
+	return &Bank{
 		capacity:  b.capacity,
 		labelBits: b.labelBits,
 		entries:   append([]regEntry(nil), b.entries...),
 	}
-	c.lookups.Store(b.lookups.Load())
-	c.lookupAccesses.Store(b.lookupAccesses.Load())
-	c.updateWrites.Store(b.updateWrites.Load())
-	return c
 }

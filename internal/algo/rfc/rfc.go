@@ -24,7 +24,6 @@ package rfc
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"sdnpc/internal/arena"
 	"sdnpc/internal/fivetuple"
@@ -73,11 +72,6 @@ type Classifier struct {
 
 	classCounts [numChunks]int
 	memoryBits  int
-
-	// Atomic so that a built classifier can serve Classify from any number
-	// of goroutines concurrently (read-only after build).
-	lookups        atomic.Uint64
-	lookupAccesses atomic.Uint64
 }
 
 // crossTable combines two equivalence-class ID streams into one. entries is
@@ -386,7 +380,6 @@ func intersect(a, b []uint32) []uint32 {
 // number of table accesses performed. It allocates nothing: thirteen
 // indexings of the flat arena resolve the header.
 func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, accesses int) {
-	c.lookups.Add(1)
 	// Phase 0: seven chunk tables.
 	srcHi := c.phase0[chunkSrcHi][h.SrcIP.High16()]
 	srcLo := c.phase0[chunkSrcLo][h.SrcIP.Low16()]
@@ -408,7 +401,6 @@ func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, 
 	// Phase 3.
 	final := c.finalTable.index(l3, l4)
 	accesses++
-	c.lookupAccesses.Add(uint64(accesses))
 
 	best := c.finalBest[final]
 	if best == noRule {
@@ -427,20 +419,3 @@ func (c *Classifier) MemoryBits() int { return c.memoryBits }
 // ArenaBytes returns the backing storage of the flattened tables — the one
 // allocation a published snapshot hands the collector.
 func (c *Classifier) ArenaBytes() int { return c.ar.SizeBytes() }
-
-// Stats summarises lookup counters.
-type Stats struct {
-	Lookups        uint64
-	LookupAccesses uint64
-}
-
-// Stats returns a snapshot of the counters.
-func (c *Classifier) Stats() Stats {
-	return Stats{Lookups: c.lookups.Load(), LookupAccesses: c.lookupAccesses.Load()}
-}
-
-// ResetStats zeroes the counters without touching the built tables.
-func (c *Classifier) ResetStats() {
-	c.lookups.Store(0)
-	c.lookupAccesses.Store(0)
-}

@@ -3,7 +3,6 @@ package rfc
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"sdnpc/internal/label"
 )
@@ -34,13 +33,6 @@ type SegmentTable struct {
 	table        []uint32
 	classes      []*label.List
 	classEntries int
-
-	// The counters are atomic so that Lookup on a prepared (non-dirty) table
-	// is safe to call from many goroutines at once.
-	lookups        atomic.Uint64
-	lookupAccesses atomic.Uint64
-	updateWrites   atomic.Uint64
-	rebuilds       atomic.Uint64
 }
 
 // segPrefix is one stored (prefix, label) pair.
@@ -113,13 +105,11 @@ func (t *SegmentTable) Remove(value uint32, bits uint8, lbl label.Label) (writes
 	return 0, fmt.Errorf("rfc: prefix %#x/%d with label %d not present", value, bits, lbl)
 }
 
-// invalidate marks the table for regeneration and accounts the download cost
+// invalidate marks the table for regeneration and returns the download cost
 // of the update: the full direct-indexed table.
 func (t *SegmentTable) invalidate() int {
 	t.dirty = true
-	writes := t.domain()
-	t.updateWrites.Add(uint64(writes))
-	return writes
+	return t.domain()
 }
 
 // prefixRange returns the inclusive key range covered by a prefix.
@@ -133,7 +123,6 @@ func (t *SegmentTable) prefixRange(p segPrefix) (uint32, uint32) {
 // with a boundary sweep, mirroring buildPhase0.
 func (t *SegmentTable) rebuild() {
 	t.dirty = false
-	t.rebuilds.Add(1)
 	t.classEntries = 0
 	if len(t.prefixes) == 0 {
 		t.table = nil
@@ -214,8 +203,6 @@ func (t *SegmentTable) LookupInto(key uint32, out *label.List) int {
 	if t.dirty {
 		t.rebuild()
 	}
-	t.lookups.Add(1)
-	t.lookupAccesses.Add(1)
 	out.Reset()
 	if len(t.table) == 0 || key >= uint32(t.domain()) {
 		return 1
@@ -256,32 +243,6 @@ func (t *SegmentTable) LabelListBits() int {
 	return t.classEntries * t.labelEntryBits
 }
 
-// SegmentStats summarises the table's access counters.
-type SegmentStats struct {
-	Lookups        uint64
-	LookupAccesses uint64
-	UpdateWrites   uint64
-	Rebuilds       uint64
-}
-
-// Stats returns a snapshot of the counters.
-func (t *SegmentTable) SegmentStats() SegmentStats {
-	return SegmentStats{
-		Lookups:        t.lookups.Load(),
-		LookupAccesses: t.lookupAccesses.Load(),
-		UpdateWrites:   t.updateWrites.Load(),
-		Rebuilds:       t.rebuilds.Load(),
-	}
-}
-
-// ResetStats zeroes the counters without touching the stored prefixes.
-func (t *SegmentTable) ResetStats() {
-	t.lookups.Store(0)
-	t.lookupAccesses.Store(0)
-	t.updateWrites.Store(0)
-	t.rebuilds.Store(0)
-}
-
 // Prepare forces the deferred rebuild so that subsequent Lookups are pure
 // reads. The classifier calls it before publishing a snapshot to concurrent
 // readers; a dirty table reaching a reader would make Lookup's lazy rebuild
@@ -310,9 +271,5 @@ func (t *SegmentTable) Clone() *SegmentTable {
 	for i, l := range t.classes {
 		c.classes[i] = l.Clone()
 	}
-	c.lookups.Store(t.lookups.Load())
-	c.lookupAccesses.Store(t.lookupAccesses.Load())
-	c.updateWrites.Store(t.updateWrites.Load())
-	c.rebuilds.Store(t.rebuilds.Load())
 	return c
 }

@@ -102,7 +102,7 @@ func TestSegmentTablePriorityRefresh(t *testing.T) {
 	}
 }
 
-func TestSegmentTableEmptyAndStats(t *testing.T) {
+func TestSegmentTableEmptyAndUpdateCost(t *testing.T) {
 	st, err := NewSegmentTable(8, 7)
 	if err != nil {
 		t.Fatalf("NewSegmentTable: %v", err)
@@ -114,16 +114,15 @@ func TestSegmentTableEmptyAndStats(t *testing.T) {
 	if st.MemoryBits() != 0 || st.LabelListBits() != 0 {
 		t.Errorf("empty table reports %d node bits, %d label bits", st.MemoryBits(), st.LabelListBits())
 	}
-	if _, err := st.Insert(0x40, 2, 1, 0); err != nil {
+	// An update re-downloads the whole direct-indexed table: 2^8 entries.
+	writes, err := st.Insert(0x40, 2, 1, 0)
+	if err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
-	st.Lookup(0x41)
-	stats := st.SegmentStats()
-	if stats.Lookups != 2 || stats.Rebuilds != 1 || stats.UpdateWrites != 256 {
-		t.Errorf("stats = %+v, want 2 lookups, 1 rebuild, 256 update writes", stats)
+	if writes != 256 {
+		t.Errorf("Insert returned %d writes, want the 256-entry table", writes)
 	}
-	st.ResetStats()
-	if st.SegmentStats() != (SegmentStats{}) {
-		t.Error("ResetStats should zero the counters")
+	if list, accesses := st.Lookup(0x41); list.Len() != 1 || accesses != 1 {
+		t.Errorf("Lookup after insert = %d labels, %d accesses, want 1, 1", list.Len(), accesses)
 	}
 }

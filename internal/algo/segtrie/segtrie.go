@@ -168,12 +168,6 @@ func (e *Engine) MemoryBits() int { return e.trie.MemoryBits() }
 // LabelListBits returns the Labels-memory storage consumed.
 func (e *Engine) LabelListBits() int { return e.trie.LabelListBits() }
 
-// Stats returns the underlying trie's access counters.
-func (e *Engine) Stats() mbt.Stats { return e.trie.Stats() }
-
-// ResetStats zeroes the counters.
-func (e *Engine) ResetStats() { e.trie.ResetStats() }
-
 // Clone returns an independent copy of the engine: the underlying trie is
 // deep-cloned and the range-expansion memo copied (its segment slices are
 // append-only once stored, so sharing them is safe).

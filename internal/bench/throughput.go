@@ -36,7 +36,7 @@ type ThroughputOptions struct {
 	// Replicated, when set, measures every (engine, workers) cell an
 	// additional time in replicated-fleet mode with one replica per worker
 	// (and the cache, when enabled, private per replica) — the scaling curve
-	// the shared-pointer rows are the baseline for.
+	// the single-replica rows are the baseline for.
 	Replicated bool
 	// Shards and PartitionBy, when Shards > 1, run every cell with the rule
 	// table partitioned into that many shards by the named strategy.
@@ -150,8 +150,8 @@ func ThroughputSweep(w Workload, opts ThroughputOptions) ([]ThroughputRow, error
 				if v.replicated {
 					cfg.Replicas = n
 					if cfg.Replicas < 2 {
-						// One worker still goes through the fleet path, so the
-						// 1-worker baseline pays the same serving code.
+						// Replicas <= 1 is the unreplicated configuration; the
+						// 1-worker cell of the replicated curve keeps two.
 						cfg.Replicas = 2
 					}
 				}
@@ -192,8 +192,8 @@ func ThroughputSweep(w Workload, opts ThroughputOptions) ([]ThroughputRow, error
 
 // runThroughput drives one (engine, workers) cell. Each worker replays its
 // own offset of the shared trace in batches through a worker-pinned Reader
-// (its replica's snapshot and cache under the fleet, the shared path
-// otherwise), recording the wall-clock time of every LookupBatch call; the
+// (its own replica's cache and counters when the classifier is replicated),
+// recording the wall-clock time of every LookupBatch call; the
 // per-packet latency quantiles are taken over all batch timings of all
 // workers.
 func runThroughput(c *core.Classifier, trace []fivetuple.Header, name string, workers, batch, perWorker int) ThroughputRow {

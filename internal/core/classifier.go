@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sdnpc/internal/cache"
 	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/label"
@@ -124,14 +123,9 @@ type Classifier struct {
 	// generation and microflow-cache entries can be keyed by it.
 	gen atomic.Uint64
 
-	// microflow is the optional exact-match cache in front of both engine
-	// tiers (nil when Config.CacheCapacity is 0). It is shared across
-	// snapshots; generation matching keeps it coherent through swaps.
-	microflow *cache.Cache[Result]
-
-	// fleet is the replicated serving layer (nil when Config.Replicas <= 1):
-	// per-worker snapshot clones plus private caches that publish fans out
-	// to. When it is set, readers serve from a replica instead of snap.
+	// fleet holds the serving replicas — the optional microflow caches in
+	// front of both engine tiers and the lookup counters. Never nil: an
+	// unreplicated classifier is a fleet of one.
 	fleet *fleet
 
 	// sampler captures a ring of recently served headers for the advisor's
@@ -139,6 +133,7 @@ type Classifier struct {
 	// inert, so the serving path offers unconditionally).
 	sampler *headerSampler
 
+	// stats is the update-plane collector; lookups account to their replica.
 	stats statsCollector
 }
 
@@ -153,14 +148,7 @@ func New(cfg Config) (*Classifier, error) {
 		return nil, fmt.Errorf("core: unknown field engine %q", name)
 	}
 	c := &Classifier{cfg: cfg}
-	if cfg.Replicas > 1 {
-		// Replicated fleet: the cache budget lives inside the replicas (one
-		// private cache each), not in a shared front cache readers would
-		// contend on.
-		c.fleet = newFleet(&c.cfg)
-	} else if cfg.CacheCapacity > 0 {
-		c.microflow = cache.New[Result](cfg.CacheShards, cfg.CacheCapacity)
-	}
+	c.fleet = newFleet(&c.cfg)
 	if cfg.SampleHeaders > 0 {
 		c.sampler = newHeaderSampler(cfg.SampleHeaders)
 	}
@@ -188,46 +176,28 @@ func MustNew(cfg Config) *Classifier {
 }
 
 // view returns the published snapshot. The returned snapshot is immutable
-// (up to atomic counters) and remains valid even if an update publishes a
-// successor while the caller is still reading it.
+// and remains valid even if an update publishes a successor while the caller
+// is still reading it.
 func (c *Classifier) view() *snapshot { return c.snap.Load() }
 
 // publish prepares a snapshot, stamps it with the next generation and makes
 // it the one served to readers. The fresh generation is what retires every
 // microflow-cache entry filled under predecessors: entries are only served
 // to readers of the generation that filled them, so the swap invalidates the
-// cache in O(1) with no flush.
-//
-// With a replicated fleet, the publish additionally fans the snapshot out to
-// every replica before returning; the fleet generation advances last, so a
-// publish is complete only when every replica serves it.
+// cache in O(1) with no flush. Every replica serves the snapshot from the
+// moment of the swap.
 func (c *Classifier) publish(s *snapshot) {
 	s.prepare()
 	s.gen = c.gen.Add(1)
 	c.snap.Store(s)
-	if c.fleet != nil {
-		c.fleet.fanOut(&c.cfg, s)
-	}
 }
 
 // Generation returns the generation of the published snapshot.
 func (c *Classifier) Generation() uint64 { return c.view().gen }
 
-// FleetGeneration returns the generation every serving replica has reached
-// (the publish generation when no fleet is configured). Equality with
-// Generation means the last publish's fan-out has completed on all replicas.
-func (c *Classifier) FleetGeneration() uint64 {
-	if c.fleet == nil {
-		return c.view().gen
-	}
-	return c.fleet.gen.Load()
-}
-
-// CacheEnabled reports whether the microflow cache is configured (shared or
-// per replica).
-func (c *Classifier) CacheEnabled() bool {
-	return c.microflow != nil || (c.fleet != nil && c.cfg.CacheCapacity > 0)
-}
+// CacheEnabled reports whether the microflow cache is configured (one per
+// replica).
+func (c *Classifier) CacheEnabled() bool { return c.cfg.CacheCapacity > 0 }
 
 // Config returns the classifier configuration. It takes the writer mutex so
 // the copy is consistent with any concurrent SetUpdatePolicy.

@@ -197,10 +197,10 @@ type Config struct {
 	CacheShards int
 
 	// Replicas, when greater than 1, enables the replicated serving fleet:
-	// every publish fans out to this many per-worker replicas, each holding
-	// its own snapshot clone and (when the cache is enabled) its own private
-	// microflow cache, so pinned workers serve from core-local memory. 0 and
-	// 1 keep the single shared snapshot pointer.
+	// this many per-worker replicas, each holding its own lookup counters
+	// and (when the cache is enabled) its own private microflow cache in
+	// front of the one published snapshot, so pinned workers share neither.
+	// 0 and 1 keep the single replica.
 	Replicas int
 	// Shards, when greater than 1, enables rule-space partitioning: the rule
 	// table is split into this many shards by the partition byte selected by

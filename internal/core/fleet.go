@@ -8,24 +8,15 @@ import (
 	"sdnpc/internal/fivetuple"
 )
 
-// fleet is the replicated serving layer behind Config.Replicas: every worker
-// serves from its own replica — a private clone of the published snapshot
-// plus a private microflow cache — so readers on different cores touch only
-// core-local memory instead of serialising on one shared snapshot pointer
-// and one shared cache.
-//
-// The single writer fans every publish out to all replicas synchronously,
-// under the classifier's update mutex, before advancing the fleet
-// generation: a publish is complete only when every replica has advanced, so
-// fleet.gen is monotonic and fleet.gen == snapshot.gen means every replica
-// serves that snapshot (or, mid-fan-out, an in-flight reader still drains the
-// predecessor — the same old-or-new cut the unreplicated path guarantees).
+// fleet is the serving layer in front of the published snapshot: one or more
+// replicas (Config.Replicas; the plain classifier is a fleet of one), each a
+// private microflow cache plus private lookup counters. A lookup performs no
+// writes to the snapshot, so every replica serves the one published snapshot;
+// what replicating buys is that workers on different cores fill and hit
+// their own cache and bump their own counters instead of contending on
+// shared ones.
 type fleet struct {
 	replicas []*fleetReplica
-
-	// gen is the fleet generation: the generation of the last publish whose
-	// fan-out completed on every replica.
-	gen atomic.Uint64
 
 	// next round-robins replica indices onto pool slots as Ps first touch
 	// the pool, spreading workers across replicas.
@@ -38,25 +29,25 @@ type fleet struct {
 	slots sync.Pool
 }
 
-// fleetReplica is one worker-facing copy of the serving state. The hot
-// fields sit in their own heap allocation (one per replica), and the pads
-// keep the replica's snapshot pointer and cache pointer off any cache line
-// shared with another replica's.
+// fleetReplica is one worker-facing slice of the serving state: a private
+// cache (nil when Config.CacheCapacity is 0; generation matching keeps it
+// coherent through snapshot swaps) and private lookup counters. Each replica
+// is its own heap allocation, and the pads keep its cache pointer and its
+// counters off any cache line shared with another replica's.
 type fleetReplica struct {
 	_         [64]byte
-	snap      atomic.Pointer[snapshot]
-	gen       atomic.Uint64
 	microflow *cache.Cache[Result]
 	_         [64]byte
 	stats     replicaStats
 	_         [64]byte
 }
 
-// replicaStats is the lookup-side slice of statsCollector, owned by one
-// replica: a worker pinned to a replica increments only its own replica's
-// counters, so the serving path never writes a cache line another core's
-// counters share. The update-plane counters stay in the classifier's shared
-// collector — updates are single-writer and don't need this.
+// replicaStats is the lookup side of Stats, owned by one replica: a worker
+// pinned to a replica increments only its own replica's counters, so the
+// serving path never writes a cache line another core's counters share.
+// Batches are folded in with one atomic add per counter rather than one per
+// packet. The update-plane counters live in the classifier's statsCollector
+// — updates are single-writer and don't need this.
 type replicaStats struct {
 	lookups          atomic.Uint64
 	matches          atomic.Uint64
@@ -113,11 +104,11 @@ func (rs *replicaStats) reset() {
 // replicaSlot is the pooled token carrying a replica index.
 type replicaSlot struct{ idx int }
 
-// newFleet builds the replica array (snapshots are fanned out by the first
-// publish). Each replica gets its own private microflow cache when the
-// configuration enables one.
+// newFleet builds the replica array: Config.Replicas of them, one when the
+// configuration leaves replication off. Each replica gets its own private
+// microflow cache when the configuration enables one.
 func newFleet(cfg *Config) *fleet {
-	f := &fleet{replicas: make([]*fleetReplica, cfg.Replicas)}
+	f := &fleet{replicas: make([]*fleetReplica, max(cfg.Replicas, 1))}
 	for i := range f.replicas {
 		rep := &fleetReplica{}
 		if cfg.CacheCapacity > 0 {
@@ -131,47 +122,38 @@ func newFleet(cfg *Config) *fleet {
 	return f
 }
 
-// fanOut publishes one prepared, generation-stamped snapshot to every
-// replica: each gets its own clone (its engines' structures and counters are
-// then core-local), falling back to sharing the primary snapshot pointer if
-// a clone fails — still correct, just shared memory for that replica. The
-// fleet generation advances only after the last replica has.
-func (f *fleet) fanOut(cfg *Config, s *snapshot) {
-	for _, rep := range f.replicas {
-		view := s
-		if cl, err := s.clone(cfg); err == nil {
-			cl.gen = s.gen // clone never copies the generation
-			cl.prepare()
-			view = cl
-		}
-		rep.snap.Store(view)
-		rep.gen.Store(s.gen)
+// pick draws a replica for the calling goroutine and returns the Reader to
+// serve through together with the pool slot to return via release. A fleet
+// of one has nothing to spread and skips the pool; otherwise the draw is
+// allocation-free in steady state.
+func (c *Classifier) pick() (Reader, *replicaSlot) {
+	f := c.fleet
+	if len(f.replicas) == 1 {
+		return Reader{c: c, rep: f.replicas[0]}, nil
 	}
-	f.gen.Store(s.gen)
-}
-
-// pick returns a replica for this goroutine together with the pool slot to
-// return via release. Zero allocation in steady state.
-func (f *fleet) pick() (*fleetReplica, *replicaSlot) {
 	sl := f.slots.Get().(*replicaSlot)
-	return f.replicas[sl.idx], sl
+	return Reader{c: c, rep: f.replicas[sl.idx]}, sl
 }
 
-func (f *fleet) release(sl *replicaSlot) { f.slots.Put(sl) }
-
-// replica returns the replica a pinned worker id maps to.
-func (f *fleet) replica(worker int) *fleetReplica {
-	if worker < 0 {
-		worker = -worker
+func (f *fleet) release(sl *replicaSlot) {
+	if sl != nil {
+		f.slots.Put(sl)
 	}
-	return f.replicas[worker%len(f.replicas)]
+}
+
+// replica returns the replica a pinned worker id maps to. The unsigned
+// conversion makes every int a valid id, negative ones included.
+func (f *fleet) replica(worker int) *fleetReplica {
+	return f.replicas[uint(worker)%uint(len(f.replicas))]
 }
 
 // Reader is a worker-pinned serving handle: lookups through a Reader always
-// hit the same replica's snapshot and cache, giving a serving loop pinned to
-// a core purely core-local reads. On a classifier without replicas the
-// Reader transparently serves the shared path, so callers can hold one per
-// worker unconditionally.
+// go through the same replica's cache and counters, so a serving loop pinned
+// to a core contends with no other worker on either. It is also the one
+// implementation of every lookup call shape — the Classifier's own lookup
+// methods draw a replica for the calling goroutine and run the same bodies.
+// Callers can hold one Reader per worker unconditionally: on an unreplicated
+// classifier every worker id maps to the single replica.
 type Reader struct {
 	c   *Classifier
 	rep *fleetReplica
@@ -180,31 +162,24 @@ type Reader struct {
 // Reader returns the serving handle for the given worker id. Worker ids are
 // mapped onto replicas round-robin; any id is valid.
 func (c *Classifier) Reader(worker int) *Reader {
-	r := &Reader{c: c}
-	if c.fleet != nil {
-		r.rep = c.fleet.replica(worker)
-	}
-	return r
+	return &Reader{c: c, rep: c.fleet.replica(worker)}
 }
 
-// Lookup classifies one header from this reader's replica. Accounting goes
-// to the replica's private counters, never the shared collector: the pinned
-// path stays free of cross-core contended cache lines.
+// Lookup classifies one header against the published snapshot, through this
+// reader's replica cache when one is configured. Accounting goes to the
+// replica's private counters.
 func (r *Reader) Lookup(h fivetuple.Header) Result {
-	if r.rep != nil {
-		result := r.c.serveOn(r.rep.snap.Load(), r.rep.microflow, h)
-		r.rep.stats.recordLookup(result)
-		r.c.sampler.offer(h)
-		return result
-	}
-	result := r.c.serveOn(r.c.view(), r.c.microflow, h)
-	r.c.stats.recordLookup(result)
+	result := r.c.serveOn(r.c.view(), r.rep.microflow, h)
+	r.rep.stats.recordLookup(result)
 	r.c.sampler.offer(h)
 	return result
 }
 
-// LookupBatchInto classifies a batch against one consistent replica
-// snapshot, reusing dst like Classifier.LookupBatchInto.
+// LookupBatchInto classifies a batch against one consistent snapshot: the
+// published data path is loaded once and every header of the batch is
+// classified against it, even if rule updates land midway. dst's backing
+// array is reused when its capacity covers the batch (grown otherwise) and
+// returned resized to one Result per header.
 func (r *Reader) LookupBatchInto(dst []Result, hs []fivetuple.Header) []Result {
 	if len(hs) == 0 {
 		return dst[:0]
@@ -213,32 +188,20 @@ func (r *Reader) LookupBatchInto(dst []Result, hs []fivetuple.Header) []Result {
 		dst = make([]Result, len(hs))
 	}
 	dst = dst[:len(hs)]
-	s, mf := r.c.view(), r.c.microflow
-	if r.rep != nil {
-		s, mf = r.rep.snap.Load(), r.rep.microflow
-	}
+	s := r.c.view()
 	for i, h := range hs {
-		dst[i] = r.c.serveOn(s, mf, h)
+		dst[i] = r.c.serveOn(s, r.rep.microflow, h)
 	}
-	if r.rep != nil {
-		r.rep.stats.recordBatch(SummarizeBatch(dst))
-	} else {
-		r.c.stats.recordBatch(SummarizeBatch(dst))
-	}
+	r.rep.stats.recordBatch(SummarizeBatch(dst))
 	r.c.sampler.offer(hs[0])
 	return dst
 }
 
-// LookupBatch classifies a batch against one consistent replica snapshot.
+// LookupBatch classifies a batch against one consistent snapshot.
 func (r *Reader) LookupBatch(hs []fivetuple.Header) []Result {
 	return r.LookupBatchInto(nil, hs)
 }
 
-// Generation returns the published generation of this reader's replica (the
-// classifier generation when unreplicated).
-func (r *Reader) Generation() uint64 {
-	if r.rep != nil {
-		return r.rep.gen.Load()
-	}
-	return r.c.view().gen
-}
+// Generation returns the generation of the published snapshot this reader's
+// next lookup will serve.
+func (r *Reader) Generation() uint64 { return r.c.view().gen }

@@ -79,17 +79,9 @@ var lookupScratchPool = sync.Pool{New: func() any {
 // a rule update still returns a result consistent with either the pre-update
 // or the post-update snapshot, never a cached leftover of a third.
 func (c *Classifier) Lookup(h fivetuple.Header) Result {
-	var result Result
-	if c.fleet != nil {
-		rep, sl := c.fleet.pick()
-		result = c.serveOn(rep.snap.Load(), rep.microflow, h)
-		rep.stats.recordLookup(result)
-		c.fleet.release(sl)
-	} else {
-		result = c.serveOn(c.view(), c.microflow, h)
-		c.stats.recordLookup(result)
-	}
-	c.sampler.offer(h)
+	r, sl := c.pick()
+	result := r.Lookup(h)
+	c.fleet.release(sl)
 	return result
 }
 
@@ -100,8 +92,8 @@ func (c *Classifier) Lookup(h fivetuple.Header) Result {
 // deterministic per (snapshot, header) — so the cached path is
 // byte-identical to the uncached one. This is what makes the cache
 // tier-agnostic: it fronts the field tier and the packet tier with the same
-// three lines, and replica-agnostic: each fleet replica passes its own
-// private cache.
+// three lines, and replica-agnostic: each replica passes its own private
+// cache.
 func (c *Classifier) serveOn(s *snapshot, mf *cache.Cache[Result], h fivetuple.Header) Result {
 	if mf == nil {
 		return s.lookup(&c.cfg, h)
@@ -132,30 +124,9 @@ func (c *Classifier) LookupBatch(hs []fivetuple.Header) []Result {
 // loop that recycles its result slice across batches performs no per-batch
 // heap allocation.
 func (c *Classifier) LookupBatchInto(dst []Result, hs []fivetuple.Header) []Result {
-	if len(hs) == 0 {
-		return dst[:0]
-	}
-	if cap(dst) < len(hs) {
-		dst = make([]Result, len(hs))
-	}
-	dst = dst[:len(hs)]
-	s, mf := c.view(), c.microflow
-	var rep *fleetReplica
-	var sl *replicaSlot
-	if c.fleet != nil {
-		rep, sl = c.fleet.pick()
-		s, mf = rep.snap.Load(), rep.microflow
-	}
-	for i, h := range hs {
-		dst[i] = c.serveOn(s, mf, h)
-	}
-	if rep != nil {
-		rep.stats.recordBatch(SummarizeBatch(dst))
-		c.fleet.release(sl)
-	} else {
-		c.stats.recordBatch(SummarizeBatch(dst))
-	}
-	c.sampler.offer(hs[0])
+	r, sl := c.pick()
+	dst = r.LookupBatchInto(dst, hs)
+	c.fleet.release(sl)
 	return dst
 }
 
@@ -215,8 +186,8 @@ func SummarizeBatch(results []Result) BatchReport {
 }
 
 // lookup runs the four-phase pipeline against this snapshot. It performs no
-// writes beyond the atomic access counters inside the engines and the rule
-// filter, which is what makes the concurrent serving path possible.
+// writes to the snapshot — every cost it incurs is returned in the Result —
+// which is what lets any number of readers share one published snapshot.
 func (s *snapshot) lookup(cfg *Config, h fivetuple.Header) Result {
 	// Sharded table: a one-byte pre-classification steers the header to the
 	// single shard holding every rule that could match it (the partitioner's
@@ -462,19 +433,11 @@ func (s Stats) MatchRate() float64 {
 	return float64(s.Matches) / float64(s.Lookups)
 }
 
-// statsCollector is the concurrent backing store of Stats: every counter is
-// atomic so that the lock-free lookup path can record its accounting from
-// any number of goroutines. Batches are folded in with one atomic add per
-// counter rather than one per packet.
+// statsCollector is the update-plane backing store of Stats and
+// UpdateStats. The counters are atomic so Report can read them while the
+// (single) writer records; the lookup-side counters live with the replicas
+// (see replicaStats).
 type statsCollector struct {
-	lookups          atomic.Uint64
-	matches          atomic.Uint64
-	fieldAccesses    atomic.Uint64
-	labelFetches     atomic.Uint64
-	ruleFilterProbes atomic.Uint64
-	combinations     atomic.Uint64
-	latencyCycles    atomic.Uint64
-
 	inserts      atomic.Uint64
 	deletes      atomic.Uint64
 	updateCycles atomic.Uint64
@@ -501,28 +464,6 @@ func (sc *statsCollector) recordPublish(sync publishSync, elapsed time.Duration)
 	sc.publishLatency[latencyBucket(elapsed)].Add(1)
 }
 
-func (sc *statsCollector) recordLookup(r Result) {
-	sc.lookups.Add(1)
-	if r.Matched {
-		sc.matches.Add(1)
-	}
-	sc.fieldAccesses.Add(uint64(r.FieldAccesses))
-	sc.labelFetches.Add(uint64(r.LabelFetches))
-	sc.ruleFilterProbes.Add(uint64(r.RuleFilterProbes))
-	sc.combinations.Add(uint64(r.Combinations))
-	sc.latencyCycles.Add(uint64(r.LatencyCycles))
-}
-
-func (sc *statsCollector) recordBatch(rep BatchReport) {
-	sc.lookups.Add(uint64(rep.Packets))
-	sc.matches.Add(uint64(rep.Matched))
-	sc.fieldAccesses.Add(uint64(rep.FieldAccesses))
-	sc.labelFetches.Add(uint64(rep.LabelFetches))
-	sc.ruleFilterProbes.Add(uint64(rep.RuleFilterProbes))
-	sc.combinations.Add(uint64(rep.Combinations))
-	sc.latencyCycles.Add(uint64(rep.LatencyCycles))
-}
-
 func (sc *statsCollector) recordInsert(rep UpdateReport) {
 	sc.inserts.Add(1)
 	sc.updateCycles.Add(uint64(rep.ClockCycles))
@@ -543,27 +484,13 @@ func (sc *statsCollector) recordUpdates(inserts, deletes, cycles int) {
 
 func (sc *statsCollector) snapshot() Stats {
 	return Stats{
-		Lookups:          sc.lookups.Load(),
-		Matches:          sc.matches.Load(),
-		FieldAccesses:    sc.fieldAccesses.Load(),
-		LabelFetches:     sc.labelFetches.Load(),
-		RuleFilterProbes: sc.ruleFilterProbes.Load(),
-		Combinations:     sc.combinations.Load(),
-		LatencyCycles:    sc.latencyCycles.Load(),
-		Inserts:          sc.inserts.Load(),
-		Deletes:          sc.deletes.Load(),
-		UpdateCycles:     sc.updateCycles.Load(),
+		Inserts:      sc.inserts.Load(),
+		Deletes:      sc.deletes.Load(),
+		UpdateCycles: sc.updateCycles.Load(),
 	}
 }
 
 func (sc *statsCollector) reset() {
-	sc.lookups.Store(0)
-	sc.matches.Store(0)
-	sc.fieldAccesses.Store(0)
-	sc.labelFetches.Store(0)
-	sc.ruleFilterProbes.Store(0)
-	sc.combinations.Store(0)
-	sc.latencyCycles.Store(0)
 	sc.inserts.Store(0)
 	sc.deletes.Store(0)
 	sc.updateCycles.Store(0)
@@ -575,15 +502,13 @@ func (sc *statsCollector) reset() {
 	}
 }
 
-// statsSnapshot folds the shared collector and every replica's private
-// lookup-side counters into one aggregate Stats. Replica counters live with
-// the replicas (see replicaStats); only observation pays for the walk.
+// statsSnapshot folds the update-plane collector and every replica's private
+// lookup-side counters into one aggregate Stats. Only observation pays for
+// the walk.
 func (c *Classifier) statsSnapshot() Stats {
 	s := c.stats.snapshot()
-	if c.fleet != nil {
-		for _, rep := range c.fleet.replicas {
-			rep.stats.addTo(&s)
-		}
+	for _, rep := range c.fleet.replicas {
+		rep.stats.addTo(&s)
 	}
 	return s
 }
@@ -608,39 +533,15 @@ func (lc LookupCounters) MatchRate() float64 {
 	return float64(lc.Matches) / float64(lc.Lookups)
 }
 
-// ResetStats zeroes the counters without touching installed rules. The
-// microflow cache's counters are reset too (including every replica's
-// private cache); entries are kept.
+// ResetStats zeroes the classifier's counters — the update-plane collector
+// and every replica's lookup and cache counters — without touching installed
+// rules or cached entries.
 func (c *Classifier) ResetStats() {
 	c.stats.reset()
-	if c.microflow != nil {
-		c.microflow.ResetStats()
-	}
-	c.view().resetCounters()
-	if c.fleet != nil {
-		for _, rep := range c.fleet.replicas {
-			rep.stats.reset()
-			if rep.microflow != nil {
-				rep.microflow.ResetStats()
-			}
-			if s := rep.snap.Load(); s != nil {
-				s.resetCounters()
-			}
+	for _, rep := range c.fleet.replicas {
+		rep.stats.reset()
+		if rep.microflow != nil {
+			rep.microflow.ResetStats()
 		}
-	}
-}
-
-// resetCounters zeroes the access counters of this snapshot's structures,
-// recursing into shards.
-func (s *snapshot) resetCounters() {
-	s.filter.resetCounters()
-	for _, eng := range s.engines {
-		eng.ResetStats()
-	}
-	if s.packet != nil {
-		s.packet.ResetStats()
-	}
-	for _, sh := range s.shards {
-		sh.resetCounters()
 	}
 }

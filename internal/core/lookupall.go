@@ -47,33 +47,17 @@ func (c *Classifier) LookupAll(h fivetuple.Header) ([]ActionRef, Result) {
 // LookupAllInto is the allocation-free variant of LookupAll: matches are
 // appended to dst[:0], reusing its backing array when capacity allows.
 func (c *Classifier) LookupAllInto(dst []ActionRef, h fivetuple.Header) ([]ActionRef, Result) {
-	dst = dst[:0]
-	var result Result
-	if c.fleet != nil {
-		rep, sl := c.fleet.pick()
-		dst, result = rep.snap.Load().lookupAllInto(&c.cfg, h, dst)
-		rep.stats.recordLookup(result)
-		c.fleet.release(sl)
-	} else {
-		dst, result = c.view().lookupAllInto(&c.cfg, h, dst)
-		c.stats.recordLookup(result)
-	}
-	c.sampler.offer(h)
+	r, sl := c.pick()
+	dst, result := r.LookupAllInto(dst, h)
+	c.fleet.release(sl)
 	return dst, result
 }
 
-// LookupAllInto collects the multi-action verdict from this reader's replica,
-// appending to dst[:0] like Classifier.LookupAllInto.
+// LookupAllInto collects the multi-action verdict, appending to dst[:0], and
+// accounts the lookup to this reader's replica.
 func (r *Reader) LookupAllInto(dst []ActionRef, h fivetuple.Header) ([]ActionRef, Result) {
-	dst = dst[:0]
-	var result Result
-	if r.rep != nil {
-		dst, result = r.rep.snap.Load().lookupAllInto(&r.c.cfg, h, dst)
-		r.rep.stats.recordLookup(result)
-	} else {
-		dst, result = r.c.view().lookupAllInto(&r.c.cfg, h, dst)
-		r.c.stats.recordLookup(result)
-	}
+	dst, result := r.c.view().lookupAllInto(&r.c.cfg, h, dst[:0])
+	r.rep.stats.recordLookup(result)
 	r.c.sampler.offer(h)
 	return dst, result
 }

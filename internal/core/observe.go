@@ -35,20 +35,17 @@ type Report struct {
 	Memory MemoryReport
 
 	// CacheEnabled reports whether the microflow cache is configured; Cache
-	// holds its counters (zero when disabled). With a replicated fleet the
-	// counters are summed over every replica's private cache, so the
-	// aggregate hit rate stays meaningful.
+	// holds its counters (zero when disabled), summed over every replica's
+	// private cache so the aggregate hit rate stays meaningful.
 	CacheEnabled bool
 	Cache        cache.Stats
 
-	// Generation is the published snapshot's generation; FleetGeneration is
-	// the generation every serving replica has reached (equal to Generation
-	// when no fleet is configured, and after every complete publish).
-	Generation      uint64
-	FleetGeneration uint64
+	// Generation is the published snapshot's generation — the one every
+	// replica serves.
+	Generation uint64
 
-	// Replicas describes each serving replica of the fleet, in replica
-	// order; empty when replication is off.
+	// Replicas describes each serving replica, in replica order; empty when
+	// replication is off (Config.Replicas <= 1).
 	Replicas []ReplicaReport
 
 	// Shards describes each rule-space shard, in shard order; empty when
@@ -58,8 +55,6 @@ type Report struct {
 
 // ReplicaReport is the per-replica slice of the observability snapshot.
 type ReplicaReport struct {
-	// Generation is the publish generation this replica currently serves.
-	Generation uint64
 	// CacheEnabled reports whether the replica holds a private microflow
 	// cache; Cache holds its counters.
 	CacheEnabled bool
@@ -98,26 +93,19 @@ func (c *Classifier) Report() Report {
 		Memory:         c.memoryReport(s),
 	}
 	r.Lookups = LookupCounters{Lookups: r.Stats.Lookups, Matches: r.Stats.Matches}
-	if c.microflow != nil {
-		r.CacheEnabled = true
-		r.Cache = c.microflow.Stats()
-	}
+	r.CacheEnabled = c.CacheEnabled()
 	r.Generation = s.gen
-	r.FleetGeneration = c.FleetGeneration()
-	if c.fleet != nil {
-		r.Replicas = make([]ReplicaReport, len(c.fleet.replicas))
-		for i, rep := range c.fleet.replicas {
-			rr := ReplicaReport{Generation: rep.gen.Load()}
-			if rep.microflow != nil {
-				rr.CacheEnabled = true
-				rr.Cache = rep.microflow.Stats()
-				r.CacheEnabled = true
-				r.Cache.Hits += rr.Cache.Hits
-				r.Cache.Misses += rr.Cache.Misses
-				r.Cache.Evictions += rr.Cache.Evictions
-				r.Cache.StaleGenerations += rr.Cache.StaleGenerations
-			}
-			r.Replicas[i] = rr
+	for _, rep := range c.fleet.replicas {
+		rr := ReplicaReport{CacheEnabled: r.CacheEnabled}
+		if rep.microflow != nil {
+			rr.Cache = rep.microflow.Stats()
+			r.Cache.Hits += rr.Cache.Hits
+			r.Cache.Misses += rr.Cache.Misses
+			r.Cache.Evictions += rr.Cache.Evictions
+			r.Cache.StaleGenerations += rr.Cache.StaleGenerations
+		}
+		if c.cfg.Replicas > 1 {
+			r.Replicas = append(r.Replicas, rr)
 		}
 	}
 	for _, sh := range s.shards {

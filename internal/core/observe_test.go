@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sdnpc/internal/cache"
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/fivetuple"
 )
@@ -64,10 +65,10 @@ func TestReportRuleCapacityTracksActiveTier(t *testing.T) {
 }
 
 // TestReplicatedStatsAggregation pins the replica-counter bugfix: lookups
-// through worker-pinned Readers (and the fleet-picking Lookup path) must be
-// recorded in the replicas' private counters — not the shared collector the
-// fleet exists to keep off the serving path — and every observation surface
-// must still see the aggregate.
+// through a worker-pinned Reader must be recorded in that worker's own
+// replica's private counters — never a counter another worker writes — and
+// every observation surface must still see the aggregate (the fleet-picking
+// Lookup path included).
 func TestReplicatedStatsAggregation(t *testing.T) {
 	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, classbench.Size1K))
 	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{
@@ -97,8 +98,12 @@ func TestReplicatedStatsAggregation(t *testing.T) {
 	c.LookupBatch(trace[:25])
 	want += 26
 
-	if shared := c.stats.lookups.Load(); shared != 0 {
-		t.Errorf("shared collector recorded %d lookups; replicated serving must not touch it", shared)
+	for w, rep := range c.fleet.replicas {
+		// 100 pinned lookups each; the 26 unpinned ones land on whichever
+		// replica the calling goroutine drew.
+		if got := rep.stats.lookups.Load(); got < 100 || got > 126 {
+			t.Errorf("replica %d recorded %d lookups, want its worker's 100 (plus at most the 26 unpinned)", w, got)
+		}
 	}
 	rep := c.Report()
 	if rep.Stats.Lookups != want {
@@ -173,8 +178,8 @@ func TestReportMatchesAccessors(t *testing.T) {
 				t.Errorf("Memory rules = (%d, %d), want (%d, %d)",
 					rep.Memory.RulesInstalled, rep.Memory.RuleCapacity, rep.RulesInstalled, rep.RuleCapacity)
 			}
-			if !rep.CacheEnabled || !c.CacheEnabled() || rep.Cache != c.microflow.Stats() {
-				t.Errorf("Cache = (%v, %+v), want (true, %+v)", rep.CacheEnabled, rep.Cache, c.microflow.Stats())
+			if own := c.fleet.replicas[0].microflow.Stats(); !rep.CacheEnabled || !c.CacheEnabled() || rep.Cache != own {
+				t.Errorf("Cache = (%v, %+v), want (true, %+v)", rep.CacheEnabled, rep.Cache, own)
 			}
 			if rep.Lookups.Lookups == 0 || rep.Stats.Deletes == 0 {
 				t.Errorf("report shows no traffic or no update: %+v", rep.Lookups)
@@ -186,7 +191,10 @@ func TestReportMatchesAccessors(t *testing.T) {
 // TestReaderMatchesClassifier pins the worker handle against the classifier
 // it wraps: Reader(w).Lookup / LookupBatchInto / LookupAllInto return what the
 // Classifier calls return, and their accounting lands in the same
-// Report().Stats counters — on both tiers, cached, shared and replicated.
+// Report().Stats counters — on both tiers, cached, unreplicated and
+// replicated. Report().Cache is the sum over the replicas' private caches;
+// with one replica, Classifier.Lookup and Reader(0).Lookup share its cache
+// and its counters.
 func TestReaderMatchesClassifier(t *testing.T) {
 	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, classbench.Size1K))
 	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{
@@ -197,8 +205,8 @@ func TestReaderMatchesClassifier(t *testing.T) {
 		engine   string
 		replicas int
 	}{
-		{"mbt/shared", "mbt", 0},
-		{"hypercuts/shared", "hypercuts", 0},
+		{"mbt/unreplicated", "mbt", 0},
+		{"hypercuts/unreplicated", "hypercuts", 0},
 		{"hypercuts/replicated", "hypercuts", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -255,6 +263,39 @@ func TestReaderMatchesClassifier(t *testing.T) {
 				if r.Generation() != c.Generation() {
 					t.Errorf("Reader(%d).Generation() = %d, want %d", w, r.Generation(), c.Generation())
 				}
+			}
+
+			if tc.replicas > 1 {
+				rep := c.Report()
+				if len(rep.Replicas) != tc.replicas {
+					t.Fatalf("Report().Replicas has %d entries, want %d", len(rep.Replicas), tc.replicas)
+				}
+				var sum cache.Stats
+				for _, rr := range rep.Replicas {
+					sum.Hits += rr.Cache.Hits
+					sum.Misses += rr.Cache.Misses
+					sum.Evictions += rr.Cache.Evictions
+					sum.StaleGenerations += rr.Cache.StaleGenerations
+				}
+				if rep.Cache != sum || sum.Hits+sum.Misses == 0 {
+					t.Errorf("Report().Cache = %+v, want the replica sum %+v (non-zero)", rep.Cache, sum)
+				}
+				return
+			}
+			// One replica: both handles probe the same cache and bump the
+			// same counters.
+			c.ResetStats()
+			c.Lookup(trace[0])
+			c.Reader(0).Lookup(trace[0])
+			rep, only := c.Report(), c.fleet.replicas[0]
+			if len(rep.Replicas) != 0 {
+				t.Errorf("unreplicated Report().Replicas has %d entries, want none", len(rep.Replicas))
+			}
+			if got := only.stats.lookups.Load(); got != 2 || rep.Stats.Lookups != 2 {
+				t.Errorf("replica 0 recorded %d lookups, Report %d, want 2 and 2", got, rep.Stats.Lookups)
+			}
+			if own := only.microflow.Stats(); rep.Cache != own || own.Hits+own.Misses != 2 {
+				t.Errorf("Report().Cache = %+v, replica 0's cache %+v, want equal with 2 probes", rep.Cache, own)
 			}
 		})
 	}

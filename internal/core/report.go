@@ -139,15 +139,10 @@ func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
 			}
 		}
 	}
-	if c.microflow != nil {
-		report.CacheEntries = c.microflow.Capacity()
-		report.CacheBits = c.microflow.FootprintBits()
-	} else if c.fleet != nil {
-		for _, rep := range c.fleet.replicas {
-			if rep.microflow != nil {
-				report.CacheEntries += rep.microflow.Capacity()
-				report.CacheBits += rep.microflow.FootprintBits()
-			}
+	for _, rep := range c.fleet.replicas {
+		if rep.microflow != nil {
+			report.CacheEntries += rep.microflow.Capacity()
+			report.CacheBits += rep.microflow.FootprintBits()
 		}
 	}
 	// Only the selected engine's node data is resident in the (shared)

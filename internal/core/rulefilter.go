@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/hw/hashunit"
@@ -35,11 +34,6 @@ type ruleFilter struct {
 	entries   []ruleEntry
 	entryBits int
 	used      int
-
-	// The access counters are atomic because lookup runs on published
-	// (otherwise immutable) filters from many goroutines at once.
-	reads  atomic.Uint64
-	writes atomic.Uint64
 }
 
 // newRuleFilter creates a rule filter with the given capacity. The hash unit
@@ -77,11 +71,9 @@ func (rf *ruleFilter) slotFor(key label.CombinationKey, probe int) int {
 func (rf *ruleFilter) insert(key label.CombinationKey, priority int, action fivetuple.Action, actionArg uint32) (slot, probes, writes int, err error) {
 	for probe := 0; probe < len(rf.entries); probe++ {
 		idx := rf.slotFor(key, probe)
-		rf.reads.Add(1)
 		e := &rf.entries[idx]
 		if !e.valid || e.tombstone {
 			*e = ruleEntry{valid: true, key: key, priority: priority, action: action, actionArg: actionArg}
-			rf.writes.Add(1)
 			rf.used++
 			return idx, probe + 1, 1, nil
 		}
@@ -94,14 +86,12 @@ func (rf *ruleFilter) insert(key label.CombinationKey, priority int, action five
 func (rf *ruleFilter) remove(key label.CombinationKey, priority int) (found bool, probes int) {
 	for probe := 0; probe < len(rf.entries); probe++ {
 		idx := rf.slotFor(key, probe)
-		rf.reads.Add(1)
 		e := &rf.entries[idx]
 		if !e.valid {
 			return false, probe + 1
 		}
 		if !e.tombstone && e.key == key && e.priority == priority {
 			e.tombstone = true
-			rf.writes.Add(1)
 			rf.used--
 			return true, probe + 1
 		}
@@ -127,10 +117,6 @@ func (rf *ruleFilter) lookup(key label.CombinationKey) (entry ruleEntry, found b
 			}
 		}
 	}
-	// The read counter is bumped once per call rather than per probed slot:
-	// concurrent lookups all share this one atomic, and cross-product mode
-	// can probe hundreds of slots per packet.
-	rf.reads.Add(uint64(probes))
 	return best, found, probes
 }
 
@@ -162,26 +148,13 @@ func (rf *ruleFilter) clear() {
 	rf.used = 0
 }
 
-// accesses returns the cumulative number of slot reads and writes.
-func (rf *ruleFilter) accesses() (reads, writes uint64) { return rf.reads.Load(), rf.writes.Load() }
-
-// resetCounters zeroes the access counters.
-func (rf *ruleFilter) resetCounters() {
-	rf.reads.Store(0)
-	rf.writes.Store(0)
-}
-
 // clone duplicates the filter for the copy-on-write update path: the slot
-// array is copied, the (stateless) hash unit is shared and the access
-// counters carry over so cumulative accounting survives the snapshot swap.
+// array is copied and the (stateless) hash unit is shared.
 func (rf *ruleFilter) clone() *ruleFilter {
-	c := &ruleFilter{
+	return &ruleFilter{
 		hash:      rf.hash,
 		entries:   append([]ruleEntry(nil), rf.entries...),
 		entryBits: rf.entryBits,
 		used:      rf.used,
 	}
-	c.reads.Store(rf.reads.Load())
-	c.writes.Store(rf.writes.Load())
-	return c
 }

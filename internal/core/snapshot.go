@@ -16,9 +16,10 @@ import (
 // installed-rule shadow.
 //
 // Snapshots are the unit of the classifier's RCU-style concurrency scheme.
-// A published snapshot is immutable — lookups traverse it without any lock,
-// and the only writes they perform are atomic access counters inside the
-// engines and the rule filter. Updates never touch a published snapshot:
+// A published snapshot is immutable — lookups traverse it without any lock
+// and write nothing to it (no engine, the rule filter included, counts its
+// own accesses; a lookup's cost travels in its Result), so one snapshot
+// serves every replica. Updates never touch a published snapshot:
 // they clone it, mutate the private clone and atomically publish the result
 // (see Classifier). In-flight lookups keep reading the snapshot they loaded,
 // so every result is consistent with either the pre-update or the

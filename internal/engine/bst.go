@@ -83,8 +83,6 @@ func (a *bstEngine) Footprint() Footprint {
 	return Footprint{NodeBits: a.e.MemoryBits(), LabelListBits: a.e.LabelListBits()}
 }
 
-func (a *bstEngine) ResetStats() { a.e.ResetStats() }
-
 // Clone implements Cloner. The shared-block handle is carried over as-is:
 // it only tags which engine's data the block holds, and snapshots built for
 // a different engine selection get fresh blocks rather than re-owning this

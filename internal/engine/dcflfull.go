@@ -153,12 +153,6 @@ func (e *dcflEngine) Footprint() Footprint {
 	return Footprint{NodeBits: e.c.MemoryBits()}
 }
 
-func (e *dcflEngine) ResetStats() {
-	if e.c != nil {
-		e.c.ResetStats()
-	}
-}
-
 // Clone shares the built tables; a later Install on either handle replaces
 // that handle's pointer only, and a later delta op copy-on-writes the
 // tables (own), so neither handle can observe the other's mutations.

@@ -142,9 +142,9 @@ type Footprint struct {
 //
 // Concurrency contract (read-only after build): once an engine stops being
 // mutated, Lookup, Cost and Footprint must be safe to call from any number
-// of goroutines concurrently — Lookup must not modify the stored structure,
-// and any internal access counters must be atomic. Insert, Remove,
-// Reprioritise and ResetStats still require external serialisation and must
+// of goroutines concurrently — Lookup performs no writes to the engine; what
+// a lookup cost is returned to the caller, never accumulated inside. Insert,
+// Remove and Reprioritise still require external serialisation and must
 // never run concurrently with Lookup on the same instance. The classifier
 // in internal/core guarantees that split by copy-on-write: updates mutate a
 // private clone of every engine and atomically publish the finished
@@ -183,9 +183,6 @@ type FieldEngine interface {
 	Cost() CostModel
 	// Footprint returns the engine's current memory consumption.
 	Footprint() Footprint
-	// ResetStats zeroes the engine's access counters without touching the
-	// stored conditions.
-	ResetStats()
 }
 
 // Cloner is implemented by engines that can duplicate themselves cheaply.

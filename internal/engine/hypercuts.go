@@ -158,12 +158,6 @@ func (e *hypercutsEngine) Footprint() Footprint {
 	return Footprint{NodeBits: e.c.MemoryBits()}
 }
 
-func (e *hypercutsEngine) ResetStats() {
-	if e.c != nil {
-		e.c.ResetStats()
-	}
-}
-
 // Clone shares the built tree; a later Install on either handle replaces
 // that handle's pointer only, and a later delta op copy-on-writes the tree
 // (own), so neither handle can observe the other's mutations.

@@ -116,8 +116,6 @@ func (e *linearEngine) Footprint() Footprint {
 	return Footprint{NodeBits: len(e.rules) * (176 + 288 + 48)}
 }
 
-func (e *linearEngine) ResetStats() {}
-
 // Clone shares the installed slice; Install and the delta ops replace the
 // slice (spliceIn/spliceOut never mutate the shared backing array), so
 // neither handle can observe the other's mutations.

@@ -79,7 +79,5 @@ func (a *lutEngine) Footprint() Footprint {
 	return Footprint{NodeBits: a.t.MemoryBits()}
 }
 
-func (a *lutEngine) ResetStats() { a.t.ResetStats() }
-
 // Clone implements Cloner by copying the table slots.
 func (a *lutEngine) Clone() FieldEngine { return &lutEngine{t: a.t.Clone()} }

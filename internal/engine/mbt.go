@@ -79,7 +79,5 @@ func (a *mbtEngine) Footprint() Footprint {
 	return Footprint{NodeBits: a.e.MemoryBits(), LabelListBits: a.e.LabelListBits()}
 }
 
-func (a *mbtEngine) ResetStats() { a.e.ResetStats() }
-
 // Clone implements Cloner by deep-copying the trie.
 func (a *mbtEngine) Clone() FieldEngine { return &mbtEngine{e: a.e.Clone()} }

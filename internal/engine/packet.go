@@ -26,10 +26,10 @@ import (
 //
 // Concurrency contract (read-only after build): once Install has returned,
 // LookupPacket, Cost and Footprint must be safe to call from any number of
-// goroutines concurrently — LookupPacket must not modify the built structure
-// and any internal counters must be atomic. Install requires external
-// serialisation; the classifier only ever calls it on an unpublished
-// snapshot's engine.
+// goroutines concurrently — LookupPacket performs no writes to the engine;
+// the access count is returned, never accumulated inside. Install requires
+// external serialisation; the classifier only ever calls it on an
+// unpublished snapshot's engine.
 type PacketEngine interface {
 	// Install (re)builds the engine over the rule set. Rules are ordered
 	// best-first (ascending Priority value: index 0 is the highest-priority
@@ -49,8 +49,6 @@ type PacketEngine interface {
 	// Whole-packet engines do not use the Labels memory, so LabelListBits is
 	// zero.
 	Footprint() Footprint
-	// ResetStats zeroes the engine's access counters.
-	ResetStats()
 	// Clone returns a handle sharing the immutable built structure such that
 	// a later Install on either handle is never observable through the
 	// other. This is what lets the classifier rebuild a cloned snapshot's

@@ -92,7 +92,5 @@ func (a *portregEngine) Footprint() Footprint {
 	return Footprint{NodeBits: a.b.MemoryBits()}
 }
 
-func (a *portregEngine) ResetStats() { a.b.ResetStats() }
-
 // Clone implements Cloner by copying the register file.
 func (a *portregEngine) Clone() FieldEngine { return &portregEngine{b: a.b.Clone()} }

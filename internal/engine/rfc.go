@@ -72,8 +72,6 @@ func (a *rfcEngine) Footprint() Footprint {
 	return Footprint{NodeBits: a.t.MemoryBits(), LabelListBits: a.t.LabelListBits()}
 }
 
-func (a *rfcEngine) ResetStats() { a.t.ResetStats() }
-
 // Clone implements Cloner by copying the prepared segment table.
 func (a *rfcEngine) Clone() FieldEngine { return &rfcEngine{t: a.t.Clone()} }
 

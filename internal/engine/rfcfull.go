@@ -63,12 +63,6 @@ func (e *rfcFullEngine) Footprint() Footprint {
 	return Footprint{NodeBits: e.c.MemoryBits()}
 }
 
-func (e *rfcFullEngine) ResetStats() {
-	if e.c != nil {
-		e.c.ResetStats()
-	}
-}
-
 // Clone shares the immutable built tables; a later Install on either handle
 // replaces that handle's pointer only.
 func (e *rfcFullEngine) Clone() PacketEngine {

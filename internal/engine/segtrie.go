@@ -100,7 +100,5 @@ func (a *segtrieEngine) Footprint() Footprint {
 	return Footprint{NodeBits: a.e.MemoryBits(), LabelListBits: a.e.LabelListBits()}
 }
 
-func (a *segtrieEngine) ResetStats() { a.e.ResetStats() }
-
 // Clone implements Cloner by deep-copying the segment trie.
 func (a *segtrieEngine) Clone() FieldEngine { return &segtrieEngine{e: a.e.Clone()} }

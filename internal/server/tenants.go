@@ -52,9 +52,9 @@ type TenantConfig struct {
 	DegradationThreshold float64
 	// SingleProbe selects the paper's single-probe HPML combination mode.
 	SingleProbe bool
-	// Replicas enables the tenant's replicated serving fleet: every publish
-	// fans out to this many per-worker snapshot/cache replicas. <= 1 keeps
-	// the single shared snapshot.
+	// Replicas enables the tenant's replicated serving fleet: this many
+	// per-worker cache/counter replicas in front of the published snapshot.
+	// <= 1 keeps the single replica.
 	Replicas int
 	// Shards and PartitionBy enable rule-space partitioning: the tenant's
 	// table is split into Shards shards by the named strategy ("protocol" or

@@ -1,4 +1,4 @@
-// The replicated-fleet scaling gate lives in the external test package so it
+// The reader scaling gate lives in the external test package so it
 // can drive internal/bench.ThroughputSweep directly (the same driver the
 // experiments binary uses).
 package sdnpc_test
@@ -13,23 +13,31 @@ import (
 	"sdnpc/internal/classbench"
 )
 
-// TestReplicatedScalingGate is the CI scaling gate behind
-// scripts/check_scaling.sh: it runs ThroughputSweep at 1 worker and at
-// NumCPU workers in replicated-fleet mode (one snapshot/cache replica per
-// worker) beside the shared-pointer baseline, and fails when the replicated
-// mode's NumCPU-worker speedup over its own 1-worker row falls below the
-// floor. The floor defaults to 1.2x and can be overridden with
-// SCALING_GATE_FLOOR for noisy or small runners.
+// TestReaderScalingGate is the CI scaling gate behind
+// scripts/check_scaling.sh: it runs ThroughputSweep at 1 worker and at NumCPU
+// workers, one worker-pinned Reader per worker, and fails when a cell's
+// NumCPU-worker speedup over its own 1-worker row falls below the floor. Each
+// cell holds a configuration to what it is for:
+//
+//   - shared: an unreplicated mbt classifier. Lookups write nothing to the
+//     published snapshot, so readers sharing it must scale on the slowest,
+//     most access-heavy tier.
+//   - replicated: dcfl behind a 16384-entry microflow cache over a Zipf(1.1)
+//     trace, one replica per worker. The cache is what readers do write; a
+//     private one per worker is what the fleet is kept for.
+//
+// The floor defaults to 1.2x and can be overridden with SCALING_GATE_FLOOR
+// for noisy or small runners.
 //
 // The gate is opt-in (SCALING_GATE=1): it is a timing assertion, so it
 // belongs beside the benchmark regression job, not in every `go test` run.
-func TestReplicatedScalingGate(t *testing.T) {
+func TestReaderScalingGate(t *testing.T) {
 	if os.Getenv("SCALING_GATE") == "" {
 		t.Skip("scaling gate is opt-in: set SCALING_GATE=1 (see scripts/check_scaling.sh)")
 	}
 	ncpu := runtime.NumCPU()
 	if ncpu < 2 {
-		t.Skip("replicated scaling needs more than one CPU")
+		t.Skip("scaling needs more than one CPU")
 	}
 	floor := 1.2
 	if s := os.Getenv("SCALING_GATE_FLOOR"); s != "" {
@@ -40,41 +48,52 @@ func TestReplicatedScalingGate(t *testing.T) {
 		floor = f
 	}
 
-	w := bench.NewWorkload(classbench.ACL, classbench.Size1K, 20000)
-	rows, err := bench.ThroughputSweep(w, bench.ThroughputOptions{
-		Engines:          []string{"mbt"},
-		Workers:          []int{1, ncpu},
-		PacketsPerWorker: 30000,
-		Replicated:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var sharedTop, replTop *bench.ThroughputRow
-	for i := range rows {
-		r := &rows[i]
-		if r.Workers != ncpu {
-			continue
-		}
-		if r.Replicas > 0 {
-			replTop = r
-		} else {
-			sharedTop = r
-		}
-	}
-	if replTop == nil || sharedTop == nil {
-		t.Fatalf("sweep did not produce both a shared and a replicated %d-worker row: %+v", ncpu, rows)
-	}
-
-	t.Logf("shared-pointer @%d workers: %.0f pkts/s (%.2fx vs 1 worker)",
-		ncpu, sharedTop.PacketsPerSec, sharedTop.SpeedupVs1)
-	t.Logf("replicated (%d replicas) @%d workers: %.0f pkts/s (%.2fx vs 1 worker, worker spread %.0f..%.0f pkts/s)",
-		replTop.Replicas, ncpu, replTop.PacketsPerSec, replTop.SpeedupVs1,
-		replTop.MinWorkerPPS, replTop.MaxWorkerPPS)
-
-	if replTop.SpeedupVs1 < floor {
-		t.Fatalf("replicated-fleet speedup at %d workers is %.2fx, below the %.2fx floor",
-			ncpu, replTop.SpeedupVs1, floor)
+	for _, cell := range []struct {
+		name       string
+		workload   bench.Workload
+		opts       bench.ThroughputOptions
+		replicated bool
+	}{
+		{
+			name:     "shared",
+			workload: bench.NewWorkload(classbench.ACL, classbench.Size1K, 20000),
+			opts:     bench.ThroughputOptions{Engines: []string{"mbt"}, PacketsPerWorker: 30000},
+		},
+		{
+			name:     "replicated",
+			workload: bench.NewZipfWorkload(classbench.ACL, classbench.Size1K, 100000, 1.1),
+			opts: bench.ThroughputOptions{
+				Engines: []string{"dcfl"}, PacketsPerWorker: 1000000,
+				CacheCapacity: 16384, Replicated: true,
+			},
+			replicated: true,
+		},
+	} {
+		t.Run(cell.name, func(t *testing.T) {
+			cell.opts.Workers = []int{1, ncpu}
+			rows, err := bench.ThroughputSweep(cell.workload, cell.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The gated row: NumCPU workers, the cell's replication mode,
+			// cached exactly when the cell configures a cache.
+			var top *bench.ThroughputRow
+			for i := range rows {
+				r := &rows[i]
+				if r.Workers == ncpu && (r.Replicas > 0) == cell.replicated && r.Cached == (cell.opts.CacheCapacity > 0) {
+					top = r
+				}
+			}
+			if top == nil {
+				t.Fatalf("sweep produced no %s %d-worker row: %+v", cell.name, ncpu, rows)
+			}
+			t.Logf("%s %s @%d workers (%d replicas, cache hit rate %.2f): %.0f pkts/s (%.2fx vs 1 worker, worker spread %.0f..%.0f pkts/s)",
+				cell.name, top.Engine, ncpu, top.Replicas, top.CacheHitRate, top.PacketsPerSec, top.SpeedupVs1,
+				top.MinWorkerPPS, top.MaxWorkerPPS)
+			if top.SpeedupVs1 < floor {
+				t.Fatalf("%s speedup at %d workers is %.2fx, below the %.2fx floor",
+					cell.name, ncpu, top.SpeedupVs1, floor)
+			}
+		})
 	}
 }

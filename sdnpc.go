@@ -186,12 +186,12 @@ func WithUpdatePolicy(rebuildAfterDeltas int, degradationThreshold float64) Opti
 	}
 }
 
-// WithReplicas enables the replicated serving fleet: every publish fans out
-// to n per-worker replicas, each holding its own snapshot clone (and its own
-// private microflow cache when WithCache is set), so pinned serving loops
-// read only core-local memory instead of contending on one shared snapshot
-// pointer. A publish is complete only when every replica has advanced — see
-// Report().FleetGeneration. n <= 1 keeps the single shared snapshot.
+// WithReplicas enables the replicated serving fleet: n per-worker replicas,
+// each holding its own lookup counters (and its own private microflow cache
+// when WithCache is set) in front of the one published snapshot, so pinned
+// serving loops (see Reader) do not contend on a shared cache or shared
+// counters. Lookups never write to the snapshot, so replicas share it and a
+// publish costs the same with any n. n <= 1 keeps the single replica.
 func WithReplicas(n int) Option {
 	return func(cfg *core.Config) { cfg.Replicas = n }
 }
@@ -319,8 +319,8 @@ func EngineDims(name string) DimSet { return engine.Dims(name) }
 func SummarizeBatch(results []Result) BatchReport { return core.SummarizeBatch(results) }
 
 // Reader is a worker-pinned serving handle (see WithReplicas): all lookups
-// through one Reader hit the same replica's snapshot and cache. On a
-// classifier without replicas it transparently serves the shared path.
+// through one Reader go through the same replica's cache and counters. On a
+// classifier without replicas every Reader maps to the single replica.
 type Reader = core.Reader
 
 // Reader returns the serving handle for the given worker id; ids map onto

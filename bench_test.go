@@ -455,28 +455,39 @@ func BenchmarkFieldLookup_BSTSegment(b *testing.B) {
 // End-to-end classifier lookup benchmarks (software model speed)
 // ---------------------------------------------------------------------------
 
-func benchmarkClassifierLookup(b *testing.B, mode core.CombineMode) {
+func benchmarkClassifierLookup(b *testing.B, mode core.CombineMode, w bench.Workload) {
 	cfg := core.DefaultConfig()
 	cfg.CombineMode = mode
 	c := core.MustNew(cfg)
-	if _, err := c.InstallRuleSet(benchWorkload.RuleSet); err != nil {
+	if _, err := c.InstallRuleSet(w.RuleSet); err != nil {
 		b.Fatal(err)
 	}
-	trace := benchWorkload.Trace
+	trace := w.Trace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Lookup(trace[i%len(trace)])
 	}
 	b.StopTimer()
-	b.ReportMetric(c.Report().Stats.AverageCombinations(), "combinations/pkt")
+	stats := c.Report().Stats
+	b.ReportMetric(stats.AverageCombinations(), "combinations/pkt")
+	b.ReportMetric(float64(stats.RuleFilterProbes)/float64(stats.Lookups), "probes/op")
 }
 
+// BenchmarkLookup_ExactCombination runs the exact field-tier combination on
+// one 1k set of each ClassBench class: the fw and ipc sets present two to
+// four times the label combinations per packet the acl set does, so a walk
+// that stops pruning shows there first.
 func BenchmarkLookup_ExactCombination(b *testing.B) {
-	benchmarkClassifierLookup(b, core.CombineCrossProduct)
+	for _, class := range []classbench.Class{classbench.ACL, classbench.FW, classbench.IPC} {
+		w := bench.NewWorkload(class, classbench.Size1K, 20000)
+		b.Run(class.String(), func(b *testing.B) {
+			benchmarkClassifierLookup(b, core.CombineCrossProduct, w)
+		})
+	}
 }
 
 func BenchmarkLookup_HPMLSingleProbe(b *testing.B) {
-	benchmarkClassifierLookup(b, core.CombineHPML)
+	benchmarkClassifierLookup(b, core.CombineHPML, benchWorkload)
 }
 
 // ---------------------------------------------------------------------------

@@ -51,7 +51,8 @@ func main() {
 		len(trace), mismatches)
 	fmt.Printf("dropped by policy: %d packets (%.1f%%)\n", dropped, 100*float64(dropped)/float64(len(trace)))
 	fmt.Printf("average field memory accesses per packet: %.2f\n", stats.AverageFieldAccesses())
-	fmt.Printf("average label combinations probed per packet: %.2f\n", stats.AverageCombinations())
+	fmt.Printf("average label combinations presented per packet (modelled cross-product): %.2f\n", stats.AverageCombinations())
+	fmt.Printf("average rule filter slots read per packet: %.2f\n", float64(stats.RuleFilterProbes)/float64(stats.Lookups))
 	fmt.Printf("average lookup latency: %.1f cycles\n", stats.AverageLatencyCycles())
 
 	report := classifier.Report().Memory

@@ -155,9 +155,9 @@ func TestLookupAllZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestLookupZeroAllocsCrossProduct pins the combination mode that probes the
-// Rule Filter hardest: the odometer enumeration must stay allocation-free
-// too, not just the single-probe HPML path.
+// TestLookupZeroAllocsCrossProduct pins the exact combination mode: its
+// depth-first walk over the label lists must stay allocation-free too, not
+// just the single-probe HPML path.
 func TestLookupZeroAllocsCrossProduct(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector (sync.Pool drops puts)")

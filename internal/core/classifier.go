@@ -187,7 +187,7 @@ func (c *Classifier) view() *snapshot { return c.snap.Load() }
 // cache in O(1) with no flush. Every replica serves the snapshot from the
 // moment of the swap.
 func (c *Classifier) publish(s *snapshot) {
-	s.prepare()
+	s.prepare(&c.cfg)
 	s.gen = c.gen.Add(1)
 	c.snap.Store(s)
 }

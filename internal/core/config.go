@@ -121,11 +121,14 @@ const (
 	// highest-priority matching rule when that rule does not hold the
 	// first-position label in every dimension.
 	CombineHPML CombineMode = iota + 1
-	// CombineCrossProduct probes every combination of returned labels and
-	// returns the best-priority hit. It is exact (it always agrees with a
-	// linear reference search) at the cost of extra Rule Filter probes, and
-	// is used to validate the architecture and to quantify how often the
-	// single-probe mode is optimal.
+	// CombineCrossProduct returns the best-priority rule over every
+	// combination of returned labels. It is exact (it always agrees with a
+	// linear reference search). The software finds that rule by walking only
+	// the label prefixes some installed rule has (snapshot.combineExact) — a
+	// few Rule Filter probes per packet; the latency model still charges the
+	// full cross-product the hardware would examine. It is the default
+	// serving mode and the yardstick for how often the single-probe mode is
+	// optimal.
 	CombineCrossProduct
 )
 
@@ -182,8 +185,11 @@ type Config struct {
 	// PortRegisters is the number of port-range registers per port dimension.
 	PortRegisters int
 
-	// MaxCrossProductProbes bounds the number of Rule Filter probes issued by
-	// the cross-product combination mode for a single lookup.
+	// MaxCrossProductProbes bounds the Rule Filter slots the exact
+	// (cross-product) combination mode may read for a single lookup. A header
+	// that exhausts it is answered by a scan of the installed rules — slower,
+	// never wrong. It also caps the modelled cross-product size reported in
+	// Result.Combinations.
 	MaxCrossProductProbes int
 
 	// CacheCapacity is the total entry budget of the exact-match microflow

@@ -27,10 +27,15 @@ type Result struct {
 	// LabelFetches is the number of Labels-memory reads (one per non-empty
 	// field list).
 	LabelFetches int
-	// RuleFilterProbes is the number of Rule Filter slots read in phase 4.
+	// RuleFilterProbes is the number of Rule Filter slots actually read in
+	// phase 4 — the work done, where Combinations is the work modelled.
 	RuleFilterProbes int
-	// Combinations is the number of label combinations examined in phase 3
-	// (always 1 in HPML mode).
+	// Combinations is the modelled phase-3 cost: the size of the label
+	// cross-product the header presents (the product of the seven list
+	// lengths, capped by Config.MaxCrossProductProbes), which is what the
+	// hardware pipeline would examine. It is 1 in HPML mode and 0 when some
+	// dimension matched no label. The software walk visits far fewer
+	// combinations than this; see RuleFilterProbes.
 	Combinations int
 	// LatencyCycles is the end-to-end latency of this lookup in clock cycles
 	// under the Fig. 3 pipeline model.
@@ -248,7 +253,7 @@ func (s *snapshot) lookup(cfg *Config, h fivetuple.Header) Result {
 	case CombineHPML:
 		return s.combineHPML(fields, result)
 	default:
-		return s.combineCrossProduct(cfg, fields, result)
+		return s.combineExact(cfg, h, fields, result)
 	}
 }
 
@@ -320,9 +325,9 @@ func (s *snapshot) combineHPML(fields []fieldLookup, result Result) Result {
 		labels[fields[i].dim] = hpml.Label
 	}
 	result.Combinations = 1
-	entry, found, probes := s.filter.lookup(label.PackKeyDims(&labels))
+	entry, probes := s.filter.lookup(label.PackKeyDims(&labels))
 	result.RuleFilterProbes = probes
-	if found {
+	if entry != nil {
 		result.Matched = true
 		result.Priority = entry.priority
 		result.Action = entry.action
@@ -331,62 +336,91 @@ func (s *snapshot) combineHPML(fields []fieldLookup, result Result) Result {
 	return result
 }
 
-// combineCrossProduct probes every combination of matching labels and keeps
-// the best-priority hit; it terminates early once the probe budget is
-// exhausted.
-func (s *snapshot) combineCrossProduct(cfg *Config, fields []fieldLookup, result Result) Result {
-	// Iterative odometer over the per-dimension label lists: the last
-	// dimension advances fastest, which enumerates exactly the combinations
-	// (and in the order) the natural nested loop would — without the
-	// per-packet slices, map and recursive closure that loop used to cost.
-	// Every list is non-empty here; lookup returned early otherwise.
-	var idx [label.NumDimensions]int
-	var labels [label.NumDimensions + 1]label.Label
-	n := len(fields)
-	best := Result{}
-	foundAny := false
+// combineExact finds the HPMR among every combination of matching labels
+// without enumerating them. It walks the seven label lists depth-first and
+// extends a partial label tuple by one dimension only when some installed
+// rule's combination key starts with the extended tuple (snapshot.prefixes),
+// so the Rule Filter is probed only for tuples that survive all seven
+// dimensions — a handful per packet where the full cross-product runs to
+// hundreds. The prefix set only prunes: every verdict comes from a Rule
+// Filter probe, so a false positive costs a wasted step and the answer is
+// exact.
+//
+// Config.MaxCrossProductProbes bounds the Rule Filter slots the walk may
+// read; a header that exhausts it is answered by the installed-rule scan
+// rather than by whatever the walk had found so far.
+func (s *snapshot) combineExact(cfg *Config, h fivetuple.Header, fields []fieldLookup, result Result) Result {
+	// The model's phase-3 cost is the size of the label cross-product the
+	// header presents (one extra result cycle per combination beyond the
+	// first), whatever the software walk skips.
+	result.Combinations = 1
+	for i := range fields {
+		result.Combinations = min(result.Combinations*fields[i].list.Len(), cfg.MaxCrossProductProbes)
+	}
+	result.LatencyCycles += result.Combinations - 1
 
-	for result.Combinations < cfg.MaxCrossProductProbes {
-		for i := 0; i < n; i++ {
-			labels[fields[i].dim] = fields[i].list.At(idx[i]).Label
+	// Iterative depth-first walk over stack arrays: next[d] is the next
+	// entry of dimension d's list to try and keys[d] the combination key of
+	// the labels chosen in dimensions 0..d-1, extended by one shift per
+	// level. Every list is non-empty here; lookup returned early otherwise.
+	var (
+		next [label.NumDimensions]int
+		keys [label.NumDimensions]label.CombinationKey
+		best *ruleEntry
+	)
+	last := len(fields) - 1
+	for d := 0; d >= 0; {
+		f := &fields[d]
+		if next[d] == f.list.Len() {
+			d--
+			continue
 		}
-		result.Combinations++
-		entry, found, probes := s.filter.lookup(label.PackKeyDims(&labels))
-		result.RuleFilterProbes += probes
-		if found && (!foundAny || entry.priority < best.Priority) {
-			foundAny = true
-			best.Priority = entry.priority
-			best.Action = entry.action
-			best.ActionArg = entry.actionArg
+		pl := f.list.At(next[d])
+		next[d]++
+		// The IP-segment lists are ordered by the best priority of any rule
+		// using each label, so once a label cannot beat the hit in hand
+		// neither can the rest of its list. (Port and protocol lists are
+		// ordered by specificity and must be walked whole.)
+		if best != nil && d < len(ipSegmentDims) && pl.Priority >= best.priority {
+			d--
+			continue
 		}
-		k := n - 1
-		for ; k >= 0; k-- {
-			idx[k]++
-			if idx[k] < fields[k].list.Len() {
-				break
+		key := keys[d].Append(f.dim, pl.Label)
+		if d < last {
+			if s.prefixes.has(d+1, key) {
+				d++
+				next[d], keys[d] = 0, key
 			}
-			idx[k] = 0
+			continue
 		}
-		if k < 0 {
-			break
+		if result.RuleFilterProbes >= cfg.MaxCrossProductProbes {
+			fb := s.lookupFallback(h)
+			result.Matched, result.Priority = fb.Matched, fb.Priority
+			result.Action, result.ActionArg = fb.Action, fb.ActionArg
+			result.FieldAccesses += fb.FieldAccesses
+			result.LatencyCycles += fb.FieldAccesses
+			return result
+		}
+		entry, probes := s.filter.lookup(key)
+		result.RuleFilterProbes += probes
+		if entry != nil && (best == nil || entry.priority < best.priority) {
+			best = entry
 		}
 	}
 
-	if foundAny {
+	if best != nil {
 		result.Matched = true
-		result.Priority = best.Priority
-		result.Action = best.Action
-		result.ActionArg = best.ActionArg
-	}
-	// Additional probes beyond the first extend the result phase by one cycle
-	// each in the latency model.
-	if result.Combinations > 1 {
-		result.LatencyCycles += result.Combinations - 1
+		result.Priority = best.priority
+		result.Action = best.action
+		result.ActionArg = best.actionArg
 	}
 	return result
 }
 
-// Stats accumulates data-plane counters across lookups and updates.
+// Stats accumulates data-plane counters across lookups and updates. The
+// lookup-side fields sum the Result fields of the same names: Combinations
+// is the modelled cross-product size, RuleFilterProbes the slots actually
+// read.
 type Stats struct {
 	Lookups          uint64
 	Matches          uint64
@@ -417,7 +451,8 @@ func (s Stats) AverageLatencyCycles() float64 {
 	return float64(s.LatencyCycles) / float64(s.Lookups)
 }
 
-// AverageCombinations returns the mean phase-3 combinations per packet.
+// AverageCombinations returns the mean modelled phase-3 combinations per
+// packet (the label cross-product size, not the combinations walked).
 func (s Stats) AverageCombinations() float64 {
 	if s.Lookups == 0 {
 		return 0

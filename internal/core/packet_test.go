@@ -94,6 +94,15 @@ func TestSelectEngineSwitchesTiers(t *testing.T) {
 		if c.RuleCount() != rs.Len() {
 			t.Fatalf("after switch to %s: %d rules, want %d", name, c.RuleCount(), rs.Len())
 		}
+		// Only a snapshot the field tier serves carries the combination
+		// walk's prefix set, and it is built before the snapshot is published.
+		if isPacket, _ := engine.Selectable(name); isPacket {
+			if c.view().prefixes.words != nil {
+				t.Fatalf("packet engine %s: the snapshot carries a field-tier prefix set", name)
+			}
+		} else {
+			requirePrefixesCoverInstalled(t, c)
+		}
 		for _, h := range probe {
 			wantIdx, wantOK := rs.Classify(h)
 			got := c.Lookup(h)

@@ -15,14 +15,32 @@ var ErrRuleFilterFull = errors.New("core: rule filter full")
 
 // ruleEntry is one Rule Filter slot: the rule's label combination key, its
 // priority and its action. The slot layout corresponds to the
-// Config.RuleEntryBits stored word.
+// Config.RuleEntryBits stored word. The fields are ordered widest first and
+// the 68-bit key is split into its 64-bit and 4-bit halves so a slot is 24
+// bytes: the slot array is the largest thing a snapshot holds and every
+// publish copies it whole.
 type ruleEntry struct {
-	valid     bool
-	tombstone bool
-	key       label.CombinationKey
+	keyLo     uint64
 	priority  int
-	action    fivetuple.Action
 	actionArg uint32
+	keyHi     uint8
+	action    fivetuple.Action
+	state     slotState
+}
+
+// slotState is the occupancy of one Rule Filter slot. The zero value is a
+// never-used slot, which ends a probe sequence; a tombstone does not.
+type slotState uint8
+
+const (
+	slotEmpty slotState = iota
+	slotLive
+	slotTombstone
+)
+
+// holds reports whether the slot is live and stores the key.
+func (e *ruleEntry) holds(key label.CombinationKey) bool {
+	return e.state == slotLive && e.keyLo == key.Lo() && e.keyHi == key.Hi()
 }
 
 // ruleFilter is the Rule Filter memory block: an open-addressed hash table
@@ -60,23 +78,32 @@ func (rf *ruleFilter) provisionedBits() int { return len(rf.entries) * rf.entryB
 // usedBits returns the storage occupied by live entries.
 func (rf *ruleFilter) usedBits() int { return rf.used * rf.entryBits }
 
-// slotFor returns the probe-sequence slot index for the key.
-func (rf *ruleFilter) slotFor(key label.CombinationKey, probe int) int {
-	base := int(rf.hash.Hash(key.Bytes()))
-	return (base + probe) % len(rf.entries)
+// home returns the first slot of the key's probe sequence; linear probing
+// continues from it with wrap-around.
+func (rf *ruleFilter) home(key label.CombinationKey) int {
+	return int(rf.hash.Hash(key.Bytes())) % len(rf.entries)
+}
+
+// next returns the slot after idx in a probe sequence.
+func (rf *ruleFilter) next(idx int) int {
+	if idx++; idx == len(rf.entries) {
+		return 0
+	}
+	return idx
 }
 
 // insert stores a rule entry. It returns the slot index, the number of
 // probes taken and the number of memory writes, or ErrRuleFilterFull.
 func (rf *ruleFilter) insert(key label.CombinationKey, priority int, action fivetuple.Action, actionArg uint32) (slot, probes, writes int, err error) {
+	idx := rf.home(key)
 	for probe := 0; probe < len(rf.entries); probe++ {
-		idx := rf.slotFor(key, probe)
 		e := &rf.entries[idx]
-		if !e.valid || e.tombstone {
-			*e = ruleEntry{valid: true, key: key, priority: priority, action: action, actionArg: actionArg}
+		if e.state != slotLive {
+			*e = ruleEntry{state: slotLive, keyLo: key.Lo(), keyHi: key.Hi(), priority: priority, action: action, actionArg: actionArg}
 			rf.used++
 			return idx, probe + 1, 1, nil
 		}
+		idx = rf.next(idx)
 	}
 	return 0, len(rf.entries), 0, fmt.Errorf("%w: %d slots", ErrRuleFilterFull, len(rf.entries))
 }
@@ -84,40 +111,39 @@ func (rf *ruleFilter) insert(key label.CombinationKey, priority int, action five
 // remove deletes the entry holding (key, priority). It reports whether the
 // entry was found.
 func (rf *ruleFilter) remove(key label.CombinationKey, priority int) (found bool, probes int) {
+	idx := rf.home(key)
 	for probe := 0; probe < len(rf.entries); probe++ {
-		idx := rf.slotFor(key, probe)
 		e := &rf.entries[idx]
-		if !e.valid {
+		if e.state == slotEmpty {
 			return false, probe + 1
 		}
-		if !e.tombstone && e.key == key && e.priority == priority {
-			e.tombstone = true
+		if e.holds(key) && e.priority == priority {
+			e.state = slotTombstone
 			rf.used--
 			return true, probe + 1
 		}
+		idx = rf.next(idx)
 	}
 	return false, len(rf.entries)
 }
 
 // lookup probes the filter for the key and returns the best-priority entry
-// holding it. probes is the number of slots read.
-func (rf *ruleFilter) lookup(key label.CombinationKey) (entry ruleEntry, found bool, probes int) {
-	best := ruleEntry{}
-	for probe := 0; probe < len(rf.entries); probe++ {
-		idx := rf.slotFor(key, probe)
-		probes = probe + 1
-		e := rf.entries[idx]
-		if !e.valid {
+// holding it (nil when no live slot does). probes is the number of slots
+// read.
+func (rf *ruleFilter) lookup(key label.CombinationKey) (best *ruleEntry, probes int) {
+	idx := rf.home(key)
+	for probes < len(rf.entries) {
+		probes++
+		e := &rf.entries[idx]
+		if e.state == slotEmpty {
 			break
 		}
-		if !e.tombstone && e.key == key {
-			if !found || e.priority < best.priority {
-				best = e
-				found = true
-			}
+		if e.holds(key) && (best == nil || e.priority < best.priority) {
+			best = e
 		}
+		idx = rf.next(idx)
 	}
-	return best, found, probes
+	return best, probes
 }
 
 // reprovision replaces the slot array with a new capacity, keeping live
@@ -131,8 +157,8 @@ func (rf *ruleFilter) reprovision(capacity int) error {
 	rf.entries = make([]ruleEntry, capacity)
 	rf.used = 0
 	for _, e := range old {
-		if e.valid && !e.tombstone {
-			if _, _, _, err := rf.insert(e.key, e.priority, e.action, e.actionArg); err != nil {
+		if e.state == slotLive {
+			if _, _, _, err := rf.insert(label.KeyFromParts(e.keyHi, e.keyLo), e.priority, e.action, e.actionArg); err != nil {
 				return err
 			}
 		}

@@ -52,6 +52,14 @@ type snapshot struct {
 	filter    *ruleFilter
 	installed []installedRule
 
+	// prefixes is the set of label prefixes the installed rules' combination
+	// keys have, which lets the field tier's combination walk skip label
+	// tuples no rule uses. prepare rebuilds it from installed on every
+	// publish of a snapshot whose own field tier serves in the exact
+	// combination mode; it is empty while a packet engine, the shards or
+	// HPML mode answer, and clone does not carry it.
+	prefixes prefixSet
+
 	// Whole-packet engine tier. When packetName is non-empty, lookups are
 	// served by packet — one precomputed multi-field structure — instead of
 	// the per-field engines above, which stay programmed so the classifier
@@ -438,11 +446,15 @@ func (s *snapshot) rebuildEngine(cfg *Config, d label.Dimension) (engine.FieldEn
 
 // prepare forces every deferred engine-side build (engine.Preparer) so that
 // a published snapshot never mutates itself inside Lookup, and resolves the
-// serving-path caches (packetDims) that must not be recomputed per packet.
-func (s *snapshot) prepare() {
+// serving-path caches (packetDims, prefixes) that must not be recomputed per
+// packet.
+func (s *snapshot) prepare(cfg *Config) {
 	s.packetDims = 0
+	s.prefixes = prefixSet{}
 	if s.packetName != "" {
 		s.packetDims = engine.Dims(s.packetName)
+	} else if s.part == nil && cfg.CombineMode != CombineHPML {
+		s.prefixes = newPrefixSet(s.installed)
 	}
 	for _, eng := range s.engines {
 		if p, ok := eng.(engine.Preparer); ok {
@@ -450,7 +462,7 @@ func (s *snapshot) prepare() {
 		}
 	}
 	for _, sh := range s.shards {
-		sh.prepare()
+		sh.prepare(cfg)
 	}
 }
 

@@ -203,13 +203,15 @@ func (s *snapshot) insertRuleLocal(cfg *Config, r fivetuple.Rule) (UpdateReport,
 	// inserting into the same clone after an individual failure is surfaced,
 	// so the clone must stay internally consistent.
 	type acquisition struct {
-		dim     label.Dimension
-		key     string
-		created bool
+		dim label.Dimension
+		key string
 	}
-	var acquired []acquisition
+	var (
+		acquired  [label.NumDimensions]acquisition
+		nAcquired int
+	)
 	rollback := func() {
-		for i := len(acquired) - 1; i >= 0; i-- {
+		for i := nAcquired - 1; i >= 0; i-- {
 			a := acquired[i]
 			lbl, removed, err := s.labels.Table(a.dim).Release(a.key)
 			if err != nil {
@@ -230,7 +232,7 @@ func (s *snapshot) insertRuleLocal(cfg *Config, r fivetuple.Rule) (UpdateReport,
 		}
 	}
 
-	ruleLabels := make(map[label.Dimension]label.Label, label.NumDimensions)
+	var ruleLabels [label.NumDimensions + 1]label.Label
 	for _, d := range label.Dimensions() {
 		key := fieldValueKey(d, r)
 		lbl, created, err := s.labels.Table(d).Acquire(key)
@@ -238,7 +240,8 @@ func (s *snapshot) insertRuleLocal(cfg *Config, r fivetuple.Rule) (UpdateReport,
 			rollback()
 			return UpdateReport{}, fmt.Errorf("core: inserting rule %s: %w", r, err)
 		}
-		acquired = append(acquired, acquisition{dim: d, key: key, created: created})
+		acquired[nAcquired] = acquisition{dim: d, key: key}
+		nAcquired++
 		ruleLabels[d] = lbl
 
 		use, ok := s.fieldUses[d][key]
@@ -269,7 +272,7 @@ func (s *snapshot) insertRuleLocal(cfg *Config, r fivetuple.Rule) (UpdateReport,
 		}
 	}
 
-	key := label.PackKey(ruleLabels)
+	key := label.PackKeyDims(&ruleLabels)
 	_, probes, writes, err := s.filter.insert(key, r.Priority, r.Action, r.ActionArg)
 	report.RuleFilterProbes = probes
 	report.EngineWrites += writes

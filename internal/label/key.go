@@ -19,35 +19,53 @@ type CombinationKey struct {
 	lo uint64 // bottom 64 bits
 }
 
-// PackKey builds the combination key from one label per dimension. Labels
-// must fit their dimension width; out-of-range labels indicate a programming
-// error and cause a panic.
-func PackKey(labels map[Dimension]Label) CombinationKey {
+// PackKeyDims builds the combination key from a dimension-indexed label
+// array (index 0 unused — Dimension is a dense 1-based enum). Labels must fit
+// their dimension width; out-of-range labels indicate a programming error and
+// cause a panic.
+func PackKeyDims(labels *[NumDimensions + 1]Label) CombinationKey {
 	var k CombinationKey
 	for _, d := range Dimensions() {
-		lbl := labels[d]
-		if int(lbl) >= d.Capacity() {
-			panic(fmt.Sprintf("label: label %d exceeds %d-bit dimension %s", lbl, d.Bits(), d))
-		}
-		k = k.shiftIn(uint64(lbl), uint(d.Bits()))
+		k = k.Append(d, labels[d])
 	}
 	return k
 }
 
-// PackKeyDims builds the combination key from a dimension-indexed label
-// array (index 0 unused — Dimension is a dense 1-based enum). It is the
-// allocation-free variant of PackKey for the per-packet combination path,
-// which cannot afford a map per header.
-func PackKeyDims(labels *[NumDimensions + 1]Label) CombinationKey {
-	var k CombinationKey
-	for _, d := range Dimensions() {
-		lbl := labels[d]
-		if int(lbl) >= d.Capacity() {
-			panic(fmt.Sprintf("label: label %d exceeds %d-bit dimension %s", lbl, d.Bits(), d))
-		}
-		k = k.shiftIn(uint64(lbl), uint(d.Bits()))
+// Append shifts the label of dimension d in at the least-significant end of
+// the key. Appending one label per dimension in Dimensions() order to the
+// zero key yields the full combination key; stopping early yields the key of
+// a label prefix, which is how the field tier's combination walk extends a
+// partial tuple one dimension at a time. An out-of-range label panics, as in
+// PackKeyDims.
+func (k CombinationKey) Append(d Dimension, lbl Label) CombinationKey {
+	if int(lbl) >= d.Capacity() {
+		panic(fmt.Sprintf("label: label %d exceeds %d-bit dimension %s", lbl, d.Bits(), d))
 	}
-	return k
+	return k.shiftIn(uint64(lbl), uint(d.Bits()))
+}
+
+// Prefix returns the key of the first n dimensions' labels — what n Append
+// calls produced on the way to this full key. Prefix(NumDimensions) is the
+// key itself.
+func (k CombinationKey) Prefix(n int) CombinationKey {
+	drop := uint(0)
+	for _, d := range allDimensions[n:] {
+		drop += uint(d.Bits())
+	}
+	// Shift counts of 64 and above yield zero in Go, which is what a
+	// 68-bit-wide shift needs at both ends of the range.
+	return CombinationKey{hi: k.hi >> drop, lo: k.lo>>drop | uint64(k.hi)<<(64-drop)}
+}
+
+// Hi returns the top 4 bits of the 68-bit key.
+func (k CombinationKey) Hi() uint8 { return k.hi }
+
+// Lo returns the bottom 64 bits of the key.
+func (k CombinationKey) Lo() uint64 { return k.lo }
+
+// KeyFromParts rebuilds a key from its Hi and Lo halves.
+func KeyFromParts(hi uint8, lo uint64) CombinationKey {
+	return CombinationKey{hi: hi & 0xF, lo: lo}
 }
 
 // shiftIn appends width bits of value to the least-significant end of the
@@ -80,7 +98,7 @@ func (k CombinationKey) String() string {
 }
 
 // Unpack recovers the per-dimension labels from the key. It is the inverse of
-// PackKey and exists for debugging and tests.
+// PackKeyDims and exists for debugging and tests.
 func (k CombinationKey) Unpack() map[Dimension]Label {
 	out := make(map[Dimension]Label, NumDimensions)
 	dims := Dimensions()

@@ -302,7 +302,7 @@ func TestListInsertKeepsSortedProperty(t *testing.T) {
 }
 
 func TestPackKeyRoundTrip(t *testing.T) {
-	labels := map[Dimension]Label{
+	labels := [NumDimensions + 1]Label{
 		DimSrcIPHigh: 0x1ABC,
 		DimSrcIPLow:  0x0001,
 		DimDstIPHigh: 0x1FFF,
@@ -311,12 +311,15 @@ func TestPackKeyRoundTrip(t *testing.T) {
 		DimDstPort:   0x01,
 		DimProtocol:  0x3,
 	}
-	key := PackKey(labels)
+	key := PackKeyDims(&labels)
 	back := key.Unpack()
-	for d, want := range labels {
-		if back[d] != want {
-			t.Errorf("Unpack()[%s] = %v, want %v", d, back[d], want)
+	for _, d := range Dimensions() {
+		if back[d] != labels[d] {
+			t.Errorf("Unpack()[%s] = %v, want %v", d, back[d], labels[d])
 		}
+	}
+	if got := KeyFromParts(key.Hi(), key.Lo()); got != key {
+		t.Errorf("KeyFromParts(Hi, Lo) = %s, want %s", got, key)
 	}
 	if len(key.String()) != 17 {
 		t.Errorf("String() = %q, want 17 hex digits", key.String())
@@ -325,7 +328,7 @@ func TestPackKeyRoundTrip(t *testing.T) {
 
 func TestPackKeyRoundTripProperty(t *testing.T) {
 	f := func(a, b, c, d uint16, e, g uint8, p uint8) bool {
-		labels := map[Dimension]Label{
+		labels := [NumDimensions + 1]Label{
 			DimSrcIPHigh: Label(a % 8192),
 			DimSrcIPLow:  Label(b % 8192),
 			DimDstIPHigh: Label(c % 8192),
@@ -334,9 +337,9 @@ func TestPackKeyRoundTripProperty(t *testing.T) {
 			DimDstPort:   Label(g % 128),
 			DimProtocol:  Label(p % 4),
 		}
-		back := PackKey(labels).Unpack()
-		for dim, want := range labels {
-			if back[dim] != want {
+		back := PackKeyDims(&labels).Unpack()
+		for _, dim := range Dimensions() {
+			if back[dim] != labels[dim] {
 				return false
 			}
 		}
@@ -347,30 +350,48 @@ func TestPackKeyRoundTripProperty(t *testing.T) {
 	}
 }
 
+func TestKeyPrefixMatchesAppend(t *testing.T) {
+	labels := [NumDimensions + 1]Label{
+		DimSrcIPHigh: 0x1ABC, DimSrcIPLow: 0x0F0F, DimDstIPHigh: 0x1FFF, DimDstIPLow: 0x0001,
+		DimSrcPort: 0x55, DimDstPort: 0x7F, DimProtocol: 0x2,
+	}
+	full := PackKeyDims(&labels)
+	var partial CombinationKey
+	if got := full.Prefix(0); got != partial {
+		t.Errorf("Prefix(0) = %s, want the zero key", got)
+	}
+	for i, d := range Dimensions() {
+		partial = partial.Append(d, labels[d])
+		if got := full.Prefix(i + 1); got != partial {
+			t.Errorf("Prefix(%d) = %s, want %s (the first %d labels appended)", i+1, got, partial, i+1)
+		}
+	}
+	if partial != full {
+		t.Errorf("appending every label gives %s, PackKeyDims %s", partial, full)
+	}
+}
+
 func TestPackKeyDistinctInputsDistinctKeys(t *testing.T) {
-	base := map[Dimension]Label{
+	base := [NumDimensions + 1]Label{
 		DimSrcIPHigh: 1, DimSrcIPLow: 2, DimDstIPHigh: 3, DimDstIPLow: 4,
 		DimSrcPort: 5, DimDstPort: 6, DimProtocol: 1,
 	}
-	k1 := PackKey(base)
+	k1 := PackKeyDims(&base)
 	for _, d := range Dimensions() {
-		modified := make(map[Dimension]Label, len(base))
-		for k, v := range base {
-			modified[k] = v
-		}
+		modified := base
 		modified[d] = base[d] + 1
-		if PackKey(modified) == k1 {
+		if PackKeyDims(&modified) == k1 {
 			t.Errorf("changing dimension %s did not change the key", d)
 		}
 	}
 }
 
 func TestPackKeyBytesAndUint64(t *testing.T) {
-	labels := map[Dimension]Label{
+	labels := [NumDimensions + 1]Label{
 		DimSrcIPHigh: 0x1FFF, DimSrcIPLow: 0x1FFF, DimDstIPHigh: 0x1FFF,
 		DimDstIPLow: 0x1FFF, DimSrcPort: 0x7F, DimDstPort: 0x7F, DimProtocol: 0x3,
 	}
-	key := PackKey(labels)
+	key := PackKeyDims(&labels)
 	bytes := key.Bytes()
 	// All 68 bits set: top byte is 0x0F, the rest 0xFF.
 	if bytes[0] != 0x0F {
@@ -388,6 +409,6 @@ func TestPackKeyBytesAndUint64(t *testing.T) {
 
 func TestPackKeyPanicsOnOversizedLabel(t *testing.T) {
 	assertPanics(t, "oversized label", func() {
-		PackKey(map[Dimension]Label{DimProtocol: 4})
+		PackKeyDims(&[NumDimensions + 1]Label{DimProtocol: 4})
 	})
 }

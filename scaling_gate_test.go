@@ -57,7 +57,10 @@ func TestReaderScalingGate(t *testing.T) {
 		{
 			name:     "shared",
 			workload: bench.NewWorkload(classbench.ACL, classbench.Size1K, 20000),
-			opts:     bench.ThroughputOptions{Engines: []string{"mbt"}, PacketsPerWorker: 30000},
+			// About a second per row at the field tier's ~1 µs lookup: a run
+			// of tens of milliseconds measures worker start-up skew, not
+			// scaling.
+			opts: bench.ThroughputOptions{Engines: []string{"mbt"}, PacketsPerWorker: 1000000},
 		},
 		{
 			name:     "replicated",

@@ -183,7 +183,7 @@ func BenchmarkIPEngines(b *testing.B) {
 // runThroughputWorkers splits b.N packets over the workers, replays the
 // trace in batches through the given lookup callback and reports pkts/s plus
 // the slowest and fastest individual worker's rate — the spread that makes
-// worker (and replica) imbalance visible in the benchstat output.
+// worker (and lane) imbalance visible in the benchstat output.
 func runThroughputWorkers(b *testing.B, workers, batch int, trace []fivetuple.Header, lookup func(worker int, hs []fivetuple.Header)) {
 	b.Helper()
 	busy := make([]time.Duration, workers)
@@ -259,41 +259,6 @@ func BenchmarkThroughput(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers_%d", name, workers), func(b *testing.B) {
 				runThroughputWorkers(b, workers, batch, trace, func(_ int, hs []fivetuple.Header) {
 					c.LookupBatch(hs)
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkThroughputReplicated is BenchmarkThroughput in replicated-fleet
-// mode: one replica per worker (at least two, since Replicas <= 1 is the
-// unreplicated configuration) and every worker pinned to its replica through
-// a Reader. Comparing its worker_4 rows against BenchmarkThroughput's
-// measures what replica-private counters buy over readers sharing one
-// replica (no cache is configured here); the min/max worker metrics expose
-// replica imbalance.
-func BenchmarkThroughputReplicated(b *testing.B) {
-	const batch = 64
-	for _, name := range engine.SelectableNames() {
-		trace := benchSmallWorkload.Trace
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/workers_%d", name, workers), func(b *testing.B) {
-				cfg := bench.EngineConfig(name)
-				cfg.Replicas = workers
-				if cfg.Replicas < 2 {
-					cfg.Replicas = 2
-				}
-				c := core.MustNew(cfg)
-				if _, err := c.InstallRuleSet(benchSmallWorkload.RuleSet); err != nil {
-					b.Fatal(err)
-				}
-				readers := make([]*core.Reader, workers)
-				outs := make([][]core.Result, workers)
-				for w := range readers {
-					readers[w] = c.Reader(w)
-				}
-				runThroughputWorkers(b, workers, batch, trace, func(w int, hs []fivetuple.Header) {
-					outs[w] = readers[w].LookupBatchInto(outs[w], hs)
 				})
 			})
 		}

@@ -6,7 +6,6 @@
 //	experiments [-experiment all|table1|table2|table3|table4|table5|table6|table7|fig3|fig5|update|hpml|labelmethod|engines|throughput|churn|serve|sweep]
 //	            [-class acl|fw|ipc] [-size 1k|5k|10k] [-packets N] [-ip-engine name]
 //	            [-workers list] [-batch N] [-cache-shards N] [-cache-capacity N] [-zipf s]
-//	            [-replicated] [-shards K] [-partition-by protocol|src-byte]
 //	            [-churn-ops N] [-churn-rate R] [-churn-locality L] [-churn-inserts F]
 //	            [-serve-addr host:port] [-serve-tenants T] [-serve-clients M] [-serve-requests N]
 //	            [-record-dir DIR]
@@ -58,11 +57,8 @@ func run(args []string) error {
 	workersFlag := fs.String("workers", "", "comma-separated worker counts for the throughput experiment (default: 1,2,4,... up to NumCPU)")
 	batchSize := fs.Int("batch", 64, "LookupBatch size for the throughput experiment")
 	cacheShards := fs.Int("cache-shards", 0, "microflow cache shard count for the throughput experiment (0 = cache default)")
-	cacheCapacity := fs.Int("cache-capacity", 0, "microflow cache entry budget; > 0 adds cached rows beside the uncached ones in the throughput experiment")
+	cacheCapacity := fs.Int("cache-capacity", 0, "microflow cache total entry budget, split across the classifier's serving lanes; > 0 adds cached rows beside the uncached ones in the throughput experiment")
 	zipf := fs.Float64("zipf", 0, "Zipf skew (> 1, e.g. 1.1) for the throughput trace: replay a flow population with Zipf-ranked popularity")
-	replicated := fs.Bool("replicated", false, "add replicated-fleet rows (one cache/counter replica per worker) beside the single-replica rows in the throughput experiment")
-	shards := fs.Int("shards", 0, "rule-space shard count for the throughput experiment (> 1 partitions the table)")
-	partitionBy := fs.String("partition-by", "", "shard partition strategy: protocol (default) or src-byte")
 	churnOps := fs.Int("churn-ops", 2000, "update ops per cell in the churn experiment")
 	churnRate := fs.Float64("churn-rate", 0, "writer pacing in updates/sec for the churn experiment; 0 = full speed")
 	churnLocality := fs.Float64("churn-locality", 0.3, "rule locality [0,1) of the churn trace: higher concentrates updates on the same rules")
@@ -196,7 +192,6 @@ func run(args []string) error {
 		opts := bench.ThroughputOptions{
 			Workers: workers, BatchSize: *batchSize, PacketsPerWorker: *packets,
 			CacheShards: *cacheShards, CacheCapacity: *cacheCapacity,
-			Replicated: *replicated, Shards: *shards, PartitionBy: *partitionBy,
 		}
 		if *ipEngine != "" {
 			opts.Engines = []string{*ipEngine}
@@ -284,7 +279,6 @@ func run(args []string) error {
 		topts := bench.ThroughputOptions{
 			Workers: workers, BatchSize: *batchSize, PacketsPerWorker: *packets,
 			CacheShards: *cacheShards, CacheCapacity: *cacheCapacity,
-			Replicated: *replicated, Shards: *shards, PartitionBy: *partitionBy,
 		}
 		if *ipEngine != "" {
 			topts.Engines = []string{*ipEngine}

@@ -17,7 +17,6 @@
 //	sdnclassd -mode replay -class acl -size 1k -packets 50000
 //	          [-profile throughput] [-ip-engine name] [-workers N] [-batch N]
 //	          [-cache-shards N] [-cache-capacity N] [-zipf s] [-churn-rate R]
-//	          [-replicas R] [-shards K] [-partition-by protocol|src-byte]
 //	          [-advise]
 //
 // With -churn-rate R > 0 a churn writer applies a generated flow-mod trace
@@ -76,12 +75,9 @@ func run(args []string) error {
 	workers := fs.Int("workers", runtime.NumCPU(), "concurrent replay workers sharing the switch")
 	batch := fs.Int("batch", 64, "packets per ProcessBatch call")
 	cacheShards := fs.Int("cache-shards", 0, "microflow cache shard count (0 = cache default)")
-	cacheCapacity := fs.Int("cache-capacity", 0, "microflow cache entry budget in front of the engines; 0 disables the cache")
+	cacheCapacity := fs.Int("cache-capacity", 0, "microflow cache total entry budget in front of the engines, split across the serving lanes; 0 disables the cache")
 	zipf := fs.Float64("zipf", 0, "Zipf skew (> 1, e.g. 1.1) for the replay trace: repeat a flow population with Zipf-ranked popularity")
 	churnRate := fs.Float64("churn-rate", 0, "flow-mod churn rate in updates/sec applied to the switch during the replay; 0 disables churn")
-	replicas := fs.Int("replicas", 0, "serving-fleet replica count: > 1 gives each worker a private cache and private lookup counters over the shared snapshot")
-	shardCount := fs.Int("shards", 0, "rule-space shard count: > 1 partitions the table so each shard serves only its rule slice")
-	partitionBy := fs.String("partition-by", "", "shard partition strategy: protocol (default) or src-byte")
 	advise := fs.Bool("advise", false, "sample the replayed traffic and print the advisor's engine/policy recommendations after the summary")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,9 +97,6 @@ func run(args []string) error {
 	}
 	if *churnRate < 0 {
 		return fmt.Errorf("-churn-rate must not be negative")
-	}
-	if *replicas < 0 || *shardCount < 0 {
-		return fmt.Errorf("-replicas and -shards must not be negative")
 	}
 
 	class, size, err := parseWorkload(*className, *sizeName)
@@ -136,9 +129,6 @@ func run(args []string) error {
 	swCfg := core.DefaultConfig()
 	swCfg.CacheShards = *cacheShards
 	swCfg.CacheCapacity = *cacheCapacity
-	swCfg.Replicas = *replicas
-	swCfg.Shards = *shardCount
-	swCfg.PartitionBy = *partitionBy
 	if *advise {
 		swCfg.SampleHeaders = core.DefaultSampleHeaders
 	}

@@ -1,6 +1,7 @@
 package sdnpc
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -339,21 +340,21 @@ func TestConcurrentCacheCoherenceDuringUpdates(t *testing.T) {
 	}
 }
 
-// The replica-coherence hammer: the update storm, engine-tier hops and
-// tenant churn run against a replicated serving fleet over a sharded, cached
-// table. R per-worker replicas — private caches, private counters — serve
-// the one published snapshot; worker-pinned readers hammer their own replica
-// and assert that every observed verdict is a single consistent cut — old
-// rule set or new, never a mix inside one batch — and that the generation a
-// reader observes never moves backwards. Stale verdicts cannot be served by
-// construction (each replica's private cache is generation-keyed against the
-// snapshot the lookup loaded), which the quiesced flip-rule probes pin down.
-// After the storm quiesces, every reader serves the publish generation. Run
-// with -race.
+// The lane-coherence hammer: the update storm, engine-tier hops and tenant
+// churn run against a cached classifier forced onto four serving lanes —
+// private caches, private counters — in front of the one published snapshot;
+// worker-pinned readers hammer their own lane and assert that every observed
+// verdict is a single consistent cut — old rule set or new, never a mix
+// inside one batch — and that the generation a reader observes never moves
+// backwards. Stale verdicts cannot be served by construction (each lane's
+// private cache is generation-keyed against the snapshot the lookup loaded),
+// which the quiesced flip-rule probes pin down. After the storm quiesces,
+// every reader serves the publish generation. Run with -race.
 func TestConcurrentReplicaCoherence(t *testing.T) {
-	const replicas = 4
-	c := MustNew(WithEngine("hypercuts"), WithCache(4, 512),
-		WithReplicas(replicas), WithShards(4, "protocol"))
+	const lanes, cacheBudget = 4, 512
+	prev := runtime.GOMAXPROCS(lanes) // the lane count is read when a classifier is built
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	c := MustNew(WithEngine("hypercuts"), WithCache(4, cacheBudget))
 
 	stable := NewRule(5).From("10.1.0.0/16").To("192.168.0.0/16").DstPort(443).Proto(TCP).Forward(42).MustBuild()
 	if _, err := c.Insert(stable); err != nil {
@@ -378,9 +379,9 @@ func TestConcurrentReplicaCoherence(t *testing.T) {
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	// Two worker-pinned readers per replica: distinct worker ids that map to
-	// the same replica must still each see a consistent cut.
-	const readers = 2 * replicas
+	// Two worker-pinned readers per lane: distinct worker ids that map to
+	// the same lane must still each see a consistent cut.
+	const readers = 2 * lanes
 	for i := 0; i < readers; i++ {
 		wg.Add(1)
 		go func(worker int) {
@@ -417,8 +418,8 @@ func TestConcurrentReplicaCoherence(t *testing.T) {
 		}(i)
 	}
 
-	// Tenant churn rides along: short-lived replicated classifiers are built,
-	// served and dropped while the long-lived fleet is under storm, so replica
+	// Tenant churn rides along: short-lived cached classifiers are built,
+	// served and dropped while the long-lived one is under storm, so lane
 	// construction and teardown race against steady-state serving.
 	wg.Add(1)
 	go func() {
@@ -429,7 +430,7 @@ func TestConcurrentReplicaCoherence(t *testing.T) {
 				return
 			default:
 			}
-			tc := MustNew(WithReplicas(2), WithCache(2, 128), WithShards(2, "src-byte"))
+			tc := MustNew(WithCache(2, 128))
 			if _, err := tc.Insert(stable); err != nil {
 				t.Errorf("churn tenant insert: %v", err)
 				return
@@ -439,9 +440,8 @@ func TestConcurrentReplicaCoherence(t *testing.T) {
 		}
 	}()
 
-	// Fewer writer iterations than the unsharded hammers: every publish here
-	// clones the spine and four shard snapshots, and 40 round trips already
-	// retire a hundred generations in every replica's cache.
+	// 40 round trips already retire a hundred generations in every lane's
+	// cache.
 	engines := Engines()
 	const writerIterations = 40
 	for i := 0; i < writerIterations; i++ {
@@ -463,29 +463,27 @@ func TestConcurrentReplicaCoherence(t *testing.T) {
 	close(done)
 	wg.Wait()
 
-	// Quiesced: every reader serves the final publish.
+	// Quiesced: every reader serves the final publish, and the lanes still
+	// hold the configured cache budget between them.
 	rep := c.Report()
-	if len(rep.Replicas) != replicas {
-		t.Fatalf("Report().Replicas has %d entries, want %d", len(rep.Replicas), replicas)
-	}
-	for i, rr := range rep.Replicas {
+	for i := 0; i < lanes; i++ {
 		if g := c.Reader(i).Generation(); g != rep.Generation {
 			t.Errorf("reader %d serves generation %d, publish generation is %d", i, g, rep.Generation)
 		}
-		if !rr.CacheEnabled {
-			t.Errorf("replica %d lost its private cache", i)
-		}
+	}
+	if !rep.CacheEnabled || rep.Memory.CacheEntries != cacheBudget {
+		t.Errorf("the lanes hold %d cache entries (enabled %t), want the %d-entry budget", rep.Memory.CacheEntries, rep.CacheEnabled, cacheBudget)
 	}
 	if rep.Cache.Hits == 0 {
-		t.Errorf("the hammer never hit a replica cache: %+v", rep.Cache)
+		t.Errorf("the hammer never hit a lane cache: %+v", rep.Cache)
 	}
 
 	// The flip rule ended deleted; any cached verdict for it belongs to a
-	// retired generation on some replica and must not surface from any of
+	// retired generation on some lane and must not surface from any of
 	// them — the stale-hits-stay-zero guarantee, observed by verdict.
 	for worker := 0; worker < readers; worker++ {
 		if r := c.Reader(worker).Lookup(headerFlip); r.Matched {
-			t.Fatalf("worker %d served the flip rule after its final delete (stale replica cache hit): %+v", worker, r)
+			t.Fatalf("worker %d served the flip rule after its final delete (stale lane cache hit): %+v", worker, r)
 		}
 		checkStable(c.Reader(worker).Lookup(headerStable))
 	}

@@ -2,6 +2,7 @@ package sdnpc
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sdnpc/internal/bench"
@@ -12,7 +13,8 @@ import (
 )
 
 // The differential suite: every selectable engine of both tiers, plus the
-// microflow-cache-enabled serving path of each tier, must return exactly the
+// microflow-cache-enabled serving path of each tier and one cached path forced
+// onto several serving lanes, must return exactly the
 // verdict of the linear-search oracle (fivetuple.RuleSet.Classify) for every
 // header. FuzzDifferentialLookup explores random rule sets and headers;
 // TestDifferentialEngines replays a deterministic corpus of generated sets
@@ -153,49 +155,27 @@ func decodeFuzzHeader(b []byte) fivetuple.Header {
 	}
 }
 
-// fuzzTopology is the replicated/sharded serving topology a differential run
-// drives beside the plain paths: replica count of the serving fleet and the
-// rule-space shard geometry.
-type fuzzTopology struct {
-	replicas    int
-	shards      int
-	partitionBy string
-}
+// multiLanes is the lane count of the multi-lane differential path: more
+// lanes than the two passes pin readers to, so the anonymous Lookup path also
+// reaches a lane no pinned reader warmed.
+const multiLanes = 3
 
-// defaultTopology is the deterministic topology the non-fuzz runners use.
-func defaultTopology() fuzzTopology {
-	return fuzzTopology{replicas: 3, shards: 4, partitionBy: "protocol"}
-}
-
-// decodeFuzzTopology derives a random-but-valid topology from the fuzz input,
-// so the fuzzer explores replica counts in [2,5], shard counts in [2,9] and
-// both partition strategies.
-func decodeFuzzTopology(data []byte) fuzzTopology {
-	var a, b, c byte
-	for i, v := range data {
-		switch i % 3 {
-		case 0:
-			a ^= v
-		case 1:
-			b ^= v
-		default:
-			c ^= v
-		}
+// newWithLanes builds a classifier with exactly n serving lanes, or the
+// host's own count when n is 0. The lane count is read from GOMAXPROCS once,
+// inside core.New, so it is forced for the build alone.
+func newWithLanes(n int, cfg core.Config) (*core.Classifier, error) {
+	if n > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
 	}
-	topo := fuzzTopology{replicas: 2 + int(a)%4, shards: 2 + int(b)%8, partitionBy: "protocol"}
-	if c&1 == 1 {
-		topo.partitionBy = "src-byte"
-	}
-	return topo
+	return core.New(cfg)
 }
 
 // differentialPaths builds one classifier per selectable engine of both
 // tiers plus one cache-enabled classifier per tier, all in exact
 // (cross-product) combination mode, with the rule set installed — and, on
-// top, the replicated-fleet and rule-space-sharded serving paths of the given
-// topology (separately and combined), which must stay bit-identical to the
-// unsharded single-snapshot classifier.
-func differentialPaths(t testing.TB, rs *fivetuple.RuleSet, topo fuzzTopology) map[string]*core.Classifier {
+// top, one cached classifier forced onto multiLanes serving lanes, whose
+// lane-private caches must stay bit-identical to the uncached classifier.
+func differentialPaths(t testing.TB, rs *fivetuple.RuleSet) map[string]*core.Classifier {
 	t.Helper()
 	// Paths whose engine does not declare the workload's required dimensions
 	// are skipped: the core would (correctly) refuse the install. At least the
@@ -203,8 +183,8 @@ func differentialPaths(t testing.TB, rs *fivetuple.RuleSet, topo fuzzTopology) m
 	need := fivetuple.RequiredDims(rs.Rules())
 	covers := func(name string) bool { return engine.Dims(name).Covers(need) }
 	paths := make(map[string]*core.Classifier)
-	build := func(label string, cfg core.Config) {
-		c, err := core.New(cfg)
+	build := func(label string, lanes int, cfg core.Config) {
+		c, err := newWithLanes(lanes, cfg)
 		if err != nil {
 			t.Fatalf("building %s classifier: %v", label, err)
 		}
@@ -215,73 +195,41 @@ func differentialPaths(t testing.TB, rs *fivetuple.RuleSet, topo fuzzTopology) m
 	}
 	for _, name := range engine.SelectableNames() {
 		if covers(name) {
-			build(name, bench.EngineConfig(name))
+			build(name, 0, bench.EngineConfig(name))
 		}
 	}
 	// The cache front must be transparent over both tiers; the second lookup
 	// pass below is served from the cache.
 	if covers("mbt") {
-		build("mbt+cache", bench.CachedEngineConfig("mbt", 4, 4096))
-
-		// Replicated fleet: per-worker replicas with private caches serve the
-		// published snapshot; lookups rotate over replicas, so both passes
-		// cross replica boundaries.
-		repl := bench.CachedEngineConfig("mbt", 4, 4096)
-		repl.Replicas = topo.replicas
-		build(fmt.Sprintf("mbt+replicas=%d", topo.replicas), repl)
-
-		// Rule-space partitioning on both tiers: the steered shard's first
-		// match must be the global first match.
-		shardedField := bench.EngineConfig("mbt")
-		shardedField.Shards = topo.shards
-		shardedField.PartitionBy = topo.partitionBy
-		build(fmt.Sprintf("mbt+shards=%d/%s", topo.shards, topo.partitionBy), shardedField)
+		build("mbt+cache", 0, bench.CachedEngineConfig("mbt", 4, 4096))
 	}
 	if covers("hypercuts") {
-		build("hypercuts+cache", bench.CachedEngineConfig("hypercuts", 4, 4096))
-		shardedPacket := bench.EngineConfig("hypercuts")
-		shardedPacket.Shards = topo.shards
-		shardedPacket.PartitionBy = topo.partitionBy
-		build(fmt.Sprintf("hypercuts+shards=%d/%s", topo.shards, topo.partitionBy), shardedPacket)
-
-		// Everything at once: replicated fleet over a sharded, cached table.
-		combined := bench.CachedEngineConfig("hypercuts", 4, 4096)
-		combined.Replicas = topo.replicas
-		combined.Shards = topo.shards
-		combined.PartitionBy = topo.partitionBy
-		build(fmt.Sprintf("hypercuts+replicas=%d+shards=%d/%s", topo.replicas, topo.shards, topo.partitionBy), combined)
+		build("hypercuts+cache", 0, bench.CachedEngineConfig("hypercuts", 4, 4096))
 	}
-	// The linear engine declares AllDims, so extended workloads always have a
-	// sharded/replicated path beside the plain one.
-	if need != 0 && covers("linear") {
-		shardedLinear := bench.EngineConfig("linear")
-		shardedLinear.Shards = topo.shards
-		shardedLinear.PartitionBy = topo.partitionBy
-		build(fmt.Sprintf("linear+shards=%d/%s", topo.shards, topo.partitionBy), shardedLinear)
-		repl := bench.EngineConfig("linear")
-		repl.Replicas = topo.replicas
-		build(fmt.Sprintf("linear+replicas=%d", topo.replicas), repl)
+	// Multi-lane cached path, on the richest engine covering the workload
+	// (the linear engine declares every dimension): the two passes below pin
+	// their readers to different lanes and the anonymous lookups rotate over
+	// all of them, so every lane-private cache is filled and hit.
+	for _, name := range []string{"hypercuts", "linear"} {
+		if covers(name) {
+			build(fmt.Sprintf("%s+cache/%d-lanes", name, multiLanes), multiLanes, bench.CachedEngineConfig(name, 4, 4096))
+			break
+		}
 	}
 	return paths
 }
 
 // runDifferential asserts that every path agrees with the linear oracle on
 // every header — match flag, rule priority, action and action argument — on
-// a cold pass and on a warm (cache-hitting) pass, using the default
-// replicated/sharded topology.
+// a cold pass and on a warm (cache-hitting) pass. Besides the anonymous
+// Lookup path (which draws a lane per call), each pass also serves every
+// header through a worker-pinned Reader — a different lane per pass on the
+// multi-lane path — so lane selection by worker id is certified against the
+// oracle too.
 func runDifferential(t testing.TB, rules []fivetuple.Rule, headers []fivetuple.Header) {
 	t.Helper()
-	runDifferentialTopo(t, rules, headers, defaultTopology())
-}
-
-// runDifferentialTopo is runDifferential with an explicit serving topology.
-// Besides the anonymous Lookup path (which rotates over fleet replicas), each
-// pass also serves every header through a worker-pinned Reader, so replica
-// selection by worker id is certified against the oracle too.
-func runDifferentialTopo(t testing.TB, rules []fivetuple.Rule, headers []fivetuple.Header, topo fuzzTopology) {
-	t.Helper()
 	rs := fivetuple.NewRuleSet("differential", rules)
-	paths := differentialPaths(t, rs, topo)
+	paths := differentialPaths(t, rs)
 	var refs []core.ActionRef
 	for label, c := range paths {
 		for pass := 0; pass < 2; pass++ {
@@ -347,7 +295,8 @@ func checkActionRefs(t testing.TB, label, path string, pass, hdr int, h fivetupl
 }
 
 // FuzzDifferentialLookup drives random rule sets and headers through all
-// seven engines and both cache-enabled paths, asserting byte-identical
+// seven engines, both cache-enabled paths and the multi-lane cached path,
+// asserting byte-identical
 // verdicts versus the linear oracle. CI runs it as a smoke pass
 // (-fuzz=FuzzDifferentialLookup -fuzztime=30s); the corpus below seeds
 // structurally interesting shapes.
@@ -382,10 +331,7 @@ func FuzzDifferentialLookup(f *testing.F) {
 		if len(rules) == 0 || len(headers) == 0 {
 			t.Skip("input too short to decode a workload")
 		}
-		// The serving topology (replica count, shard count, partition
-		// strategy) is fuzz-driven too, so random topologies are explored
-		// alongside random workloads.
-		runDifferentialTopo(t, rules, headers, decodeFuzzTopology(data))
+		runDifferential(t, rules, headers)
 	})
 }
 
@@ -595,52 +541,6 @@ func TestDifferentialEngines(t *testing.T) {
 			t.Run(tc.name, func(t *testing.T) {
 				runDifferential(t, tc.rules, tc.headers)
 			})
-		}
-	})
-
-	// Shard-boundary corpus: rules built to stress the rule-space partitioner
-	// — wildcard protocols (replicate into every shard), prefixes straddling
-	// the partition byte (/7 and /9 around a top-byte boundary) and identical
-	// match conditions at distinct priorities that replicate across shards.
-	// Checked under both partition strategies.
-	t.Run("shard-boundary", func(t *testing.T) {
-		boundaryRules := []fivetuple.Rule{
-			// Wildcard protocol + /7 source: covers every protocol shard and
-			// two src-byte shards (top bytes 12 and 13).
-			rule("12.0.0.0/7", "0.0.0.0/0", wildPorts, wildPorts, wild, 0),
-			// /9 source: fully inside one top byte, exact protocol.
-			rule("13.128.0.0/9", "0.0.0.0/0", wildPorts, wildPorts, tcp, 1),
-			// Same match condition again at a lower priority: the duplicate
-			// replicates into the same shard set and must lose on priority.
-			rule("13.128.0.0/9", "0.0.0.0/0", wildPorts, wildPorts, tcp, 2),
-			// /8 exactly on the partition byte.
-			rule("14.0.0.0/8", "0.0.0.0/0", wildPorts, exact(53), fivetuple.ExactProtocol(fivetuple.ProtoUDP), 3),
-			// Short /4 spanning sixteen top bytes with a wildcard protocol:
-			// replicates into sixteen src-byte shards and every protocol
-			// shard at once.
-			rule("16.0.0.0/4", "0.0.0.0/0", wildPorts, wildPorts, wild, 4),
-			// Default wildcard rule: replicates into every shard of either
-			// strategy.
-			rule("0.0.0.0/0", "0.0.0.0/0", wildPorts, wildPorts, wild, 5),
-		}
-		boundaryHeaders := []fivetuple.Header{
-			{SrcIP: fivetuple.MustParseIPv4("12.0.0.1"), Protocol: fivetuple.ProtoTCP},
-			{SrcIP: fivetuple.MustParseIPv4("13.255.0.1"), Protocol: fivetuple.ProtoTCP},
-			{SrcIP: fivetuple.MustParseIPv4("13.127.255.255"), Protocol: fivetuple.ProtoTCP},
-			{SrcIP: fivetuple.MustParseIPv4("13.128.0.0"), Protocol: fivetuple.ProtoTCP},
-			{SrcIP: fivetuple.MustParseIPv4("14.0.0.1"), DstPort: 53, Protocol: fivetuple.ProtoUDP},
-			{SrcIP: fivetuple.MustParseIPv4("14.0.0.1"), DstPort: 54, Protocol: fivetuple.ProtoUDP},
-			{SrcIP: fivetuple.MustParseIPv4("17.0.0.1"), Protocol: 7},
-			{SrcIP: fivetuple.MustParseIPv4("31.255.255.255"), Protocol: 6},
-			{SrcIP: fivetuple.MustParseIPv4("32.0.0.0"), Protocol: 6},
-			{SrcIP: fivetuple.MustParseIPv4("200.1.2.3"), Protocol: 255},
-		}
-		for _, topo := range []fuzzTopology{
-			{replicas: 2, shards: 4, partitionBy: "protocol"},
-			{replicas: 3, shards: 5, partitionBy: "src-byte"},
-			{replicas: 2, shards: 256, partitionBy: "src-byte"},
-		} {
-			runDifferentialTopo(t, boundaryRules, boundaryHeaders, topo)
 		}
 	})
 

@@ -129,7 +129,10 @@ func multiActionOracle(live []fivetuple.Rule, h fivetuple.Header) []fivetuple.Ru
 }
 
 // checkAgainstOracle asserts one classifier agrees with the best-first
-// oracle on every header, under first-match and multi-action semantics.
+// oracle on every header, under first-match and multi-action semantics, and
+// that a worker-pinned Reader — a different lane from header to header —
+// returns what the anonymous Lookup did, so no lane's private cache serves a
+// verdict of a superseded rule set.
 func checkAgainstOracle(t testing.TB, phase, label string, c *core.Classifier, live []fivetuple.Rule, headers []fivetuple.Header) {
 	t.Helper()
 	for i, h := range headers {
@@ -142,6 +145,9 @@ func checkAgainstOracle(t testing.TB, phase, label string, c *core.Classifier, l
 			t.Fatalf("%s %s header %d (%s): got priority %d action %v/%d, oracle priority %d action %v/%d",
 				phase, label, i, h, got.Priority, got.Action, got.ActionArg,
 				want.Priority, want.Action, want.ActionArg)
+		}
+		if pinned := c.Reader(i).Lookup(h); pinned != got {
+			t.Fatalf("%s %s header %d (%s): Reader(%d) returned %+v, Lookup %+v", phase, label, i, h, i, pinned, got)
 		}
 		wantAll := multiActionOracle(live, h)
 		gotAll, _ := c.LookupAll(h)
@@ -175,21 +181,11 @@ func removeFirstMatch(live []fivetuple.Rule, r fivetuple.Rule) []fivetuple.Rule 
 
 // runDifferentialUpdates applies the mutation sequence through each packet
 // engine's incremental publish path (delta-friendly policy, plus a cached
-// variant for one engine), checking every intermediate state against the
-// best-first oracle and the final state against a freshly rebuilt
-// classifier pinned to rebuild-on-every-publish, using the default
-// replicated/sharded topology for the fleet variants.
+// variant for one engine on the host's lanes and on multiLanes forced ones,
+// so lane-private caches sit in front of every published snapshot), checking
+// every intermediate state against the best-first oracle and the final state
+// against a freshly rebuilt classifier pinned to rebuild-on-every-publish.
 func runDifferentialUpdates(t testing.TB, init []fivetuple.Rule, ops []fuzzUpdateOp, headers []fivetuple.Header) {
-	t.Helper()
-	runDifferentialUpdatesTopo(t, init, ops, headers, defaultTopology())
-}
-
-// runDifferentialUpdatesTopo is runDifferentialUpdates with an explicit
-// serving topology: beside the plain engines it drives the same mutation
-// sequence through a replicated fleet (per-worker caches in front of every
-// published snapshot), a rule-space-sharded table (every update propagates to the
-// shards the rule covers) and the combination of both.
-func runDifferentialUpdatesTopo(t testing.TB, init []fivetuple.Rule, ops []fuzzUpdateOp, headers []fivetuple.Header, topo fuzzTopology) {
 	t.Helper()
 	// The whole sequence's dimension requirement (initial rules plus every
 	// inserted rule) gates which engines run it and which engine hops are
@@ -208,7 +204,12 @@ func runDifferentialUpdatesTopo(t testing.TB, init []fivetuple.Rule, ops []fuzzU
 			selectable = append(selectable, name)
 		}
 	}
-	variants := make(map[string]core.Config)
+	// lanes is the forced serving-lane count (0 keeps the host's own).
+	type variant struct {
+		cfg   core.Config
+		lanes int
+	}
+	variants := make(map[string]variant)
 	for _, name := range engine.PacketEngineNames() {
 		if !engine.Dims(name).Covers(need) {
 			continue
@@ -218,43 +219,23 @@ func runDifferentialUpdatesTopo(t testing.TB, init []fivetuple.Rule, ops []fuzzU
 		// disabled degradation trip (Degradation never exceeds 1).
 		cfg.RebuildAfterDeltas = 1 << 20
 		cfg.DegradationThreshold = 1.01
-		variants[name] = cfg
+		variants[name] = variant{cfg: cfg}
 	}
-	// The topology variants ride on the richest gated engine: hypercuts when
-	// it covers the sequence, the always-covering linear engine otherwise, so
-	// extended sequences still churn through replicas and shards.
-	topoBase := "hypercuts"
-	if !engine.Dims(topoBase).Covers(need) {
-		topoBase = "linear"
+	// The cached variants ride on the richest gated engine: hypercuts when it
+	// covers the sequence, the always-covering linear engine otherwise, so
+	// extended sequences still churn through the lane caches.
+	cachedBase := "hypercuts"
+	if !engine.Dims(cachedBase).Covers(need) {
+		cachedBase = "linear"
 	}
-	{
-		cfg := bench.CachedEngineConfig(topoBase, 4, 1024)
-		cfg.RebuildAfterDeltas = 1 << 20
-		cfg.DegradationThreshold = 1.01
-		variants[topoBase+"+cache"] = cfg
-	}
-	{
-		cfg := variants[topoBase+"+cache"]
-		cfg.Replicas = topo.replicas
-		variants[fmt.Sprintf("%s+cache+replicas=%d", topoBase, topo.replicas)] = cfg
-	}
-	{
-		cfg := variants[topoBase]
-		cfg.Shards = topo.shards
-		cfg.PartitionBy = topo.partitionBy
-		variants[fmt.Sprintf("%s+shards=%d/%s", topoBase, topo.shards, topo.partitionBy)] = cfg
-	}
-	{
-		cfg := variants[topoBase+"+cache"]
-		cfg.Replicas = topo.replicas
-		cfg.Shards = topo.shards
-		cfg.PartitionBy = topo.partitionBy
-		variants[fmt.Sprintf("%s+cache+replicas=%d+shards=%d/%s",
-			topoBase, topo.replicas, topo.shards, topo.partitionBy)] = cfg
-	}
+	cached := bench.CachedEngineConfig(cachedBase, 4, 1024)
+	cached.RebuildAfterDeltas = 1 << 20
+	cached.DegradationThreshold = 1.01
+	variants[cachedBase+"+cache"] = variant{cfg: cached}
+	variants[fmt.Sprintf("%s+cache/%d-lanes", cachedBase, multiLanes)] = variant{cfg: cached, lanes: multiLanes}
 
-	for label, cfg := range variants {
-		c, err := core.New(cfg)
+	for label, v := range variants {
+		c, err := newWithLanes(v.lanes, v.cfg)
 		if err != nil {
 			t.Fatalf("building %s classifier: %v", label, err)
 		}
@@ -360,9 +341,7 @@ func FuzzDifferentialUpdates(f *testing.F) {
 		if len(init) == 0 || len(ops) == 0 || len(headers) == 0 {
 			t.Skip("input too short to decode a mutation workload")
 		}
-		// Replica/shard counts ride on the same fuzz input, so update storms
-		// are exercised over random serving topologies too.
-		runDifferentialUpdatesTopo(t, init, ops, headers, decodeFuzzTopology(data))
+		runDifferentialUpdates(t, init, ops, headers)
 	})
 }
 

@@ -128,53 +128,6 @@ func TestDocsCoverUpdatePlane(t *testing.T) {
 	}
 }
 
-// TestDocsCoverReplicationKnobs keeps the sharded serving fleet documented:
-// the README must name the replication/sharding facade options and flags
-// (with the scaling gate beside them), ARCHITECTURE.md must describe what a
-// replica is and the shard steering/covering machinery, and ENGINES.md
-// must state the engine-side payoff (per-shard structures shrinking
-// super-linearly) — so the fleet knobs cannot drift from the docs silently.
-func TestDocsCoverReplicationKnobs(t *testing.T) {
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatalf("reading README.md: %v", err)
-	}
-	for _, want := range []string{
-		"WithReplicas", "WithShards", "Reader(", "-replicas", "-shards",
-		"-partition-by", "-replicated", "BenchmarkThroughputReplicated",
-		"check_scaling.sh",
-	} {
-		if !strings.Contains(string(readme), want) {
-			t.Errorf("README.md does not mention %q", want)
-		}
-	}
-	arch, err := os.ReadFile("docs/ARCHITECTURE.md")
-	if err != nil {
-		t.Fatalf("reading docs/ARCHITECTURE.md: %v", err)
-	}
-	for _, want := range []string{
-		"replicated serving fleet", "Config.Replicas",
-		"Config.Shards", "Config.PartitionBy", "Reader(worker)",
-		"TestReaderScalingGate", "internal/shard", "Steer", "Assign",
-		"TestConcurrentReplicaCoherence", "scripts/check_scaling.sh",
-	} {
-		if !strings.Contains(string(arch), want) {
-			t.Errorf("docs/ARCHITECTURE.md does not mention %q", want)
-		}
-	}
-	engines, err := os.ReadFile("docs/ENGINES.md")
-	if err != nil {
-		t.Fatalf("reading docs/ENGINES.md: %v", err)
-	}
-	for _, want := range []string{
-		"internal/shard", "super-linear", "WithShards", "Report().Shards",
-	} {
-		if !strings.Contains(string(engines), want) {
-			t.Errorf("docs/ENGINES.md does not mention %q", want)
-		}
-	}
-}
-
 // TestDocsCoverSelfTuning keeps the self-tuning control plane documented:
 // the README must name the advisor surface (facade calls, flags, the BENCH
 // artifact), ARCHITECTURE.md must describe the signal → shadow-bench →

@@ -155,8 +155,10 @@ func TestFacadeCacheOption(t *testing.T) {
 		t.Fatalf("Insert: %v", err)
 	}
 	h := MustParseHeader("10.1.1.1", 1000, "192.0.2.1", 443, TCP)
-	first := c.Lookup(h)
-	second := c.Lookup(h)
+	// One Reader, so the second lookup probes the lane cache the first filled.
+	reader := c.Reader(0)
+	first := reader.Lookup(h)
+	second := reader.Lookup(h)
 	if first != second {
 		t.Errorf("cached lookup %+v differs from the filling one %+v", second, first)
 	}

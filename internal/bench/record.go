@@ -122,7 +122,6 @@ func (r *Record) AddThroughputRows(rows []ThroughputRow) {
 				"p50_ns":          float64(row.P50PerPacket.Nanoseconds()),
 				"p99_ns":          float64(row.P99PerPacket.Nanoseconds()),
 				"speedup_vs_1":    row.SpeedupVs1,
-				"replicas":        float64(row.Replicas),
 			},
 		}
 		if row.Cached {

@@ -27,21 +27,13 @@ type ThroughputOptions struct {
 	// 50000.
 	PacketsPerWorker int
 	// CacheCapacity, when > 0, measures every (engine, workers) cell a
-	// second time with the microflow cache enabled at this entry budget, so
-	// the sweep reports cached and uncached columns side by side.
+	// second time with the microflow cache enabled at this total entry
+	// budget (split across the classifier's serving lanes), so the sweep
+	// reports cached and uncached columns side by side.
 	CacheCapacity int
 	// CacheShards is the cache shard count for the cached cells; <= 0
 	// selects the cache's default.
 	CacheShards int
-	// Replicated, when set, measures every (engine, workers) cell an
-	// additional time in replicated-fleet mode with one replica per worker
-	// (and the cache, when enabled, private per replica) — the scaling curve
-	// the single-replica rows are the baseline for.
-	Replicated bool
-	// Shards and PartitionBy, when Shards > 1, run every cell with the rule
-	// table partitioned into that many shards by the named strategy.
-	Shards      int
-	PartitionBy string
 }
 
 // ThroughputRow is the measured serving throughput of one (engine, workers)
@@ -67,11 +59,8 @@ type ThroughputRow struct {
 	// CacheHitRate is the fraction of lookups the cache answered (cached
 	// rows only).
 	CacheHitRate float64
-	// Replicas is the serving-fleet replica count the row was measured with
-	// (0 for shared-pointer rows).
-	Replicas int
 	// MinWorkerPPS and MaxWorkerPPS are the slowest and fastest individual
-	// worker's packets/second — the spread that makes replica imbalance
+	// worker's packets/second — the spread that makes lane imbalance
 	// visible.
 	MinWorkerPPS float64
 	MaxWorkerPPS float64
@@ -93,8 +82,8 @@ func defaultWorkerCounts() []int {
 
 // ThroughputSweep measures the concurrent serving path: for every selected
 // engine it installs the workload's rule set once, then replays the trace
-// from N goroutines calling LookupBatch on the shared classifier, for every
-// N in the worker list. Unlike the cycle-accurate tables (which report what
+// from N goroutines, each calling LookupBatch through its own Reader of the
+// shared classifier, for every N in the worker list. Unlike the cycle-accurate tables (which report what
 // the modelled hardware would sustain), this reports what the software
 // model actually serves — the number CI tracks for regressions.
 func ThroughputSweep(w Workload, opts ThroughputOptions) ([]ThroughputRow, error) {
@@ -115,46 +104,20 @@ func ThroughputSweep(w Workload, opts ThroughputOptions) ([]ThroughputRow, error
 		perWorker = 50000
 	}
 
-	// Each variant is its own speedup-normalisation group: the replicated
-	// rows are normalised against the replicated 1-worker row, so their
-	// SpeedupVs1 is the scaling curve the gate compares against the
-	// shared-pointer baseline's.
-	type variant struct {
-		cfg        core.Config
-		replicated bool
-	}
+	// Each configuration is its own speedup-normalisation group: cached rows
+	// are normalised against the cached 1-worker row.
 	rows := make([]ThroughputRow, 0, len(engines)*len(workers))
 	for _, name := range engines {
-		variants := []variant{{cfg: EngineConfig(name)}}
+		cfgs := []core.Config{EngineConfig(name)}
 		if opts.CacheCapacity > 0 {
-			variants = append(variants, variant{cfg: CachedEngineConfig(name, opts.CacheShards, opts.CacheCapacity)})
+			cfgs = append(cfgs, CachedEngineConfig(name, opts.CacheShards, opts.CacheCapacity))
 		}
-		if opts.Replicated {
-			base := EngineConfig(name)
-			if opts.CacheCapacity > 0 {
-				base = CachedEngineConfig(name, opts.CacheShards, opts.CacheCapacity)
-			}
-			variants = append(variants, variant{cfg: base, replicated: true})
-		}
-		for _, v := range variants {
-			if opts.Shards > 1 {
-				v.cfg.Shards = opts.Shards
-				v.cfg.PartitionBy = opts.PartitionBy
-			}
+		for _, cfg := range cfgs {
 			engineRows := make([]ThroughputRow, 0, len(workers))
 			for _, n := range workers {
 				// Each cell gets a freshly built classifier: a shared one
 				// would hand later worker counts a pre-warmed cache, making
 				// hit rates and speedups depend on sweep order.
-				cfg := v.cfg
-				if v.replicated {
-					cfg.Replicas = n
-					if cfg.Replicas < 2 {
-						// Replicas <= 1 is the unreplicated configuration; the
-						// 1-worker cell of the replicated curve keeps two.
-						cfg.Replicas = 2
-					}
-				}
 				c, err := core.New(cfg)
 				if err != nil {
 					return nil, fmt.Errorf("bench: throughput %s: %w", name, err)
@@ -163,7 +126,6 @@ func ThroughputSweep(w Workload, opts ThroughputOptions) ([]ThroughputRow, error
 					return nil, fmt.Errorf("bench: throughput %s: %w", name, err)
 				}
 				row := runThroughput(c, w.Trace, name, n, batch, perWorker)
-				row.Replicas = cfg.Replicas
 				if rep := c.Report(); rep.CacheEnabled {
 					row.Cached = true
 					row.CacheHitRate = rep.Cache.HitRate()
@@ -192,8 +154,7 @@ func ThroughputSweep(w Workload, opts ThroughputOptions) ([]ThroughputRow, error
 
 // runThroughput drives one (engine, workers) cell. Each worker replays its
 // own offset of the shared trace in batches through a worker-pinned Reader
-// (its own replica's cache and counters when the classifier is replicated),
-// recording the wall-clock time of every LookupBatch call; the
+// (its own lane's cache and counters while workers <= lanes), recording the wall-clock time of every LookupBatch call; the
 // per-packet latency quantiles are taken over all batch timings of all
 // workers.
 func runThroughput(c *core.Classifier, trace []fivetuple.Header, name string, workers, batch, perWorker int) ThroughputRow {
@@ -298,24 +259,20 @@ func runThroughput(c *core.Classifier, trace []fivetuple.Header, name string, wo
 func RenderThroughput(rows []ThroughputRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Concurrent serving throughput — snapshot-swap classifier, batched lookups\n")
-	fmt.Fprintf(&b, "%-10s %6s %5s %8s %7s %14s %10s %12s %12s %8s %6s %13s\n",
-		"engine", "cache", "repl", "workers", "batch", "packets/sec", "speedup", "p50/pkt", "p99/pkt", "match%", "hit%", "min/max wkr")
+	fmt.Fprintf(&b, "%-10s %6s %8s %7s %14s %10s %12s %12s %8s %6s %13s\n",
+		"engine", "cache", "workers", "batch", "packets/sec", "speedup", "p50/pkt", "p99/pkt", "match%", "hit%", "min/max wkr")
 	for _, r := range rows {
 		cacheCol, hitCol := "off", "-"
 		if r.Cached {
 			cacheCol = "on"
 			hitCol = fmt.Sprintf("%.1f", 100*r.CacheHitRate)
 		}
-		replCol := "-"
-		if r.Replicas > 0 {
-			replCol = fmt.Sprintf("%d", r.Replicas)
-		}
 		spread := "-"
 		if r.MaxWorkerPPS > 0 {
 			spread = fmt.Sprintf("%.2f", r.MinWorkerPPS/r.MaxWorkerPPS)
 		}
-		fmt.Fprintf(&b, "%-10s %6s %5s %8d %7d %14.0f %9.2fx %12s %12s %7.1f%% %6s %13s\n",
-			r.Engine, cacheCol, replCol, r.Workers, r.BatchSize, r.PacketsPerSec, r.SpeedupVs1,
+		fmt.Fprintf(&b, "%-10s %6s %8d %7d %14.0f %9.2fx %12s %12s %7.1f%% %6s %13s\n",
+			r.Engine, cacheCol, r.Workers, r.BatchSize, r.PacketsPerSec, r.SpeedupVs1,
 			r.P50PerPacket, r.P99PerPacket, 100*r.MatchedFraction, hitCol, spread)
 	}
 	return b.String()

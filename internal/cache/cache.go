@@ -274,10 +274,9 @@ func (s *shard[V]) bucketBase(h fivetuple.Header) int {
 //
 // Folding EVERY Header field in is a correctness requirement, not a quality
 // tweak: the cache buckets by this hash and then compares keys with struct
-// equality, so a missed field merely degrades bucketing — but the same
-// function also steers the shard partitioner's tests and once hashed only the
-// five-tuple, making two headers differing solely in an IPv6 address or VLAN
-// tag collide pathologically. TestHashHeaderCoversEveryField walks the struct
+// equality, so a missed field merely degrades bucketing — but it once hashed
+// only the five-tuple, making two headers differing solely in an IPv6 address
+// or VLAN tag collide pathologically. TestHashHeaderCoversEveryField walks the struct
 // by reflection and fails when a newly added field is not mixed in here.
 func hashHeader(h fivetuple.Header, seed uint64) uint64 {
 	a := uint64(h.SrcIP)<<32 | uint64(h.DstIP)

@@ -76,6 +76,7 @@ func TestCachedLookupMatchesUncached(t *testing.T) {
 // update — insert, delete, batch, engine switch across tiers — must make
 // every previously cached verdict unservable, with no flush.
 func TestCacheInvalidationOnUpdate(t *testing.T) {
+	forceLanes(t, 1) // every lookup below must probe the cache the previous one filled
 	c := MustNew(cachedConfig(""))
 	rule := mustRule(t, "10.0.0.0/8", "192.168.0.0/16", 443, fivetuple.ProtoTCP, 0)
 	h := fivetuple.Header{
@@ -128,6 +129,7 @@ func TestCacheInvalidationOnUpdate(t *testing.T) {
 // invalidation: an update that publishes nothing (a no-op engine reselect)
 // keeps the generation, so warm entries keep hitting.
 func TestCacheRejectedUpdateKeepsCacheWarm(t *testing.T) {
+	forceLanes(t, 1) // the second lookup must probe the cache the first one filled
 	c := MustNew(cachedConfig("mbt"))
 	h := fivetuple.Header{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Protocol: 6}
 	c.Lookup(h)

@@ -123,17 +123,16 @@ type Classifier struct {
 	// generation and microflow-cache entries can be keyed by it.
 	gen atomic.Uint64
 
-	// fleet holds the serving replicas — the optional microflow caches in
-	// front of both engine tiers and the lookup counters. Never nil: an
-	// unreplicated classifier is a fleet of one.
-	fleet *fleet
+	// lanes holds the serving lanes — the optional microflow caches in
+	// front of both engine tiers and the lookup counters, one per processor.
+	lanes *lanes
 
 	// sampler captures a ring of recently served headers for the advisor's
 	// shadow benches (nil when Config.SampleHeaders is 0 — a nil sampler is
 	// inert, so the serving path offers unconditionally).
 	sampler *headerSampler
 
-	// stats is the update-plane collector; lookups account to their replica.
+	// stats is the update-plane collector; lookups account to their lane.
 	stats statsCollector
 }
 
@@ -148,7 +147,7 @@ func New(cfg Config) (*Classifier, error) {
 		return nil, fmt.Errorf("core: unknown field engine %q", name)
 	}
 	c := &Classifier{cfg: cfg}
-	c.fleet = newFleet(&c.cfg)
+	c.lanes = newLanes(&c.cfg)
 	if cfg.SampleHeaders > 0 {
 		c.sampler = newHeaderSampler(cfg.SampleHeaders)
 	}
@@ -184,7 +183,7 @@ func (c *Classifier) view() *snapshot { return c.snap.Load() }
 // it the one served to readers. The fresh generation is what retires every
 // microflow-cache entry filled under predecessors: entries are only served
 // to readers of the generation that filled them, so the swap invalidates the
-// cache in O(1) with no flush. Every replica serves the snapshot from the
+// cache in O(1) with no flush. Every lane serves the snapshot from the
 // moment of the swap.
 func (c *Classifier) publish(s *snapshot) {
 	s.prepare(&c.cfg)
@@ -196,7 +195,7 @@ func (c *Classifier) publish(s *snapshot) {
 func (c *Classifier) Generation() uint64 { return c.view().gen }
 
 // CacheEnabled reports whether the microflow cache is configured (one per
-// replica).
+// lane).
 func (c *Classifier) CacheEnabled() bool { return c.cfg.CacheCapacity > 0 }
 
 // Config returns the classifier configuration. It takes the writer mutex so

@@ -23,7 +23,6 @@ import (
 
 	"sdnpc/internal/engine"
 	"sdnpc/internal/hw/memory"
-	"sdnpc/internal/shard"
 )
 
 // Default architecture geometry. The constants reproduce the memory budget
@@ -192,31 +191,18 @@ type Config struct {
 	// Result.Combinations.
 	MaxCrossProductProbes int
 
-	// CacheCapacity is the total entry budget of the exact-match microflow
-	// cache that fronts both engine tiers; 0 (the default) disables the
-	// cache. The capacity is rounded up so every shard holds a power-of-two
-	// number of fixed-associativity buckets.
+	// CacheCapacity is the classifier's total entry budget for the
+	// exact-match microflow cache that fronts both engine tiers; 0 (the
+	// default) disables the cache. The budget is split evenly across the
+	// serving lanes (one private cache per processor, see lanes), so the
+	// memory asked for is the same on any core count; each lane's share is
+	// rounded up so every cache shard holds a power-of-two number of
+	// fixed-associativity buckets.
 	CacheCapacity int
-	// CacheShards is the number of independently locked cache shards,
-	// rounded up to a power of two; <= 0 selects the default (8). Only
-	// consulted when CacheCapacity > 0.
+	// CacheShards is the number of independently locked shards of each
+	// lane's cache, rounded up to a power of two; <= 0 selects the default
+	// (8). Only consulted when CacheCapacity > 0.
 	CacheShards int
-
-	// Replicas, when greater than 1, enables the replicated serving fleet:
-	// this many per-worker replicas, each holding its own lookup counters
-	// and (when the cache is enabled) its own private microflow cache in
-	// front of the one published snapshot, so pinned workers share neither.
-	// 0 and 1 keep the single replica.
-	Replicas int
-	// Shards, when greater than 1, enables rule-space partitioning: the rule
-	// table is split into this many shards by the partition byte selected by
-	// PartitionBy, each shard installing only the rules it covers into its
-	// own (smaller) engine set, and a one-byte pre-classifier steers each
-	// lookup to its shard. 0 and 1 keep the unsharded table.
-	Shards int
-	// PartitionBy names the shard partition strategy ("protocol" or
-	// "src-byte"); empty selects "protocol". Only consulted when Shards > 1.
-	PartitionBy string
 
 	// RebuildAfterDeltas bounds the delta debt of an incremental whole-packet
 	// engine: once the structure has absorbed this many delta ops since its
@@ -344,17 +330,6 @@ func (c Config) Validate() error {
 	if math.IsNaN(c.DegradationThreshold) {
 		return fmt.Errorf("core: degradation threshold must not be NaN")
 	}
-	if c.Replicas < 0 || c.Replicas > 1024 {
-		return fmt.Errorf("core: replica count %d out of range [0,1024]", c.Replicas)
-	}
-	if c.Shards < 0 || c.Shards > 256 {
-		return fmt.Errorf("core: shard count %d out of range [0,256]", c.Shards)
-	}
-	if c.Shards > 1 {
-		if _, err := shard.ParseStrategy(c.PartitionBy); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-	}
 	if c.SampleHeaders < 0 || c.SampleHeaders > 1<<20 {
 		return fmt.Errorf("core: sampled header count %d out of range [0,%d]", c.SampleHeaders, 1<<20)
 	}
@@ -362,24 +337,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: auto-tune interval must not be negative, got %v", c.AutoTuneInterval)
 	}
 	return nil
-}
-
-// partitioner resolves the configured rule-space partitioner, or nil when
-// sharding is off. Call after Validate: an invalid strategy name falls back
-// to nil (unsharded) rather than panicking.
-func (c Config) partitioner() *shard.Partitioner {
-	if c.Shards <= 1 {
-		return nil
-	}
-	strategy, err := shard.ParseStrategy(c.PartitionBy)
-	if err != nil {
-		return nil
-	}
-	p, err := shard.New(c.Shards, strategy)
-	if err != nil {
-		return nil
-	}
-	return p
 }
 
 // rebuildAfterDeltas resolves the configured delta-debt bound: the explicit

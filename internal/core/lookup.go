@@ -86,7 +86,7 @@ var lookupScratchPool = sync.Pool{New: func() any {
 func (c *Classifier) Lookup(h fivetuple.Header) Result {
 	r, sl := c.pick()
 	result := r.Lookup(h)
-	c.fleet.release(sl)
+	c.lanes.release(sl)
 	return result
 }
 
@@ -97,8 +97,7 @@ func (c *Classifier) Lookup(h fivetuple.Header) Result {
 // deterministic per (snapshot, header) — so the cached path is
 // byte-identical to the uncached one. This is what makes the cache
 // tier-agnostic: it fronts the field tier and the packet tier with the same
-// three lines, and replica-agnostic: each replica passes its own private
-// cache.
+// three lines, and lane-agnostic: each lane passes its own private cache.
 func (c *Classifier) serveOn(s *snapshot, mf *cache.Cache[Result], h fivetuple.Header) Result {
 	if mf == nil {
 		return s.lookup(&c.cfg, h)
@@ -131,7 +130,7 @@ func (c *Classifier) LookupBatch(hs []fivetuple.Header) []Result {
 func (c *Classifier) LookupBatchInto(dst []Result, hs []fivetuple.Header) []Result {
 	r, sl := c.pick()
 	dst = r.LookupBatchInto(dst, hs)
-	c.fleet.release(sl)
+	c.lanes.release(sl)
 	return dst
 }
 
@@ -194,14 +193,6 @@ func SummarizeBatch(results []Result) BatchReport {
 // writes to the snapshot — every cost it incurs is returned in the Result —
 // which is what lets any number of readers share one published snapshot.
 func (s *snapshot) lookup(cfg *Config, h fivetuple.Header) Result {
-	// Sharded table: a one-byte pre-classification steers the header to the
-	// single shard holding every rule that could match it (the partitioner's
-	// covering invariant), and that shard's smaller engines answer alone —
-	// the per-shard first match is the global first match.
-	if s.part != nil {
-		return s.shards[s.part.Steer(h)].lookup(cfg, h)
-	}
-
 	// Family fallback: an IPv6 header can only be answered by a structure
 	// whose engine declares DimIPv6 — the field tier and the IPv4-only packet
 	// engines key on 32-bit addresses and would misclassify it. Those
@@ -470,8 +461,8 @@ func (s Stats) MatchRate() float64 {
 
 // statsCollector is the update-plane backing store of Stats and
 // UpdateStats. The counters are atomic so Report can read them while the
-// (single) writer records; the lookup-side counters live with the replicas
-// (see replicaStats).
+// (single) writer records; the lookup-side counters live with the lanes
+// (see laneStats).
 type statsCollector struct {
 	inserts      atomic.Uint64
 	deletes      atomic.Uint64
@@ -537,13 +528,13 @@ func (sc *statsCollector) reset() {
 	}
 }
 
-// statsSnapshot folds the update-plane collector and every replica's private
+// statsSnapshot folds the update-plane collector and every lane's private
 // lookup-side counters into one aggregate Stats. Only observation pays for
 // the walk.
 func (c *Classifier) statsSnapshot() Stats {
 	s := c.stats.snapshot()
-	for _, rep := range c.fleet.replicas {
-		rep.stats.addTo(&s)
+	for _, ln := range c.lanes.all {
+		ln.stats.addTo(&s)
 	}
 	return s
 }
@@ -569,14 +560,14 @@ func (lc LookupCounters) MatchRate() float64 {
 }
 
 // ResetStats zeroes the classifier's counters — the update-plane collector
-// and every replica's lookup and cache counters — without touching installed
+// and every lane's lookup and cache counters — without touching installed
 // rules or cached entries.
 func (c *Classifier) ResetStats() {
 	c.stats.reset()
-	for _, rep := range c.fleet.replicas {
-		rep.stats.reset()
-		if rep.microflow != nil {
-			rep.microflow.ResetStats()
+	for _, ln := range c.lanes.all {
+		ln.stats.reset()
+		if ln.microflow != nil {
+			ln.microflow.ResetStats()
 		}
 	}
 }

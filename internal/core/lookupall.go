@@ -49,29 +49,26 @@ func (c *Classifier) LookupAll(h fivetuple.Header) ([]ActionRef, Result) {
 func (c *Classifier) LookupAllInto(dst []ActionRef, h fivetuple.Header) ([]ActionRef, Result) {
 	r, sl := c.pick()
 	dst, result := r.LookupAllInto(dst, h)
-	c.fleet.release(sl)
+	c.lanes.release(sl)
 	return dst, result
 }
 
 // LookupAllInto collects the multi-action verdict, appending to dst[:0], and
-// accounts the lookup to this reader's replica.
+// accounts the lookup to this reader's lane.
 func (r *Reader) LookupAllInto(dst []ActionRef, h fivetuple.Header) ([]ActionRef, Result) {
 	dst, result := r.c.view().lookupAllInto(&r.c.cfg, h, dst[:0])
-	r.rep.stats.recordLookup(result)
+	r.lane.stats.recordLookup(result)
 	r.c.sampler.offer(h)
 	return dst, result
 }
 
 // lookupAllInto is the snapshot-level multi-action lookup. Routing mirrors
-// snapshot.lookup — shard steer, family fallback, packet tier, field tier —
+// snapshot.lookup — family fallback, packet tier, field tier —
 // with one addition: a packet engine declaring multi-match support is asked
 // for every matching rule. Engines without multi-match support can only be
 // serving terminating rules (DimMultiAction is gated at install), so their
 // single verdict IS the complete list.
 func (s *snapshot) lookupAllInto(cfg *Config, h fivetuple.Header, dst []ActionRef) ([]ActionRef, Result) {
-	if s.part != nil {
-		return s.shards[s.part.Steer(h)].lookupAllInto(cfg, h, dst)
-	}
 	if h.Family != fivetuple.FamilyIPv4 && !s.packetDims.Has(fivetuple.DimIPv6) {
 		return s.collectFallback(h, dst)
 	}

@@ -35,45 +35,14 @@ type Report struct {
 	Memory MemoryReport
 
 	// CacheEnabled reports whether the microflow cache is configured; Cache
-	// holds its counters (zero when disabled), summed over every replica's
+	// holds its counters (zero when disabled), summed over every lane's
 	// private cache so the aggregate hit rate stays meaningful.
 	CacheEnabled bool
 	Cache        cache.Stats
 
 	// Generation is the published snapshot's generation — the one every
-	// replica serves.
+	// lane serves.
 	Generation uint64
-
-	// Replicas describes each serving replica, in replica order; empty when
-	// replication is off (Config.Replicas <= 1).
-	Replicas []ReplicaReport
-
-	// Shards describes each rule-space shard, in shard order; empty when
-	// partitioning is off.
-	Shards []ShardReport
-}
-
-// ReplicaReport is the per-replica slice of the observability snapshot.
-type ReplicaReport struct {
-	// CacheEnabled reports whether the replica holds a private microflow
-	// cache; Cache holds its counters.
-	CacheEnabled bool
-	Cache        cache.Stats
-}
-
-// ShardReport is the per-shard slice of the observability snapshot — the
-// numbers that show the paper's memory/accesses trade-off applying per
-// shard: each shard holds only its rule slice, so its structures are
-// super-linearly smaller than the unsharded table's.
-type ShardReport struct {
-	// Rules is the number of rules installed in this shard (spanning rules
-	// count once per shard they replicate into).
-	Rules int
-	// IPEngineUsedBits is the node storage of the shard's four IP-segment
-	// engines; PacketEngineUsedBits that of its whole-packet structure (0
-	// when the field tier serves).
-	IPEngineUsedBits     int
-	PacketEngineUsedBits int
 }
 
 // Report assembles the full observability snapshot. It loads the published
@@ -95,28 +64,14 @@ func (c *Classifier) Report() Report {
 	r.Lookups = LookupCounters{Lookups: r.Stats.Lookups, Matches: r.Stats.Matches}
 	r.CacheEnabled = c.CacheEnabled()
 	r.Generation = s.gen
-	for _, rep := range c.fleet.replicas {
-		rr := ReplicaReport{CacheEnabled: r.CacheEnabled}
-		if rep.microflow != nil {
-			rr.Cache = rep.microflow.Stats()
-			r.Cache.Hits += rr.Cache.Hits
-			r.Cache.Misses += rr.Cache.Misses
-			r.Cache.Evictions += rr.Cache.Evictions
-			r.Cache.StaleGenerations += rr.Cache.StaleGenerations
+	for _, ln := range c.lanes.all {
+		if ln.microflow != nil {
+			cs := ln.microflow.Stats()
+			r.Cache.Hits += cs.Hits
+			r.Cache.Misses += cs.Misses
+			r.Cache.Evictions += cs.Evictions
+			r.Cache.StaleGenerations += cs.StaleGenerations
 		}
-		if c.cfg.Replicas > 1 {
-			r.Replicas = append(r.Replicas, rr)
-		}
-	}
-	for _, sh := range s.shards {
-		sr := ShardReport{Rules: len(sh.installed)}
-		for _, d := range ipSegmentDims {
-			sr.IPEngineUsedBits += sh.engines[d].Footprint().NodeBits
-		}
-		if sh.packet != nil {
-			sr.PacketEngineUsedBits = sh.packet.Footprint().NodeBits
-		}
-		r.Shards = append(r.Shards, sr)
 	}
 	return r
 }

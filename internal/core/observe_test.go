@@ -64,19 +64,18 @@ func TestReportRuleCapacityTracksActiveTier(t *testing.T) {
 	}
 }
 
-// TestReplicatedStatsAggregation pins the replica-counter bugfix: lookups
-// through a worker-pinned Reader must be recorded in that worker's own
-// replica's private counters — never a counter another worker writes — and
-// every observation surface must still see the aggregate (the fleet-picking
-// Lookup path included).
+// TestReplicatedStatsAggregation pins the lane-counter contract: lookups
+// through a worker-pinned Reader must be recorded in that worker's own lane's
+// private counters — never a counter another worker writes — and every
+// observation surface must still see the aggregate (the lane-drawing Lookup
+// path included).
 func TestReplicatedStatsAggregation(t *testing.T) {
+	forceLanes(t, 4)
 	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, classbench.Size1K))
 	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{
 		Packets: 300, Seed: 7, MatchFraction: 0.9,
 	})
-	cfg := DefaultConfig()
-	cfg.Replicas = 4
-	c, err := New(cfg)
+	c, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -98,14 +97,19 @@ func TestReplicatedStatsAggregation(t *testing.T) {
 	c.LookupBatch(trace[:25])
 	want += 26
 
-	for w, rep := range c.fleet.replicas {
+	perLane := c.stats.snapshot() // the update-plane counters are not per lane
+	for w, ln := range c.lanes.all {
 		// 100 pinned lookups each; the 26 unpinned ones land on whichever
-		// replica the calling goroutine drew.
-		if got := rep.stats.lookups.Load(); got < 100 || got > 126 {
-			t.Errorf("replica %d recorded %d lookups, want its worker's 100 (plus at most the 26 unpinned)", w, got)
+		// lane the calling goroutine drew.
+		if got := ln.stats.lookups.Load(); got < 100 || got > 126 {
+			t.Errorf("lane %d recorded %d lookups, want its worker's 100 (plus at most the 26 unpinned)", w, got)
 		}
+		ln.stats.addTo(&perLane)
 	}
 	rep := c.Report()
+	if rep.Stats != perLane {
+		t.Errorf("Report().Stats = %+v, want the sum over the lanes %+v", rep.Stats, perLane)
+	}
 	if rep.Stats.Lookups != want {
 		t.Errorf("Report().Stats.Lookups = %d, want %d", rep.Stats.Lookups, want)
 	}
@@ -133,6 +137,7 @@ func TestReportMatchesAccessors(t *testing.T) {
 	})
 	for _, name := range []string{"mbt", "hypercuts"} {
 		t.Run(name, func(t *testing.T) {
+			forceLanes(t, 1) // Cache is compared against the one lane's own counters
 			cfg := DefaultConfig()
 			cfg.CacheCapacity = 1024
 			c, err := New(cfg)
@@ -178,7 +183,7 @@ func TestReportMatchesAccessors(t *testing.T) {
 				t.Errorf("Memory rules = (%d, %d), want (%d, %d)",
 					rep.Memory.RulesInstalled, rep.Memory.RuleCapacity, rep.RulesInstalled, rep.RuleCapacity)
 			}
-			if own := c.fleet.replicas[0].microflow.Stats(); !rep.CacheEnabled || !c.CacheEnabled() || rep.Cache != own {
+			if own := c.lanes.all[0].microflow.Stats(); !rep.CacheEnabled || !c.CacheEnabled() || rep.Cache != own {
 				t.Errorf("Cache = (%v, %+v), want (true, %+v)", rep.CacheEnabled, rep.Cache, own)
 			}
 			if rep.Lookups.Lookups == 0 || rep.Stats.Deletes == 0 {
@@ -191,28 +196,27 @@ func TestReportMatchesAccessors(t *testing.T) {
 // TestReaderMatchesClassifier pins the worker handle against the classifier
 // it wraps: Reader(w).Lookup / LookupBatchInto / LookupAllInto return what the
 // Classifier calls return, and their accounting lands in the same
-// Report().Stats counters — on both tiers, cached, unreplicated and
-// replicated. Report().Cache is the sum over the replicas' private caches;
-// with one replica, Classifier.Lookup and Reader(0).Lookup share its cache
-// and its counters.
+// Report().Stats counters — on both tiers, cached, on one lane and on three.
+// Report().Cache is the sum over the lanes' private caches; with one lane,
+// Classifier.Lookup and Reader(0).Lookup share its cache and its counters.
 func TestReaderMatchesClassifier(t *testing.T) {
 	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, classbench.Size1K))
 	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{
 		Packets: 200, Seed: 11, MatchFraction: 0.9, Locality: 0.3,
 	})
 	for _, tc := range []struct {
-		name     string
-		engine   string
-		replicas int
+		name   string
+		engine string
+		lanes  int
 	}{
-		{"mbt/unreplicated", "mbt", 0},
-		{"hypercuts/unreplicated", "hypercuts", 0},
-		{"hypercuts/replicated", "hypercuts", 3},
+		{"mbt/1-lane", "mbt", 1},
+		{"hypercuts/1-lane", "hypercuts", 1},
+		{"hypercuts/3-lanes", "hypercuts", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			forceLanes(t, tc.lanes)
 			cfg := DefaultConfig()
 			cfg.CacheCapacity = 1024
-			cfg.Replicas = tc.replicas
 			c, err := New(cfg)
 			if err != nil {
 				t.Fatalf("New: %v", err)
@@ -265,37 +269,34 @@ func TestReaderMatchesClassifier(t *testing.T) {
 				}
 			}
 
-			if tc.replicas > 1 {
-				rep := c.Report()
-				if len(rep.Replicas) != tc.replicas {
-					t.Fatalf("Report().Replicas has %d entries, want %d", len(rep.Replicas), tc.replicas)
+			if tc.lanes > 1 {
+				if got := len(c.lanes.all); got != tc.lanes {
+					t.Fatalf("classifier has %d lanes, want %d", got, tc.lanes)
 				}
 				var sum cache.Stats
-				for _, rr := range rep.Replicas {
-					sum.Hits += rr.Cache.Hits
-					sum.Misses += rr.Cache.Misses
-					sum.Evictions += rr.Cache.Evictions
-					sum.StaleGenerations += rr.Cache.StaleGenerations
+				for _, ln := range c.lanes.all {
+					own := ln.microflow.Stats()
+					sum.Hits += own.Hits
+					sum.Misses += own.Misses
+					sum.Evictions += own.Evictions
+					sum.StaleGenerations += own.StaleGenerations
 				}
-				if rep.Cache != sum || sum.Hits+sum.Misses == 0 {
-					t.Errorf("Report().Cache = %+v, want the replica sum %+v (non-zero)", rep.Cache, sum)
+				if rep := c.Report(); rep.Cache != sum || sum.Hits+sum.Misses == 0 {
+					t.Errorf("Report().Cache = %+v, want the lane sum %+v (non-zero)", rep.Cache, sum)
 				}
 				return
 			}
-			// One replica: both handles probe the same cache and bump the
-			// same counters.
+			// One lane: both handles probe the same cache and bump the same
+			// counters.
 			c.ResetStats()
 			c.Lookup(trace[0])
 			c.Reader(0).Lookup(trace[0])
-			rep, only := c.Report(), c.fleet.replicas[0]
-			if len(rep.Replicas) != 0 {
-				t.Errorf("unreplicated Report().Replicas has %d entries, want none", len(rep.Replicas))
-			}
+			rep, only := c.Report(), c.lanes.all[0]
 			if got := only.stats.lookups.Load(); got != 2 || rep.Stats.Lookups != 2 {
-				t.Errorf("replica 0 recorded %d lookups, Report %d, want 2 and 2", got, rep.Stats.Lookups)
+				t.Errorf("lane 0 recorded %d lookups, Report %d, want 2 and 2", got, rep.Stats.Lookups)
 			}
 			if own := only.microflow.Stats(); rep.Cache != own || own.Hits+own.Misses != 2 {
-				t.Errorf("Report().Cache = %+v, replica 0's cache %+v, want equal with 2 probes", rep.Cache, own)
+				t.Errorf("Report().Cache = %+v, lane 0's cache %+v, want equal with 2 probes", rep.Cache, own)
 			}
 		})
 	}

@@ -125,24 +125,10 @@ func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
 			report.PacketEngineDegradation = inc.UpdateCost().Degradation
 		}
 	}
-	// Sharded table: the packet structures live in the shards, so the tier's
-	// footprint and delta debt are their sums (degradation the worst shard).
-	for _, sh := range s.shards {
-		if sh.packet == nil {
-			continue
-		}
-		report.PacketEngineUsedBits += sh.packet.Footprint().NodeBits
-		report.PacketEngineDeltas += sh.packetDeltas
-		if inc, ok := sh.packet.(engine.IncrementalPacketEngine); ok {
-			if d := inc.UpdateCost().Degradation; d > report.PacketEngineDegradation {
-				report.PacketEngineDegradation = d
-			}
-		}
-	}
-	for _, rep := range c.fleet.replicas {
-		if rep.microflow != nil {
-			report.CacheEntries += rep.microflow.Capacity()
-			report.CacheBits += rep.microflow.FootprintBits()
+	for _, ln := range c.lanes.all {
+		if ln.microflow != nil {
+			report.CacheEntries += ln.microflow.Capacity()
+			report.CacheBits += ln.microflow.FootprintBits()
 		}
 	}
 	// Only the selected engine's node data is resident in the (shared)
@@ -171,12 +157,6 @@ func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
 // model.
 func (c *Classifier) Pipeline() *pipeline.Pipeline {
 	s := c.view()
-	if s.part != nil && len(s.shards) > 0 {
-		// Sharded table: the steered shard's pipeline is the serving
-		// pipeline (every shard is structurally identical; shard 0 stands
-		// for all of them).
-		s = s.shards[0]
-	}
 	if s.packet != nil {
 		// Packet tier: dispatch, one whole-packet structure walk, result
 		// select — no label fetch and no Rule Filter stage.

@@ -8,7 +8,6 @@ import (
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/hw/memory"
 	"sdnpc/internal/label"
-	"sdnpc/internal/shard"
 )
 
 // snapshot is one complete state of the classifier's data path: the
@@ -19,7 +18,7 @@ import (
 // A published snapshot is immutable — lookups traverse it without any lock
 // and write nothing to it (no engine, the rule filter included, counts its
 // own accesses; a lookup's cost travels in its Result), so one snapshot
-// serves every replica. Updates never touch a published snapshot:
+// serves every lane. Updates never touch a published snapshot:
 // they clone it, mutate the private clone and atomically publish the result
 // (see Classifier). In-flight lookups keep reading the snapshot they loaded,
 // so every result is consistent with either the pre-update or the
@@ -56,8 +55,8 @@ type snapshot struct {
 	// keys have, which lets the field tier's combination walk skip label
 	// tuples no rule uses. prepare rebuilds it from installed on every
 	// publish of a snapshot whose own field tier serves in the exact
-	// combination mode; it is empty while a packet engine, the shards or
-	// HPML mode answer, and clone does not carry it.
+	// combination mode; it is empty while a packet engine or HPML mode
+	// answers, and clone does not carry it.
 	prefixes prefixSet
 
 	// Whole-packet engine tier. When packetName is non-empty, lookups are
@@ -89,18 +88,6 @@ type snapshot struct {
 	// carried across clones and reset by every rebuild.
 	packetPending []packetDelta
 	packetDeltas  int
-
-	// Rule-space partitioning (Config.Shards > 1). part steers each header to
-	// one of the shards — each a complete shardless snapshot holding only the
-	// rule slice its partition byte range covers, so its engines are smaller
-	// and faster. The spine (this snapshot) keeps the full rule set installed
-	// in its own field engines: it stays the single source of truth for
-	// bookkeeping, capacity and rollback, while lookups are answered entirely
-	// by the shards. Spanning rules (wildcard protocol, short prefixes)
-	// replicate into every shard they cover, which is what makes the
-	// steered shard's first match the global first match.
-	part   *shard.Partitioner
-	shards []*snapshot
 }
 
 // activeEngineName returns the registry name of the engine answering this
@@ -119,31 +106,10 @@ type packetDelta struct {
 	rule   fivetuple.Rule
 }
 
-// newSnapshot builds an empty data path for the given engine selection.
-// When the configuration enables rule-space partitioning, the spine gets one
-// shardless sub-snapshot per shard alongside its own full data path.
+// newSnapshot builds an empty data path for the given engine selection:
+// every engine, label table and the rule filter, with fresh shared level-2
+// blocks.
 func newSnapshot(cfg *Config, engineName string, alg memory.AlgSelect) (*snapshot, error) {
-	s, err := newShardlessSnapshot(cfg, engineName, alg)
-	if err != nil {
-		return nil, err
-	}
-	if p := cfg.partitioner(); p != nil {
-		s.part = p
-		s.shards = make([]*snapshot, p.Shards())
-		for i := range s.shards {
-			sh, err := newShardlessSnapshot(cfg, engineName, alg)
-			if err != nil {
-				return nil, err
-			}
-			s.shards[i] = sh
-		}
-	}
-	return s, nil
-}
-
-// newShardlessSnapshot builds one complete unpartitioned data path: every
-// engine, label table and the rule filter, with fresh shared level-2 blocks.
-func newShardlessSnapshot(cfg *Config, engineName string, alg memory.AlgSelect) (*snapshot, error) {
 	s := &snapshot{
 		engineName: engineName,
 		alg:        alg,
@@ -255,17 +221,6 @@ func (s *snapshot) clone(cfg *Config) (*snapshot, error) {
 		// inside the engine — never the published one either way.
 		c.packet = s.packet.Clone()
 	}
-	c.part = s.part
-	if len(s.shards) > 0 {
-		c.shards = make([]*snapshot, len(s.shards))
-		for i, sh := range s.shards {
-			shc, err := sh.clone(cfg)
-			if err != nil {
-				return nil, err
-			}
-			c.shards[i] = shc
-		}
-	}
 	return c, nil
 }
 
@@ -287,33 +242,6 @@ type publishSync struct {
 // Config.DegradationThreshold. A build failure (e.g. an RFC cross-product
 // explosion) surfaces as the update's error and nothing is published.
 func (s *snapshot) syncPacket(cfg *Config) (publishSync, error) {
-	// Sharded table: the shards serve, so they — not the spine — hold the
-	// packet-tier structures. The spine's tier selection propagates to every
-	// shard (a name change is a structural invalidation forcing a full shard
-	// build), each shard syncs its own pending mutations, and the spine's
-	// packet state stays cleared: only packetName remains, as the record of
-	// the selected tier.
-	if s.part != nil {
-		var agg publishSync
-		for _, sh := range s.shards {
-			if sh.packetName != s.packetName {
-				sh.packetName = s.packetName
-				sh.packet = nil
-				sh.packetRules = nil
-				sh.packetPending = nil
-				sh.packetDeltas = 0
-			}
-			sync, err := sh.syncPacket(cfg)
-			if err != nil {
-				return publishSync{}, err
-			}
-			agg.deltas += sync.deltas
-			agg.rebuilt = agg.rebuilt || sync.rebuilt
-		}
-		s.packet, s.packetRules = nil, nil
-		s.packetPending, s.packetDeltas = nil, 0
-		return agg, nil
-	}
 	if s.packetName == "" {
 		s.packet, s.packetRules = nil, nil
 		s.packetPending, s.packetDeltas = nil, 0
@@ -453,16 +381,13 @@ func (s *snapshot) prepare(cfg *Config) {
 	s.prefixes = prefixSet{}
 	if s.packetName != "" {
 		s.packetDims = engine.Dims(s.packetName)
-	} else if s.part == nil && cfg.CombineMode != CombineHPML {
+	} else if cfg.CombineMode != CombineHPML {
 		s.prefixes = newPrefixSet(s.installed)
 	}
 	for _, eng := range s.engines {
 		if p, ok := eng.(engine.Preparer); ok {
 			p.Prepare()
 		}
-	}
-	for _, sh := range s.shards {
-		sh.prepare(cfg)
 	}
 }
 

@@ -143,36 +143,8 @@ func (c *Classifier) InstallRuleSet(rs *fivetuple.RuleSet) (UpdateReport, error)
 	return total, nil
 }
 
-// insertRule applies one insertion to this (unpublished) snapshot. With
-// rule-space partitioning active, the rule is installed into the spine (the
-// source of truth for bookkeeping and capacity) and then replicated into
-// every shard the partitioner assigns it to — the shards whose steering
-// bytes the rule's match condition covers. The report counts the spine's
-// costs only, mirroring the modelled hardware: the shards are replicas of
-// the control-plane decision, not extra uploads on the §V.A cost model.
+// insertRule applies one insertion to this (unpublished) snapshot.
 func (s *snapshot) insertRule(cfg *Config, r fivetuple.Rule) (UpdateReport, error) {
-	report, err := s.insertRuleLocal(cfg, r)
-	if err != nil || s.part == nil {
-		return report, err
-	}
-	targets := s.part.Assign(r)
-	for i, si := range targets {
-		if _, err := s.shards[si].insertRule(cfg, r); err != nil {
-			// Unwind so the clone stays internally consistent: the rule comes
-			// back out of the shards it reached and out of the spine.
-			for _, sj := range targets[:i] {
-				_, _, _ = s.shards[sj].deleteRule(r)
-			}
-			_, _, _ = s.deleteRuleLocal(r)
-			return UpdateReport{}, fmt.Errorf("core: inserting rule %s into shard %d: %w", r, si, err)
-		}
-	}
-	return report, nil
-}
-
-// insertRuleLocal applies one insertion to this snapshot's own data path,
-// ignoring any shards.
-func (s *snapshot) insertRuleLocal(cfg *Config, r fivetuple.Rule) (UpdateReport, error) {
 	if len(s.installed) >= cfg.RuleCapacityFor(s.engineName) {
 		return UpdateReport{}, fmt.Errorf("%w: capacity %d under the %s configuration",
 			ErrRuleFilterFull, cfg.RuleCapacityFor(s.engineName), s.engineName)
@@ -291,26 +263,8 @@ func (s *snapshot) insertRuleLocal(cfg *Config, r fivetuple.Rule) (UpdateReport,
 // clean failure (rule not installed, filter entry missing) leaves the
 // snapshot untouched and batch processing may continue, while a mid-loop
 // engine or label-table failure leaves it partially mutated — the caller
-// must then discard the snapshot rather than publish it. With partitioning
-// active, the deletion propagates to every shard the rule was replicated
-// into; a shard missing a rule the spine had is an invariant violation, so
-// it surfaces as a mutated failure that abandons the clone.
-func (s *snapshot) deleteRule(r fivetuple.Rule) (UpdateReport, bool, error) {
-	report, mutated, err := s.deleteRuleLocal(r)
-	if err != nil || s.part == nil {
-		return report, mutated, err
-	}
-	for _, si := range s.part.Assign(r) {
-		if _, _, err := s.shards[si].deleteRule(r); err != nil {
-			return report, true, fmt.Errorf("core: deleting rule %s from shard %d: %w", r, si, err)
-		}
-	}
-	return report, mutated, nil
-}
-
-// deleteRuleLocal applies one deletion to this snapshot's own data path,
-// ignoring any shards.
-func (s *snapshot) deleteRuleLocal(r fivetuple.Rule) (report UpdateReport, mutated bool, err error) {
+// must then discard the snapshot rather than publish it.
+func (s *snapshot) deleteRule(r fivetuple.Rule) (report UpdateReport, mutated bool, err error) {
 	idx := s.findInstalled(r)
 	if idx < 0 {
 		return UpdateReport{}, false, fmt.Errorf("%w: %s priority %d", ErrRuleNotInstalled, r, r.Priority)

@@ -108,11 +108,6 @@ func (c *Classifier) updateStats(s *snapshot) UpdateStats {
 		Rebuilds:           c.stats.rebuilds.Load(),
 		DeltasSinceRebuild: s.packetDeltas,
 	}
-	// Sharded table: the packet structures (and their delta debt) live in
-	// the shards.
-	for _, sh := range s.shards {
-		stats.DeltasSinceRebuild += sh.packetDeltas
-	}
 	for i := range stats.PublishLatency.Counts {
 		stats.PublishLatency.Counts[i] = c.stats.publishLatency[i].Load()
 	}

@@ -77,10 +77,6 @@ func (a IPv6) String() string {
 // IsZero reports whether the address is all-zeros (::).
 func (a IPv6) IsZero() bool { return a.Hi == 0 && a.Lo == 0 }
 
-// TopByte returns the most significant byte of the address — the steering
-// byte of the src-byte shard partition strategy.
-func (a IPv6) TopByte() uint8 { return uint8(a.Hi >> 56) }
-
 // Prefix6 is an IPv6 prefix (address plus prefix length), e.g. 2001:db8::/32.
 // Len == 0 is the wildcard; a rule whose Src6/Dst6 prefixes are both
 // wildcards carries no IPv6 constraint at all.

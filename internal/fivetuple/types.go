@@ -308,8 +308,8 @@ const (
 //
 // Header is a comparable struct: the microflow cache and test harnesses rely
 // on struct equality covering every dimension. When adding a field here, also
-// extend cache.hashHeader and shard.Partitioner.Steer — the cache package has
-// a reflection-based regression test that fails if the hash misses a field.
+// extend cache.hashHeader — the cache package has a reflection-based
+// regression test that fails if the hash misses a field.
 type Header struct {
 	SrcIP    IPv4
 	DstIP    IPv4

@@ -77,9 +77,6 @@ type CreateTenantRequest struct {
 	RebuildAfterDeltas   int     `json:"rebuild_after_deltas,omitempty"`
 	DegradationThreshold float64 `json:"degradation_threshold,omitempty"`
 	SingleProbe          bool    `json:"single_probe,omitempty"`
-	Replicas             int     `json:"replicas,omitempty"`
-	Shards               int     `json:"shards,omitempty"`
-	PartitionBy          string  `json:"partition_by,omitempty"`
 	Sampling             int     `json:"sampling,omitempty"`
 	AutoTune             bool    `json:"auto_tune,omitempty"`
 	AutoTuneIntervalMs   int     `json:"auto_tune_interval_ms,omitempty"`
@@ -347,9 +344,6 @@ func (a *api) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 		RebuildAfterDeltas:   req.RebuildAfterDeltas,
 		DegradationThreshold: req.DegradationThreshold,
 		SingleProbe:          req.SingleProbe,
-		Replicas:             req.Replicas,
-		Shards:               req.Shards,
-		PartitionBy:          req.PartitionBy,
 		Sampling:             req.Sampling,
 		AutoTune:             req.AutoTune,
 		AutoTuneIntervalMs:   req.AutoTuneIntervalMs,

@@ -151,19 +151,27 @@ func TestCreateTenantMalformedBody(t *testing.T) {
 }
 
 // TestCreateTenantUnknownField pins the honest refusal at the wire edge: a
-// configuration field the request does not declare (a misspelt knob here) is
-// a 400 naming the field and creates nothing, while a body of known fields
-// only still creates the tenant.
+// configuration field the request does not declare (a misspelt knob, or one
+// of the withdrawn replica / shard knobs) is a 400 naming the field and
+// creates nothing, while a body of known fields only still creates the
+// tenant.
 func TestCreateTenantUnknownField(t *testing.T) {
 	_, h := newTestServer()
-	rec := do(t, h, "POST", "/v1/tenants", `{"id": "x", "engine": "hypercuts", "cache_capacty": 1024}`)
-	wantStatus(t, rec, http.StatusBadRequest)
-	if !strings.Contains(rec.Body.String(), "cache_capacty") {
-		t.Errorf("400 body %q does not name the unknown field", rec.Body.String())
+	for field, body := range map[string]string{
+		"cache_capacty": `{"id": "x", "engine": "hypercuts", "cache_capacty": 1024}`,
+		"replicas":      `{"id": "x", "replicas": 2}`,
+		"shards":        `{"id": "x", "shards": 4}`,
+		"partition_by":  `{"id": "x", "partition_by": "src-byte"}`,
+	} {
+		rec := do(t, h, "POST", "/v1/tenants", body)
+		wantStatus(t, rec, http.StatusBadRequest)
+		if !strings.Contains(rec.Body.String(), field) {
+			t.Errorf("400 body %q does not name the unknown field %q", rec.Body.String(), field)
+		}
+		wantStatus(t, do(t, h, "GET", "/v1/tenants/x", nil), http.StatusNotFound)
 	}
-	wantStatus(t, do(t, h, "GET", "/v1/tenants/x", nil), http.StatusNotFound)
 
-	rec = do(t, h, "POST", "/v1/tenants", `{"id": "x", "engine": "hypercuts", "cache_shards": 4, "cache_capacity": 1024}`)
+	rec := do(t, h, "POST", "/v1/tenants", `{"id": "x", "engine": "hypercuts", "cache_shards": 4, "cache_capacity": 1024}`)
 	wantStatus(t, rec, http.StatusCreated)
 	var created server.WireTenant
 	decode(t, rec, &created)

@@ -43,7 +43,8 @@ type TenantConfig struct {
 	// empty keeps the default.
 	Engine string
 	// CacheShards and CacheCapacity configure the microflow cache in front
-	// of the tenant's engines; CacheCapacity <= 0 disables the cache.
+	// of the tenant's engines; CacheCapacity is the tenant's total entry
+	// budget, split across its serving lanes, and <= 0 disables the cache.
 	CacheShards   int
 	CacheCapacity int
 	// RebuildAfterDeltas and DegradationThreshold tune the incremental
@@ -52,16 +53,6 @@ type TenantConfig struct {
 	DegradationThreshold float64
 	// SingleProbe selects the paper's single-probe HPML combination mode.
 	SingleProbe bool
-	// Replicas enables the tenant's replicated serving fleet: this many
-	// per-worker cache/counter replicas in front of the published snapshot.
-	// <= 1 keeps the single replica.
-	Replicas int
-	// Shards and PartitionBy enable rule-space partitioning: the tenant's
-	// table is split into Shards shards by the named strategy ("protocol" or
-	// "src-byte"; empty selects protocol). Shards <= 1 keeps the table
-	// unsharded.
-	Shards      int
-	PartitionBy string
 	// Sampling enables the traffic sampler the advisor replays (> 0 sets the
 	// ring capacity; advise endpoints fall back to a synthetic trace without
 	// it).
@@ -120,12 +111,6 @@ func (m *Manager) Create(id string, cfg TenantConfig) (*Tenant, error) {
 	}
 	if cfg.SingleProbe {
 		opts = append(opts, sdnpc.WithSingleProbe())
-	}
-	if cfg.Replicas > 1 {
-		opts = append(opts, sdnpc.WithReplicas(cfg.Replicas))
-	}
-	if cfg.Shards > 1 {
-		opts = append(opts, sdnpc.WithShards(cfg.Shards, cfg.PartitionBy))
 	}
 	if cfg.Sampling > 0 {
 		opts = append(opts, sdnpc.WithSampling(cfg.Sampling))

@@ -19,12 +19,13 @@ import (
 // NumCPU-worker speedup over its own 1-worker row falls below the floor. Each
 // cell holds a configuration to what it is for:
 //
-//   - shared: an unreplicated mbt classifier. Lookups write nothing to the
+//   - shared: an uncached mbt classifier. Lookups write nothing to the
 //     published snapshot, so readers sharing it must scale on the slowest,
 //     most access-heavy tier.
-//   - replicated: dcfl behind a 16384-entry microflow cache over a Zipf(1.1)
-//     trace, one replica per worker. The cache is what readers do write; a
-//     private one per worker is what the fleet is kept for.
+//   - cached: dcfl behind a 16384-entry microflow cache budget over a
+//     Zipf(1.1) trace. The cache is what readers do write; each worker's
+//     Reader fills its own lane's private share of the budget, which is what
+//     the serving lanes are kept for.
 //
 // The floor defaults to 1.2x and can be overridden with SCALING_GATE_FLOOR
 // for noisy or small runners.
@@ -49,10 +50,9 @@ func TestReaderScalingGate(t *testing.T) {
 	}
 
 	for _, cell := range []struct {
-		name       string
-		workload   bench.Workload
-		opts       bench.ThroughputOptions
-		replicated bool
+		name     string
+		workload bench.Workload
+		opts     bench.ThroughputOptions
 	}{
 		{
 			name:     "shared",
@@ -63,13 +63,12 @@ func TestReaderScalingGate(t *testing.T) {
 			opts: bench.ThroughputOptions{Engines: []string{"mbt"}, PacketsPerWorker: 1000000},
 		},
 		{
-			name:     "replicated",
+			name:     "cached",
 			workload: bench.NewZipfWorkload(classbench.ACL, classbench.Size1K, 100000, 1.1),
 			opts: bench.ThroughputOptions{
 				Engines: []string{"dcfl"}, PacketsPerWorker: 1000000,
-				CacheCapacity: 16384, Replicated: true,
+				CacheCapacity: 16384,
 			},
-			replicated: true,
 		},
 	} {
 		t.Run(cell.name, func(t *testing.T) {
@@ -78,20 +77,20 @@ func TestReaderScalingGate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The gated row: NumCPU workers, the cell's replication mode,
-			// cached exactly when the cell configures a cache.
+			// The gated row: NumCPU workers, cached exactly when the cell
+			// configures a cache.
 			var top *bench.ThroughputRow
 			for i := range rows {
 				r := &rows[i]
-				if r.Workers == ncpu && (r.Replicas > 0) == cell.replicated && r.Cached == (cell.opts.CacheCapacity > 0) {
+				if r.Workers == ncpu && r.Cached == (cell.opts.CacheCapacity > 0) {
 					top = r
 				}
 			}
 			if top == nil {
 				t.Fatalf("sweep produced no %s %d-worker row: %+v", cell.name, ncpu, rows)
 			}
-			t.Logf("%s %s @%d workers (%d replicas, cache hit rate %.2f): %.0f pkts/s (%.2fx vs 1 worker, worker spread %.0f..%.0f pkts/s)",
-				cell.name, top.Engine, ncpu, top.Replicas, top.CacheHitRate, top.PacketsPerSec, top.SpeedupVs1,
+			t.Logf("%s %s @%d workers (cache hit rate %.2f): %.0f pkts/s (%.2fx vs 1 worker, worker spread %.0f..%.0f pkts/s)",
+				cell.name, top.Engine, ncpu, top.CacheHitRate, top.PacketsPerSec, top.SpeedupVs1,
 				top.MinWorkerPPS, top.MaxWorkerPPS)
 			if top.SpeedupVs1 < floor {
 				t.Fatalf("%s speedup at %d workers is %.2fx, below the %.2fx floor",

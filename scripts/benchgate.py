@@ -3,10 +3,12 @@
 
 Reads two `go test -bench` output files (base and head), averages the ns/op
 of every benchmark that appears in both, and fails when the geometric-mean
-slowdown exceeds the given percentage. benchstat prints the human-readable
-delta next to this gate; this script exists so the pass/fail decision is a
-stable, dependency-free computation rather than a parse of benchstat's
-formatting.
+slowdown exceeds the given percentage or any single benchmark slows by more
+than twice that. Benchmarks present on one side only cannot be compared; they
+are listed, so a deleted or renamed benchmark does not shrink the gate
+silently. benchstat prints the human-readable delta next to this gate; this
+script exists so the pass/fail decision is a stable, dependency-free
+computation rather than a parse of benchstat's formatting.
 
 Usage: benchgate.py BASE_FILE HEAD_FILE MAX_REGRESSION_PERCENT
 """
@@ -37,6 +39,10 @@ def main():
     head = read_bench(sys.argv[2])
     limit = float(sys.argv[3]) / 100.0
 
+    for side, names in (("base", set(base) - set(head)), ("head", set(head) - set(base))):
+        for name in sorted(names):
+            print(f"benchgate: only in {side}: {name}")
+
     common = sorted(set(base) & set(head))
     if not common:
         print("benchgate: no common benchmarks between base and head; nothing to gate")
@@ -44,11 +50,14 @@ def main():
 
     log_sum = 0.0
     worst = (None, 0.0)
+    over_ceiling = []
     for name in common:
         ratio = head[name] / base[name]
         log_sum += math.log(ratio)
         if ratio > worst[1]:
             worst = (name, ratio)
+        if ratio > 1.0 + 2 * limit:
+            over_ceiling.append(name)
         print(f"{name}: {base[name]:.0f} -> {head[name]:.0f} ns/op ({(ratio - 1) * 100:+.1f}%)")
 
     geomean = math.exp(log_sum / len(common))
@@ -57,6 +66,9 @@ def main():
     if geomean > 1.0 + limit:
         sys.exit(f"benchgate: FAIL — geomean slowdown {(geomean - 1) * 100:.1f}% "
                  f"exceeds the {limit * 100:.0f}% budget")
+    if over_ceiling:
+        sys.exit(f"benchgate: FAIL — slower by more than the {2 * limit * 100:.0f}% "
+                 f"per-benchmark ceiling: {', '.join(over_ceiling)}")
     print("benchgate: OK")
 
 

@@ -9,4 +9,4 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-go test -run 'TestEnginesDocCoversRegistry|TestReadmeCoversSelectableEngines|TestArchitectureDocExists|TestDocsCoverCacheFlags|TestDocsCoverUpdatePlane|TestDocsCoverReplicationKnobs|TestServiceDocCoversRoutes|TestDocsCoverSelfTuning|TestDocsCoverDimensionModel' .
+go test -run 'TestEnginesDocCoversRegistry|TestReadmeCoversSelectableEngines|TestArchitectureDocExists|TestDocsCoverCacheFlags|TestDocsCoverUpdatePlane|TestServiceDocCoversRoutes|TestDocsCoverSelfTuning|TestDocsCoverDimensionModel' .

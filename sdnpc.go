@@ -69,10 +69,6 @@ type (
 	// Classifier.Report: every counter and breakdown the five historical
 	// accessors returned, assembled against one published snapshot.
 	Report = core.Report
-	// ReplicaReport is the per-replica slice of Report (see WithReplicas).
-	ReplicaReport = core.ReplicaReport
-	// ShardReport is the per-shard slice of Report (see WithShards).
-	ShardReport = core.ShardReport
 	// Action is a rule's forwarding action.
 	Action = fivetuple.Action
 	// ActionRef is one entry of a LookupAll result: a matching rule's
@@ -161,9 +157,12 @@ func WithClock(hz float64) Option {
 // lookup engines (both tiers): repeated five-tuples are answered without
 // walking any classification structure, and every rule update or engine
 // switch invalidates the whole cache in O(1) via snapshot generations.
-// capacity is the total entry budget (rounded up to the sharded geometry);
-// shards is the number of independently locked shards, rounded up to a power
-// of two, with <= 0 selecting the default of 8.
+// capacity is the classifier's total entry budget: it is split evenly across
+// the serving lanes (one private cache per processor, see Reader), so the
+// memory asked for is the same on any core count, each lane's share rounded
+// up to the sharded geometry. shards is the number of independently locked
+// shards of each lane's cache, rounded up to a power of two, with <= 0
+// selecting the default of 8.
 func WithCache(shards, capacity int) Option {
 	return func(cfg *core.Config) {
 		cfg.CacheShards = shards
@@ -183,30 +182,6 @@ func WithUpdatePolicy(rebuildAfterDeltas int, degradationThreshold float64) Opti
 	return func(cfg *core.Config) {
 		cfg.RebuildAfterDeltas = rebuildAfterDeltas
 		cfg.DegradationThreshold = degradationThreshold
-	}
-}
-
-// WithReplicas enables the replicated serving fleet: n per-worker replicas,
-// each holding its own lookup counters (and its own private microflow cache
-// when WithCache is set) in front of the one published snapshot, so pinned
-// serving loops (see Reader) do not contend on a shared cache or shared
-// counters. Lookups never write to the snapshot, so replicas share it and a
-// publish costs the same with any n. n <= 1 keeps the single replica.
-func WithReplicas(n int) Option {
-	return func(cfg *core.Config) { cfg.Replicas = n }
-}
-
-// WithShards enables rule-space partitioning: the rule table is split into n
-// shards by the named partition strategy ("protocol", "src-byte", or "" for
-// the default protocol byte), each shard installing only the rules it covers
-// into its own smaller engines, and a one-byte pre-classifier steers every
-// lookup to the single shard holding all rules that could match it —
-// first-match results are bit-identical to the unsharded table. n <= 1 keeps
-// the unsharded table.
-func WithShards(n int, strategy string) Option {
-	return func(cfg *core.Config) {
-		cfg.Shards = n
-		cfg.PartitionBy = strategy
 	}
 }
 
@@ -318,13 +293,15 @@ func EngineDims(name string) DimSet { return engine.Dims(name) }
 // access counters.
 func SummarizeBatch(results []Result) BatchReport { return core.SummarizeBatch(results) }
 
-// Reader is a worker-pinned serving handle (see WithReplicas): all lookups
-// through one Reader go through the same replica's cache and counters. On a
-// classifier without replicas every Reader maps to the single replica.
+// Reader is a worker-pinned serving handle: all lookups through one Reader
+// go through the same serving lane — a private microflow cache (when
+// WithCache is set) and private lookup counters in front of the one published
+// snapshot — so pinned serving loops contend on neither. A classifier builds
+// one lane per processor (GOMAXPROCS when it is created).
 type Reader = core.Reader
 
 // Reader returns the serving handle for the given worker id; ids map onto
-// replicas round-robin, so a serving loop should hold one Reader per worker.
+// lanes round-robin, so a serving loop should hold one Reader per worker.
 func (c *Classifier) Reader(worker int) *Reader { return c.inner.Reader(worker) }
 
 // SelectEngine switches the lookup engine at run time — the generalised

@@ -78,8 +78,8 @@ func BenchmarkServe(b *testing.B) {
 	}
 
 	// Per-client request rates are collected so load imbalance across the
-	// parallel clients (and, with a replicated tenant, across replicas) shows
-	// up as a min/max spread beside the aggregate rate.
+	// parallel clients (and across the tenant's serving lanes) shows up as a
+	// min/max spread beside the aggregate rate.
 	type clientRate struct {
 		requests int
 		busy     time.Duration

@@ -19,7 +19,11 @@ func adviseForTrace(t *testing.T, rs *RuleSet, opts TraceOptions) string {
 	for _, h := range GenerateTrace(rs, opts) {
 		c.Lookup(h)
 	}
-	recs, err := c.Advise("mbt", "bst", "hypercuts")
+	// The candidates span a real trade-off on this rule set: rfc-full is the
+	// fastest and by far the largest, bst the leanest and slowest. (hypercuts
+	// is not one: holding no field tier beside its tree, it is both faster
+	// and smaller than either field engine here, and wins every workload.)
+	recs, err := c.Advise("mbt", "bst", "rfc-full")
 	if err != nil {
 		t.Fatal(err)
 	}

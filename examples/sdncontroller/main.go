@@ -57,7 +57,7 @@ func main() {
 	}
 	waitForRules(sw, ruleSet.Len())
 	fmt.Printf("switch programmed with %d rules over %s (IP engine %q)\n",
-		sw.Classifier().RuleCount(), ln.Addr(), sw.Classifier().IPEngineName())
+		sw.Classifier().RuleCount(), ln.Addr(), sw.Classifier().ActiveEngineName())
 
 	// A client resolves names: the first packets are punted to the controller.
 	dnsQuery := sdnpc.MustParseHeader("10.20.30.40", 40000, "192.0.2.53", 53, sdnpc.UDP)
@@ -98,9 +98,9 @@ func main() {
 	if err := ctrl.SelectEngine("bst"); err != nil {
 		log.Fatalf("selecting engine: %v", err)
 	}
-	waitFor(func() bool { return sw.Classifier().IPEngineName() == "bst" })
+	waitFor(func() bool { return sw.Classifier().ActiveEngineName() == "bst" })
 	fmt.Printf("controller re-programmed the data plane to the %q engine (capacity %d rules)\n",
-		sw.Classifier().IPEngineName(), sw.Classifier().RuleCapacity())
+		sw.Classifier().ActiveEngineName(), sw.Classifier().RuleCapacity())
 
 	// Background traffic keeps flowing through the policy.
 	trace := sdnpc.GenerateTrace(policy, sdnpc.TraceOptions{Packets: 5000, Seed: 3, MatchFraction: 0.9})

@@ -133,7 +133,7 @@ func TestCacheRejectedUpdateKeepsCacheWarm(t *testing.T) {
 	c := MustNew(cachedConfig("mbt"))
 	h := fivetuple.Header{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Protocol: 6}
 	c.Lookup(h)
-	if err := c.SelectIPEngine("mbt"); err != nil { // already active: no publish
+	if err := c.SelectEngine("mbt"); err != nil { // already active: no publish
 		t.Fatalf("no-op reselect: %v", err)
 	}
 	c.Lookup(h)

@@ -77,38 +77,37 @@ func (u *fieldUse) clone() *fieldUse {
 }
 
 // installedRule is the software shadow of one hardware rule: what the
-// controller needs to re-programme the data plane after an algorithm switch
-// and to undo an installation.
+// controller needs to re-programme the data plane after an engine switch
+// and to undo an installation. key is the rule's label combination in a
+// field-tier snapshot and zero in a packet-tier one, which has no labels.
 type installedRule struct {
 	rule fivetuple.Rule
 	key  label.CombinationKey
-	// ext marks an extended rule (Rule.Dims() != 0): it bypassed the field
-	// tier — no labels, no filter entry, key is zero — and exists only in
-	// this shadow and the whole-packet engine.
-	ext bool
 }
 
 // Classifier is one instance of the configurable packet classification
 // architecture.
 //
-// Every header dimension is served by one pluggable engine.FieldEngine,
-// built through the engine registry: the four IP-segment dimensions run the
-// engine named by the IPEngine configuration (switchable at run time via
-// SelectIPEngine — the generalised IPalg_s signal), the port dimensions run
-// the register bank and the protocol dimension runs the LUT. The classifier
-// itself never dispatches on an algorithm name; every per-dimension call
-// goes through the FieldEngine interface.
+// Under a field engine every header dimension is served by one pluggable
+// engine.FieldEngine, built through the engine registry: the four IP-segment
+// dimensions run the selected engine (switchable at run time via
+// SelectEngine — the generalised IPalg_s signal), the port dimensions run
+// the register bank and the protocol dimension runs the LUT. Under a
+// whole-packet engine one engine.PacketEngine serves the header instead. The
+// classifier itself never dispatches on an algorithm name; every call goes
+// through the two engine interfaces.
 //
 // Classifier is safe for concurrent use. The serving path is RCU-style: the
 // complete data path lives in an immutable snapshot behind an atomic
 // pointer, so any number of goroutines can call Lookup and LookupBatch
-// lock-free. Updates (InsertRule, DeleteRule, InstallRuleSet,
-// SelectIPEngine) serialise on an internal mutex, build the next snapshot
-// off to the side — cloning the current one and mutating the private copy —
-// and publish it with a single atomic swap. A lookup that raced an update
-// returns a result consistent with either the old or the new rule set,
-// never a half-applied mixture; this mirrors the modelled hardware, where
-// the controller re-downloads memory images and flips them in atomically.
+// lock-free. Updates (InsertRule, DeleteRule, InstallRuleSet, ApplyUpdates,
+// SelectEngine) serialise on an internal mutex, build the next snapshot
+// off to the side — cloning the current one and mutating the private copy,
+// or building a fresh tier on an engine switch — and publish it with a
+// single atomic swap. A lookup that raced an update returns a result
+// consistent with either the old or the new rule set, never a half-applied
+// mixture; this mirrors the modelled hardware, where the controller
+// re-downloads memory images and flips them in atomically.
 type Classifier struct {
 	cfg Config
 
@@ -141,25 +140,14 @@ func New(cfg Config) (*Classifier, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	name := cfg.IPEngineName()
-	def, ok := engine.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown field engine %q", name)
-	}
 	c := &Classifier{cfg: cfg}
 	c.lanes = newLanes(&c.cfg)
 	if cfg.SampleHeaders > 0 {
 		c.sampler = newHeaderSampler(cfg.SampleHeaders)
 	}
-	s, err := newSnapshot(&c.cfg, name, def.Legacy)
+	s, err := newSnapshot(&c.cfg, cfg.engineName(), nil)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.PacketEngine != "" {
-		s.packetName = cfg.PacketEngine
-		if _, err := s.syncPacket(&c.cfg); err != nil {
-			return nil, err
-		}
 	}
 	c.publish(s)
 	return c, nil
@@ -224,28 +212,16 @@ func (c *Classifier) SetUpdatePolicy(rebuildAfterDeltas int, degradationThreshol
 	return nil
 }
 
-// IPEngineName returns the registry name of the engine currently serving the
-// IP-segment dimensions (programmed even while the packet tier serves).
-func (c *Classifier) IPEngineName() string { return c.view().engineName }
-
-// PacketEngineName returns the registry name of the active whole-packet
-// engine, or "" when the field tier is serving.
-func (c *Classifier) PacketEngineName() string { return c.view().packetName }
-
-// ActiveEngineName returns the name of the engine actually answering
-// lookups: the whole-packet engine when one is selected, the IP-segment
-// field engine otherwise.
-func (c *Classifier) ActiveEngineName() string {
-	return c.view().activeEngineName()
-}
+// ActiveEngineName returns the name of the engine answering lookups: the
+// whole-packet engine or IP-segment field engine the classifier was last
+// configured or switched to.
+func (c *Classifier) ActiveEngineName() string { return c.view().activeEngineName() }
 
 // RuleCount returns the number of installed rules.
 func (c *Classifier) RuleCount() int { return len(c.view().installed) }
 
-// RuleCapacity returns the rule capacity under the engine actually answering
-// lookups: capacity follows the serving tier, so a packet-tier selection
-// reports the packet engine's capacity even though the field tier stays
-// programmed underneath.
+// RuleCapacity returns the rule capacity under the active engine — the
+// capacity insertions are enforced against.
 func (c *Classifier) RuleCapacity() int {
 	return c.cfg.RuleCapacityFor(c.view().activeEngineName())
 }
@@ -256,181 +232,49 @@ func (c *Classifier) InstalledRules() []fivetuple.Rule {
 	return c.view().installedRules()
 }
 
-// SelectIPEngine drives the generalised IPalg_s signal (§III.A): it builds a
-// fresh data path around the named registered engine — new engines, new
-// shared memory blocks (Fig. 5), a re-provisioned rule filter — replays the
-// installed rules onto it, and atomically swaps it in, exactly as the
-// software controller would re-download the memory images after a
-// configuration change. Lookups racing the switch are served by the old
-// data path until the swap; none ever observes a half-programmed engine.
-// Selecting the already-active engine is a no-op.
-func (c *Classifier) SelectIPEngine(name string) error {
-	def, ok := engine.Get(name)
-	if !ok {
-		return fmt.Errorf("core: unknown field engine %q (registered: %v)", name, engine.IPEngineNames())
-	}
-	if !def.IPCapable {
-		return fmt.Errorf("core: engine %q cannot serve the IP-segment dimensions", name)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.selectIPEngineLocked(name, def, false)
-}
-
-// selectIPEngineLocked performs a field-engine switch (optionally dropping
-// an active packet tier in the same swap) with c.mu held. Everything is
-// staged on an unpublished snapshot, so any failure leaves the serving
-// state exactly as it was.
-func (c *Classifier) selectIPEngineLocked(name string, def engine.Definition, dropPacket bool) error {
-	current := c.view()
-	packetName := current.packetName
-	if dropPacket {
-		packetName = ""
-	}
-	// An engine switch must keep every installed rule servable: extended
-	// rules live only in the packet tier, so the switch target must still
-	// cover their dimensions.
-	if need := current.requiredDims(); need != 0 {
-		if packetName == "" {
-			return fmt.Errorf("%w: installed rules require dimensions %s but the %s field tier serves only the IPv4 five-tuple",
-				ErrDimsUnsupported, need, name)
-		}
-		if have := engine.Dims(packetName); !have.Covers(need) {
-			return fmt.Errorf("%w: installed rules require dimensions %s but engine %q declares %s",
-				ErrDimsUnsupported, need, packetName, have)
-		}
-	}
-	if name == current.engineName {
-		if packetName == current.packetName {
-			return nil
-		}
-		// Same field engine; only the packet tier is being dropped.
-		next, err := current.clone(&c.cfg)
-		if err != nil {
-			return err
-		}
-		next.packetName = packetName
-		if _, err := next.syncPacket(&c.cfg); err != nil {
-			return err
-		}
-		c.publish(next)
-		return nil
-	}
-	if len(current.installed) > c.cfg.RuleCapacityFor(name) {
-		return fmt.Errorf("core: %d installed rules exceed the %d-rule capacity of the %s configuration",
-			len(current.installed), c.cfg.RuleCapacityFor(name), name)
-	}
-	next, err := newSnapshot(&c.cfg, name, def.Legacy)
-	if err != nil {
-		return err
-	}
-	next.packetName = packetName
-	for _, r := range current.installedRules() {
-		if _, err := next.insertRule(&c.cfg, r); err != nil {
-			return fmt.Errorf("core: re-programming after engine switch: %w", err)
-		}
-	}
-	// A surviving packet tier keeps serving from the same whole-packet
-	// structure: the rule set is unchanged by the replay, so the built
-	// structure is reused through a cheap Clone instead of recomputed. The
-	// replay queued one pending mutation per rule; those are already
-	// reflected in the reused structure, so they are dropped — along with
-	// its carried delta debt, which the amortisation policy keeps bounding.
-	if packetName != "" && packetName == current.packetName && current.packet != nil {
-		next.packet = current.packet.Clone()
-		next.packetRules = current.packetRules
-		next.packetPending = nil
-		next.packetDeltas = current.packetDeltas
-	}
-	if _, err := next.syncPacket(&c.cfg); err != nil {
-		return err
-	}
-	c.publish(next)
-	return nil
-}
-
-// SelectPacketEngine switches the classifier between engine tiers at run
-// time. A non-empty name selects the registered whole-packet engine: the
-// installed rules are compiled into its precomputed structure on a private
-// snapshot and swapped in atomically, after which lookups bypass the
-// per-field engines and the label combination entirely. The empty name
-// returns to the field tier, which stayed programmed underneath. Lookups
-// racing the switch are served by the old tier until the swap.
-func (c *Classifier) SelectPacketEngine(name string) error {
-	if name != "" {
-		def, ok := engine.Get(name)
-		if !ok || def.PacketFactory == nil {
-			return fmt.Errorf("core: unknown packet engine %q (registered: %v)", name, engine.PacketEngineNames())
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	current := c.view()
-	if current.packetName == name {
-		return nil
-	}
-	// The target tier must cover every installed rule's dimensions —
-	// extended rules cannot return to the field tier or move onto an engine
-	// that declined their dimensions.
-	if need := current.requiredDims(); need != 0 {
-		if name == "" {
-			return fmt.Errorf("%w: installed rules require dimensions %s but the field tier serves only the IPv4 five-tuple",
-				ErrDimsUnsupported, need)
-		}
-		if have := engine.Dims(name); !have.Covers(need) {
-			return fmt.Errorf("%w: installed rules require dimensions %s but engine %q declares %s",
-				ErrDimsUnsupported, need, name, have)
-		}
-	}
-	next, err := current.clone(&c.cfg)
-	if err != nil {
-		return err
-	}
-	next.packetName = name
-	next.packet = nil
-	next.packetRules = nil
-	next.packetPending = nil
-	next.packetDeltas = 0
-	if _, err := next.syncPacket(&c.cfg); err != nil {
-		return err
-	}
-	c.publish(next)
-	return nil
-}
-
 // SelectEngine selects any registered serving engine by name, whichever
-// tier it belongs to: a whole-packet engine name activates the packet tier,
-// an IP-capable field engine name deactivates it and switches the
-// IP-segment engines — as one atomic swap, so a failed switch never leaves
-// the classifier serving a different engine than before the call. This is
-// the engine selection the facade, the engine flags and the OpenFlow
-// set-engine message resolve through.
+// tier it belongs to — the generalised IPalg_s signal (§III.A). It builds a
+// fresh data path for the named engine (for a field engine: new engines, new
+// shared memory blocks (Fig. 5), a re-provisioned rule filter; for a
+// whole-packet engine: its precomputed structure), programmes it from the
+// installed rules and atomically swaps it in, exactly as the software
+// controller would re-download the memory images after a configuration
+// change; the previous tier is dropped with the snapshot that held it.
+// Lookups racing the switch are served by the old data path until the swap;
+// none ever observes a half-programmed engine. Everything is staged on an
+// unpublished snapshot, so a failed switch — an engine that cannot hold the
+// installed rules or does not cover their dimensions — leaves the serving
+// state exactly as it was. Selecting the already-active engine is a no-op.
+// This is the engine selection the facade, the engine flags and both
+// OpenFlow engine messages resolve through.
 func (c *Classifier) SelectEngine(name string) error {
-	isPacket, ok := engine.Selectable(name)
-	if !ok {
-		return fmt.Errorf("core: unknown engine %q (selectable: %v)", name, engine.SelectableNames())
-	}
-	if isPacket {
-		return c.SelectPacketEngine(name)
-	}
-	def, _ := engine.Get(name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.selectIPEngineLocked(name, def, true)
+	current := c.view()
+	if name == current.activeEngineName() {
+		return nil
+	}
+	next, err := newSnapshot(&c.cfg, name, current.installedRules())
+	if err != nil {
+		return err
+	}
+	c.publish(next)
+	return nil
 }
 
-// segmentValues returns the four IP-segment slices of a rule.
-func segmentValues(r fivetuple.Rule) map[label.Dimension]segValue {
-	srcHi, srcHiBits := r.SrcPrefix.HighSegment()
-	srcLo, srcLoBits := r.SrcPrefix.LowSegment()
-	dstHi, dstHiBits := r.DstPrefix.HighSegment()
-	dstLo, dstLoBits := r.DstPrefix.LowSegment()
-	return map[label.Dimension]segValue{
-		label.DimSrcIPHigh: {value: srcHi, bits: srcHiBits},
-		label.DimSrcIPLow:  {value: srcLo, bits: srcLoBits},
-		label.DimDstIPHigh: {value: dstHi, bits: dstHiBits},
-		label.DimDstIPLow:  {value: dstLo, bits: dstLoBits},
+// segmentValue returns a rule's IP-prefix slice in one IP-segment dimension.
+func segmentValue(d label.Dimension, r fivetuple.Rule) (seg segValue) {
+	switch d {
+	case label.DimSrcIPHigh:
+		seg.value, seg.bits = r.SrcPrefix.HighSegment()
+	case label.DimSrcIPLow:
+		seg.value, seg.bits = r.SrcPrefix.LowSegment()
+	case label.DimDstIPHigh:
+		seg.value, seg.bits = r.DstPrefix.HighSegment()
+	case label.DimDstIPLow:
+		seg.value, seg.bits = r.DstPrefix.LowSegment()
 	}
+	return seg
 }
 
 // fieldValueKey returns the canonical label-table key of a rule's field value
@@ -438,7 +282,7 @@ func segmentValues(r fivetuple.Rule) map[label.Dimension]segValue {
 func fieldValueKey(d label.Dimension, r fivetuple.Rule) string {
 	switch d {
 	case label.DimSrcIPHigh, label.DimSrcIPLow, label.DimDstIPHigh, label.DimDstIPLow:
-		return segmentValues(r)[d].key()
+		return segmentValue(d, r).key()
 	case label.DimSrcPort:
 		return r.SrcPort.String()
 	case label.DimDstPort:
@@ -463,7 +307,7 @@ func fieldValueKey(d label.Dimension, r fivetuple.Rule) string {
 func fieldValue(d label.Dimension, r fivetuple.Rule) engine.Value {
 	switch d {
 	case label.DimSrcIPHigh, label.DimSrcIPLow, label.DimDstIPHigh, label.DimDstIPLow:
-		seg := segmentValues(r)[d]
+		seg := segmentValue(d, r)
 		return engine.Prefix(uint32(seg.value), seg.bits)
 	case label.DimSrcPort:
 		return engine.Range(uint32(r.SrcPort.Lo), uint32(r.SrcPort.Hi))

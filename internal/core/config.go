@@ -151,10 +151,10 @@ type Config struct {
 	// When empty, the legacy IPAlgorithm signal decides.
 	IPEngine string
 	// PacketEngine, when set, selects a whole-packet engine ("rfc-full",
-	// "dcfl", "hypercuts") to serve lookups: the five-tuple is answered by
-	// one precomputed structure, bypassing the per-field engines and the
-	// label combination entirely. The field tier stays programmed underneath
-	// so the classifier can switch back at run time (SelectPacketEngine("")).
+	// "dcfl", "hypercuts") to serve lookups and wins over IPEngine: the
+	// five-tuple is answered by one precomputed structure, and the per-field
+	// engines, label tables and Rule Filter are not built at all. SelectEngine
+	// with a field engine name builds them from the installed rules.
 	PacketEngine string
 	// IPAlgorithm is the initial setting of the legacy two-valued IPalg_s
 	// signal, consulted only when IPEngine is empty.
@@ -259,10 +259,13 @@ func DefaultConfig() Config {
 	}
 }
 
-// IPEngineName resolves the configured IP-segment engine name: the explicit
-// IPEngine field when set, otherwise the engine named by the legacy
-// IPAlgorithm signal.
-func (c Config) IPEngineName() string {
+// engineName resolves the engine a new classifier serves from: PacketEngine
+// when set, otherwise the explicit IPEngine field, otherwise the engine named
+// by the legacy IPAlgorithm signal.
+func (c Config) engineName() string {
+	if c.PacketEngine != "" {
+		return c.PacketEngine
+	}
 	if c.IPEngine != "" {
 		return c.IPEngine
 	}

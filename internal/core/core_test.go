@@ -252,10 +252,10 @@ func TestUpdateReportFollowsFigure4(t *testing.T) {
 	if repB.NewLabels != 1 {
 		t.Errorf("second rule NewLabels = %d, want 1", repB.NewLabels)
 	}
-	if got := c.view().labels.Table(label.DimDstPort).RefCount(ruleA.DstPort.String()); got != 1 {
+	if got := c.view().field.labels.Table(label.DimDstPort).RefCount(ruleA.DstPort.String()); got != 1 {
 		t.Errorf("dst port 80 refcount = %d, want 1", got)
 	}
-	if got := c.view().labels.Table(label.DimProtocol).RefCount(fivetuple.ExactProtocol(fivetuple.ProtoTCP).String()); got != 2 {
+	if got := c.view().field.labels.Table(label.DimProtocol).RefCount(fivetuple.ExactProtocol(fivetuple.ProtoTCP).String()); got != 2 {
 		t.Errorf("protocol refcount = %d, want 2", got)
 	}
 
@@ -278,9 +278,9 @@ func TestUpdateReportFollowsFigure4(t *testing.T) {
 	if delA.ReleasedLabels != label.NumDimensions {
 		t.Errorf("final delete ReleasedLabels = %d, want %d", delA.ReleasedLabels, label.NumDimensions)
 	}
-	if c.RuleCount() != 0 || c.view().labels.TotalLabels() != 0 {
+	if c.RuleCount() != 0 || c.view().field.labels.TotalLabels() != 0 {
 		t.Errorf("classifier not empty after deleting everything: %d rules, %d labels",
-			c.RuleCount(), c.view().labels.TotalLabels())
+			c.RuleCount(), c.view().field.labels.TotalLabels())
 	}
 	if UpdateCyclesPerRule() != 3 {
 		t.Errorf("UpdateCyclesPerRule() = %d, want 3", UpdateCyclesPerRule())
@@ -371,22 +371,22 @@ func TestLookupNoMatchWhenDimensionEmpty(t *testing.T) {
 	}
 }
 
-func TestSelectIPEngineSwitchesAndReprogrammes(t *testing.T) {
+func TestSelectEngineSwitchesAndReprogrammes(t *testing.T) {
 	c := MustNew(DefaultConfig())
 	rs := smallRuleSet()
 	if _, err := c.InstallRuleSet(rs); err != nil {
 		t.Fatal(err)
 	}
-	if c.IPEngineName() != "mbt" {
-		t.Fatalf("initial engine = %q, want mbt", c.IPEngineName())
+	if c.ActiveEngineName() != "mbt" {
+		t.Fatalf("initial engine = %q, want mbt", c.ActiveEngineName())
 	}
 	capMBT := c.RuleCapacity()
 
-	if err := c.SelectIPEngine("bst"); err != nil {
-		t.Fatalf("SelectIPEngine(bst): %v", err)
+	if err := c.SelectEngine("bst"); err != nil {
+		t.Fatalf("SelectEngine(bst): %v", err)
 	}
-	if c.IPEngineName() != "bst" {
-		t.Fatalf("engine after switch = %q, want bst", c.IPEngineName())
+	if c.ActiveEngineName() != "bst" {
+		t.Fatalf("engine after switch = %q, want bst", c.ActiveEngineName())
 	}
 	if c.RuleCapacity() <= capMBT {
 		t.Errorf("BST capacity %d should exceed MBT capacity %d (Fig. 5 sharing)", c.RuleCapacity(), capMBT)
@@ -404,13 +404,13 @@ func TestSelectIPEngineSwitchesAndReprogrammes(t *testing.T) {
 		}
 	}
 	// Switching back also works, and re-selecting is a no-op.
-	if err := c.SelectIPEngine("mbt"); err != nil {
-		t.Fatalf("SelectIPEngine(mbt): %v", err)
+	if err := c.SelectEngine("mbt"); err != nil {
+		t.Fatalf("SelectEngine(mbt): %v", err)
 	}
-	if err := c.SelectIPEngine("mbt"); err != nil {
+	if err := c.SelectEngine("mbt"); err != nil {
 		t.Fatalf("re-selecting the active engine: %v", err)
 	}
-	if err := c.SelectIPEngine("no-such-engine"); err == nil {
+	if err := c.SelectEngine("no-such-engine"); err == nil {
 		t.Error("selecting an unknown engine should fail")
 	}
 }
@@ -454,14 +454,14 @@ func TestThroughputMatchesTableVII(t *testing.T) {
 	if got := c.LookupsPerSecond(); got < 133e6 || got > 134e6 {
 		t.Errorf("MBT lookup rate = %.0f /s, want ~133.51M", got)
 	}
-	if err := c.SelectIPEngine("bst"); err != nil {
+	if err := c.SelectEngine("bst"); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.ThroughputGbps(40); got < 2.6 || got > 2.75 {
 		t.Errorf("BST throughput = %.2f Gbps, want ~2.67", got)
 	}
 	// The conclusion's claim: >100 Gbps at 100-byte packets with the MBT.
-	if err := c.SelectIPEngine("mbt"); err != nil {
+	if err := c.SelectEngine("mbt"); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.ThroughputGbps(100); got < 100 {
@@ -503,7 +503,7 @@ func TestMemoryReportBudget(t *testing.T) {
 
 	// Switching to the BST shrinks the used IP-algorithm storage (Table VI:
 	// 543 Kbit vs 49 Kbit on the paper's workload).
-	if err := c.SelectIPEngine("bst"); err != nil {
+	if err := c.SelectEngine("bst"); err != nil {
 		t.Fatal(err)
 	}
 	bstReport := c.Report().Memory
@@ -544,7 +544,7 @@ func TestCapacityEnforcement(t *testing.T) {
 		t.Errorf("RuleCount() = %d after failed insert, want 16", c.RuleCount())
 	}
 	// Switching to BST raises the capacity and the next insert succeeds.
-	if err := c.SelectIPEngine("bst"); err != nil {
+	if err := c.SelectEngine("bst"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.InsertRule(rs.Rule(20)); err != nil {

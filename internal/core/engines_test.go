@@ -29,8 +29,8 @@ func TestEveryIPEngineMatchesReferenceClassifier(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			if got := c.IPEngineName(); got != name {
-				t.Fatalf("IPEngineName = %q, want %q", got, name)
+			if got := c.ActiveEngineName(); got != name {
+				t.Fatalf("ActiveEngineName = %q, want %q", got, name)
 			}
 			if _, err := c.InstallRuleSet(rs); err != nil {
 				t.Fatalf("InstallRuleSet: %v", err)
@@ -57,10 +57,10 @@ func TestEveryIPEngineMatchesReferenceClassifier(t *testing.T) {
 	}
 }
 
-// TestSelectIPEngineCyclesThroughAllEngines switches one loaded classifier
-// through every registered engine and back, checking that the rules survive
-// every re-programming.
-func TestSelectIPEngineCyclesThroughAllEngines(t *testing.T) {
+// TestSelectEngineCyclesThroughFieldEngines switches one loaded classifier
+// through every registered field engine and back — field tier to field tier
+// each time — checking that the rules survive every re-programming.
+func TestSelectEngineCyclesThroughFieldEngines(t *testing.T) {
 	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, classbench.Size1K))
 	probe := classbench.GenerateTrace(rs, classbench.TraceConfig{
 		Packets: 500, Seed: 13, MatchFraction: 0.95,
@@ -71,8 +71,8 @@ func TestSelectIPEngineCyclesThroughAllEngines(t *testing.T) {
 	}
 	names := append(engine.IPEngineNames(), "mbt")
 	for _, name := range names {
-		if err := c.SelectIPEngine(name); err != nil {
-			t.Fatalf("SelectIPEngine(%s): %v", name, err)
+		if err := c.SelectEngine(name); err != nil {
+			t.Fatalf("SelectEngine(%s): %v", name, err)
 		}
 		if c.RuleCount() != rs.Len() {
 			t.Fatalf("after switch to %s: %d rules, want %d", name, c.RuleCount(), rs.Len())
@@ -88,16 +88,16 @@ func TestSelectIPEngineCyclesThroughAllEngines(t *testing.T) {
 	}
 }
 
-func TestSelectIPEngineRejectsBadNames(t *testing.T) {
+func TestSelectEngineRejectsBadNames(t *testing.T) {
 	c := MustNew(DefaultConfig())
-	if err := c.SelectIPEngine("no-such-engine"); err == nil {
+	if err := c.SelectEngine("no-such-engine"); err == nil {
 		t.Error("unknown engine name should fail")
 	}
-	if err := c.SelectIPEngine("portreg"); err == nil {
+	if err := c.SelectEngine("portreg"); err == nil {
 		t.Error("a non-IP-capable engine should be rejected")
 	}
 	// Selecting the active engine is a no-op.
-	if err := c.SelectIPEngine("mbt"); err != nil {
+	if err := c.SelectEngine("mbt"); err != nil {
 		t.Errorf("selecting the active engine: %v", err)
 	}
 }
@@ -120,8 +120,8 @@ func TestConfigIPEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if c.IPEngineName() != "segtrie" {
-		t.Errorf("IPEngineName = %q, want the explicit %q", c.IPEngineName(), "segtrie")
+	if c.ActiveEngineName() != "segtrie" {
+		t.Errorf("ActiveEngineName = %q, want the explicit %q", c.ActiveEngineName(), "segtrie")
 	}
 	if c.Report().Memory.Algorithm != 0 {
 		t.Errorf("report algorithm = %v, want 0 for an engine with no legacy value", c.Report().Memory.Algorithm)

@@ -198,7 +198,7 @@ func (s *snapshot) lookup(cfg *Config, h fivetuple.Header) Result {
 	// engines key on 32-bit addresses and would misclassify it. Those
 	// snapshots serve the header honestly from the installed-rule shadow
 	// (correct, O(n)); the wildcard-in-both-families rules still match.
-	if h.Family != fivetuple.FamilyIPv4 && !s.packetDims.Has(fivetuple.DimIPv6) {
+	if h.Family != fivetuple.FamilyIPv4 && !s.servedDims().Has(fivetuple.DimIPv6) {
 		return s.lookupFallback(h)
 	}
 
@@ -254,7 +254,7 @@ func (s *snapshot) lookup(cfg *Config, h fivetuple.Header) Result {
 // the latency model charges the dispatch cycle, one cycle per engine memory
 // access and the result select — no label fetch, no Rule Filter probe.
 func (s *snapshot) lookupPacket(h fivetuple.Header) Result {
-	idx, matched, accesses := s.packet.LookupPacket(h)
+	idx, matched, accesses := s.packet.engine.LookupPacket(h)
 	result := Result{
 		FieldAccesses: accesses,
 		LatencyCycles: CyclesDispatch + accesses + CyclesPacketResult,
@@ -262,7 +262,7 @@ func (s *snapshot) lookupPacket(h fivetuple.Header) Result {
 	if !matched {
 		return result
 	}
-	r := s.packetRules[idx]
+	r := s.packet.rules[idx]
 	result.Matched = true
 	result.Priority = r.Priority
 	result.Action = r.Action
@@ -293,7 +293,7 @@ func headerKeys(h fivetuple.Header) [label.NumDimensions + 1]uint32 {
 func (s *snapshot) lookupFieldsInto(h fivetuple.Header, out []fieldLookup) {
 	keys := headerKeys(h)
 	for i, d := range label.Dimensions() {
-		eng := s.engines[d]
+		eng := s.field.engines[d]
 		out[i].dim = d
 		out[i].accesses = eng.LookupInto(keys[d], out[i].list)
 		out[i].cycles = eng.Cost().LookupCycles
@@ -316,7 +316,7 @@ func (s *snapshot) combineHPML(fields []fieldLookup, result Result) Result {
 		labels[fields[i].dim] = hpml.Label
 	}
 	result.Combinations = 1
-	entry, probes := s.filter.lookup(label.PackKeyDims(&labels))
+	entry, probes := s.field.filter.lookup(label.PackKeyDims(&labels))
 	result.RuleFilterProbes = probes
 	if entry != nil {
 		result.Matched = true
@@ -378,7 +378,7 @@ func (s *snapshot) combineExact(cfg *Config, h fivetuple.Header, fields []fieldL
 		}
 		key := keys[d].Append(f.dim, pl.Label)
 		if d < last {
-			if s.prefixes.has(d+1, key) {
+			if s.field.prefixes.has(d+1, key) {
 				d++
 				next[d], keys[d] = 0, key
 			}
@@ -392,7 +392,7 @@ func (s *snapshot) combineExact(cfg *Config, h fivetuple.Header, fields []fieldL
 			result.LatencyCycles += fb.FieldAccesses
 			return result
 		}
-		entry, probes := s.filter.lookup(key)
+		entry, probes := s.field.filter.lookup(key)
 		result.RuleFilterProbes += probes
 		if entry != nil && (best == nil || entry.priority < best.priority) {
 			best = entry
@@ -490,18 +490,9 @@ func (sc *statsCollector) recordPublish(sync publishSync, elapsed time.Duration)
 	sc.publishLatency[latencyBucket(elapsed)].Add(1)
 }
 
-func (sc *statsCollector) recordInsert(rep UpdateReport) {
-	sc.inserts.Add(1)
-	sc.updateCycles.Add(uint64(rep.ClockCycles))
-}
-
-func (sc *statsCollector) recordDelete(rep UpdateReport) {
-	sc.deletes.Add(1)
-	sc.updateCycles.Add(uint64(rep.ClockCycles))
-}
-
-// recordUpdates folds a whole update batch in at once, with the cycle total
-// summed from the per-op reports so the accounting has a single source.
+// recordUpdates folds one published update — a single rule or a whole
+// batch — in at once, with the cycle total summed from the per-op reports so
+// the accounting has a single source.
 func (sc *statsCollector) recordUpdates(inserts, deletes, cycles int) {
 	sc.inserts.Add(uint64(inserts))
 	sc.deletes.Add(uint64(deletes))

@@ -69,11 +69,11 @@ func (r *Reader) LookupAllInto(dst []ActionRef, h fivetuple.Header) ([]ActionRef
 // serving terminating rules (DimMultiAction is gated at install), so their
 // single verdict IS the complete list.
 func (s *snapshot) lookupAllInto(cfg *Config, h fivetuple.Header, dst []ActionRef) ([]ActionRef, Result) {
-	if h.Family != fivetuple.FamilyIPv4 && !s.packetDims.Has(fivetuple.DimIPv6) {
+	if h.Family != fivetuple.FamilyIPv4 && !s.servedDims().Has(fivetuple.DimIPv6) {
 		return s.collectFallback(h, dst)
 	}
 	if s.packet != nil {
-		if mm, ok := s.packet.(engine.MultiMatchPacketEngine); ok {
+		if mm, ok := s.packet.engine.(engine.MultiMatchPacketEngine); ok {
 			return s.collectPacket(mm, h, dst)
 		}
 		res := s.lookupPacket(h)
@@ -91,7 +91,7 @@ func (s *snapshot) lookupAllInto(cfg *Config, h fivetuple.Header, dst []ActionRe
 
 // collectPacket gathers the multi-match verdict from a multi-match packet
 // engine. The engine contract already yields priority order (ascending
-// indices into the best-first packetRules slice) truncated at the first
+// indices into the best-first packetTier.rules slice) truncated at the first
 // terminating rule; the re-sort and re-truncation here defend that contract
 // against engine-internal orderings that drift after delta churn — the
 // classifier's verdict is priority-ordered no matter what the structure
@@ -102,7 +102,7 @@ func (s *snapshot) collectPacket(mm engine.MultiMatchPacketEngine, h fivetuple.H
 	idxs, accesses := mm.LookupPacketAll(h, (*scp)[:0])
 	start := len(dst)
 	for _, i := range idxs {
-		r := &s.packetRules[i]
+		r := &s.packet.rules[i]
 		dst = append(dst, ActionRef{Priority: r.Priority, Action: r.Action, ActionArg: r.ActionArg, Terminal: !r.NonTerminating})
 	}
 	*scp = idxs[:0]

@@ -10,12 +10,9 @@ import "sdnpc/internal/cache"
 // inside Stats, Lookups and Updates remain individually atomic reads, which
 // is inherent to concurrent collection.)
 type Report struct {
-	// ActiveEngine is the registry name of the engine answering lookups;
-	// IPEngine and PacketEngine name the programmed engine of each tier
-	// (PacketEngine is "" when the field tier serves).
+	// ActiveEngine is the registry name of the engine answering lookups, of
+	// either tier; it is the only engine the snapshot holds.
 	ActiveEngine string
-	IPEngine     string
-	PacketEngine string
 
 	// RulesInstalled and RuleCapacity describe the rule table under the
 	// current engine selection.
@@ -53,8 +50,6 @@ func (c *Classifier) Report() Report {
 	s := c.view()
 	r := Report{
 		ActiveEngine:   s.activeEngineName(),
-		IPEngine:       s.engineName,
-		PacketEngine:   s.packetName,
 		RulesInstalled: len(s.installed),
 		RuleCapacity:   c.cfg.RuleCapacityFor(s.activeEngineName()),
 		Stats:          c.statsSnapshot(),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -9,13 +10,14 @@ import (
 	"sdnpc/internal/fivetuple"
 )
 
-// TestReportRuleCapacityTracksActiveTier pins the capacity bugfix: Report
-// (and RuleCapacity, and the memory breakdown) must report the capacity of
-// the engine actually answering lookups, not of the field engine that stays
-// programmed underneath a packet-tier selection. bst's shared-level-2 bonus
-// capacity makes the two observably different.
+// TestReportRuleCapacityTracksActiveTier pins rule capacity to the engine
+// answering lookups on every surface — Report, RuleCapacity, the memory
+// breakdown and the limit insertions are refused at — across tier switches.
+// bst's shared-level-2 bonus capacity makes the engines observably
+// different.
 func TestReportRuleCapacityTracksActiveTier(t *testing.T) {
 	cfg := DefaultConfig()
+	cfg.RuleFilterAddressBits = 4 // 16 base slots, so the limit is cheap to reach
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -31,8 +33,8 @@ func TestReportRuleCapacityTracksActiveTier(t *testing.T) {
 		t.Fatalf("field tier RuleCapacity = %d, want %d", got, bstCap)
 	}
 
-	// Switch the serving tier to hypercuts: bst stays programmed underneath,
-	// but capacity must follow the active engine.
+	// Switch the serving tier to hypercuts: capacity must follow the active
+	// engine.
 	if err := c.SelectEngine("hypercuts"); err != nil {
 		t.Fatalf("SelectEngine(hypercuts): %v", err)
 	}
@@ -41,8 +43,8 @@ func TestReportRuleCapacityTracksActiveTier(t *testing.T) {
 		t.Fatalf("test needs distinguishable capacities, got %d for both", wantCap)
 	}
 	rep := c.Report()
-	if rep.ActiveEngine != "hypercuts" || rep.IPEngine != "bst" {
-		t.Fatalf("engines = (%q, %q), want (hypercuts, bst)", rep.ActiveEngine, rep.IPEngine)
+	if rep.ActiveEngine != "hypercuts" {
+		t.Fatalf("ActiveEngine = %q, want hypercuts", rep.ActiveEngine)
 	}
 	if rep.RuleCapacity != wantCap {
 		t.Errorf("packet tier Report().RuleCapacity = %d, want %d (active engine), not %d (field engine)",
@@ -55,7 +57,22 @@ func TestReportRuleCapacityTracksActiveTier(t *testing.T) {
 		t.Errorf("packet tier Memory.RuleCapacity = %d, want %d", rep.Memory.RuleCapacity, wantCap)
 	}
 
-	// Dropping the packet tier restores the field engine's capacity.
+	// The reported limit is the enforced one: the classifier fills to it and
+	// refuses the next rule, although bst (the engine before the switch)
+	// would have held it.
+	for i := 0; i < wantCap+1; i++ {
+		r := fivetuple.Wildcard(i, fivetuple.ActionForward)
+		r.DstPrefix = fivetuple.Prefix{Addr: fivetuple.IPv4(uint32(i) << 16), Len: 16}
+		_, err := c.InsertRule(r)
+		if i < wantCap && err != nil {
+			t.Fatalf("InsertRule %d of %d: %v", i, wantCap, err)
+		}
+		if i == wantCap && !errors.Is(err, ErrRuleFilterFull) {
+			t.Fatalf("InsertRule at the reported limit %d = %v, want ErrRuleFilterFull", wantCap, err)
+		}
+	}
+
+	// Switching back to bst restores its capacity.
 	if err := c.SelectEngine("bst"); err != nil {
 		t.Fatalf("SelectEngine(bst) back: %v", err)
 	}
@@ -161,9 +178,8 @@ func TestReportMatchesAccessors(t *testing.T) {
 			if rep.ActiveEngine != c.ActiveEngineName() {
 				t.Errorf("ActiveEngine = %q, want %q", rep.ActiveEngine, c.ActiveEngineName())
 			}
-			if rep.IPEngine != c.IPEngineName() || rep.PacketEngine != c.PacketEngineName() {
-				t.Errorf("engines = (%q, %q), want (%q, %q)",
-					rep.IPEngine, rep.PacketEngine, c.IPEngineName(), c.PacketEngineName())
+			if rep.ActiveEngine != name {
+				t.Errorf("ActiveEngine = %q, want the selected %q", rep.ActiveEngine, name)
 			}
 			if rep.RulesInstalled != c.RuleCount() || rep.RuleCapacity != c.RuleCapacity() {
 				t.Errorf("rules = (%d, %d), want (%d, %d)",

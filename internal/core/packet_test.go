@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"sdnpc/internal/classbench"
@@ -28,9 +29,6 @@ func TestEveryPacketEngineMatchesReferenceClassifier(t *testing.T) {
 			c, err := New(cfg)
 			if err != nil {
 				t.Fatalf("New: %v", err)
-			}
-			if got := c.PacketEngineName(); got != name {
-				t.Fatalf("PacketEngineName = %q, want %q", got, name)
 			}
 			if got := c.ActiveEngineName(); got != name {
 				t.Fatalf("ActiveEngineName = %q, want %q", got, name)
@@ -94,13 +92,9 @@ func TestSelectEngineSwitchesTiers(t *testing.T) {
 		if c.RuleCount() != rs.Len() {
 			t.Fatalf("after switch to %s: %d rules, want %d", name, c.RuleCount(), rs.Len())
 		}
-		// Only a snapshot the field tier serves carries the combination
-		// walk's prefix set, and it is built before the snapshot is published.
-		if isPacket, _ := engine.Selectable(name); isPacket {
-			if c.view().prefixes.words != nil {
-				t.Fatalf("packet engine %s: the snapshot carries a field-tier prefix set", name)
-			}
-		} else {
+		// A field-tier snapshot carries the combination walk's prefix set,
+		// built before the snapshot is published.
+		if isPacket, _ := engine.Selectable(name); !isPacket {
 			requirePrefixesCoverInstalled(t, c)
 		}
 		for _, h := range probe {
@@ -111,13 +105,6 @@ func TestSelectEngineSwitchesTiers(t *testing.T) {
 					name, h, got.Matched, got.Priority, wantOK, wantIdx)
 			}
 		}
-	}
-	// The field tier stayed programmed underneath the packet engines.
-	if got := c.IPEngineName(); got != "mbt" {
-		t.Errorf("IPEngineName = %q after the cycle, want mbt", got)
-	}
-	if got := c.PacketEngineName(); got != "" {
-		t.Errorf("PacketEngineName = %q after selecting a field engine, want \"\"", got)
 	}
 }
 
@@ -187,17 +174,17 @@ func TestPacketTierIncrementalUpdates(t *testing.T) {
 	}
 }
 
-// TestSelectEngineFailureLeavesServingStateUntouched drives the unified
-// switch into a capacity failure and requires the classifier to keep
+// TestSelectEngineFailureLeavesServingStateUntouched drives the switch into
+// a capacity failure towards each tier and requires the classifier to keep
 // serving exactly what it served before: a failed SelectEngine must not
-// drop the packet tier or change the field engine.
+// change the engine or lose a rule.
 func TestSelectEngineFailureLeavesServingStateUntouched(t *testing.T) {
 	cfg := DefaultConfig()
 	// Shrink the base Rule Filter so the bst configuration (base + freed MBT
-	// blocks) holds rules that the mbt configuration (base only) cannot.
+	// blocks) holds rules that the mbt and hypercuts configurations (base
+	// only) cannot.
 	cfg.RuleFilterAddressBits = 4
 	cfg.IPEngine = "bst"
-	cfg.PacketEngine = "hypercuts"
 	c := MustNew(cfg)
 
 	mbtCapacity := cfg.RuleCapacityFor("mbt")
@@ -217,18 +204,19 @@ func TestSelectEngineFailureLeavesServingStateUntouched(t *testing.T) {
 	probe := fivetuple.Header{DstIP: fivetuple.IPv4(3 << 16), SrcPort: 1, DstPort: 2, Protocol: fivetuple.ProtoTCP}
 	before := c.Lookup(probe)
 
-	if err := c.SelectEngine("mbt"); err == nil {
-		t.Fatal("SelectEngine(mbt) should fail: installed rules exceed the mbt capacity")
-	}
-	if got := c.ActiveEngineName(); got != "hypercuts" {
-		t.Errorf("after failed switch: ActiveEngineName = %q, want hypercuts", got)
-	}
-	if got := c.IPEngineName(); got != "bst" {
-		t.Errorf("after failed switch: IPEngineName = %q, want bst", got)
-	}
-	after := c.Lookup(probe)
-	if after != before {
-		t.Errorf("after failed switch: Lookup = %+v, want the pre-switch %+v", after, before)
+	for _, name := range []string{"mbt", "hypercuts"} {
+		if err := c.SelectEngine(name); !errors.Is(err, ErrRuleFilterFull) {
+			t.Fatalf("SelectEngine(%s) = %v, want ErrRuleFilterFull: installed rules exceed its capacity", name, err)
+		}
+		if got := c.ActiveEngineName(); got != "bst" {
+			t.Errorf("after failed switch to %s: ActiveEngineName = %q, want bst", name, got)
+		}
+		if got := c.RuleCount(); got != len(rules) {
+			t.Errorf("after failed switch to %s: %d rules, want %d", name, got, len(rules))
+		}
+		if after := c.Lookup(probe); after != before {
+			t.Errorf("after failed switch to %s: Lookup = %+v, want the pre-switch %+v", name, after, before)
+		}
 	}
 }
 
@@ -243,14 +231,152 @@ func TestConfigPacketEngineValidation(t *testing.T) {
 		t.Error("a field engine name in PacketEngine should fail validation")
 	}
 
+	// PacketEngine wins over IPEngine: the classifier serves from the packet
+	// engine alone.
+	cfg = DefaultConfig()
+	cfg.IPEngine = "bst"
+	cfg.PacketEngine = "dcfl"
+	c := MustNew(cfg)
+	if got := c.ActiveEngineName(); got != "dcfl" {
+		t.Errorf("ActiveEngineName = %q with both engines configured, want dcfl", got)
+	}
+	for _, name := range []string{"portreg", ""} {
+		if err := c.SelectEngine(name); err == nil {
+			t.Errorf("SelectEngine(%q) should reject a non-selectable engine", name)
+		}
+	}
+}
+
+// TestSnapshotHoldsOneTier pins the one-tier invariant: whichever engine is
+// selected, the published snapshot holds that engine's tier and nothing of
+// the other, and under a packet engine the memory report shows no field-tier
+// usage.
+func TestSnapshotHoldsOneTier(t *testing.T) {
+	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, classbench.Size1K))
 	c := MustNew(DefaultConfig())
-	if err := c.SelectPacketEngine("segtrie"); err == nil {
-		t.Error("SelectPacketEngine should reject field engine names")
+	if _, err := c.InstallRuleSet(rs); err != nil {
+		t.Fatalf("InstallRuleSet: %v", err)
 	}
-	if err := c.SelectEngine("portreg"); err == nil {
-		t.Error("SelectEngine should reject non-selectable engines")
+	for _, name := range engine.SelectableNames() {
+		if err := c.SelectEngine(name); err != nil {
+			t.Fatalf("SelectEngine(%s): %v", name, err)
+		}
+		// An update publishes a clone: the invariant must survive it too.
+		if _, err := c.DeleteRule(rs.Rule(0)); err != nil {
+			t.Fatalf("%s: DeleteRule: %v", name, err)
+		}
+		if _, err := c.InsertRule(rs.Rule(0)); err != nil {
+			t.Fatalf("%s: InsertRule: %v", name, err)
+		}
+		s, mem := c.view(), c.Report().Memory
+		isPacket, _ := engine.Selectable(name)
+		if isPacket {
+			if s.field != nil || s.packet == nil || s.packet.engine == nil {
+				t.Fatalf("%s: snapshot tiers = (field %v, packet %v), want the packet tier alone", name, s.field, s.packet)
+			}
+			if mem.IPEngineUsedBits != 0 || mem.LabelTableBits != 0 || mem.LabelMemoryUsedBits != 0 || mem.RuleFilterUsedBits != 0 {
+				t.Errorf("%s: memory report shows field-tier usage: %+v", name, mem)
+			}
+			if mem.PacketEngineUsedBits <= 0 {
+				t.Errorf("%s: PacketEngineUsedBits = %d, want > 0", name, mem.PacketEngineUsedBits)
+			}
+			continue
+		}
+		if s.packet != nil || s.field == nil {
+			t.Fatalf("%s: snapshot tiers = (field %v, packet %v), want the field tier alone", name, s.field, s.packet)
+		}
+		if mem.PacketEngineUsedBits != 0 || mem.IPEngineUsedBits <= 0 || mem.RuleFilterUsedBits <= 0 {
+			t.Errorf("%s: memory report = %+v, want field-tier usage only", name, mem)
+		}
 	}
-	if err := c.SelectPacketEngine(""); err != nil {
-		t.Errorf("SelectPacketEngine(\"\") on the field tier should be a no-op: %v", err)
+}
+
+// TestTierSwitchRebuildsFieldTier checks that a field tier built by a switch
+// away from a packet engine is exact: after churn under hypercuts (where no
+// label or Rule Filter entry exists to keep in step) the rebuilt tier
+// classifies like the reference, its prefix set covers every rule, and its
+// reference counts are right — deleting every rule empties the label tables
+// and the Rule Filter.
+func TestTierSwitchRebuildsFieldTier(t *testing.T) {
+	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, classbench.Size1K))
+	probe := classbench.GenerateTrace(rs, classbench.TraceConfig{
+		Packets: 500, Seed: 13, MatchFraction: 0.95,
+	})
+	cfg := DefaultConfig()
+	cfg.PacketEngine = "hypercuts"
+	c := MustNew(cfg)
+	if _, err := c.InstallRuleSet(rs); err != nil {
+		t.Fatalf("InstallRuleSet: %v", err)
 	}
+	// Churn: delete a spread of rules and re-insert most of them, so the
+	// installation order the rebuild replays differs from priority order.
+	live := make(map[int]bool, rs.Len())
+	for i := 0; i < rs.Len(); i++ {
+		live[i] = true
+	}
+	for i := 0; i < rs.Len(); i += 7 {
+		if _, err := c.DeleteRule(rs.Rule(i)); err != nil {
+			t.Fatalf("DeleteRule(%d): %v", i, err)
+		}
+		live[i] = false
+	}
+	for i := 0; i < rs.Len(); i += 14 {
+		if _, err := c.InsertRule(rs.Rule(i)); err != nil {
+			t.Fatalf("InsertRule(%d): %v", i, err)
+		}
+		live[i] = true
+	}
+	var rules []fivetuple.Rule
+	for i := 0; i < rs.Len(); i++ {
+		if live[i] {
+			rules = append(rules, rs.Rule(i))
+		}
+	}
+	// ref renumbers priorities to positions; rules keeps the installed ones.
+	ref := fivetuple.NewRuleSet("live", rules)
+	verify := func(name string) {
+		t.Helper()
+		if got := c.ActiveEngineName(); got != name {
+			t.Fatalf("ActiveEngineName = %q, want %q", got, name)
+		}
+		for _, h := range probe {
+			wantIdx, wantOK := ref.Classify(h)
+			got := c.Lookup(h)
+			if got.Matched != wantOK || (wantOK && got.Priority != rules[wantIdx].Priority) {
+				t.Fatalf("engine %s: Lookup(%s) = (%v, %d), reference (%v, rule %d)",
+					name, h, got.Matched, got.Priority, wantOK, wantIdx)
+			}
+		}
+	}
+
+	if err := c.SelectEngine("mbt"); err != nil {
+		t.Fatalf("SelectEngine(mbt): %v", err)
+	}
+	verify("mbt")
+	requirePrefixesCoverInstalled(t, c)
+
+	ops := make([]UpdateOp, len(rules))
+	for i, r := range rules {
+		ops[i] = UpdateOp{Delete: true, Rule: r}
+	}
+	if _, errs, err := c.ApplyUpdates(ops); err != nil || errors.Join(errs...) != nil {
+		t.Fatalf("deleting every rule from the rebuilt tier: %v / %v", err, errors.Join(errs...))
+	}
+	f := c.view().field
+	if c.RuleCount() != 0 || f.labels.TotalLabels() != 0 || f.filter.usedRules() != 0 {
+		t.Fatalf("after deleting every rule: %d rules, %d labels, %d Rule Filter entries, want all 0",
+			c.RuleCount(), f.labels.TotalLabels(), f.filter.usedRules())
+	}
+
+	// Back onto a packet engine with the rules re-installed.
+	for i := range ops {
+		ops[i].Delete = false
+	}
+	if _, errs, err := c.ApplyUpdates(ops); err != nil || errors.Join(errs...) != nil {
+		t.Fatalf("re-installing the rules: %v / %v", err, errors.Join(errs...))
+	}
+	if err := c.SelectEngine("dcfl"); err != nil {
+		t.Fatalf("SelectEngine(dcfl): %v", err)
+	}
+	verify("dcfl")
 }

@@ -32,8 +32,8 @@ type prefixSet struct {
 // packet.
 const prefixBitsPerKey = 8
 
-// newPrefixSet builds the set of every proper label prefix of every
-// installed field-tier rule. Extended rules hold no labels and are skipped.
+// newPrefixSet builds the set of every proper label prefix of every rule
+// installed on a field tier.
 func newPrefixSet(installed []installedRule) prefixSet {
 	n := len(installed) * (label.NumDimensions - 1)
 	if n == 0 {
@@ -42,9 +42,6 @@ func newPrefixSet(installed []installedRule) prefixSet {
 	logBits := max(bits.Len(uint(n*prefixBitsPerKey-1)), 6)
 	p := prefixSet{words: make([]uint64, 1<<(logBits-6)), shift: uint(64 - logBits)}
 	for i := range installed {
-		if installed[i].ext {
-			continue
-		}
 		for depth := 1; depth < label.NumDimensions; depth++ {
 			bit := prefixHash(depth, installed[i].key.Prefix(depth)) >> p.shift
 			p.words[bit>>6] |= 1 << (bit & 63)

@@ -13,9 +13,10 @@ import (
 // the synthesised design reserves, Table V) from used bits (what the current
 // rule set occupies, Table VI).
 type MemoryReport struct {
-	// IPEngine is the registry name of the engine serving the IP-segment
-	// dimensions; Algorithm mirrors it on the legacy IPalg_s signal (0 when
-	// the engine has no legacy value).
+	// IPEngine is the registry name of the field engine serving the
+	// IP-segment dimensions ("" when a whole-packet engine serves);
+	// Algorithm mirrors it on the legacy IPalg_s signal (0 when the engine
+	// has no legacy value).
 	IPEngine  string
 	Algorithm memory.AlgSelect
 
@@ -32,7 +33,8 @@ type MemoryReport struct {
 	BSTProvisionedBits      int
 	BSTUsedBits             int
 
-	// Other algorithm blocks.
+	// Other algorithm blocks of the field tier (0 under a whole-packet
+	// engine, which has neither).
 	ProtocolLUTBits  int
 	PortRegisterBits int
 
@@ -59,12 +61,12 @@ type MemoryReport struct {
 	CacheEntries int
 	CacheBits    int
 
-	// Labels memory block.
+	// Labels memory block (used bits are 0 under a whole-packet engine).
 	LabelMemoryProvisionedBits int
 	LabelMemoryUsedBits        int
 	LabelTableBits             int
 
-	// Rule Filter block.
+	// Rule Filter block (used bits are 0 under a whole-packet engine).
 	RuleFilterProvisionedBits int
 	RuleFilterUsedBits        int
 
@@ -93,37 +95,25 @@ func (m MemoryReport) TotalUsedBits() int {
 }
 
 // memoryReport computes the memory breakdown of one snapshot, for Report
-// and ArchSpec.
+// and ArchSpec. Provisioned figures come from the configured geometry and
+// are the same under every engine; used figures (and the protocol LUT and
+// port registers, which exist only as field engines) describe the one tier
+// the snapshot holds and read 0 for the other.
 func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
 	report := MemoryReport{
-		IPEngine:           s.engineName,
-		Algorithm:          s.alg,
 		MBTProvisionedBits: 4 * c.cfg.mbtProvisionedBitsPerSegment(),
 		BSTProvisionedBits: 4 * c.cfg.sharedLevel2BitsPerSegment(),
-		ProtocolLUTBits:    s.engines[label.DimProtocol].Footprint().NodeBits,
-		PortRegisterBits: s.engines[label.DimSrcPort].Footprint().NodeBits +
-			s.engines[label.DimDstPort].Footprint().NodeBits,
 
 		LabelMemoryProvisionedBits: c.cfg.LabelMemoryEntries * c.cfg.LabelMemoryEntryBits,
-		LabelTableBits:             s.labels.StorageBits(),
 
 		// The provisioned Rule Filter is the base hash-addressed block; the
 		// extra capacity available under a shared-resident engine selection
 		// reuses the freed MBT blocks, which are already counted in
 		// MBTProvisionedBits.
 		RuleFilterProvisionedBits: c.cfg.RuleFilterSlots() * c.cfg.RuleEntryBits,
-		RuleFilterUsedBits:        s.filter.usedBits(),
 
 		RulesInstalled: len(s.installed),
 		RuleCapacity:   c.cfg.RuleCapacityFor(s.activeEngineName()),
-	}
-	report.PacketEngine = s.packetName
-	if s.packet != nil {
-		report.PacketEngineUsedBits = s.packet.Footprint().NodeBits
-		report.PacketEngineDeltas = s.packetDeltas
-		if inc, ok := s.packet.(engine.IncrementalPacketEngine); ok {
-			report.PacketEngineDegradation = inc.UpdateCost().Degradation
-		}
 	}
 	for _, ln := range c.lanes.all {
 		if ln.microflow != nil {
@@ -131,18 +121,36 @@ func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
 			report.CacheBits += ln.microflow.FootprintBits()
 		}
 	}
+	if p := s.packet; p != nil {
+		report.PacketEngine = p.name
+		report.PacketEngineUsedBits = p.engine.Footprint().NodeBits
+		report.PacketEngineDeltas = p.deltas
+		if inc, ok := p.engine.(engine.IncrementalPacketEngine); ok {
+			report.PacketEngineDegradation = inc.UpdateCost().Degradation
+		}
+		return report
+	}
+	f := s.field
+	def, _ := engine.Get(f.engineName)
+	report.IPEngine = f.engineName
+	report.Algorithm = def.Legacy
+	report.ProtocolLUTBits = f.engines[label.DimProtocol].Footprint().NodeBits
+	report.PortRegisterBits = f.engines[label.DimSrcPort].Footprint().NodeBits +
+		f.engines[label.DimDstPort].Footprint().NodeBits
+	report.LabelTableBits = f.labels.StorageBits()
+	report.RuleFilterUsedBits = f.filter.usedBits()
 	// Only the selected engine's node data is resident in the (shared)
 	// memory blocks, so usage is reported for that engine alone.
 	for _, d := range ipSegmentDims {
-		fp := s.engines[d].Footprint()
+		fp := f.engines[d].Footprint()
 		report.IPEngineUsedBits += fp.NodeBits
 		report.LabelMemoryUsedBits += fp.LabelListBits
 	}
 	report.IPEngineProvisionedBits = report.MBTProvisionedBits
-	if def, ok := engine.Get(s.engineName); ok && def.SharesLevel2 {
+	if def.SharesLevel2 {
 		report.IPEngineProvisionedBits = report.BSTProvisionedBits
 	}
-	switch s.alg {
+	switch def.Legacy {
 	case memory.SelectMBT:
 		report.MBTUsedBits = report.IPEngineUsedBits
 	case memory.SelectBST:
@@ -157,27 +165,28 @@ func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
 // model.
 func (c *Classifier) Pipeline() *pipeline.Pipeline {
 	s := c.view()
-	if s.packet != nil {
+	if p := s.packet; p != nil {
 		// Packet tier: dispatch, one whole-packet structure walk, result
 		// select — no label fetch and no Rule Filter stage.
-		cost := s.packet.Cost()
-		return pipeline.MustNew("lookup/"+s.packetName, c.cfg.ClockHz,
+		cost := p.engine.Cost()
+		return pipeline.MustNew("lookup/"+p.name, c.cfg.ClockHz,
 			pipeline.Stage{Name: "split+dispatch", LatencyCycles: CyclesDispatch, InitiationInterval: 1},
 			pipeline.Stage{
-				Name:               "packet lookup (" + s.packetName + ")",
+				Name:               "packet lookup (" + p.name + ")",
 				LatencyCycles:      cost.LookupCycles,
 				InitiationInterval: cost.InitiationInterval,
 			},
 			pipeline.Stage{Name: "result select", LatencyCycles: CyclesPacketResult, InitiationInterval: 1},
 		)
 	}
-	cost := s.engines[label.DimSrcIPHigh].Cost()
+	f := s.field
+	cost := f.engines[label.DimSrcIPHigh].Cost()
 	ipStage := pipeline.Stage{
-		Name:               "field lookup (" + s.engineName + ")",
+		Name:               "field lookup (" + f.engineName + ")",
 		LatencyCycles:      cost.LookupCycles,
 		InitiationInterval: cost.InitiationInterval,
 	}
-	return pipeline.MustNew("lookup/"+s.engineName, c.cfg.ClockHz,
+	return pipeline.MustNew("lookup/"+f.engineName, c.cfg.ClockHz,
 		pipeline.Stage{Name: "split+dispatch", LatencyCycles: CyclesDispatch, InitiationInterval: 1},
 		ipStage,
 		pipeline.Stage{Name: "label fetch", LatencyCycles: CyclesLabelFetch, InitiationInterval: 1},
@@ -205,7 +214,9 @@ func (c *Classifier) memoryBlockCount() int {
 }
 
 // ArchSpec derives the synthesis-estimation input from the configured
-// geometry (see internal/hw/synth).
+// geometry (see internal/hw/synth). It describes the field-tier design of
+// Table V: under a whole-packet engine the protocol LUT and port-register
+// terms, which are read off the resident field engines, are 0.
 func (c *Classifier) ArchSpec() synth.ArchSpec {
 	report := c.memoryReport(c.view())
 	// The datapath carries the 104-bit header five-tuple, the 68-bit label

@@ -11,8 +11,12 @@ import (
 )
 
 // snapshot is one complete state of the classifier's data path: the
-// per-dimension lookup engines, the label bank, the rule filter and the
-// installed-rule shadow.
+// installed-rule shadow plus exactly one serving tier programmed from it —
+// the field tier (per-dimension engines, label bank, Rule Filter) or the
+// packet tier (one whole-packet structure), never both. Switching engines
+// builds a fresh tier for the named engine from the installed rules and
+// swaps it in, as the controller re-downloads the memory images after a
+// configuration change.
 //
 // Snapshots are the unit of the classifier's RCU-style concurrency scheme.
 // A published snapshot is immutable — lookups traverse it without any lock
@@ -24,9 +28,6 @@ import (
 // so every result is consistent with either the pre-update or the
 // post-update rule set, never a mixture.
 type snapshot struct {
-	engineName string
-	alg        memory.AlgSelect
-
 	// gen is the publication generation, assigned by Classifier.publish from
 	// a monotonic counter. It keys the microflow cache: cache entries record
 	// the generation of the snapshot whose lookup produced them and are only
@@ -36,6 +37,22 @@ type snapshot struct {
 	// assigns.
 	gen uint64
 
+	installed []installedRule
+
+	// Exactly one of field and packet is non-nil: the tier the selected
+	// engine belongs to.
+	field  *fieldTier
+	packet *packetTier
+}
+
+// fieldTier is the paper's data path: one lookup engine per header
+// dimension, the label tables they answer in, and the Rule Filter the label
+// combination is looked up in.
+type fieldTier struct {
+	// engineName is the registered engine serving the four IP-segment
+	// dimensions.
+	engineName string
+
 	labels    *label.Bank
 	fieldUses map[label.Dimension]map[string]*fieldUse
 
@@ -43,61 +60,48 @@ type snapshot struct {
 	engines map[label.Dimension]engine.FieldEngine
 
 	// sharedL2 models the IPalg_s-selected shared blocks of Fig. 5, one per
-	// IP segment. An engine switch builds a snapshot with fresh blocks
-	// instead of re-owning these, so concurrent readers of the old snapshot
-	// never observe the ownership change.
+	// IP segment. An engine switch builds a tier with fresh blocks instead
+	// of re-owning these, so concurrent readers of the old snapshot never
+	// observe the ownership change.
 	sharedL2 map[label.Dimension]*memory.SharedBlock
 
-	filter    *ruleFilter
-	installed []installedRule
+	filter *ruleFilter
 
 	// prefixes is the set of label prefixes the installed rules' combination
-	// keys have, which lets the field tier's combination walk skip label
-	// tuples no rule uses. prepare rebuilds it from installed on every
-	// publish of a snapshot whose own field tier serves in the exact
-	// combination mode; it is empty while a packet engine or HPML mode
-	// answers, and clone does not carry it.
+	// keys have, which lets the combination walk skip label tuples no rule
+	// uses. prepare rebuilds it from installed on every publish in the exact
+	// combination mode; it is empty in HPML mode, and clone does not carry
+	// it.
 	prefixes prefixSet
-
-	// Whole-packet engine tier. When packetName is non-empty, lookups are
-	// served by packet — one precomputed multi-field structure — instead of
-	// the per-field engines above, which stay programmed so the classifier
-	// can switch tiers without a re-download. packetRules is the best-first
-	// rule order the engine currently answers in (LookupPacket indices
-	// resolve into it). A nil packet with a non-empty packetName marks a
-	// structural invalidation (tier selection, engine switch) that forces a
-	// full build before the snapshot is published.
-	packetName  string
-	packet      engine.PacketEngine
-	packetRules []fivetuple.Rule
-
-	// packetDims caches the packet engine's registry-declared dimension
-	// support (engine.Dims(packetName)), resolved once per publish by prepare
-	// so the per-packet serving path never takes the registry lock. It decides
-	// the family fallback: an IPv6 header is served by the packet structure
-	// only when this set covers DimIPv6, and by the installed-rule scan
-	// otherwise (the field tier serves only the IPv4 five-tuple).
-	packetDims fivetuple.DimSet
-
-	// Update plane. packetPending records the rule mutations applied to this
-	// (unpublished) snapshot since it was cloned; syncPacket drains it —
-	// through the engine's delta ops when it is incremental and the policy
-	// allows, through a full rebuild otherwise. packetDeltas counts the
-	// delta ops the current packet structure has absorbed since its last
-	// full build (the debt the RebuildAfterDeltas policy bounds); it is
-	// carried across clones and reset by every rebuild.
-	packetPending []packetDelta
-	packetDeltas  int
 }
 
-// activeEngineName returns the registry name of the engine answering this
-// snapshot's lookups: the whole-packet engine when that tier is selected,
-// the IP-segment field engine otherwise.
-func (s *snapshot) activeEngineName() string {
-	if s.packetName != "" {
-		return s.packetName
-	}
-	return s.engineName
+// packetTier is the whole-packet engine tier: one precomputed multi-field
+// structure answers the header directly.
+type packetTier struct {
+	name string
+
+	// engine is nil only between newSnapshot and the first syncPacket, which
+	// builds it in full; a published packet tier always has one.
+	engine engine.PacketEngine
+
+	// rules is the best-first rule order the engine currently answers in
+	// (LookupPacket indices resolve into it).
+	rules []fivetuple.Rule
+
+	// dims is the engine's registry-declared dimension support
+	// (engine.Dims(name)), resolved once when the tier is built so the
+	// per-packet serving path never takes the registry lock.
+	dims fivetuple.DimSet
+
+	// Update plane. pending records the rule mutations applied to this
+	// (unpublished) snapshot since it was cloned; syncPacket drains it —
+	// through the engine's delta ops when it is incremental and the policy
+	// allows, through a full rebuild otherwise — so a published snapshot has
+	// none. deltas counts the delta ops the current structure has absorbed
+	// since its last full build (the debt the RebuildAfterDeltas policy
+	// bounds); it is carried across clones and reset by every rebuild.
+	pending []packetDelta
+	deltas  int
 }
 
 // packetDelta is one pending rule mutation awaiting packet-tier sync.
@@ -106,53 +110,94 @@ type packetDelta struct {
 	rule   fivetuple.Rule
 }
 
-// newSnapshot builds an empty data path for the given engine selection:
+// activeEngineName returns the registry name of the engine answering this
+// snapshot's lookups.
+func (s *snapshot) activeEngineName() string {
+	if s.packet != nil {
+		return s.packet.name
+	}
+	return s.field.engineName
+}
+
+// servedDims returns the extension dimensions the serving tier covers. The
+// field tier serves only the IPv4 five-tuple. It decides the family
+// fallback: an IPv6 header is served by the precomputed structure only when
+// this set covers DimIPv6, and by the installed-rule scan otherwise.
+func (s *snapshot) servedDims() fivetuple.DimSet {
+	if s.packet != nil {
+		return s.packet.dims
+	}
+	return 0
+}
+
+// newSnapshot builds the data path the named engine serves from — an empty
+// tier of the engine's kind — and programmes it with the given rules in
+// installation order.
+func newSnapshot(cfg *Config, name string, rules []fivetuple.Rule) (*snapshot, error) {
+	isPacket, ok := engine.Selectable(name)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown engine %q (selectable: %v)", name, engine.SelectableNames())
+	}
+	s := &snapshot{installed: make([]installedRule, 0, len(rules))}
+	if isPacket {
+		s.packet = &packetTier{name: name, dims: engine.Dims(name)}
+	} else {
+		f, err := newFieldTier(cfg, name)
+		if err != nil {
+			return nil, err
+		}
+		s.field = f
+	}
+	for _, r := range rules {
+		if _, err := s.insertRule(cfg, r); err != nil {
+			return nil, fmt.Errorf("core: programming the %s engine: %w", name, err)
+		}
+	}
+	if _, err := s.syncPacket(cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newFieldTier builds an empty field tier for the named IP-segment engine:
 // every engine, label table and the rule filter, with fresh shared level-2
 // blocks.
-func newSnapshot(cfg *Config, engineName string, alg memory.AlgSelect) (*snapshot, error) {
-	s := &snapshot{
+func newFieldTier(cfg *Config, engineName string) (*fieldTier, error) {
+	f := &fieldTier{
 		engineName: engineName,
-		alg:        alg,
 		labels:     label.NewBank(),
 		fieldUses:  make(map[label.Dimension]map[string]*fieldUse, label.NumDimensions),
 		engines:    make(map[label.Dimension]engine.FieldEngine, label.NumDimensions),
 		sharedL2:   make(map[label.Dimension]*memory.SharedBlock, len(ipSegmentDims)),
 	}
-	for _, d := range label.Dimensions() {
-		s.fieldUses[d] = make(map[string]*fieldUse)
-	}
 	for _, d := range ipSegmentDims {
 		block := memory.NewBlock(fmt.Sprintf("shared-l2/%s", d), DefaultMBTEntryBits, cfg.MBTLevel2Entries)
-		s.sharedL2[d] = memory.NewSharedBlockOwner(block, engineName)
-		eng, err := s.buildEngine(cfg, d)
+		f.sharedL2[d] = memory.NewSharedBlockOwner(block, engineName)
+	}
+	for _, d := range label.Dimensions() {
+		f.fieldUses[d] = make(map[string]*fieldUse)
+		eng, err := f.buildEngine(cfg, d)
 		if err != nil {
 			return nil, err
 		}
-		s.engines[d] = eng
+		f.engines[d] = eng
 	}
-	for _, d := range []label.Dimension{label.DimSrcPort, label.DimDstPort, label.DimProtocol} {
-		eng, err := s.buildEngine(cfg, d)
-		if err != nil {
-			return nil, err
-		}
-		s.engines[d] = eng
-	}
-	s.filter = newRuleFilter(cfg.RuleFilterAddressBits, cfg.RuleCapacityFor(engineName), cfg.RuleEntryBits)
-	return s, nil
+	f.filter = newRuleFilter(cfg.RuleFilterAddressBits, cfg.RuleCapacityFor(engineName), cfg.RuleEntryBits)
+	return f, nil
 }
 
-// buildEngine constructs a fresh engine for one dimension of this snapshot's
+// buildEngine constructs a fresh engine for one dimension of this tier's
 // engine selection.
-func (s *snapshot) buildEngine(cfg *Config, d label.Dimension) (engine.FieldEngine, error) {
+func (f *fieldTier) buildEngine(cfg *Config, d label.Dimension) (engine.FieldEngine, error) {
 	switch d {
 	case label.DimSrcIPHigh, label.DimSrcIPLow, label.DimDstIPHigh, label.DimDstIPLow:
-		eng, err := engine.New(s.engineName, engine.Spec{
+		eng, err := engine.New(f.engineName, engine.Spec{
 			KeyBits:   16,
 			LabelBits: d.Bits(),
-			SharedL2:  s.sharedL2[d],
+			SharedL2:  f.sharedL2[d],
 		})
 		if err != nil {
-			return nil, fmt.Errorf("core: building %s engine for %s: %w", s.engineName, d, err)
+			return nil, fmt.Errorf("core: building %s engine for %s: %w", f.engineName, d, err)
 		}
 		return eng, nil
 	case label.DimSrcPort, label.DimDstPort:
@@ -176,50 +221,55 @@ func (s *snapshot) buildEngine(cfg *Config, d label.Dimension) (engine.FieldEngi
 	}
 }
 
-// clone duplicates the snapshot's mutable state so the copy can absorb an
-// update while readers keep traversing the original. Engines implementing
-// engine.Cloner are cloned structurally; any other engine is rebuilt fresh
-// and re-programmed by replaying the installed rules of its dimension — the
-// rebuild hook for third-party engines without a Clone.
+// clone duplicates the snapshot's mutable state — the installed-rule list
+// and the one tier it holds — so the copy can absorb an update while readers
+// keep traversing the original.
 func (s *snapshot) clone(cfg *Config) (*snapshot, error) {
-	c := &snapshot{
-		engineName: s.engineName,
-		alg:        s.alg,
-		labels:     s.labels.Clone(),
-		fieldUses:  make(map[label.Dimension]map[string]*fieldUse, len(s.fieldUses)),
-		engines:    make(map[label.Dimension]engine.FieldEngine, len(s.engines)),
-		sharedL2:   s.sharedL2,
-		filter:     s.filter.clone(),
-		installed:  append([]installedRule(nil), s.installed...),
+	c := &snapshot{installed: append([]installedRule(nil), s.installed...)}
+	if p := s.packet; p != nil {
+		// The clone shares the built structure; a rebuild after a rule change
+		// replaces only the clone's handle, and a delta update copy-on-writes
+		// inside the engine — never the published one either way.
+		c.packet = &packetTier{name: p.name, engine: p.engine.Clone(), rules: p.rules, dims: p.dims, deltas: p.deltas}
+		return c, nil
 	}
-	for d, uses := range s.fieldUses {
+	var err error
+	if c.field, err = s.field.clone(cfg, s.installed); err != nil {
+		return nil, fmt.Errorf("core: cloning snapshot: %w", err)
+	}
+	return c, nil
+}
+
+// clone duplicates the field tier. Engines implementing engine.Cloner are
+// cloned structurally; any other engine is rebuilt fresh and re-programmed
+// by replaying the installed rules of its dimension — the rebuild hook for
+// third-party engines without a Clone.
+func (f *fieldTier) clone(cfg *Config, installed []installedRule) (*fieldTier, error) {
+	c := &fieldTier{
+		engineName: f.engineName,
+		labels:     f.labels.Clone(),
+		fieldUses:  make(map[label.Dimension]map[string]*fieldUse, len(f.fieldUses)),
+		engines:    make(map[label.Dimension]engine.FieldEngine, len(f.engines)),
+		sharedL2:   f.sharedL2,
+		filter:     f.filter.clone(),
+	}
+	for d, uses := range f.fieldUses {
 		m := make(map[string]*fieldUse, len(uses))
 		for key, use := range uses {
 			m[key] = use.clone()
 		}
 		c.fieldUses[d] = m
 	}
-	for d, eng := range s.engines {
+	for d, eng := range f.engines {
 		if cl, ok := eng.(engine.Cloner); ok {
 			c.engines[d] = cl.Clone()
 			continue
 		}
-		rebuilt, err := c.rebuildEngine(cfg, d)
+		rebuilt, err := c.rebuildEngine(cfg, d, installed)
 		if err != nil {
-			return nil, fmt.Errorf("core: cloning snapshot: %w", err)
+			return nil, err
 		}
 		c.engines[d] = rebuilt
-	}
-	c.packetName = s.packetName
-	c.packetDims = s.packetDims
-	c.packetRules = s.packetRules
-	c.packetPending = append([]packetDelta(nil), s.packetPending...)
-	c.packetDeltas = s.packetDeltas
-	if s.packet != nil {
-		// The clone shares the built structure; a rebuild after a rule change
-		// replaces only the clone's handle, and a delta update copy-on-writes
-		// inside the engine — never the published one either way.
-		c.packet = s.packet.Clone()
 	}
 	return c, nil
 }
@@ -233,73 +283,69 @@ type publishSync struct {
 }
 
 // syncPacket brings the whole-packet engine in sync with the installed rules
-// before a mutated snapshot is published. When the engine is incremental and
-// the update policy allows, the pending mutations are delta-applied — the
-// flat-latency path SDN flow-mod churn rides; otherwise the structure is
-// rebuilt from scratch. The policy forces the amortising rebuild in two
-// cases: the structure's delta debt would reach Config.RebuildAfterDeltas,
-// or the applied deltas push the engine's degradation past
-// Config.DegradationThreshold. A build failure (e.g. an RFC cross-product
-// explosion) surfaces as the update's error and nothing is published.
+// before a mutated snapshot is published; a field-tier snapshot, whose
+// engines are updated in place per rule, has nothing to sync. When the
+// engine is incremental and the update policy allows, the pending mutations
+// are delta-applied — the flat-latency path SDN flow-mod churn rides;
+// otherwise the structure is rebuilt from scratch. The policy forces the
+// amortising rebuild in two cases: the structure's delta debt would reach
+// Config.RebuildAfterDeltas, or the applied deltas push the engine's
+// degradation past Config.DegradationThreshold. A build failure (e.g. an
+// RFC cross-product explosion) surfaces as the update's error and nothing is
+// published.
 func (s *snapshot) syncPacket(cfg *Config) (publishSync, error) {
-	if s.packetName == "" {
-		s.packet, s.packetRules = nil, nil
-		s.packetPending, s.packetDeltas = nil, 0
+	p := s.packet
+	if p == nil || (p.engine != nil && len(p.pending) == 0) {
 		return publishSync{}, nil
 	}
-	if s.packet != nil && len(s.packetPending) == 0 {
-		return publishSync{}, nil
-	}
-	if s.packet != nil {
-		if inc, ok := s.packet.(engine.IncrementalPacketEngine); ok && s.deltaBudgetAllows(cfg) {
-			if applied, ok := s.applyPacketDeltas(cfg, inc); ok {
+	if p.engine != nil {
+		if inc, ok := p.engine.(engine.IncrementalPacketEngine); ok && p.deltaBudgetAllows(cfg) {
+			if applied, ok := p.applyDeltas(cfg, inc); ok {
 				return publishSync{deltas: applied}, nil
 			}
 			// The delta path declined (an op failed midway, or the applied
 			// deltas tripped the degradation threshold); the full rebuild
 			// below repairs whatever state the engine is in.
 		}
-	}
-	if s.packet == nil {
-		eng, err := engine.NewPacket(s.packetName, engine.Spec{})
+	} else {
+		eng, err := engine.NewPacket(p.name, engine.Spec{})
 		if err != nil {
 			return publishSync{}, err
 		}
-		s.packet = eng
+		p.engine = eng
 	}
 	// The Table I structures resolve ties by table order, so hand them the
 	// rules best-first; LookupPacket indices then resolve through this slice.
 	rules := s.installedRules()
 	sort.SliceStable(rules, func(i, j int) bool { return rules[i].Priority < rules[j].Priority })
-	if err := s.packet.Install(rules); err != nil {
-		return publishSync{}, fmt.Errorf("core: building %s packet engine over %d rules: %w", s.packetName, len(rules), err)
+	if err := p.engine.Install(rules); err != nil {
+		return publishSync{}, fmt.Errorf("core: building %s packet engine over %d rules: %w", p.name, len(rules), err)
 	}
-	s.packetRules = rules
-	s.packetPending = nil
-	s.packetDeltas = 0
+	p.rules = rules
+	p.pending = nil
+	p.deltas = 0
 	return publishSync{rebuilt: true}, nil
 }
 
 // deltaBudgetAllows applies the amortisation bound: a publish whose pending
 // mutations would push the structure's delta debt to RebuildAfterDeltas (or
 // past it) must rebuild instead.
-func (s *snapshot) deltaBudgetAllows(cfg *Config) bool {
+func (p *packetTier) deltaBudgetAllows(cfg *Config) bool {
 	k := cfg.rebuildAfterDeltas()
-	return k <= 0 || s.packetDeltas+len(s.packetPending) < k
+	return k <= 0 || p.deltas+len(p.pending) < k
 }
 
-// applyPacketDeltas drains the pending mutations through the engine's delta
-// ops, keeping packetRules in step so LookupPacket indices keep resolving.
-// Insert positions are the stable upper bound of the rule's priority —
-// exactly where the rebuild path's stable sort would place a rule appended
-// to the installation order — so the delta-updated and rebuilt structures
-// answer in the same rule order. ok is false when an op failed or the
-// applied deltas tripped the degradation threshold; the caller then
-// rebuilds.
-func (s *snapshot) applyPacketDeltas(cfg *Config, inc engine.IncrementalPacketEngine) (applied int, ok bool) {
-	// Copy-on-write: packetRules is shared with the published predecessor.
-	rules := append([]fivetuple.Rule(nil), s.packetRules...)
-	for _, op := range s.packetPending {
+// applyDeltas drains the pending mutations through the engine's delta ops,
+// keeping rules in step so LookupPacket indices keep resolving. Insert
+// positions are the stable upper bound of the rule's priority — exactly
+// where the rebuild path's stable sort would place a rule appended to the
+// installation order — so the delta-updated and rebuilt structures answer in
+// the same rule order. ok is false when an op failed or the applied deltas
+// tripped the degradation threshold; the caller then rebuilds.
+func (p *packetTier) applyDeltas(cfg *Config, inc engine.IncrementalPacketEngine) (applied int, ok bool) {
+	// Copy-on-write: rules is shared with the published predecessor.
+	rules := append([]fivetuple.Rule(nil), p.rules...)
+	for _, op := range p.pending {
 		if op.delete {
 			idx := packetRuleIndex(rules, op.rule)
 			if idx < 0 {
@@ -324,10 +370,10 @@ func (s *snapshot) applyPacketDeltas(cfg *Config, inc engine.IncrementalPacketEn
 		// in the same publish, rather than serving a degraded structure.
 		return 0, false
 	}
-	applied = len(s.packetPending)
-	s.packetRules = rules
-	s.packetPending = nil
-	s.packetDeltas += applied
+	applied = len(p.pending)
+	p.rules = rules
+	p.pending = nil
+	p.deltas += applied
 	return applied, true
 }
 
@@ -351,14 +397,14 @@ func packetRuleIndex(rules []fivetuple.Rule, r fivetuple.Rule) int {
 // fresh engine is built and the dimension's field values are re-installed by
 // replaying the installed rules, exactly as the controller re-downloads the
 // memory image after an engine switch.
-func (s *snapshot) rebuildEngine(cfg *Config, d label.Dimension) (engine.FieldEngine, error) {
-	eng, err := s.buildEngine(cfg, d)
+func (f *fieldTier) rebuildEngine(cfg *Config, d label.Dimension, installed []installedRule) (engine.FieldEngine, error) {
+	eng, err := f.buildEngine(cfg, d)
 	if err != nil {
 		return nil, err
 	}
-	for _, ir := range s.installed {
+	for _, ir := range installed {
 		key := fieldValueKey(d, ir.rule)
-		lbl, ok := s.labels.Table(d).Lookup(key)
+		lbl, ok := f.labels.Table(d).Lookup(key)
 		if !ok {
 			return nil, fmt.Errorf("core: rebuilding %s: field value %q is not labelled", d, key)
 		}
@@ -373,18 +419,19 @@ func (s *snapshot) rebuildEngine(cfg *Config, d label.Dimension) (engine.FieldEn
 }
 
 // prepare forces every deferred engine-side build (engine.Preparer) so that
-// a published snapshot never mutates itself inside Lookup, and resolves the
-// serving-path caches (packetDims, prefixes) that must not be recomputed per
-// packet.
+// a published snapshot never mutates itself inside Lookup, and rebuilds the
+// field tier's prefix set, which must not be recomputed per packet. A packet
+// tier is complete once syncPacket has run.
 func (s *snapshot) prepare(cfg *Config) {
-	s.packetDims = 0
-	s.prefixes = prefixSet{}
-	if s.packetName != "" {
-		s.packetDims = engine.Dims(s.packetName)
-	} else if cfg.CombineMode != CombineHPML {
-		s.prefixes = newPrefixSet(s.installed)
+	f := s.field
+	if f == nil {
+		return
 	}
-	for _, eng := range s.engines {
+	f.prefixes = prefixSet{}
+	if cfg.CombineMode != CombineHPML {
+		f.prefixes = newPrefixSet(s.installed)
+	}
+	for _, eng := range f.engines {
 		if p, ok := eng.(engine.Preparer); ok {
 			p.Prepare()
 		}
@@ -401,27 +448,6 @@ func (s *snapshot) installedRules() []fivetuple.Rule {
 	return out
 }
 
-// installFieldValue writes a newly labelled field value into the dimension's
-// lookup engine. It returns the number of engine memory writes.
-func (s *snapshot) installFieldValue(d label.Dimension, r fivetuple.Rule, lbl label.Label, priority int) (int, error) {
-	return s.engines[d].Insert(fieldValue(d, r), lbl, priority)
-}
-
-// removeFieldValue deletes a field value from the dimension's engine when
-// its last rule is gone.
-func (s *snapshot) removeFieldValue(d label.Dimension, r fivetuple.Rule, lbl label.Label) (int, error) {
-	return s.engines[d].Remove(fieldValue(d, r), lbl)
-}
-
-// reprioritiseFieldValue re-installs a field value at a new best priority
-// after the rule that defined the old best priority was deleted. Engines
-// whose lists are ordered positionally (ports, protocol) treat this as a
-// no-op.
-func (s *snapshot) reprioritiseFieldValue(d label.Dimension, r fivetuple.Rule, lbl label.Label, newBest int) error {
-	_, err := s.engines[d].Reprioritise(fieldValue(d, r), lbl, newBest)
-	return err
-}
-
 // findInstalled locates an installed rule with the same field matches and
 // priority. Identity goes through Rule.SameMatch so every dimension —
 // including the IPv6/VLAN/flag extensions — participates in the comparison.
@@ -432,14 +458,4 @@ func (s *snapshot) findInstalled(r fivetuple.Rule) int {
 		}
 	}
 	return -1
-}
-
-// requiredDims returns the union of extension dimensions required by the
-// installed rules — what any engine serving this snapshot must cover.
-func (s *snapshot) requiredDims() fivetuple.DimSet {
-	var d fivetuple.DimSet
-	for _, ir := range s.installed {
-		d |= ir.rule.Dims()
-	}
-	return d
 }

@@ -3,9 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
-	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/hw/hashunit"
 	"sdnpc/internal/label"
@@ -47,34 +47,63 @@ func hardwareUpdateCycles() int {
 	return CyclesUpdateMemoryUpload + CyclesUpdateHash
 }
 
-// InsertRule installs one rule following the incremental procedure of
-// Fig. 4: for every dimension the controller looks the field value up in the
-// label table; a hit only increments the reference counter, a miss creates a
-// new label and writes the value into the corresponding lookup engine.
-// Finally the rule's label combination is hashed into the Rule Filter.
-//
-// The update is applied to a private clone of the published snapshot and
-// swapped in atomically, so concurrent lookups see the rule either fully
-// installed or not at all. A failed insertion publishes nothing.
-func (c *Classifier) InsertRule(r fivetuple.Rule) (UpdateReport, error) {
+// updateTally is what one update transaction applied to its working copy.
+type updateTally struct {
+	inserts, deletes, cycles int
+}
+
+// update is the one rule-update transaction every entry point runs: with the
+// writer mutex held it clones the published snapshot, lets mutate apply its
+// ops to the private clone, brings the packet tier in step, publishes the
+// result with a single atomic swap and records the publish. Nothing is
+// published when mutate fails, when it applied no op, or when the packet
+// structure cannot be built over the resulting rule set — the clone is
+// discarded whole, so a partially applied update can never become visible.
+func (c *Classifier) update(mutate func(next *snapshot, applied *updateTally) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	start := time.Now()
 	next, err := c.view().clone(&c.cfg)
 	if err != nil {
-		return UpdateReport{}, err
+		return err
 	}
-	report, err := next.insertRule(&c.cfg, r)
-	if err != nil {
-		return UpdateReport{}, err
+	var applied updateTally
+	if err := mutate(next, &applied); err != nil {
+		return err
+	}
+	if applied.inserts+applied.deletes == 0 {
+		return nil
 	}
 	sync, err := next.syncPacket(&c.cfg)
 	if err != nil {
-		return UpdateReport{}, err
+		return err
 	}
 	c.publish(next)
-	c.stats.recordInsert(report)
+	c.stats.recordUpdates(applied.inserts, applied.deletes, applied.cycles)
 	c.stats.recordPublish(sync, time.Since(start))
+	return nil
+}
+
+// InsertRule installs one rule following the incremental procedure of
+// Fig. 4: for every dimension the controller looks the field value up in the
+// label table; a hit only increments the reference counter, a miss creates a
+// new label and writes the value into the corresponding lookup engine.
+// Finally the rule's label combination is hashed into the Rule Filter. (With
+// a whole-packet engine selected there are no labels: the rule is spliced
+// into, or rebuilt into, the precomputed structure.)
+//
+// The update is applied to a private clone of the published snapshot and
+// swapped in atomically, so concurrent lookups see the rule either fully
+// installed or not at all. A failed insertion publishes nothing.
+func (c *Classifier) InsertRule(r fivetuple.Rule) (report UpdateReport, err error) {
+	err = c.update(func(next *snapshot, applied *updateTally) (err error) {
+		report, err = next.insertRule(&c.cfg, r)
+		*applied = updateTally{inserts: 1, cycles: report.ClockCycles}
+		return err
+	})
+	if err != nil {
+		return UpdateReport{}, err
+	}
 	return report, nil
 }
 
@@ -84,27 +113,15 @@ func (c *Classifier) InsertRule(r fivetuple.Rule) (UpdateReport, error) {
 // value from its engine (§IV.A: "only when the counter is zero, the label is
 // deleted from the hardware architecture"). Like InsertRule, the deletion is
 // built on a private clone and published atomically.
-func (c *Classifier) DeleteRule(r fivetuple.Rule) (UpdateReport, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	start := time.Now()
-	next, err := c.view().clone(&c.cfg)
+func (c *Classifier) DeleteRule(r fivetuple.Rule) (report UpdateReport, err error) {
+	err = c.update(func(next *snapshot, applied *updateTally) (err error) {
+		report, _, err = next.deleteRule(r)
+		*applied = updateTally{deletes: 1, cycles: report.ClockCycles}
+		return err
+	})
 	if err != nil {
 		return UpdateReport{}, err
 	}
-	report, _, err := next.deleteRule(r)
-	if err != nil {
-		// The clone is discarded whole, so a partially applied deletion can
-		// never become visible.
-		return UpdateReport{}, err
-	}
-	sync, err := next.syncPacket(&c.cfg)
-	if err != nil {
-		return UpdateReport{}, err
-	}
-	c.publish(next)
-	c.stats.recordDelete(report)
-	c.stats.recordPublish(sync, time.Since(start))
 	return report, nil
 }
 
@@ -112,150 +129,134 @@ func (c *Classifier) DeleteRule(r fivetuple.Rule) (UpdateReport, error) {
 // atomic batch: the whole set is applied to a single clone of the data path
 // and published with one swap, so concurrent lookups observe either none or
 // all of the set. It returns the accumulated update report.
-func (c *Classifier) InstallRuleSet(rs *fivetuple.RuleSet) (UpdateReport, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	start := time.Now()
-	next, err := c.view().clone(&c.cfg)
-	if err != nil {
-		return UpdateReport{}, err
-	}
-	var total UpdateReport
-	inserted := 0
-	for _, r := range rs.Rules() {
-		rep, err := next.insertRule(&c.cfg, r)
-		if err != nil {
-			return total, fmt.Errorf("core: installing %q rule %d: %w", rs.Name, r.Priority, err)
+func (c *Classifier) InstallRuleSet(rs *fivetuple.RuleSet) (total UpdateReport, err error) {
+	err = c.update(func(next *snapshot, applied *updateTally) error {
+		// One exact-size growth, so the published snapshot does not hold
+		// whatever spare capacity repeated appends happened to round up to.
+		next.installed = slices.Grow(next.installed, rs.Len())
+		for _, r := range rs.Rules() {
+			rep, err := next.insertRule(&c.cfg, r)
+			if err != nil {
+				return fmt.Errorf("core: installing %q rule %d: %w", rs.Name, r.Priority, err)
+			}
+			total.NewLabels += rep.NewLabels
+			total.EngineWrites += rep.EngineWrites
+			total.RuleFilterProbes += rep.RuleFilterProbes
+			total.ClockCycles += rep.ClockCycles
+			applied.inserts++
 		}
-		total.NewLabels += rep.NewLabels
-		total.EngineWrites += rep.EngineWrites
-		total.RuleFilterProbes += rep.RuleFilterProbes
-		total.ClockCycles += rep.ClockCycles
-		inserted++
-	}
-	sync, err := next.syncPacket(&c.cfg)
-	if err != nil {
-		return total, err
-	}
-	c.publish(next)
-	c.stats.recordUpdates(inserted, 0, total.ClockCycles)
-	c.stats.recordPublish(sync, time.Since(start))
-	return total, nil
+		applied.cycles = total.ClockCycles
+		return nil
+	})
+	return total, err
 }
 
 // insertRule applies one insertion to this (unpublished) snapshot.
 func (s *snapshot) insertRule(cfg *Config, r fivetuple.Rule) (UpdateReport, error) {
-	if len(s.installed) >= cfg.RuleCapacityFor(s.engineName) {
+	name := s.activeEngineName()
+	if len(s.installed) >= cfg.RuleCapacityFor(name) {
 		return UpdateReport{}, fmt.Errorf("%w: capacity %d under the %s configuration",
-			ErrRuleFilterFull, cfg.RuleCapacityFor(s.engineName), s.engineName)
+			ErrRuleFilterFull, cfg.RuleCapacityFor(name), name)
 	}
-	if dims := r.Dims(); dims != 0 {
-		// Extended rules (IPv6/VLAN/TCP-flag/masked-proto/non-terminating)
-		// bypass the five-tuple field tier entirely: no labels, no engine
-		// writes, no rule-filter entry. They ride the installed shadow into
-		// the whole-packet engine, so that engine must declare every
-		// dimension the rule requires — otherwise the install is refused
-		// rather than silently misclassified.
-		if s.packetName == "" {
-			return UpdateReport{}, fmt.Errorf("%w: rule %s requires dimensions %s but the %s field tier serves only the IPv4 five-tuple",
-				ErrDimsUnsupported, r, dims, s.engineName)
-		}
-		if have := engine.Dims(s.packetName); !have.Covers(dims) {
-			return UpdateReport{}, fmt.Errorf("%w: rule %s requires dimensions %s but engine %q declares %s",
-				ErrDimsUnsupported, r, dims, s.packetName, have)
-		}
-		s.installed = append(s.installed, installedRule{rule: r, ext: true})
-		s.packetPending = append(s.packetPending, packetDelta{rule: r})
-		return UpdateReport{ClockCycles: hardwareUpdateCycles()}, nil
+	// Extended rules (IPv6/VLAN/TCP-flag/masked-proto/non-terminating) need
+	// an engine that declares every dimension they require — otherwise the
+	// install is refused rather than silently misclassified. The field tier
+	// serves only the IPv4 five-tuple.
+	if dims, have := r.Dims(), s.servedDims(); !have.Covers(dims) {
+		return UpdateReport{}, fmt.Errorf("%w: rule %s requires dimensions %s but engine %q serves %s",
+			ErrDimsUnsupported, r, dims, name, have)
 	}
 	report := UpdateReport{ClockCycles: hardwareUpdateCycles()}
-
-	// Track what has been acquired so a failure midway can be rolled back.
-	// The snapshot is private until published, but InstallRuleSet keeps
-	// inserting into the same clone after an individual failure is surfaced,
-	// so the clone must stay internally consistent.
-	type acquisition struct {
-		dim label.Dimension
-		key string
+	var key label.CombinationKey
+	if s.packet != nil {
+		s.packet.pending = append(s.packet.pending, packetDelta{rule: r})
+	} else {
+		var err error
+		if key, err = s.field.insertRule(r, &report); err != nil {
+			return UpdateReport{}, fmt.Errorf("core: inserting rule %s: %w", r, err)
+		}
 	}
+	s.installed = append(s.installed, installedRule{rule: r, key: key})
+	return report, nil
+}
+
+// insertRule labels the rule's seven field values, writes the new ones into
+// their engines and hashes the label combination into the Rule Filter,
+// adding the costs to report and returning the combination key.
+// A failure midway is rolled back: the tier is private until published, but
+// InstallRuleSet and ApplyUpdates keep applying ops to the same clone after
+// an individual failure is surfaced, so it must stay internally consistent.
+func (f *fieldTier) insertRule(r fivetuple.Rule, report *UpdateReport) (label.CombinationKey, error) {
 	var (
-		acquired  [label.NumDimensions]acquisition
+		acquired  [label.NumDimensions]string // label-table keys, in label.Dimensions() order
 		nAcquired int
 	)
 	rollback := func() {
 		for i := nAcquired - 1; i >= 0; i-- {
-			a := acquired[i]
-			lbl, removed, err := s.labels.Table(a.dim).Release(a.key)
+			d, k := label.Dimensions()[i], acquired[i]
+			lbl, removed, err := f.labels.Table(d).Release(k)
 			if err != nil {
 				continue
 			}
-			use := s.fieldUses[a.dim][a.key]
-			if use != nil {
+			if use := f.fieldUses[d][k]; use != nil {
 				use.remove(r.Priority)
 				if use.empty() {
-					delete(s.fieldUses[a.dim], a.key)
+					delete(f.fieldUses[d], k)
 				}
 			}
 			if removed {
 				// The value was created by this insertion; undo the engine
 				// write.
-				_, _ = s.removeFieldValue(a.dim, r, lbl)
+				_, _ = f.engines[d].Remove(fieldValue(d, r), lbl)
 			}
 		}
 	}
 
 	var ruleLabels [label.NumDimensions + 1]label.Label
 	for _, d := range label.Dimensions() {
-		key := fieldValueKey(d, r)
-		lbl, created, err := s.labels.Table(d).Acquire(key)
+		k := fieldValueKey(d, r)
+		lbl, created, err := f.labels.Table(d).Acquire(k)
 		if err != nil {
 			rollback()
-			return UpdateReport{}, fmt.Errorf("core: inserting rule %s: %w", r, err)
+			return label.CombinationKey{}, err
 		}
-		acquired[nAcquired] = acquisition{dim: d, key: key}
+		acquired[nAcquired] = k
 		nAcquired++
 		ruleLabels[d] = lbl
 
-		use, ok := s.fieldUses[d][key]
+		use, ok := f.fieldUses[d][k]
 		if !ok {
 			use = newFieldUse()
-			s.fieldUses[d][key] = use
+			f.fieldUses[d][k] = use
 		}
 		previousBest := use.best
 		use.add(r.Priority)
 
 		if created {
 			report.NewLabels++
-			writes, err := s.installFieldValue(d, r, lbl, r.Priority)
+		}
+		// A new label is written into the engine; an existing one that gained
+		// a better priority is re-written so the engine lists are reordered
+		// and the HPML invariant holds.
+		if created || r.Priority < previousBest {
+			writes, err := f.engines[d].Insert(fieldValue(d, r), lbl, r.Priority)
 			report.EngineWrites += writes
 			if err != nil {
 				rollback()
-				return UpdateReport{}, fmt.Errorf("core: inserting rule %s: %w", r, err)
-			}
-		} else if r.Priority < previousBest {
-			// The existing label gained a better priority: the engine lists
-			// must be reordered so the HPML invariant holds.
-			writes, err := s.installFieldValue(d, r, lbl, r.Priority)
-			report.EngineWrites += writes
-			if err != nil {
-				rollback()
-				return UpdateReport{}, fmt.Errorf("core: inserting rule %s: %w", r, err)
+				return label.CombinationKey{}, err
 			}
 		}
 	}
 
 	key := label.PackKeyDims(&ruleLabels)
-	_, probes, writes, err := s.filter.insert(key, r.Priority, r.Action, r.ActionArg)
+	_, probes, writes, err := f.filter.insert(key, r.Priority, r.Action, r.ActionArg)
 	report.RuleFilterProbes = probes
 	report.EngineWrites += writes
 	if err != nil {
 		rollback()
-		return UpdateReport{}, fmt.Errorf("core: inserting rule %s: %w", r, err)
+		return label.CombinationKey{}, err
 	}
-
-	s.installed = append(s.installed, installedRule{rule: r, key: key})
-	s.packetPending = append(s.packetPending, packetDelta{rule: r})
-	return report, nil
+	return key, nil
 }
 
 // deleteRule applies one deletion to this (unpublished) snapshot. mutated
@@ -271,49 +272,50 @@ func (s *snapshot) deleteRule(r fivetuple.Rule) (report UpdateReport, mutated bo
 	}
 	installed := s.installed[idx]
 	report = UpdateReport{ClockCycles: hardwareUpdateCycles()}
-
-	if installed.ext {
-		// Extended rules hold no labels and no filter entry; only the
-		// installed shadow and the packet tier know them.
-		s.installed = append(s.installed[:idx], s.installed[idx+1:]...)
-		s.packetPending = append(s.packetPending, packetDelta{delete: true, rule: installed.rule})
-		return report, true, nil
+	if s.packet != nil {
+		s.packet.pending = append(s.packet.pending, packetDelta{delete: true, rule: installed.rule})
+	} else if dirty, err := s.field.deleteRule(installed, &report); err != nil {
+		return report, dirty, fmt.Errorf("core: deleting rule %s: %w", r, err)
 	}
+	s.installed = append(s.installed[:idx], s.installed[idx+1:]...)
+	return report, true, nil
+}
 
-	found, probes := s.filter.remove(installed.key, installed.rule.Priority)
+// deleteRule removes the rule's Rule Filter entry and releases its seven
+// labels, removing or re-prioritising the field values whose last or best
+// rule it was. mutated is as for snapshot.deleteRule.
+func (f *fieldTier) deleteRule(ir installedRule, report *UpdateReport) (mutated bool, err error) {
+	r := ir.rule
+	found, probes := f.filter.remove(ir.key, r.Priority)
 	report.RuleFilterProbes = probes
 	if !found {
-		return UpdateReport{}, false, fmt.Errorf("core: rule filter entry for %s missing", r)
+		return false, errors.New("rule filter entry missing")
 	}
-
 	for _, d := range label.Dimensions() {
-		key := fieldValueKey(d, r)
-		lbl, removed, err := s.labels.Table(d).Release(key)
+		k := fieldValueKey(d, r)
+		lbl, removed, err := f.labels.Table(d).Release(k)
 		if err != nil {
-			return report, true, fmt.Errorf("core: deleting rule %s: %w", r, err)
+			return true, err
 		}
-		use := s.fieldUses[d][key]
-		newBest, changed := use.remove(r.Priority)
+		newBest, changed := f.fieldUses[d][k].remove(r.Priority)
 		if removed {
 			report.ReleasedLabels++
-			delete(s.fieldUses[d], key)
-			writes, err := s.removeFieldValue(d, r, lbl)
+			delete(f.fieldUses[d], k)
+			writes, err := f.engines[d].Remove(fieldValue(d, r), lbl)
 			report.EngineWrites += writes
 			if err != nil {
-				return report, true, fmt.Errorf("core: deleting rule %s: %w", r, err)
+				return true, err
 			}
-			continue
-		}
-		if changed {
-			if err := s.reprioritiseFieldValue(d, r, lbl, newBest); err != nil {
-				return report, true, fmt.Errorf("core: deleting rule %s: %w", r, err)
+		} else if changed {
+			// The deleted rule defined the value's best priority: re-install
+			// it at the new best. Engines whose lists are ordered positionally
+			// (ports, protocol) treat this as a no-op.
+			if _, err := f.engines[d].Reprioritise(fieldValue(d, r), lbl, newBest); err != nil {
+				return true, err
 			}
 		}
 	}
-
-	s.installed = append(s.installed[:idx], s.installed[idx+1:]...)
-	s.packetPending = append(s.packetPending, packetDelta{delete: true, rule: installed.rule})
-	return report, true, nil
+	return true, nil
 }
 
 // UpdateCyclesPerRule returns the constant per-rule upload cost of the
@@ -352,47 +354,35 @@ func (c *Classifier) ApplyUpdates(ops []UpdateOp) (reports []UpdateReport, errs 
 	if len(ops) == 0 {
 		return nil, nil, nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	start := time.Now()
-	next, err := c.view().clone(&c.cfg)
-	if err != nil {
-		return nil, nil, err
-	}
 	reports = make([]UpdateReport, len(ops))
 	errs = make([]error, len(ops))
-	inserts, deletes, cycles := 0, 0, 0
-	for i, op := range ops {
-		if op.Delete {
-			var mutated bool
-			reports[i], mutated, errs[i] = next.deleteRule(op.Rule)
-			if errs[i] != nil {
-				if mutated {
-					return nil, nil, fmt.Errorf("core: abandoning update batch at op %d: %w", i, errs[i])
+	err = c.update(func(next *snapshot, applied *updateTally) error {
+		for i, op := range ops {
+			if op.Delete {
+				var mutated bool
+				reports[i], mutated, errs[i] = next.deleteRule(op.Rule)
+				if errs[i] != nil {
+					if mutated {
+						return fmt.Errorf("core: abandoning update batch at op %d: %w", i, errs[i])
+					}
+					continue
 				}
-				continue
+				applied.deletes++
+			} else {
+				// insertRule rolls itself back on failure, so a failed insert
+				// never poisons the working copy.
+				reports[i], errs[i] = next.insertRule(&c.cfg, op.Rule)
+				if errs[i] != nil {
+					continue
+				}
+				applied.inserts++
 			}
-			deletes++
-			cycles += reports[i].ClockCycles
-		} else {
-			// insertRule rolls itself back on failure, so a failed insert
-			// never poisons the working copy.
-			reports[i], errs[i] = next.insertRule(&c.cfg, op.Rule)
-			if errs[i] != nil {
-				continue
-			}
-			inserts++
-			cycles += reports[i].ClockCycles
+			applied.cycles += reports[i].ClockCycles
 		}
-	}
-	if inserts+deletes > 0 {
-		sync, err := next.syncPacket(&c.cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		c.publish(next)
-		c.stats.recordUpdates(inserts, deletes, cycles)
-		c.stats.recordPublish(sync, time.Since(start))
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return reports, errs, nil
 }

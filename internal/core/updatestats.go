@@ -103,10 +103,12 @@ type UpdateStats struct {
 // is not one consistent cut.
 func (c *Classifier) updateStats(s *snapshot) UpdateStats {
 	stats := UpdateStats{
-		DeltasApplied:      c.stats.deltasApplied.Load(),
-		DeltaPublishes:     c.stats.deltaPublishes.Load(),
-		Rebuilds:           c.stats.rebuilds.Load(),
-		DeltasSinceRebuild: s.packetDeltas,
+		DeltasApplied:  c.stats.deltasApplied.Load(),
+		DeltaPublishes: c.stats.deltaPublishes.Load(),
+		Rebuilds:       c.stats.rebuilds.Load(),
+	}
+	if s.packet != nil {
+		stats.DeltasSinceRebuild = s.packet.deltas
 	}
 	for i := range stats.PublishLatency.Counts {
 		stats.PublishLatency.Counts[i] = c.stats.publishLatency[i].Load()

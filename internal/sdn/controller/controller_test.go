@@ -86,8 +86,8 @@ func TestControllerDownloadsRuleSetOnConnect(t *testing.T) {
 	if got := sw.Classifier().RuleCount(); got != rs.Len() {
 		t.Fatalf("classifier holds %d rules, want %d", got, rs.Len())
 	}
-	if sw.Classifier().IPEngineName() != "mbt" {
-		t.Errorf("engine = %q, want mbt for the throughput profile", sw.Classifier().IPEngineName())
+	if sw.Classifier().ActiveEngineName() != "mbt" {
+		t.Errorf("engine = %q, want mbt for the throughput profile", sw.Classifier().ActiveEngineName())
 	}
 	if len(ctrl.Switches()) != 1 {
 		t.Errorf("controller sees %d switches, want 1", len(ctrl.Switches()))
@@ -112,7 +112,7 @@ func TestCapacityProfileSelectsBST(t *testing.T) {
 	_, addr := startController(t, rs, controller.ProfileCapacity, nil)
 	sw := startSwitch(t, addr)
 	waitFor(t, "algorithm selection", func() bool {
-		return sw.Classifier().IPEngineName() == "bst"
+		return sw.Classifier().ActiveEngineName() == "bst"
 	})
 	waitFor(t, "rule download", func() bool {
 		return sw.Counters().FlowAdds == uint64(rs.Len())
@@ -176,7 +176,7 @@ func TestIncrementalAddRemoveAndAlgorithmSwitch(t *testing.T) {
 		t.Fatalf("SelectAlgorithm: %v", err)
 	}
 	waitFor(t, "algorithm switch", func() bool {
-		return sw.Classifier().IPEngineName() == "bst"
+		return sw.Classifier().ActiveEngineName() == "bst"
 	})
 	if ctrl.Algorithm() != memory.SelectBST {
 		t.Error("controller did not record the new algorithm")
@@ -297,7 +297,7 @@ func TestSelectEnginePropagatesToSwitch(t *testing.T) {
 	if err := ctrl.SelectEngine("segtrie"); err != nil {
 		t.Fatalf("SelectEngine(segtrie): %v", err)
 	}
-	waitFor(t, "engine switch", func() bool { return sw.Classifier().IPEngineName() == "segtrie" })
+	waitFor(t, "engine switch", func() bool { return sw.Classifier().ActiveEngineName() == "segtrie" })
 	if sw.Classifier().RuleCount() != rs.Len() {
 		t.Errorf("rules after engine switch = %d, want %d", sw.Classifier().RuleCount(), rs.Len())
 	}
@@ -306,6 +306,6 @@ func TestSelectEnginePropagatesToSwitch(t *testing.T) {
 	// handshake download.
 	sw2 := startSwitch(t, addr)
 	waitFor(t, "late download", func() bool {
-		return sw2.Classifier().RuleCount() == rs.Len() && sw2.Classifier().IPEngineName() == "segtrie"
+		return sw2.Classifier().RuleCount() == rs.Len() && sw2.Classifier().ActiveEngineName() == "segtrie"
 	})
 }

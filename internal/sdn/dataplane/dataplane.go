@@ -216,7 +216,7 @@ func (s *Switch) controlLoop(conn net.Conn) {
 			// The classifier synchronises its own writers; holding s.mu
 			// across the rule replay would stall every serving worker at
 			// the counter fold for the whole re-programming.
-			if err = s.classifier.SelectIPEngine(name); err != nil {
+			if err = s.classifier.SelectEngine(name); err != nil {
 				s.sendError(conn, msg.Xid, err)
 				continue
 			}

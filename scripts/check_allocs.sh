@@ -6,17 +6,19 @@
 # engine of both tiers, cached and uncached, plus the cross-product
 # combination mode. A single stray
 # allocation on any serving path fails the gate, so the arena layout's
-# headline contract cannot erode silently — these are the same tests a
-# developer runs locally with:
+# headline contract cannot erode silently. It also runs
+# TestPacketTierUpdateAllocs, which bounds the objects one rule update
+# allocates under a whole-packet engine (the snapshot clone must not grow a
+# second tier back). These are the same tests a developer runs locally with:
 #
-#	go test ./internal/core/ -run 'ZeroAllocs'
+#	go test ./internal/core/ -run 'ZeroAllocs|UpdateAllocs'
 #
 # -count=1 defeats the test cache: the gate must re-measure on the current
 # build, not replay a cached verdict.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-go test -count=1 -run 'TestLookupZeroAllocs|TestLookupBatchZeroAllocs|TestLookupZeroAllocsCrossProduct|TestLookupAllZeroAllocs' -v ./internal/core/ | grep -E '^(=== RUN|--- (PASS|FAIL)|PASS|FAIL|ok)' || {
-  echo "check_allocs: the zero-allocation gate failed" >&2
+go test -count=1 -run 'TestLookupZeroAllocs|TestLookupBatchZeroAllocs|TestLookupZeroAllocsCrossProduct|TestLookupAllZeroAllocs|TestPacketTierUpdateAllocs' -v ./internal/core/ | grep -E '^(=== RUN|--- (PASS|FAIL)|PASS|FAIL|ok)' || {
+  echo "check_allocs: the allocation gate failed" >&2
   exit 1
 }

@@ -305,13 +305,14 @@ type Reader = core.Reader
 func (c *Classifier) Reader(worker int) *Reader { return c.inner.Reader(worker) }
 
 // SelectEngine switches the lookup engine at run time — the generalised
-// IPalg_s signal of the paper, extended across both tiers. The installed
-// rules are re-programmed onto (or compiled into) the new engine.
+// IPalg_s signal of the paper, extended across both tiers. The classifier
+// holds one tier at a time: the named engine's tier is built from the
+// installed rules (re-programmed onto a field engine, compiled into a
+// whole-packet one) and swapped in; a switch the engine cannot serve fails
+// and changes nothing.
 func (c *Classifier) SelectEngine(name string) error { return c.inner.SelectEngine(name) }
 
-// Engine returns the name of the engine actually answering lookups: the
-// whole-packet engine when one is selected, the IP-segment field engine
-// otherwise.
+// Engine returns the name of the engine answering lookups.
 func (c *Classifier) Engine() string { return c.inner.ActiveEngineName() }
 
 // Rules returns a copy of the installed rules in installation order.

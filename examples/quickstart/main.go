@@ -63,7 +63,7 @@ func main() {
 		if report.PacketEngine != "" {
 			tier, nodeBits = "packet", report.PacketEngineUsedBits
 		}
-		fmt.Printf("%-10s %s %8.2f Gbps at 40-byte packets, %5d-rule capacity, %7.1f Kbit node storage\n",
+		fmt.Printf("%-10s %s %8.2f Gbps modelled at 40-byte packets, %5d-rule capacity, %7.1f Kbit node storage\n",
 			name, tier, classifier.ThroughputGbps(40), classifier.RuleCapacity(),
 			float64(nodeBits)/1024)
 	}

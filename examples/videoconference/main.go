@@ -66,7 +66,7 @@ func runPhase(classifier *sdnpc.Classifier, ruleSet *sdnpc.RuleSet, trace []sdnp
 	rep := classifier.Report()
 	stats, report := rep.Stats, rep.Memory
 	fmt.Printf("  controller selects the %q engine\n", engineName)
-	fmt.Printf("  sustained rate: %.1f Mlookups/s -> %.2f Gbps at 40-byte packets, %.2f Gbps at 100-byte packets\n",
+	fmt.Printf("  modelled pipeline rate: %.1f Mlookups/s -> %.2f Gbps at 40-byte packets, %.2f Gbps at 100-byte packets\n",
 		classifier.LookupsPerSecond()/1e6, classifier.ThroughputGbps(40), classifier.ThroughputGbps(100))
 	fmt.Printf("  average lookup latency: %.1f cycles\n", stats.AverageLatencyCycles())
 	fmt.Printf("  rule capacity: %d rules; IP-engine memory in use: %.1f Kbit\n",

@@ -29,7 +29,6 @@ import (
 	"sort"
 	"time"
 
-	"sdnpc/internal/bench"
 	"sdnpc/internal/core"
 	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
@@ -68,8 +67,7 @@ type Recommendation struct {
 	// is the relative score improvement over the active engine.
 	Score float64 `json:"score"`
 	// NsPerLookup and MemoryBits carry the shadow-bench measurements behind
-	// a KindEngine recommendation (0 when estimated from a persisted bench
-	// record instead of measured).
+	// a KindEngine recommendation.
 	NsPerLookup float64 `json:"ns_per_lookup,omitempty"`
 	MemoryBits  int     `json:"memory_bits,omitempty"`
 }
@@ -126,10 +124,6 @@ type Options struct {
 	// Margin is the minimum relative score improvement over the active
 	// engine before a switch is recommended; <= 0 selects 0.10.
 	Margin float64
-	// Record, when set, is a persisted BENCH_*.json artifact used to
-	// estimate the lookup cost of candidates whose shadow bench could not
-	// run (e.g. zero budget left). See bench.LatestRecord.
-	Record *bench.Record
 }
 
 func (o Options) withDefaults() Options {
@@ -310,7 +304,6 @@ func rankEngines(results []shadowResult, sig signals, rep core.Report, opts Opti
 	// Normalisation bases: the best (lowest) measured cost on each axis.
 	minNs, minMem := 0.0, 0
 	for _, r := range results {
-		r = recordFallback(r, opts)
 		if r.Err != nil {
 			continue
 		}
@@ -336,7 +329,6 @@ func rankEngines(results []shadowResult, sig signals, rep core.Report, opts Opti
 	var best shadowResult
 	bestScore, activeScore := 0.0, 0.0
 	for _, r := range results {
-		r = recordFallback(r, opts)
 		if r.Err != nil {
 			continue
 		}
@@ -368,20 +360,6 @@ func rankEngines(results []shadowResult, sig signals, rep core.Report, opts Opti
 			best.Lookups, best.Engine, bestScore, rep.ActiveEngine, activeScore,
 			sig.speedWeight, reasonSummary(sig)),
 	}, true
-}
-
-// recordFallback substitutes a persisted bench-record estimate for a
-// candidate whose shadow bench failed, when a record is available. The
-// memory axis stays unmeasured (0), so the candidate competes on the
-// recorded speed alone.
-func recordFallback(r shadowResult, opts Options) shadowResult {
-	if r.Err == nil || opts.Record == nil {
-		return r
-	}
-	if ns, ok := opts.Record.LookupNs(r.Engine); ok {
-		return shadowResult{Engine: r.Engine, NsPerLookup: ns}
-	}
-	return r
 }
 
 func reasonSummary(sig signals) string {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"sdnpc/internal/bench"
 	"sdnpc/internal/cache"
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/core"
@@ -203,32 +202,6 @@ var errFixture = &fixtureErr{}
 type fixtureErr struct{}
 
 func (*fixtureErr) Error() string { return "fixture" }
-
-// TestRecordFallback verifies that a candidate whose shadow bench failed can
-// still compete on the speed recorded in a persisted BENCH_*.json artifact.
-func TestRecordFallback(t *testing.T) {
-	rec := &bench.Record{
-		Results: []bench.RecordResult{{
-			Experiment: "engines",
-			Engine:     "broken",
-			Metrics:    map[string]float64{"mlookups_per_sec": 10}, // 100 ns/lookup
-		}},
-	}
-	in := shadowResult{Engine: "broken", Err: errFixture}
-	out := recordFallback(in, Options{Record: rec})
-	if out.Err != nil || out.NsPerLookup != 100 {
-		t.Fatalf("recordFallback = %+v, want 100 ns estimate with nil Err", out)
-	}
-	// No record: the error stands.
-	if out := recordFallback(in, Options{}); out.Err == nil {
-		t.Fatal("without a record the errored result must stand")
-	}
-	// Healthy results are never overridden.
-	ok := shadowResult{Engine: "fine", NsPerLookup: 7}
-	if out := recordFallback(ok, Options{Record: rec}); out.NsPerLookup != 7 {
-		t.Fatalf("healthy result overridden: %+v", out)
-	}
-}
 
 // TestAdviseLiveClassifier runs the full Advise flow against a real
 // classifier with installed rules and no sampled traffic (synthetic-trace

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"sdnpc/internal/bench"
 	"sdnpc/internal/core"
 	"sdnpc/internal/fivetuple"
 )
@@ -22,8 +21,7 @@ type shadowResult struct {
 	// the budget ran out.
 	Lookups int
 	// Err marks a candidate that could not be benched (build failure, rules
-	// rejected); it is excluded from ranking unless a persisted record can
-	// estimate it.
+	// rejected); it is excluded from ranking.
 	Err error
 }
 
@@ -54,7 +52,9 @@ func shadowBench(rules []fivetuple.Rule, headers []fivetuple.Header, names []str
 // measurement).
 func benchOne(name string, rules []fivetuple.Rule, headers []fivetuple.Header, slice time.Duration) shadowResult {
 	res := shadowResult{Engine: name}
-	c, err := core.New(bench.EngineConfig(name))
+	cfg := core.DefaultConfig()
+	cfg.SetEngine(name)
+	c, err := core.New(cfg)
 	if err != nil {
 		res.Err = err
 		return res

@@ -6,6 +6,7 @@ import (
 
 	"sdnpc/internal/core"
 	"sdnpc/internal/engine"
+	"sdnpc/internal/fivetuple"
 )
 
 // EngineConfig returns the classifier configuration that serves lookups
@@ -15,11 +16,7 @@ import (
 // so core.New reports the error.
 func EngineConfig(name string) core.Config {
 	cfg := core.DefaultConfig()
-	if isPacket, ok := engine.Selectable(name); ok && isPacket {
-		cfg.PacketEngine = name
-	} else {
-		cfg.IPEngine = name
-	}
+	cfg.SetEngine(name)
 	return cfg
 }
 
@@ -30,6 +27,19 @@ func CachedEngineConfig(name string, shards, capacity int) core.Config {
 	cfg.CacheShards = shards
 	cfg.CacheCapacity = capacity
 	return cfg
+}
+
+// buildClassifier builds a classifier from the configuration and installs
+// the rule set; the sweeps record its error as the engine's refusal.
+func buildClassifier(cfg core.Config, rs *fivetuple.RuleSet) (*core.Classifier, error) {
+	c, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := c.InstallRuleSet(rs); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // EngineRow is one row of the engine sweep: the architecture evaluated with
@@ -50,24 +60,23 @@ type EngineRow struct {
 	VerdictMismatches  int
 	PacketsReplayed    int
 	InitiationInterval int
+	// Refused, when non-nil, is why the engine could not be built or
+	// declined the rule set (core.New / InstallRuleSet error); every
+	// measurement above is then zero.
+	Refused error
 }
 
 // EngineSweep evaluates every selectable engine of both tiers on the
 // workload: each engine serves a fresh classifier, the full rule set is
 // installed, the trace is replayed and every verdict is checked against the
-// linear reference classifier. A non-empty only argument restricts the
-// sweep to that engine.
+// linear reference classifier. An engine that refuses the workload (build
+// blow-up, unsupported rule dimensions) yields a Refused row and the sweep
+// continues. A non-empty only argument restricts the sweep to that engine;
+// an unknown name is an error.
 func EngineSweep(w Workload, only string) ([]EngineRow, error) {
 	names := engine.SelectableNames()
 	if only != "" {
-		found := false
-		for _, name := range names {
-			if name == only {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if _, ok := engine.Selectable(only); !ok {
 			return nil, fmt.Errorf("bench: unknown engine %q (selectable: %v)", only, names)
 		}
 		names = []string{only}
@@ -75,12 +84,14 @@ func EngineSweep(w Workload, only string) ([]EngineRow, error) {
 
 	rows := make([]EngineRow, 0, len(names))
 	for _, name := range names {
-		c, err := core.New(EngineConfig(name))
-		if err != nil {
-			return nil, fmt.Errorf("bench: engine %s: %w", name, err)
+		tier := "field"
+		if isPacket, _ := engine.Selectable(name); isPacket {
+			tier = "packet"
 		}
-		if _, err := c.InstallRuleSet(w.RuleSet); err != nil {
-			return nil, fmt.Errorf("bench: engine %s: %w", name, err)
+		c, err := buildClassifier(EngineConfig(name), w.RuleSet)
+		if err != nil {
+			rows = append(rows, EngineRow{Engine: name, Tier: tier, Refused: err})
+			continue
 		}
 		c.ResetStats()
 		mismatches := 0
@@ -96,7 +107,7 @@ func EngineSweep(w Workload, only string) ([]EngineRow, error) {
 		report := rep.Memory
 		row := EngineRow{
 			Engine:             name,
-			Tier:               "field",
+			Tier:               tier,
 			AvgFieldAccesses:   stats.AverageFieldAccesses(),
 			AvgLatencyCycles:   stats.AverageLatencyCycles(),
 			LookupsPerSecMega:  c.LookupsPerSecond() / 1e6,
@@ -108,8 +119,7 @@ func EngineSweep(w Workload, only string) ([]EngineRow, error) {
 			PacketsReplayed:    len(w.Trace),
 			InitiationInterval: c.Pipeline().BottleneckInterval(),
 		}
-		if report.PacketEngine != "" {
-			row.Tier = "packet"
+		if tier == "packet" {
 			// Software-precomputed structures have no fixed provisioning; the
 			// used size is the Table I memory figure.
 			row.EngineMemoryKbit = Kbit(report.PacketEngineUsedBits)
@@ -126,8 +136,12 @@ func RenderEngineSweep(rows []EngineRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Engine sweep — every selectable engine (field and whole-packet tiers) on the same workload\n")
 	fmt.Fprintf(&b, "%-10s %7s %12s %12s %12s %10s %12s %14s %10s %12s\n",
-		"engine", "tier", "accesses/pkt", "latency cyc", "Mlookups/s", "Gbps@40B", "mem Kbit", "prov Kbit", "capacity", "mismatches")
+		"engine", "tier", "accesses/pkt", "model.cycles", "model.Mlookups/s", "model.Gbps@40B", "mem Kbit", "prov Kbit", "capacity", "mismatches")
 	for _, r := range rows {
+		if r.Refused != nil {
+			fmt.Fprintf(&b, "%-10s %7s refused: %v\n", r.Engine, r.Tier, r.Refused)
+			continue
+		}
 		fmt.Fprintf(&b, "%-10s %7s %12.2f %12.1f %12.1f %10.2f %12.1f %14.1f %10d %6d/%d\n",
 			r.Engine, r.Tier, r.AvgFieldAccesses, r.AvgLatencyCycles, r.LookupsPerSecMega,
 			r.ThroughputGbps40, r.EngineMemoryKbit, r.ProvisionedKbit, r.RuleCapacity,

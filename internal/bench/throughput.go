@@ -64,6 +64,10 @@ type ThroughputRow struct {
 	// visible.
 	MinWorkerPPS float64
 	MaxWorkerPPS float64
+	// Refused, when non-nil, is why the engine could not be built or
+	// declined the rule set; the row then stands for the whole (engine,
+	// cache setting) group and carries no measurement.
+	Refused error
 }
 
 // defaultWorkerCounts doubles from 1 up to the CPU count, always including
@@ -85,11 +89,18 @@ func defaultWorkerCounts() []int {
 // from N goroutines, each calling LookupBatch through its own Reader of the
 // shared classifier, for every N in the worker list. Unlike the cycle-accurate tables (which report what
 // the modelled hardware would sustain), this reports what the software
-// model actually serves — the number CI tracks for regressions.
+// model actually serves — the number CI tracks for regressions. An engine
+// that refuses the workload yields a Refused row and the sweep continues;
+// an unknown engine name is an error.
 func ThroughputSweep(w Workload, opts ThroughputOptions) ([]ThroughputRow, error) {
 	engines := opts.Engines
 	if len(engines) == 0 {
 		engines = engine.SelectableNames()
+	}
+	for _, name := range engines {
+		if _, ok := engine.Selectable(name); !ok {
+			return nil, fmt.Errorf("bench: unknown engine %q (selectable: %v)", name, engine.SelectableNames())
+		}
 	}
 	workers := opts.Workers
 	if len(workers) == 0 {
@@ -118,12 +129,11 @@ func ThroughputSweep(w Workload, opts ThroughputOptions) ([]ThroughputRow, error
 				// Each cell gets a freshly built classifier: a shared one
 				// would hand later worker counts a pre-warmed cache, making
 				// hit rates and speedups depend on sweep order.
-				c, err := core.New(cfg)
+				c, err := buildClassifier(cfg, w.RuleSet)
 				if err != nil {
-					return nil, fmt.Errorf("bench: throughput %s: %w", name, err)
-				}
-				if _, err := c.InstallRuleSet(w.RuleSet); err != nil {
-					return nil, fmt.Errorf("bench: throughput %s: %w", name, err)
+					// A refusal does not depend on the worker count.
+					engineRows = append(engineRows, ThroughputRow{Engine: name, Cached: cfg.CacheCapacity > 0, Refused: err})
+					break
 				}
 				row := runThroughput(c, w.Trace, name, n, batch, perWorker)
 				if rep := c.Report(); rep.CacheEnabled {
@@ -266,6 +276,10 @@ func RenderThroughput(rows []ThroughputRow) string {
 		if r.Cached {
 			cacheCol = "on"
 			hitCol = fmt.Sprintf("%.1f", 100*r.CacheHitRate)
+		}
+		if r.Refused != nil {
+			fmt.Fprintf(&b, "%-10s %6s refused: %v\n", r.Engine, cacheCol, r.Refused)
+			continue
 		}
 		spread := "-"
 		if r.MaxWorkerPPS > 0 {

@@ -259,6 +259,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// SetEngine selects the serving engine by registered name, whichever tier it
+// belongs to: a whole-packet engine name sets PacketEngine and clears
+// IPEngine, any other name does the reverse. An unregistered name lands in
+// IPEngine so Validate (and New) reports it.
+func (c *Config) SetEngine(name string) {
+	if isPacket, ok := engine.Selectable(name); ok && isPacket {
+		c.IPEngine, c.PacketEngine = "", name
+		return
+	}
+	c.IPEngine, c.PacketEngine = name, ""
+}
+
 // engineName resolves the engine a new classifier serves from: PacketEngine
 // when set, otherwise the explicit IPEngine field, otherwise the engine named
 // by the legacy IPAlgorithm signal.

@@ -132,13 +132,7 @@ type Option func(*core.Config)
 // belongs to: a whole-packet engine name activates the packet tier, any
 // other name selects the IP-segment field engine.
 func WithEngine(name string) Option {
-	return func(cfg *core.Config) {
-		if isPacket, ok := engine.Selectable(name); ok && isPacket {
-			cfg.PacketEngine = name
-			return
-		}
-		cfg.IPEngine = name
-	}
+	return func(cfg *core.Config) { cfg.SetEngine(name) }
 }
 
 // WithSingleProbe selects the paper's single-probe HPML combination mode:

@@ -55,7 +55,7 @@ func TestArchitectureDocExists(t *testing.T) {
 	text := string(doc)
 	for _, layer := range []string{
 		"internal/engine", "internal/core", "internal/algo", "internal/hw",
-		"internal/sdn", "internal/bench", "internal/cache", "internal/server",
+		"internal/bench", "internal/cache", "internal/server",
 		"snapshot", "clone-mutate-swap",
 		"internal/arena", "0 allocs/op", "BenchmarkLookupUnderGC",
 	} {
@@ -78,7 +78,7 @@ func TestDocsCoverUpdatePlane(t *testing.T) {
 	}
 	for _, want := range []string{
 		"delta-apply", "RebuildAfterDeltas", "DegradationThreshold", "Report().Updates",
-		"-churn-rate", "BenchmarkUpdateLatency", "e2e.update_p99_us", "core.publish_p99_us",
+		"BenchmarkUpdateLatency", "e2e.update_p99_us", "core.publish_p99_us",
 	} {
 		if !strings.Contains(string(arch), want) {
 			t.Errorf("docs/ARCHITECTURE.md does not mention %q", want)
@@ -129,7 +129,7 @@ func TestDocsCoverUpdatePlane(t *testing.T) {
 }
 
 // TestDocsCoverSelfTuning keeps the self-tuning control plane documented:
-// the README must name the advisor surface (facade calls, flags) and the one
+// the README must name the advisor surface (facade calls) and the one
 // command that measures whether a switch paid off, ARCHITECTURE.md must
 // describe the signal → shadow-bench → recommend/apply flow and its
 // hysteresis, and SERVICE.md must explain the advise endpoints' tenant
@@ -142,7 +142,7 @@ func TestDocsCoverSelfTuning(t *testing.T) {
 	}
 	for _, want := range []string{
 		"Advise()", "ApplyRecommendation", "WithSampling", "WithAutoTune",
-		"-advise", "TestAdviseAdaptsToWorkload", "benchmark/run.sh",
+		"TestAdviseAdaptsToWorkload", "benchmark/run.sh",
 	} {
 		if !strings.Contains(string(readme), want) {
 			t.Errorf("README.md does not mention %q", want)

@@ -505,7 +505,3 @@ func (c *Classifier) MemoryBits() int {
 	}
 	return total
 }
-
-// ArenaBytes returns the backing storage of the flattened structures — the
-// one allocation (plus the rule table) a snapshot hands the collector.
-func (c *Classifier) ArenaBytes() int { return c.ar.SizeBytes() }

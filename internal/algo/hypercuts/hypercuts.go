@@ -566,7 +566,3 @@ func (c *Classifier) MemoryBits() int {
 	const ruleBits = 144
 	return c.nodeCount*nodeBits + c.rulePtrs*rulePtrBits + len(c.rules)*ruleBits
 }
-
-// ArenaBytes returns the backing storage of the flattened tree — the one
-// allocation (plus the rule table) a published snapshot hands the collector.
-func (c *Classifier) ArenaBytes() int { return c.ar.SizeBytes() }

@@ -415,7 +415,3 @@ func (c *Classifier) AccessesPerLookup() int { return 13 }
 
 // MemoryBits returns the storage consumed by all phase tables.
 func (c *Classifier) MemoryBits() int { return c.memoryBits }
-
-// ArenaBytes returns the backing storage of the flattened tables — the one
-// allocation a published snapshot hands the collector.
-func (c *Classifier) ArenaBytes() int { return c.ar.SizeBytes() }

@@ -78,9 +78,9 @@ func TestApplyUpdatesBatch(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesIndividualUpdates pins the equivalence that the dataplane
-// applier relies on: a batch must leave the classifier in exactly the state
-// a per-op sequence of InsertRule/DeleteRule calls would.
+// TestBatchMatchesIndividualUpdates pins the equivalence that the wire
+// API's rule batches rely on: a batch must leave the classifier in exactly
+// the state a per-op sequence of InsertRule/DeleteRule calls would.
 func TestBatchMatchesIndividualUpdates(t *testing.T) {
 	rules := []fivetuple.Rule{
 		batchRule(t, 0, "10.0.0.0/8", 80),

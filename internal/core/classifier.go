@@ -245,8 +245,8 @@ func (c *Classifier) InstalledRules() []fivetuple.Rule {
 // unpublished snapshot, so a failed switch — an engine that cannot hold the
 // installed rules or does not cover their dimensions — leaves the serving
 // state exactly as it was. Selecting the already-active engine is a no-op.
-// This is the engine selection the facade, the engine flags and both
-// OpenFlow engine messages resolve through.
+// This is the engine selection the facade, the engine flags and the wire
+// API's PUT …/engine resolve through.
 func (c *Classifier) SelectEngine(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -107,8 +107,8 @@ func PacketEngineNames() []string {
 
 // SelectableNames returns the sorted names of every engine a classifier can
 // be switched to: the IP-capable field engines plus the whole-packet
-// engines. These are the values the facade, the -engine flags and the
-// OpenFlow set-engine message accept.
+// engines. These are the values the facade, the -ip-engine flag and the
+// wire API's PUT …/engine accept.
 func SelectableNames() []string {
 	registryMu.RLock()
 	defer registryMu.RUnlock()

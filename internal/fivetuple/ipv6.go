@@ -74,9 +74,6 @@ func (a IPv6) String() string {
 	return netip.AddrFrom16(b).String()
 }
 
-// IsZero reports whether the address is all-zeros (::).
-func (a IPv6) IsZero() bool { return a.Hi == 0 && a.Lo == 0 }
-
 // Prefix6 is an IPv6 prefix (address plus prefix length), e.g. 2001:db8::/32.
 // Len == 0 is the wildcard; a rule whose Src6/Dst6 prefixes are both
 // wildcards carries no IPv6 constraint at all.
@@ -166,9 +163,6 @@ type VLANMatch struct {
 	Mask  uint16
 }
 
-// WildcardVLAN matches every VLAN tag.
-func WildcardVLAN() VLANMatch { return VLANMatch{} }
-
 // ExactVLAN matches exactly the given VLAN tag.
 func ExactVLAN(v uint16) VLANMatch { return VLANMatch{Value: v, Mask: 0x0FFF} }
 
@@ -202,9 +196,6 @@ type TCPFlagMatch struct {
 	Value uint8
 	Mask  uint8
 }
-
-// WildcardTCPFlags matches every flag combination.
-func WildcardTCPFlags() TCPFlagMatch { return TCPFlagMatch{} }
 
 // Matches reports whether the flags byte satisfies the match.
 func (m TCPFlagMatch) Matches(f uint8) bool { return f&m.Mask == m.Value&m.Mask }

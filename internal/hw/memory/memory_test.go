@@ -193,38 +193,38 @@ func TestProfileAggregation(t *testing.T) {
 
 func TestSharedBlockSelection(t *testing.T) {
 	phys := NewBlock("shared-l2", 49, 256)
-	s := NewSharedBlock(phys, SelectMBT)
-	if s.Selected() != SelectMBT {
-		t.Fatalf("Selected() = %v, want MBT", s.Selected())
+	s := NewSharedBlockOwner(phys, "mbt")
+	if s.Owner() != "mbt" {
+		t.Fatalf("Owner() = %q, want mbt", s.Owner())
 	}
 	if s.Physical() != phys {
 		t.Error("Physical() does not return the underlying block")
 	}
 	// The MBT view is live, the BST view must be nil.
-	if s.View(SelectMBT) == nil {
-		t.Error("View(MBT) = nil while MBT selected")
+	if s.ViewOwner("mbt") == nil {
+		t.Error(`ViewOwner("mbt") = nil while mbt owns the block`)
 	}
-	if s.View(SelectBST) != nil {
-		t.Error("View(BST) != nil while MBT selected")
+	if s.ViewOwner("bst") != nil {
+		t.Error(`ViewOwner("bst") != nil while mbt owns the block`)
 	}
 
 	// Write MBT data, then switch to BST: the block must be cleared because
 	// the controller re-programmes it with the other algorithm's nodes.
 	phys.Write(0, 42)
-	s.Select(SelectBST)
-	if s.Selected() != SelectBST {
-		t.Fatalf("Selected() after switch = %v, want BST", s.Selected())
+	s.SelectOwner("bst")
+	if s.Owner() != "bst" {
+		t.Fatalf("Owner() after switch = %q, want bst", s.Owner())
 	}
 	if phys.UsedWords() != 0 {
 		t.Error("switching algorithms did not clear the shared block")
 	}
-	if s.View(SelectMBT) != nil {
-		t.Error("View(MBT) != nil after switching to BST")
+	if s.ViewOwner("mbt") != nil {
+		t.Error(`ViewOwner("mbt") != nil after switching to bst`)
 	}
 
 	// Re-selecting the current algorithm is a no-op and must not clear data.
 	phys.Write(0, 7)
-	s.Select(SelectBST)
+	s.SelectOwner("bst")
 	if phys.UsedWords() != 1 {
 		t.Error("re-selecting the same algorithm cleared the block")
 	}

@@ -27,19 +27,6 @@ func (s AlgSelect) String() string {
 	}
 }
 
-// ownerName maps a legacy IPalg_s value to the canonical (engine-registry)
-// owner name used by SharedBlock.
-func ownerName(alg AlgSelect) string {
-	switch alg {
-	case SelectMBT:
-		return "mbt"
-	case SelectBST:
-		return "bst"
-	default:
-		return alg.String()
-	}
-}
-
 // SharedBlock models the memory-sharing scheme of §IV.C.2 and Fig. 5: one
 // physical block holds MBT level-2 node data ("Data 1") when the MBT is
 // selected and the node data of the alternative engine ("Data 2" — BST
@@ -48,8 +35,7 @@ func ownerName(alg AlgSelect) string {
 // sharing to be possible — which is enforced at construction.
 //
 // Ownership is tracked by engine name so that any registered field engine
-// can map onto the block; the legacy AlgSelect-based methods remain as thin
-// wrappers over the name-based ones.
+// can map onto the block.
 //
 // A second consequence of sharing (also Fig. 5) is that when a shared-
 // resident engine is selected the remaining MBT blocks become free and are
@@ -58,12 +44,6 @@ func ownerName(alg AlgSelect) string {
 type SharedBlock struct {
 	physical *Block
 	owner    string
-}
-
-// NewSharedBlock wraps a physical block for shared use, initially selecting
-// the given algorithm.
-func NewSharedBlock(physical *Block, initial AlgSelect) *SharedBlock {
-	return NewSharedBlockOwner(physical, ownerName(initial))
 }
 
 // NewSharedBlockOwner wraps a physical block for shared use, initially owned
@@ -79,19 +59,6 @@ func (s *SharedBlock) Physical() *Block { return s.physical }
 // block.
 func (s *SharedBlock) Owner() string { return s.owner }
 
-// Selected returns the legacy algorithm selection whose data currently
-// occupies the block, or 0 when the owner has no legacy selection value.
-func (s *SharedBlock) Selected() AlgSelect {
-	switch s.owner {
-	case "mbt":
-		return SelectMBT
-	case "bst":
-		return SelectBST
-	default:
-		return 0
-	}
-}
-
 // SelectOwner hands the block to another engine's data. Switching clears the
 // block contents: the controller must re-download the node data for the
 // newly selected engine, exactly as the software control plane would
@@ -104,9 +71,6 @@ func (s *SharedBlock) SelectOwner(owner string) {
 	s.physical.Clear()
 }
 
-// Select is the legacy AlgSelect form of SelectOwner.
-func (s *SharedBlock) Select(alg AlgSelect) { s.SelectOwner(ownerName(alg)) }
-
 // ViewOwner returns the physical block if the named engine currently owns
 // it, and nil otherwise. Engines obtain their backing store through ViewOwner
 // so that a misconfigured engine cannot silently corrupt another engine's
@@ -117,6 +81,3 @@ func (s *SharedBlock) ViewOwner(owner string) *Block {
 	}
 	return s.physical
 }
-
-// View is the legacy AlgSelect form of ViewOwner.
-func (s *SharedBlock) View(alg AlgSelect) *Block { return s.ViewOwner(ownerName(alg)) }

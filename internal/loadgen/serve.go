@@ -158,7 +158,7 @@ func ServeLoad(opts ServeOptions) (ServeResult, error) {
 	rs := classbench.Generate(classbench.StandardConfig(opts.Class, opts.Size))
 	wireRules := make([]server.WireRule, rs.Len())
 	for i, r := range rs.Rules() {
-		wireRules[i] = wireRuleOf(r)
+		wireRules[i] = server.EncodeRule(r)
 	}
 	ids := make([]string, tenants)
 	traces := make([][]fivetuple.Header, tenants)
@@ -311,34 +311,6 @@ func RenderServe(res ServeResult) string {
 			row.ID, row.Engine, row.Rules, row.Lookups, 100*row.MatchRate, hit)
 	}
 	return b.String()
-}
-
-// wireRuleOf converts an internal rule to its wire form (the inverse of the
-// server's decode path, kept here so the generator depends only on the
-// public wire surface plus the generators).
-func wireRuleOf(r fivetuple.Rule) server.WireRule {
-	wr := server.WireRule{
-		Priority:  r.Priority,
-		Action:    r.Action.String(),
-		ActionArg: r.ActionArg,
-	}
-	if !r.SrcPrefix.IsWildcard() {
-		wr.Src = r.SrcPrefix.String()
-	}
-	if !r.DstPrefix.IsWildcard() {
-		wr.Dst = r.DstPrefix.String()
-	}
-	if !r.SrcPort.IsWildcard() {
-		wr.SrcPort = &server.WirePortRange{Lo: r.SrcPort.Lo, Hi: r.SrcPort.Hi}
-	}
-	if !r.DstPort.IsWildcard() {
-		wr.DstPort = &server.WirePortRange{Lo: r.DstPort.Lo, Hi: r.DstPort.Hi}
-	}
-	if !r.Protocol.IsWildcard() {
-		proto := r.Protocol.Value
-		wr.Proto = &proto
-	}
-	return wr
 }
 
 // wireHeaderOf converts a generated header to its wire form.

@@ -395,7 +395,7 @@ func (a *api) handleGetRules(w http.ResponseWriter, r *http.Request) {
 	rules := t.Classifier.Rules()
 	out := make([]WireRule, len(rules))
 	for i, rule := range rules {
-		out[i] = encodeRule(rule)
+		out[i] = EncodeRule(rule)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"rules": out, "count": len(out)})
 }

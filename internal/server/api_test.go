@@ -463,6 +463,49 @@ func TestExtendedDimensionWire(t *testing.T) {
 	}
 }
 
+// TestExtendedRuleRefusedNotWidened pins the case a five-tuple-only control
+// channel gets wrong: a VLAN-scoped non-terminating rule must either be
+// installed as exactly that or be refused — never installed as the
+// terminating match-every-tag rule its classic fields alone describe.
+func TestExtendedRuleRefusedNotWidened(t *testing.T) {
+	_, h := newTestServer()
+	vlan := uint16(100)
+	rule := server.WireRule{Priority: 0, VLAN: &vlan, NonTerminating: true, Action: "group", ActionArg: 9}
+
+	wantStatus(t, do(t, h, "POST", "/v1/tenants", server.CreateTenantRequest{ID: "five", Engine: "mbt"}), http.StatusCreated)
+	rec := do(t, h, "POST", "/v1/tenants/five/rules", rule)
+	var resp server.RulesResponse
+	decode(t, rec, &resp)
+	if resp.Installed != 0 || resp.Rules != 0 || len(resp.Errors) != 1 ||
+		!strings.Contains(resp.Errors[0].Error, "extension dimensions unsupported") {
+		t.Fatalf("vlan + non-terminating rule on an mbt tenant: %+v, want nothing installed and the dimension refusal", resp)
+	}
+
+	wantStatus(t, do(t, h, "POST", "/v1/tenants", server.CreateTenantRequest{ID: "all", Engine: "linear"}), http.StatusCreated)
+	wantStatus(t, do(t, h, "POST", "/v1/tenants/all/rules", rule), http.StatusOK)
+	var listed struct {
+		Rules []server.WireRule `json:"rules"`
+	}
+	decode(t, do(t, h, "GET", "/v1/tenants/all/rules", nil), &listed)
+	if len(listed.Rules) != 1 {
+		t.Fatalf("listed %d rules, want 1", len(listed.Rules))
+	}
+	got := listed.Rules[0]
+	if got.VLAN == nil || *got.VLAN != 100 || !got.NonTerminating || got.Action != "group" || got.ActionArg != 9 {
+		t.Fatalf("rule came back as %+v, want vlan 100, non-terminating, group/9", got)
+	}
+	// An untagged packet is outside the rule; a tagged one is inside.
+	var res server.WireResult
+	decode(t, do(t, h, "POST", "/v1/tenants/all/classify", server.WireHeader{SrcIP: "10.0.0.1", DstIP: "10.0.0.2"}), &res)
+	if res.Matched {
+		t.Fatalf("untagged header matched the VLAN 100 rule: %+v", res)
+	}
+	decode(t, do(t, h, "POST", "/v1/tenants/all/classify", server.WireHeader{SrcIP: "10.0.0.1", DstIP: "10.0.0.2", VLAN: 100}), &res)
+	if !res.Matched || res.Action != "group" {
+		t.Fatalf("VLAN 100 header = %+v, want the group rule", res)
+	}
+}
+
 func TestEngineSwitch(t *testing.T) {
 	_, h := newTestServer()
 	wantStatus(t, do(t, h, "POST", "/v1/tenants", server.CreateTenantRequest{ID: "sw", Engine: "bst"}), http.StatusCreated)

@@ -145,8 +145,9 @@ func decodeRule(wr WireRule) (sdnpc.Rule, error) {
 	return b.Build()
 }
 
-// encodeRule converts an installed rule back to its wire form.
-func encodeRule(r sdnpc.Rule) WireRule {
+// EncodeRule converts a rule to its wire form, the inverse of the decode
+// path: Go clients of the wire API build their request bodies with it.
+func EncodeRule(r sdnpc.Rule) WireRule {
 	wr := WireRule{
 		Priority:  r.Priority,
 		Action:    r.Action.String(),

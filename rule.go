@@ -121,9 +121,12 @@ func (b *RuleBuilder) VLAN(tag uint16) *RuleBuilder {
 
 // TCPFlags constrains the TCP flags byte: header bits selected by mask must
 // equal the corresponding bits of value. TCPFlags(TCPSyn, TCPSyn|TCPAck)
-// matches SYNs that are not SYN-ACKs.
+// matches SYNs that are not SYN-ACKs. Value bits outside the mask constrain
+// nothing and are dropped, so one match has one identity (Rule.SameMatch):
+// a rule deletes and lists as what it was installed as, and a zero mask is
+// the wildcard.
 func (b *RuleBuilder) TCPFlags(value, mask uint8) *RuleBuilder {
-	b.r.TCPFlags = fivetuple.TCPFlagMatch{Value: value, Mask: mask}
+	b.r.TCPFlags = fivetuple.TCPFlagMatch{Value: value & mask, Mask: mask}
 	return b
 }
 

@@ -4,7 +4,9 @@
 # Builds cmd/sdnclassd, starts it on a loopback port, walks the service
 # lifecycle over the wire (health, tenant create, rule install, single and
 # batch classification, per-tenant and global stats), then checks a clean
-# SIGTERM shutdown and that a second daemon on the same port exits non-zero.
+# SIGTERM shutdown, that a second daemon on the same port and a daemon given a
+# flag of the removed trace-replay mode both exit non-zero, and finally runs
+# examples/sdncontroller — the controller loop over the same wire API.
 # docs/SERVICE.md documents every endpoint exercised here. Run from anywhere;
 # CI runs it in the e2e job.
 set -euo pipefail
@@ -99,6 +101,15 @@ if "$BIN" -http "127.0.0.1:${PORT}" >/dev/null 2>&1; then
   fail "second daemon on an occupied port exited zero"
 fi
 
+echo "e2e_smoke: removed replay flags exit non-zero"
+for flags in "-mode=replay" "-ip-engine hypercuts -churn-rate 20000"; do
+  # shellcheck disable=SC2086  # $flags is a word list on purpose
+  if FLAG_OUT=$(timeout 10 "$BIN" $flags 2>&1); then
+    fail "daemon given '$flags' exited zero"
+  fi
+  echo "$FLAG_OUT" | expect 'flag provided but not defined'
+done
+
 echo "e2e_smoke: graceful shutdown"
 kill -TERM "$DAEMON_PID"
 for i in $(seq 1 50); do
@@ -111,5 +122,12 @@ fi
 wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
 grep -q "shutdown complete" "$LOG" || fail "daemon log missing 'shutdown complete'"
+
+echo "e2e_smoke: controller example over the wire API"
+EXAMPLE_OUT=$(timeout 60 go run ./examples/sdncontroller 2>&1) \
+  || fail "examples/sdncontroller failed or timed out: $EXAMPLE_OUT"
+echo "$EXAMPLE_OUT" | expect 'DNS query: action=controller'   # the punt (packet-in)
+echo "$EXAMPLE_OUT" | expect 'DNS query: action=forward'      # verdict after the controller reacted
+echo "$EXAMPLE_OUT" | expect '"bst" engine'                   # engine re-programmed over the channel
 
 echo "e2e_smoke: OK"

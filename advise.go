@@ -1,15 +1,9 @@
 package sdnpc
 
-import (
-	"time"
+import "sdnpc/internal/advisor"
 
-	"sdnpc/internal/advisor"
-	"sdnpc/internal/core"
-)
-
-// Recommendation is one ranked tuning suggestion from the advisor: an
-// engine switch, new update-policy bounds, or a cache advisory. Apply one
-// with ApplyRecommendation.
+// Recommendation is one ranked tuning suggestion from Advise: an engine
+// switch, new update-policy bounds, or a cache advisory.
 type Recommendation = advisor.Recommendation
 
 // Recommendation kinds.
@@ -18,82 +12,20 @@ const (
 	EngineRecommendation = advisor.KindEngine
 	// UpdatePolicyRecommendation suggests new delta-vs-rebuild bounds.
 	UpdatePolicyRecommendation = advisor.KindUpdatePolicy
-	// CacheRecommendation flags a cache mismatch (advisory only).
+	// CacheRecommendation flags a cache mismatch.
 	CacheRecommendation = advisor.KindCache
 )
 
-// WithSampling enables the traffic sampler: a lock-free ring buffer holding
-// the last n served headers, which Advise replays against candidate engines
-// so recommendations reflect the live traffic mix rather than a synthetic
-// guess. n <= 0 selects the default capacity. Without sampling, Advise
-// falls back to a trace derived from the installed rules.
-func WithSampling(n int) Option {
-	return func(cfg *core.Config) {
-		if n <= 0 {
-			n = core.DefaultSampleHeaders
-		}
-		cfg.SampleHeaders = n
-	}
-}
-
-// WithAutoTune opts the classifier into the self-tuning control plane: a
-// background tuner periodically runs the advisor and auto-applies its top
-// recommendation through the atomic switch paths, with hysteresis (the same
-// target must win consecutive rounds, and a cooldown plus switch-back
-// suppression guarantee the engine never flaps). interval <= 0 selects the
-// default period. WithAutoTune implies WithSampling at the default capacity
-// unless one is configured explicitly. Call Close to stop the tuner.
-func WithAutoTune(interval time.Duration) Option {
-	return func(cfg *core.Config) {
-		cfg.AutoTune = true
-		cfg.AutoTuneInterval = interval
-	}
-}
-
-// Advise runs the workload-adaptive advisor once: it reads the live Report
+// Advise is a one-shot, read-only engine report: it reads the live Report
 // signals (cache hit rate, delta debt, publish latency, memory bits),
-// shadow-benches candidate engines on a sampled slice of recent traffic
-// under a bounded CPU budget, and returns ranked recommendations —
-// strongest first, empty when the current configuration already looks
-// right. With no arguments every selectable engine is a candidate; naming
-// engines restricts the shadow bench to them. Advise never mutates the
-// classifier; pass a result to ApplyRecommendation to act on it.
-func (c *Classifier) Advise(candidates ...string) ([]Recommendation, error) {
-	return advisor.Advise(c.inner, advisor.Options{Candidates: candidates})
-}
-
-// ApplyRecommendation applies one advisor recommendation through the
-// classifier's atomic reconfiguration paths (engine switch or update-policy
-// change). Advisory-only kinds return an error.
-func (c *Classifier) ApplyRecommendation(r Recommendation) error {
-	return advisor.Apply(c.inner, r)
-}
-
-// SetUpdatePolicy adjusts the packet tier's delta-vs-rebuild policy at run
-// time — the WithUpdatePolicy knobs on a live classifier. The new bounds
-// govern from the next publish.
-func (c *Classifier) SetUpdatePolicy(rebuildAfterDeltas int, degradationThreshold float64) error {
-	return c.inner.SetUpdatePolicy(rebuildAfterDeltas, degradationThreshold)
-}
-
-// AutoTuneEnabled reports whether this classifier runs the background
-// auto-tuner (WithAutoTune).
-func (c *Classifier) AutoTuneEnabled() bool { return c.tuner != nil }
-
-// AutoApplied returns the recommendations the auto-tuner has applied so
-// far; nil without WithAutoTune.
-func (c *Classifier) AutoApplied() []Recommendation {
-	if c.tuner == nil {
-		return nil
-	}
-	return c.tuner.Applied()
-}
-
-// Close releases the classifier's background resources — today, the
-// auto-tuner goroutine. A classifier built without WithAutoTune has none,
-// so Close is a no-op there; it is always safe to call (and to defer).
-func (c *Classifier) Close() {
-	if c.tuner != nil {
-		c.tuner.Stop()
-	}
+// shadow-benches candidate engines on the trace under a bounded CPU budget,
+// and returns ranked recommendations — strongest first, empty when the
+// current configuration already looks right. A nil trace selects one derived
+// from the installed rules. With no candidates every selectable engine is
+// one; naming engines restricts the shadow bench to them, and an unknown
+// name is an error. The ranking weighs lookup speed and memory only, never
+// update cost. Advise never changes the classifier: act on an engine
+// recommendation with SelectEngine.
+func (c *Classifier) Advise(trace []Header, candidates ...string) ([]Recommendation, error) {
+	return advisor.Advise(c.inner, trace, candidates)
 }

@@ -1,29 +1,26 @@
 package sdnpc
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-// adviseForTrace builds a cached, sampling classifier, replays the trace
-// through it so the advisor sees real cache and sampler signals, and returns
-// the engine its top engine recommendation names ("" when it recommends
-// keeping the active engine).
+// adviseForTrace builds a cached classifier, replays the trace through it so
+// the advisor sees real cache signals, hands Advise the same trace, and
+// returns the engine its top engine recommendation names ("" when it
+// recommends keeping the active engine).
 func adviseForTrace(t *testing.T, rs *RuleSet, opts TraceOptions) string {
 	t.Helper()
-	c := MustNew(WithCache(0, 2048), WithSampling(4096))
-	defer c.Close()
+	c := MustNew(WithCache(0, 2048))
 	if _, err := c.InsertAll(rs); err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range GenerateTrace(rs, opts) {
+	trace := GenerateTrace(rs, opts)
+	for _, h := range trace {
 		c.Lookup(h)
 	}
 	// The candidates span a real trade-off on this rule set: rfc-full is the
 	// fastest and by far the largest, bst the leanest and slowest. (hypercuts
 	// is not one: holding no field tier beside its tree, it is both faster
 	// and smaller than either field engine here, and wins every workload.)
-	recs, err := c.Advise("mbt", "bst", "rfc-full")
+	recs, err := c.Advise(trace, "mbt", "bst", "rfc-full")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +34,8 @@ func adviseForTrace(t *testing.T, rs *RuleSet, opts TraceOptions) string {
 	return ""
 }
 
-// TestAdviseAdaptsToWorkload is the self-tuning acceptance pin: the advisor
-// must read the workload, not just the engines. A cache-unfriendly trace
+// TestAdviseAdaptsToWorkload is the advisor's acceptance pin: it must read
+// the workload, not just the engines. A cache-unfriendly trace
 // (every flow distinct, the microflow cache useless) puts every packet on
 // the engine, so the advisor weighs raw speed and recommends the fast
 // whole-packet engine; a heavy-tailed Zipf trace is absorbed by the cache,
@@ -59,33 +56,5 @@ func TestAdviseAdaptsToWorkload(t *testing.T) {
 	}
 	if unfriendly == zipf {
 		t.Fatalf("advisor recommended %q for both workloads; cache-unfriendly and Zipf traffic must rank engines differently", unfriendly)
-	}
-}
-
-// TestAutoTuneLifecycle pins the facade wiring of the background tuner:
-// WithAutoTune starts it (implying sampling), AutoApplied exposes its log,
-// and Close stops it idempotently.
-func TestAutoTuneLifecycle(t *testing.T) {
-	c := MustNew(WithAutoTune(time.Hour))
-	defer c.Close()
-	if !c.AutoTuneEnabled() {
-		t.Fatal("WithAutoTune must enable the tuner")
-	}
-	if !c.inner.SamplingEnabled() {
-		t.Fatal("WithAutoTune must imply header sampling")
-	}
-	if got := c.AutoApplied(); len(got) != 0 {
-		t.Fatalf("fresh tuner AutoApplied() = %v, want empty", got)
-	}
-	c.Close()
-	c.Close() // idempotent
-
-	plain := MustNew()
-	defer plain.Close()
-	if plain.AutoTuneEnabled() {
-		t.Fatal("default classifier must not auto-tune")
-	}
-	if got := plain.AutoApplied(); got != nil {
-		t.Fatalf("AutoApplied() without a tuner = %v, want nil", got)
 	}
 }

@@ -217,14 +217,13 @@ func TestMultiActionOrderingUnderChurn(t *testing.T) {
 			t.Fatalf("engine %s lost its multi-action declaration", name)
 		}
 		t.Run(name, func(t *testing.T) {
-			c, err := core.New(bench.EngineConfig(name))
-			if err != nil {
-				t.Fatalf("building %s classifier: %v", name, err)
-			}
 			// Delta-friendly policy: never rebuild on update volume or
 			// degradation, so every mutation below exercises the splice.
-			if err := c.SetUpdatePolicy(1<<20, 1.01); err != nil {
-				t.Fatalf("SetUpdatePolicy: %v", err)
+			cfg := bench.EngineConfig(name)
+			cfg.RebuildAfterDeltas, cfg.DegradationThreshold = 1<<20, 1.01
+			c, err := core.New(cfg)
+			if err != nil {
+				t.Fatalf("building %s classifier: %v", name, err)
 			}
 
 			observerA := wildRule(0, fivetuple.ActionController, 0)

@@ -1,7 +1,7 @@
-// Package advisor is the self-tuning control plane: it turns the live
-// signals a running Classifier already exposes (cache hit rate, publish
-// latency, delta debt, memory bits) plus a shadow bench of candidate
-// engines on sampled traffic into ranked, applicable Recommendations.
+// Package advisor is the read-only engine report: it turns the signals a
+// running Classifier already exposes (cache hit rate, publish latency,
+// delta debt, memory bits) plus a shadow bench of candidate engines on a
+// caller-supplied trace into ranked Recommendations.
 //
 // The flow is signal → shadow-bench → recommend:
 //
@@ -11,17 +11,17 @@
 //     it should be chosen for leanness; a cold cache puts every packet on
 //     the engine, so speed dominates) — along with decision-table
 //     recommendations for the update policy and the cache.
-//  2. shadowBench replays a sampled slice of recent traffic (the
-//     ring-buffer sampler in internal/core, or a synthetic trace derived
-//     from the installed rules when sampling is off) against a fresh
+//  2. shadowBench replays the trace (or, when the caller has none, a
+//     synthetic trace derived from the installed rules) against a fresh
 //     classifier per candidate engine, under a bounded CPU budget.
 //  3. rankEngines scores every candidate by the profile-weighted blend of
 //     measured speed and memory, and recommends a switch only when it beats
-//     the active engine by a clear margin.
+//     the active engine by a clear margin. It ranks lookup speed and memory
+//     only — never update cost.
 //
-// Recommendations are advisory; Apply routes one through the classifier's
-// already-atomic switch paths (SelectEngine, SetUpdatePolicy), and
-// AutoTuner does so periodically behind Config.AutoTune with hysteresis.
+// Advise changes nothing. Whoever reads the report acts on it: an engine
+// recommendation through SelectEngine, update-policy bounds and cache
+// geometry at construction.
 package advisor
 
 import (
@@ -39,14 +39,15 @@ type Kind string
 
 // Recommendation kinds.
 const (
-	// KindEngine recommends switching the serving engine (either tier);
-	// apply through SelectEngine.
+	// KindEngine recommends switching the serving engine (either tier)
+	// through SelectEngine.
 	KindEngine Kind = "engine"
-	// KindUpdatePolicy recommends new delta-vs-rebuild policy bounds; apply
-	// through SetUpdatePolicy.
+	// KindUpdatePolicy recommends new delta-vs-rebuild policy bounds
+	// (Config.RebuildAfterDeltas / DegradationThreshold, fixed at
+	// construction).
 	KindUpdatePolicy Kind = "update-policy"
-	// KindCache flags a cache configuration mismatch. Cache geometry is
-	// fixed at construction, so this kind is advisory only.
+	// KindCache flags a cache configuration mismatch (cache geometry is
+	// fixed at construction).
 	KindCache Kind = "cache"
 )
 
@@ -97,53 +98,21 @@ const (
 	// worryingDegradation is the incremental-engine drift that triggers a
 	// tighter DegradationThreshold recommendation.
 	worryingDegradation = 0.4
+	// minCacheHitRate is the hit rate below which the cache is flagged as
+	// ineffective.
+	minCacheHitRate = 0.5
+	// margin is the minimum relative score improvement over the active
+	// engine before a switch is recommended.
+	margin = 0.10
+
+	// maxRules caps how many installed rules are replayed into each shadow
+	// classifier, maxHeaders the trace slice each candidate replays, and
+	// benchBudget the total shadow-bench CPU time, divided evenly across
+	// candidates.
+	maxRules    = 2000
+	maxHeaders  = 1024
+	benchBudget = 200 * time.Millisecond
 )
-
-// Options parameterise one Advise call. The zero value selects usable
-// defaults everywhere.
-type Options struct {
-	// Candidates restricts the shadow-benched engines; empty selects every
-	// selectable engine of both tiers.
-	Candidates []string
-	// MaxRules caps how many installed rules are replayed into each shadow
-	// classifier; <= 0 selects 2000.
-	MaxRules int
-	// MaxHeaders caps the sampled-traffic slice each candidate replays;
-	// <= 0 selects 1024.
-	MaxHeaders int
-	// Budget bounds the total shadow-bench CPU time, divided evenly across
-	// candidates; <= 0 selects 200ms.
-	Budget time.Duration
-	// MemoryBudgetBits, when > 0, marks the classifier's memory use as
-	// oversized once Report().Memory.TotalUsedBits() exceeds it, shifting
-	// the ranking toward lean engines.
-	MemoryBudgetBits int
-	// MinCacheHitRate is the hit rate below which the cache is flagged as
-	// ineffective; <= 0 selects 0.5.
-	MinCacheHitRate float64
-	// Margin is the minimum relative score improvement over the active
-	// engine before a switch is recommended; <= 0 selects 0.10.
-	Margin float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxRules <= 0 {
-		o.MaxRules = 2000
-	}
-	if o.MaxHeaders <= 0 {
-		o.MaxHeaders = 1024
-	}
-	if o.Budget <= 0 {
-		o.Budget = 200 * time.Millisecond
-	}
-	if o.MinCacheHitRate <= 0 {
-		o.MinCacheHitRate = 0.5
-	}
-	if o.Margin <= 0 {
-		o.Margin = 0.10
-	}
-	return o
-}
 
 // signals is the analyzed pressure profile of one Report: how the engine
 // ranking should weigh measured speed against memory footprint, plus the
@@ -172,7 +141,7 @@ func clamp(v, lo, hi float64) float64 {
 // analyze runs the decision table over one observability snapshot. It is a
 // pure function of the Report, which is what makes the table testable from
 // synthetic fixtures.
-func analyze(rep core.Report, opts Options) signals {
+func analyze(rep core.Report) signals {
 	sig := signals{speedWeight: 0.5, memoryWeight: 0.5}
 
 	// Cache signal: a hot cache answers the repeated flows itself, so the
@@ -186,13 +155,13 @@ func analyze(rep core.Report, opts Options) signals {
 	case cacheLookups >= minSignalLookups:
 		hit := float64(rep.Cache.Hits) / float64(cacheLookups)
 		sig.speedWeight = clamp(1-hit, 0.1, 0.9)
-		if hit < opts.MinCacheHitRate {
+		if hit < minCacheHitRate {
 			sig.reasons = append(sig.reasons,
 				fmt.Sprintf("cache hit rate %.0f%% below %.0f%%: traffic is cache-unfriendly, engine speed dominates",
-					100*hit, 100*opts.MinCacheHitRate))
+					100*hit, 100*minCacheHitRate))
 			sig.extra = append(sig.extra, Recommendation{
 				Kind:  KindCache,
-				Score: clamp(opts.MinCacheHitRate-hit, 0.05, 0.5),
+				Score: clamp(minCacheHitRate-hit, 0.05, 0.5),
 				Reason: fmt.Sprintf("microflow cache answers only %.0f%% of lookups; consider more capacity or disabling it to reclaim %d Kbit",
 					100*hit, rep.Memory.CacheBits/1024),
 			})
@@ -205,20 +174,12 @@ func analyze(rep core.Report, opts Options) signals {
 			fmt.Sprintf("only %d cached lookups observed (< %d): cache signal unmeasured", cacheLookups, minSignalLookups))
 	}
 
-	// Memory-budget signal overrides the blend: an oversized table must
-	// shrink regardless of traffic shape.
-	if opts.MemoryBudgetBits > 0 && rep.Memory.TotalUsedBits() > opts.MemoryBudgetBits {
-		sig.speedWeight = 0.15
-		sig.reasons = append(sig.reasons,
-			fmt.Sprintf("memory %d bits over the %d-bit budget: leanness dominates",
-				rep.Memory.TotalUsedBits(), opts.MemoryBudgetBits))
-	}
 	sig.memoryWeight = 1 - sig.speedWeight
 
 	// Update-plane signals: deep delta debt means the incremental structure
 	// has drifted far from a fresh build; worrying degradation means the
 	// engine itself is reporting the drift. Both call for tighter rebuild
-	// bounds, applied through SetUpdatePolicy.
+	// bounds.
 	if debt := rep.Updates.DeltasSinceRebuild; debt >= highDeltaDebt {
 		sig.extra = append(sig.extra, Recommendation{
 			Kind:               KindUpdatePolicy,
@@ -241,29 +202,47 @@ func analyze(rep core.Report, opts Options) signals {
 	return sig
 }
 
-// Advise produces ranked recommendations for a live classifier: the
-// decision-table output of its current Report plus, when traffic and rules
-// are available, an engine recommendation from shadow-benching candidates
-// on sampled traffic. The strongest recommendation sorts first. An empty
-// slice means the current configuration already looks right.
-func Advise(c *core.Classifier, opts Options) ([]Recommendation, error) {
-	opts = opts.withDefaults()
+// Advise produces ranked recommendations for a live classifier, strongest
+// first: the decision-table output of its current Report plus, when rules
+// are installed, an engine recommendation from shadow-benching the
+// candidates on the trace. A nil trace selects one derived from the
+// installed rules; a longer one is cut to its most recent maxHeaders. Empty
+// candidates select every selectable engine; an unknown name is an error. An
+// empty slice means the current configuration already looks right. Advise
+// never changes the classifier.
+func Advise(c *core.Classifier, trace []fivetuple.Header, candidates []string) ([]Recommendation, error) {
+	for _, name := range candidates {
+		if _, ok := engine.Selectable(name); !ok {
+			return nil, fmt.Errorf("advisor: unknown candidate engine %q (selectable: %v)", name, engine.SelectableNames())
+		}
+	}
+	if len(candidates) == 0 {
+		candidates = engine.SelectableNames()
+	}
 	rep := c.Report()
-	sig := analyze(rep, opts)
+	sig := analyze(rep)
 	recs := append([]Recommendation(nil), sig.extra...)
 
-	rules := c.InstalledRules()
-	headers := c.SampledHeaders()
-	if len(headers) > opts.MaxHeaders {
-		headers = headers[len(headers)-opts.MaxHeaders:]
-	}
-	if len(headers) == 0 {
-		headers = syntheticTrace(rules, opts.MaxHeaders)
-	}
-	if len(rules) > 0 && len(headers) > 0 {
+	if rules := c.InstalledRules(); len(rules) > 0 {
+		switch {
+		case len(trace) == 0:
+			trace = syntheticTrace(rules, maxHeaders)
+		case len(trace) > maxHeaders:
+			trace = trace[len(trace)-maxHeaders:]
+		}
+		// A candidate whose capacity cannot hold the installed rule set is
+		// not benched: SelectEngine would reject the switch anyway.
 		cfg := c.Config()
-		results := shadowBench(benchSet(rules, opts.MaxRules), headers, candidates(cfg, rep, opts), opts.Budget)
-		if eng, ok := rankEngines(results, sig, rep, opts); ok {
+		fits := candidates[:0:0]
+		for _, name := range candidates {
+			if cfg.RuleCapacityFor(name) >= rep.RulesInstalled {
+				fits = append(fits, name)
+			}
+		}
+		if len(rules) > maxRules {
+			rules = rules[:maxRules]
+		}
+		if eng, ok := rankEngines(shadowBench(rules, trace, fits, benchBudget), sig, rep); ok {
 			recs = append(recs, eng)
 		}
 	}
@@ -271,36 +250,10 @@ func Advise(c *core.Classifier, opts Options) ([]Recommendation, error) {
 	return recs, nil
 }
 
-// benchSet caps the rule slice replayed into shadow classifiers.
-func benchSet(rules []fivetuple.Rule, maxRules int) []fivetuple.Rule {
-	if len(rules) > maxRules {
-		return rules[:maxRules]
-	}
-	return rules
-}
-
-// candidates resolves the engine candidate list: the configured names or
-// every selectable engine, minus any whose capacity cannot hold the full
-// installed rule set (SelectEngine would reject the switch anyway).
-func candidates(cfg core.Config, rep core.Report, opts Options) []string {
-	names := opts.Candidates
-	if len(names) == 0 {
-		names = engine.SelectableNames()
-	}
-	out := names[:0:0]
-	for _, name := range names {
-		if cfg.RuleCapacityFor(name) < rep.RulesInstalled {
-			continue
-		}
-		out = append(out, name)
-	}
-	return out
-}
-
 // rankEngines scores the shadow-bench results by the profile-weighted blend
 // of speed and memory and recommends the winner when it clearly beats the
 // active engine.
-func rankEngines(results []shadowResult, sig signals, rep core.Report, opts Options) (Recommendation, bool) {
+func rankEngines(results []shadowResult, sig signals, rep core.Report) (Recommendation, bool) {
 	// Normalisation bases: the best (lowest) measured cost on each axis.
 	minNs, minMem := 0.0, 0
 	for _, r := range results {
@@ -343,12 +296,18 @@ func rankEngines(results []shadowResult, sig signals, rep core.Report, opts Opti
 	if best.Engine == "" || best.Engine == rep.ActiveEngine {
 		return Recommendation{}, false
 	}
-	if activeScore > 0 && bestScore < activeScore*(1+opts.Margin) {
+	if activeScore > 0 && bestScore < activeScore*(1+margin) {
 		return Recommendation{}, false
 	}
 	improvement := 1.0
 	if activeScore > 0 {
 		improvement = bestScore/activeScore - 1
+	}
+	reason := fmt.Sprintf("shadow bench replayed %d lookups over the trace: %s scores %.2f vs %s %.2f (speed weight %.2f — %s)",
+		best.Lookups, best.Engine, bestScore, rep.ActiveEngine, activeScore,
+		sig.speedWeight, reasonSummary(sig))
+	if def, ok := engine.Get(best.Engine); ok && def.PacketFactory != nil && !def.Incremental {
+		reason += "; rebuilds on every rule update; update cost not ranked"
 	}
 	return Recommendation{
 		Kind:        KindEngine,
@@ -356,9 +315,7 @@ func rankEngines(results []shadowResult, sig signals, rep core.Report, opts Opti
 		Score:       improvement,
 		NsPerLookup: best.NsPerLookup,
 		MemoryBits:  best.MemoryBits,
-		Reason: fmt.Sprintf("shadow bench replayed %d lookups over sampled traffic: %s scores %.2f vs %s %.2f (speed weight %.2f — %s)",
-			best.Lookups, best.Engine, bestScore, rep.ActiveEngine, activeScore,
-			sig.speedWeight, reasonSummary(sig)),
+		Reason:      reason,
 	}, true
 }
 
@@ -369,24 +326,10 @@ func reasonSummary(sig signals) string {
 	return sig.reasons[0]
 }
 
-// Apply routes one recommendation through the classifier's atomic
-// reconfiguration paths. Advisory-only kinds return an error rather than
-// guessing at an action.
-func Apply(c *core.Classifier, r Recommendation) error {
-	switch r.Kind {
-	case KindEngine:
-		return c.SelectEngine(r.Engine)
-	case KindUpdatePolicy:
-		return c.SetUpdatePolicy(r.RebuildAfterDeltas, r.DegradationThreshold)
-	default:
-		return fmt.Errorf("advisor: recommendation kind %q is advisory only", r.Kind)
-	}
-}
-
 // syntheticTrace derives a replayable header slice from the installed rules
-// when no live samples exist: one deterministic in-rule header per rule,
-// cycled up to maxHeaders. It exercises every engine on the actual rule
-// geometry, which is the best available stand-in for unknown traffic.
+// when the caller supplies no trace: one deterministic in-rule header per
+// rule, cycled up to maxHeaders. It exercises every engine on the actual
+// rule geometry, which is the best available stand-in for unknown traffic.
 func syntheticTrace(rules []fivetuple.Rule, maxHeaders int) []fivetuple.Header {
 	if len(rules) == 0 {
 		return nil

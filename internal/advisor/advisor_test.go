@@ -1,21 +1,20 @@
 package advisor
 
 import (
+	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"sdnpc/internal/cache"
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/core"
+	"sdnpc/internal/engine"
 )
 
 // TestAnalyzeDecisionTable pins the signal → profile mapping on synthetic
 // Report fixtures: each row is one unambiguous pressure signal and the
 // profile (or extra recommendation) the table must produce for it.
 func TestAnalyzeDecisionTable(t *testing.T) {
-	opts := Options{}.withDefaults()
-
 	tests := []struct {
 		name  string
 		rep   core.Report
@@ -76,19 +75,6 @@ func TestAnalyzeDecisionTable(t *testing.T) {
 			},
 		},
 		{
-			name: "oversized memory overrides the blend",
-			rep: core.Report{
-				CacheEnabled: true,
-				Cache:        cache.Stats{Hits: 50, Misses: 950}, // would say speed...
-				Memory:       core.MemoryReport{RuleFilterUsedBits: 5000},
-			},
-			check: func(t *testing.T, sig signals) {
-				if sig.speedWeight != 0.15 {
-					t.Fatalf("speedWeight = %.2f, want 0.15 (memory budget override)", sig.speedWeight)
-				}
-			},
-		},
-		{
 			name: "deep delta debt: tighter rebuild bound",
 			rep: core.Report{
 				Updates: core.UpdateStats{DeltasSinceRebuild: 500},
@@ -121,11 +107,7 @@ func TestAnalyzeDecisionTable(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			o := opts
-			if strings.Contains(tt.name, "oversized") {
-				o.MemoryBudgetBits = 1000
-			}
-			sig := analyze(tt.rep, o)
+			sig := analyze(tt.rep)
 			if got := sig.speedWeight + sig.memoryWeight; got < 0.999 || got > 1.001 {
 				t.Fatalf("weights must sum to 1, got %.3f", got)
 			}
@@ -150,8 +132,9 @@ func findKind(recs []Recommendation, k Kind) (Recommendation, bool) {
 
 // TestRankEnginesWeighting pins the ranking blend on fabricated shadow
 // results: under a speed-heavy profile the fast-but-fat engine wins; under a
-// memory-heavy profile the slow-but-lean one does; and the margin gate keeps
-// marginal improvements from recommending a switch at all.
+// memory-heavy profile the slow-but-lean one does; the margin gate keeps
+// marginal improvements from recommending a switch at all; and a winner that
+// rebuilds on every update says that update cost was not ranked.
 func TestRankEnginesWeighting(t *testing.T) {
 	results := []shadowResult{
 		{Engine: "fast", NsPerLookup: 100, MemoryBits: 1 << 20, Lookups: 1000},
@@ -159,15 +142,14 @@ func TestRankEnginesWeighting(t *testing.T) {
 		{Engine: "active", NsPerLookup: 300, MemoryBits: 1 << 18, Lookups: 1000},
 	}
 	rep := core.Report{ActiveEngine: "active"}
-	opts := Options{}.withDefaults()
 
 	speedy := signals{speedWeight: 0.9, memoryWeight: 0.1}
-	if r, ok := rankEngines(results, speedy, rep, opts); !ok || r.Engine != "fast" {
+	if r, ok := rankEngines(results, speedy, rep); !ok || r.Engine != "fast" {
 		t.Fatalf("speed-heavy profile: got (%+v, %v), want engine fast", r, ok)
 	}
 
 	leanFirst := signals{speedWeight: 0.1, memoryWeight: 0.9}
-	if r, ok := rankEngines(results, leanFirst, rep, opts); !ok || r.Engine != "lean" {
+	if r, ok := rankEngines(results, leanFirst, rep); !ok || r.Engine != "lean" {
 		t.Fatalf("memory-heavy profile: got (%+v, %v), want engine lean", r, ok)
 	}
 
@@ -177,7 +159,7 @@ func TestRankEnginesWeighting(t *testing.T) {
 		{Engine: "active", NsPerLookup: 100, MemoryBits: 1 << 18, Lookups: 1000},
 		{Engine: "rival", NsPerLookup: 98, MemoryBits: 1 << 18, Lookups: 1000},
 	}
-	if r, ok := rankEngines(close, speedy, rep, opts); ok {
+	if r, ok := rankEngines(close, speedy, rep); ok {
 		t.Fatalf("margin gate: %2.0f%% improvement must not recommend a switch, got %+v", 100*r.Score, r)
 	}
 
@@ -186,14 +168,31 @@ func TestRankEnginesWeighting(t *testing.T) {
 		{Engine: "active", NsPerLookup: 50, MemoryBits: 1 << 14, Lookups: 1000},
 		{Engine: "rival", NsPerLookup: 400, MemoryBits: 1 << 20, Lookups: 1000},
 	}
-	if r, ok := rankEngines(best, speedy, rep, opts); ok {
+	if r, ok := rankEngines(best, speedy, rep); ok {
 		t.Fatalf("active engine already best: want no recommendation, got %+v", r)
 	}
 
 	// All candidates errored: nothing to rank.
 	dead := []shadowResult{{Engine: "x", Err: errFixture}}
-	if _, ok := rankEngines(dead, speedy, rep, opts); ok {
+	if _, ok := rankEngines(dead, speedy, rep); ok {
 		t.Fatal("all-errored results must not produce a recommendation")
+	}
+
+	// The ranking never sees update cost, so a whole-packet winner without
+	// delta updates carries the caveat; an incremental one does not.
+	const caveat = "rebuilds on every rule update; update cost not ranked"
+	for winner, want := range map[string]bool{"rfc-full": true, "hypercuts": false, "bst": false} {
+		won := []shadowResult{
+			{Engine: winner, NsPerLookup: 50, MemoryBits: 1 << 14, Lookups: 1000},
+			{Engine: "active", NsPerLookup: 400, MemoryBits: 1 << 20, Lookups: 1000},
+		}
+		r, ok := rankEngines(won, speedy, rep)
+		if !ok || r.Engine != winner {
+			t.Fatalf("got (%+v, %v), want engine %s", r, ok, winner)
+		}
+		if got := strings.HasSuffix(r.Reason, caveat); got != want {
+			t.Errorf("%s: reason %q ends with the update-cost caveat = %v, want %v", winner, r.Reason, got, want)
+		}
 	}
 }
 
@@ -204,9 +203,10 @@ type fixtureErr struct{}
 func (*fixtureErr) Error() string { return "fixture" }
 
 // TestAdviseLiveClassifier runs the full Advise flow against a real
-// classifier with installed rules and no sampled traffic (synthetic-trace
-// path): it must return without error, rank recommendations strongest first,
-// and every engine recommendation must be applicable through Apply.
+// classifier with installed rules and no trace (synthetic-trace path): it
+// must return without error, rank recommendations strongest first, leave the
+// classifier exactly as it found it, and refuse a candidate that is not a
+// selectable engine instead of dropping it.
 func TestAdviseLiveClassifier(t *testing.T) {
 	c, err := core.New(core.DefaultConfig())
 	if err != nil {
@@ -216,12 +216,18 @@ func TestAdviseLiveClassifier(t *testing.T) {
 	if _, err := c.InstallRuleSet(rs); err != nil {
 		t.Fatal(err)
 	}
+	type state struct {
+		gen     uint64
+		engine  string
+		rules   int
+		updates core.UpdateStats
+	}
+	observe := func() state {
+		return state{c.Generation(), c.ActiveEngineName(), c.RuleCount(), c.Report().Updates}
+	}
+	before := observe()
 
-	recs, err := Advise(c, Options{
-		Candidates: []string{"mbt", "bst", "hypercuts"},
-		Budget:     30 * time.Millisecond,
-		MaxHeaders: 256,
-	})
+	recs, err := Advise(c, nil, []string{"mbt", "bst", "hypercuts"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,21 +236,24 @@ func TestAdviseLiveClassifier(t *testing.T) {
 			t.Fatalf("recommendations not sorted by score: %v", recs)
 		}
 	}
-	for _, r := range recs {
-		if r.Kind != KindEngine {
-			continue
-		}
-		if err := Apply(c, r); err != nil {
-			t.Fatalf("Apply(%v): %v", r, err)
-		}
-		if got := c.ActiveEngineName(); got != r.Engine {
-			t.Fatalf("after Apply active engine = %q, want %q", got, r.Engine)
-		}
+	if after := observe(); after != before {
+		t.Fatalf("Advise changed the classifier: before %+v, after %+v", before, after)
 	}
 
-	// Advisory-only kinds must refuse to apply.
-	if err := Apply(c, Recommendation{Kind: KindCache}); err == nil {
-		t.Fatal("Apply(KindCache) must error: cache geometry is construction-time")
+	for _, bad := range [][]string{{"hypercutz"}, {"mbt", "nope"}, {"lut"}} {
+		recs, err := Advise(c, nil, bad)
+		if err == nil {
+			t.Fatalf("Advise(candidates %v) = %v, want an error", bad, recs)
+		}
+		unknown := bad[len(bad)-1]
+		if !strings.Contains(err.Error(), strconv.Quote(unknown)) {
+			t.Errorf("error %q does not name the bad candidate %q", err, unknown)
+		}
+		for _, name := range engine.SelectableNames() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("error %q does not list selectable engine %q", err, name)
+			}
+		}
 	}
 }
 

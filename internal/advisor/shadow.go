@@ -8,8 +8,7 @@ import (
 	"sdnpc/internal/fivetuple"
 )
 
-// shadowResult is one candidate engine's measured cost on the sampled
-// traffic slice.
+// shadowResult is one candidate engine's measured cost on the trace.
 type shadowResult struct {
 	Engine string
 	// NsPerLookup is the measured wall-clock cost per header.
@@ -32,8 +31,8 @@ const shadowBatch = 256
 
 // shadowBench replays the header slice against a fresh classifier per
 // candidate engine, dividing the CPU budget evenly. The shadow classifiers
-// run cache-less and sampler-less: the bench measures the engine itself,
-// not the serving path around it.
+// run cache-less: the bench measures the engine itself, not the serving path
+// around it.
 func shadowBench(rules []fivetuple.Rule, headers []fivetuple.Header, names []string, budget time.Duration) []shadowResult {
 	if len(names) == 0 {
 		return nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -126,11 +125,6 @@ type Classifier struct {
 	// front of both engine tiers and the lookup counters, one per processor.
 	lanes *lanes
 
-	// sampler captures a ring of recently served headers for the advisor's
-	// shadow benches (nil when Config.SampleHeaders is 0 — a nil sampler is
-	// inert, so the serving path offers unconditionally).
-	sampler *headerSampler
-
 	// stats is the update-plane collector; lookups account to their lane.
 	stats statsCollector
 }
@@ -142,9 +136,6 @@ func New(cfg Config) (*Classifier, error) {
 	}
 	c := &Classifier{cfg: cfg}
 	c.lanes = newLanes(&c.cfg)
-	if cfg.SampleHeaders > 0 {
-		c.sampler = newHeaderSampler(cfg.SampleHeaders)
-	}
 	s, err := newSnapshot(&c.cfg, cfg.engineName(), nil)
 	if err != nil {
 		return nil, err
@@ -186,31 +177,9 @@ func (c *Classifier) Generation() uint64 { return c.view().gen }
 // lane).
 func (c *Classifier) CacheEnabled() bool { return c.cfg.CacheCapacity > 0 }
 
-// Config returns the classifier configuration. It takes the writer mutex so
-// the copy is consistent with any concurrent SetUpdatePolicy.
-func (c *Classifier) Config() Config {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cfg
-}
-
-// SetUpdatePolicy adjusts the packet tier's delta-vs-rebuild policy at run
-// time — the WithUpdatePolicy knobs, applied to a live classifier. The new
-// bounds govern from the next publish; in-flight publishes complete under
-// the old policy. This is one of the two atomic apply paths the advisor's
-// recommendations go through (the other is SelectEngine). The zero/negative
-// conventions of Config.RebuildAfterDeltas and Config.DegradationThreshold
-// apply unchanged.
-func (c *Classifier) SetUpdatePolicy(rebuildAfterDeltas int, degradationThreshold float64) error {
-	if math.IsNaN(degradationThreshold) {
-		return fmt.Errorf("core: degradation threshold must not be NaN")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cfg.RebuildAfterDeltas = rebuildAfterDeltas
-	c.cfg.DegradationThreshold = degradationThreshold
-	return nil
-}
+// Config returns the classifier configuration, which never changes after
+// New.
+func (c *Classifier) Config() Config { return c.cfg }
 
 // ActiveEngineName returns the name of the engine answering lookups: the
 // whole-packet engine or IP-segment field engine the classifier was last

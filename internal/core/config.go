@@ -19,7 +19,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"sdnpc/internal/engine"
 	"sdnpc/internal/hw/memory"
@@ -97,14 +96,6 @@ const (
 	// UpdateCost.Degradation to or past this value rebuilds in the same
 	// publish.
 	DefaultDegradationThreshold = 0.5
-
-	// DefaultSampleHeaders is the traffic-sampler ring capacity selected
-	// when sampling is enabled without an explicit Config.SampleHeaders.
-	DefaultSampleHeaders = 2048
-
-	// DefaultAutoTuneInterval is the auto-tuner's advise period when
-	// Config.AutoTuneInterval is unset.
-	DefaultAutoTuneInterval = 30 * time.Second
 )
 
 // CombineMode selects how the label lists of the seven dimensions are
@@ -220,24 +211,6 @@ type Config struct {
 	// the negative-disables convention of RebuildAfterDeltas; NaN is
 	// rejected by Validate.
 	DegradationThreshold float64
-
-	// SampleHeaders, when greater than 0, enables the traffic sampler: a
-	// ring buffer holding the last SampleHeaders served headers, read by the
-	// advisor (SampledHeaders) to shadow-bench candidate engines on real
-	// traffic. 0 (the default) disables sampling; the serving path then
-	// carries no sampling cost at all.
-	SampleHeaders int
-
-	// AutoTune opts the classifier into the self-tuning control plane: the
-	// facade starts a background tuner that periodically runs the advisor
-	// and auto-applies its top recommendation through SelectEngine /
-	// SetUpdatePolicy, with hysteresis so a flapping signal never flaps the
-	// engine. Core itself only validates and carries the flag; the tuner
-	// loop lives above it.
-	AutoTune bool
-	// AutoTuneInterval is the tuner's advise period; 0 selects
-	// DefaultAutoTuneInterval. Only consulted when AutoTune is set.
-	AutoTuneInterval time.Duration
 }
 
 // DefaultConfig returns the architecture configuration evaluated in the
@@ -344,12 +317,6 @@ func (c Config) Validate() error {
 	}
 	if math.IsNaN(c.DegradationThreshold) {
 		return fmt.Errorf("core: degradation threshold must not be NaN")
-	}
-	if c.SampleHeaders < 0 || c.SampleHeaders > 1<<20 {
-		return fmt.Errorf("core: sampled header count %d out of range [0,%d]", c.SampleHeaders, 1<<20)
-	}
-	if c.AutoTuneInterval < 0 {
-		return fmt.Errorf("core: auto-tune interval must not be negative, got %v", c.AutoTuneInterval)
 	}
 	return nil
 }

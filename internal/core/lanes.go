@@ -174,7 +174,6 @@ func (c *Classifier) Reader(worker int) *Reader {
 func (r *Reader) Lookup(h fivetuple.Header) Result {
 	result := r.c.serveOn(r.c.view(), r.lane.microflow, h)
 	r.lane.stats.recordLookup(result)
-	r.c.sampler.offer(h)
 	return result
 }
 
@@ -196,7 +195,6 @@ func (r *Reader) LookupBatchInto(dst []Result, hs []fivetuple.Header) []Result {
 		dst[i] = r.c.serveOn(s, r.lane.microflow, h)
 	}
 	r.lane.stats.recordBatch(SummarizeBatch(dst))
-	r.c.sampler.offer(hs[0])
 	return dst
 }
 

@@ -58,7 +58,6 @@ func (c *Classifier) LookupAllInto(dst []ActionRef, h fivetuple.Header) ([]Actio
 func (r *Reader) LookupAllInto(dst []ActionRef, h fivetuple.Header) ([]ActionRef, Result) {
 	dst, result := r.c.view().lookupAllInto(&r.c.cfg, h, dst[:0])
 	r.lane.stats.recordLookup(result)
-	r.c.sampler.offer(h)
 	return dst, result
 }
 

@@ -50,7 +50,6 @@ func (a *api) routes() map[string]http.HandlerFunc {
 		"POST /v1/tenants/{id}/classify-batch": a.handleClassifyBatch,
 		"GET /v1/tenants/{id}/stats":           a.handleTenantStats,
 		"GET /v1/tenants/{id}/advise":          a.handleAdvise,
-		"POST /v1/tenants/{id}/advise":         a.handleAdviseApply,
 	}
 }
 
@@ -77,9 +76,6 @@ type CreateTenantRequest struct {
 	RebuildAfterDeltas   int     `json:"rebuild_after_deltas,omitempty"`
 	DegradationThreshold float64 `json:"degradation_threshold,omitempty"`
 	SingleProbe          bool    `json:"single_probe,omitempty"`
-	Sampling             int     `json:"sampling,omitempty"`
-	AutoTune             bool    `json:"auto_tune,omitempty"`
-	AutoTuneIntervalMs   int     `json:"auto_tune_interval_ms,omitempty"`
 }
 
 // WireTenant describes one tenant in list/get/create responses.
@@ -200,21 +196,10 @@ type WireGlobalStats struct {
 	PerTenant  []WireTenantStats `json:"per_tenant"`
 }
 
-// AdviseRequest is the optional POST /v1/tenants/{id}/advise body.
-type AdviseRequest struct {
-	// Candidates restricts the shadow-benched engines; empty considers every
-	// selectable engine.
-	Candidates []string `json:"candidates,omitempty"`
-}
-
-// AdviseResponse is the advise payload: the ranked recommendations, the
-// tenant's auto-tune state, and (POST only) the recommendation that was
-// applied.
+// AdviseResponse is the GET /v1/tenants/{id}/advise payload: the ranked
+// recommendations beside the engine the tenant is serving from.
 type AdviseResponse struct {
 	Recommendations []sdnpc.Recommendation `json:"recommendations"`
-	AutoTune        bool                   `json:"auto_tune"`
-	AutoApplied     []sdnpc.Recommendation `json:"auto_applied,omitempty"`
-	Applied         *sdnpc.Recommendation  `json:"applied,omitempty"`
 	Engine          string                 `json:"engine"`
 }
 
@@ -344,9 +329,6 @@ func (a *api) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 		RebuildAfterDeltas:   req.RebuildAfterDeltas,
 		DegradationThreshold: req.DegradationThreshold,
 		SingleProbe:          req.SingleProbe,
-		Sampling:             req.Sampling,
-		AutoTune:             req.AutoTune,
-		AutoTuneIntervalMs:   req.AutoTuneIntervalMs,
 	})
 	if err != nil {
 		status := http.StatusBadRequest
@@ -613,8 +595,9 @@ func (a *api) handleTenantStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wireTenantStats(t))
 }
 
-// handleAdvise runs the workload-adaptive advisor for one tenant and
-// returns its ranked recommendations without applying anything. A
+// handleAdvise returns the tenant's engine report — ranked recommendations
+// from a shadow bench on a trace derived from the installed rules — and
+// changes nothing; the controller acts on it through PUT …/engine. A
 // comma-separated ?candidates= query restricts the shadow-benched engines.
 func (a *api) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	t, ok := a.tenant(w, r)
@@ -625,53 +608,13 @@ func (a *api) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("candidates"); q != "" {
 		candidates = strings.Split(q, ",")
 	}
-	recs, err := t.Classifier.Advise(candidates...)
+	recs, err := t.Classifier.Advise(nil, candidates...)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("advising tenant %q: %w", t.ID, err))
+		// The only error Advise returns is an unknown candidate name.
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, adviseResponse(t, recs, nil))
-}
-
-// handleAdviseApply runs the advisor and applies its strongest applicable
-// recommendation through the classifier's atomic switch paths — the wire
-// form of advise-then-apply for deployments that keep AutoTune off.
-func (a *api) handleAdviseApply(w http.ResponseWriter, r *http.Request) {
-	t, ok := a.tenant(w, r)
-	if !ok {
-		return
-	}
-	var req AdviseRequest
-	if r.ContentLength != 0 {
-		if err := readJSON(w, r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	recs, err := t.Classifier.Advise(req.Candidates...)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("advising tenant %q: %w", t.ID, err))
-		return
-	}
-	var applied *sdnpc.Recommendation
-	for i := range recs {
-		if err := t.Classifier.ApplyRecommendation(recs[i]); err == nil {
-			applied = &recs[i]
-			a.log.Info("recommendation applied", "tenant", t.ID, "recommendation", recs[i].String())
-			break
-		}
-	}
-	writeJSON(w, http.StatusOK, adviseResponse(t, recs, applied))
-}
-
-func adviseResponse(t *Tenant, recs []sdnpc.Recommendation, applied *sdnpc.Recommendation) AdviseResponse {
-	return AdviseResponse{
-		Recommendations: recs,
-		AutoTune:        t.Classifier.AutoTuneEnabled(),
-		AutoApplied:     t.Classifier.AutoApplied(),
-		Applied:         applied,
-		Engine:          t.Classifier.Engine(),
-	}
+	writeJSON(w, http.StatusOK, AdviseResponse{Recommendations: recs, Engine: t.Classifier.Engine()})
 }
 
 // handleGlobalStats sums the served-traffic and memory accounting across

@@ -53,14 +53,6 @@ type TenantConfig struct {
 	DegradationThreshold float64
 	// SingleProbe selects the paper's single-probe HPML combination mode.
 	SingleProbe bool
-	// Sampling enables the traffic sampler the advisor replays (> 0 sets the
-	// ring capacity; advise endpoints fall back to a synthetic trace without
-	// it).
-	Sampling int
-	// AutoTune opts the tenant into the background self-tuning control
-	// plane; AutoTuneIntervalMs overrides its advise period (0 = default).
-	AutoTune           bool
-	AutoTuneIntervalMs int
 }
 
 // Tenant is one isolated classifier table: its own rules, engine selection,
@@ -112,12 +104,6 @@ func (m *Manager) Create(id string, cfg TenantConfig) (*Tenant, error) {
 	if cfg.SingleProbe {
 		opts = append(opts, sdnpc.WithSingleProbe())
 	}
-	if cfg.Sampling > 0 {
-		opts = append(opts, sdnpc.WithSampling(cfg.Sampling))
-	}
-	if cfg.AutoTune {
-		opts = append(opts, sdnpc.WithAutoTune(time.Duration(cfg.AutoTuneIntervalMs)*time.Millisecond))
-	}
 	c, err := sdnpc.New(opts...)
 	if err != nil {
 		return nil, fmt.Errorf("server: building tenant %q: %w", id, err)
@@ -144,19 +130,15 @@ func (m *Manager) Get(id string) (*Tenant, error) {
 	return t, nil
 }
 
-// Delete unregisters the tenant and stops its background resources (the
-// auto-tuner, when configured). In-flight requests holding the tenant keep
+// Delete unregisters the tenant. In-flight requests holding the tenant keep
 // a valid classifier; new requests no longer resolve the id.
 func (m *Manager) Delete(id string) error {
 	m.mu.Lock()
-	t, ok := m.tenants[id]
-	if !ok {
-		m.mu.Unlock()
+	defer m.mu.Unlock()
+	if _, ok := m.tenants[id]; !ok {
 		return fmt.Errorf("%w: %q", ErrTenantNotFound, id)
 	}
 	delete(m.tenants, id)
-	m.mu.Unlock()
-	t.Classifier.Close()
 	return nil
 }
 

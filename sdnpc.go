@@ -23,7 +23,6 @@ package sdnpc
 import (
 	"fmt"
 
-	"sdnpc/internal/advisor"
 	"sdnpc/internal/cache"
 	"sdnpc/internal/core"
 	"sdnpc/internal/engine"
@@ -190,10 +189,6 @@ func WithUpdatePolicy(rebuildAfterDeltas int, degradationThreshold float64) Opti
 // post-update rule set, never a mixture.
 type Classifier struct {
 	inner *core.Classifier
-
-	// tuner is the background auto-tuner (nil without WithAutoTune); Close
-	// stops it.
-	tuner *advisor.AutoTuner
 }
 
 // New creates a classifier with the paper's default geometry, adjusted by
@@ -203,21 +198,11 @@ func New(opts ...Option) (*Classifier, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.AutoTune && cfg.SampleHeaders == 0 {
-		// Auto-tuning without traffic samples would tune on synthetic
-		// guesses; imply the sampler at its default capacity.
-		cfg.SampleHeaders = core.DefaultSampleHeaders
-	}
 	inner, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c := &Classifier{inner: inner}
-	if cfg.AutoTune {
-		c.tuner = advisor.NewAutoTuner(inner, advisor.AutoTunerOptions{Interval: cfg.AutoTuneInterval})
-		c.tuner.Start()
-	}
-	return c, nil
+	return &Classifier{inner: inner}, nil
 }
 
 // MustNew is like New but panics on error.

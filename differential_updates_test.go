@@ -273,6 +273,9 @@ func runDifferentialUpdates(t testing.TB, init []fivetuple.Rule, ops []fuzzUpdat
 			}
 			checkAgainstOracle(t, "mutated", label, c, live, headers)
 		}
+		if table := c.InstalledRules(); !sort.SliceIsSorted(table, func(i, j int) bool { return table[i].Priority < table[j].Priority }) {
+			t.Fatalf("%s: the rule table is not best-first after the sequence: %v", label, table)
+		}
 
 		// Final cross-check: a freshly rebuilt classifier on whatever engine
 		// the sequence left active, pinned to the rebuild path, must answer

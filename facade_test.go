@@ -1,9 +1,6 @@
 package sdnpc
 
-import (
-	"sort"
-	"testing"
-)
+import "testing"
 
 // TestFacadeUpdatePlane exercises the incremental update surface end to end:
 // WithUpdatePolicy selects the delta path, Apply drains a generated churn
@@ -45,11 +42,10 @@ func TestFacadeUpdatePlane(t *testing.T) {
 		t.Errorf("publish latency histogram inconsistent: %+v", stats.PublishLatency)
 	}
 
-	// The delta-churned classifier must still agree with a linear best-first
-	// scan over the live rules (which keep their original priorities, so the
-	// renumbering RuleSet oracle does not apply here).
+	// The delta-churned classifier must still agree with a linear scan over
+	// the live rules, which Rules lists best-first (they keep their original
+	// priorities, so the renumbering RuleSet oracle does not apply here).
 	live := c.Rules()
-	sort.SliceStable(live, func(i, j int) bool { return live[i].Priority < live[j].Priority })
 	for _, h := range GenerateTrace(NewRuleSet("probe", live), TraceOptions{Packets: 300, Seed: 10}) {
 		wantIdx := -1
 		for i, r := range live {

@@ -547,6 +547,14 @@ func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 	return dst, accesses
 }
 
+// NumRules returns the length of the rule table the classifier answers in.
+func (c *Classifier) NumRules() int { return len(c.rules) }
+
+// Rule returns the rule at index i of that table, for reading only and until
+// the next delta. Build renumbers priorities positionally, so only the rule's
+// matches, action and termination are meaningful to a caller.
+func (c *Classifier) Rule(i int) *fivetuple.Rule { return &c.rules[i] }
+
 // NodeCount returns the number of tree nodes.
 func (c *Classifier) NodeCount() int { return c.nodeCount }
 

@@ -75,9 +75,9 @@ func (u *fieldUse) clone() *fieldUse {
 	return c
 }
 
-// installedRule is the software shadow of one hardware rule: what the
-// controller needs to re-programme the data plane after an engine switch
-// and to undo an installation. key is the rule's label combination in a
+// installedRule is one entry of the snapshot's rule table, the software
+// shadow of one hardware rule: what the controller needs to re-programme the
+// data plane after an engine switch and to undo an installation. key is the rule's label combination in a
 // field-tier snapshot and zero in a packet-tier one, which has no labels.
 type installedRule struct {
 	rule fivetuple.Rule
@@ -195,7 +195,8 @@ func (c *Classifier) RuleCapacity() int {
 	return c.cfg.RuleCapacityFor(c.view().activeEngineName())
 }
 
-// InstalledRules returns a copy of the installed rules in installation
+// InstalledRules returns a copy of the rule table: the installed rules
+// best-first — ascending priority, rules of equal priority in installation
 // order.
 func (c *Classifier) InstalledRules() []fivetuple.Rule {
 	return c.view().installedRules()

@@ -196,7 +196,7 @@ func (s *snapshot) lookup(cfg *Config, h fivetuple.Header) Result {
 	// Family fallback: an IPv6 header can only be answered by a structure
 	// whose engine declares DimIPv6 — the field tier and the IPv4-only packet
 	// engines key on 32-bit addresses and would misclassify it. Those
-	// snapshots serve the header honestly from the installed-rule shadow
+	// snapshots serve the header honestly by scanning the rule table
 	// (correct, O(n)); the wildcard-in-both-families rules still match.
 	if h.Family != fivetuple.FamilyIPv4 && !s.servedDims().Has(fivetuple.DimIPv6) {
 		return s.lookupFallback(h)
@@ -249,8 +249,8 @@ func (s *snapshot) lookup(cfg *Config, h fivetuple.Header) Result {
 }
 
 // lookupPacket serves one header from the whole-packet engine tier. The
-// engine returns an index into the best-first packetRules order, so the
-// matched rule's action and priority are read straight from the rule table;
+// engine returns an index into the snapshot's best-first rule table, so the
+// matched rule's action and priority are read straight from it;
 // the latency model charges the dispatch cycle, one cycle per engine memory
 // access and the result select — no label fetch, no Rule Filter probe.
 func (s *snapshot) lookupPacket(h fivetuple.Header) Result {
@@ -262,7 +262,7 @@ func (s *snapshot) lookupPacket(h fivetuple.Header) Result {
 	if !matched {
 		return result
 	}
-	r := s.packet.rules[idx]
+	r := &s.installed[idx].rule
 	result.Matched = true
 	result.Priority = r.Priority
 	result.Action = r.Action

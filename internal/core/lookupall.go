@@ -90,7 +90,7 @@ func (s *snapshot) lookupAllInto(cfg *Config, h fivetuple.Header, dst []ActionRe
 
 // collectPacket gathers the multi-match verdict from a multi-match packet
 // engine. The engine contract already yields priority order (ascending
-// indices into the best-first packetTier.rules slice) truncated at the first
+// indices into the best-first rule table) truncated at the first
 // terminating rule; the re-sort and re-truncation here defend that contract
 // against engine-internal orderings that drift after delta churn — the
 // classifier's verdict is priority-ordered no matter what the structure
@@ -101,31 +101,21 @@ func (s *snapshot) collectPacket(mm engine.MultiMatchPacketEngine, h fivetuple.H
 	idxs, accesses := mm.LookupPacketAll(h, (*scp)[:0])
 	start := len(dst)
 	for _, i := range idxs {
-		r := &s.packet.rules[i]
+		r := &s.installed[i].rule
 		dst = append(dst, ActionRef{Priority: r.Priority, Action: r.Action, ActionArg: r.ActionArg, Terminal: !r.NonTerminating})
 	}
 	*scp = idxs[:0]
 	multiScratchPool.Put(scp)
 	sortRefsByPriority(dst[start:])
 	dst = truncateAtTerminal(dst, start)
-	result := Result{
-		FieldAccesses: accesses,
-		LatencyCycles: CyclesDispatch + accesses + CyclesPacketResult,
-	}
-	if len(dst) > start {
-		ref := dst[start]
-		result.Matched = true
-		result.Priority = ref.Priority
-		result.Action = ref.Action
-		result.ActionArg = ref.ActionArg
-	}
-	return dst, result
+	return dst, verdictResult(dst[start:], accesses)
 }
 
 // collectFallback serves a header no precomputed structure can answer (an
-// IPv6 header under an IPv4-only engine selection) by scanning the
-// installed-rule shadow. Installation order is not priority order, so the
-// matches are collected first and sorted before the terminal truncation.
+// IPv6 header under an IPv4-only engine selection) by scanning the rule
+// table. The table is best-first, so the matches arrive in priority order
+// and the scan ends at the first terminating one — the scan, and the access
+// count, of the linear engine.
 func (s *snapshot) collectFallback(h fivetuple.Header, dst []ActionRef) ([]ActionRef, Result) {
 	start := len(dst)
 	accesses := 0
@@ -136,50 +126,45 @@ func (s *snapshot) collectFallback(h fivetuple.Header, dst []ActionRef) ([]Actio
 			continue
 		}
 		dst = append(dst, ActionRef{Priority: r.Priority, Action: r.Action, ActionArg: r.ActionArg, Terminal: !r.NonTerminating})
+		if !r.NonTerminating {
+			break
+		}
 	}
-	sortRefsByPriority(dst[start:])
-	dst = truncateAtTerminal(dst, start)
-	result := Result{
-		FieldAccesses: accesses,
-		LatencyCycles: CyclesDispatch + accesses + CyclesPacketResult,
-	}
-	if len(dst) > start {
-		ref := dst[start]
-		result.Matched = true
-		result.Priority = ref.Priority
-		result.Action = ref.Action
-		result.ActionArg = ref.ActionArg
-	}
-	return dst, result
+	return dst, verdictResult(dst[start:], accesses)
 }
 
-// lookupFallback is the single-verdict form of collectFallback: the
-// best-priority scan an IPv6 header falls back to when the active engine
-// serves only the IPv4 five-tuple.
-func (s *snapshot) lookupFallback(h fivetuple.Header) Result {
-	best := -1
-	accesses := 0
-	for i := range s.installed {
-		accesses++
-		r := &s.installed[i].rule
-		if !r.Matches(h) {
-			continue
-		}
-		if best < 0 || r.Priority < s.installed[best].rule.Priority {
-			best = i
-		}
-	}
+// verdictResult is the single-verdict Result of a multi-action lookup served
+// outside the field pipeline: the head of the verdict list, under the
+// whole-packet latency model (dispatch, one cycle per access, result select).
+func verdictResult(refs []ActionRef, accesses int) Result {
 	result := Result{
 		FieldAccesses: accesses,
 		LatencyCycles: CyclesDispatch + accesses + CyclesPacketResult,
 	}
-	if best >= 0 {
-		r := &s.installed[best].rule
+	if len(refs) > 0 {
 		result.Matched = true
-		result.Priority = r.Priority
-		result.Action = r.Action
-		result.ActionArg = r.ActionArg
+		result.Priority = refs[0].Priority
+		result.Action = refs[0].Action
+		result.ActionArg = refs[0].ActionArg
 	}
+	return result
+}
+
+// lookupFallback is the single-verdict form of collectFallback: the first
+// match of the rule table, which is what an IPv6 header falls back to when
+// the active engine serves only the IPv4 five-tuple.
+func (s *snapshot) lookupFallback(h fivetuple.Header) Result {
+	var result Result
+	accesses := len(s.installed)
+	for i := range s.installed {
+		if r := &s.installed[i].rule; r.Matches(h) {
+			result = Result{Matched: true, Priority: r.Priority, Action: r.Action, ActionArg: r.ActionArg}
+			accesses = i + 1
+			break
+		}
+	}
+	result.FieldAccesses = accesses
+	result.LatencyCycles = CyclesDispatch + accesses + CyclesPacketResult
 	return result
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // snapshot is one complete state of the classifier's data path: the
-// installed-rule shadow plus exactly one serving tier programmed from it —
+// best-first rule table plus exactly one serving tier programmed from it —
 // the field tier (per-dimension engines, label bank, Rule Filter) or the
 // packet tier (one whole-packet structure), never both. Switching engines
 // builds a fresh tier for the named engine from the installed rules and
@@ -37,6 +37,10 @@ type snapshot struct {
 	// assigns.
 	gen uint64
 
+	// installed is the rule table, and the only copy of it above the serving
+	// structure: best-first — ascending Priority, ties in installation order —
+	// so a whole-packet engine's rule indices resolve straight into it and a
+	// scan of it meets the highest-priority match first.
 	installed []installedRule
 
 	// Exactly one of field and packet is non-nil: the tier the selected
@@ -84,10 +88,6 @@ type packetTier struct {
 	// builds it in full; a published packet tier always has one.
 	engine engine.PacketEngine
 
-	// rules is the best-first rule order the engine currently answers in
-	// (LookupPacket indices resolve into it).
-	rules []fivetuple.Rule
-
 	// dims is the engine's registry-declared dimension support
 	// (engine.Dims(name)), resolved once when the tier is built so the
 	// per-packet serving path never takes the registry lock.
@@ -104,10 +104,13 @@ type packetTier struct {
 	deltas  int
 }
 
-// packetDelta is one pending rule mutation awaiting packet-tier sync.
+// packetDelta is one pending rule mutation awaiting packet-tier sync: the
+// rule and the position in the rule table it was placed at or removed from,
+// as of the moment the op was applied to the table.
 type packetDelta struct {
 	delete bool
 	rule   fivetuple.Rule
+	idx    int
 }
 
 // activeEngineName returns the registry name of the engine answering this
@@ -131,8 +134,8 @@ func (s *snapshot) servedDims() fivetuple.DimSet {
 }
 
 // newSnapshot builds the data path the named engine serves from — an empty
-// tier of the engine's kind — and programmes it with the given rules in
-// installation order.
+// tier of the engine's kind — and programmes it with the given rules, one
+// by one in the order given (the rule table places each by priority).
 func newSnapshot(cfg *Config, name string, rules []fivetuple.Rule) (*snapshot, error) {
 	isPacket, ok := engine.Selectable(name)
 	if !ok {
@@ -221,16 +224,16 @@ func (f *fieldTier) buildEngine(cfg *Config, d label.Dimension) (engine.FieldEng
 	}
 }
 
-// clone duplicates the snapshot's mutable state — the installed-rule list
-// and the one tier it holds — so the copy can absorb an update while readers
-// keep traversing the original.
+// clone duplicates the snapshot's mutable state — the rule table and the one
+// tier it holds — so the copy can absorb an update while readers keep
+// traversing the original.
 func (s *snapshot) clone(cfg *Config) (*snapshot, error) {
 	c := &snapshot{installed: append([]installedRule(nil), s.installed...)}
 	if p := s.packet; p != nil {
 		// The clone shares the built structure; a rebuild after a rule change
 		// replaces only the clone's handle, and a delta update copy-on-writes
 		// inside the engine — never the published one either way.
-		c.packet = &packetTier{name: p.name, engine: p.engine.Clone(), rules: p.rules, dims: p.dims, deltas: p.deltas}
+		c.packet = &packetTier{name: p.name, engine: p.engine.Clone(), dims: p.dims, deltas: p.deltas}
 		return c, nil
 	}
 	var err error
@@ -314,14 +317,11 @@ func (s *snapshot) syncPacket(cfg *Config) (publishSync, error) {
 		}
 		p.engine = eng
 	}
-	// The Table I structures resolve ties by table order, so hand them the
-	// rules best-first; LookupPacket indices then resolve through this slice.
-	rules := s.installedRules()
-	sort.SliceStable(rules, func(i, j int) bool { return rules[i].Priority < rules[j].Priority })
-	if err := p.engine.Install(rules); err != nil {
-		return publishSync{}, fmt.Errorf("core: building %s packet engine over %d rules: %w", p.name, len(rules), err)
+	// The Table I structures resolve ties by table order and answer in
+	// indices into the slice they were built over: hand them the rule table.
+	if err := p.engine.Install(s.installedRules()); err != nil {
+		return publishSync{}, fmt.Errorf("core: building %s packet engine over %d rules: %w", p.name, len(s.installed), err)
 	}
-	p.rules = rules
 	p.pending = nil
 	p.deltas = 0
 	return publishSync{rebuilt: true}, nil
@@ -335,34 +335,22 @@ func (p *packetTier) deltaBudgetAllows(cfg *Config) bool {
 	return k <= 0 || p.deltas+len(p.pending) < k
 }
 
-// applyDeltas drains the pending mutations through the engine's delta ops,
-// keeping rules in step so LookupPacket indices keep resolving. Insert
-// positions are the stable upper bound of the rule's priority — exactly
-// where the rebuild path's stable sort would place a rule appended to the
-// installation order — so the delta-updated and rebuilt structures answer in
-// the same rule order. ok is false when an op failed or the applied deltas
-// tripped the degradation threshold; the caller then rebuilds.
+// applyDeltas forwards the pending mutations to the engine's delta ops at
+// the rule-table positions insertRule and deleteRule recorded, so the
+// structure's rule order stays the table's and a delta-updated structure
+// answers as one rebuilt over the table would. ok is false when an op failed
+// or the applied deltas tripped the degradation threshold; the caller then
+// rebuilds.
 func (p *packetTier) applyDeltas(cfg *Config, inc engine.IncrementalPacketEngine) (applied int, ok bool) {
-	// Copy-on-write: rules is shared with the published predecessor.
-	rules := append([]fivetuple.Rule(nil), p.rules...)
 	for _, op := range p.pending {
+		var err error
 		if op.delete {
-			idx := packetRuleIndex(rules, op.rule)
-			if idx < 0 {
-				return 0, false
-			}
-			if err := inc.DeleteRule(op.rule, idx); err != nil {
-				return 0, false
-			}
-			rules = append(rules[:idx], rules[idx+1:]...)
+			err = inc.DeleteRule(op.rule, op.idx)
 		} else {
-			idx := sort.Search(len(rules), func(i int) bool { return rules[i].Priority > op.rule.Priority })
-			if err := inc.InsertRule(op.rule, idx); err != nil {
-				return 0, false
-			}
-			rules = append(rules, fivetuple.Rule{})
-			copy(rules[idx+1:], rules[idx:])
-			rules[idx] = op.rule
+			err = inc.InsertRule(op.rule, op.idx)
+		}
+		if err != nil {
+			return 0, false
 		}
 	}
 	if inc.UpdateCost().Degradation >= cfg.degradationThreshold() {
@@ -371,26 +359,9 @@ func (p *packetTier) applyDeltas(cfg *Config, inc engine.IncrementalPacketEngine
 		return 0, false
 	}
 	applied = len(p.pending)
-	p.rules = rules
 	p.pending = nil
 	p.deltas += applied
 	return applied, true
-}
-
-// packetRuleIndex locates a rule in the best-first packet order by its field
-// matches and priority — the same identity findInstalled uses. Identity goes
-// through Rule.SameMatch so every dimension participates: comparing only the
-// classic five fields would let a delete land on a rule differing in an
-// IPv6/VLAN/flag match. The slice is priority-sorted, so the scan is bounded
-// to the equal-priority run.
-func packetRuleIndex(rules []fivetuple.Rule, r fivetuple.Rule) int {
-	lo := sort.Search(len(rules), func(i int) bool { return rules[i].Priority >= r.Priority })
-	for i := lo; i < len(rules) && rules[i].Priority == r.Priority; i++ {
-		if rules[i].SameMatch(r) {
-			return i
-		}
-	}
-	return -1
 }
 
 // rebuildEngine is the clone fallback for engines without a Clone hook: a
@@ -438,8 +409,8 @@ func (s *snapshot) prepare(cfg *Config) {
 	}
 }
 
-// installedRules returns a copy of the installed rules in installation
-// order.
+// installedRules returns a copy of the rule table: best-first, ties in
+// installation order.
 func (s *snapshot) installedRules() []fivetuple.Rule {
 	out := make([]fivetuple.Rule, len(s.installed))
 	for i, ir := range s.installed {
@@ -448,12 +419,15 @@ func (s *snapshot) installedRules() []fivetuple.Rule {
 	return out
 }
 
-// findInstalled locates an installed rule with the same field matches and
-// priority. Identity goes through Rule.SameMatch so every dimension —
-// including the IPv6/VLAN/flag extensions — participates in the comparison.
+// findInstalled locates the first-installed rule with the same field matches
+// and priority, or returns -1. Identity goes through Rule.SameMatch so every
+// dimension — including the IPv6/VLAN/flag extensions — participates in the
+// comparison. The table is priority-sorted, so the scan is bounded to the
+// equal-priority run.
 func (s *snapshot) findInstalled(r fivetuple.Rule) int {
-	for i, ir := range s.installed {
-		if ir.rule.Priority == r.Priority && ir.rule.SameMatch(r) {
+	lo := sort.Search(len(s.installed), func(i int) bool { return s.installed[i].rule.Priority >= r.Priority })
+	for i := lo; i < len(s.installed) && s.installed[i].rule.Priority == r.Priority; i++ {
+		if s.installed[i].rule.SameMatch(r) {
 			return i
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"time"
 
 	"sdnpc/internal/fivetuple"
@@ -107,12 +108,13 @@ func (c *Classifier) InsertRule(r fivetuple.Rule) (report UpdateReport, err erro
 	return report, nil
 }
 
-// DeleteRule removes one installed rule, identified by its five field
-// matches and priority. Deletion mirrors insertion: every dimension's label
-// counter is decremented and only a counter that reaches zero removes the
-// value from its engine (§IV.A: "only when the counter is zero, the label is
-// deleted from the hardware architecture"). Like InsertRule, the deletion is
-// built on a private clone and published atomically.
+// DeleteRule removes one installed rule, identified by its field matches and
+// priority (the first installed, when several rules share both). Deletion
+// mirrors insertion: every dimension's label counter is decremented and only
+// a counter that reaches zero removes the value from its engine (§IV.A: "only
+// when the counter is zero, the label is deleted from the hardware
+// architecture"). Like InsertRule, the deletion is built on a private clone
+// and published atomically.
 func (c *Classifier) DeleteRule(r fivetuple.Rule) (report UpdateReport, err error) {
 	err = c.update(func(next *snapshot, applied *updateTally) (err error) {
 		report, _, err = next.deleteRule(r)
@@ -167,16 +169,19 @@ func (s *snapshot) insertRule(cfg *Config, r fivetuple.Rule) (UpdateReport, erro
 			ErrDimsUnsupported, r, dims, name, have)
 	}
 	report := UpdateReport{ClockCycles: hardwareUpdateCycles()}
+	// After every rule of the same or a better priority: ties stay in
+	// installation order.
+	idx := sort.Search(len(s.installed), func(i int) bool { return s.installed[i].rule.Priority > r.Priority })
 	var key label.CombinationKey
 	if s.packet != nil {
-		s.packet.pending = append(s.packet.pending, packetDelta{rule: r})
+		s.packet.pending = append(s.packet.pending, packetDelta{rule: r, idx: idx})
 	} else {
 		var err error
 		if key, err = s.field.insertRule(r, &report); err != nil {
 			return UpdateReport{}, fmt.Errorf("core: inserting rule %s: %w", r, err)
 		}
 	}
-	s.installed = append(s.installed, installedRule{rule: r, key: key})
+	s.installed = slices.Insert(s.installed, idx, installedRule{rule: r, key: key})
 	return report, nil
 }
 
@@ -273,11 +278,11 @@ func (s *snapshot) deleteRule(r fivetuple.Rule) (report UpdateReport, mutated bo
 	installed := s.installed[idx]
 	report = UpdateReport{ClockCycles: hardwareUpdateCycles()}
 	if s.packet != nil {
-		s.packet.pending = append(s.packet.pending, packetDelta{delete: true, rule: installed.rule})
+		s.packet.pending = append(s.packet.pending, packetDelta{delete: true, rule: installed.rule, idx: idx})
 	} else if dirty, err := s.field.deleteRule(installed, &report); err != nil {
 		return report, dirty, fmt.Errorf("core: deleting rule %s: %w", r, err)
 	}
-	s.installed = append(s.installed[:idx], s.installed[idx+1:]...)
+	s.installed = slices.Delete(s.installed, idx, idx+1)
 	return report, true, nil
 }
 

@@ -33,8 +33,7 @@ func init() {
 // the tracked garbage surfaces through UpdateCost.Degradation so the
 // classifier's policy layer can amortise it with a rebuild.
 type dcflEngine struct {
-	rules []fivetuple.Rule
-	c     *dcfl.Classifier
+	c *dcfl.Classifier
 	// owned marks the tables as private to this handle. Clone clears it;
 	// the first delta op on an un-owned handle deep-copies the tables first,
 	// so a delta is never observable through the cloned-from handle.
@@ -45,14 +44,13 @@ func newDCFLEngine(Spec) (PacketEngine, error) { return &dcflEngine{}, nil }
 
 func (e *dcflEngine) Install(rules []fivetuple.Rule) error {
 	if len(rules) == 0 {
-		e.rules, e.c, e.owned = nil, nil, false
+		e.c, e.owned = nil, false
 		return nil
 	}
 	c, err := dcfl.Build(fivetuple.NewRuleSet("dcfl", rules))
 	if err != nil {
 		return err
 	}
-	e.rules = rules
 	e.c = c
 	e.owned = true
 	return nil
@@ -72,26 +70,18 @@ func (e *dcflEngine) InsertRule(r fivetuple.Rule, idx int) error {
 		return fmt.Errorf("dcfl: no built tables to delta-update (install first)")
 	}
 	e.own()
-	if err := e.c.InsertAt(r, idx); err != nil {
-		return err
-	}
-	e.rules = spliceIn(e.rules, r, idx)
-	return nil
+	return e.c.InsertAt(r, idx)
 }
 
 func (e *dcflEngine) DeleteRule(r fivetuple.Rule, idx int) error {
 	if e.c == nil {
 		return fmt.Errorf("dcfl: no built tables to delta-update (install first)")
 	}
-	if idx < 0 || idx >= len(e.rules) || e.rules[idx].Priority != r.Priority {
-		return fmt.Errorf("dcfl: delete index %d does not hold a priority-%d rule", idx, r.Priority)
+	if idx < 0 || idx >= e.c.NumRules() || !e.c.Rule(idx).SameMatch(r) {
+		return fmt.Errorf("dcfl: delete index %d does not hold rule %s", idx, r)
 	}
 	e.own()
-	if err := e.c.DeleteAt(idx); err != nil {
-		return err
-	}
-	e.rules = spliceOut(e.rules, idx)
-	return nil
+	return e.c.DeleteAt(idx)
 }
 
 func (e *dcflEngine) UpdateCost() UpdateCost {
@@ -122,7 +112,7 @@ func (e *dcflEngine) LookupPacketAll(h fivetuple.Header, dst []int) ([]int, int)
 	dst, accesses := e.c.ClassifyAll(h, dst)
 	slices.Sort(dst[start:])
 	for i := start; i < len(dst); i++ {
-		if !e.rules[dst[i]].NonTerminating {
+		if !e.c.Rule(dst[i]).NonTerminating {
 			return dst[:i+1], accesses
 		}
 	}

@@ -32,9 +32,8 @@ func init() {
 // overflow surfaces through UpdateCost.Degradation so the classifier's
 // policy layer can amortise it with a rebuild.
 type hypercutsEngine struct {
-	cfg   hypercuts.Config
-	rules []fivetuple.Rule
-	c     *hypercuts.Classifier
+	cfg hypercuts.Config
+	c   *hypercuts.Classifier
 	// owned marks the structure as private to this handle. Clone clears it;
 	// the first delta op on an un-owned handle deep-copies the tree first,
 	// so a delta is never observable through the cloned-from handle.
@@ -47,14 +46,13 @@ func newHyperCutsEngine(Spec) (PacketEngine, error) {
 
 func (e *hypercutsEngine) Install(rules []fivetuple.Rule) error {
 	if len(rules) == 0 {
-		e.rules, e.c, e.owned = nil, nil, false
+		e.c, e.owned = nil, false
 		return nil
 	}
 	c, err := hypercuts.Build(fivetuple.NewRuleSet("hypercuts", rules), e.cfg)
 	if err != nil {
 		return err
 	}
-	e.rules = rules
 	e.c = c
 	e.owned = true
 	return nil
@@ -74,26 +72,18 @@ func (e *hypercutsEngine) InsertRule(r fivetuple.Rule, idx int) error {
 		return fmt.Errorf("hypercuts: no built tree to delta-update (install first)")
 	}
 	e.own()
-	if err := e.c.InsertAt(r, idx); err != nil {
-		return err
-	}
-	e.rules = spliceIn(e.rules, r, idx)
-	return nil
+	return e.c.InsertAt(r, idx)
 }
 
 func (e *hypercutsEngine) DeleteRule(r fivetuple.Rule, idx int) error {
 	if e.c == nil {
 		return fmt.Errorf("hypercuts: no built tree to delta-update (install first)")
 	}
-	if idx < 0 || idx >= len(e.rules) || e.rules[idx].Priority != r.Priority {
-		return fmt.Errorf("hypercuts: delete index %d does not hold a priority-%d rule", idx, r.Priority)
+	if idx < 0 || idx >= e.c.NumRules() || !e.c.Rule(idx).SameMatch(r) {
+		return fmt.Errorf("hypercuts: delete index %d does not hold rule %s", idx, r)
 	}
 	e.own()
-	if err := e.c.DeleteAt(idx); err != nil {
-		return err
-	}
-	e.rules = spliceOut(e.rules, idx)
-	return nil
+	return e.c.DeleteAt(idx)
 }
 
 func (e *hypercutsEngine) UpdateCost() UpdateCost {
@@ -124,7 +114,7 @@ func (e *hypercutsEngine) LookupPacketAll(h fivetuple.Header, dst []int) ([]int,
 	dst, accesses := e.c.ClassifyAll(h, dst)
 	slices.Sort(dst[start:])
 	for i := start; i < len(dst); i++ {
-		if !e.rules[dst[i]].NonTerminating {
+		if !e.c.Rule(dst[i]).NonTerminating {
 			return dst[:i+1], accesses
 		}
 	}

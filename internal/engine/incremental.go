@@ -32,7 +32,8 @@ type UpdateCost struct {
 // flat under SDN flow-mod churn.
 //
 // Index contract: both ops are expressed against the installed best-first
-// rule order (the slice handed to Install, kept current across deltas).
+// rule order — the table handed to Install, kept current across deltas by the
+// structure and, as its own rule table, by the classifier.
 // InsertRule splices r in at position idx — indices at or above idx shift up
 // by one — and DeleteRule removes the rule at idx — indices above it shift
 // down. After either op, LookupPacket must answer exactly as a fresh Install
@@ -49,29 +50,12 @@ type IncrementalPacketEngine interface {
 	// InsertRule splices r into the installed best-first order at idx.
 	InsertRule(r fivetuple.Rule, idx int) error
 	// DeleteRule removes the rule at idx of the installed best-first order;
-	// r is the rule the caller believes lives there, so implementations can
-	// reject a divergent view instead of corrupting the structure.
+	// r is the rule the caller believes lives there, and an implementation
+	// whose table holds a rule with different matches at idx (Rule.SameMatch)
+	// rejects the divergent view instead of corrupting the structure.
 	DeleteRule(r fivetuple.Rule, idx int) error
 	// UpdateCost reports the delta debt since the last full Install.
 	UpdateCost() UpdateCost
-}
-
-// spliceIn returns a fresh slice with r inserted at idx. It never mutates
-// the input's backing array: the caller may share it with a published
-// snapshot's rule table.
-func spliceIn(rules []fivetuple.Rule, r fivetuple.Rule, idx int) []fivetuple.Rule {
-	out := make([]fivetuple.Rule, 0, len(rules)+1)
-	out = append(out, rules[:idx]...)
-	out = append(out, r)
-	return append(out, rules[idx:]...)
-}
-
-// spliceOut returns a fresh slice with the rule at idx removed, again
-// without touching the shared input.
-func spliceOut(rules []fivetuple.Rule, idx int) []fivetuple.Rule {
-	out := make([]fivetuple.Rule, 0, len(rules)-1)
-	out = append(out, rules[:idx]...)
-	return append(out, rules[idx+1:]...)
 }
 
 // IncrementalPacketEngineNames returns the sorted names of the registered

@@ -164,6 +164,54 @@ func TestIncrementalCloneIsolation(t *testing.T) {
 	}
 }
 
+// TestIncrementalDeleteRejectsDivergentMatch pins the divergent-view check:
+// DeleteRule names the rule the caller believes lives at idx, and an index
+// holding a rule of the same priority but different matches — every index, on
+// a wire tenant whose rules all carry priority 0 — must be refused with the
+// structure left answering as before the call.
+func TestIncrementalDeleteRejectsDivergentMatch(t *testing.T) {
+	for _, name := range engine.IncrementalPacketEngineNames() {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(107))
+			rules := randomRules(rng, 30)
+			for i := range rules {
+				rules[i].Priority = 0
+			}
+			headers := probeHeaders(rng, rules, 40)
+			eng, err := engine.NewPacket(name, engine.Spec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inc := eng.(engine.IncrementalPacketEngine)
+			if err := inc.Install(rules); err != nil {
+				t.Fatal(err)
+			}
+			before := make([]int, len(headers))
+			for i, h := range headers {
+				before[i], _, _ = inc.LookupPacket(h)
+			}
+			wrong := 1
+			for rules[wrong].SameMatch(rules[0]) {
+				wrong++
+			}
+			if err := inc.DeleteRule(rules[0], wrong); err == nil {
+				t.Fatalf("DeleteRule(%s, %d) accepted an index holding %s", rules[0], wrong, rules[wrong])
+			}
+			if cost := inc.UpdateCost(); cost.Deltas != 0 {
+				t.Errorf("UpdateCost.Deltas = %d after a refused delete, want 0", cost.Deltas)
+			}
+			for i, h := range headers {
+				if idx, _, _ := inc.LookupPacket(h); idx != before[i] {
+					t.Fatalf("verdict for %s changed across a refused delete: rule %d -> %d", h, before[i], idx)
+				}
+			}
+			if err := inc.DeleteRule(rules[wrong], wrong); err != nil {
+				t.Fatalf("DeleteRule with the matching view: %v", err)
+			}
+		})
+	}
+}
+
 // TestIncrementalDeltaOnEmptyEngineFails pins the fallback contract: a delta
 // against an engine with no built structure must fail cleanly (the
 // classifier then falls back to a full rebuild) rather than build implicitly.

@@ -58,12 +58,30 @@ func (e *linearEngine) DeleteRule(r fivetuple.Rule, idx int) error {
 	if !e.installed {
 		return fmt.Errorf("linear: no installed scan to delta-update (install first)")
 	}
-	if idx < 0 || idx >= len(e.rules) || e.rules[idx].Priority != r.Priority {
-		return fmt.Errorf("linear: delete index %d does not hold a priority-%d rule", idx, r.Priority)
+	if idx < 0 || idx >= len(e.rules) || !e.rules[idx].SameMatch(r) {
+		return fmt.Errorf("linear: delete index %d does not hold rule %s", idx, r)
 	}
 	e.rules = spliceOut(e.rules, idx)
 	e.deltas++
 	return nil
+}
+
+// spliceIn returns a fresh slice with r inserted at idx. It never mutates
+// the input's backing array, which the handle this one was cloned from — a
+// published snapshot's engine — still scans.
+func spliceIn(rules []fivetuple.Rule, r fivetuple.Rule, idx int) []fivetuple.Rule {
+	out := make([]fivetuple.Rule, 0, len(rules)+1)
+	out = append(out, rules[:idx]...)
+	out = append(out, r)
+	return append(out, rules[idx:]...)
+}
+
+// spliceOut returns a fresh slice with the rule at idx removed, again
+// without touching the shared input.
+func spliceOut(rules []fivetuple.Rule, idx int) []fivetuple.Rule {
+	out := make([]fivetuple.Rule, 0, len(rules)-1)
+	out = append(out, rules[:idx]...)
+	return append(out, rules[idx+1:]...)
 }
 
 // UpdateCost never reports degradation: a splice leaves the scan exactly as a

@@ -7,9 +7,10 @@
 # combination mode. A single stray
 # allocation on any serving path fails the gate, so the arena layout's
 # headline contract cannot erode silently. It also runs
-# TestPacketTierUpdateAllocs, which bounds the objects one rule update
-# allocates under a whole-packet engine (the snapshot clone must not grow a
-# second tier back). These are the same tests a developer runs locally with:
+# TestPacketTierUpdateAllocs, which bounds the objects and the bytes one rule
+# update allocates under a whole-packet engine (the snapshot clone must not
+# grow a second tier back, nor the rule table a third copy). These are the
+# same tests a developer runs locally with:
 #
 #	go test ./internal/core/ -run 'ZeroAllocs|UpdateAllocs'
 #

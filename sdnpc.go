@@ -294,7 +294,8 @@ func (c *Classifier) SelectEngine(name string) error { return c.inner.SelectEngi
 // Engine returns the name of the engine answering lookups.
 func (c *Classifier) Engine() string { return c.inner.ActiveEngineName() }
 
-// Rules returns a copy of the installed rules in installation order.
+// Rules returns a copy of the installed rules best-first: ascending priority,
+// rules of equal priority in installation order.
 func (c *Classifier) Rules() []Rule { return c.inner.InstalledRules() }
 
 // RuleCount returns the number of installed rules.

@@ -199,6 +199,35 @@ func TestConcurrentServingDuringUpdates(t *testing.T) {
 		}()
 	}
 
+	// Report rides along. It reads one published snapshot and nothing the
+	// writer owns — the field tier's label bank is the writer's, so its
+	// footprint comes stamped on the tier — which is for the race detector to
+	// confirm and these two checks to keep honest.
+	reporting := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for pass := 0; ; pass++ {
+			if pass == 1 {
+				close(reporting)
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+			rep := c.Report()
+			if rep.RulesInstalled < 1 || rep.RulesInstalled > 2 {
+				t.Errorf("Report saw %d rules installed, want the stable rule with or without the flip rule", rep.RulesInstalled)
+			}
+			// One label per dimension and rule at most, 13+16 bits each.
+			if bits := rep.Memory.LabelTableBits; (rep.Memory.IPEngine != "") != (bits > 0) || bits > rep.RulesInstalled*7*29 {
+				t.Errorf("Report of a %q-engine snapshot with %d rules carries %d label-table bits", rep.ActiveEngine, rep.RulesInstalled, bits)
+			}
+		}
+	}()
+	<-reporting
+
 	engines := Engines()
 	const writerIterations = 120
 	for i := 0; i < writerIterations; i++ {
@@ -382,13 +411,21 @@ func TestConcurrentReplicaCoherence(t *testing.T) {
 	// Two worker-pinned readers per lane: distinct worker ids that map to
 	// the same lane must still each see a consistent cut.
 	const readers = 2 * lanes
+	// The storm starts once every reader has served a full pass: an update
+	// costs what it touches, so the writer could otherwise be done before a
+	// reader is scheduled at all.
+	var serving sync.WaitGroup
+	serving.Add(readers)
 	for i := 0; i < readers; i++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
 			reader := c.Reader(worker)
 			lastGen := reader.Generation()
-			for {
+			for pass := 0; ; pass++ {
+				if pass == 1 {
+					serving.Done()
+				}
 				select {
 				case <-done:
 					return
@@ -444,6 +481,7 @@ func TestConcurrentReplicaCoherence(t *testing.T) {
 	// cache.
 	engines := Engines()
 	const writerIterations = 40
+	serving.Wait()
 	for i := 0; i < writerIterations; i++ {
 		if _, err := c.Insert(flip); err != nil {
 			t.Errorf("insert flip: %v", err)

@@ -182,7 +182,8 @@ func removeFirstMatch(live []fivetuple.Rule, r fivetuple.Rule) []fivetuple.Rule 
 // runDifferentialUpdates applies the mutation sequence through each packet
 // engine's incremental publish path (delta-friendly policy, plus a cached
 // variant for one engine on the host's lanes and on multiLanes forced ones,
-// so lane-private caches sit in front of every published snapshot), checking
+// so lane-private caches sit in front of every published snapshot) and
+// through each field engine's copy-on-write update path, checking
 // every intermediate state against the best-first oracle and the final state
 // against a freshly rebuilt classifier pinned to rebuild-on-every-publish.
 func runDifferentialUpdates(t testing.TB, init []fivetuple.Rule, ops []fuzzUpdateOp, headers []fivetuple.Header) {
@@ -220,6 +221,14 @@ func runDifferentialUpdates(t testing.TB, init []fivetuple.Rule, ops []fuzzUpdat
 		cfg.RebuildAfterDeltas = 1 << 20
 		cfg.DegradationThreshold = 1.01
 		variants[name] = variant{cfg: cfg}
+	}
+	// The field tier's update path — shared label bank, path-copied tries,
+	// chunk-copied Rule Filter — runs the sequence under every field engine
+	// that covers it, instead of only when an op hops onto one.
+	for _, name := range engine.IPEngineNames() {
+		if engine.Dims(name).Covers(need) {
+			variants[name] = variant{cfg: bench.EngineConfig(name)}
+		}
 	}
 	// The cached variants ride on the richest gated engine: hypercuts when it
 	// covers the sequence, the always-covering linear engine otherwise, so
@@ -307,7 +316,7 @@ func runDifferentialUpdates(t testing.TB, init []fivetuple.Rule, ops []fuzzUpdat
 
 // FuzzDifferentialUpdates drives fuzz-decoded mutation sequences through the
 // incremental update path of every packet engine (and the cached hypercuts
-// variant), asserting byte-identical verdicts versus the best-first oracle
+// variant) and the update path of every field engine, asserting byte-identical verdicts versus the best-first oracle
 // after every mutation and versus a freshly rebuilt engine at the end. CI
 // runs it as a smoke pass (-fuzz=FuzzDifferentialUpdates -fuzztime=30s).
 func FuzzDifferentialUpdates(f *testing.F) {

@@ -20,6 +20,7 @@ package mbt
 
 import (
 	"fmt"
+	"slices"
 
 	"sdnpc/internal/label"
 )
@@ -98,20 +99,28 @@ type entry struct {
 	labels *label.List
 }
 
-// node is one trie node: an array of 2^stride entries.
+// node is one trie node: an array of 2^stride entries. Its label lists
+// belong to it; its children may be shared with other engines.
 type node struct {
-	level   int
+	// owner is the ownership of the engine that allocated or copied the
+	// node. That engine writes the node in place; any other copies it first.
+	owner   *ownership
 	entries []entry
 }
 
-func newNode(level, stride int) *node {
-	return &node{level: level, entries: make([]entry, 1<<stride)}
-}
+// ownership identifies, by address, the nodes one engine may write in place.
+// It is not zero-sized: distinct zero-sized allocations may share an address.
+type ownership struct{ _ byte }
 
 // Engine is a Multi-Bit Trie lookup engine.
 type Engine struct {
 	cfg  Config
 	root *node
+
+	// own marks the nodes private to this engine. Clone replaces it on both
+	// sides, turning every node reachable at that moment into shared,
+	// immutable structure. Lookups never read it.
+	own *ownership
 
 	// nodes counts allocated nodes per level for memory accounting.
 	nodesPerLevel []int
@@ -123,7 +132,7 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, nodesPerLevel: make([]int, cfg.Levels())}
+	e := &Engine{cfg: cfg, own: new(ownership), nodesPerLevel: make([]int, cfg.Levels())}
 	e.root = e.allocNode(0)
 	return e, nil
 }
@@ -143,11 +152,24 @@ func (e *Engine) Config() Config { return e.cfg }
 
 func (e *Engine) allocNode(level int) *node {
 	e.nodesPerLevel[level]++
-	return newNode(level, e.cfg.Strides[level])
+	return &node{owner: e.own, entries: make([]entry, 1<<e.cfg.Strides[level])}
 }
 
-func (e *Engine) freeNode(level int) {
-	e.nodesPerLevel[level]--
+// writable returns n when this engine owns it and a copy it owns otherwise:
+// the copy takes duplicates of the node's label lists and shares its
+// children, which are copied in turn only if a write descends into them.
+func (e *Engine) writable(n *node) *node {
+	if n.owner == e.own {
+		return n
+	}
+	c := &node{owner: e.own, entries: make([]entry, len(n.entries))}
+	for i, en := range n.entries {
+		if en.labels != nil {
+			en.labels = en.labels.Clone()
+		}
+		c.entries[i] = en
+	}
+	return c
 }
 
 // checkPrefix validates an inserted or removed prefix.
@@ -161,81 +183,101 @@ func (e *Engine) checkPrefix(value uint32, bits uint8) error {
 	return nil
 }
 
+// span returns the entries of a node at the given level that a prefix with
+// remaining significant bits left at that level covers, as [start, end): the
+// 2^(stride-remaining) consecutive entries from the expanded chunk on
+// (controlled prefix expansion).
+func (e *Engine) span(value uint32, level, remaining int) (start, end int) {
+	free := e.cfg.Strides[level] - remaining
+	start = (e.chunk(value, level) >> free) << free
+	return start, start + 1<<free
+}
+
 // Insert adds a prefix (value with the given number of significant leading
 // bits) carrying a label and the priority of the best rule that uses it.
 // Inserting an existing (prefix, label) pair refreshes the priority if the
 // new one is better. The returned count is the number of node-entry writes,
-// the engine-side cost of the incremental update.
+// the engine-side cost of the incremental update. Nodes on the prefix's path
+// that are shared with a clone are copied on the way down.
 func (e *Engine) Insert(value uint32, bits uint8, lbl label.Label, priority int) (writes int, err error) {
 	if err := e.checkPrefix(value, bits); err != nil {
 		return 0, err
 	}
-	return e.insert(e.root, value, int(bits), 0, lbl, priority), nil
+	e.root = e.writable(e.root)
+	return e.insert(e.root, 0, value, int(bits), lbl, priority), nil
 }
 
-// insert walks the trie placing the label on every entry covered by the
-// prefix at its terminal level, allocating child nodes on the way.
-func (e *Engine) insert(n *node, value uint32, bits, consumed int, lbl label.Label, priority int) int {
-	stride := e.cfg.Strides[n.level]
-	remaining := bits - consumed
-	chunk := e.chunk(value, n.level)
+// insert walks the trie from the writable node n placing the label on every
+// entry covered by the prefix at its terminal level, allocating child nodes
+// on the way. remaining is the number of prefix bits not consumed above n.
+func (e *Engine) insert(n *node, level int, value uint32, remaining int, lbl label.Label, priority int) int {
+	stride := e.cfg.Strides[level]
 	if remaining <= stride {
-		// The prefix terminates in this node: it covers 2^(stride-remaining)
-		// consecutive entries starting at the expanded chunk.
-		span := 1 << (stride - remaining)
-		start := 0
-		if remaining > 0 {
-			start = (chunk >> (stride - remaining)) << (stride - remaining)
-		}
-		writes := 0
-		for i := start; i < start+span; i++ {
+		start, end := e.span(value, level, remaining)
+		for i := start; i < end; i++ {
 			if n.entries[i].labels == nil {
 				n.entries[i].labels = &label.List{}
-				e.labelEntries++
-			} else if _, present := containsLabel(n.entries[i].labels, lbl); !present {
+			}
+			if !n.entries[i].labels.Has(lbl) {
 				e.labelEntries++
 			}
 			n.entries[i].labels.Insert(label.PriorityLabel{Label: lbl, Priority: priority})
-			writes++
 		}
-		return writes
+		return end - start
 	}
 	// Descend.
 	writes := 0
-	if n.entries[chunk].child == nil {
-		n.entries[chunk].child = e.allocNode(n.level + 1)
+	en := &n.entries[e.chunk(value, level)]
+	if en.child == nil {
+		en.child = e.allocNode(level + 1)
 		writes++ // writing the new child pointer
+	} else {
+		en.child = e.writable(en.child)
 	}
-	return writes + e.insert(n.entries[chunk].child, value, bits, consumed+stride, lbl, priority)
+	return writes + e.insert(en.child, level+1, value, remaining-stride, lbl, priority)
 }
 
 // Remove deletes a (prefix, label) pair. It reports the number of node-entry
-// writes and an error if the pair is not present.
+// writes and an error if the pair is not present; an absent pair is found so
+// before any node is copied or written.
 func (e *Engine) Remove(value uint32, bits uint8, lbl label.Label) (writes int, err error) {
 	if err := e.checkPrefix(value, bits); err != nil {
 		return 0, err
 	}
-	writes, found := e.remove(e.root, value, int(bits), 0, lbl)
-	if !found {
-		return writes, fmt.Errorf("mbt: prefix %#x/%d with label %d not present", value, bits, lbl)
+	if !e.stores(value, int(bits), lbl) {
+		return 0, fmt.Errorf("mbt: prefix %#x/%d with label %d not present", value, bits, lbl)
 	}
-	return writes, nil
+	e.root = e.writable(e.root)
+	return e.remove(e.root, 0, value, int(bits), lbl), nil
 }
 
-func (e *Engine) remove(n *node, value uint32, bits, consumed int, lbl label.Label) (writes int, found bool) {
-	stride := e.cfg.Strides[n.level]
-	remaining := bits - consumed
-	chunk := e.chunk(value, n.level)
+// stores reports whether some entry the prefix covers at its terminal level
+// lists the label.
+func (e *Engine) stores(value uint32, remaining int, lbl label.Label) bool {
+	n, level := e.root, 0
+	for ; n != nil && remaining > e.cfg.Strides[level]; level++ {
+		n = n.entries[e.chunk(value, level)].child
+		remaining -= e.cfg.Strides[level]
+	}
+	if n == nil {
+		return false
+	}
+	start, end := e.span(value, level, remaining)
+	return slices.ContainsFunc(n.entries[start:end], func(en entry) bool {
+		return en.labels != nil && en.labels.Has(lbl)
+	})
+}
+
+// remove takes the label off every entry the prefix covers, below the
+// writable node n, freeing the nodes the removal empties. The pair is known
+// to be stored.
+func (e *Engine) remove(n *node, level int, value uint32, remaining int, lbl label.Label) (writes int) {
+	stride := e.cfg.Strides[level]
 	if remaining <= stride {
-		span := 1 << (stride - remaining)
-		start := 0
-		if remaining > 0 {
-			start = (chunk >> (stride - remaining)) << (stride - remaining)
-		}
-		for i := start; i < start+span; i++ {
+		start, end := e.span(value, level, remaining)
+		for i := start; i < end; i++ {
 			lst := n.entries[i].labels
 			if lst != nil && lst.Remove(lbl) {
-				found = true
 				writes++
 				e.labelEntries--
 				if lst.Len() == 0 {
@@ -243,19 +285,17 @@ func (e *Engine) remove(n *node, value uint32, bits, consumed int, lbl label.Lab
 				}
 			}
 		}
-		return writes, found
+		return writes
 	}
-	child := n.entries[chunk].child
-	if child == nil {
-		return 0, false
-	}
-	writes, found = e.remove(child, value, bits, consumed+stride, lbl)
-	if found && childIsEmpty(child) {
-		n.entries[chunk].child = nil
-		e.freeNode(child.level)
+	en := &n.entries[e.chunk(value, level)]
+	en.child = e.writable(en.child)
+	writes = e.remove(en.child, level+1, value, remaining-stride, lbl)
+	if childIsEmpty(en.child) {
+		en.child = nil
+		e.nodesPerLevel[level+1]--
 		writes++
 	}
-	return writes, found
+	return writes
 }
 
 func childIsEmpty(n *node) bool {
@@ -265,15 +305,6 @@ func childIsEmpty(n *node) bool {
 		}
 	}
 	return true
-}
-
-func containsLabel(l *label.List, lbl label.Label) (int, bool) {
-	for i, item := range l.Items() {
-		if item.Label == lbl {
-			return i, true
-		}
-	}
-	return 0, false
 }
 
 // chunk extracts the stride-sized slice of the key addressed by the given
@@ -299,18 +330,15 @@ func (e *Engine) Lookup(key uint32) (*label.List, int) {
 // it with the matching labels and returns the access count.
 func (e *Engine) LookupInto(key uint32, out *label.List) int {
 	out.Reset()
-	accesses := 0
-	n := e.root
-	for n != nil {
-		accesses++
-		chunk := e.chunk(key, n.level)
-		en := n.entries[chunk]
+	level := 0
+	for n := e.root; n != nil; level++ {
+		en := n.entries[e.chunk(key, level)]
 		if en.labels != nil {
 			out.Merge(en.labels)
 		}
 		n = en.child
 	}
-	return accesses
+	return level
 }
 
 // WorstCaseAccesses returns the maximum number of node accesses a lookup can
@@ -349,29 +377,21 @@ func (e *Engine) LabelListBits() int {
 	return e.labelEntries * e.cfg.LabelEntryBits
 }
 
-// Clone returns an independent deep copy of the engine: every node and label
-// list is duplicated, so mutating the copy never touches the original. The
+// Clone returns an independent copy of the engine in O(1): the two share
+// every node until one of them writes, and a write copies the nodes on its
+// path first (see writable), so mutating either is never visible through the
+// other. Both sides give up their ownership of the shared nodes — on the
+// receiver that is one word, written under the caller's writer lock, that no
+// lookup reads, so readers may keep traversing the receiver meanwhile. The
 // copy-on-write update path of internal/core relies on this to build a new
 // classifier snapshot while readers keep traversing the old trie.
 func (e *Engine) Clone() *Engine {
+	e.own = new(ownership)
 	return &Engine{
 		cfg:           e.cfg,
-		root:          cloneNode(e.root),
+		root:          e.root,
+		own:           new(ownership),
 		nodesPerLevel: append([]int(nil), e.nodesPerLevel...),
 		labelEntries:  e.labelEntries,
 	}
-}
-
-func cloneNode(n *node) *node {
-	if n == nil {
-		return nil
-	}
-	c := &node{level: n.level, entries: make([]entry, len(n.entries))}
-	for i, en := range n.entries {
-		c.entries[i].child = cloneNode(en.child)
-		if en.labels != nil {
-			c.entries[i].labels = en.labels.Clone()
-		}
-	}
-	return c
 }

@@ -422,3 +422,74 @@ func TestInsertWritesCountProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCloneSharesUntilWritten pins the cost model of the copy-on-write
+// update path: Clone allocates the same few objects whatever the trie holds,
+// a write into a clone copies only the nodes on its path, and the accounting
+// of the two engines diverges with their contents.
+func TestCloneSharesUntilWritten(t *testing.T) {
+	e := MustNew(SegmentConfig())
+	for i := 0; i < 2000; i++ {
+		if _, err := e.Insert(uint32(i*29)&0xFFFF, 16, label.Label(i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var c *Engine
+	if allocs := testing.AllocsPerRun(10, func() { c = e.Clone() }); allocs > 4 {
+		t.Errorf("Clone of a %d-node trie allocates %.0f objects, want at most 4", e.NodeCount(), allocs)
+	}
+	nodes, labelBits := e.NodeCount(), e.LabelListBits()
+	// The first /16 insert into a fresh clone copies one node per level, each
+	// with its entry array and the label lists it carries (two objects per
+	// list, 32 + 32 + 64 entries at most) — not the trie.
+	allocs := testing.AllocsPerRun(5, func() {
+		c = e.Clone()
+		if _, err := c.Insert(0xFFFF, 16, 5000, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 300 {
+		t.Errorf("the first write into a clone allocates %.0f objects; the trie has %d nodes", allocs, nodes)
+	}
+	if e.NodeCount() != nodes || e.LabelListBits() != labelBits {
+		t.Errorf("writing the clone moved the original's accounting: %d nodes, %d label bits", e.NodeCount(), e.LabelListBits())
+	}
+	if got, _ := e.Lookup(0xFFFF); got.Has(5000) {
+		t.Error("the original answers with a label inserted into its clone")
+	}
+	if got, _ := c.Lookup(0xFFFF); !got.Has(5000) {
+		t.Error("the clone lost the label inserted into it")
+	}
+}
+
+// TestRemoveAbsentPairTouchesNothing: removing a pair that is not stored is
+// refused before a shared node is copied, so the engine — a clone still
+// sharing its whole trie here — allocates no node and is unchanged.
+func TestRemoveAbsentPairTouchesNothing(t *testing.T) {
+	e := MustNew(SegmentConfig())
+	if _, err := e.Insert(0xAB00, 8, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	c := e.Clone()
+	absent := []struct {
+		value uint32
+		bits  uint8
+		lbl   label.Label
+	}{
+		{0xAB00, 8, 2},  // stored prefix, other label
+		{0xAB00, 12, 1}, // stored label, longer prefix
+		{0x1200, 8, 1},  // no node on the path
+	}
+	for _, a := range absent {
+		if writes, err := c.Remove(a.value, a.bits, a.lbl); err == nil || writes != 0 {
+			t.Fatalf("Remove(%#x/%d, %d) = (%d, %v), want an error and no writes", a.value, a.bits, a.lbl, writes, err)
+		}
+	}
+	// Every copy starts at the root: a shared root is a trie nothing copied.
+	if c.root != e.root {
+		t.Error("a refused Remove copied the shared root")
+	}
+	if got, _ := c.Lookup(0xAB12); !got.Has(1) || got.Len() != 1 {
+		t.Errorf("after refused removals Lookup = %v, want [1]", got.Labels())
+	}
+}

@@ -169,8 +169,9 @@ func (e *Engine) MemoryBits() int { return e.trie.MemoryBits() }
 func (e *Engine) LabelListBits() int { return e.trie.LabelListBits() }
 
 // Clone returns an independent copy of the engine: the underlying trie is
-// deep-cloned and the range-expansion memo copied (its segment slices are
-// append-only once stored, so sharing them is safe).
+// shared until either side writes it (mbt.Engine.Clone) and the
+// range-expansion memo copied (its segment slices are never written once
+// stored, so sharing them is safe).
 func (e *Engine) Clone() *Engine {
 	memo := make(map[fivetuple.PortRange][]Segment, len(e.segmentsPerRange))
 	for rng, segs := range e.segmentsPerRange {

@@ -201,36 +201,72 @@ func TestPacketTierUpdateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector (sync.Pool drops puts)")
 	}
-	rs, _ := allocTrace(t)
 	for name, maxKiB := range map[string]float64{"hypercuts": 340, "dcfl": 420} {
 		t.Run(name, func(t *testing.T) {
-			c, _ := newAllocClassifier(t, name, false)
-			i := 0
-			pair := func() {
-				r := rs.Rule(i % rs.Len())
-				i += 37
-				if _, err := c.DeleteRule(r); err != nil {
-					t.Fatalf("DeleteRule: %v", err)
-				}
-				if _, err := c.InsertRule(r); err != nil {
-					t.Fatalf("InsertRule: %v", err)
-				}
+			objects, kib := updateAllocs(t, name)
+			if objects > 100 {
+				t.Fatalf("an update on %s allocates %.0f objects, want at most 100", name, objects)
 			}
-			if avg := testing.AllocsPerRun(20, pair); avg > 200 {
-				t.Fatalf("a delete+insert pair on %s allocates %.0f objects, want at most 200", name, avg)
-			}
-			// 64 pairs are 128 publishes: two of the every-64-deltas rebuilds
-			// are in the average, as they are in a serving classifier's.
-			const pairs = 64
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for range pairs {
-				pair()
-			}
-			runtime.ReadMemStats(&after)
-			if kib := float64(after.TotalAlloc-before.TotalAlloc) / (2 * pairs) / 1024; kib > maxKiB {
+			if kib > maxKiB {
 				t.Fatalf("an update on %s allocates %.0f KiB, want at most %.0f", name, kib, maxKiB)
 			}
 		})
 	}
+}
+
+// TestFieldTierUpdateAllocs bounds what one published update allocates under
+// a field engine. A field-tier clone shares the tries by path, the Rule
+// Filter by chunk and the label bank by reference, so an update pays for the
+// rule table (120 KiB on acl-1k), the prefix-set rebuild (8 KiB) and the
+// nodes and chunks it writes — 143 KiB and about a hundred objects on mbt;
+// bst still copies its prefix list and rebuilds its interval table (217 KiB,
+// 1 660 objects). While the clone deep-copied the tier an update cost
+// 1 476 KiB and 9 748 objects on mbt, 865 KiB and 5 318 on bst.
+func TestFieldTierUpdateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector (sync.Pool drops puts)")
+	}
+	for name, limit := range map[string]struct{ objects, kib float64 }{"mbt": {400, 200}, "bst": {2500, 300}} {
+		t.Run(name, func(t *testing.T) {
+			objects, kib := updateAllocs(t, name)
+			if objects > limit.objects {
+				t.Fatalf("an update on %s allocates %.0f objects, want at most %.0f", name, objects, limit.objects)
+			}
+			if kib > limit.kib {
+				t.Fatalf("an update on %s allocates %.0f KiB, want at most %.0f", name, kib, limit.kib)
+			}
+		})
+	}
+}
+
+// updateAllocs installs acl-1k under the named engine, walks delete+insert
+// pairs over it and returns what one published update allocates: objects
+// (averaged over 20 pairs, which also warm the walk up) and KiB of
+// runtime.MemStats.TotalAlloc over 64 further pairs — 128 publishes, so two
+// of a packet engine's every-64-deltas rebuilds are in the average, as they
+// are in a serving classifier's.
+func updateAllocs(t *testing.T, engineName string) (objects, kib float64) {
+	t.Helper()
+	rs, _ := allocTrace(t)
+	c, _ := newAllocClassifier(t, engineName, false)
+	i := 0
+	pair := func() {
+		r := rs.Rule(i % rs.Len())
+		i += 37
+		if _, err := c.DeleteRule(r); err != nil {
+			t.Fatalf("DeleteRule: %v", err)
+		}
+		if _, err := c.InsertRule(r); err != nil {
+			t.Fatalf("InsertRule: %v", err)
+		}
+	}
+	objects = testing.AllocsPerRun(20, pair) / 2
+	const pairs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range pairs {
+		pair()
+	}
+	runtime.ReadMemStats(&after)
+	return objects, float64(after.TotalAlloc-before.TotalAlloc) / (2 * pairs) / 1024
 }

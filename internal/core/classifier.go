@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -13,66 +12,6 @@ import (
 // ipSegmentDims lists the four IP-segment label dimensions in a fixed order.
 var ipSegmentDims = []label.Dimension{
 	label.DimSrcIPHigh, label.DimSrcIPLow, label.DimDstIPHigh, label.DimDstIPLow,
-}
-
-// segValue is the 16-bit segment slice of a rule's IP prefix in one segment
-// dimension.
-type segValue struct {
-	value uint16
-	bits  uint8
-}
-
-func (s segValue) key() string { return fmt.Sprintf("%04x/%d", s.value, s.bits) }
-
-// fieldUse tracks which rule priorities currently use a labelled field value
-// in one dimension, so that the label list order can be maintained when
-// rules are added and removed (§IV.A: "the lists of labels are reorganized
-// according to the priority rule").
-type fieldUse struct {
-	counts map[int]int
-	best   int
-}
-
-func newFieldUse() *fieldUse {
-	return &fieldUse{counts: make(map[int]int), best: int(^uint(0) >> 1)}
-}
-
-func (u *fieldUse) add(priority int) {
-	u.counts[priority]++
-	if priority < u.best {
-		u.best = priority
-	}
-}
-
-// remove deletes one use at the given priority and returns the new best
-// priority together with whether the best changed.
-func (u *fieldUse) remove(priority int) (newBest int, changed bool) {
-	u.counts[priority]--
-	if u.counts[priority] <= 0 {
-		delete(u.counts, priority)
-	}
-	if priority != u.best {
-		return u.best, false
-	}
-	newBest = int(^uint(0) >> 1)
-	for p := range u.counts {
-		if p < newBest {
-			newBest = p
-		}
-	}
-	changed = newBest != u.best
-	u.best = newBest
-	return newBest, changed
-}
-
-func (u *fieldUse) empty() bool { return len(u.counts) == 0 }
-
-func (u *fieldUse) clone() *fieldUse {
-	c := &fieldUse{counts: make(map[int]int, len(u.counts)), best: u.best}
-	for p, n := range u.counts {
-		c.counts[p] = n
-	}
-	return c
 }
 
 // installedRule is one entry of the snapshot's rule table, the software
@@ -233,52 +172,30 @@ func (c *Classifier) SelectEngine(name string) error {
 }
 
 // segmentValue returns a rule's IP-prefix slice in one IP-segment dimension.
-func segmentValue(d label.Dimension, r fivetuple.Rule) (seg segValue) {
+func segmentValue(d label.Dimension, r fivetuple.Rule) (value uint16, bits uint8) {
 	switch d {
 	case label.DimSrcIPHigh:
-		seg.value, seg.bits = r.SrcPrefix.HighSegment()
+		return r.SrcPrefix.HighSegment()
 	case label.DimSrcIPLow:
-		seg.value, seg.bits = r.SrcPrefix.LowSegment()
+		return r.SrcPrefix.LowSegment()
 	case label.DimDstIPHigh:
-		seg.value, seg.bits = r.DstPrefix.HighSegment()
-	case label.DimDstIPLow:
-		seg.value, seg.bits = r.DstPrefix.LowSegment()
-	}
-	return seg
-}
-
-// fieldValueKey returns the canonical label-table key of a rule's field value
-// in one dimension.
-func fieldValueKey(d label.Dimension, r fivetuple.Rule) string {
-	switch d {
-	case label.DimSrcIPHigh, label.DimSrcIPLow, label.DimDstIPHigh, label.DimDstIPLow:
-		return segmentValue(d, r).key()
-	case label.DimSrcPort:
-		return r.SrcPort.String()
-	case label.DimDstPort:
-		return r.DstPort.String()
-	case label.DimProtocol:
-		if r.Protocol.IsWildcard() {
-			return "*"
-		}
-		// Key on the full value/mask pair. Partially masked protocols never
-		// reach the field tier (they are extended rules), but the key must
-		// not collapse distinct matches onto one label regardless.
-		return r.Protocol.String()
+		return r.DstPrefix.HighSegment()
 	default:
-		return ""
+		return r.DstPrefix.LowSegment()
 	}
 }
 
 // fieldValue extracts the match condition of a rule in one dimension — the
-// data handed to that dimension's engine. This is pure header-format
-// extraction; which algorithm stores the value is decided by the engine
-// registry, not here.
+// data handed to that dimension's engine, and the key the dimension's label
+// table knows the value by. This is pure header-format extraction; which
+// algorithm stores the value is decided by the engine registry, not here.
+// Partially masked protocols never reach the field tier (they are extended
+// rules).
 func fieldValue(d label.Dimension, r fivetuple.Rule) engine.Value {
 	switch d {
 	case label.DimSrcIPHigh, label.DimSrcIPLow, label.DimDstIPHigh, label.DimDstIPLow:
-		seg := segmentValue(d, r)
-		return engine.Prefix(uint32(seg.value), seg.bits)
+		value, bits := segmentValue(d, r)
+		return engine.Prefix(uint32(value), bits)
 	case label.DimSrcPort:
 		return engine.Range(uint32(r.SrcPort.Lo), uint32(r.SrcPort.Hi))
 	case label.DimDstPort:

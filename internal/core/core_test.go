@@ -252,10 +252,10 @@ func TestUpdateReportFollowsFigure4(t *testing.T) {
 	if repB.NewLabels != 1 {
 		t.Errorf("second rule NewLabels = %d, want 1", repB.NewLabels)
 	}
-	if got := c.view().field.labels.Table(label.DimDstPort).RefCount(ruleA.DstPort.String()); got != 1 {
+	if got := c.view().field.labels.Table(label.DimDstPort).RefCount(fieldValue(label.DimDstPort, ruleA)); got != 1 {
 		t.Errorf("dst port 80 refcount = %d, want 1", got)
 	}
-	if got := c.view().field.labels.Table(label.DimProtocol).RefCount(fivetuple.ExactProtocol(fivetuple.ProtoTCP).String()); got != 2 {
+	if got := c.view().field.labels.Table(label.DimProtocol).RefCount(fieldValue(label.DimProtocol, ruleA)); got != 2 {
 		t.Errorf("protocol refcount = %d, want 2", got)
 	}
 

@@ -137,7 +137,7 @@ func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
 	report.ProtocolLUTBits = f.engines[label.DimProtocol].Footprint().NodeBits
 	report.PortRegisterBits = f.engines[label.DimSrcPort].Footprint().NodeBits +
 		f.engines[label.DimDstPort].Footprint().NodeBits
-	report.LabelTableBits = f.labels.StorageBits()
+	report.LabelTableBits = f.labelTableBits
 	report.RuleFilterUsedBits = f.filter.usedBits()
 	// Only the selected engine's node data is resident in the (shared)
 	// memory blocks, so usage is reported for that engine alone.

@@ -1,0 +1,74 @@
+package core
+
+import (
+	"maps"
+	"math/rand"
+	"testing"
+
+	"sdnpc/internal/fivetuple"
+	"sdnpc/internal/label"
+)
+
+// TestRuleFilterGenerationsAreIsolated holds three generations of one Rule
+// Filter alive — a clone and a clone of that clone, sharing slot chunks until
+// written — and interleaves inserts and removals across all three. Each must
+// keep answering for exactly its own entries, and a clone must cost the chunk
+// table, not the slot array.
+func TestRuleFilterGenerationsAreIsolated(t *testing.T) {
+	const capacity = 1000 // not a multiple of the chunk size: the last chunk is partial
+	rng := rand.New(rand.NewSource(3))
+	gens := []*ruleFilter{newRuleFilter(8, capacity, 144)}
+	contents := []map[label.CombinationKey]int{{}}
+	keyOf := func(i int) label.CombinationKey { return label.KeyFromParts(uint8(i), uint64(i)*0x9E3779B97F4A7C15) }
+	check := func(round int) {
+		t.Helper()
+		for g, rf := range gens {
+			if rf.usedRules() != len(contents[g]) {
+				t.Fatalf("round %d: generation %d holds %d entries, want %d", round, g, rf.usedRules(), len(contents[g]))
+			}
+			for i := 0; i < 400; i++ {
+				priority, stored := contents[g][keyOf(i)]
+				if e, _ := rf.lookup(keyOf(i)); (e != nil) != stored || (stored && e.priority != priority) {
+					t.Fatalf("round %d: generation %d lookup(key %d) = %+v, want stored=%v priority %d", round, g, i, e, stored, priority)
+				}
+			}
+		}
+	}
+	for round := 0; round < 600; round++ {
+		if round == 150 || round == 300 {
+			last := len(gens) - 1
+			gens = append(gens, gens[last].clone())
+			contents = append(contents, maps.Clone(contents[last]))
+		}
+		g, k := round%len(gens), keyOf(rng.Intn(400))
+		if priority, stored := contents[g][k]; stored {
+			if found, _ := gens[g].remove(k, priority); !found {
+				t.Fatalf("round %d: generation %d lost key %v", round, g, k)
+			}
+			delete(contents[g], k)
+		} else {
+			if _, _, _, err := gens[g].insert(k, round, fivetuple.ActionForward, uint32(round)); err != nil {
+				t.Fatalf("round %d: generation %d insert: %v", round, g, err)
+			}
+			contents[g][k] = round
+		}
+		if round%25 == 0 {
+			check(round)
+		}
+	}
+	check(600)
+
+	var c *ruleFilter
+	if allocs := testing.AllocsPerRun(10, func() { c = gens[0].clone() }); allocs > 3 {
+		t.Errorf("clone allocates %.0f objects, want the filter, its chunk table and its ownership bits", allocs)
+	}
+	shared := 0
+	for i, chunk := range c.chunks {
+		if chunk == gens[0].chunks[i] {
+			shared++
+		}
+	}
+	if shared != len(c.chunks) {
+		t.Errorf("a fresh clone shares %d of %d chunks with its origin, want all", shared, len(c.chunks))
+	}
+}

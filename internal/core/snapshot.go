@@ -57,8 +57,16 @@ type fieldTier struct {
 	// dimensions.
 	engineName string
 
-	labels    *label.Bank
-	fieldUses map[label.Dimension]map[string]*fieldUse
+	// labels is the controller's bookkeeping: which label every field value
+	// carries and which rule priorities use it. It is the writer's state, not
+	// the data path's — one bank per tier, shared by every generation cloned
+	// from it, reached only with Classifier.mu held and never by a lookup or
+	// Report (which reads labelTableBits). It describes the newest tier of
+	// the chain: the published one between transactions, the working copy
+	// inside one; an abandoned transaction puts it back with restoreLabels.
+	labels *label.Bank[engine.Value]
+	// labelTableBits is labels.StorageBits() as of prepare.
+	labelTableBits int
 
 	// engines holds the per-dimension field lookup engines.
 	engines map[label.Dimension]engine.FieldEngine
@@ -168,8 +176,7 @@ func newSnapshot(cfg *Config, name string, rules []fivetuple.Rule) (*snapshot, e
 func newFieldTier(cfg *Config, engineName string) (*fieldTier, error) {
 	f := &fieldTier{
 		engineName: engineName,
-		labels:     label.NewBank(),
-		fieldUses:  make(map[label.Dimension]map[string]*fieldUse, label.NumDimensions),
+		labels:     label.NewBank[engine.Value](),
 		engines:    make(map[label.Dimension]engine.FieldEngine, label.NumDimensions),
 		sharedL2:   make(map[label.Dimension]*memory.SharedBlock, len(ipSegmentDims)),
 	}
@@ -178,7 +185,6 @@ func newFieldTier(cfg *Config, engineName string) (*fieldTier, error) {
 		f.sharedL2[d] = memory.NewSharedBlockOwner(block, engineName)
 	}
 	for _, d := range label.Dimensions() {
-		f.fieldUses[d] = make(map[string]*fieldUse)
 		eng, err := f.buildEngine(cfg, d)
 		if err != nil {
 			return nil, err
@@ -224,9 +230,10 @@ func (f *fieldTier) buildEngine(cfg *Config, d label.Dimension) (engine.FieldEng
 	}
 }
 
-// clone duplicates the snapshot's mutable state — the rule table and the one
-// tier it holds — so the copy can absorb an update while readers keep
-// traversing the original.
+// clone returns an independent copy of the snapshot — the rule table copied,
+// the one tier it holds sharing structure with the original until written —
+// so the copy can absorb an update while readers keep traversing the
+// original.
 func (s *snapshot) clone(cfg *Config) (*snapshot, error) {
 	c := &snapshot{installed: append([]installedRule(nil), s.installed...)}
 	if p := s.packet; p != nil {
@@ -243,25 +250,20 @@ func (s *snapshot) clone(cfg *Config) (*snapshot, error) {
 	return c, nil
 }
 
-// clone duplicates the field tier. Engines implementing engine.Cloner are
-// cloned structurally; any other engine is rebuilt fresh and re-programmed
-// by replaying the installed rules of its dimension — the rebuild hook for
-// third-party engines without a Clone.
+// clone returns an independent copy of the field tier that costs what the
+// next writes touch, not what the tier holds: the Rule Filter shares its
+// chunks, engines implementing engine.Cloner share whatever their Clone
+// shares (the tries every node), and the label bank is the same bank. Any
+// other engine is rebuilt fresh and re-programmed by replaying the installed
+// rules of its dimension — the rebuild hook for third-party engines without
+// a Clone.
 func (f *fieldTier) clone(cfg *Config, installed []installedRule) (*fieldTier, error) {
 	c := &fieldTier{
 		engineName: f.engineName,
-		labels:     f.labels.Clone(),
-		fieldUses:  make(map[label.Dimension]map[string]*fieldUse, len(f.fieldUses)),
+		labels:     f.labels,
 		engines:    make(map[label.Dimension]engine.FieldEngine, len(f.engines)),
 		sharedL2:   f.sharedL2,
 		filter:     f.filter.clone(),
-	}
-	for d, uses := range f.fieldUses {
-		m := make(map[string]*fieldUse, len(uses))
-		for key, use := range uses {
-			m[key] = use.clone()
-		}
-		c.fieldUses[d] = m
 	}
 	for d, eng := range f.engines {
 		if cl, ok := eng.(engine.Cloner); ok {
@@ -275,6 +277,20 @@ func (f *fieldTier) clone(cfg *Config, installed []installedRule) (*fieldTier, e
 		c.engines[d] = rebuilt
 	}
 	return c, nil
+}
+
+// restoreLabels puts the label bank back to what the given (published) rule
+// table implies, after a transaction that had applied ops to the bank was
+// abandoned. The bank is derived state — every installed rule carries its
+// field values, its labels (the combination key) and its priority — so this
+// is one replay of the table, on the failure path only.
+func (f *fieldTier) restoreLabels(installed []installedRule) {
+	for _, d := range label.Dimensions() {
+		f.labels.Table(d).Restore(len(installed), func(i int) (engine.Value, label.PriorityLabel) {
+			ir := &installed[i]
+			return fieldValue(d, ir.rule), label.PriorityLabel{Label: ir.key.Label(d), Priority: ir.rule.Priority}
+		})
+	}
 }
 
 // publishSync reports how syncPacket brought the packet tier in step with
@@ -374,10 +390,9 @@ func (f *fieldTier) rebuildEngine(cfg *Config, d label.Dimension, installed []in
 		return nil, err
 	}
 	for _, ir := range installed {
-		key := fieldValueKey(d, ir.rule)
-		lbl, ok := f.labels.Table(d).Lookup(key)
+		lbl, ok := f.labels.Table(d).Lookup(fieldValue(d, ir.rule))
 		if !ok {
-			return nil, fmt.Errorf("core: rebuilding %s: field value %q is not labelled", d, key)
+			return nil, fmt.Errorf("core: rebuilding %s: field value %s is not labelled", d, fieldValue(d, ir.rule))
 		}
 		// Insert keeps the better priority for an existing (value, label)
 		// pair, so replaying every rule converges to the best priority per
@@ -390,14 +405,16 @@ func (f *fieldTier) rebuildEngine(cfg *Config, d label.Dimension, installed []in
 }
 
 // prepare forces every deferred engine-side build (engine.Preparer) so that
-// a published snapshot never mutates itself inside Lookup, and rebuilds the
-// field tier's prefix set, which must not be recomputed per packet. A packet
-// tier is complete once syncPacket has run.
+// a published snapshot never mutates itself inside Lookup, rebuilds the
+// field tier's prefix set, which must not be recomputed per packet, and
+// stamps the tier with the label bank's footprint so Report never reads the
+// writer's bank. A packet tier is complete once syncPacket has run.
 func (s *snapshot) prepare(cfg *Config) {
 	f := s.field
 	if f == nil {
 		return
 	}
+	f.labelTableBits = f.labels.StorageBits()
 	f.prefixes = prefixSet{}
 	if cfg.CombineMode != CombineHPML {
 		f.prefixes = newPrefixSet(s.installed)

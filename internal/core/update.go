@@ -48,7 +48,8 @@ func hardwareUpdateCycles() int {
 	return CyclesUpdateMemoryUpload + CyclesUpdateHash
 }
 
-// updateTally is what one update transaction applied to its working copy.
+// updateTally is what one update transaction applied to its working copy. A
+// deletion that failed midway counts: it changed the copy.
 type updateTally struct {
 	inserts, deletes, cycles int
 }
@@ -59,17 +60,23 @@ type updateTally struct {
 // result with a single atomic swap and records the publish. Nothing is
 // published when mutate fails, when it applied no op, or when the packet
 // structure cannot be built over the resulting rule set — the clone is
-// discarded whole, so a partially applied update can never become visible.
+// discarded whole, so a partially applied update can never become visible,
+// and the field tier's label bank, which the clone shares with the published
+// snapshot, is put back to what the published rules imply.
 func (c *Classifier) update(mutate func(next *snapshot, applied *updateTally) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	start := time.Now()
-	next, err := c.view().clone(&c.cfg)
+	current := c.view()
+	next, err := current.clone(&c.cfg)
 	if err != nil {
 		return err
 	}
 	var applied updateTally
 	if err := mutate(next, &applied); err != nil {
+		if next.field != nil && applied != (updateTally{}) {
+			next.field.restoreLabels(current.installed)
+		}
 		return err
 	}
 	if applied.inserts+applied.deletes == 0 {
@@ -98,8 +105,10 @@ func (c *Classifier) update(mutate func(next *snapshot, applied *updateTally) er
 // installed or not at all. A failed insertion publishes nothing.
 func (c *Classifier) InsertRule(r fivetuple.Rule) (report UpdateReport, err error) {
 	err = c.update(func(next *snapshot, applied *updateTally) (err error) {
-		report, err = next.insertRule(&c.cfg, r)
-		*applied = updateTally{inserts: 1, cycles: report.ClockCycles}
+		// A failed insertion has rolled itself back: nothing was applied.
+		if report, err = next.insertRule(&c.cfg, r); err == nil {
+			*applied = updateTally{inserts: 1, cycles: report.ClockCycles}
+		}
 		return err
 	})
 	if err != nil {
@@ -117,8 +126,10 @@ func (c *Classifier) InsertRule(r fivetuple.Rule) (report UpdateReport, err erro
 // and published atomically.
 func (c *Classifier) DeleteRule(r fivetuple.Rule) (report UpdateReport, err error) {
 	err = c.update(func(next *snapshot, applied *updateTally) (err error) {
-		report, _, err = next.deleteRule(r)
-		*applied = updateTally{deletes: 1, cycles: report.ClockCycles}
+		var mutated bool
+		if report, mutated, err = next.deleteRule(r); mutated {
+			*applied = updateTally{deletes: 1, cycles: report.ClockCycles}
+		}
 		return err
 	})
 	if err != nil {
@@ -192,51 +203,29 @@ func (s *snapshot) insertRule(cfg *Config, r fivetuple.Rule) (UpdateReport, erro
 // InstallRuleSet and ApplyUpdates keep applying ops to the same clone after
 // an individual failure is surfaced, so it must stay internally consistent.
 func (f *fieldTier) insertRule(r fivetuple.Rule, report *UpdateReport) (label.CombinationKey, error) {
-	var (
-		acquired  [label.NumDimensions]string // label-table keys, in label.Dimensions() order
-		nAcquired int
-	)
-	rollback := func() {
-		for i := nAcquired - 1; i >= 0; i-- {
-			d, k := label.Dimensions()[i], acquired[i]
-			lbl, removed, err := f.labels.Table(d).Release(k)
-			if err != nil {
-				continue
-			}
-			if use := f.fieldUses[d][k]; use != nil {
-				use.remove(r.Priority)
-				if use.empty() {
-					delete(f.fieldUses[d], k)
-				}
-			}
-			if removed {
+	var ruleLabels [label.NumDimensions + 1]label.Label
+	// rollback undoes the first n dimensions, last first.
+	rollback := func(n int) {
+		for _, d := range slices.Backward(label.Dimensions()[:n]) {
+			v := fieldValue(d, r)
+			if _, removed, err := f.labels.Table(d).Release(v, r.Priority); err == nil && removed {
 				// The value was created by this insertion; undo the engine
 				// write.
-				_, _ = f.engines[d].Remove(fieldValue(d, r), lbl)
+				_, _ = f.engines[d].Remove(v, ruleLabels[d])
 			}
 		}
 	}
 
-	var ruleLabels [label.NumDimensions + 1]label.Label
-	for _, d := range label.Dimensions() {
-		k := fieldValueKey(d, r)
-		lbl, created, err := f.labels.Table(d).Acquire(k)
+	for i, d := range label.Dimensions() {
+		v := fieldValue(d, r)
+		tbl := f.labels.Table(d)
+		previousBest, _ := tbl.Best(v)
+		lbl, created, err := tbl.Acquire(v, r.Priority)
 		if err != nil {
-			rollback()
+			rollback(i)
 			return label.CombinationKey{}, err
 		}
-		acquired[nAcquired] = k
-		nAcquired++
 		ruleLabels[d] = lbl
-
-		use, ok := f.fieldUses[d][k]
-		if !ok {
-			use = newFieldUse()
-			f.fieldUses[d][k] = use
-		}
-		previousBest := use.best
-		use.add(r.Priority)
-
 		if created {
 			report.NewLabels++
 		}
@@ -244,10 +233,10 @@ func (f *fieldTier) insertRule(r fivetuple.Rule, report *UpdateReport) (label.Co
 		// a better priority is re-written so the engine lists are reordered
 		// and the HPML invariant holds.
 		if created || r.Priority < previousBest {
-			writes, err := f.engines[d].Insert(fieldValue(d, r), lbl, r.Priority)
+			writes, err := f.engines[d].Insert(v, lbl, r.Priority)
 			report.EngineWrites += writes
 			if err != nil {
-				rollback()
+				rollback(i + 1)
 				return label.CombinationKey{}, err
 			}
 		}
@@ -258,7 +247,7 @@ func (f *fieldTier) insertRule(r fivetuple.Rule, report *UpdateReport) (label.Co
 	report.RuleFilterProbes = probes
 	report.EngineWrites += writes
 	if err != nil {
-		rollback()
+		rollback(label.NumDimensions)
 		return label.CombinationKey{}, err
 	}
 	return key, nil
@@ -297,25 +286,23 @@ func (f *fieldTier) deleteRule(ir installedRule, report *UpdateReport) (mutated 
 		return false, errors.New("rule filter entry missing")
 	}
 	for _, d := range label.Dimensions() {
-		k := fieldValueKey(d, r)
-		lbl, removed, err := f.labels.Table(d).Release(k)
+		v := fieldValue(d, r)
+		lbl, removed, err := f.labels.Table(d).Release(v, r.Priority)
 		if err != nil {
 			return true, err
 		}
-		newBest, changed := f.fieldUses[d][k].remove(r.Priority)
 		if removed {
 			report.ReleasedLabels++
-			delete(f.fieldUses[d], k)
-			writes, err := f.engines[d].Remove(fieldValue(d, r), lbl)
+			writes, err := f.engines[d].Remove(v, lbl)
 			report.EngineWrites += writes
 			if err != nil {
 				return true, err
 			}
-		} else if changed {
-			// The deleted rule defined the value's best priority: re-install
-			// it at the new best. Engines whose lists are ordered positionally
-			// (ports, protocol) treat this as a no-op.
-			if _, err := f.engines[d].Reprioritise(fieldValue(d, r), lbl, newBest); err != nil {
+		} else if newBest, _ := f.labels.Table(d).Best(v); newBest > r.Priority {
+			// The deleted rule alone defined the value's best priority:
+			// re-install it at the new best. Engines whose lists are ordered
+			// positionally (ports, protocol) treat this as a no-op.
+			if _, err := f.engines[d].Reprioritise(v, lbl, newBest); err != nil {
 				return true, err
 			}
 		}
@@ -368,6 +355,7 @@ func (c *Classifier) ApplyUpdates(ops []UpdateOp) (reports []UpdateReport, errs 
 				reports[i], mutated, errs[i] = next.deleteRule(op.Rule)
 				if errs[i] != nil {
 					if mutated {
+						applied.deletes++
 						return fmt.Errorf("core: abandoning update batch at op %d: %w", i, errs[i])
 					}
 					continue

@@ -147,8 +147,9 @@ type Footprint struct {
 // Remove and Reprioritise still require external serialisation and must
 // never run concurrently with Lookup on the same instance. The classifier
 // in internal/core guarantees that split by copy-on-write: updates mutate a
-// private clone of every engine and atomically publish the finished
-// snapshot, so readers only ever see engines that are no longer written.
+// private clone of every engine (see Cloner) and atomically publish the
+// finished snapshot, so readers only ever see engines that are no longer
+// written.
 //
 // Engines that defer expensive structure builds to the first Lookup must
 // implement Preparer so the classifier can force the build before a
@@ -186,11 +187,16 @@ type FieldEngine interface {
 }
 
 // Cloner is implemented by engines that can duplicate themselves cheaply.
-// Clone returns an independent deep copy: mutating the copy must never be
-// observable through the original (shared immutable internals are fine).
-// The classifier's copy-on-write update path prefers Clone over its
-// rebuild-and-replay fallback, so every engine that keeps mutable state
-// should implement it. All built-in engines do.
+// Clone returns an independent copy: mutating the copy must never be
+// observable through the original, nor the reverse. Structure may be shared
+// until it is written — immutable internals outright, anything else if the
+// first write on either side copies it first, for which Clone may retire the
+// receiver's ownership of what the two now share. That is the only write
+// Clone may make to its receiver, and it must be to state no lookup reads:
+// the classifier clones published engines, with its writer mutex held,
+// while lookups traverse them. The classifier's copy-on-write update path
+// prefers Clone over its rebuild-and-replay fallback, so every engine that
+// keeps mutable state should implement it. All built-in engines do.
 type Cloner interface {
 	Clone() FieldEngine
 }

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -379,6 +380,50 @@ func TestEngineCloneIndependence(t *testing.T) {
 				want := oracleLookup(remaining, key)
 				if got, _ := eng.Lookup(key); !sameLabels(got, want) {
 					t.Errorf("after mutating clone: original Lookup(%#x) = %v, want %v", key, got.Labels(), want)
+				}
+			}
+
+			// A chain, as the classifier builds one: a clone of a clone, three
+			// generations alive at once and sharing whatever Clone shares,
+			// mutated in turn. Each must keep answering for its own contents.
+			pool := randomPrefixes(rng, 96)
+			for i := range pool { // keep labels and priorities distinct from stored's
+				pool[i].lbl += 1000
+				pool[i].priority += 1000
+			}
+			gens := []engine.FieldEngine{eng}
+			contents := [][]storedPrefix{append([]storedPrefix(nil), remaining...)}
+			mutate := func(g int, p storedPrefix) {
+				if i := slices.Index(contents[g], p); i >= 0 {
+					if _, err := gens[g].Remove(engine.Prefix(p.value, p.bits), p.lbl); err != nil {
+						t.Fatalf("generation %d Remove: %v", g, err)
+					}
+					contents[g] = slices.Delete(contents[g], i, i+1)
+					return
+				}
+				if _, err := gens[g].Insert(engine.Prefix(p.value, p.bits), p.lbl, p.priority); err != nil {
+					t.Fatalf("generation %d Insert: %v", g, err)
+				}
+				contents[g] = append(contents[g], p)
+			}
+			for round, p := range pool {
+				if round == 16 || round == 32 {
+					last := len(gens) - 1
+					gens = append(gens, gens[last].(engine.Cloner).Clone())
+					contents = append(contents, append([]storedPrefix(nil), contents[last]...))
+				}
+				// Toggle this prefix in one generation and an earlier one in
+				// another, so inserts and removals interleave across the chain.
+				mutate(round%len(gens), p)
+				mutate((round+1)%len(gens), pool[round/2])
+				for g := range gens {
+					prepared(gens[g])
+					for _, key := range keys[:16] {
+						want := oracleLookup(contents[g], key)
+						if got, _ := gens[g].Lookup(key); !sameLabels(got, want) {
+							t.Fatalf("round %d: generation %d of %d Lookup(%#x) = %v, want %v", round, g, len(gens), key, got.Labels(), want)
+						}
+					}
 				}
 			}
 		})

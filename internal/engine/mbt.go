@@ -79,5 +79,5 @@ func (a *mbtEngine) Footprint() Footprint {
 	return Footprint{NodeBits: a.e.MemoryBits(), LabelListBits: a.e.LabelListBits()}
 }
 
-// Clone implements Cloner by deep-copying the trie.
+// Clone implements Cloner in O(1): the tries share their nodes until written.
 func (a *mbtEngine) Clone() FieldEngine { return &mbtEngine{e: a.e.Clone()} }

@@ -100,5 +100,6 @@ func (a *segtrieEngine) Footprint() Footprint {
 	return Footprint{NodeBits: a.e.MemoryBits(), LabelListBits: a.e.LabelListBits()}
 }
 
-// Clone implements Cloner by deep-copying the segment trie.
+// Clone implements Cloner: the range memo is copied, the trie shared until
+// written.
 func (a *segtrieEngine) Clone() FieldEngine { return &segtrieEngine{e: a.e.Clone()} }

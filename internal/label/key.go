@@ -97,20 +97,17 @@ func (k CombinationKey) String() string {
 	return fmt.Sprintf("%01x%016x", k.hi, k.lo)
 }
 
+// Label returns the label the key carries in dimension d.
+func (k CombinationKey) Label(d Dimension) Label {
+	return Label(k.Prefix(int(d)).lo & uint64(d.Capacity()-1))
+}
+
 // Unpack recovers the per-dimension labels from the key. It is the inverse of
 // PackKeyDims and exists for debugging and tests.
 func (k CombinationKey) Unpack() map[Dimension]Label {
 	out := make(map[Dimension]Label, NumDimensions)
-	dims := Dimensions()
-	// Walk from the least significant end (last dimension) backwards.
-	hi, lo := uint64(k.hi), k.lo
-	for i := len(dims) - 1; i >= 0; i-- {
-		d := dims[i]
-		width := uint(d.Bits())
-		mask := uint64(1)<<width - 1
-		out[d] = Label(lo & mask)
-		lo = lo>>width | hi<<(64-width)
-		hi >>= width
+	for _, d := range Dimensions() {
+		out[d] = k.Label(d)
 	}
 	return out
 }

@@ -22,6 +22,7 @@ package label
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Label is a small integer identifying one unique rule-field value within a
@@ -109,116 +110,121 @@ var ErrTableFull = errors.New("label: table full")
 var ErrUnknownValue = errors.New("label: unknown field value")
 
 // Table is the label table of one dimension: the mapping from unique field
-// values to labels, with a reference counter per label supporting the
-// incremental update procedure of Fig. 4.
+// values to labels, with the uses of every value — one per rule carrying it,
+// recorded by the rule's priority. The number of uses is the reference
+// counter of the incremental update procedure of Fig. 4; the best (smallest)
+// priority among them is what orders the label in the engines' lists (§IV.A:
+// "the lists of labels are reorganized according to the priority rule").
 //
 // Table is not safe for concurrent use; the controller owns it exclusively.
-type Table struct {
+type Table[V comparable] struct {
 	dim Dimension
 
-	byValue map[string]Label
-	entries map[Label]*entry
+	entries map[V]entry
 	// free holds labels recycled by Release, reused before fresh allocation
 	// so the label space stays dense.
 	free []Label
 	next Label
 }
 
+// entry is one labelled field value. priorities lists the priority of every
+// rule using the value in ascending order, duplicates included.
 type entry struct {
-	value    string
-	refCount int
+	label      Label
+	priorities []int
 }
 
 // NewTable creates an empty label table for the given dimension.
-func NewTable(dim Dimension) *Table {
-	return &Table{
-		dim:     dim,
-		byValue: make(map[string]Label),
-		entries: make(map[Label]*entry),
-	}
+func NewTable[V comparable](dim Dimension) *Table[V] {
+	return &Table[V]{dim: dim, entries: make(map[V]entry)}
 }
 
 // Dimension returns the dimension this table labels.
-func (t *Table) Dimension() Dimension { return t.dim }
+func (t *Table[V]) Dimension() Dimension { return t.dim }
 
 // Len returns the number of live labels (unique field values) in the table.
-func (t *Table) Len() int { return len(t.entries) }
+func (t *Table[V]) Len() int { return len(t.entries) }
 
-// Acquire returns the label for the field value, allocating a new label when
-// the value is unseen, and increments the value's reference counter. The
-// second result reports whether a new label was created — the signal telling
-// the controller it must also install the value into the field's lookup
-// structure (Fig. 4: "new label creation").
-func (t *Table) Acquire(value string) (lbl Label, created bool, err error) {
-	if existing, ok := t.byValue[value]; ok {
-		t.entries[existing].refCount++
-		return existing, false, nil
-	}
-	if len(t.entries) >= t.dim.Capacity() {
-		return 0, false, fmt.Errorf("%w: dimension %s holds %d labels (%d bits)",
-			ErrTableFull, t.dim, len(t.entries), t.dim.Bits())
-	}
-	if n := len(t.free); n > 0 {
-		lbl = t.free[n-1]
-		t.free = t.free[:n-1]
-	} else {
-		lbl = t.next
-		t.next++
-	}
-	t.byValue[value] = lbl
-	t.entries[lbl] = &entry{value: value, refCount: 1}
-	return lbl, true, nil
-}
-
-// Release decrements the reference counter of the field value's label. When
-// the counter reaches zero the label is removed and recycled, and the second
-// result is true — the signal telling the controller to remove the value from
-// the field's lookup structure.
-func (t *Table) Release(value string) (lbl Label, removed bool, err error) {
-	existing, ok := t.byValue[value]
+// Acquire records one more use of the field value, by a rule of the given
+// priority, and returns the value's label, allocating a new label when the
+// value is unseen. The second result reports whether a new label was created
+// — the signal telling the controller it must also install the value into
+// the field's lookup structure (Fig. 4: "new label creation").
+func (t *Table[V]) Acquire(value V, priority int) (lbl Label, created bool, err error) {
+	e, ok := t.entries[value]
 	if !ok {
-		return 0, false, fmt.Errorf("%w: %q in dimension %s", ErrUnknownValue, value, t.dim)
+		if len(t.entries) >= t.dim.Capacity() {
+			return 0, false, fmt.Errorf("%w: dimension %s holds %d labels (%d bits)",
+				ErrTableFull, t.dim, len(t.entries), t.dim.Bits())
+		}
+		if n := len(t.free); n > 0 {
+			e.label = t.free[n-1]
+			t.free = t.free[:n-1]
+		} else {
+			e.label = t.next
+			t.next++
+		}
 	}
-	e := t.entries[existing]
-	e.refCount--
-	if e.refCount > 0 {
-		return existing, false, nil
-	}
-	delete(t.byValue, value)
-	delete(t.entries, existing)
-	t.free = append(t.free, existing)
-	return existing, true, nil
+	at, _ := slices.BinarySearch(e.priorities, priority)
+	e.priorities = slices.Insert(e.priorities, at, priority)
+	t.entries[value] = e
+	return e.label, !ok, nil
 }
 
-// Lookup returns the label of a field value without touching the counter.
-func (t *Table) Lookup(value string) (Label, bool) {
-	lbl, ok := t.byValue[value]
-	return lbl, ok
+// Release drops one use of the field value at the given priority. When it
+// was the last the label is removed and recycled, and the second result is
+// true — the signal telling the controller to remove the value from the
+// field's lookup structure.
+func (t *Table[V]) Release(value V, priority int) (lbl Label, removed bool, err error) {
+	e, ok := t.entries[value]
+	at, used := slices.BinarySearch(e.priorities, priority)
+	if !ok || !used {
+		return 0, false, fmt.Errorf("%w: %v at priority %d in dimension %s", ErrUnknownValue, value, priority, t.dim)
+	}
+	if len(e.priorities) == 1 {
+		delete(t.entries, value)
+		t.free = append(t.free, e.label)
+		return e.label, true, nil
+	}
+	e.priorities = slices.Delete(e.priorities, at, at+1)
+	t.entries[value] = e
+	return e.label, false, nil
 }
 
-// RefCount returns the reference counter of the field value's label, or 0
-// when the value is unlabelled.
-func (t *Table) RefCount(value string) int {
-	lbl, ok := t.byValue[value]
+// Lookup returns the label of a field value without touching its uses.
+func (t *Table[V]) Lookup(value V) (Label, bool) {
+	e, ok := t.entries[value]
+	return e.label, ok
+}
+
+// RefCount returns the reference counter of the field value's label — the
+// number of rules using it — or 0 when the value is unlabelled.
+func (t *Table[V]) RefCount(value V) int { return len(t.entries[value].priorities) }
+
+// Best returns the best (smallest) priority among the rules using the field
+// value; ok is false when the value is unlabelled.
+func (t *Table[V]) Best(value V) (priority int, ok bool) {
+	e, ok := t.entries[value]
 	if !ok {
-		return 0
+		return 0, false
 	}
-	return t.entries[lbl].refCount
+	return e.priorities[0], true
 }
 
 // Value returns the field value a label currently identifies.
-func (t *Table) Value(lbl Label) (string, bool) {
-	e, ok := t.entries[lbl]
-	if !ok {
-		return "", false
+func (t *Table[V]) Value(lbl Label) (value V, ok bool) {
+	for v, e := range t.entries {
+		if e.label == lbl {
+			return v, true
+		}
 	}
-	return e.value, true
+	return value, false
 }
 
 // Values returns every labelled field value (unordered).
-func (t *Table) Values() []string {
-	out := make([]string, 0, len(t.byValue))
-	for v := range t.byValue {
+func (t *Table[V]) Values() []V {
+	out := make([]V, 0, len(t.entries))
+	for v := range t.entries {
 		out = append(out, v)
 	}
 	return out
@@ -227,29 +233,57 @@ func (t *Table) Values() []string {
 // StorageBits estimates the memory footprint of the label table in bits: one
 // label plus one reference counter per live entry. Counter width follows the
 // architecture's 16-bit update counters.
-func (t *Table) StorageBits() int {
+func (t *Table[V]) StorageBits() int {
 	const counterBits = 16
 	return t.Len() * (t.dim.Bits() + counterBits)
 }
 
+// Restore replaces the table's contents by n uses, use(i) returning the i-th
+// — a field value, its label and the using rule's priority — in ascending
+// priority order. The table is derived state: the installed rules determine
+// every value's label, counter and priorities, so a controller that abandons
+// a half-applied update recovers its tables from the rules it last
+// published. Labels below the highest in use that no value carries are free.
+func (t *Table[V]) Restore(n int, use func(i int) (V, PriorityLabel)) {
+	clear(t.entries)
+	t.free, t.next = t.free[:0], 0
+	for i := 0; i < n; i++ {
+		v, pl := use(i)
+		e := t.entries[v]
+		e.label = pl.Label
+		e.priorities = append(e.priorities, pl.Priority)
+		t.entries[v] = e
+		t.next = max(t.next, pl.Label+1)
+	}
+	inUse := make([]bool, t.next)
+	for _, e := range t.entries {
+		inUse[e.label] = true
+	}
+	for lbl, used := range inUse {
+		if !used {
+			t.free = append(t.free, Label(lbl))
+		}
+	}
+}
+
 // Bank groups the seven per-dimension label tables of one classifier
 // instance.
-type Bank struct {
-	tables map[Dimension]*Table
+type Bank[V comparable] struct {
+	tables map[Dimension]*Table[V]
 }
 
 // NewBank creates a bank with an empty table per dimension.
-func NewBank() *Bank {
-	b := &Bank{tables: make(map[Dimension]*Table, NumDimensions)}
+func NewBank[V comparable]() *Bank[V] {
+	b := &Bank[V]{tables: make(map[Dimension]*Table[V], NumDimensions)}
 	for _, d := range Dimensions() {
-		b.tables[d] = NewTable(d)
+		b.tables[d] = NewTable[V](d)
 	}
 	return b
 }
 
 // Table returns the table of the given dimension. It panics on an unknown
 // dimension, which always indicates a programming error.
-func (b *Bank) Table(d Dimension) *Table {
+func (b *Bank[V]) Table(d Dimension) *Table[V] {
 	t, ok := b.tables[d]
 	if !ok {
 		panic(fmt.Sprintf("label: unknown dimension %v", d))
@@ -258,7 +292,7 @@ func (b *Bank) Table(d Dimension) *Table {
 }
 
 // TotalLabels returns the number of live labels across all dimensions.
-func (b *Bank) TotalLabels() int {
+func (b *Bank[V]) TotalLabels() int {
 	total := 0
 	for _, t := range b.tables {
 		total += t.Len()
@@ -267,41 +301,10 @@ func (b *Bank) TotalLabels() int {
 }
 
 // StorageBits returns the summed footprint of every table in the bank.
-func (b *Bank) StorageBits() int {
+func (b *Bank[V]) StorageBits() int {
 	total := 0
 	for _, t := range b.tables {
 		total += t.StorageBits()
 	}
 	return total
-}
-
-// Clone returns an independent copy of the table: the value and entry maps
-// and the free list are duplicated, so acquiring and releasing labels on the
-// copy never touches the original. The copy-on-write update path of
-// internal/core clones the label bank of the published snapshot before
-// applying a rule update to it.
-func (t *Table) Clone() *Table {
-	c := &Table{
-		dim:     t.dim,
-		byValue: make(map[string]Label, len(t.byValue)),
-		entries: make(map[Label]*entry, len(t.entries)),
-		free:    append([]Label(nil), t.free...),
-		next:    t.next,
-	}
-	for v, lbl := range t.byValue {
-		c.byValue[v] = lbl
-	}
-	for lbl, e := range t.entries {
-		c.entries[lbl] = &entry{value: e.value, refCount: e.refCount}
-	}
-	return c
-}
-
-// Clone returns an independent copy of the bank with every table cloned.
-func (b *Bank) Clone() *Bank {
-	c := &Bank{tables: make(map[Dimension]*Table, len(b.tables))}
-	for d, t := range b.tables {
-		c.tables[d] = t.Clone()
-	}
-	return c
 }

@@ -44,14 +44,14 @@ func TestDimensionWidths(t *testing.T) {
 }
 
 func TestTableAcquireRelease(t *testing.T) {
-	tbl := NewTable(DimDstPort)
+	tbl := NewTable[string](DimDstPort)
 	// First acquire creates the label (Fig. 4: "new label creation").
-	lblA, created, err := tbl.Acquire("80 : 80")
+	lblA, created, err := tbl.Acquire("80 : 80", 0)
 	if err != nil || !created {
 		t.Fatalf("first Acquire = (%v, %v, %v), want created", lblA, created, err)
 	}
 	// Second acquire of the same value only increments the counter.
-	lblA2, created, err := tbl.Acquire("80 : 80")
+	lblA2, created, err := tbl.Acquire("80 : 80", 0)
 	if err != nil || created || lblA2 != lblA {
 		t.Fatalf("second Acquire = (%v, %v, %v), want same label, not created", lblA2, created, err)
 	}
@@ -59,7 +59,7 @@ func TestTableAcquireRelease(t *testing.T) {
 		t.Errorf("RefCount = %d, want 2", got)
 	}
 	// A different value gets a different label.
-	lblB, created, err := tbl.Acquire("0 : 65535")
+	lblB, created, err := tbl.Acquire("0 : 65535", 0)
 	if err != nil || !created || lblB == lblA {
 		t.Fatalf("Acquire of new value = (%v, %v, %v), want fresh label", lblB, created, err)
 	}
@@ -68,12 +68,12 @@ func TestTableAcquireRelease(t *testing.T) {
 	}
 
 	// Release once: the label must survive because the counter is still 1.
-	_, removed, err := tbl.Release("80 : 80")
+	_, removed, err := tbl.Release("80 : 80", 0)
 	if err != nil || removed {
 		t.Fatalf("first Release removed the label prematurely: removed=%v err=%v", removed, err)
 	}
 	// Release again: now the counter hits zero and the label is recycled.
-	gone, removed, err := tbl.Release("80 : 80")
+	gone, removed, err := tbl.Release("80 : 80", 0)
 	if err != nil || !removed || gone != lblA {
 		t.Fatalf("second Release = (%v, %v, %v), want removal of %v", gone, removed, err, lblA)
 	}
@@ -81,35 +81,35 @@ func TestTableAcquireRelease(t *testing.T) {
 		t.Error("released value still present in table")
 	}
 	// Releasing an unknown value is an error.
-	if _, _, err := tbl.Release("80 : 80"); !errors.Is(err, ErrUnknownValue) {
+	if _, _, err := tbl.Release("80 : 80", 0); !errors.Is(err, ErrUnknownValue) {
 		t.Errorf("Release of unknown value error = %v, want ErrUnknownValue", err)
 	}
 	// The freed label is reused by the next allocation, keeping labels dense.
-	lblC, created, err := tbl.Acquire("443 : 443")
+	lblC, created, err := tbl.Acquire("443 : 443", 0)
 	if err != nil || !created || lblC != lblA {
 		t.Errorf("Acquire after release = %v, want recycled label %v", lblC, lblA)
 	}
 }
 
 func TestTableCapacityExhaustion(t *testing.T) {
-	tbl := NewTable(DimProtocol) // 2 bits => 4 labels
+	tbl := NewTable[string](DimProtocol) // 2 bits => 4 labels
 	for i := 0; i < DimProtocol.Capacity(); i++ {
-		if _, _, err := tbl.Acquire(fmt.Sprintf("proto-%d", i)); err != nil {
+		if _, _, err := tbl.Acquire(fmt.Sprintf("proto-%d", i), 0); err != nil {
 			t.Fatalf("Acquire %d failed: %v", i, err)
 		}
 	}
-	if _, _, err := tbl.Acquire("one-too-many"); !errors.Is(err, ErrTableFull) {
+	if _, _, err := tbl.Acquire("one-too-many", 0); !errors.Is(err, ErrTableFull) {
 		t.Errorf("Acquire beyond capacity error = %v, want ErrTableFull", err)
 	}
 	// Acquiring an existing value must still work at capacity.
-	if _, created, err := tbl.Acquire("proto-0"); err != nil || created {
+	if _, created, err := tbl.Acquire("proto-0", 0); err != nil || created {
 		t.Errorf("re-Acquire at capacity = (created=%v, err=%v), want existing label", created, err)
 	}
 }
 
 func TestTableValueAndValues(t *testing.T) {
-	tbl := NewTable(DimSrcIPHigh)
-	lbl, _, err := tbl.Acquire("10.0.0.0/8")
+	tbl := NewTable[string](DimSrcIPHigh)
+	lbl, _, err := tbl.Acquire("10.0.0.0/8", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +140,14 @@ func TestTableRefCountProperty(t *testing.T) {
 	f := func(nRaw, mRaw uint8) bool {
 		n := int(nRaw%20) + 1
 		m := int(mRaw) % (n + 1)
-		tbl := NewTable(DimDstIPLow)
+		tbl := NewTable[string](DimDstIPLow)
 		for i := 0; i < n; i++ {
-			if _, _, err := tbl.Acquire("value"); err != nil {
+			if _, _, err := tbl.Acquire("value", 0); err != nil {
 				return false
 			}
 		}
 		for i := 0; i < m; i++ {
-			if _, _, err := tbl.Release("value"); err != nil {
+			if _, _, err := tbl.Release("value", 0); err != nil {
 				return false
 			}
 		}
@@ -159,15 +159,91 @@ func TestTableRefCountProperty(t *testing.T) {
 	}
 }
 
+// TestTableTracksUsesByPriority covers the merged use list: the reference
+// counter is the number of uses, Best is the smallest priority among them,
+// and Release takes off exactly the use it names.
+func TestTableTracksUsesByPriority(t *testing.T) {
+	tbl := NewTable[string](DimSrcPort)
+	if _, ok := tbl.Best("v"); ok {
+		t.Fatal("Best of an unlabelled value should report !ok")
+	}
+	for _, p := range []int{30, 10, 20, 10} {
+		if _, _, err := tbl.Acquire("v", p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if best, _ := tbl.Best("v"); best != 10 || tbl.RefCount("v") != 4 {
+		t.Fatalf("Best = %d, RefCount = %d, want 10 and 4", best, tbl.RefCount("v"))
+	}
+	if _, _, err := tbl.Release("v", 15); !errors.Is(err, ErrUnknownValue) {
+		t.Errorf("Release at a priority no rule uses = %v, want ErrUnknownValue", err)
+	}
+	// One of the two uses at the best priority goes: the best stays.
+	if _, removed, err := tbl.Release("v", 10); err != nil || removed {
+		t.Fatalf("Release = (removed=%v, %v)", removed, err)
+	}
+	if best, _ := tbl.Best("v"); best != 10 {
+		t.Errorf("Best after releasing one of two best uses = %d, want 10", best)
+	}
+	if _, _, err := tbl.Release("v", 10); err != nil {
+		t.Fatal(err)
+	}
+	if best, _ := tbl.Best("v"); best != 20 || tbl.RefCount("v") != 2 {
+		t.Errorf("Best = %d, RefCount = %d, want 20 and 2", best, tbl.RefCount("v"))
+	}
+}
+
+// TestTableRestore rebuilds a table from its uses: labels, counters and
+// priorities come back as given, and the label space below the highest label
+// in use is free again.
+func TestTableRestore(t *testing.T) {
+	tbl := NewTable[string](DimDstPort)
+	for _, v := range []string{"stale-a", "stale-b"} {
+		if _, _, err := tbl.Acquire(v, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	uses := []struct {
+		v  string
+		pl PriorityLabel
+	}{
+		{"a", PriorityLabel{Label: 4, Priority: 1}},
+		{"b", PriorityLabel{Label: 1, Priority: 2}},
+		{"a", PriorityLabel{Label: 4, Priority: 7}},
+	}
+	tbl.Restore(len(uses), func(i int) (string, PriorityLabel) { return uses[i].v, uses[i].pl })
+	if tbl.Len() != 2 || tbl.RefCount("a") != 2 || tbl.RefCount("b") != 1 || tbl.RefCount("stale-a") != 0 {
+		t.Fatalf("restored table holds %d values, a×%d b×%d", tbl.Len(), tbl.RefCount("a"), tbl.RefCount("b"))
+	}
+	if lbl, _ := tbl.Lookup("a"); lbl != 4 {
+		t.Errorf("a restored under label %d, want 4", lbl)
+	}
+	if best, _ := tbl.Best("a"); best != 1 {
+		t.Errorf("Best(a) = %d, want 1", best)
+	}
+	// Labels 0, 2 and 3 are free and are handed out before 5.
+	seen := map[Label]bool{}
+	for i := 0; i < 4; i++ {
+		lbl, created, err := tbl.Acquire(fmt.Sprintf("new-%d", i), 0)
+		if err != nil || !created || lbl == 1 || lbl == 4 || seen[lbl] {
+			t.Fatalf("Acquire after Restore = (%d, %v, %v), already seen %v", lbl, created, err, seen)
+		}
+		seen[lbl] = true
+	}
+	if !seen[0] || !seen[2] || !seen[3] || !seen[5] {
+		t.Errorf("labels handed out after Restore = %v, want 0, 2, 3 and 5", seen)
+	}
+}
+
 func TestBank(t *testing.T) {
-	b := NewBank()
+	b := NewBank[string]()
 	if b.TotalLabels() != 0 || b.StorageBits() != 0 {
 		t.Error("new bank should be empty")
 	}
-	if _, _, err := b.Table(DimSrcPort).Acquire("0 : 65535"); err != nil {
+	if _, _, err := b.Table(DimSrcPort).Acquire("0 : 65535", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Table(DimProtocol).Acquire("0x06/0xFF"); err != nil {
+	if _, _, err := b.Table(DimProtocol).Acquire("0x06/0xFF", 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.TotalLabels(); got != 2 {
@@ -242,6 +318,16 @@ func TestListEmptyAndRemove(t *testing.T) {
 	}
 	if l.At(0).Label != 8 {
 		t.Errorf("At(0) = %+v, want label 8", l.At(0))
+	}
+}
+
+func TestListHas(t *testing.T) {
+	l := NewList(PriorityLabel{Label: 3, Priority: 1}, PriorityLabel{Label: 9, Priority: 0})
+	if !l.Has(3) || !l.Has(9) || l.Has(4) || (&List{}).Has(0) {
+		t.Errorf("Has disagrees with the list %v", l.Labels())
+	}
+	if testing.AllocsPerRun(10, func() { l.Has(9) }) != 0 {
+		t.Error("Has allocates")
 	}
 }
 

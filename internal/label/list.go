@@ -88,6 +88,16 @@ func (l *List) Reprioritise(lbl Label, priority int) bool {
 	return false
 }
 
+// Has reports whether the label is in the list, without copying it.
+func (l *List) Has(lbl Label) bool {
+	for _, existing := range l.items {
+		if existing.Label == lbl {
+			return true
+		}
+	}
+	return false
+}
+
 // HPML returns the Highest Priority Matching Label — the first entry. The
 // second result is false when the list is empty.
 func (l *List) HPML() (PriorityLabel, bool) {

@@ -9,8 +9,10 @@
 # headline contract cannot erode silently. It also runs
 # TestPacketTierUpdateAllocs, which bounds the objects and the bytes one rule
 # update allocates under a whole-packet engine (the snapshot clone must not
-# grow a second tier back, nor the rule table a third copy). These are the
-# same tests a developer runs locally with:
+# grow a second tier back, nor the rule table a third copy), and
+# TestFieldTierUpdateAllocs, which bounds them under a field engine (the
+# clone must share the tries, the Rule Filter and the label bank, not copy
+# them). These are the same tests a developer runs locally with:
 #
 #	go test ./internal/core/ -run 'ZeroAllocs|UpdateAllocs'
 #
@@ -19,7 +21,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-go test -count=1 -run 'TestLookupZeroAllocs|TestLookupBatchZeroAllocs|TestLookupZeroAllocsCrossProduct|TestLookupAllZeroAllocs|TestPacketTierUpdateAllocs' -v ./internal/core/ | grep -E '^(=== RUN|--- (PASS|FAIL)|PASS|FAIL|ok)' || {
+go test -count=1 -run 'TestLookupZeroAllocs|TestLookupBatchZeroAllocs|TestLookupZeroAllocsCrossProduct|TestLookupAllZeroAllocs|TestPacketTierUpdateAllocs|TestFieldTierUpdateAllocs' -v ./internal/core/ | grep -E '^(=== RUN|--- (PASS|FAIL)|PASS|FAIL|ok)' || {
   echo "check_allocs: the allocation gate failed" >&2
   exit 1
 }

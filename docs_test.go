@@ -270,7 +270,7 @@ func TestDocsCoverDimensionModel(t *testing.T) {
 }
 
 // TestDocsCoverCacheFlags keeps the microflow-cache surface documented: the
-// README must name the cache flags and facade option, and ENGINES.md must
+// README must name the wire fields and facade option, and ENGINES.md must
 // explain generation-based invalidation — the piece of the serving contract
 // a new engine author would otherwise trip over.
 func TestDocsCoverCacheFlags(t *testing.T) {
@@ -278,7 +278,7 @@ func TestDocsCoverCacheFlags(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading README.md: %v", err)
 	}
-	for _, want := range []string{"-cache-capacity", "WithCache", "Report()"} {
+	for _, want := range []string{"cache_capacity", "WithCache", "Report()"} {
 		if !strings.Contains(string(readme), want) {
 			t.Errorf("README.md does not mention %q", want)
 		}
@@ -287,7 +287,7 @@ func TestDocsCoverCacheFlags(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading docs/ENGINES.md: %v", err)
 	}
-	for _, want := range []string{"generation", "-cache-capacity", "-cache-shards", "internal/cache"} {
+	for _, want := range []string{"generation", "cache_capacity", "cache_shards", "internal/cache"} {
 		if !strings.Contains(string(engines), want) {
 			t.Errorf("docs/ENGINES.md does not mention %q", want)
 		}

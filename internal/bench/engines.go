@@ -2,11 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"strings"
+	"text/tabwriter"
 
 	"sdnpc/internal/core"
 	"sdnpc/internal/engine"
-	"sdnpc/internal/fivetuple"
 )
 
 // EngineConfig returns the classifier configuration that serves lookups
@@ -27,19 +26,6 @@ func CachedEngineConfig(name string, shards, capacity int) core.Config {
 	cfg.CacheShards = shards
 	cfg.CacheCapacity = capacity
 	return cfg
-}
-
-// buildClassifier builds a classifier from the configuration and installs
-// the rule set; the sweeps record its error as the engine's refusal.
-func buildClassifier(cfg core.Config, rs *fivetuple.RuleSet) (*core.Classifier, error) {
-	c, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := c.InstallRuleSet(rs); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // EngineRow is one row of the engine sweep: the architecture evaluated with
@@ -88,7 +74,10 @@ func EngineSweep(w Workload, only string) ([]EngineRow, error) {
 		if isPacket, _ := engine.Selectable(name); isPacket {
 			tier = "packet"
 		}
-		c, err := buildClassifier(EngineConfig(name), w.RuleSet)
+		c, err := core.New(EngineConfig(name))
+		if err == nil {
+			_, err = c.InstallRuleSet(w.RuleSet)
+		}
 		if err != nil {
 			rows = append(rows, EngineRow{Engine: name, Tier: tier, Refused: err})
 			continue
@@ -131,21 +120,27 @@ func EngineSweep(w Workload, only string) ([]EngineRow, error) {
 }
 
 // RenderEngineSweep renders the sweep in the row/column style of the paper's
-// tables.
+// tables, right-aligned so each header label ends over its values. Every
+// column cell is tab-terminated; the free cell after them is empty on a
+// measured row and carries the reason on a refused one, whose mismatches
+// column reads "refused:".
 func RenderEngineSweep(rows []EngineRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Engine sweep — every selectable engine (field and whole-packet tiers) on the same workload\n")
-	fmt.Fprintf(&b, "%-10s %7s %12s %12s %12s %10s %12s %14s %10s %12s\n",
-		"engine", "tier", "accesses/pkt", "model.cycles", "model.Mlookups/s", "model.Gbps@40B", "mem Kbit", "prov Kbit", "capacity", "mismatches")
+	out := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		if r.Refused != nil {
-			fmt.Fprintf(&b, "%-10s %7s refused: %v\n", r.Engine, r.Tier, r.Refused)
+			out = append(out, []string{r.Engine, r.Tier, "-", "-", "-", "-", "-", "-", "-", "refused:", " " + r.Refused.Error()})
 			continue
 		}
-		fmt.Fprintf(&b, "%-10s %7s %12.2f %12.1f %12.1f %10.2f %12.1f %14.1f %10d %6d/%d\n",
-			r.Engine, r.Tier, r.AvgFieldAccesses, r.AvgLatencyCycles, r.LookupsPerSecMega,
-			r.ThroughputGbps40, r.EngineMemoryKbit, r.ProvisionedKbit, r.RuleCapacity,
-			r.VerdictMismatches, r.PacketsReplayed)
+		out = append(out, []string{
+			r.Engine, r.Tier,
+			fmt.Sprintf("%.2f", r.AvgFieldAccesses), fmt.Sprintf("%.1f", r.AvgLatencyCycles),
+			fmt.Sprintf("%.1f", r.LookupsPerSecMega), fmt.Sprintf("%.2f", r.ThroughputGbps40),
+			fmt.Sprintf("%.1f", r.EngineMemoryKbit), fmt.Sprintf("%.1f", r.ProvisionedKbit),
+			fmt.Sprintf("%d", r.RuleCapacity), fmt.Sprintf("%d/%d", r.VerdictMismatches, r.PacketsReplayed), "",
+		})
 	}
-	return b.String()
+	return renderTable("Engine sweep — every selectable engine (field and whole-packet tiers) on the same workload",
+		tabwriter.AlignRight,
+		[]string{"engine", "tier", "accesses/pkt", "model.cycles", "model.Mlookups/s", "model.Gbps@40B",
+			"mem Kbit", "prov Kbit", "capacity", "mismatches", ""}, out)
 }

@@ -36,46 +36,40 @@ func TestSweepsSurviveRefusal(t *testing.T) {
 	w := ipv6Workload()
 	names := engine.SelectableNames()
 
-	engineRows, err := EngineSweep(w, "")
+	rows, err := EngineSweep(w, "")
 	if err != nil {
 		t.Fatalf("EngineSweep: %v", err)
 	}
-	throughputRows, err := ThroughputSweep(w, ThroughputOptions{Workers: []int{1}, PacketsPerWorker: 30, BatchSize: 3})
-	if err != nil {
-		t.Fatalf("ThroughputSweep: %v", err)
-	}
-	if len(engineRows) != len(names) || len(throughputRows) != len(names) {
-		t.Fatalf("got %d engine rows and %d throughput rows, want one per selectable engine (%d)",
-			len(engineRows), len(throughputRows), len(names))
+	if len(rows) != len(names) {
+		t.Fatalf("got %d engine rows, want one per selectable engine (%d)", len(rows), len(names))
 	}
 	refused, served := 0, 0
 	for i, name := range names {
-		er, tr := engineRows[i], throughputRows[i]
-		if er.Engine != name || tr.Engine != name {
-			t.Fatalf("row %d is %q / %q, want %q", i, er.Engine, tr.Engine, name)
+		r := rows[i]
+		if r.Engine != name {
+			t.Fatalf("row %d is %q, want %q", i, r.Engine, name)
 		}
 		if !engine.Dims(name).Covers(fivetuple.DimIPv6) {
 			refused++
-			if !errors.Is(er.Refused, core.ErrDimsUnsupported) || !errors.Is(tr.Refused, core.ErrDimsUnsupported) {
-				t.Errorf("%s does not declare ipv6: refusals = %v / %v, want ErrDimsUnsupported", name, er.Refused, tr.Refused)
+			if !errors.Is(r.Refused, core.ErrDimsUnsupported) {
+				t.Errorf("%s does not declare ipv6: refusal = %v, want ErrDimsUnsupported", name, r.Refused)
 			}
 			continue
 		}
 		served++
-		if er.Refused != nil || er.PacketsReplayed != len(w.Trace) || er.VerdictMismatches != 0 {
-			t.Errorf("%s declares ipv6: engine row = %+v, want a measured row with 0 mismatches", name, er)
-		}
-		if tr.Refused != nil || tr.Packets != 30 || tr.MatchedFraction != 1 {
-			t.Errorf("%s declares ipv6: throughput row = %+v, want 30 packets all matched", name, tr)
+		if r.Refused != nil || r.PacketsReplayed != len(w.Trace) || r.VerdictMismatches != 0 {
+			t.Errorf("%s declares ipv6: engine row = %+v, want a measured row with 0 mismatches", name, r)
 		}
 	}
 	if refused == 0 || served == 0 {
 		t.Fatalf("workload splits the engines %d refused / %d served; it must land on both sides", refused, served)
 	}
-	for _, out := range []string{RenderEngineSweep(engineRows), RenderThroughput(throughputRows)} {
-		if got := strings.Count(out, "refused: "); got != refused {
-			t.Errorf("rendered %d refused rows, want %d:\n%s", got, refused, out)
-		}
+	out := RenderEngineSweep(rows)
+	if got := strings.Count(out, "refused: "); got != refused {
+		t.Errorf("rendered %d refused rows, want %d:\n%s", got, refused, out)
+	}
+	if got, want := strings.Count(out, "\n"), 2+len(names); got != want {
+		t.Errorf("rendered %d lines, want title + header + one per engine (%d):\n%s", got, want, out)
 	}
 }
 
@@ -86,12 +80,37 @@ func TestEngineSweepRejectsUnknownEngine(t *testing.T) {
 }
 
 // TestEngineSweepLabelsModelledColumns pins that the hardware-pipeline
-// figures cannot be read as measured software throughput.
+// figures cannot be read as measured software throughput, and that every
+// header label ends at the column where the values below it end, on
+// measured and refused rows alike.
 func TestEngineSweepLabelsModelledColumns(t *testing.T) {
-	out := RenderEngineSweep(nil)
+	rows, err := EngineSweep(ipv6Workload(), "")
+	if err != nil {
+		t.Fatalf("EngineSweep: %v", err)
+	}
+	out := RenderEngineSweep(rows)
 	for _, col := range []string{"model.cycles", "model.Mlookups/s", "model.Gbps@40B"} {
 		if !strings.Contains(out, col) {
 			t.Errorf("engine sweep header lacks %q:\n%s", col, out)
+		}
+	}
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	header, values := lines[1], lines[2:]
+	from := 0
+	for _, label := range []string{"engine", "tier", "accesses/pkt", "model.cycles", "model.Mlookups/s",
+		"model.Gbps@40B", "mem Kbit", "prov Kbit", "capacity", "mismatches"} {
+		i := strings.Index(header[from:], label)
+		if i < 0 {
+			t.Fatalf("header lacks %q after column %d: %q", label, from, header)
+		}
+		end := from + i + len(label)
+		from = end
+		for _, line := range values {
+			endsHere := end <= len(line) && line[end-1] != ' ' && (end == len(line) || line[end] == ' ')
+			if !endsHere {
+				t.Errorf("header label %q ends at column %d; the value below it does not:\n%s\n%s", label, end, header, line)
+				break
+			}
 		}
 	}
 }

@@ -24,10 +24,13 @@ func Mbit(bits int) float64 { return float64(bits) / (1 << 20) }
 func Kbit(bits int) float64 { return float64(bits) / 1024 }
 
 // renderTable renders rows with a tab writer; every row is a slice of cells.
-func renderTable(title string, header []string, rows [][]string) string {
+// flags are tabwriter's: 0 left-aligns the columns, tabwriter.AlignRight
+// right-aligns them. A line's last cell is not tab-terminated, so it sits
+// outside the columns.
+func renderTable(title string, flags uint, header []string, rows [][]string) string {
 	var sb strings.Builder
 	sb.WriteString(title + "\n")
-	w := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', flags)
 	fmt.Fprintln(w, strings.Join(header, "\t"))
 	for _, row := range rows {
 		fmt.Fprintln(w, strings.Join(row, "\t"))
@@ -49,18 +52,6 @@ func NewWorkload(class classbench.Class, size classbench.Size, packets int) Work
 	rs := classbench.Generate(classbench.StandardConfig(class, size))
 	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{
 		Packets: packets, Seed: 99, MatchFraction: 0.9, Locality: 0.3,
-	})
-	return Workload{RuleSet: rs, Trace: trace}
-}
-
-// NewZipfWorkload generates the same filter set as NewWorkload but replays a
-// fixed flow population with Zipf(skew)-ranked popularity — the
-// repeated-five-tuple traffic shape whose hit rate the microflow cache
-// converts into throughput. skew must be > 1; 1.1 is a realistic heavy tail.
-func NewZipfWorkload(class classbench.Class, size classbench.Size, packets int, skew float64) Workload {
-	rs := classbench.Generate(classbench.StandardConfig(class, size))
-	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{
-		Packets: packets, Seed: 99, MatchFraction: 0.9, Locality: 0.3, ZipfSkew: skew,
 	})
 	return Workload{RuleSet: rs, Trace: trace}
 }
@@ -161,7 +152,7 @@ func RenderTable1(rows []Table1Row) string {
 			fmt.Sprintf("%.2f", r.PaperAccesses), fmt.Sprintf("%.2f", r.PaperMemoryMb),
 		})
 	}
-	return renderTable("Table I — lookup performance of algorithm approaches",
+	return renderTable("Table I — lookup performance of algorithm approaches", 0,
 		[]string{"Algorithm", "Avg accesses", "Memory (Mb)", "Paper accesses", "Paper memory (Mb)"}, out)
 }
 
@@ -210,7 +201,7 @@ func RenderTable2(rows []Table2Row) string {
 	for _, r := range rows {
 		header = append(header, r.Name)
 	}
-	return renderTable("Table II — number of unique rule fields per rule set", header, out)
+	return renderTable("Table II — number of unique rule fields per rule set", 0, header, out)
 }
 
 // ---------------------------------------------------------------------------
@@ -258,7 +249,7 @@ func RenderTable3(rows []Table3Row) string {
 			fmt.Sprintf("%d (paper %d)", r.Rules10K, r.Paper10K),
 		})
 	}
-	return renderTable("Table III — analysis of rule filters",
+	return renderTable("Table III — analysis of rule filters", 0,
 		[]string{"Filter type", "1K rules", "5K rules", "10K rules"}, out)
 }
 
@@ -309,7 +300,7 @@ func RenderTable4(r Table4Result) string {
 			fmt.Sprintf("[%d - %d]", rng.Hi, rng.Lo), r.Labels[i], method,
 		})
 	}
-	s := renderTable("Table IV — example of port field and labelling",
+	s := renderTable("Table IV — example of port field and labelling", 0,
 		[]string{"Port field rule (high-low)", "Label", "Match method"}, out)
 	return s + fmt.Sprintf("Lookup of destination port 7812 returns labels in order: %s (paper: B, C, A)\n",
 		strings.Join(r.LabelOrder, ", "))
@@ -359,7 +350,7 @@ func RenderTable5(r Table5Result) string {
 		{"Maximum frequency (MHz)", fmt.Sprintf("%.2f", r.Report.FmaxMHz), fmt.Sprintf("%.2f", r.PaperFmaxMHz)},
 		{"Total number of pins", fmt.Sprintf("%d / %d", r.Report.Pins, r.Report.Device.Pins), fmt.Sprintf("%d / 908", r.PaperPins)},
 	}
-	return renderTable("Table V — synthesis result on Altera Stratix V (5SGXMB6R3F43C4)",
+	return renderTable("Table V — synthesis result on Altera Stratix V (5SGXMB6R3F43C4)", 0,
 		[]string{"Resource", "Measured (model)", "Paper"}, rows)
 }
 
@@ -434,7 +425,7 @@ func RenderTable6(rows []Table6Row) string {
 			fmt.Sprintf("%d (paper %d)", r.StoredRuleCapacity, r.PaperRules),
 		})
 	}
-	return renderTable("Table VI — performance evaluation for the IP algorithm",
+	return renderTable("Table VI — performance evaluation for the IP algorithm", 0,
 		[]string{"IP lookup algorithm", "Accesses per packet", "Avg accesses per segment (measured)", "Memory space required", "Stored rules"}, out)
 }
 
@@ -487,7 +478,7 @@ func RenderTable7(rows []Table7Row) string {
 			fmt.Sprintf("%.2f", r.ThroughputGbps), r.Source,
 		})
 	}
-	return renderTable("Table VII — performance comparison (40-byte packets)",
+	return renderTable("Table VII — performance comparison (40-byte packets)", 0,
 		[]string{"Algorithm", "Memory (Mb)", "Stored rules", "Throughput (Gbps)", "Source"}, out)
 }
 

@@ -1,7 +1,8 @@
 // Package bench is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (§V and Table I–VII) from the packages in
 // this repository and renders them in the same shape as the paper, so that
-// EXPERIMENTS.md can record paper-versus-measured values side by side.
+// EXPERIMENTS.md can record paper-versus-measured values side by side. It
+// measures no wall-clock time: measured software performance is benchmark/'s.
 package bench
 
 import (

@@ -204,3 +204,39 @@ func TestWorkloadGeneration(t *testing.T) {
 		t.Fatalf("trace length = %d, want 100", len(trace))
 	}
 }
+
+// TestLookupBatchInto checks the facade's reusing batch call: it answers
+// exactly what LookupBatch answers and, with a recycled dst, allocates
+// nothing per batch.
+func TestLookupBatchInto(t *testing.T) {
+	c, err := New(WithEngine("hypercuts"))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rs := MustGenerateRuleSet("acl", "1k")
+	if _, err := c.InsertAll(rs); err != nil {
+		t.Fatalf("InsertAll: %v", err)
+	}
+	trace := GenerateTrace(rs, TraceOptions{Packets: 256, Seed: 5})
+	var dst []Result
+	for off := 0; off < len(trace); off += 64 {
+		hs := trace[off : off+64]
+		dst = c.LookupBatchInto(dst, hs)
+		want := c.LookupBatch(hs)
+		if len(dst) != len(want) {
+			t.Fatalf("LookupBatchInto answered %d results for %d headers", len(dst), len(hs))
+		}
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Fatalf("header %d (%v): LookupBatchInto %+v, LookupBatch %+v", off+i, hs[i], dst[i], want[i])
+			}
+		}
+	}
+	if raceEnabled {
+		t.Skip("allocation count skipped under -race (see race_on_test.go)")
+	}
+	hs := trace[:64]
+	if n := testing.AllocsPerRun(100, func() { dst = c.LookupBatchInto(dst, hs) }); n != 0 {
+		t.Fatalf("LookupBatchInto with a reused dst allocates %.1f objects per batch, want 0", n)
+	}
+}

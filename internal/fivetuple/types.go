@@ -26,14 +26,16 @@ type IPv4 uint32
 // MaxPort is the largest transport-layer port value.
 const MaxPort uint16 = 65535
 
-// ParseIPv4 parses a dotted-quad IPv4 address such as "192.168.0.1".
+// ParseIPv4 parses a dotted-quad IPv4 address such as "192.168.0.1". It
+// walks the dots in place, so a valid address allocates nothing.
 func ParseIPv4(s string) (IPv4, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
+	if strings.Count(s, ".") != 3 {
 		return 0, fmt.Errorf("fivetuple: invalid IPv4 address %q", s)
 	}
 	var addr uint32
-	for _, part := range parts {
+	for rest, more := s, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ".")
 		octet, err := strconv.ParseUint(part, 10, 8)
 		if err != nil {
 			return 0, fmt.Errorf("fivetuple: invalid IPv4 octet %q in %q: %w", part, s, err)

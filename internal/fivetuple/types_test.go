@@ -1,6 +1,9 @@
 package fivetuple
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -21,6 +24,11 @@ func TestParseIPv4(t *testing.T) {
 		{name: "octet overflow", in: "10.0.0.256", wantErr: true},
 		{name: "not a number", in: "a.b.c.d", wantErr: true},
 		{name: "empty", in: "", wantErr: true},
+		{name: "leading zero", in: "010.0.0.1", want: 0x0A000001},
+		{name: "signed octet", in: "+1.0.0.1", wantErr: true},
+		{name: "empty octet", in: "1..2.3", wantErr: true},
+		{name: "trailing dot", in: "1.2.3.", wantErr: true},
+		{name: "short address, bad octet", in: "256.1.1", wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -31,7 +39,52 @@ func TestParseIPv4(t *testing.T) {
 			if err == nil && got != tt.want {
 				t.Errorf("ParseIPv4(%q) = %#x, want %#x", tt.in, uint32(got), uint32(tt.want))
 			}
+			sameAsSplit(t, tt.in)
 		})
+	}
+}
+
+// parseIPv4Split is ParseIPv4 as it was written over strings.Split, kept as
+// the reference the allocation-free walk must agree with.
+func parseIPv4Split(s string) (IPv4, error) {
+	parts := strings.Split(s, ".")
+	if len(parts) != 4 {
+		return 0, fmt.Errorf("fivetuple: invalid IPv4 address %q", s)
+	}
+	var addr uint32
+	for _, part := range parts {
+		octet, err := strconv.ParseUint(part, 10, 8)
+		if err != nil {
+			return 0, fmt.Errorf("fivetuple: invalid IPv4 octet %q in %q: %w", part, s, err)
+		}
+		addr = addr<<8 | uint32(octet)
+	}
+	return IPv4(addr), nil
+}
+
+// sameAsSplit fails the test unless ParseIPv4 and the strings.Split
+// reference give s the same address, or the same error text.
+func sameAsSplit(t *testing.T, s string) {
+	t.Helper()
+	got, err := ParseIPv4(s)
+	want, wantErr := parseIPv4Split(s)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) || got != want {
+		t.Fatalf("ParseIPv4(%q) = %#x, %v; the Split reference says %#x, %v", s, uint32(got), err, uint32(want), wantErr)
+	}
+}
+
+// FuzzParseIPv4 holds the walk to the Split reference on arbitrary text.
+func FuzzParseIPv4(f *testing.F) {
+	for _, seed := range []string{"0.0.0.0", "255.255.255.255", "010.0.0.1", "", ".", "...", "1..2.3", "1.2.3.", ".1.2.3",
+		"+1.0.0.1", "-1.0.0.1", "256.1.1", "1.2.3.4.5", "1.2.3.4 ", "0x1.0.0.1", "1_0.0.0.1"} {
+		f.Add(seed)
+	}
+	f.Fuzz(sameAsSplit)
+}
+
+func TestParseIPv4ZeroAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _, _ = ParseIPv4("192.168.100.200") }); n != 0 {
+		t.Fatalf("ParseIPv4 of a valid address allocates %.1f objects, want 0", n)
 	}
 }
 

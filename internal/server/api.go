@@ -522,12 +522,13 @@ func (a *api) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var wh WireHeader
-	if err := readJSON(w, r, &wh); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	s := scratchPool.Get().(*classifyScratch)
+	defer putScratch(s)
+	var h sdnpc.Header
+	var err error
+	if s.body, err = readBody(w, r, s.body); err == nil {
+		h, err = decodeSingle(s.body)
 	}
-	h, err := decodeHeader(wh)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -542,49 +543,28 @@ func (a *api) handleClassify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, encodeResult(t.Classifier.Lookup(h)))
 }
 
+// handleClassifyBatch classifies a batch of headers against one snapshot,
+// decoding and encoding with the pooled hand-written codec (codec.go).
 func (a *api) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	t, ok := a.tenant(w, r)
 	if !ok {
 		return
 	}
-	var req ClassifyBatchRequest
-	if err := readJSON(w, r, &req); err != nil {
+	s := scratchPool.Get().(*classifyScratch)
+	defer putScratch(s)
+	var err error
+	if s.body, err = readBody(w, r, s.body); err == nil {
+		s.headers, err = decodeBatch(s.body, s.headers)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Headers) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New(`"headers" must hold at least one header`))
-		return
-	}
-	if len(req.Headers) > maxBatchHeaders {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch of %d headers exceeds the %d-header limit", len(req.Headers), maxBatchHeaders))
-		return
-	}
-	headers := make([]sdnpc.Header, len(req.Headers))
-	for i, wh := range req.Headers {
-		h, err := decodeHeader(wh)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("header %d: %w", i, err))
-			return
-		}
-		headers[i] = h
-	}
-	results := t.Classifier.LookupBatch(headers)
-	report := sdnpc.SummarizeBatch(results)
-	resp := ClassifyBatchResponse{
-		Results: make([]WireResult, len(results)),
-		Report: WireBatchReport{
-			Packets:          report.Packets,
-			Matched:          report.Matched,
-			MatchRate:        report.MatchRate(),
-			AvgLatencyCycles: report.AverageLatencyCycles(),
-			MaxLatencyCycles: report.MaxLatencyCycles,
-		},
-	}
-	for i, res := range results {
-		resp.Results[i] = encodeResult(res)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.results = t.Classifier.LookupBatchInto(s.results, s.headers)
+	s.out = appendBatchResponse(s.out[:0], s.results)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(s.out) // the status line is out; as in writeJSON
 }
 
 func (a *api) handleTenantStats(w http.ResponseWriter, r *http.Request) {

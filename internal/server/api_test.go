@@ -748,3 +748,51 @@ func TestMultiTenantStorm(t *testing.T) {
 		}
 	}
 }
+
+// TestClassifyBodies pins what the classify routes' hand-written decoder
+// accepts and refuses on both routes — the syntax encoding/json accepts (keys
+// under case folding, the last of a repeated field, null keeping a field),
+// the one deliberate divergence (a repeated "headers" key), the batch cap and
+// the 802.1Q tag range, which a header used to overflow onto a rule's tag.
+func TestClassifyBodies(t *testing.T) {
+	_, h := newTestServer()
+	wantStatus(t, do(t, h, "POST", "/v1/tenants", server.CreateTenantRequest{ID: "vl", Engine: "linear"}), http.StatusCreated)
+	wantStatus(t, do(t, h, "POST", "/v1/tenants/vl/rules", `{"priority":0,"vlan":100,"action":"drop"}`), http.StatusOK)
+
+	const valid = `{"src_ip":"1.1.1.1","dst_ip":"2.2.2.2"}`
+	for _, tc := range []struct {
+		name, route, body string
+		status            int
+		want              string // a substring of the response body
+	}{
+		{"vlan past 12 bits", "classify-batch", `{"headers":[{"src_ip":"1.1.1.1","dst_ip":"2.2.2.2","vlan":4196}]}`, 400, `header 0: vlan 4196 out of range 0..4095`},
+		{"vlan past 12 bits", "classify", `{"src_ip":"1.1.1.1","dst_ip":"2.2.2.2","vlan":4196}`, 400, `vlan 4196 out of range 0..4095`},
+		{"vlan tag", "classify-batch", `{"headers":[{"src_ip":"1.1.1.1","dst_ip":"2.2.2.2","vlan":100}]}`, 200, `"action":"drop"`},
+		{"largest vlan", "classify", `{"src_ip":"1.1.1.1","dst_ip":"2.2.2.2","vlan":4095}`, 200, `"matched":false`},
+		{"case-folded keys", "classify-batch", `{"Headers":[{"SRC_IP":"1.1.1.1","Dst_Ip":"2.2.2.2","VLAN":100}]}`, 200, `"action":"drop"`},
+		{"case-folded keys", "classify", `{"SRC_IP":"1.1.1.1","Dst_Ip":"2.2.2.2","VLAN":100}`, 200, `"action":"drop"`},
+		{"last field wins, null keeps it", "classify", `{"src_ip":"1.1.1.1","dst_ip":"2.2.2.2","vlan":7,"vlan":100,"vlan":null}`, 200, `"action":"drop"`},
+		{"escaped address", "classify", `{"src_ip":"1\u002e1.1.1","dst_ip":"2.2.2.2","vlan":100}`, 200, `"action":"drop"`},
+		{"unknown keys", "classify-batch", `{"v":[{"x":null}],"headers":[{"src_ip":"1.1.1.1","opt":{"a":[1.5e3]},"dst_ip":"2.2.2.2","vlan":100}]}`, 200, `"action":"drop"`},
+		{"repeated headers key", "classify-batch", `{"headers":[` + valid + `],"HEADERS":[` + valid + `]}`, 400, `key is repeated`},
+		{"a second value", "classify-batch", `{"headers":[` + valid + `]} {}`, 400, `want the end of the body`},
+		{"a second value", "classify", valid + ` {}`, 400, `want the end of the body`},
+		{"non-integer port", "classify", `{"src_ip":"1.1.1.1","dst_ip":"2.2.2.2","dst_port":8e1}`, 400, `8e1 is not an integer in 0..65535`},
+		{"null header", "classify", `null`, 400, `invalid IPv4 address`},
+		{"empty batch", "classify-batch", `{"headers":[]}`, 400, `at least one header`},
+		{"batch at the cap", "classify-batch", `{"headers":[` + strings.Repeat(valid+",", 1<<16-1) + valid + `]}`, 200, `"packets":65536`},
+		{"batch over the cap", "classify-batch", `{"headers":[` + strings.Repeat(valid+",", 1<<16) + valid + `]}`, 400, `65536-header limit`},
+	} {
+		t.Run(tc.route+"/"+tc.name, func(t *testing.T) {
+			rec := do(t, h, "POST", "/v1/tenants/vl/"+tc.route, tc.body)
+			wantStatus(t, rec, tc.status)
+			if !strings.Contains(rec.Body.String(), tc.want) {
+				body := rec.Body.String()
+				if len(body) > 300 {
+					body = body[len(body)-300:]
+				}
+				t.Fatalf("response …%s does not hold %s", body, tc.want)
+			}
+		})
+	}
+}

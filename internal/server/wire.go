@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"sdnpc"
+	"sdnpc/internal/fivetuple"
 )
 
 // The wire representations of rules, headers and results. Field matches are
@@ -63,7 +64,7 @@ type WireHeader struct {
 	DstIP   string `json:"dst_ip"`
 	DstPort uint16 `json:"dst_port"`
 	Proto   uint8  `json:"proto"`
-	// VLAN is the 802.1Q tag; 0 (or omitted) means untagged.
+	// VLAN is the 802.1Q tag, 0..4095; 0 (or omitted) means untagged.
 	VLAN uint16 `json:"vlan,omitempty"`
 	// TCPFlags is the TCP flags byte; meaningful only for TCP traffic.
 	TCPFlags uint8 `json:"tcp_flags,omitempty"`
@@ -187,8 +188,14 @@ func EncodeRule(r sdnpc.Rule) WireRule {
 }
 
 // decodeHeader converts a wire header into a facade header, inferring the
-// address family from the address syntax.
+// address family from the address syntax. It is the one converter of wire
+// header text, for both classify routes.
 func decodeHeader(wh WireHeader) (sdnpc.Header, error) {
+	if wh.VLAN > fivetuple.MaxVLAN {
+		// A tag outside 802.1Q's 12 bits would alias onto the rule whose
+		// tag equals its low 12 bits.
+		return sdnpc.Header{}, fmt.Errorf("vlan %d out of range 0..%d", wh.VLAN, fivetuple.MaxVLAN)
+	}
 	v6 := strings.Contains(wh.SrcIP, ":")
 	if v6 != strings.Contains(wh.DstIP, ":") {
 		return sdnpc.Header{}, fmt.Errorf("server: header mixes IPv4 and IPv6 addresses (%q, %q)", wh.SrcIP, wh.DstIP)

@@ -7,9 +7,10 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
+
+	"sdnpc"
 )
 
 // FuzzWireRule is the codec property of the control channel: whatever bytes
@@ -78,11 +79,14 @@ func FuzzWireRule(f *testing.F) {
 	})
 }
 
-// FuzzWireClassifyBatch is the serving-side property of the wire: whatever
-// bytes arrive as a classify-batch body, the handler never panics and never
-// answers 5xx, and a 200 carries exactly one result per header of the body,
-// each agreeing with the tenant's own Lookup on the decoded header. The
-// tenant serves from linear so every dimension a header can carry is live.
+// FuzzWireClassifyBatch holds the classify-batch codec to encoding/json in
+// both directions: whatever bytes arrive as a body, the handler never panics
+// and answers 200 exactly when the encoding/json decode path it replaced
+// (oracleClassifyBatch) accepts the body, and then writes byte for byte the
+// body json.NewEncoder writes for that path's response, each result equal
+// to the tenant's Lookup on the decoded header. The one divergence is
+// deliberate: a repeated top-level "headers" key is a 400. The tenant
+// serves from linear so every dimension a header can carry is live.
 func FuzzWireClassifyBatch(f *testing.F) {
 	srv := New(slog.New(slog.NewTextHandler(io.Discard, nil)))
 	tenant, err := srv.Manager().Create("fz", TenantConfig{Engine: "linear"})
@@ -110,6 +114,7 @@ func FuzzWireClassifyBatch(f *testing.F) {
 	}
 	h := srv.Handler()
 
+	const one = `{"src_ip":"10.0.0.1","dst_ip":"2.2.2.2"}`
 	for _, seed := range []string{
 		// The bodies of TestClassifyEndpoints ...
 		`{"headers":[{"src_ip":"10.0.0.1","src_port":0,"dst_ip":"2.2.2.2","dst_port":0,"proto":0},{"src_ip":"11.0.0.1","src_port":0,"dst_ip":"2.2.2.2","dst_port":0,"proto":0}]}`,
@@ -127,6 +132,40 @@ func FuzzWireClassifyBatch(f *testing.F) {
 		`{"headers":[{"src_ip":"10.0.0.1","dst_ip":"2.2.2.2"}]}{"headers":[]}`,
 		`[]`,
 		``,
+		// A tag past 802.1Q's 12 bits (it used to alias onto vlan 100).
+		`{"headers":[{"src_ip":"1.1.1.1","dst_ip":"2.2.2.2","vlan":4196}]}`,
+		// Keys matched under case folding, including a non-ASCII fold
+		// (U+017F folds to 's') and an escaped key.
+		`{"HEADERS":[{"Src_IP":"10.0.0.1","DST_IP":"2.2.2.2","Proto":6,"VLAN":100,"Tcp_Flags":2}]}`,
+		`{"headerſ":[` + one + `],"head\u0065rs_":[]}`,
+		`{"head\u0065rs":[{"src_\u0069p":"10.0.0.1","dst_ip":"2.2.2.2"}]}`,
+		// An escaped character inside an address, and non-ASCII ones.
+		`{"headers":[{"src_ip":"1\u0030.0.0.1","dst_ip":"2.2.2.2"}]}`,
+		`{"headers":[{"src_ip":"1０.0.0.1","dst_ip":"2.2.2.2"}]}`,
+		`{"headers":[{"src_ip":"10.0.0.1","dst_ip":"2.2.2.2","x":"\u00e9\ud83d\ude00` + "\xff" + `"}]}`,
+		// Repeated and null fields: the last value wins, null keeps one.
+		`{"headers":[{"src_ip":"9.9.9.9","src_ip":"10.0.0.1","dst_ip":"2.2.2.2","dst_ip":null,"proto":6,"proto":null,"vlan":null,"tcp_flags":null}]}`,
+		`{"headers":[null]}`,
+		// Numbers an integer field refuses.
+		`{"headers":[{"src_ip":"10.0.0.1","dst_ip":"2.2.2.2","proto":1e2}]}`,
+		`{"headers":[{"src_ip":"10.0.0.1","dst_ip":"2.2.2.2","proto":-0}]}`,
+		`{"headers":[{"src_ip":"10.0.0.1","dst_ip":"2.2.2.2","proto":1.0}]}`,
+		`{"headers":[{"src_ip":"10.0.0.1","dst_ip":"2.2.2.2","proto":"6"}]}`,
+		`{"headers":[{"src_ip":"10.0.0.1","dst_ip":"2.2.2.2","dst_port":018}]}`,
+		// Unknown keys with nested values of every type.
+		`{"x":{"y":[1,-2.5e+3,0.5E-1,true,false,null,"s\"\\\/\b\f\n\r\t\u00e9"]},"headers":[{"src_ip":"10.0.0.1","opts":{"a":[{},[]]},"dst_ip":"2.2.2.2"}],"z":[]}`,
+		`{"x":[1,],"headers":[` + one + `]}`,
+		`{"x":"\x","headers":[` + one + `]}`,
+		// Whitespace around every token, and trailing garbage.
+		" \t\r\n{ \"headers\" : [ { \"src_ip\" : \"10.0.0.1\" , \"dst_ip\" : \"2.2.2.2\" } ] } \n",
+		`{"headers":[` + one + `]}x`,
+		`{"headers":[` + one + `],}`,
+		// encoding/json's nesting limit: 10 000 open levels pass, 10 001 do not.
+		`{"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `,"headers":[` + one + `]}`,
+		`{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `,"headers":[` + one + `]}`,
+		// A repeated "headers" key, which encoding/json would merge.
+		`{"headers":[{"src_ip":"10.0.0.1","dst_ip":"2.2.2.2","proto":6}],"headers":[{"src_ip":"11.0.0.1"}]}`,
+		`{"headers":null,"Headers":[` + one + `]}`,
 		// One header over the batch cap.
 		`{"headers":[` + strings.Repeat(`{},`, maxBatchHeaders) + `{}]}`,
 	} {
@@ -135,31 +174,87 @@ func FuzzWireClassifyBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/tenants/fz/classify-batch", bytes.NewReader(body)))
-		if rec.Code >= 500 {
-			t.Fatalf("status %d (body %q)", rec.Code, rec.Body.String())
-		}
-		if rec.Code != http.StatusOK {
-			return
-		}
-		var req ClassifyBatchRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			t.Fatalf("200 for a body that does not unmarshal: %v", err)
-		}
-		var resp ClassifyBatchResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatalf("own response %q does not unmarshal: %v", rec.Body.String(), err)
-		}
-		if len(resp.Results) != len(req.Headers) || resp.Report.Packets != len(req.Headers) {
-			t.Fatalf("%d results (report: %d packets) for %d headers", len(resp.Results), resp.Report.Packets, len(req.Headers))
-		}
-		for i, wh := range req.Headers {
-			hd, err := decodeHeader(wh)
-			if err != nil {
-				t.Fatalf("200 for a batch whose header %d does not decode: %v", i, err)
-			}
-			if want := encodeResult(tenant.Classifier.Lookup(hd)); !reflect.DeepEqual(resp.Results[i], want) {
-				t.Fatalf("header %d %+v: wire says %+v, Lookup says %+v", i, wh, resp.Results[i], want)
-			}
+		want, ok := oracleClassifyBatch(t, tenant.Classifier, body)
+		switch {
+		case !ok && rec.Code != http.StatusBadRequest:
+			t.Fatalf("status %d (body %q) for a body the encoding/json path refuses", rec.Code, rec.Body.String())
+		case ok && rec.Code != http.StatusOK:
+			t.Fatalf("status %d (body %q) for a body the encoding/json path accepts", rec.Code, rec.Body.String())
+		case ok && !bytes.Equal(rec.Body.Bytes(), want):
+			t.Fatalf("response differs from encoding/json's:\n got  %q\n want %q", rec.Body.String(), want)
 		}
 	})
+}
+
+// oracleClassifyBatch is the classify-batch handler as it was written over
+// encoding/json — json.Decoder and decodeOne, the header-count bounds,
+// decodeHeader, json.NewEncoder — kept as the reference for the
+// hand-written codec. Each result is the tenant's own Lookup on the decoded
+// header, so the handler's batch lookup is held to the single-header path
+// too. It returns the body a 200 must carry, or false when the handler must
+// answer 400.
+func oracleClassifyBatch(t *testing.T, c *sdnpc.Classifier, body []byte) ([]byte, bool) {
+	var req ClassifyBatchRequest
+	if decodeOne(json.NewDecoder(bytes.NewReader(body)), &req) != nil {
+		return nil, false
+	}
+	if len(req.Headers) == 0 || len(req.Headers) > maxBatchHeaders || repeatsHeaders(body) {
+		return nil, false
+	}
+	results := make([]sdnpc.Result, len(req.Headers))
+	for i, wh := range req.Headers {
+		h, err := decodeHeader(wh)
+		if err != nil {
+			return nil, false
+		}
+		results[i] = c.Lookup(h)
+	}
+	report := sdnpc.SummarizeBatch(results)
+	resp := ClassifyBatchResponse{
+		Results: make([]WireResult, len(results)),
+		Report: WireBatchReport{
+			Packets:          report.Packets,
+			Matched:          report.Matched,
+			MatchRate:        report.MatchRate(),
+			AvgLatencyCycles: report.AverageLatencyCycles(),
+			MaxLatencyCycles: report.MaxLatencyCycles,
+		},
+	}
+	for i, res := range results {
+		resp.Results[i] = encodeResult(res)
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		t.Fatalf("encoding/json cannot encode the response: %v", err)
+	}
+	return buf.Bytes(), true
+}
+
+// repeatsHeaders reports whether the top-level object of body, which
+// decodeOne accepted, holds more than one key that encoding/json decodes
+// into ClassifyBatchRequest.Headers — the one body the codec deliberately
+// refuses where encoding/json merges.
+func repeatsHeaders(body []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return false
+	}
+	n := 0
+	for dec.More() {
+		key, _ := dec.Token()
+		// encoding/json itself judges whether the key selects the field.
+		quoted, _ := json.Marshal(key)
+		var probe struct {
+			Headers bool `json:"headers"`
+		}
+		_ = json.Unmarshal([]byte(`{`+string(quoted)+`:true}`), &probe)
+		if probe.Headers {
+			n++
+		}
+		var value json.RawMessage
+		if dec.Decode(&value) != nil {
+			return false
+		}
+	}
+	return n > 1
 }

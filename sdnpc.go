@@ -245,6 +245,14 @@ func (c *Classifier) Lookup(h Header) Result { return c.inner.Lookup(h) }
 // Use SummarizeBatch for the batch-level accounting totals.
 func (c *Classifier) LookupBatch(hs []Header) []Result { return c.inner.LookupBatch(hs) }
 
+// LookupBatchInto is LookupBatch reusing dst's backing array when its
+// capacity covers the batch (growing it otherwise); it returns dst resized
+// to one Result per header. A serving loop that recycles its result slice
+// allocates nothing per batch.
+func (c *Classifier) LookupBatchInto(dst []Result, hs []Header) []Result {
+	return c.inner.LookupBatchInto(dst, hs)
+}
+
 // LookupAll classifies one packet header under multi-action semantics: it
 // returns every matching rule's action in strict priority order, up to and
 // including the first terminating match, together with the first-match

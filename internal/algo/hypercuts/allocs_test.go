@@ -1,0 +1,58 @@
+package hypercuts
+
+import (
+	"runtime"
+	"testing"
+
+	"sdnpc/internal/classbench"
+)
+
+// deltaAllocs returns what one delta on a fresh clone allocates — the way
+// the classifier applies one: the tree is cloned before every op — averaged
+// over delete+insert pairs of acl-5k rules.
+func deltaAllocs(t *testing.T) (objects, kib float64) {
+	t.Helper()
+	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, classbench.Size5K))
+	c, err := Build(rs, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	pair := func() {
+		idx := i % (rs.Len() - 1)
+		i += 37
+		c = c.Clone()
+		if err := c.DeleteAt(idx); err != nil {
+			t.Fatal(err)
+		}
+		c = c.Clone()
+		if err := c.InsertAt(rs.Rule(idx), idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	objects = testing.AllocsPerRun(20, pair) / 2
+	const pairs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range pairs {
+		pair()
+	}
+	runtime.ReadMemStats(&after)
+	return objects, float64(after.TotalAlloc-before.TotalAlloc) / (2 * pairs) / 1024
+}
+
+// TestDeltaAllocs bounds what a delta on a fresh clone allocates on acl-5k:
+// the id → position map (4 bytes a rule), the leaf directory, the leaf chunks
+// it rewrites and, for an insert, one rule chunk and the rule directory —
+// 25 KiB and 5 objects. While a delta renumbered every stored leaf index, the
+// clone copied the arena and the rule table whole: ≈ 800 KiB.
+func TestDeltaAllocs(t *testing.T) {
+	objects, kib := deltaAllocs(t)
+	t.Logf("a delta on a fresh clone allocates %.1f objects, %.1f KiB", objects, kib)
+	if objects > 7 {
+		t.Errorf("a delta allocates %.1f objects, want at most 7", objects)
+	}
+	if kib > 32 {
+		t.Errorf("a delta allocates %.1f KiB, want at most 32", kib)
+	}
+}

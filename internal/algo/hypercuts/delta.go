@@ -2,153 +2,180 @@ package hypercuts
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"sdnpc/internal/fivetuple"
 )
 
 // Incremental updates. A HyperCuts tree is naturally delta-friendly: the
 // internal nodes encode a fixed partition of the header space, so inserting
-// or deleting one rule only changes the leaf rule lists — the cut structure
-// is untouched. A delta pass visits every node record once, renumbering the
-// stored rule indices around the spliced position and editing the rule into
-// (or out of) exactly the leaves whose region it overlaps. On the flat tree
-// that is one linear sweep of the arena — O(nodes + stored rule pointers) of
-// integer work, versus the geometric recursion of a full Build. A leaf that
-// outgrows its span's slack relocates into the spare region (the arena grows
-// when even that runs out), so a delta never fails mid-structure.
+// or deleting one rule only changes the lists of the leaves whose region it
+// overlaps — the cut structure is untouched. Leaves list stable rule ids, so
+// a delta renumbers nothing in them: it shifts the positions in the
+// id → position map (one pass over 4 bytes a rule) and rewrites the chunks of
+// the leaves its rule overlaps, about two leaves in one chunk on ACL sets.
 //
 // The price is drift: inserts can grow a leaf beyond binth (a fresh build
-// would have split it), so the linear leaf scan slowly lengthens, and
-// relocations leak their old spans until the next rebuild re-compacts. The
-// tree stays correct — Degradation quantifies the drift so a policy layer
-// can amortise it away with an occasional rebuild.
+// would have split it), so the linear leaf scan slowly lengthens. The tree
+// stays correct — Degradation quantifies the drift so a policy layer can
+// amortise it away with an occasional rebuild.
 
-// Clone returns a deep structural copy of the classifier: the arena and the
-// rule table are duplicated (two memcpys — the flat layout's copy-on-write
-// dividend), so delta updates applied to the copy are never observable
-// through the original.
+// Clone returns a copy of the classifier for delta updates. It shares
+// everything with c — the node records, the leaf chunks, the rule store and
+// the id → position map — and a delta on either side copies what it writes:
+// the map and the leaf directory the first time, then the chunks it changes.
+// Clone takes c's ownership of them away, which is a write to c needing the
+// same serialisation as a delta, though no reader of c sees it.
 func (c *Classifier) Clone() *Classifier {
-	cp := &Classifier{
-		cfg:          c.cfg,
-		rules:        append([]fivetuple.Rule(nil), c.rules...),
-		ar:           c.ar.Clone(),
-		bump:         c.bump,
-		limit:        c.limit,
-		nodeCount:    c.nodeCount,
-		leafCount:    c.leafCount,
-		rulePtrs:     c.rulePtrs,
-		maxDepth:     c.maxDepth,
-		maxLeaf:      c.maxLeaf,
-		baseOverflow: c.baseOverflow,
-		overflowPtrs: c.overflowPtrs,
-		deltas:       c.deltas,
-		deltaWrites:  c.deltaWrites,
+	c.leavesOwned, c.posOwned = false, false
+	cp := *c
+	cp.rules = c.rules.Clone()
+	return &cp
+}
+
+// ownPos makes the id → position map private, with room for one more id.
+func (c *Classifier) ownPos() {
+	if !c.posOwned {
+		c.pos = append(make([]uint32, 0, len(c.pos)+1), c.pos...)
+		c.posOwned = true
 	}
-	cp.words = cp.ar.Words(0, cp.ar.WordLen())
-	return cp
 }
 
 // InsertAt splices rule r into the classifier's best-first rule order at
-// index idx and adds it to every leaf whose region the rule overlaps — the
-// leaf-local delta update. Stored leaf indices at or above idx shift up by
-// one during the same sweep, so the tree stays consistent with the new rule
-// order without a rebuild.
+// index idx — positions at or above idx shift up by one — and adds it to
+// every leaf whose region the rule overlaps: the leaf-local delta update.
 func (c *Classifier) InsertAt(r fivetuple.Rule, idx int) error {
-	if idx < 0 || idx > len(c.rules) {
-		return fmt.Errorf("hypercuts: insert index %d out of range [0,%d]", idx, len(c.rules))
+	if idx < 0 || idx > c.live {
+		return fmt.Errorf("hypercuts: insert index %d out of range [0,%d]", idx, c.live)
 	}
-	c.rules = append(c.rules, fivetuple.Rule{})
-	copy(c.rules[idx+1:], c.rules[idx:])
-	c.rules[idx] = r
-	for ni := 0; ni < c.nodeCount; ni++ {
-		base := ni * nodeWords
-		w := c.words
-		if w[base+nwFlags]&leafFlag == 0 {
-			continue
-		}
-		off := int(w[base+nwA])
-		n := int(w[base+nwB])
-		// Renumbering adds one to every index >= idx, which preserves the
-		// ascending (best-first) order, so idx then lands at its search
-		// position.
-		for j := 0; j < n; j++ {
-			if int(w[off+j]) >= idx {
-				w[off+j]++
+	c.ownPos()
+	id := -1
+	for i, p := range c.pos {
+		switch {
+		case p == freePos:
+			if id < 0 {
+				id = i
 			}
-		}
-		if !ruleOverlapsNode(r, w[base:base+nodeWords]) {
-			continue
-		}
-		if spanCap := int(w[base+nwC]); n == spanCap {
-			// The span is full: relocate it into the spare region with
-			// doubled slack, leaking the old span until the next rebuild.
-			newCap := 2*spanCap + 2
-			noff := c.spareAlloc(newCap)
-			w = c.words // spareAlloc may have grown the arena
-			copy(w[noff:noff+n], w[off:off+n])
-			off = noff
-			w[base+nwA] = uint32(noff)
-			w[base+nwC] = uint32(newCap)
-		}
-		span := w[off : off+n]
-		pos := sort.Search(n, func(i int) bool { return int(span[i]) >= idx })
-		w[off+n] = 0
-		copy(w[off+pos+1:off+n+1], w[off+pos:off+n])
-		w[off+pos] = uint32(idx)
-		n++
-		w[base+nwB] = uint32(n)
-		c.rulePtrs++
-		c.deltaWrites++
-		if n > c.maxLeaf {
-			c.maxLeaf = n
-		}
-		if n > c.cfg.Binth {
-			c.overflowPtrs++
+		case int(p) >= idx:
+			c.pos[i]++
 		}
 	}
+	if id < 0 {
+		id = len(c.pos)
+		c.pos = append(c.pos, 0)
+		c.rules.Append(r)
+	} else {
+		*c.rules.Mut(id) = r
+	}
+	c.pos[id] = uint32(idx)
+	c.live++
+	c.spliceLeaves(r, uint32(id), true)
 	c.deltas++
 	return nil
 }
 
 // DeleteAt removes the rule at index idx of the best-first order from every
-// leaf storing it and renumbers the remaining indices down, then drops the
-// rule from the rule table. Leaves are never re-merged; the (cheap) excess
-// depth this can leave behind is amortised away by the policy layer's
-// periodic rebuild.
+// leaf storing it and frees its id; positions above idx shift down by one.
+// Leaves are never re-merged; the (cheap) excess depth this can leave behind
+// is amortised away by the policy layer's periodic rebuild.
 func (c *Classifier) DeleteAt(idx int) error {
-	if idx < 0 || idx >= len(c.rules) {
-		return fmt.Errorf("hypercuts: delete index %d out of range [0,%d)", idx, len(c.rules))
+	if idx < 0 || idx >= c.live {
+		return fmt.Errorf("hypercuts: delete index %d out of range [0,%d)", idx, c.live)
 	}
-	w := c.words
-	for ni := 0; ni < c.nodeCount; ni++ {
-		base := ni * nodeWords
-		if w[base+nwFlags]&leafFlag == 0 {
+	c.ownPos()
+	id := 0
+	for i, p := range c.pos {
+		switch {
+		case p == freePos:
+		case int(p) == idx:
+			id = i
+		case int(p) > idx:
+			c.pos[i]--
+		}
+	}
+	c.pos[id] = freePos
+	c.live--
+	c.spliceLeaves(*c.rules.At(id), uint32(id), false)
+	c.deltas++
+	return nil
+}
+
+// spliceLeaves adds id to (insert) or removes it from every leaf whose region
+// r overlaps — the leaves a fresh build would store r in. Leaf numbers rise
+// with node index, so one pass over the records meets a chunk's leaves
+// together, and each chunk holding such a leaf is replaced once.
+func (c *Classifier) spliceLeaves(r fivetuple.Rule, id uint32, insert bool) {
+	var touched [leafChunkLen]bool
+	chunk := -1
+	for base := 0; base < len(c.nodes); base += nodeWords {
+		rec := c.nodes[base : base+nodeWords]
+		if rec[nwFlags]&leafFlag == 0 || !ruleOverlapsRegion(r, regionOf(rec)) {
 			continue
 		}
-		off := int(w[base+nwA])
-		n := int(w[base+nwB])
-		span := w[off : off+n]
-		pos := sort.Search(n, func(i int) bool { return int(span[i]) >= idx })
-		if pos < n && int(span[pos]) == idx {
+		leaf := int(rec[nwA])
+		if leaf>>leafChunkShift != chunk {
+			if chunk >= 0 {
+				c.rewriteChunk(chunk, &touched, id, insert)
+			}
+			chunk, touched = leaf>>leafChunkShift, [leafChunkLen]bool{}
+		}
+		touched[leaf&(leafChunkLen-1)] = true
+	}
+	if chunk >= 0 {
+		c.rewriteChunk(chunk, &touched, id, insert)
+	}
+}
+
+// rewriteChunk replaces leaf chunk k by an exact-fit copy in which every
+// touched leaf has gained id in its best-first place (insert) or lost it,
+// and keeps the leaf-occupancy counters.
+func (c *Classifier) rewriteChunk(k int, touched *[leafChunkLen]bool, id uint32, insert bool) {
+	old := c.leaves[k]
+	size, step := len(old), -1
+	if insert {
+		step = 1
+	}
+	for _, t := range touched {
+		if t {
+			size += step
+		}
+	}
+	lc := make(leafChunk, leafChunkLen+1, size)
+	for j := range leafChunkLen {
+		lc[j] = uint32(len(lc))
+		list := old.list(j)
+		if !touched[j] {
+			lc = append(lc, list...)
+			continue
+		}
+		n := len(list)
+		if insert {
+			at := 0
+			for at < n && c.pos[list[at]] < c.pos[id] {
+				at++
+			}
+			lc = append(append(append(lc, list[:at]...), id), list[at:]...)
+			c.rulePtrs++
+			if n+1 > c.cfg.Binth {
+				c.overflowPtrs++
+			}
+			c.maxLeaf = max(c.maxLeaf, n+1)
+		} else {
+			at := slices.Index(list, id)
+			lc = append(append(lc, list[:at]...), list[at+1:]...)
+			c.rulePtrs--
 			if n > c.cfg.Binth {
 				c.overflowPtrs--
 			}
-			copy(span[pos:], span[pos+1:])
-			n--
-			w[base+nwB] = uint32(n)
-			c.rulePtrs--
-			c.deltaWrites++
 		}
-		for j := 0; j < n; j++ {
-			if int(w[off+j]) > idx {
-				w[off+j]--
-			}
-		}
+		c.deltaWrites++
 	}
-	c.rules = append(c.rules[:idx], c.rules[idx+1:]...)
-	c.deltas++
-	return nil
+	lc[leafChunkLen] = uint32(len(lc))
+	if !c.leavesOwned {
+		c.leaves = slices.Clone(c.leaves)
+		c.leavesOwned = true
+	}
+	c.leaves[k] = lc
 }
 
 // DeltaStats reports the delta debt accumulated since the tree was built.
@@ -179,10 +206,10 @@ func (c *Classifier) DeltaStats() DeltaStats {
 // outgrown binth everywhere. The classifier stays correct regardless —
 // degradation only measures lookup-cost drift.
 func (c *Classifier) Degradation() float64 {
-	if len(c.rules) == 0 {
+	if c.live == 0 {
 		return 0
 	}
-	d := float64(c.DeltaStats().OverflowPtrs) / float64(len(c.rules))
+	d := float64(c.DeltaStats().OverflowPtrs) / float64(c.live)
 	if d > 1 {
 		d = 1
 	}
@@ -196,21 +223,16 @@ func (c *Classifier) MaxLeafOccupancy() int { return c.maxLeaf }
 
 // initLeafMetrics derives the leaf-occupancy counters of a freshly built
 // tree — the zero point the delta accounting measures drift from — with one
-// linear sweep of the node records.
+// sweep of the leaf lists.
 func (c *Classifier) initLeafMetrics() {
 	c.overflowPtrs, c.maxLeaf = 0, 0
-	w := c.words
-	for ni := 0; ni < c.nodeCount; ni++ {
-		base := ni * nodeWords
-		if w[base+nwFlags]&leafFlag == 0 {
-			continue
-		}
-		n := int(w[base+nwB])
-		if n > c.maxLeaf {
-			c.maxLeaf = n
-		}
-		if over := n - c.cfg.Binth; over > 0 {
-			c.overflowPtrs += over
+	for _, lc := range c.leaves {
+		for j := range leafChunkLen {
+			n := len(lc.list(j))
+			c.maxLeaf = max(c.maxLeaf, n)
+			if over := n - c.cfg.Binth; over > 0 {
+				c.overflowPtrs += over
+			}
 		}
 	}
 	c.baseOverflow = c.overflowPtrs

@@ -2,6 +2,7 @@ package hypercuts
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sdnpc/internal/classbench"
@@ -9,17 +10,17 @@ import (
 )
 
 // TestDeltaMatchesFreshBuild churns a built tree through a random
-// insert/delete sequence via the delta ops and asserts that every verdict
-// agrees with a tree freshly built over the final rule list and with the
-// linear oracle.
+// insert/delete sequence via the delta ops and asserts that every verdict —
+// the first match and the multi-action chain — agrees with a tree freshly
+// built over the final rule list and with the linear oracle.
 func TestDeltaMatchesFreshBuild(t *testing.T) {
-	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 200, Seed: 81})
+	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 200, Seed: 81, NonTerminatingFraction: 0.3})
 	c, err := Build(rs, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	live := append([]fivetuple.Rule(nil), rs.Rules()...)
-	extra := classbench.Generate(classbench.Config{Class: classbench.FW, Rules: 120, Seed: 82}).Rules()
+	extra := classbench.Generate(classbench.Config{Class: classbench.FW, Rules: 120, Seed: 82, NonTerminatingFraction: 0.3}).Rules()
 	rng := rand.New(rand.NewSource(83))
 	next := 0
 	for op := 0; op < 160; op++ {
@@ -60,6 +61,11 @@ func TestDeltaMatchesFreshBuild(t *testing.T) {
 		freshIdx, freshOK, _ := fresh.Classify(h)
 		if gotOK != freshOK || (gotOK && gotIdx != freshIdx) {
 			t.Fatalf("delta tree Classify(%s) = (%d,%v), fresh build (%d,%v)", h, gotIdx, gotOK, freshIdx, freshOK)
+		}
+		gotAll, _ := c.ClassifyAll(h, nil)
+		freshAll, _ := fresh.ClassifyAll(h, nil)
+		if wantAll := finalSet.ClassifyAll(h); !slices.Equal(gotAll, wantAll) || !slices.Equal(freshAll, wantAll) {
+			t.Fatalf("ClassifyAll(%s): delta tree %v, fresh build %v, oracle %v", h, gotAll, freshAll, wantAll)
 		}
 	}
 }
@@ -171,4 +177,72 @@ func TestDegradationTracksLeafOverflow(t *testing.T) {
 	if got := c.DeltaStats().OverflowPtrs; got != 0 {
 		t.Errorf("OverflowPtrs after shrinking back = %d, want 0", got)
 	}
+}
+
+// treeState is a deep copy of what a delta may write: the leaf chunks and
+// their identities, the rule store and the id → position map.
+type treeState struct {
+	chunks [][]uint32
+	first  []*uint32
+	rules  []fivetuple.Rule
+	pos    []uint32
+}
+
+func stateOf(c *Classifier) treeState {
+	var s treeState
+	for _, lc := range c.leaves {
+		s.chunks = append(s.chunks, slices.Clone(lc))
+		s.first = append(s.first, &lc[0])
+	}
+	for id := range c.rules.Len() {
+		s.rules = append(s.rules, *c.rules.At(id))
+	}
+	s.pos = slices.Clone(c.pos)
+	return s
+}
+
+func requireState(t *testing.T, who string, c *Classifier, want treeState) {
+	t.Helper()
+	got := stateOf(c)
+	if !slices.EqualFunc(got.chunks, want.chunks, slices.Equal) || !slices.Equal(got.first, want.first) {
+		t.Fatalf("%s: leaf chunks changed", who)
+	}
+	if !slices.Equal(got.rules, want.rules) || !slices.Equal(got.pos, want.pos) {
+		t.Fatalf("%s: rule store or id map changed", who)
+	}
+}
+
+// TestCloneDeltasLeaveSourceUntouched: deltas on a clone never write the
+// leaf chunks, the rule store or the id map it shares with its source —
+// byte for byte and chunk for chunk — and deltas on the source after the
+// clone never write the clone's, whichever side writes first.
+func TestCloneDeltasLeaveSourceUntouched(t *testing.T) {
+	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, classbench.Size1K))
+	src, err := Build(rs, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := classbench.Generate(classbench.Config{Class: classbench.FW, Rules: 40, Seed: 9}).Rules()
+	churn := func(c *Classifier, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		for i, r := range extra {
+			if err := c.InsertAt(r, rng.Intn(c.NumRules()+1)); err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 0 {
+				if err := c.DeleteAt(rng.Intn(c.NumRules())); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	before := stateOf(src)
+	cl := src.Clone()
+	churn(cl, 1)
+	requireState(t, "source after the clone's deltas", src, before)
+
+	cl = src.Clone()
+	cloned := stateOf(cl)
+	churn(src, 2)
+	requireState(t, "clone after the source's deltas", cl, cloned)
 }

@@ -10,19 +10,20 @@
 // the quantity behind HyperCuts' Table I row.
 //
 // The built tree is flat: Build lays every node out as a fixed 14-word
-// record in one contiguous arena, children linked by node index instead of
-// pointer, leaf rule lists as index spans with slack capacity for in-place
-// delta inserts. The published structure is two pointer-free allocations
-// (the arena and the rule table), which the collector scans in O(1), and
-// Classify allocates nothing.
+// record in one pointer-free slice, children linked by node index instead of
+// pointer. Leaves list stable rule ids, not positions, in exact-fit chunks of
+// 64 leaves, and one id → position map answers in the best-first order. So a
+// delta update writes the chunks of the leaves its rule overlaps, the rule
+// store chunk it fills and the map, never the node records, which every
+// clone shares. Classify allocates nothing.
 package hypercuts
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
-	"sdnpc/internal/arena"
+	"sdnpc/internal/cow"
 	"sdnpc/internal/fivetuple"
 )
 
@@ -131,36 +132,16 @@ func headerValue(h fivetuple.Header, f fivetuple.Field) uint64 {
 	}
 }
 
-// node is one decision-tree node of the transient build form; flatten
-// converts the pointer tree into arena records and drops it.
-type node struct {
-	// Leaf nodes hold rule indices; internal nodes hold the cut description
-	// and children.
-	leafRules []int
-
-	cutDims  []int // indices into fivetuple.Fields()
-	cutsPer  []int // number of slices per cut dimension
-	children []*node
-	region   region
-}
-
-func (n *node) isLeaf() bool { return n.children == nil }
-
 // Flat node record layout. Every node is nodeWords consecutive words:
 //
 //	word 0        flags — leafFlag for a leaf, else the cut count (1 or 2)
-//	word 1        leaf: word offset of the rule-index span
+//	word 1        leaf: leaf number, its list's place in the leaf chunks
 //	              internal: node index of the first child (children of one
 //	              node are laid out contiguously, so one base serves all)
-//	word 2        leaf: live entry count     internal: dim0<<16 | cuts0
-//	word 3        leaf: span capacity        internal: dim1<<16 | cuts1
+//	word 2        internal: dim0<<16 | cuts0
+//	word 3        internal: dim1<<16 | cuts1
 //	words 4..8    region lo, one word per dimension
 //	words 9..13   region hi, one word per dimension
-//
-// Leaf spans carry slack capacity so delta inserts edit in place; a span
-// that outgrows its capacity relocates into the spare region at the arena
-// tail (growing the arena when even that is exhausted), leaking the old
-// span as tracked garbage until the next rebuild re-compacts.
 const (
 	nodeWords = 14
 	nwFlags   = 0
@@ -173,17 +154,58 @@ const (
 	leafFlag = 1 << 31
 )
 
+// leafChunk holds the rule lists of leafChunkLen consecutive leaves in one
+// pointer-free allocation: leafChunkLen+1 offsets, then the ids, leaf j's
+// list at [lc[j], lc[j+1]), each best-first. A delta never writes a chunk;
+// it replaces it.
+type leafChunk []uint32
+
+const (
+	leafChunkShift = 6
+	leafChunkLen   = 1 << leafChunkShift
+)
+
+// list returns the ids of leaf j of the chunk.
+func (lc leafChunk) list(j int) []uint32 { return lc[lc[j]:lc[j+1]] }
+
+// newLeafChunk lays out up to leafChunkLen leaf lists as one exact-fit chunk.
+func newLeafChunk(lists [][]uint32) leafChunk {
+	n := leafChunkLen + 1
+	for _, l := range lists {
+		n += len(l)
+	}
+	lc := make(leafChunk, leafChunkLen+1, n)
+	for j := range leafChunkLen {
+		lc[j] = uint32(len(lc))
+		if j < len(lists) {
+			lc = append(lc, lists[j]...)
+		}
+	}
+	lc[leafChunkLen] = uint32(len(lc))
+	return lc
+}
+
+// freePos is the position of a rule id no rule holds.
+const freePos = math.MaxUint32
+
 // Classifier is a HyperCuts decision tree built from a rule set.
 type Classifier struct {
-	cfg   Config
-	rules []fivetuple.Rule
+	cfg Config
 
-	// The flat tree: node records first, then the leaf spans, then the
-	// spare region [bump, limit) feeding span relocations.
-	ar    *arena.Arena
-	words []uint32 // the arena word space; refreshed after Grow
-	bump  int
-	limit int
+	// nodes holds the node records. No delta writes them, so every clone
+	// shares them.
+	nodes []uint32
+
+	// leaves holds the leaf lists, leafChunkLen leaves a chunk; rules stores
+	// the rules by id, and pos maps an id to its best-first position. A delta
+	// replaces the chunks it writes, copying leaves and pos first unless this
+	// classifier owns them (it does until it is cloned).
+	leaves      []leafChunk
+	rules       cow.Array[fivetuple.Rule]
+	pos         []uint32
+	live        int
+	leavesOwned bool
+	posOwned    bool
 
 	nodeCount int
 	leafCount int
@@ -199,197 +221,190 @@ type Classifier struct {
 	deltaWrites  int
 }
 
-// Build constructs a HyperCuts tree for the rule set and flattens it.
+// Build constructs a HyperCuts tree for the rule set.
 func Build(rs *fivetuple.RuleSet, cfg Config) (*Classifier, error) {
+	return BuildRules(rs.Rules(), cfg)
+}
+
+// BuildRules constructs a HyperCuts tree over rules, best-first, and stores
+// them without copying: the caller must not modify the slice afterwards. The
+// classifier never writes it; a delta copies the chunk it changes.
+func BuildRules(rules []fivetuple.Rule, cfg Config) (*Classifier, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if rs.Len() == 0 {
+	if len(rules) == 0 {
 		return nil, fmt.Errorf("hypercuts: empty rule set")
 	}
-	c := &Classifier{cfg: cfg, rules: rs.Rules()}
-	all := make([]int, len(c.rules))
-	for i := range all {
-		all[i] = i
+	c := &Classifier{cfg: cfg, rules: cow.Adopt(rules), pos: make([]uint32, len(rules)), live: len(rules), leavesOwned: true, posOwned: true}
+	for i := range c.pos {
+		c.pos[i] = uint32(i)
 	}
-	root := c.build(all, fullRegion(), 0)
-	c.flatten(root)
+	c.build()
 	c.initLeafMetrics()
 	return c, nil
 }
 
-func (c *Classifier) build(ruleIdx []int, reg region, depth int) *node {
-	c.nodeCount++
-	if depth > c.maxDepth {
-		c.maxDepth = depth
-	}
-	n := &node{region: reg}
-	if len(ruleIdx) <= c.cfg.Binth || depth >= c.cfg.MaxDepth {
-		n.leafRules = append([]int(nil), ruleIdx...)
-		sort.Ints(n.leafRules)
-		c.leafCount++
-		c.rulePtrs += len(n.leafRules)
-		return n
-	}
+// pendingNode is a laid-out node awaiting expansion: its rule ids, best-first,
+// and its depth. guard marks a child that did not shrink its parent's list;
+// it becomes a leaf whatever its size, which stops unbounded recursion on
+// fully overlapping rules.
+type pendingNode struct {
+	ids   []uint32
+	depth int
+	guard bool
+}
 
-	dims, cuts := c.chooseCuts(ruleIdx, reg)
-	if len(dims) == 0 {
-		n.leafRules = append([]int(nil), ruleIdx...)
-		sort.Ints(n.leafRules)
-		c.leafCount++
-		c.rulePtrs += len(n.leafRules)
-		return n
+// build lays the tree out breadth-first, so each node's children are
+// contiguous records and one child-base index replaces a pointer array. A
+// node's ids are a filtered run of its parent's, so every list is best-first
+// as it stands. A cut node carves all its children's lists out of one slab;
+// leaf lists go into the leaf chunks 64 at a time.
+func (c *Classifier) build() {
+	all := make([]uint32, c.live)
+	for i := range all {
+		all[i] = uint32(i)
 	}
-	n.cutDims = dims
-	n.cutsPer = cuts
-
-	totalChildren := 1
-	for _, k := range cuts {
-		totalChildren *= k
-	}
-	n.children = make([]*node, totalChildren)
-	for child := 0; child < totalChildren; child++ {
-		childReg := childRegion(reg, dims, cuts, child)
-		var childRules []int
-		for _, ri := range ruleIdx {
-			if ruleOverlapsRegion(c.rules[ri], childReg) {
-				childRules = append(childRules, ri)
+	c.nodes = appendRecord(nil, fullRegion())
+	queue := []pendingNode{{ids: all}}
+	var (
+		keys      = make([]uint64, len(all)) // chooseCuts' scratch; no list is longer than the root's
+		lists     []uint32                   // the children's lists before they are carved
+		ends      []int
+		leafLists [leafChunkLen][]uint32
+	)
+	for i := 0; i < len(queue); i++ {
+		q := queue[i]
+		rec := c.nodes[i*nodeWords : (i+1)*nodeWords]
+		reg := regionOf(rec)
+		var dims, cuts [2]int
+		n := 0
+		if !q.guard {
+			c.maxDepth = max(c.maxDepth, q.depth)
+			if len(q.ids) > c.cfg.Binth && q.depth < c.cfg.MaxDepth {
+				dims, cuts, n = c.chooseCuts(q.ids, reg, keys)
 			}
 		}
-		// Heuristic guard: a child that did not shrink its rule list becomes
-		// a leaf to prevent unbounded recursion on fully overlapping rules.
-		if len(childRules) == len(ruleIdx) {
-			leaf := &node{region: childReg, leafRules: append([]int(nil), childRules...)}
-			sort.Ints(leaf.leafRules)
-			c.nodeCount++
+		if n == 0 {
+			rec[nwFlags], rec[nwA] = leafFlag, uint32(c.leafCount)
+			leafLists[c.leafCount&(leafChunkLen-1)] = q.ids
 			c.leafCount++
-			c.rulePtrs += len(leaf.leafRules)
-			n.children[child] = leaf
-			continue
-		}
-		n.children[child] = c.build(childRules, childReg, depth+1)
-	}
-	return n
-}
-
-// flatten lays the pointer tree out as arena records: a breadth-first
-// numbering keeps every node's children contiguous so one child-base index
-// replaces the child pointer array, then each leaf's rule list becomes an
-// index span with slack. The pointer tree is garbage once this returns.
-func (c *Classifier) flatten(root *node) {
-	order := []*node{root}
-	childBase := make([]int, 1, c.nodeCount)
-	for i := 0; i < len(order); i++ {
-		n := order[i]
-		childBase = childBase[:len(order)]
-		if !n.isLeaf() {
-			childBase[i] = len(order)
-			order = append(order, n.children...)
-		}
-	}
-	b := arena.NewBuilder()
-	_, nodes := b.Words(nodeWords * len(order))
-	slack := c.cfg.Binth/2 + 2
-	totalSpan := 0
-	for i, n := range order {
-		rec := nodes[i*nodeWords : (i+1)*nodeWords]
-		for d := 0; d < fivetuple.NumFields; d++ {
-			rec[nwLo+d] = uint32(n.region.lo[d])
-			rec[nwHi+d] = uint32(n.region.hi[d])
-		}
-		if n.isLeaf() {
-			spanCap := len(n.leafRules) + slack
-			h, span := b.Words(spanCap)
-			for j, ri := range n.leafRules {
-				span[j] = uint32(ri)
+			c.rulePtrs += len(q.ids)
+			if c.leafCount&(leafChunkLen-1) == 0 {
+				c.leaves = append(c.leaves, newLeafChunk(leafLists[:]))
 			}
-			rec[nwFlags] = leafFlag
-			rec[nwA] = uint32(h)
-			rec[nwB] = uint32(len(n.leafRules))
-			rec[nwC] = uint32(spanCap)
-			totalSpan += spanCap
 			continue
 		}
-		rec[nwFlags] = uint32(len(n.cutDims))
-		rec[nwA] = uint32(childBase[i])
-		rec[nwB] = uint32(n.cutDims[0])<<16 | uint32(n.cutsPer[0])
-		if len(n.cutDims) == 2 {
-			rec[nwC] = uint32(n.cutDims[1])<<16 | uint32(n.cutsPer[1])
+		rec[nwFlags], rec[nwA] = uint32(n), uint32(len(queue))
+		children := 1
+		for d := range n {
+			rec[nwB+d] = uint32(dims[d])<<16 | uint32(cuts[d])
+			children *= cuts[d]
+		}
+		lists, ends = lists[:0], ends[:0]
+		c.nodes, queue = grow(c.nodes, nodeWords*children), grow(queue, children)
+		for child := range children {
+			childReg := childRegion(reg, dims[:n], cuts[:n], child)
+			for _, id := range q.ids {
+				if ruleOverlapsRegion(*c.rules.At(int(id)), childReg) {
+					lists = append(lists, id)
+				}
+			}
+			ends = append(ends, len(lists))
+			c.nodes = appendRecord(c.nodes, childReg)
+		}
+		slab, start := slices.Clone(lists), 0
+		for _, end := range ends {
+			queue = append(queue, pendingNode{ids: slab[start:end:end], depth: q.depth + 1, guard: end-start == len(q.ids)})
+			start = end
 		}
 	}
-	spare := totalSpan/2 + 64
-	b.Words(spare)
-	c.ar = b.Finish()
-	c.words = c.ar.Words(0, c.ar.WordLen())
-	c.limit = c.ar.WordLen()
-	c.bump = c.limit - spare
+	if rest := c.leafCount & (leafChunkLen - 1); rest > 0 {
+		c.leaves = append(c.leaves, newLeafChunk(leafLists[:rest]))
+	}
+	c.nodes = slices.Clone(c.nodes) // the published tree keeps no growth slack
+	c.nodeCount = len(queue)
 }
 
-// spareAlloc carves n words out of the spare region for a relocated leaf
-// span, growing the arena when the region is exhausted. Grow reallocates
-// the word space, so callers must refresh any local view afterwards.
-func (c *Classifier) spareAlloc(n int) int {
-	if c.bump+n > c.limit {
-		extra := c.limit/2 + 64
-		if extra < 2*n {
-			extra = 2 * n
-		}
-		c.ar.Grow(extra)
-		c.words = c.ar.Words(0, c.ar.WordLen())
-		c.limit = c.ar.WordLen()
+// grow makes room for n more elements, at least doubling the capacity when
+// it must grow: the build's node records and queue would otherwise grow by
+// append's 1.25× steps and copy themselves about five times over.
+func grow[S ~[]E, E any](s S, n int) S {
+	if len(s)+n > cap(s) {
+		s = slices.Grow(s, max(n, len(s)))
 	}
-	off := c.bump
-	c.bump += n
-	return off
+	return s
 }
 
-// chooseCuts picks the dimensions to cut (those with the most distinct rule
-// projections) and the number of slices per dimension.
-func (c *Classifier) chooseCuts(ruleIdx []int, reg region) (dims []int, cuts []int) {
-	fields := fivetuple.Fields()
-	type dimScore struct {
-		dim      int
-		distinct int
+// appendRecord appends a node record covering reg, flags and links zero.
+func appendRecord(nodes []uint32, reg region) []uint32 {
+	var rec [nodeWords]uint32
+	for d := range fivetuple.NumFields {
+		rec[nwLo+d], rec[nwHi+d] = uint32(reg.lo[d]), uint32(reg.hi[d])
 	}
-	scores := make([]dimScore, 0, len(fields))
-	for di, f := range fields {
+	return append(nodes, rec[:]...)
+}
+
+// regionOf reads a node record's region.
+func regionOf(rec []uint32) region {
+	var reg region
+	for d := range fivetuple.NumFields {
+		reg.lo[d], reg.hi[d] = uint64(rec[nwLo+d]), uint64(rec[nwHi+d])
+	}
+	return reg
+}
+
+// chooseCuts picks the dimensions to cut — the one or two with the most
+// distinct rule projections, the earlier dimension on a tie — and the number
+// of slices per dimension; n is how many it picked. keys is scratch at least
+// len(ids) long: a dimension's projections are counted by sorting them.
+func (c *Classifier) chooseCuts(ids []uint32, reg region, keys []uint64) (dims, cuts [2]int, n int) {
+	var distinct [2]int
+	for di, f := range fivetuple.Fields() {
 		if reg.hi[di] == reg.lo[di] {
 			continue // nothing left to cut in this dimension
 		}
-		uniq := make(map[[2]uint64]struct{})
-		for _, ri := range ruleIdx {
-			lo, hi := ruleRange(c.rules[ri], f)
-			uniq[[2]uint64{lo, hi}] = struct{}{}
+		proj := keys[:len(ids)]
+		for j, id := range ids {
+			lo, hi := ruleRange(*c.rules.At(int(id)), f)
+			proj[j] = lo<<32 | hi
 		}
-		if len(uniq) > 1 {
-			scores = append(scores, dimScore{dim: di, distinct: len(uniq)})
+		slices.Sort(proj)
+		d := 1
+		for j := 1; j < len(proj); j++ {
+			if proj[j] != proj[j-1] {
+				d++
+			}
+		}
+		switch {
+		case d <= 1:
+		case d > distinct[0]:
+			dims[1], distinct[1] = dims[0], distinct[0]
+			dims[0], distinct[0] = di, d
+		case d > distinct[1]:
+			dims[1], distinct[1] = di, d
 		}
 	}
-	if len(scores) == 0 {
-		return nil, nil
+	if distinct[0] == 0 {
+		return dims, cuts, 0
 	}
-	sort.Slice(scores, func(i, j int) bool { return scores[i].distinct > scores[j].distinct })
 	// Cut the best one or two dimensions (the HyperCuts multi-dimensional
 	// cut), splitting the cut budget between them.
-	budget := int(c.cfg.SpaceFactor * math.Sqrt(float64(len(ruleIdx))))
+	budget := int(c.cfg.SpaceFactor * math.Sqrt(float64(len(ids))))
 	if budget > c.cfg.MaxCutsPerNode {
 		budget = c.cfg.MaxCutsPerNode
 	}
 	if budget < 2 {
 		budget = 2
 	}
-	chosen := scores
-	if len(chosen) > 2 {
-		chosen = chosen[:2]
-	}
-	if len(chosen) == 1 {
-		return []int{chosen[0].dim}, []int{budget}
+	if distinct[1] == 0 {
+		return dims, [2]int{budget}, 1
 	}
 	per := int(math.Sqrt(float64(budget)))
 	if per < 2 {
 		per = 2
 	}
-	return []int{chosen[0].dim, chosen[1].dim}, []int{per, per}
+	return dims, [2]int{per, per}, 2
 }
 
 // childRegion computes the sub-region of the child with the given index.
@@ -428,132 +443,95 @@ func ruleOverlapsRegion(r fivetuple.Rule, reg region) bool {
 	return true
 }
 
-// ruleOverlapsNode is the flat-record form of ruleOverlapsRegion: the node's
-// region bounds are read straight from its arena record.
-func ruleOverlapsNode(r fivetuple.Rule, rec []uint32) bool {
-	for di, f := range fivetuple.Fields() {
-		lo, hi := ruleRange(r, f)
-		if hi < uint64(rec[nwLo+di]) || lo > uint64(rec[nwHi+di]) {
-			return false
+// leaf walks the tree to the header's leaf and returns its rule ids and the
+// memory accesses so far: the nodes visited plus the leaf header.
+func (c *Classifier) leaf(h fivetuple.Header) (ids []uint32, accesses int) {
+	w := c.nodes
+	fields := fivetuple.Fields()
+	base := 0
+	for w[base+nwFlags]&leafFlag == 0 {
+		accesses++
+		cutCount := int(w[base+nwFlags])
+		child := 0
+		mult := 1
+		for i := 0; i < cutCount; i++ {
+			dk := w[base+nwB+i]
+			di := int(dk >> 16)
+			k := int(dk & 0xFFFF)
+			lo := uint64(w[base+nwLo+di])
+			span := uint64(w[base+nwHi+di]) - lo + 1
+			width := span / uint64(k)
+			if width == 0 {
+				width = 1
+			}
+			v := headerValue(h, fields[di])
+			if v < lo {
+				v = lo
+			}
+			slice := int((v - lo) / width)
+			if slice >= k {
+				slice = k - 1
+			}
+			child += slice * mult
+			mult *= k
 		}
+		base = (int(w[base+nwA]) + child) * nodeWords
 	}
-	return true
+	l := int(w[base+nwA])
+	return c.leaves[l>>leafChunkShift].list(l & (leafChunkLen - 1)), accesses + 1
 }
 
 // Classify returns the index of the highest-priority matching rule, whether
 // any rule matched and the number of memory accesses (tree nodes visited plus
-// leaf rules scanned). The walk touches only the flat arena and the rule
-// table; it allocates nothing.
+// leaf rules scanned). It allocates nothing.
 func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, accesses int) {
-	w := c.words
-	fields := fivetuple.Fields()
-	base := 0
-	for w[base+nwFlags]&leafFlag == 0 {
-		accesses++
-		cutCount := int(w[base+nwFlags])
-		child := 0
-		mult := 1
-		for i := 0; i < cutCount; i++ {
-			dk := w[base+nwB+i]
-			di := int(dk >> 16)
-			k := int(dk & 0xFFFF)
-			lo := uint64(w[base+nwLo+di])
-			span := uint64(w[base+nwHi+di]) - lo + 1
-			width := span / uint64(k)
-			if width == 0 {
-				width = 1
-			}
-			v := headerValue(h, fields[di])
-			if v < lo {
-				v = lo
-			}
-			slice := int((v - lo) / width)
-			if slice >= k {
-				slice = k - 1
-			}
-			child += slice * mult
-			mult *= k
-		}
-		base = (int(w[base+nwA]) + child) * nodeWords
-	}
-	accesses++ // reading the leaf header
-	best := -1
-	off := int(w[base+nwA])
-	n := int(w[base+nwB])
-	for j := 0; j < n; j++ {
-		accesses++
-		ri := int(w[off+j])
-		if c.rules[ri].Matches(h) {
-			best = ri
-			break // leaf rules are sorted by priority
+	ids, accesses := c.leaf(h)
+	for j, id := range ids {
+		if c.rules.At(int(id)).Matches(h) {
+			return int(c.pos[id]), true, accesses + j + 1 // leaf rules are best-first
 		}
 	}
-	if best < 0 {
-		return 0, false, accesses
-	}
-	return best, true, accesses
+	return 0, false, accesses + len(ids)
 }
 
-// ClassifyAll appends the indices of every rule matching the header to dst
-// and returns the extended slice plus the number of memory accesses. A lookup
-// visits exactly one leaf and each rule is stored in every leaf its region
-// overlaps, so the full scan of that leaf enumerates each match exactly once,
-// in ascending (best-first) index order — the delta path keeps leaf spans
-// sorted. dst is appended to without allocating when it has sufficient
-// capacity.
+// ClassifyAll appends to dst the indices of the rules matching the header,
+// best-first, up to and including the first terminating one — the
+// multi-action chain — and returns the extended slice plus the number of
+// memory accesses, which counts the whole leaf, as an enumeration of every
+// match reads it. A lookup visits exactly one leaf and each rule is stored in
+// every leaf its region overlaps, so the leaf holds every match. dst is
+// appended to without allocating when it has sufficient capacity.
 func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
-	w := c.words
-	fields := fivetuple.Fields()
-	base := 0
-	accesses := 0
-	for w[base+nwFlags]&leafFlag == 0 {
-		accesses++
-		cutCount := int(w[base+nwFlags])
-		child := 0
-		mult := 1
-		for i := 0; i < cutCount; i++ {
-			dk := w[base+nwB+i]
-			di := int(dk >> 16)
-			k := int(dk & 0xFFFF)
-			lo := uint64(w[base+nwLo+di])
-			span := uint64(w[base+nwHi+di]) - lo + 1
-			width := span / uint64(k)
-			if width == 0 {
-				width = 1
+	ids, accesses := c.leaf(h)
+	for _, id := range ids {
+		if r := c.rules.At(int(id)); r.Matches(h) {
+			dst = append(dst, int(c.pos[id]))
+			if !r.NonTerminating {
+				break
 			}
-			v := headerValue(h, fields[di])
-			if v < lo {
-				v = lo
-			}
-			slice := int((v - lo) / width)
-			if slice >= k {
-				slice = k - 1
-			}
-			child += slice * mult
-			mult *= k
-		}
-		base = (int(w[base+nwA]) + child) * nodeWords
-	}
-	accesses++ // reading the leaf header
-	off := int(w[base+nwA])
-	n := int(w[base+nwB])
-	for j := 0; j < n; j++ {
-		accesses++
-		ri := int(w[off+j])
-		if c.rules[ri].Matches(h) {
-			dst = append(dst, ri)
 		}
 	}
-	return dst, accesses
+	return dst, accesses + len(ids)
 }
 
 // NumRules returns the length of the rule table the classifier answers in.
-func (c *Classifier) NumRules() int { return len(c.rules) }
+func (c *Classifier) NumRules() int { return c.live }
 
 // Rule returns the rule at index i of that table, for reading only and until
-// the next delta. Build renumbers priorities positionally, so only the rule's
-// matches, action and termination are meaningful to a caller.
-func (c *Classifier) Rule(i int) *fivetuple.Rule { return &c.rules[i] }
+// the next delta. Only its matches, action and termination are meaningful to
+// a caller: Build renumbers priorities positionally. It searches the
+// id → position map, O(rules): its caller is the update plane's check of a
+// delete, not a lookup.
+func (c *Classifier) Rule(i int) *fivetuple.Rule {
+	if i >= 0 && i < c.live {
+		for id, p := range c.pos {
+			if int(p) == i {
+				return c.rules.At(id)
+			}
+		}
+	}
+	panic(fmt.Sprintf("hypercuts: rule index %d out of range [0,%d)", i, c.live))
+}
 
 // NodeCount returns the number of tree nodes.
 func (c *Classifier) NodeCount() int { return c.nodeCount }
@@ -572,5 +550,5 @@ func (c *Classifier) MemoryBits() int {
 	const nodeBits = 128
 	const rulePtrBits = 14
 	const ruleBits = 144
-	return c.nodeCount*nodeBits + c.rulePtrs*rulePtrBits + len(c.rules)*ruleBits
+	return c.nodeCount*nodeBits + c.rulePtrs*rulePtrBits + c.live*ruleBits
 }

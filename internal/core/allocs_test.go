@@ -188,27 +188,35 @@ func TestLookupZeroAllocsCrossProduct(t *testing.T) {
 }
 
 // TestPacketTierUpdateAllocs bounds what one published update allocates under
-// a whole-packet engine, in objects and in bytes. Objects: the snapshot clone
-// copies the rule table and the engine's copy-on-write handle, not a label
-// bank, seven field engines and a Rule Filter nothing reads (9 760 objects
-// per pair on acl-1k while every snapshot carried both tiers). Bytes: a delta
-// publish makes two rule-table-sized allocations — the snapshot's table and
-// the structure's own — plus the flat structure; the bounds sit between that
-// (288 KiB hypercuts, 372 KiB dcfl per update on acl-1k) and what an update
-// cost while the packet tier and the engine adapter each copied the table
-// again (493 / 577 KiB) — four big slices pass the object bound with ease.
+// a whole-packet engine, in objects and in bytes. A publish copies the rule
+// table's id list (4 bytes a rule) and, for an insert, one 64-rule chunk; a
+// hypercuts delta copies its id → position map and the leaf chunks and rule
+// chunk it writes; dcfl still deep-copies its tables. With the every-64-deltas
+// rebuild amortised in, that is 23 KiB and 12 objects on hypercuts and
+// 260 KiB and 53 objects on dcfl at acl-1k, and 75 KiB and 14 objects on
+// hypercuts at acl-5k; the bounds sit about 25 % above. While the snapshot
+// and the structure each copied their whole rule table and hypercuts its
+// arena, an update cost 288 / 372 KiB at acl-1k and 1 400 KiB at acl-5k.
 func TestPacketTierUpdateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector (sync.Pool drops puts)")
 	}
-	for name, maxKiB := range map[string]float64{"hypercuts": 340, "dcfl": 420} {
-		t.Run(name, func(t *testing.T) {
-			objects, kib := updateAllocs(t, name)
-			if objects > 100 {
-				t.Fatalf("an update on %s allocates %.0f objects, want at most 100", name, objects)
+	for _, tc := range []struct {
+		test, engine string
+		size         classbench.Size
+		objects, kib float64
+	}{
+		{"hypercuts", "hypercuts", classbench.Size1K, 16, 30},
+		{"dcfl", "dcfl", classbench.Size1K, 66, 330},
+		{"hypercuts-acl5k", "hypercuts", classbench.Size5K, 18, 95},
+	} {
+		t.Run(tc.test, func(t *testing.T) {
+			objects, kib := updateAllocs(t, tc.engine, tc.size)
+			if objects > tc.objects {
+				t.Fatalf("an update on %s allocates %.1f objects, want at most %.0f", tc.test, objects, tc.objects)
 			}
-			if kib > maxKiB {
-				t.Fatalf("an update on %s allocates %.0f KiB, want at most %.0f", name, kib, maxKiB)
+			if kib > tc.kib {
+				t.Fatalf("an update on %s allocates %.1f KiB, want at most %.0f", tc.test, kib, tc.kib)
 			}
 		})
 	}
@@ -216,39 +224,48 @@ func TestPacketTierUpdateAllocs(t *testing.T) {
 
 // TestFieldTierUpdateAllocs bounds what one published update allocates under
 // a field engine. A field-tier clone shares the tries by path, the Rule
-// Filter by chunk and the label bank by reference, so an update pays for the
-// rule table (120 KiB on acl-1k), the prefix-set rebuild (8 KiB) and the
-// nodes and chunks it writes — 143 KiB and about a hundred objects on mbt;
-// bst still copies its prefix list and rebuilds its interval table (217 KiB,
-// 1 660 objects). While the clone deep-copied the tier an update cost
-// 1 476 KiB and 9 748 objects on mbt, 865 KiB and 5 318 on bst.
+// Filter and the rule table by chunk and the label bank by reference, so an
+// update pays for the rule table's id list, the prefix-set rebuild (8 KiB)
+// and the nodes and chunks it writes — 31 KiB and 110 objects on mbt at
+// acl-1k; bst still copies its prefix list and rebuilds its interval table
+// (109 KiB, 1 573 objects). The bounds sit about 25 % above. While the clone
+// copied the rule table an update cost 142 KiB on mbt, and while it
+// deep-copied the tier 1 476 KiB and 9 748 objects.
 func TestFieldTierUpdateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector (sync.Pool drops puts)")
 	}
-	for name, limit := range map[string]struct{ objects, kib float64 }{"mbt": {400, 200}, "bst": {2500, 300}} {
+	for name, limit := range map[string]struct{ objects, kib float64 }{"mbt": {140, 40}, "bst": {2000, 140}} {
 		t.Run(name, func(t *testing.T) {
-			objects, kib := updateAllocs(t, name)
+			objects, kib := updateAllocs(t, name, classbench.Size1K)
 			if objects > limit.objects {
-				t.Fatalf("an update on %s allocates %.0f objects, want at most %.0f", name, objects, limit.objects)
+				t.Fatalf("an update on %s allocates %.1f objects, want at most %.0f", name, objects, limit.objects)
 			}
 			if kib > limit.kib {
-				t.Fatalf("an update on %s allocates %.0f KiB, want at most %.0f", name, kib, limit.kib)
+				t.Fatalf("an update on %s allocates %.1f KiB, want at most %.0f", name, kib, limit.kib)
 			}
 		})
 	}
 }
 
-// updateAllocs installs acl-1k under the named engine, walks delete+insert
-// pairs over it and returns what one published update allocates: objects
-// (averaged over 20 pairs, which also warm the walk up) and KiB of
-// runtime.MemStats.TotalAlloc over 64 further pairs — 128 publishes, so two
-// of a packet engine's every-64-deltas rebuilds are in the average, as they
-// are in a serving classifier's.
-func updateAllocs(t *testing.T, engineName string) (objects, kib float64) {
+// updateAllocs installs an ACL set of the given size under the named engine,
+// walks delete+insert pairs over it and returns what one published update
+// allocates: objects (averaged over 20 pairs, which also warm the walk up)
+// and KiB of runtime.MemStats.TotalAlloc over 64 further pairs — 128
+// publishes, so two of a packet engine's every-64-deltas rebuilds are in the
+// average, as they are in a serving classifier's.
+func updateAllocs(t *testing.T, engineName string, size classbench.Size) (objects, kib float64) {
 	t.Helper()
-	rs, _ := allocTrace(t)
-	c, _ := newAllocClassifier(t, engineName, false)
+	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, size))
+	cfg := DefaultConfig()
+	cfg.CacheCapacity = 0
+	c := MustNew(cfg)
+	if err := c.SelectEngine(engineName); err != nil {
+		t.Fatalf("SelectEngine(%q): %v", engineName, err)
+	}
+	if _, err := c.InstallRuleSet(rs); err != nil {
+		t.Fatalf("InstallRuleSet: %v", err)
+	}
 	i := 0
 	pair := func() {
 		r := rs.Rule(i % rs.Len())

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sdnpc/internal/algo/portreg"
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
@@ -32,21 +33,22 @@ func requireBankMatchesPublished(t *testing.T, c *Classifier) {
 	}
 	for _, d := range label.Dimensions() {
 		values := map[engine.Value]bool{}
-		for _, ir := range s.installed {
-			v := fieldValue(d, ir.rule)
+		for i := range s.table.len() {
+			r, key := s.table.at(i), s.table.key(i)
+			v := fieldValue(d, *r)
 			values[v] = true
-			if lbl, ok := bank.Table(d).Lookup(v); !ok || lbl != ir.key.Label(d) {
+			if lbl, ok := bank.Table(d).Lookup(v); !ok || lbl != key.Label(d) {
 				t.Fatalf("%s: value %s of rule %d is labelled (%d, %v) in the bank, %d in the rule's key",
-					d, v, ir.rule.Priority, lbl, ok, ir.key.Label(d))
+					d, v, r.Priority, lbl, ok, key.Label(d))
 			}
 		}
 		uses := 0
 		for v := range values {
 			uses += bank.Table(d).RefCount(v)
 		}
-		if bank.Table(d).Len() != len(values) || uses != len(s.installed) {
+		if bank.Table(d).Len() != len(values) || uses != s.table.len() {
 			t.Fatalf("%s: the bank labels %d values with %d uses, the rule table has %d values in %d rules",
-				d, bank.Table(d).Len(), uses, len(values), len(s.installed))
+				d, bank.Table(d).Len(), uses, len(values), s.table.len())
 		}
 	}
 }
@@ -181,4 +183,79 @@ func TestAbandonedUpdateRestoresLabelBank(t *testing.T) {
 		}
 		requireChurnAgreesWithReference(t, c, small, classbench.GenerateTrace(small, classbench.TraceConfig{Packets: 500, Seed: 5, MatchFraction: 0.9}))
 	})
+}
+
+// TestRolledBackInsertReseatsPriority: an insert that improves an existing
+// field value's best priority and then fails in a later dimension must leave
+// the value's engine entry at the surviving rules' best, not at the
+// rolled-back rule's. Two 10.0.0.0/8 rules fill both destination-port
+// registers; the batch's insert of a better 10.0.0.0/8 rule with a third
+// port range fails on the full bank after re-writing the shared source
+// segments, and the batch's delete still publishes. Under HPML a skewed
+// entry changes the answer: the /8's label outranks the 10.1.0.0/16 rule's
+// and the lookup lands on the worse rule.
+func TestRolledBackInsertReseatsPriority(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PortRegisters = 2
+	cfg.CombineMode = CombineHPML
+	cfg.CacheCapacity = 0
+	rule := func(src string, ports fivetuple.PortRange, priority int) fivetuple.Rule {
+		r := fivetuple.Wildcard(priority, fivetuple.ActionForward)
+		r.SrcPrefix, r.DstPort, r.ActionArg = fivetuple.MustParsePrefix(src), ports, uint32(priority)
+		return r
+	}
+	low, high := fivetuple.PortRange{Lo: 1000, Hi: 1999}, fivetuple.PortRange{Lo: 2000, Hi: 2999}
+	c := MustNew(cfg)
+	for _, r := range []fivetuple.Rule{rule("10.0.0.0/8", low, 10), rule("10.0.0.0/8", high, 11), rule("10.1.0.0/16", low, 7)} {
+		if _, err := c.InsertRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, errs, err := c.ApplyUpdates([]UpdateOp{
+		{Rule: rule("10.0.0.0/8", fivetuple.PortRange{Lo: 3000, Hi: 3999}, 5)},
+		{Delete: true, Rule: rule("10.0.0.0/8", high, 11)},
+	})
+	if err != nil || !errors.Is(errs[0], portreg.ErrBankFull) || errs[1] != nil {
+		t.Fatalf("ApplyUpdates = %v / %v, want the insert refused on the full port bank and the delete applied", err, errs)
+	}
+
+	// Every value of the priority-ordered dimensions (the IP segments; port
+	// and protocol lists are ordered by specificity) carries its best.
+	s := c.view()
+	var list label.List
+	for i := range s.table.len() {
+		for _, d := range ipSegmentDims {
+			v := fieldValue(d, *s.table.at(i))
+			lbl, _ := s.field.labels.Table(d).Lookup(v)
+			best, _ := s.field.labels.Table(d).Best(v)
+			s.field.engines[d].LookupInto(v.Value, &list)
+			found := false
+			for j := range list.Len() {
+				if pl := list.At(j); pl.Label == lbl {
+					found = true
+					if pl.Priority != best {
+						t.Errorf("%s: value %s is listed at priority %d, its best rule's is %d", d, v, pl.Priority, best)
+					}
+				}
+			}
+			if !found {
+				t.Fatalf("%s: value %s (label %d) is not in its own lookup's list", d, v, lbl)
+			}
+		}
+	}
+
+	fresh := MustNew(cfg)
+	for _, r := range c.InstalledRules() {
+		if _, err := fresh.InsertRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, src := range []string{"10.1.2.3", "10.2.3.4"} {
+		for _, port := range []uint16{1500, 2500} {
+			h := fivetuple.Header{SrcIP: fivetuple.MustParseIPv4(src), DstIP: fivetuple.MustParseIPv4("192.0.2.1"), DstPort: port, Protocol: fivetuple.ProtoTCP}
+			if got, want := c.Lookup(h), fresh.Lookup(h); got != want {
+				t.Errorf("Lookup(%s) = %+v, a classifier built from the published rules answers %+v", h, got, want)
+			}
+		}
+	}
 }

@@ -14,15 +14,6 @@ var ipSegmentDims = []label.Dimension{
 	label.DimSrcIPHigh, label.DimSrcIPLow, label.DimDstIPHigh, label.DimDstIPLow,
 }
 
-// installedRule is one entry of the snapshot's rule table, the software
-// shadow of one hardware rule: what the controller needs to re-programme the
-// data plane after an engine switch and to undo an installation. key is the rule's label combination in a
-// field-tier snapshot and zero in a packet-tier one, which has no labels.
-type installedRule struct {
-	rule fivetuple.Rule
-	key  label.CombinationKey
-}
-
 // Classifier is one instance of the configurable packet classification
 // architecture.
 //
@@ -126,7 +117,7 @@ func (c *Classifier) Config() Config { return c.cfg }
 func (c *Classifier) ActiveEngineName() string { return c.view().activeEngineName() }
 
 // RuleCount returns the number of installed rules.
-func (c *Classifier) RuleCount() int { return len(c.view().installed) }
+func (c *Classifier) RuleCount() int { return c.view().table.len() }
 
 // RuleCapacity returns the rule capacity under the active engine — the
 // capacity insertions are enforced against.
@@ -138,7 +129,7 @@ func (c *Classifier) RuleCapacity() int {
 // best-first — ascending priority, rules of equal priority in installation
 // order.
 func (c *Classifier) InstalledRules() []fivetuple.Rule {
-	return c.view().installedRules()
+	return c.view().table.copyRules()
 }
 
 // SelectEngine selects any registered serving engine by name, whichever
@@ -163,7 +154,7 @@ func (c *Classifier) SelectEngine(name string) error {
 	if name == current.activeEngineName() {
 		return nil
 	}
-	next, err := newSnapshot(&c.cfg, name, current.installedRules())
+	next, err := newSnapshot(&c.cfg, name, current.table.copyRules())
 	if err != nil {
 		return err
 	}

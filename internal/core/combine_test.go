@@ -88,10 +88,10 @@ func TestProbeBudgetExhaustionStaysExact(t *testing.T) {
 func requirePrefixesCoverInstalled(t *testing.T, c *Classifier) {
 	t.Helper()
 	s := c.view()
-	for _, ir := range s.installed {
+	for i := range s.table.len() {
 		for depth := 1; depth < label.NumDimensions; depth++ {
-			if !s.field.prefixes.has(depth, ir.key.Prefix(depth)) {
-				t.Fatalf("rule %s: its %d-label prefix is missing from the published prefix set", ir.rule, depth)
+			if !s.field.prefixes.has(depth, s.table.key(i).Prefix(depth)) {
+				t.Fatalf("rule %s: its %d-label prefix is missing from the published prefix set", s.table.at(i), depth)
 			}
 		}
 	}

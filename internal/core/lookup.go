@@ -262,7 +262,7 @@ func (s *snapshot) lookupPacket(h fivetuple.Header) Result {
 	if !matched {
 		return result
 	}
-	r := &s.installed[idx].rule
+	r := s.table.at(idx)
 	result.Matched = true
 	result.Priority = r.Priority
 	result.Action = r.Action

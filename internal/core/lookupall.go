@@ -101,7 +101,7 @@ func (s *snapshot) collectPacket(mm engine.MultiMatchPacketEngine, h fivetuple.H
 	idxs, accesses := mm.LookupPacketAll(h, (*scp)[:0])
 	start := len(dst)
 	for _, i := range idxs {
-		r := &s.installed[i].rule
+		r := s.table.at(i)
 		dst = append(dst, ActionRef{Priority: r.Priority, Action: r.Action, ActionArg: r.ActionArg, Terminal: !r.NonTerminating})
 	}
 	*scp = idxs[:0]
@@ -119,9 +119,9 @@ func (s *snapshot) collectPacket(mm engine.MultiMatchPacketEngine, h fivetuple.H
 func (s *snapshot) collectFallback(h fivetuple.Header, dst []ActionRef) ([]ActionRef, Result) {
 	start := len(dst)
 	accesses := 0
-	for i := range s.installed {
+	for i := range s.table.len() {
 		accesses++
-		r := &s.installed[i].rule
+		r := s.table.at(i)
 		if !r.Matches(h) {
 			continue
 		}
@@ -155,9 +155,9 @@ func verdictResult(refs []ActionRef, accesses int) Result {
 // the active engine serves only the IPv4 five-tuple.
 func (s *snapshot) lookupFallback(h fivetuple.Header) Result {
 	var result Result
-	accesses := len(s.installed)
-	for i := range s.installed {
-		if r := &s.installed[i].rule; r.Matches(h) {
+	accesses := s.table.len()
+	for i := range accesses {
+		if r := s.table.at(i); r.Matches(h) {
 			result = Result{Matched: true, Priority: r.Priority, Action: r.Action, ActionArg: r.ActionArg}
 			accesses = i + 1
 			break

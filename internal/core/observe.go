@@ -50,7 +50,7 @@ func (c *Classifier) Report() Report {
 	s := c.view()
 	r := Report{
 		ActiveEngine:   s.activeEngineName(),
-		RulesInstalled: len(s.installed),
+		RulesInstalled: s.table.len(),
 		RuleCapacity:   c.cfg.RuleCapacityFor(s.activeEngineName()),
 		Stats:          c.statsSnapshot(),
 		Updates:        c.updateStats(s),

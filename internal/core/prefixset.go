@@ -34,16 +34,16 @@ const prefixBitsPerKey = 8
 
 // newPrefixSet builds the set of every proper label prefix of every rule
 // installed on a field tier.
-func newPrefixSet(installed []installedRule) prefixSet {
-	n := len(installed) * (label.NumDimensions - 1)
+func newPrefixSet(table *ruleTable) prefixSet {
+	n := table.len() * (label.NumDimensions - 1)
 	if n == 0 {
 		return prefixSet{}
 	}
 	logBits := max(bits.Len(uint(n*prefixBitsPerKey-1)), 6)
 	p := prefixSet{words: make([]uint64, 1<<(logBits-6)), shift: uint(64 - logBits)}
-	for i := range installed {
+	for i := range table.len() {
 		for depth := 1; depth < label.NumDimensions; depth++ {
-			bit := prefixHash(depth, installed[i].key.Prefix(depth)) >> p.shift
+			bit := prefixHash(depth, table.key(i).Prefix(depth)) >> p.shift
 			p.words[bit>>6] |= 1 << (bit & 63)
 		}
 	}

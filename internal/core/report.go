@@ -112,7 +112,7 @@ func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
 		// MBTProvisionedBits.
 		RuleFilterProvisionedBits: c.cfg.RuleFilterSlots() * c.cfg.RuleEntryBits,
 
-		RulesInstalled: len(s.installed),
+		RulesInstalled: s.table.len(),
 		RuleCapacity:   c.cfg.RuleCapacityFor(s.activeEngineName()),
 	}
 	for _, ln := range c.lanes.all {

@@ -3,8 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
+	"sdnpc/internal/cow"
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/hw/hashunit"
 	"sdnpc/internal/label"
@@ -43,50 +43,28 @@ func (e *ruleEntry) holds(key label.CombinationKey) bool {
 	return e.state == slotLive && e.keyLo == key.Lo() && e.keyHi == key.Hi()
 }
 
-// filterChunk is the unit the slot array is copied in: a rule update writes
-// one slot, so a clone shares every chunk and copies the one written.
-type filterChunk [chunkSlots]ruleEntry
-
-const (
-	chunkShift = 6
-	chunkSlots = 1 << chunkShift
-)
-
 // ruleFilter is the Rule Filter memory block: an open-addressed hash table
 // keyed by the 68-bit combination key produced by the hash unit, with linear
 // probing and tombstone deletion. Distinct rules with identical keys
 // (duplicate 5-tuple matches at different priorities) occupy distinct slots.
 type ruleFilter struct {
 	hash *hashunit.Unit
-	// chunks is the slot array, slot i at chunks[i>>chunkShift][i&(chunkSlots-1)].
-	// owned has one bit per chunk, set when this filter copied the chunk and
-	// may write it in place; lookups never read it.
-	chunks    []*filterChunk
-	owned     []uint64
-	slots     int
+	// slots is the slot array. A rule update writes one slot, so a clone
+	// shares every chunk and copies the one written.
+	slots     cow.Array[ruleEntry]
 	entryBits int
 	used      int
 }
-
-// emptyChunk is every chunk of a new filter: owned by none, so copied before
-// the first write into it and never written itself.
-var emptyChunk filterChunk
 
 // newRuleFilter creates a rule filter with the given capacity. The hash unit
 // addresses the first 2^addressBits slots; linear probing covers any extra
 // capacity contributed by freed MBT blocks in the BST configuration.
 func newRuleFilter(addressBits, capacity, entryBits int) *ruleFilter {
-	rf := &ruleFilter{
+	return &ruleFilter{
 		hash:      hashunit.MustNew(addressBits),
-		chunks:    make([]*filterChunk, (capacity+chunkSlots-1)>>chunkShift),
-		slots:     capacity,
+		slots:     cow.Make[ruleEntry](capacity),
 		entryBits: entryBits,
 	}
-	rf.owned = make([]uint64, (len(rf.chunks)+63)/64)
-	for c := range rf.chunks {
-		rf.chunks[c] = &emptyChunk
-	}
-	return rf
 }
 
 // usedRules returns the number of live entries.
@@ -95,32 +73,15 @@ func (rf *ruleFilter) usedRules() int { return rf.used }
 // usedBits returns the storage occupied by live entries.
 func (rf *ruleFilter) usedBits() int { return rf.used * rf.entryBits }
 
-// slot returns slot idx for reading.
-func (rf *ruleFilter) slot(idx int) *ruleEntry {
-	return &rf.chunks[idx>>chunkShift][idx&(chunkSlots-1)]
-}
-
-// writableSlot returns slot idx for writing, copying its chunk first when it
-// is shared with the filter this one was cloned from.
-func (rf *ruleFilter) writableSlot(idx int) *ruleEntry {
-	c := idx >> chunkShift
-	if rf.owned[c>>6]&(1<<(c&63)) == 0 {
-		cp := *rf.chunks[c]
-		rf.chunks[c] = &cp
-		rf.owned[c>>6] |= 1 << (c & 63)
-	}
-	return rf.slot(idx)
-}
-
 // home returns the first slot of the key's probe sequence; linear probing
 // continues from it with wrap-around.
 func (rf *ruleFilter) home(key label.CombinationKey) int {
-	return int(rf.hash.Hash(key.Bytes())) % rf.slots
+	return int(rf.hash.Hash(key.Bytes())) % rf.slots.Len()
 }
 
 // next returns the slot after idx in a probe sequence.
 func (rf *ruleFilter) next(idx int) int {
-	if idx++; idx == rf.slots {
+	if idx++; idx == rf.slots.Len() {
 		return 0
 	}
 	return idx
@@ -130,34 +91,34 @@ func (rf *ruleFilter) next(idx int) int {
 // probes taken and the number of memory writes, or ErrRuleFilterFull.
 func (rf *ruleFilter) insert(key label.CombinationKey, priority int, action fivetuple.Action, actionArg uint32) (slot, probes, writes int, err error) {
 	idx := rf.home(key)
-	for probe := 0; probe < rf.slots; probe++ {
-		if rf.slot(idx).state != slotLive {
-			*rf.writableSlot(idx) = ruleEntry{state: slotLive, keyLo: key.Lo(), keyHi: key.Hi(), priority: priority, action: action, actionArg: actionArg}
+	for probe := 0; probe < rf.slots.Len(); probe++ {
+		if rf.slots.At(idx).state != slotLive {
+			*rf.slots.Mut(idx) = ruleEntry{state: slotLive, keyLo: key.Lo(), keyHi: key.Hi(), priority: priority, action: action, actionArg: actionArg}
 			rf.used++
 			return idx, probe + 1, 1, nil
 		}
 		idx = rf.next(idx)
 	}
-	return 0, rf.slots, 0, fmt.Errorf("%w: %d slots", ErrRuleFilterFull, rf.slots)
+	return 0, rf.slots.Len(), 0, fmt.Errorf("%w: %d slots", ErrRuleFilterFull, rf.slots.Len())
 }
 
 // remove deletes the entry holding (key, priority). It reports whether the
 // entry was found.
 func (rf *ruleFilter) remove(key label.CombinationKey, priority int) (found bool, probes int) {
 	idx := rf.home(key)
-	for probe := 0; probe < rf.slots; probe++ {
-		e := rf.slot(idx)
+	for probe := 0; probe < rf.slots.Len(); probe++ {
+		e := rf.slots.At(idx)
 		if e.state == slotEmpty {
 			return false, probe + 1
 		}
 		if e.holds(key) && e.priority == priority {
-			rf.writableSlot(idx).state = slotTombstone
+			rf.slots.Mut(idx).state = slotTombstone
 			rf.used--
 			return true, probe + 1
 		}
 		idx = rf.next(idx)
 	}
-	return false, rf.slots
+	return false, rf.slots.Len()
 }
 
 // lookup probes the filter for the key and returns the best-priority entry
@@ -165,9 +126,9 @@ func (rf *ruleFilter) remove(key label.CombinationKey, priority int) (found bool
 // read.
 func (rf *ruleFilter) lookup(key label.CombinationKey) (best *ruleEntry, probes int) {
 	idx := rf.home(key)
-	for probes < rf.slots {
+	for probes < rf.slots.Len() {
 		probes++
-		e := rf.slot(idx)
+		e := rf.slots.At(idx)
 		if e.state == slotEmpty {
 			break
 		}
@@ -179,16 +140,11 @@ func (rf *ruleFilter) lookup(key label.CombinationKey) (best *ruleEntry, probes 
 	return best, probes
 }
 
-// clone duplicates the filter for the copy-on-write update path in
-// O(slots/64): the chunk table is copied, the chunks and the (stateless)
-// hash unit are shared, and a write to either filter copies the chunk it
-// lands in first. Both sides give up their ownership of the shared chunks —
-// on the receiver a few words, written under the writer mutex, that no
-// lookup reads.
+// clone duplicates the filter for the copy-on-write update path in O(1): the
+// slot chunks and the (stateless) hash unit are shared, and a write to either
+// filter copies the chunk it lands in first.
 func (rf *ruleFilter) clone() *ruleFilter {
 	c := *rf
-	c.chunks = slices.Clone(rf.chunks)
-	c.owned = make([]uint64, len(rf.owned))
-	clear(rf.owned)
+	c.slots = rf.slots.Clone()
 	return &c
 }

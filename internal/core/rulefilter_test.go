@@ -12,8 +12,8 @@ import (
 // TestRuleFilterGenerationsAreIsolated holds three generations of one Rule
 // Filter alive — a clone and a clone of that clone, sharing slot chunks until
 // written — and interleaves inserts and removals across all three. Each must
-// keep answering for exactly its own entries, and a clone must cost the chunk
-// table, not the slot array.
+// keep answering for exactly its own entries, and a clone must share every
+// chunk and the chunk table.
 func TestRuleFilterGenerationsAreIsolated(t *testing.T) {
 	const capacity = 1000 // not a multiple of the chunk size: the last chunk is partial
 	rng := rand.New(rand.NewSource(3))
@@ -59,16 +59,12 @@ func TestRuleFilterGenerationsAreIsolated(t *testing.T) {
 	check(600)
 
 	var c *ruleFilter
-	if allocs := testing.AllocsPerRun(10, func() { c = gens[0].clone() }); allocs > 3 {
-		t.Errorf("clone allocates %.0f objects, want the filter, its chunk table and its ownership bits", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { c = gens[0].clone() }); allocs > 1 {
+		t.Errorf("clone allocates %.0f objects, want the filter alone", allocs)
 	}
-	shared := 0
-	for i, chunk := range c.chunks {
-		if chunk == gens[0].chunks[i] {
-			shared++
+	for i := 0; i < capacity; i++ {
+		if c.slots.At(i) != gens[0].slots.At(i) {
+			t.Fatalf("a fresh clone does not share slot %d with its origin", i)
 		}
-	}
-	if shared != len(c.chunks) {
-		t.Errorf("a fresh clone shares %d of %d chunks with its origin, want all", shared, len(c.chunks))
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
+	"sdnpc/internal/label"
 )
 
 // tableRule builds one IPv4 rule of the best-first table test.
@@ -227,4 +228,103 @@ func TestRuleTableBestFirst(t *testing.T) {
 			})
 		}
 	}
+}
+
+// tableState is a deep copy of a ruleTable: every slot's rule and key,
+// every chunk's identity (the address of its first slot) and the id list.
+type tableState struct {
+	slots  []installedRule
+	chunks []*installedRule
+	ids    []uint32
+	live   int
+}
+
+func stateOfTable(t *ruleTable) tableState {
+	s := tableState{ids: slices.Clone(t.ids), live: t.live}
+	for id := range t.slots.Len() {
+		s.slots = append(s.slots, *t.slots.At(id))
+		if id%64 == 0 {
+			s.chunks = append(s.chunks, t.slots.At(id))
+		}
+	}
+	return s
+}
+
+func requireTableState(t *testing.T, who string, tbl *ruleTable, want tableState) {
+	t.Helper()
+	got := stateOfTable(tbl)
+	if !slices.Equal(got.slots, want.slots) || !slices.Equal(got.chunks, want.chunks) {
+		t.Fatalf("%s: slots or chunks changed", who)
+	}
+	if !slices.Equal(got.ids, want.ids) || got.live != want.live {
+		t.Fatalf("%s: id list changed", who)
+	}
+}
+
+// tableInsert places r as a field-tier insertRule does: after every rule of
+// its priority, keyed (here by its action argument).
+func tableInsert(tbl *ruleTable, r fivetuple.Rule) {
+	tbl.insert(tbl.bound(r.Priority, true), r, label.KeyFromParts(0, uint64(r.ActionArg)))
+}
+
+// tableRules lists the table best-first.
+func tableRules(tbl *ruleTable) []fivetuple.Rule {
+	out := make([]fivetuple.Rule, tbl.len())
+	for i := range out {
+		out[i] = *tbl.at(i)
+	}
+	return out
+}
+
+// TestRuleTableUnit pins the table below the classifier: best-first order
+// with ties in installation order, a delete that frees its slot without
+// writing it and an insert that reuses it, and clones that never write what
+// they share — neither the clone's writes the original's chunks and id list,
+// nor the original's writes the clone's.
+func TestRuleTableUnit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var tbl ruleTable
+	var seq []fivetuple.Rule
+	for i := range 300 {
+		r := fivetuple.Wildcard(rng.Intn(40), fivetuple.ActionForward)
+		r.ActionArg = uint32(i)
+		tableInsert(&tbl, r)
+		seq = append(seq, r)
+	}
+	want := slices.Clone(seq)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Priority < want[j].Priority })
+	if got := tableRules(&tbl); !slices.Equal(got, want) {
+		t.Fatalf("table order is not the installation sequence stably sorted by priority:\n got %v\nwant %v", got, want)
+	}
+
+	// A delete on a clone copies the id list and nothing else; the insert
+	// after it lands in the freed slot.
+	before := stateOfTable(&tbl)
+	cl := tbl.clone()
+	freed := cl.ids[17]
+	cl.delete(17)
+	if got := stateOfTable(&cl); !slices.Equal(got.chunks, before.chunks) || !slices.Equal(got.slots, before.slots) {
+		t.Fatal("a delete wrote a slot")
+	}
+	r := fivetuple.Wildcard(1, fivetuple.ActionDrop)
+	tableInsert(&cl, r)
+	if cl.slots.Len() != tbl.slots.Len() || cl.slots.At(int(freed)).rule != r {
+		t.Fatalf("the insert after a delete did not reuse the freed slot %d (%d slots, want %d)", freed, cl.slots.Len(), tbl.slots.Len())
+	}
+	for range 100 {
+		if rng.Intn(2) == 0 {
+			cl.delete(rng.Intn(cl.len()))
+		} else {
+			tableInsert(&cl, fivetuple.Wildcard(rng.Intn(40), fivetuple.ActionDrop))
+		}
+	}
+	requireTableState(t, "original after the clone's writes", &tbl, before)
+
+	cl = tbl.clone()
+	cloned := stateOfTable(&cl)
+	for range 100 {
+		tableInsert(&tbl, fivetuple.Wildcard(rng.Intn(40), fivetuple.ActionController))
+		tbl.delete(rng.Intn(tbl.len()))
+	}
+	requireTableState(t, "clone after the original's writes", &cl, cloned)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
@@ -37,16 +36,16 @@ type snapshot struct {
 	// assigns.
 	gen uint64
 
-	// installed is the rule table, and the only copy of it above the serving
-	// structure: best-first — ascending Priority, ties in installation order —
-	// so a whole-packet engine's rule indices resolve straight into it and a
-	// scan of it meets the highest-priority match first.
-	installed []installedRule
-
 	// Exactly one of field and packet is non-nil: the tier the selected
 	// engine belongs to.
 	field  *fieldTier
 	packet *packetTier
+
+	// table is the rule table, and the only copy of it above the serving
+	// structure: best-first — ascending Priority, ties in installation order —
+	// so a whole-packet engine's rule indices resolve straight into it and a
+	// scan of it meets the highest-priority match first.
+	table ruleTable
 }
 
 // fieldTier is the paper's data path: one lookup engine per header
@@ -68,20 +67,21 @@ type fieldTier struct {
 	// labelTableBits is labels.StorageBits() as of prepare.
 	labelTableBits int
 
-	// engines holds the per-dimension field lookup engines.
-	engines map[label.Dimension]engine.FieldEngine
+	// engines holds the per-dimension field lookup engines, indexed by
+	// Dimension (a dense 1-based enum; entry 0 is unused).
+	engines [label.NumDimensions + 1]engine.FieldEngine
 
 	// sharedL2 models the IPalg_s-selected shared blocks of Fig. 5, one per
-	// IP segment. An engine switch builds a tier with fresh blocks instead
-	// of re-owning these, so concurrent readers of the old snapshot never
-	// observe the ownership change.
-	sharedL2 map[label.Dimension]*memory.SharedBlock
+	// IP segment, indexed like engines. An engine switch builds a tier with
+	// fresh blocks instead of re-owning these, so concurrent readers of the
+	// old snapshot never observe the ownership change.
+	sharedL2 [label.NumDimensions + 1]*memory.SharedBlock
 
 	filter *ruleFilter
 
 	// prefixes is the set of label prefixes the installed rules' combination
 	// keys have, which lets the combination walk skip label tuples no rule
-	// uses. prepare rebuilds it from installed on every publish in the exact
+	// uses. prepare rebuilds it from the table on every publish in the exact
 	// combination mode; it is empty in HPML mode, and clone does not carry
 	// it.
 	prefixes prefixSet
@@ -105,9 +105,11 @@ type packetTier struct {
 	// (unpublished) snapshot since it was cloned; syncPacket drains it —
 	// through the engine's delta ops when it is incremental and the policy
 	// allows, through a full rebuild otherwise — so a published snapshot has
-	// none. deltas counts the delta ops the current structure has absorbed
-	// since its last full build (the debt the RebuildAfterDeltas policy
-	// bounds); it is carried across clones and reset by every rebuild.
+	// none. Its backing array is the writer's: each clone takes it over,
+	// drained, so publishes reuse one buffer. deltas counts the delta ops the
+	// current structure has absorbed since its last full build (the debt the
+	// RebuildAfterDeltas policy bounds); it is carried across clones and reset
+	// by every rebuild.
 	pending []packetDelta
 	deltas  int
 }
@@ -149,7 +151,8 @@ func newSnapshot(cfg *Config, name string, rules []fivetuple.Rule) (*snapshot, e
 	if !ok {
 		return nil, fmt.Errorf("core: unknown engine %q (selectable: %v)", name, engine.SelectableNames())
 	}
-	s := &snapshot{installed: make([]installedRule, 0, len(rules))}
+	s := &snapshot{}
+	s.table.ownIDs(len(rules))
 	if isPacket {
 		s.packet = &packetTier{name: name, dims: engine.Dims(name)}
 	} else {
@@ -174,12 +177,7 @@ func newSnapshot(cfg *Config, name string, rules []fivetuple.Rule) (*snapshot, e
 // every engine, label table and the rule filter, with fresh shared level-2
 // blocks.
 func newFieldTier(cfg *Config, engineName string) (*fieldTier, error) {
-	f := &fieldTier{
-		engineName: engineName,
-		labels:     label.NewBank[engine.Value](),
-		engines:    make(map[label.Dimension]engine.FieldEngine, label.NumDimensions),
-		sharedL2:   make(map[label.Dimension]*memory.SharedBlock, len(ipSegmentDims)),
-	}
+	f := &fieldTier{engineName: engineName, labels: label.NewBank[engine.Value]()}
 	for _, d := range ipSegmentDims {
 		block := memory.NewBlock(fmt.Sprintf("shared-l2/%s", d), DefaultMBTEntryBits, cfg.MBTLevel2Entries)
 		f.sharedL2[d] = memory.NewSharedBlockOwner(block, engineName)
@@ -235,16 +233,16 @@ func (f *fieldTier) buildEngine(cfg *Config, d label.Dimension) (engine.FieldEng
 // so the copy can absorb an update while readers keep traversing the
 // original.
 func (s *snapshot) clone(cfg *Config) (*snapshot, error) {
-	c := &snapshot{installed: append([]installedRule(nil), s.installed...)}
+	c := &snapshot{table: s.table.clone()}
 	if p := s.packet; p != nil {
 		// The clone shares the built structure; a rebuild after a rule change
 		// replaces only the clone's handle, and a delta update copy-on-writes
 		// inside the engine — never the published one either way.
-		c.packet = &packetTier{name: p.name, engine: p.engine.Clone(), dims: p.dims, deltas: p.deltas}
+		c.packet = &packetTier{name: p.name, engine: p.engine.Clone(), dims: p.dims, pending: p.pending[:0], deltas: p.deltas}
 		return c, nil
 	}
 	var err error
-	if c.field, err = s.field.clone(cfg, s.installed); err != nil {
+	if c.field, err = s.field.clone(cfg, &s.table); err != nil {
 		return nil, fmt.Errorf("core: cloning snapshot: %w", err)
 	}
 	return c, nil
@@ -257,20 +255,14 @@ func (s *snapshot) clone(cfg *Config) (*snapshot, error) {
 // other engine is rebuilt fresh and re-programmed by replaying the installed
 // rules of its dimension — the rebuild hook for third-party engines without
 // a Clone.
-func (f *fieldTier) clone(cfg *Config, installed []installedRule) (*fieldTier, error) {
-	c := &fieldTier{
-		engineName: f.engineName,
-		labels:     f.labels,
-		engines:    make(map[label.Dimension]engine.FieldEngine, len(f.engines)),
-		sharedL2:   f.sharedL2,
-		filter:     f.filter.clone(),
-	}
-	for d, eng := range f.engines {
-		if cl, ok := eng.(engine.Cloner); ok {
+func (f *fieldTier) clone(cfg *Config, table *ruleTable) (*fieldTier, error) {
+	c := &fieldTier{engineName: f.engineName, labels: f.labels, sharedL2: f.sharedL2, filter: f.filter.clone()}
+	for _, d := range label.Dimensions() {
+		if cl, ok := f.engines[d].(engine.Cloner); ok {
 			c.engines[d] = cl.Clone()
 			continue
 		}
-		rebuilt, err := c.rebuildEngine(cfg, d, installed)
+		rebuilt, err := c.rebuildEngine(cfg, d, table)
 		if err != nil {
 			return nil, err
 		}
@@ -284,11 +276,11 @@ func (f *fieldTier) clone(cfg *Config, installed []installedRule) (*fieldTier, e
 // abandoned. The bank is derived state — every installed rule carries its
 // field values, its labels (the combination key) and its priority — so this
 // is one replay of the table, on the failure path only.
-func (f *fieldTier) restoreLabels(installed []installedRule) {
+func (f *fieldTier) restoreLabels(table *ruleTable) {
 	for _, d := range label.Dimensions() {
-		f.labels.Table(d).Restore(len(installed), func(i int) (engine.Value, label.PriorityLabel) {
-			ir := &installed[i]
-			return fieldValue(d, ir.rule), label.PriorityLabel{Label: ir.key.Label(d), Priority: ir.rule.Priority}
+		f.labels.Table(d).Restore(table.len(), func(i int) (engine.Value, label.PriorityLabel) {
+			r := table.at(i)
+			return fieldValue(d, *r), label.PriorityLabel{Label: table.key(i).Label(d), Priority: r.Priority}
 		})
 	}
 }
@@ -335,9 +327,11 @@ func (s *snapshot) syncPacket(cfg *Config) (publishSync, error) {
 	}
 	// The Table I structures resolve ties by table order and answer in
 	// indices into the slice they were built over: hand them the rule table.
-	if err := p.engine.Install(s.installedRules()); err != nil {
-		return publishSync{}, fmt.Errorf("core: building %s packet engine over %d rules: %w", p.name, len(s.installed), err)
+	if err := p.engine.Install(s.table.copyRules()); err != nil {
+		return publishSync{}, fmt.Errorf("core: building %s packet engine over %d rules: %w", p.name, s.table.len(), err)
 	}
+	// A rebuild may follow a whole rule set's inserts: drop the buffer rather
+	// than keep it in the published snapshot.
 	p.pending = nil
 	p.deltas = 0
 	return publishSync{rebuilt: true}, nil
@@ -375,7 +369,7 @@ func (p *packetTier) applyDeltas(cfg *Config, inc engine.IncrementalPacketEngine
 		return 0, false
 	}
 	applied = len(p.pending)
-	p.pending = nil
+	p.pending = p.pending[:0]
 	p.deltas += applied
 	return applied, true
 }
@@ -384,20 +378,21 @@ func (p *packetTier) applyDeltas(cfg *Config, inc engine.IncrementalPacketEngine
 // fresh engine is built and the dimension's field values are re-installed by
 // replaying the installed rules, exactly as the controller re-downloads the
 // memory image after an engine switch.
-func (f *fieldTier) rebuildEngine(cfg *Config, d label.Dimension, installed []installedRule) (engine.FieldEngine, error) {
+func (f *fieldTier) rebuildEngine(cfg *Config, d label.Dimension, table *ruleTable) (engine.FieldEngine, error) {
 	eng, err := f.buildEngine(cfg, d)
 	if err != nil {
 		return nil, err
 	}
-	for _, ir := range installed {
-		lbl, ok := f.labels.Table(d).Lookup(fieldValue(d, ir.rule))
+	for i := range table.len() {
+		r := table.at(i)
+		lbl, ok := f.labels.Table(d).Lookup(fieldValue(d, *r))
 		if !ok {
-			return nil, fmt.Errorf("core: rebuilding %s: field value %s is not labelled", d, fieldValue(d, ir.rule))
+			return nil, fmt.Errorf("core: rebuilding %s: field value %s is not labelled", d, fieldValue(d, *r))
 		}
 		// Insert keeps the better priority for an existing (value, label)
 		// pair, so replaying every rule converges to the best priority per
 		// value — the HPML invariant.
-		if _, err := eng.Insert(fieldValue(d, ir.rule), lbl, ir.rule.Priority); err != nil {
+		if _, err := eng.Insert(fieldValue(d, *r), lbl, r.Priority); err != nil {
 			return nil, fmt.Errorf("core: rebuilding %s: %w", d, err)
 		}
 	}
@@ -417,23 +412,13 @@ func (s *snapshot) prepare(cfg *Config) {
 	f.labelTableBits = f.labels.StorageBits()
 	f.prefixes = prefixSet{}
 	if cfg.CombineMode != CombineHPML {
-		f.prefixes = newPrefixSet(s.installed)
+		f.prefixes = newPrefixSet(&s.table)
 	}
-	for _, eng := range f.engines {
-		if p, ok := eng.(engine.Preparer); ok {
+	for _, d := range label.Dimensions() {
+		if p, ok := f.engines[d].(engine.Preparer); ok {
 			p.Prepare()
 		}
 	}
-}
-
-// installedRules returns a copy of the rule table: best-first, ties in
-// installation order.
-func (s *snapshot) installedRules() []fivetuple.Rule {
-	out := make([]fivetuple.Rule, len(s.installed))
-	for i, ir := range s.installed {
-		out[i] = ir.rule
-	}
-	return out
 }
 
 // findInstalled locates the first-installed rule with the same field matches
@@ -442,9 +427,9 @@ func (s *snapshot) installedRules() []fivetuple.Rule {
 // comparison. The table is priority-sorted, so the scan is bounded to the
 // equal-priority run.
 func (s *snapshot) findInstalled(r fivetuple.Rule) int {
-	lo := sort.Search(len(s.installed), func(i int) bool { return s.installed[i].rule.Priority >= r.Priority })
-	for i := lo; i < len(s.installed) && s.installed[i].rule.Priority == r.Priority; i++ {
-		if s.installed[i].rule.SameMatch(r) {
+	t := &s.table
+	for i := t.bound(r.Priority, false); i < t.len() && t.at(i).Priority == r.Priority; i++ {
+		if t.at(i).SameMatch(r) {
 			return i
 		}
 	}

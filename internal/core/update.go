@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"sdnpc/internal/fivetuple"
@@ -75,7 +74,7 @@ func (c *Classifier) update(mutate func(next *snapshot, applied *updateTally) er
 	var applied updateTally
 	if err := mutate(next, &applied); err != nil {
 		if next.field != nil && applied != (updateTally{}) {
-			next.field.restoreLabels(current.installed)
+			next.field.restoreLabels(&current.table)
 		}
 		return err
 	}
@@ -146,7 +145,7 @@ func (c *Classifier) InstallRuleSet(rs *fivetuple.RuleSet) (total UpdateReport, 
 	err = c.update(func(next *snapshot, applied *updateTally) error {
 		// One exact-size growth, so the published snapshot does not hold
 		// whatever spare capacity repeated appends happened to round up to.
-		next.installed = slices.Grow(next.installed, rs.Len())
+		next.table.ownIDs(rs.Len())
 		for _, r := range rs.Rules() {
 			rep, err := next.insertRule(&c.cfg, r)
 			if err != nil {
@@ -167,7 +166,7 @@ func (c *Classifier) InstallRuleSet(rs *fivetuple.RuleSet) (total UpdateReport, 
 // insertRule applies one insertion to this (unpublished) snapshot.
 func (s *snapshot) insertRule(cfg *Config, r fivetuple.Rule) (UpdateReport, error) {
 	name := s.activeEngineName()
-	if len(s.installed) >= cfg.RuleCapacityFor(name) {
+	if s.table.len() >= cfg.RuleCapacityFor(name) {
 		return UpdateReport{}, fmt.Errorf("%w: capacity %d under the %s configuration",
 			ErrRuleFilterFull, cfg.RuleCapacityFor(name), name)
 	}
@@ -182,7 +181,7 @@ func (s *snapshot) insertRule(cfg *Config, r fivetuple.Rule) (UpdateReport, erro
 	report := UpdateReport{ClockCycles: hardwareUpdateCycles()}
 	// After every rule of the same or a better priority: ties stay in
 	// installation order.
-	idx := sort.Search(len(s.installed), func(i int) bool { return s.installed[i].rule.Priority > r.Priority })
+	idx := s.table.bound(r.Priority, true)
 	var key label.CombinationKey
 	if s.packet != nil {
 		s.packet.pending = append(s.packet.pending, packetDelta{rule: r, idx: idx})
@@ -192,7 +191,7 @@ func (s *snapshot) insertRule(cfg *Config, r fivetuple.Rule) (UpdateReport, erro
 			return UpdateReport{}, fmt.Errorf("core: inserting rule %s: %w", r, err)
 		}
 	}
-	s.installed = slices.Insert(s.installed, idx, installedRule{rule: r, key: key})
+	s.table.insert(idx, r, key)
 	return report, nil
 }
 
@@ -208,10 +207,15 @@ func (f *fieldTier) insertRule(r fivetuple.Rule, report *UpdateReport) (label.Co
 	rollback := func(n int) {
 		for _, d := range slices.Backward(label.Dimensions()[:n]) {
 			v := fieldValue(d, r)
-			if _, removed, err := f.labels.Table(d).Release(v, r.Priority); err == nil && removed {
+			tbl := f.labels.Table(d)
+			if _, removed, err := tbl.Release(v, r.Priority); err == nil && removed {
 				// The value was created by this insertion; undo the engine
 				// write.
 				_, _ = f.engines[d].Remove(v, ruleLabels[d])
+			} else if best, _ := tbl.Best(v); err == nil && best > r.Priority {
+				// The insertion had improved the value's best priority;
+				// re-seat it at the surviving rules' best.
+				_, _ = f.engines[d].Reprioritise(v, ruleLabels[d], best)
 			}
 		}
 	}
@@ -264,23 +268,22 @@ func (s *snapshot) deleteRule(r fivetuple.Rule) (report UpdateReport, mutated bo
 	if idx < 0 {
 		return UpdateReport{}, false, fmt.Errorf("%w: %s priority %d", ErrRuleNotInstalled, r, r.Priority)
 	}
-	installed := s.installed[idx]
+	installed := *s.table.at(idx)
 	report = UpdateReport{ClockCycles: hardwareUpdateCycles()}
 	if s.packet != nil {
-		s.packet.pending = append(s.packet.pending, packetDelta{delete: true, rule: installed.rule, idx: idx})
-	} else if dirty, err := s.field.deleteRule(installed, &report); err != nil {
+		s.packet.pending = append(s.packet.pending, packetDelta{delete: true, rule: installed, idx: idx})
+	} else if dirty, err := s.field.deleteRule(installed, s.table.key(idx), &report); err != nil {
 		return report, dirty, fmt.Errorf("core: deleting rule %s: %w", r, err)
 	}
-	s.installed = slices.Delete(s.installed, idx, idx+1)
+	s.table.delete(idx)
 	return report, true, nil
 }
 
 // deleteRule removes the rule's Rule Filter entry and releases its seven
 // labels, removing or re-prioritising the field values whose last or best
 // rule it was. mutated is as for snapshot.deleteRule.
-func (f *fieldTier) deleteRule(ir installedRule, report *UpdateReport) (mutated bool, err error) {
-	r := ir.rule
-	found, probes := f.filter.remove(ir.key, r.Priority)
+func (f *fieldTier) deleteRule(r fivetuple.Rule, key label.CombinationKey, report *UpdateReport) (mutated bool, err error) {
+	found, probes := f.filter.remove(key, r.Priority)
 	report.RuleFilterProbes = probes
 	if !found {
 		return false, errors.New("rule filter entry missing")

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 
 	"sdnpc/internal/algo/hypercuts"
 	"sdnpc/internal/fivetuple"
@@ -35,8 +34,9 @@ type hypercutsEngine struct {
 	cfg hypercuts.Config
 	c   *hypercuts.Classifier
 	// owned marks the structure as private to this handle. Clone clears it;
-	// the first delta op on an un-owned handle deep-copies the tree first,
-	// so a delta is never observable through the cloned-from handle.
+	// the first delta op on an un-owned handle takes a copy-on-write clone
+	// of the tree first, so a delta is never observable through the
+	// cloned-from handle.
 	owned bool
 }
 
@@ -49,7 +49,7 @@ func (e *hypercutsEngine) Install(rules []fivetuple.Rule) error {
 		e.c, e.owned = nil, false
 		return nil
 	}
-	c, err := hypercuts.Build(fivetuple.NewRuleSet("hypercuts", rules), e.cfg)
+	c, err := hypercuts.BuildRules(rules, e.cfg)
 	if err != nil {
 		return err
 	}
@@ -58,8 +58,8 @@ func (e *hypercutsEngine) Install(rules []fivetuple.Rule) error {
 	return nil
 }
 
-// own makes the underlying tree private to this handle, deep-copying it on
-// the first delta after a Clone.
+// own makes the underlying tree private to this handle, cloning it on the
+// first delta after a Clone.
 func (e *hypercutsEngine) own() {
 	if !e.owned {
 		e.c = e.c.Clone()
@@ -101,24 +101,14 @@ func (e *hypercutsEngine) LookupPacket(h fivetuple.Header) (int, bool, int) {
 	return e.c.Classify(h)
 }
 
-// LookupPacketAll enumerates every matching rule in priority order: the leaf
-// spans stay sorted ascending through delta churn, so the scan already yields
-// best-first order and only the terminal-rule truncation remains. The
-// defensive sort guards the ordering contract against slack-padded span
-// relocations regardless.
+// LookupPacketAll enumerates the matching rules in priority order: leaf lists
+// stay best-first through delta churn, and ClassifyAll stops after the first
+// terminating match.
 func (e *hypercutsEngine) LookupPacketAll(h fivetuple.Header, dst []int) ([]int, int) {
 	if e.c == nil {
 		return dst, 0
 	}
-	start := len(dst)
-	dst, accesses := e.c.ClassifyAll(h, dst)
-	slices.Sort(dst[start:])
-	for i := start; i < len(dst); i++ {
-		if !e.c.Rule(dst[i]).NonTerminating {
-			return dst[:i+1], accesses
-		}
-	}
-	return dst, accesses
+	return e.c.ClassifyAll(h, dst)
 }
 
 func (e *hypercutsEngine) Cost() CostModel {

@@ -34,7 +34,9 @@ type PacketEngine interface {
 	// Install (re)builds the engine over the rule set. Rules are ordered
 	// best-first (ascending Priority value: index 0 is the highest-priority
 	// rule) and
-	// LookupPacket answers in terms of indices into this slice. Installing an
+	// LookupPacket answers in terms of indices into this slice. The engine
+	// may keep the slice as its own storage (linear and hypercuts do), so the
+	// caller hands it over and must not modify it afterwards. Installing an
 	// empty slice is valid and yields an engine that matches nothing. A
 	// failed Install leaves the previously installed state serving.
 	Install(rules []fivetuple.Rule) error

@@ -8,11 +8,15 @@
 # allocation on any serving path fails the gate, so the arena layout's
 # headline contract cannot erode silently. It also runs
 # TestPacketTierUpdateAllocs, which bounds the objects and the bytes one rule
-# update allocates under a whole-packet engine (the snapshot clone must not
-# grow a second tier back, nor the rule table a third copy), and
-# TestFieldTierUpdateAllocs, which bounds them under a field engine (the
-# clone must share the tries, the Rule Filter and the label bank, not copy
-# them). Above the core, TestLookupBatchInto asserts the facade's
+# update allocates under a whole-packet engine at acl-1k and, for hypercuts,
+# acl-5k (the snapshot clone must not grow a second tier back, and the rule
+# table and the structure must copy the chunks a publish writes, not
+# themselves), TestFieldTierUpdateAllocs, which bounds them under a field
+# engine (the clone must share the tries, the Rule Filter, the rule table and
+# the label bank, not copy them), and, below the engine adapter, hypercuts'
+# TestDeltaAllocs, which bounds one delta on a fresh clone of the tree
+# (the id map and the chunks it writes, not the tree). Above the core,
+# TestLookupBatchInto asserts the facade's
 # Classifier.LookupBatchInto allocates nothing with a reused dst, and
 # TestClassifyBatchAllocs bounds a 64-header classify-batch request through
 # the wire handler's ServeHTTP at 16 allocations (the hand-written codec
@@ -20,6 +24,7 @@
 # developer runs locally with:
 #
 #	go test ./internal/core/ -run 'ZeroAllocs|UpdateAllocs'
+#	go test ./internal/algo/hypercuts/ -run TestDeltaAllocs
 #	go test . ./internal/server/ -run 'TestLookupBatchInto|TestClassifyBatchAllocs'
 #
 # -count=1 defeats the test cache: the gate must re-measure on the current
@@ -27,7 +32,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-go test -count=1 -run 'TestLookupZeroAllocs|TestLookupBatchZeroAllocs|TestLookupZeroAllocsCrossProduct|TestLookupAllZeroAllocs|TestPacketTierUpdateAllocs|TestFieldTierUpdateAllocs|TestLookupBatchInto|TestClassifyBatchAllocs' -v ./internal/core/ . ./internal/server/ | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|PASS|FAIL|ok)' || {
+go test -count=1 -run 'TestLookupZeroAllocs|TestLookupBatchZeroAllocs|TestLookupZeroAllocsCrossProduct|TestLookupAllZeroAllocs|TestPacketTierUpdateAllocs|TestFieldTierUpdateAllocs|TestDeltaAllocs|TestLookupBatchInto|TestClassifyBatchAllocs' -v ./internal/core/ ./internal/algo/hypercuts/ . ./internal/server/ | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|PASS|FAIL|ok)' || {
   echo "check_allocs: the allocation gate failed" >&2
   exit 1
 }

@@ -57,5 +57,5 @@ func main() {
 
 	report := classifier.Report().Memory
 	fmt.Printf("IP engine %q memory in use: %.1f Kbit; rule filter occupancy: %d/%d rules\n",
-		report.IPEngine, float64(report.IPAlgorithmUsedBits())/1024, report.RulesInstalled, report.RuleCapacity)
+		report.IPEngine, float64(report.IPEngineUsedBits)/1024, report.RulesInstalled, report.RuleCapacity)
 }

@@ -59,7 +59,7 @@ func main() {
 			log.Fatalf("selecting %s: %v", name, err)
 		}
 		report := classifier.Report().Memory
-		tier, nodeBits := "field ", report.IPAlgorithmUsedBits()
+		tier, nodeBits := "field ", report.IPEngineUsedBits
 		if report.PacketEngine != "" {
 			tier, nodeBits = "packet", report.PacketEngineUsedBits
 		}

@@ -70,7 +70,7 @@ func runPhase(classifier *sdnpc.Classifier, ruleSet *sdnpc.RuleSet, trace []sdnp
 		classifier.LookupsPerSecond()/1e6, classifier.ThroughputGbps(40), classifier.ThroughputGbps(100))
 	fmt.Printf("  average lookup latency: %.1f cycles\n", stats.AverageLatencyCycles())
 	fmt.Printf("  rule capacity: %d rules; IP-engine memory in use: %.1f Kbit\n",
-		classifier.RuleCapacity(), float64(report.IPAlgorithmUsedBits())/1024)
+		classifier.RuleCapacity(), float64(report.IPEngineUsedBits)/1024)
 	fmt.Printf("  verdict mismatches against the reference: %d of %d packets (avg %.2f field accesses)\n",
 		mismatches, len(trace), stats.AverageFieldAccesses())
 }

@@ -372,20 +372,18 @@ func rangeSearchCost(uniqueValues int) int {
 	return cost
 }
 
-// Classify returns the index of the highest-priority matching rule, whether
-// any rule matched and the number of memory accesses performed (field
-// searches plus aggregation-table probes).
-func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, accesses int) {
-	sc := scratchPool.Get().(*scratch)
+// aggregate resets the scratch, runs the field searches and the first three
+// stages of the aggregation network — each surviving only the combinations
+// present in its table — and returns the memory accesses charged so far.
+// The surviving IP-pair and transport combination ids are left in sc.ip and
+// sc.trans for the caller's final-table walk.
+func (c *Classifier) aggregate(h fivetuple.Header, sc *scratch) (accesses int) {
 	for f := range sc.labels {
 		sc.labels[f] = sc.labels[f][:0]
 	}
 	sc.ip, sc.port, sc.trans = sc.ip[:0], sc.port[:0], sc.trans[:0]
 
 	accesses = c.fieldSearch(h, sc)
-
-	// Aggregation network: survive only combinations present in the tables.
-	w := c.words
 	for _, s := range sc.labels[fieldSrcIP] {
 		for _, d := range sc.labels[fieldDstIP] {
 			accesses++
@@ -410,6 +408,16 @@ func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, 
 			}
 		}
 	}
+	return accesses
+}
+
+// Classify returns the index of the highest-priority matching rule, whether
+// any rule matched and the number of memory accesses performed (field
+// searches plus aggregation-table probes).
+func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, accesses int) {
+	sc := scratchPool.Get().(*scratch)
+	accesses = c.aggregate(h, sc)
+	w := c.words
 	best := -1
 	for _, ip := range sc.ip {
 		for _, tr := range sc.trans {
@@ -438,38 +446,8 @@ func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, 
 // is appended to without allocating when it has sufficient capacity.
 func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 	sc := scratchPool.Get().(*scratch)
-	for f := range sc.labels {
-		sc.labels[f] = sc.labels[f][:0]
-	}
-	sc.ip, sc.port, sc.trans = sc.ip[:0], sc.port[:0], sc.trans[:0]
-
-	accesses := c.fieldSearch(h, sc)
-
+	accesses := c.aggregate(h, sc)
 	w := c.words
-	for _, s := range sc.labels[fieldSrcIP] {
-		for _, d := range sc.labels[fieldDstIP] {
-			accesses++
-			if id, ok := c.probe(&c.ipTable, s, d); ok {
-				sc.ip = append(sc.ip, id)
-			}
-		}
-	}
-	for _, s := range sc.labels[fieldSrcPort] {
-		for _, d := range sc.labels[fieldDstPort] {
-			accesses++
-			if id, ok := c.probe(&c.portTable, s, d); ok {
-				sc.port = append(sc.port, id)
-			}
-		}
-	}
-	for _, p := range sc.port {
-		for _, pr := range sc.labels[fieldProto] {
-			accesses++
-			if id, ok := c.probe(&c.transTable, p, pr); ok {
-				sc.trans = append(sc.trans, id)
-			}
-		}
-	}
 	for _, ip := range sc.ip {
 		for _, tr := range sc.trans {
 			accesses++

@@ -101,7 +101,7 @@ func EngineSweep(w Workload, only string) ([]EngineRow, error) {
 			AvgLatencyCycles:   stats.AverageLatencyCycles(),
 			LookupsPerSecMega:  c.LookupsPerSecond() / 1e6,
 			ThroughputGbps40:   c.ThroughputGbps(40),
-			EngineMemoryKbit:   Kbit(report.IPAlgorithmUsedBits()),
+			EngineMemoryKbit:   Kbit(report.IPEngineUsedBits),
 			ProvisionedKbit:    Kbit(report.IPEngineProvisionedBits),
 			RuleCapacity:       c.RuleCapacity(),
 			VerdictMismatches:  mismatches,

@@ -12,7 +12,6 @@ import (
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/core"
 	"sdnpc/internal/fivetuple"
-	"sdnpc/internal/hw/memory"
 	"sdnpc/internal/hw/synth"
 	"sdnpc/internal/label"
 )
@@ -358,10 +357,14 @@ func RenderTable5(r Table5Result) string {
 // Table VI — performance evaluation for the IP algorithm
 // ---------------------------------------------------------------------------
 
+// ipAlgorithms are the two values of the paper's IPalg_s signal (§IV.C.2):
+// the IP engines Tables VI and VII and Fig. 3 compare.
+var ipAlgorithms = []string{"mbt", "bst"}
+
 // Table6Row is one row of Table VI.
 type Table6Row struct {
-	Algorithm             memory.AlgSelect
-	AccessesPerPacket     int // the provisioned per-packet figure of the paper
+	Algorithm             string // the IP engine name, "mbt" or "bst"
+	AccessesPerPacket     int    // the provisioned per-packet figure of the paper
 	MeasuredAvgIPAccesses float64
 	MemorySpaceKbit       float64
 	StoredRuleCapacity    int
@@ -376,13 +379,13 @@ type Table6Row struct {
 // capacity.
 func Table6(w Workload) ([]Table6Row, error) {
 	rows := make([]Table6Row, 0, 2)
-	paper := map[memory.AlgSelect]Table6Row{
-		memory.SelectMBT: {PaperAccesses: 1, PaperKbit: 543, PaperRules: 8000},
-		memory.SelectBST: {PaperAccesses: 16, PaperKbit: 49, PaperRules: 12000},
+	paper := map[string]Table6Row{
+		"mbt": {PaperAccesses: 1, PaperKbit: 543, PaperRules: 8000},
+		"bst": {PaperAccesses: 16, PaperKbit: 49, PaperRules: 12000},
 	}
-	for _, alg := range []memory.AlgSelect{memory.SelectMBT, memory.SelectBST} {
+	for _, alg := range ipAlgorithms {
 		cfg := core.DefaultConfig()
-		cfg.IPAlgorithm = alg
+		cfg.IPEngine = alg
 		c, err := core.New(cfg)
 		if err != nil {
 			return nil, err
@@ -402,7 +405,7 @@ func Table6(w Workload) ([]Table6Row, error) {
 			Algorithm:             alg,
 			AccessesPerPacket:     c.Pipeline().BottleneckInterval(),
 			MeasuredAvgIPAccesses: float64(ipAccesses) / float64(len(w.Trace)) / 4, // per segment engine
-			MemorySpaceKbit:       Kbit(report.IPAlgorithmUsedBits()),
+			MemorySpaceKbit:       Kbit(report.IPEngineUsedBits),
 			StoredRuleCapacity:    c.RuleCapacity(),
 			PaperAccesses:         paper[alg].PaperAccesses,
 			PaperKbit:             paper[alg].PaperKbit,
@@ -418,7 +421,7 @@ func RenderTable6(rows []Table6Row) string {
 	out := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		out = append(out, []string{
-			r.Algorithm.String(),
+			strings.ToUpper(r.Algorithm),
 			fmt.Sprintf("%d (paper %d)", r.AccessesPerPacket, r.PaperAccesses),
 			fmt.Sprintf("%.1f", r.MeasuredAvgIPAccesses),
 			fmt.Sprintf("%.0f Kbit (paper %.0f)", r.MemorySpaceKbit, r.PaperKbit),
@@ -446,16 +449,16 @@ type Table7Row struct {
 // model) next to the published comparator rows the paper quotes.
 func Table7() ([]Table7Row, error) {
 	rows := make([]Table7Row, 0, 4)
-	for _, alg := range []memory.AlgSelect{memory.SelectMBT, memory.SelectBST} {
+	for _, alg := range ipAlgorithms {
 		cfg := core.DefaultConfig()
-		cfg.IPAlgorithm = alg
+		cfg.IPEngine = alg
 		c, err := core.New(cfg)
 		if err != nil {
 			return nil, err
 		}
 		report := c.Report().Memory
 		rows = append(rows, Table7Row{
-			Algorithm:      "Our system with " + alg.String(),
+			Algorithm:      "Our system with " + strings.ToUpper(alg),
 			MemorySpaceMb:  Mbit(report.TotalProvisionedBits()),
 			StoredRules:    c.RuleCapacity(),
 			ThroughputGbps: c.ThroughputGbps(40),
@@ -498,9 +501,9 @@ type Fig3Result struct {
 // Fig3 reproduces the lookup pipelining description of Fig. 3 and §V.B.
 func Fig3() (Fig3Result, error) {
 	var out Fig3Result
-	for _, alg := range []memory.AlgSelect{memory.SelectMBT, memory.SelectBST} {
+	for _, alg := range ipAlgorithms {
 		cfg := core.DefaultConfig()
-		cfg.IPAlgorithm = alg
+		cfg.IPEngine = alg
 		c, err := core.New(cfg)
 		if err != nil {
 			return Fig3Result{}, err
@@ -510,7 +513,7 @@ func Fig3() (Fig3Result, error) {
 		for _, s := range p.Stages() {
 			stages = append(stages, fmt.Sprintf("%s: %d cycle(s), II=%d", s.Name, s.LatencyCycles, s.InitiationInterval))
 		}
-		if alg == memory.SelectMBT {
+		if alg == "mbt" {
 			out.MBTLatencyCycles = p.LatencyCycles()
 			out.MBTStages = stages
 		} else {

@@ -6,7 +6,6 @@ import (
 
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/fivetuple"
-	"sdnpc/internal/hw/memory"
 )
 
 // smallWorkload builds a fast workload for unit testing the harness; the
@@ -148,7 +147,7 @@ func TestTable6SmallWorkload(t *testing.T) {
 	}
 	var mbtRow, bstRow Table6Row
 	for _, r := range rows {
-		if r.Algorithm == memory.SelectMBT {
+		if r.Algorithm == "mbt" {
 			mbtRow = r
 		} else {
 			bstRow = r

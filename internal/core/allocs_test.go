@@ -248,6 +248,39 @@ func TestFieldTierUpdateAllocs(t *testing.T) {
 	}
 }
 
+// TestNewFieldTierAllocs bounds what building an empty field-tier classifier
+// allocates, per IP engine: the engines, the label bank, the Rule Filter and
+// the serving lanes (two, forced, so the bound does not move with the core
+// count) — 14 KiB on mbt, bounded at 24. Fig. 5's level-2 sharing is
+// capacity arithmetic (Config.RuleCapacityFor), so a tier holds no memory
+// model beside what it serves.
+func TestNewFieldTierAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	forceLanes(t, 2)
+	const calls, maxKiB = 16, 24
+	for _, name := range engine.IPEngineNames() {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.IPEngine = name
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range calls {
+				if _, err := New(cfg); err != nil {
+					t.Fatalf("New: %v", err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			kib := float64(after.TotalAlloc-before.TotalAlloc) / calls / 1024
+			t.Logf("New(%s) allocates %.1f KiB", name, kib)
+			if kib > maxKiB {
+				t.Fatalf("New(%s) allocates %.1f KiB, want at most %d", name, kib, maxKiB)
+			}
+		})
+	}
+}
+
 // updateAllocs installs an ACL set of the given size under the named engine,
 // walks delete+insert pairs over it and returns what one published update
 // allocates: objects (averaged over 20 pairs, which also warm the walk up)

@@ -134,8 +134,8 @@ func (c *Classifier) InstalledRules() []fivetuple.Rule {
 
 // SelectEngine selects any registered serving engine by name, whichever
 // tier it belongs to — the generalised IPalg_s signal (§III.A). It builds a
-// fresh data path for the named engine (for a field engine: new engines, new
-// shared memory blocks (Fig. 5), a re-provisioned rule filter; for a
+// fresh data path for the named engine (for a field engine: new engines and a
+// rule filter re-provisioned to the engine's capacity (Fig. 5); for a
 // whole-packet engine: its precomputed structure), programmes it from the
 // installed rules and atomically swaps it in, exactly as the software
 // controller would re-download the memory images after a configuration

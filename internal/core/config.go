@@ -12,8 +12,9 @@
 //
 // Lookups follow the four pipelined phases of Fig. 3; updates follow the
 // incremental label-counting procedure of Fig. 4; and the IPalg_s
-// configuration signal (§IV.C.2, Fig. 5) selects the IP algorithm and with
-// it how the shared memory blocks are used and how many rules fit.
+// configuration signal (§IV.C.2, Fig. 5) is the IP engine name, which
+// decides how the MBT blocks are used and how many rules fit
+// (Config.RuleCapacityFor).
 package core
 
 import (
@@ -21,7 +22,6 @@ import (
 	"math"
 
 	"sdnpc/internal/engine"
-	"sdnpc/internal/hw/memory"
 )
 
 // Default architecture geometry. The constants reproduce the memory budget
@@ -139,7 +139,8 @@ func (m CombineMode) String() string {
 type Config struct {
 	// IPEngine names the registered field engine serving the four IP-segment
 	// dimensions (see internal/engine: "mbt", "bst", "segtrie", "rfc", ...).
-	// When empty, the legacy IPAlgorithm signal decides.
+	// The paper's IPalg_s signal selects between its two values, "mbt" and
+	// "bst"; any name in engine.IPEngineNames() is accepted.
 	IPEngine string
 	// PacketEngine, when set, selects a whole-packet engine ("rfc-full",
 	// "dcfl", "hypercuts") to serve lookups and wins over IPEngine: the
@@ -147,9 +148,6 @@ type Config struct {
 	// engines, label tables and Rule Filter are not built at all. SelectEngine
 	// with a field engine name builds them from the installed rules.
 	PacketEngine string
-	// IPAlgorithm is the initial setting of the legacy two-valued IPalg_s
-	// signal, consulted only when IPEngine is empty.
-	IPAlgorithm memory.AlgSelect
 	// CombineMode selects the phase-3 combination strategy.
 	CombineMode CombineMode
 	// ClockHz is the clock frequency used to convert cycle counts into time
@@ -218,7 +216,7 @@ type Config struct {
 // mode.
 func DefaultConfig() Config {
 	return Config{
-		IPAlgorithm:           memory.SelectMBT,
+		IPEngine:              "mbt",
 		CombineMode:           CombineCrossProduct,
 		ClockHz:               DefaultClockHz,
 		MBTLevel2Entries:      DefaultMBTLevel2Entries,
@@ -245,23 +243,20 @@ func (c *Config) SetEngine(name string) {
 }
 
 // engineName resolves the engine a new classifier serves from: PacketEngine
-// when set, otherwise the explicit IPEngine field, otherwise the engine named
-// by the legacy IPAlgorithm signal.
+// when set, otherwise IPEngine.
 func (c Config) engineName() string {
 	if c.PacketEngine != "" {
 		return c.PacketEngine
 	}
-	if c.IPEngine != "" {
-		return c.IPEngine
-	}
-	if name, ok := engine.LegacyName(c.IPAlgorithm); ok {
-		return name
-	}
-	return "mbt"
+	return c.IPEngine
 }
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
+	if c.IPEngine == "" && c.PacketEngine == "" {
+		return fmt.Errorf("core: no engine selected (set IPEngine to one of %v or PacketEngine to one of %v)",
+			engine.IPEngineNames(), engine.PacketEngineNames())
+	}
 	if c.IPEngine != "" {
 		def, ok := engine.Get(c.IPEngine)
 		if !ok {
@@ -270,8 +265,6 @@ func (c Config) Validate() error {
 		if !def.IPCapable {
 			return fmt.Errorf("core: engine %q cannot serve the IP-segment dimensions", c.IPEngine)
 		}
-	} else if c.IPAlgorithm != memory.SelectMBT && c.IPAlgorithm != memory.SelectBST {
-		return fmt.Errorf("core: unknown IP algorithm selection %v", c.IPAlgorithm)
 	}
 	if c.PacketEngine != "" {
 		def, ok := engine.Get(c.PacketEngine)

@@ -2,11 +2,11 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/fivetuple"
-	"sdnpc/internal/hw/memory"
 	"sdnpc/internal/label"
 )
 
@@ -60,7 +60,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("DefaultConfig should validate: %v", err)
 	}
 	invalid := []func(*Config){
-		func(c *Config) { c.IPAlgorithm = 0 },
+		func(c *Config) { c.IPEngine = "" }, // names neither an IP nor a packet engine
 		func(c *Config) { c.CombineMode = 0 },
 		func(c *Config) { c.ClockHz = 0 },
 		func(c *Config) { c.MBTLevel2Entries = 0 },
@@ -118,10 +118,10 @@ func TestCombineModeString(t *testing.T) {
 }
 
 func TestInsertAndLookupSmallSet(t *testing.T) {
-	for _, alg := range []memory.AlgSelect{memory.SelectMBT, memory.SelectBST} {
-		t.Run(alg.String(), func(t *testing.T) {
+	for _, alg := range []string{"mbt", "bst"} {
+		t.Run(strings.ToUpper(alg), func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.IPAlgorithm = alg
+			cfg.IPEngine = alg
 			c := MustNew(cfg)
 			rs := smallRuleSet()
 			if _, err := c.InstallRuleSet(rs); err != nil {
@@ -153,11 +153,11 @@ func TestLookupAgainstReferenceOnGeneratedFilterSets(t *testing.T) {
 	// classifier on every packet, for every filter-set family and both IP
 	// algorithms.
 	for _, class := range []classbench.Class{classbench.ACL, classbench.FW, classbench.IPC} {
-		for _, alg := range []memory.AlgSelect{memory.SelectMBT, memory.SelectBST} {
-			t.Run(class.String()+"/"+alg.String(), func(t *testing.T) {
+		for _, alg := range []string{"mbt", "bst"} {
+			t.Run(class.String()+"/"+strings.ToUpper(alg), func(t *testing.T) {
 				rs := classbench.Generate(classbench.Config{Class: class, Rules: 300, Seed: 17})
 				cfg := DefaultConfig()
-				cfg.IPAlgorithm = alg
+				cfg.IPEngine = alg
 				c := MustNew(cfg)
 				if _, err := c.InstallRuleSet(rs); err != nil {
 					t.Fatalf("InstallRuleSet: %v", err)
@@ -433,7 +433,7 @@ func TestLatencyModelMatchesFigure3(t *testing.T) {
 	}
 	// BST: 1 + 16 + 1 + 2 = 20 cycles.
 	cfgBST := DefaultConfig()
-	cfgBST.IPAlgorithm = memory.SelectBST
+	cfgBST.IPEngine = "bst"
 	cfgBST.CombineMode = CombineHPML
 	cBST := MustNew(cfgBST)
 	if _, err := cBST.InstallRuleSet(rs); err != nil {
@@ -485,17 +485,14 @@ func TestMemoryReportBudget(t *testing.T) {
 	if report.MBTProvisionedBits != 4*(32+1024+3288)*32 {
 		t.Errorf("MBTProvisionedBits = %d", report.MBTProvisionedBits)
 	}
-	if report.MBTUsedBits == 0 || report.BSTUsedBits != 0 {
-		t.Errorf("used bits = MBT %d / BST %d, want MBT-only usage", report.MBTUsedBits, report.BSTUsedBits)
+	if report.IPEngine != "mbt" || report.IPEngineUsedBits == 0 {
+		t.Errorf("IP engine %q uses %d bits, want nonzero MBT usage", report.IPEngine, report.IPEngineUsedBits)
 	}
 	if report.RuleFilterUsedBits != rs.Len()*DefaultRuleEntryBits {
 		t.Errorf("RuleFilterUsedBits = %d, want %d", report.RuleFilterUsedBits, rs.Len()*DefaultRuleEntryBits)
 	}
 	if report.RulesInstalled != rs.Len() || report.RuleCapacity != 8192 {
 		t.Errorf("rules %d / capacity %d", report.RulesInstalled, report.RuleCapacity)
-	}
-	if report.IPAlgorithmUsedBits() != report.MBTUsedBits {
-		t.Error("IPAlgorithmUsedBits should report the MBT usage under MBT selection")
 	}
 	if report.TotalUsedBits() <= 0 || report.TotalUsedBits() >= total {
 		t.Errorf("TotalUsedBits() = %d out of range (0,%d)", report.TotalUsedBits(), total)
@@ -507,16 +504,13 @@ func TestMemoryReportBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	bstReport := c.Report().Memory
-	if bstReport.BSTUsedBits == 0 || bstReport.MBTUsedBits != 0 {
-		t.Errorf("post-switch used bits = MBT %d / BST %d, want BST-only usage",
-			bstReport.MBTUsedBits, bstReport.BSTUsedBits)
+	if bstReport.IPEngine != "bst" || bstReport.IPEngineUsedBits == 0 {
+		t.Errorf("post-switch IP engine %q uses %d bits, want nonzero BST usage",
+			bstReport.IPEngine, bstReport.IPEngineUsedBits)
 	}
-	if bstReport.BSTUsedBits >= report.MBTUsedBits {
+	if bstReport.IPEngineUsedBits >= report.IPEngineUsedBits {
 		t.Errorf("BST used bits %d should be well below MBT used bits %d",
-			bstReport.BSTUsedBits, report.MBTUsedBits)
-	}
-	if bstReport.IPAlgorithmUsedBits() != bstReport.BSTUsedBits {
-		t.Error("IPAlgorithmUsedBits should report the BST usage under BST selection")
+			bstReport.IPEngineUsedBits, report.IPEngineUsedBits)
 	}
 }
 

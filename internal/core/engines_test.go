@@ -5,7 +5,6 @@ import (
 
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/engine"
-	"sdnpc/internal/hw/memory"
 )
 
 // TestEveryIPEngineMatchesReferenceClassifier installs a generated filter
@@ -112,18 +111,16 @@ func TestConfigIPEngineValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("non-IP-capable IPEngine should fail validation")
 	}
-	// The explicit engine name wins over the legacy signal.
-	cfg = DefaultConfig()
+	cfg.IPEngine = ""
+	if _, err := New(cfg); err == nil {
+		t.Error("a config naming no engine should fail validation")
+	}
 	cfg.IPEngine = "segtrie"
-	cfg.IPAlgorithm = memory.SelectBST
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	if c.ActiveEngineName() != "segtrie" {
-		t.Errorf("ActiveEngineName = %q, want the explicit %q", c.ActiveEngineName(), "segtrie")
-	}
-	if c.Report().Memory.Algorithm != 0 {
-		t.Errorf("report algorithm = %v, want 0 for an engine with no legacy value", c.Report().Memory.Algorithm)
+		t.Errorf("ActiveEngineName = %q, want %q", c.ActiveEngineName(), "segtrie")
 	}
 }

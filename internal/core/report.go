@@ -2,7 +2,6 @@ package core
 
 import (
 	"sdnpc/internal/engine"
-	"sdnpc/internal/hw/memory"
 	"sdnpc/internal/hw/pipeline"
 	"sdnpc/internal/hw/synth"
 	"sdnpc/internal/label"
@@ -14,24 +13,18 @@ import (
 // rule set occupies, Table VI).
 type MemoryReport struct {
 	// IPEngine is the registry name of the field engine serving the
-	// IP-segment dimensions ("" when a whole-packet engine serves);
-	// Algorithm mirrors it on the legacy IPalg_s signal (0 when the engine
-	// has no legacy value).
-	IPEngine  string
-	Algorithm memory.AlgSelect
+	// IP-segment dimensions ("" when a whole-packet engine serves).
+	IPEngine string
 
 	// IP algorithm blocks. IPEngineUsedBits is the node storage of the
-	// active engine whatever its name; IPEngineProvisionedBits is the block
-	// capacity that engine maps onto (the shared level-2 blocks for
-	// shared-resident engines, the full MBT block family otherwise).
-	// MBTUsedBits / BSTUsedBits remain populated when the corresponding
-	// legacy engine is active.
+	// active engine whatever its name (the "Memory Space Required" column of
+	// Table VI); IPEngineProvisionedBits is the block capacity that engine
+	// maps onto (the shared level-2 blocks for shared-resident engines, the
+	// full MBT block family otherwise).
 	IPEngineUsedBits        int
 	IPEngineProvisionedBits int
 	MBTProvisionedBits      int
-	MBTUsedBits             int
 	BSTProvisionedBits      int
-	BSTUsedBits             int
 
 	// Other algorithm blocks of the field tier (0 under a whole-packet
 	// engine, which has neither).
@@ -74,10 +67,6 @@ type MemoryReport struct {
 	RuleCapacity   int
 }
 
-// IPAlgorithmUsedBits returns the used node storage of the currently
-// selected IP engine — the "Memory Space Required" column of Table VI.
-func (m MemoryReport) IPAlgorithmUsedBits() int { return m.IPEngineUsedBits }
-
 // TotalProvisionedBits returns the block-memory capacity of the synthesised
 // design (the Table V / Table VII memory figure). Port registers live in
 // logic registers, not block RAM, and are excluded.
@@ -89,7 +78,7 @@ func (m MemoryReport) TotalProvisionedBits() int {
 // TotalUsedBits returns the occupied block-memory bits, including the
 // precomputed tables of an active whole-packet engine.
 func (m MemoryReport) TotalUsedBits() int {
-	return m.IPAlgorithmUsedBits() + m.ProtocolLUTBits +
+	return m.IPEngineUsedBits + m.ProtocolLUTBits +
 		m.LabelMemoryUsedBits + m.LabelTableBits + m.RuleFilterUsedBits +
 		m.PacketEngineUsedBits
 }
@@ -133,7 +122,6 @@ func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
 	f := s.field
 	def, _ := engine.Get(f.engineName)
 	report.IPEngine = f.engineName
-	report.Algorithm = def.Legacy
 	report.ProtocolLUTBits = f.engines[label.DimProtocol].Footprint().NodeBits
 	report.PortRegisterBits = f.engines[label.DimSrcPort].Footprint().NodeBits +
 		f.engines[label.DimDstPort].Footprint().NodeBits
@@ -149,12 +137,6 @@ func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
 	report.IPEngineProvisionedBits = report.MBTProvisionedBits
 	if def.SharesLevel2 {
 		report.IPEngineProvisionedBits = report.BSTProvisionedBits
-	}
-	switch def.Legacy {
-	case memory.SelectMBT:
-		report.MBTUsedBits = report.IPEngineUsedBits
-	case memory.SelectBST:
-		report.BSTUsedBits = report.IPEngineUsedBits
 	}
 	return report
 }

@@ -5,7 +5,6 @@ import (
 
 	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
-	"sdnpc/internal/hw/memory"
 	"sdnpc/internal/label"
 )
 
@@ -70,12 +69,6 @@ type fieldTier struct {
 	// engines holds the per-dimension field lookup engines, indexed by
 	// Dimension (a dense 1-based enum; entry 0 is unused).
 	engines [label.NumDimensions + 1]engine.FieldEngine
-
-	// sharedL2 models the IPalg_s-selected shared blocks of Fig. 5, one per
-	// IP segment, indexed like engines. An engine switch builds a tier with
-	// fresh blocks instead of re-owning these, so concurrent readers of the
-	// old snapshot never observe the ownership change.
-	sharedL2 [label.NumDimensions + 1]*memory.SharedBlock
 
 	filter *ruleFilter
 
@@ -174,14 +167,9 @@ func newSnapshot(cfg *Config, name string, rules []fivetuple.Rule) (*snapshot, e
 }
 
 // newFieldTier builds an empty field tier for the named IP-segment engine:
-// every engine, label table and the rule filter, with fresh shared level-2
-// blocks.
+// every engine, label table and the rule filter.
 func newFieldTier(cfg *Config, engineName string) (*fieldTier, error) {
 	f := &fieldTier{engineName: engineName, labels: label.NewBank[engine.Value]()}
-	for _, d := range ipSegmentDims {
-		block := memory.NewBlock(fmt.Sprintf("shared-l2/%s", d), DefaultMBTEntryBits, cfg.MBTLevel2Entries)
-		f.sharedL2[d] = memory.NewSharedBlockOwner(block, engineName)
-	}
 	for _, d := range label.Dimensions() {
 		eng, err := f.buildEngine(cfg, d)
 		if err != nil {
@@ -201,7 +189,6 @@ func (f *fieldTier) buildEngine(cfg *Config, d label.Dimension) (engine.FieldEng
 		eng, err := engine.New(f.engineName, engine.Spec{
 			KeyBits:   16,
 			LabelBits: d.Bits(),
-			SharedL2:  f.sharedL2[d],
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: building %s engine for %s: %w", f.engineName, d, err)
@@ -256,7 +243,7 @@ func (s *snapshot) clone(cfg *Config) (*snapshot, error) {
 // rules of its dimension — the rebuild hook for third-party engines without
 // a Clone.
 func (f *fieldTier) clone(cfg *Config, table *ruleTable) (*fieldTier, error) {
-	c := &fieldTier{engineName: f.engineName, labels: f.labels, sharedL2: f.sharedL2, filter: f.filter.clone()}
+	c := &fieldTier{engineName: f.engineName, labels: f.labels, filter: f.filter.clone()}
 	for _, d := range label.Dimensions() {
 		if cl, ok := f.engines[d].(engine.Cloner); ok {
 			c.engines[d] = cl.Clone()

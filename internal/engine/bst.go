@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sdnpc/internal/algo/bst"
-	"sdnpc/internal/hw/memory"
 	"sdnpc/internal/label"
 )
 
@@ -13,25 +12,19 @@ func init() {
 		Factory:      newBSTEngine,
 		IPCapable:    true,
 		SharesLevel2: true,
-		Legacy:       memory.SelectBST,
 	})
 }
 
 // bstEngine adapts the Binary Search Tree to the FieldEngine interface. Its
-// interval nodes live in the shared level-2 block of Fig. 5 ("Data 2"),
-// which is why selecting it frees the remaining MBT blocks for rule storage.
+// interval nodes fit in the MBT level-2 block of Fig. 5 ("Data 2"), which is
+// why selecting it frees the remaining MBT blocks for rule storage; node
+// storage beyond that block's capacity is overflow, visible in MemoryReport
+// as used bits above provisioned bits.
 type bstEngine struct {
 	e *bst.Engine
-	// shared is the level-2 block the interval nodes are resident in (nil
-	// when modelling footprint only); node storage beyond its capacity is
-	// overflow, visible in MemoryReport as used bits above provisioned bits.
-	shared *memory.SharedBlock
 }
 
 func newBSTEngine(spec Spec) (FieldEngine, error) {
-	if _, err := viewSharedL2(spec, "bst"); err != nil {
-		return nil, err
-	}
 	cfg := bst.SegmentConfig()
 	if spec.KeyBits > 0 {
 		cfg.KeyBits = spec.KeyBits
@@ -43,7 +36,7 @@ func newBSTEngine(spec Spec) (FieldEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &bstEngine{e: e, shared: spec.SharedL2}, nil
+	return &bstEngine{e: e}, nil
 }
 
 func (a *bstEngine) Insert(v Value, lbl label.Label, priority int) (int, error) {
@@ -83,8 +76,5 @@ func (a *bstEngine) Footprint() Footprint {
 	return Footprint{NodeBits: a.e.MemoryBits(), LabelListBits: a.e.LabelListBits()}
 }
 
-// Clone implements Cloner. The shared-block handle is carried over as-is:
-// it only tags which engine's data the block holds, and snapshots built for
-// a different engine selection get fresh blocks rather than re-owning this
-// one.
-func (a *bstEngine) Clone() FieldEngine { return &bstEngine{e: a.e.Clone(), shared: a.shared} }
+// Clone implements Cloner.
+func (a *bstEngine) Clone() FieldEngine { return &bstEngine{e: a.e.Clone()} }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sdnpc/internal/algo/mbt"
-	"sdnpc/internal/hw/memory"
 	"sdnpc/internal/label"
 )
 
@@ -12,7 +11,6 @@ func init() {
 		Description: "multi-bit trie: fastest lookup, expanded node storage (paper default)",
 		Factory:     newMBTEngine,
 		IPCapable:   true,
-		Legacy:      memory.SelectMBT,
 	})
 }
 
@@ -22,11 +20,6 @@ type mbtEngine struct {
 }
 
 func newMBTEngine(spec Spec) (FieldEngine, error) {
-	// The trie's level-2 nodes are "Data 1" of the shared block (Fig. 5);
-	// building against a block another engine owns is a configuration error.
-	if _, err := viewSharedL2(spec, "mbt"); err != nil {
-		return nil, err
-	}
 	cfg := mbt.SegmentConfig()
 	if spec.KeyBits > 0 {
 		cfg.KeyBits = spec.KeyBits

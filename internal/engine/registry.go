@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"sdnpc/internal/fivetuple"
-	"sdnpc/internal/hw/memory"
 )
 
 // Spec carries the architecture geometry a factory needs to build one engine
@@ -21,28 +20,6 @@ type Spec struct {
 	LabelBits int
 	// Registers is the register budget of register-bank engines.
 	Registers int
-	// SharedL2 is the dimension's shared level-2 memory block of Fig. 5,
-	// when the dimension has one. Ownership switching is driven by the
-	// classifier; factories of level-2-resident engines obtain the backing
-	// store through SharedL2.ViewOwner and fail if another engine's data
-	// occupies the block.
-	SharedL2 *memory.SharedBlock
-}
-
-// viewSharedL2 resolves an engine's backing store from the shared level-2
-// block: nil when no block was provided (footprint-only modelling), an error
-// when the block is currently owned by a different engine — the
-// anti-corruption guarantee of memory.SharedBlock.
-func viewSharedL2(spec Spec, name string) (*memory.Block, error) {
-	if spec.SharedL2 == nil {
-		return nil, nil
-	}
-	block := spec.SharedL2.ViewOwner(name)
-	if block == nil {
-		return nil, fmt.Errorf("shared level-2 block %q is owned by %q, not %q",
-			spec.SharedL2.Physical().Name(), spec.SharedL2.Owner(), name)
-	}
-	return block, nil
 }
 
 // Factory builds one engine instance for one dimension.
@@ -68,13 +45,11 @@ type Definition struct {
 	// IPCapable marks engines that can serve the 16-bit IP-segment
 	// dimensions (they accept KindPrefix values).
 	IPCapable bool
-	// SharesLevel2 marks engines whose node data resides entirely in the
-	// shared level-2 block of Fig. 5, freeing the remaining MBT blocks for
-	// additional rule storage (the BST-style capacity bonus of Table VI).
+	// SharesLevel2 marks engines whose node data fits in the MBT level-2
+	// block of Fig. 5, freeing the remaining MBT blocks for additional rule
+	// storage (the BST-style capacity bonus of Table VI). It feeds the
+	// classifier's capacity arithmetic (core.Config.RuleCapacityFor).
 	SharesLevel2 bool
-	// Legacy is the IPalg_s signal value that historically named this
-	// engine, or 0 when the engine has no legacy selection value.
-	Legacy memory.AlgSelect
 	// Dims declares the extension dimensions beyond the classic IPv4
 	// first-match five-tuple this engine serves (IPv6 prefixes, VLAN tags,
 	// TCP-flag masks, partial protocol masks, non-terminating rules). The
@@ -180,17 +155,4 @@ func Dims(name string) fivetuple.DimSet {
 		return 0
 	}
 	return def.Dims
-}
-
-// LegacyName maps an IPalg_s signal value to the name of the engine it
-// historically selected.
-func LegacyName(alg memory.AlgSelect) (string, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	for name, def := range registry {
-		if def.Legacy != 0 && def.Legacy == alg {
-			return name, true
-		}
-	}
-	return "", false
 }

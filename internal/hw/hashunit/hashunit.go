@@ -47,9 +47,6 @@ func MustNew(addressBits int) *Unit {
 	return u
 }
 
-// AddressBits returns the width of produced addresses.
-func (u *Unit) AddressBits() int { return u.addressBits }
-
 // Slots returns the number of addressable slots.
 func (u *Unit) Slots() int { return 1 << u.addressBits }
 

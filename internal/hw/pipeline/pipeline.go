@@ -99,11 +99,6 @@ func (p *Pipeline) LatencyCycles() int {
 	return total
 }
 
-// LatencySeconds returns the end-to-end latency of one packet in seconds.
-func (p *Pipeline) LatencySeconds() float64 {
-	return float64(p.LatencyCycles()) / p.fmaxHz
-}
-
 // BottleneckInterval returns the largest initiation interval across stages,
 // which bounds the packet rate.
 func (p *Pipeline) BottleneckInterval() int {
@@ -127,35 +122,4 @@ func (p *Pipeline) LookupsPerSecond() float64 {
 func (p *Pipeline) ThroughputGbps(packetBytes int) float64 {
 	bitsPerPacket := float64(packetBytes) * 8
 	return p.LookupsPerSecond() * bitsPerPacket / 1e9
-}
-
-// ScheduleEntry describes when one packet occupies one stage, for rendering
-// the pipelining diagram of Fig. 3.
-type ScheduleEntry struct {
-	Packet     int
-	Stage      string
-	StartCycle int
-	EndCycle   int // exclusive
-}
-
-// Schedule simulates the flow of n consecutive packets through the pipeline
-// and returns the per-stage occupancy of each packet. Packet i enters stage 0
-// at cycle i*BottleneckInterval (steady-state issue) and each stage is
-// entered as soon as the previous one finishes.
-func (p *Pipeline) Schedule(n int) []ScheduleEntry {
-	entries := make([]ScheduleEntry, 0, n*len(p.stages))
-	issue := p.BottleneckInterval()
-	for pkt := 0; pkt < n; pkt++ {
-		start := pkt * issue
-		for _, s := range p.stages {
-			entries = append(entries, ScheduleEntry{
-				Packet:     pkt,
-				Stage:      s.Name,
-				StartCycle: start,
-				EndCycle:   start + s.LatencyCycles,
-			})
-			start += s.LatencyCycles
-		}
-	}
-	return entries
 }

@@ -125,11 +125,6 @@ func (r Report) MemoryUtilisation() float64 {
 	return float64(r.BlockMemoryBits) / float64(r.Device.BlockMemoryBits)
 }
 
-// PinUtilisation returns the fraction of device pins used.
-func (r Report) PinUtilisation() float64 {
-	return float64(r.Pins) / float64(r.Device.Pins)
-}
-
 // String renders the report in the shape of Table V.
 func (r Report) String() string {
 	return fmt.Sprintf(

@@ -13,9 +13,12 @@
 # table and the structure must copy the chunks a publish writes, not
 # themselves), TestFieldTierUpdateAllocs, which bounds them under a field
 # engine (the clone must share the tries, the Rule Filter, the rule table and
-# the label bank, not copy them), and, below the engine adapter, hypercuts'
-# TestDeltaAllocs, which bounds one delta on a fresh clone of the tree
-# (the id map and the chunks it writes, not the tree). Above the core,
+# the label bank, not copy them), TestNewFieldTierAllocs, which bounds what
+# building an empty field-tier classifier allocates on every IP engine (what
+# the tier serves, no simulated memory blocks), and, below the engine
+# adapter, hypercuts' TestDeltaAllocs, which bounds one delta on a fresh
+# clone of the tree (the id map and the chunks it writes, not the tree).
+# Above the core,
 # TestLookupBatchInto asserts the facade's
 # Classifier.LookupBatchInto allocates nothing with a reused dst, and
 # TestClassifyBatchAllocs bounds a 64-header classify-batch request through
@@ -23,7 +26,7 @@
 # allocates per request, not per header). These are the same tests a
 # developer runs locally with:
 #
-#	go test ./internal/core/ -run 'ZeroAllocs|UpdateAllocs'
+#	go test ./internal/core/ -run 'ZeroAllocs|UpdateAllocs|TestNewFieldTierAllocs'
 #	go test ./internal/algo/hypercuts/ -run TestDeltaAllocs
 #	go test . ./internal/server/ -run 'TestLookupBatchInto|TestClassifyBatchAllocs'
 #
@@ -32,7 +35,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-go test -count=1 -run 'TestLookupZeroAllocs|TestLookupBatchZeroAllocs|TestLookupZeroAllocsCrossProduct|TestLookupAllZeroAllocs|TestPacketTierUpdateAllocs|TestFieldTierUpdateAllocs|TestDeltaAllocs|TestLookupBatchInto|TestClassifyBatchAllocs' -v ./internal/core/ ./internal/algo/hypercuts/ . ./internal/server/ | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|PASS|FAIL|ok)' || {
+go test -count=1 -run 'TestLookupZeroAllocs|TestLookupBatchZeroAllocs|TestLookupZeroAllocsCrossProduct|TestLookupAllZeroAllocs|TestPacketTierUpdateAllocs|TestFieldTierUpdateAllocs|TestNewFieldTierAllocs|TestDeltaAllocs|TestLookupBatchInto|TestClassifyBatchAllocs' -v ./internal/core/ ./internal/algo/hypercuts/ . ./internal/server/ | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|PASS|FAIL|ok)' || {
   echo "check_allocs: the allocation gate failed" >&2
   exit 1
 }

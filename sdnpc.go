@@ -129,7 +129,8 @@ type Option func(*core.Config)
 
 // WithEngine selects the lookup engine by registered name, whichever tier it
 // belongs to: a whole-packet engine name activates the packet tier, any
-// other name selects the IP-segment field engine.
+// other name selects the IP-segment field engine. An empty name selects no
+// engine, so New reports an error.
 func WithEngine(name string) Option {
 	return func(cfg *core.Config) { cfg.SetEngine(name) }
 }

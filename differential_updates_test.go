@@ -180,9 +180,9 @@ func removeFirstMatch(live []fivetuple.Rule, r fivetuple.Rule) []fivetuple.Rule 
 }
 
 // runDifferentialUpdates applies the mutation sequence through each packet
-// engine's incremental publish path (delta-friendly policy, plus a cached
-// variant for one engine on the host's lanes and on multiLanes forced ones,
-// so lane-private caches sit in front of every published snapshot) and
+// engine's incremental publish path (delta-friendly policy, plus cached
+// variants of hypercuts and dcfl on the host's lanes and on multiLanes forced
+// ones, so lane-private caches sit in front of every published snapshot) and
 // through each field engine's copy-on-write update path, checking
 // every intermediate state against the best-first oracle and the final state
 // against a freshly rebuilt classifier pinned to rebuild-on-every-publish.
@@ -230,18 +230,26 @@ func runDifferentialUpdates(t testing.TB, init []fivetuple.Rule, ops []fuzzUpdat
 			variants[name] = variant{cfg: bench.EngineConfig(name)}
 		}
 	}
-	// The cached variants ride on the richest gated engine: hypercuts when it
-	// covers the sequence, the always-covering linear engine otherwise, so
-	// extended sequences still churn through the lane caches.
-	cachedBase := "hypercuts"
-	if !engine.Dims(cachedBase).Covers(need) {
-		cachedBase = "linear"
+	// The cached variants ride on the two incremental structures, hypercuts
+	// and dcfl, when they cover the sequence, and on the always-covering
+	// linear engine otherwise, so extended sequences still churn through the
+	// lane caches.
+	var cachedBases []string
+	for _, name := range []string{"hypercuts", "dcfl"} {
+		if engine.Dims(name).Covers(need) {
+			cachedBases = append(cachedBases, name)
+		}
 	}
-	cached := bench.CachedEngineConfig(cachedBase, 4, 1024)
-	cached.RebuildAfterDeltas = 1 << 20
-	cached.DegradationThreshold = 1.01
-	variants[cachedBase+"+cache"] = variant{cfg: cached}
-	variants[fmt.Sprintf("%s+cache/%d-lanes", cachedBase, multiLanes)] = variant{cfg: cached, lanes: multiLanes}
+	if len(cachedBases) == 0 {
+		cachedBases = []string{"linear"}
+	}
+	for _, base := range cachedBases {
+		cached := bench.CachedEngineConfig(base, 4, 1024)
+		cached.RebuildAfterDeltas = 1 << 20
+		cached.DegradationThreshold = 1.01
+		variants[base+"+cache"] = variant{cfg: cached}
+		variants[fmt.Sprintf("%s+cache/%d-lanes", base, multiLanes)] = variant{cfg: cached, lanes: multiLanes}
+	}
 
 	for label, v := range variants {
 		c, err := newWithLanes(v.lanes, v.cfg)
@@ -316,7 +324,7 @@ func runDifferentialUpdates(t testing.TB, init []fivetuple.Rule, ops []fuzzUpdat
 
 // FuzzDifferentialUpdates drives fuzz-decoded mutation sequences through the
 // incremental update path of every packet engine (and the cached hypercuts
-// variant) and the update path of every field engine, asserting byte-identical verdicts versus the best-first oracle
+// and dcfl variants) and the update path of every field engine, asserting byte-identical verdicts versus the best-first oracle
 // after every mutation and versus a freshly rebuilt engine at the end. CI
 // runs it as a smoke pass (-fuzz=FuzzDifferentialUpdates -fuzztime=30s).
 func FuzzDifferentialUpdates(f *testing.F) {

@@ -57,7 +57,7 @@ func TestArchitectureDocExists(t *testing.T) {
 		"internal/engine", "internal/core", "internal/algo", "internal/hw",
 		"internal/bench", "internal/cache", "internal/server",
 		"snapshot", "clone-mutate-swap",
-		"internal/arena", "0 allocs/op", "BenchmarkLookupUnderGC",
+		"internal/cow", "0 allocs/op", "BenchmarkLookupUnderGC",
 	} {
 		if !strings.Contains(text, layer) {
 			t.Errorf("docs/ARCHITECTURE.md does not mention %q", layer)

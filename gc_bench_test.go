@@ -1,8 +1,9 @@
-// BenchmarkLookupUnderGC certifies the flat-memory claim the arena layout
-// makes: a published snapshot is a handful of pointer-free allocations, so
-// the garbage collector neither scans the lookup structures nor finds
-// per-packet garbage to chase, and lookup tail latency barely moves when the
-// rest of the process churns the heap.
+// BenchmarkLookupUnderGC certifies the flat-memory claim the snapshot layout
+// makes: a published snapshot is pointer-free slices and copy-on-write
+// chunks behind directories of one pointer per 64 elements, so the garbage
+// collector barely scans the lookup structures and finds no per-packet
+// garbage to chase, and lookup tail latency barely moves when the rest of
+// the process churns the heap.
 package sdnpc_test
 
 import (

@@ -16,21 +16,24 @@
 // good lookup numbers of Table I; memory usage is dominated by the
 // combination tables, which is why DCFL's footprint in Table I is large.
 //
-// The built classifier is flat: the per-field unique values are (lo,hi)
-// range arrays indexed by label, and each aggregation node is an
-// open-addressed hash table plus a directory of rule-index spans — all laid
-// out in one contiguous arena with index links. The published structure is
-// two pointer-free allocations (arena + rule table) the collector scans in
-// O(1); Classify keeps its per-packet label sets in a pooled scratch and
-// allocates nothing in steady state.
+// The built classifier is pointer-free and copy-on-write. The per-field
+// unique values are (lo,hi) pairs indexed by label, and each aggregation node
+// is an open-addressed hash of 3-word slots plus the combination sets, all in
+// internal/cow chunks. Sets list stable rule ids, best-first, and one
+// id → position map answers in the best-first order, so a delta update
+// renumbers nothing: it writes the map, the set chunk of each node it edits,
+// the rule chunk it fills and, for a new value or combination, a field or
+// slot chunk — and every clone shares the rest. Classify keeps its
+// per-packet label sets in a pooled scratch and allocates nothing.
 package dcfl
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 
-	"sdnpc/internal/arena"
+	"sdnpc/internal/cow"
 	"sdnpc/internal/fivetuple"
 )
 
@@ -50,45 +53,41 @@ const (
 // dense small integers, so the all-ones word can never collide with one.
 const emptySlot = ^uint32(0)
 
-// flatSpan locates one per-field value array in the arena: n live (lo,hi)
-// pairs in a region with room for cap, the value's label being its index.
-// This exploits the Build invariant that field values are stored in label
-// order, so the flat form needs no label map at all.
-type flatSpan struct {
-	off, n, cap int
-}
+// freePos is the position of a rule id no rule holds.
+const freePos = math.MaxUint32
 
-// flatAgg is one aggregation node in the arena. The combination table is an
-// open-addressed, linearly probed hash of 3-word slots (a, b, id) sized a
-// power of two and kept under 3/4 load; the directory maps a combination ID
-// to its rule-index span (off, len, cap triples).
-type flatAgg struct {
-	slotOff  int
-	slotMask int // slot count - 1
-	used     int // occupied slots == combinations (including emptied ones)
+// slot is one hash slot of an aggregation node: the combination's two input
+// labels or IDs and its combination ID.
+type slot [3]uint32
 
-	dirOff, dirLen, dirCap int
-
-	entries int // live rule indices across all spans
+// aggNode is one aggregation node. The combination table is an
+// open-addressed, linearly probed hash sized a power of two and kept under
+// 3/4 load; sets maps a combination ID to its rule ids, best-first.
+type aggNode struct {
+	slots   cow.Array[slot]
+	mask    int // slot count - 1
+	sets    cow.Lists
+	entries int // live rule ids across all sets
 }
 
 // Classifier is a DCFL classifier built from a rule set.
 type Classifier struct {
-	rules []fivetuple.Rule
+	// rules stores the rules by id, and pos maps an id to its best-first
+	// position. A delta copies pos first unless this classifier owns it (it
+	// does until it is cloned).
+	rules    cow.Array[fivetuple.Rule]
+	pos      []uint32
+	live     int
+	posOwned bool
 
-	// The flat store: field arrays, then the aggregation tables, then the
-	// spare region [bump, limit) feeding span relocations and rehashes.
-	ar    *arena.Arena
-	words []uint32
-	bump  int
-	limit int
+	// fields holds each field's unique values, the label being the index.
+	// They are only ever appended to.
+	fields [numFields]cow.Array[[2]uint32]
 
-	fields [numFields]flatSpan
-
-	ipTable    flatAgg // (srcIP, dstIP)
-	portTable  flatAgg // (srcPort, dstPort)
-	transTable flatAgg // (portTable result, proto)
-	finalTable flatAgg // (ipTable result, transTable result) -> rule sets
+	ipTable    aggNode // (srcIP, dstIP)
+	portTable  aggNode // (srcPort, dstPort)
+	transTable aggNode // (portTable result, proto)
+	finalTable aggNode // (ipTable result, transTable result) -> rule sets
 
 	// Delta accounting (see delta.go): stale combination entries left by
 	// deletes, and the op/write counters of updates applied since Build.
@@ -108,9 +107,9 @@ type scratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // fieldRange converts one rule field into the inclusive (lo,hi) range the
-// flat value arrays store. Canonical prefixes are contiguous ranges, so
-// range containment is exactly prefix match.
-func fieldRange(f fieldIndex, r fivetuple.Rule) (lo, hi uint32) {
+// value arrays store. Canonical prefixes are contiguous ranges, so range
+// containment is exactly prefix match.
+func fieldRange(f fieldIndex, r *fivetuple.Rule) (lo, hi uint32) {
 	switch f {
 	case fieldSrcIP:
 		p := r.SrcPrefix.Canonical()
@@ -149,178 +148,166 @@ func nextPow2(n int) int {
 	return p
 }
 
-// buildAgg is the transient (map-based) form of an aggregation node used
-// only during Build; flatten converts it into a flatAgg and drops it.
-type buildAgg struct {
-	combos map[uint64]uint32 // packed pair -> combination ID
-	sets   [][]uint32        // combination ID -> sorted rule indices
-}
-
-func packPair(a, b uint32) uint64 { return uint64(a)<<32 | uint64(b) }
-
-func (t *buildAgg) add(a, b uint32, idx uint32) uint32 {
-	key := packPair(a, b)
-	id, ok := t.combos[key]
-	if !ok {
-		id = uint32(len(t.sets))
-		t.combos[key] = id
-		t.sets = append(t.sets, nil)
-	}
-	t.sets[id] = insertSorted(t.sets[id], idx)
-	return id
-}
-
-func insertSorted(s []uint32, v uint32) []uint32 {
-	pos := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if pos < len(s) && s[pos] == v {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[pos+1:], s[pos:])
-	s[pos] = v
-	return s
-}
-
-// Build constructs a DCFL classifier from a rule set and flattens it.
+// Build constructs a DCFL classifier from a rule set.
 func Build(rs *fivetuple.RuleSet) (*Classifier, error) {
-	if rs.Len() == 0 {
+	return BuildRules(rs.Rules())
+}
+
+// BuildRules constructs a DCFL classifier over rules, best-first, and stores
+// them without copying: the caller must not modify the slice afterwards. The
+// classifier never writes it; a delta copies the chunk it changes.
+//
+// The build numbers each field's values, then each node's label pairs, in
+// order of first use through one map it reuses throughout, and groups each
+// node's rule ids by combination with a counting sort, so it allocates a
+// handful of slices per table, none per combination.
+func BuildRules(rules []fivetuple.Rule) (*Classifier, error) {
+	n := len(rules)
+	if n == 0 {
 		return nil, fmt.Errorf("dcfl: empty rule set")
 	}
-	c := &Classifier{rules: rs.Rules()}
-	var values [numFields][][2]uint32
-	tables := [4]*buildAgg{}
-	for i := range tables {
-		tables[i] = &buildAgg{combos: make(map[uint64]uint32)}
+	c := &Classifier{rules: cow.Adopt(rules), pos: make([]uint32, n), live: n, posOwned: true}
+	for i := range c.pos {
+		c.pos[i] = uint32(i)
 	}
-	labelOf := func(f fieldIndex, r fivetuple.Rule) uint32 {
-		lo, hi := fieldRange(f, r)
-		for l, v := range values[f] {
-			if v[0] == lo && v[1] == hi {
-				return uint32(l)
-			}
+	b := &builder{index: make(map[uint64]uint32, n), keys: make([]uint64, n), distinct: make([]uint64, 0, n)}
+	buf := make([]uint32, 10*n+1)
+	var labels [numFields][]uint32
+	for f := range numFields {
+		labels[f] = buf[int(f)*n : int(f+1)*n]
+		for i := range rules {
+			lo, hi := fieldRange(f, &rules[i])
+			b.keys[i] = uint64(lo)<<32 | uint64(hi)
 		}
-		values[f] = append(values[f], [2]uint32{lo, hi})
-		return uint32(len(values[f]) - 1)
+		b.number(labels[f])
+		values := make([][2]uint32, len(b.distinct), roundChunk(len(b.distinct)))
+		for l, key := range b.distinct {
+			values[l] = [2]uint32{uint32(key >> 32), uint32(key)}
+		}
+		c.fields[f] = cow.Adopt(values)
 	}
-	for idx, r := range c.rules {
-		srcLbl := labelOf(fieldSrcIP, r)
-		dstLbl := labelOf(fieldDstIP, r)
-		spLbl := labelOf(fieldSrcPort, r)
-		dpLbl := labelOf(fieldDstPort, r)
-		prLbl := labelOf(fieldProto, r)
-
-		ruleIdx := uint32(idx)
-		ipID := tables[0].add(srcLbl, dstLbl, ruleIdx)
-		portID := tables[1].add(spLbl, dpLbl, ruleIdx)
-		transID := tables[2].add(portID, prLbl, ruleIdx)
-		tables[3].add(ipID, transID, ruleIdx)
-	}
-	c.flatten(values, tables)
+	ipIDs, portIDs, transIDs := buf[5*n:6*n], buf[6*n:7*n], buf[7*n:8*n]
+	b.ids, b.starts = buf[8*n:9*n], buf[9*n:]
+	b.node(&c.ipTable, labels[fieldSrcIP], labels[fieldDstIP], ipIDs)
+	b.node(&c.portTable, labels[fieldSrcPort], labels[fieldDstPort], portIDs)
+	b.node(&c.transTable, portIDs, labels[fieldProto], transIDs)
+	// No node reads the final IDs: they overwrite the consumed srcIP labels.
+	b.node(&c.finalTable, ipIDs, transIDs, labels[fieldSrcIP])
 	return c, nil
 }
 
-// flatten lays the transient build structures out in one arena: field value
-// arrays with slack, then per aggregation node the hash slots, the set
-// directory and the rule-index spans, then the spare region.
-func (c *Classifier) flatten(values [numFields][][2]uint32, tables [4]*buildAgg) {
-	b := arena.NewBuilder()
-	const fieldSlack = 4
-	var fieldHandles [numFields]arena.Handle
-	for f := fieldIndex(0); f < numFields; f++ {
-		n := len(values[f])
-		spanCap := n + fieldSlack
-		h, w := b.Words(2 * spanCap)
-		for l, v := range values[f] {
-			w[2*l] = v[0]
-			w[2*l+1] = v[1]
-		}
-		fieldHandles[f] = h
-		c.fields[f] = flatSpan{off: int(h), n: n, cap: spanCap}
-	}
-	flats := [4]*flatAgg{&c.ipTable, &c.portTable, &c.transTable, &c.finalTable}
-	totalSpan := 0
-	for ti, t := range tables {
-		fa := flats[ti]
-		slotCount := nextPow2(2*len(t.combos) + 8)
-		sh, slots := b.Words(3 * slotCount)
-		for i := range slots {
-			slots[i] = emptySlot
-		}
-		fa.slotOff = int(sh)
-		fa.slotMask = slotCount - 1
-		fa.used = len(t.combos)
-		for key, id := range t.combos {
-			a, bb := uint32(key>>32), uint32(key)
-			i := int(hashPair(a, bb)) & fa.slotMask
-			for slots[3*i] != emptySlot {
-				i = (i + 1) & fa.slotMask
-			}
-			slots[3*i], slots[3*i+1], slots[3*i+2] = a, bb, id
-		}
-		fa.dirLen = len(t.sets)
-		fa.dirCap = len(t.sets) + 4
-		dh, dir := b.Words(3 * fa.dirCap)
-		fa.dirOff = int(dh)
-		for id, set := range t.sets {
-			spanCap := len(set) + 2
-			eh, span := b.Words(spanCap)
-			for j, v := range set {
-				span[j] = v
-			}
-			dir[3*id] = uint32(eh)
-			dir[3*id+1] = uint32(len(set))
-			dir[3*id+2] = uint32(spanCap)
-			fa.entries += len(set)
-			totalSpan += spanCap
-		}
-	}
-	spare := totalSpan/2 + 128
-	b.Words(spare)
-	c.ar = b.Finish()
-	c.words = c.ar.Words(0, c.ar.WordLen())
-	c.limit = c.ar.WordLen()
-	c.bump = c.limit - spare
+// roundChunk rounds n up to whole cow chunks, so a slice of that capacity is
+// adopted without copying its tail.
+func roundChunk(n int) int { return (n + cow.ChunkLen - 1) &^ (cow.ChunkLen - 1) }
+
+// builder is BuildRules' scratch, one entry per rule, reused by every field
+// and node.
+type builder struct {
+	index    map[uint64]uint32
+	keys     []uint64
+	distinct []uint64
+	ids      []uint32 // a node's rule ids grouped by combination
+	starts   []uint32 // where each combination's group starts in ids
 }
 
-// spareAlloc carves n words out of the spare region, growing the arena when
-// it is exhausted. Callers must refresh any local word-space view after.
-func (c *Classifier) spareAlloc(n int) int {
-	if c.bump+n > c.limit {
-		extra := c.limit/2 + 128
-		if extra < 2*n {
-			extra = 2 * n
+// number writes to out[i] the number of keys[i] among the distinct keys in
+// order of first use, and leaves those keys in distinct.
+func (b *builder) number(out []uint32) {
+	clear(b.index)
+	b.distinct = b.distinct[:0]
+	for i, key := range b.keys {
+		id, ok := b.index[key]
+		if !ok {
+			id = uint32(len(b.distinct))
+			b.index[key] = id
+			b.distinct = append(b.distinct, key)
 		}
-		c.ar.Grow(extra)
-		c.words = c.ar.Words(0, c.ar.WordLen())
-		c.limit = c.ar.WordLen()
+		out[i] = id
 	}
-	off := c.bump
-	c.bump += n
-	return off
+}
+
+// node lays t out over the rules' (a[i], b[i]) pairs: the distinct pairs,
+// numbered in order of first use, go into the hash slots, and each pair's
+// rule ids, ascending and so best-first, into its set. It writes each rule's
+// combination ID to out.
+func (b *builder) node(t *aggNode, x, y, out []uint32) {
+	for i := range x {
+		b.keys[i] = uint64(x[i])<<32 | uint64(y[i])
+	}
+	b.number(out)
+	combos := len(b.distinct)
+	slots := t.emptySlots(nextPow2(2*combos + 8))
+	for id, key := range b.distinct {
+		s := slot{uint32(key >> 32), uint32(key), uint32(id)}
+		slots[t.home(slots, s[0], s[1])] = s
+	}
+	t.slots = cow.Adopt(slots)
+	// Counting sort: starts[id+1] counts, then accumulates, the group sizes.
+	starts := b.starts[:combos+1]
+	clear(starts)
+	for _, id := range out {
+		starts[id+1]++
+	}
+	for id := range combos {
+		starts[id+1] += starts[id]
+	}
+	for i, id := range out {
+		b.ids[starts[id]] = uint32(i)
+		starts[id]++
+	}
+	// starts[id] is now where group id ends, and so where group id+1 starts.
+	var lists [cow.ChunkLen][]uint32
+	for id := range combos {
+		lo := uint32(0)
+		if id > 0 {
+			lo = starts[id-1]
+		}
+		lists[id&(cow.ChunkLen-1)] = b.ids[lo:starts[id]]
+		if id&(cow.ChunkLen-1) == cow.ChunkLen-1 {
+			t.sets.AppendChunk(lists[:])
+		}
+	}
+	if rest := combos & (cow.ChunkLen - 1); rest > 0 {
+		t.sets.AppendChunk(lists[:rest])
+	}
+	t.entries = len(out)
+}
+
+// emptySlots returns a slot table of count empty slots, a power of two, as
+// a plain slice, and sets the mask for it.
+func (t *aggNode) emptySlots(count int) []slot {
+	slots := make([]slot, count, roundChunk(count))
+	for i := range slots {
+		slots[i][0] = emptySlot
+	}
+	t.mask = count - 1
+	return slots
+}
+
+// home returns the first empty slot of (a, b)'s probe sequence in a slot
+// table laid out as a plain slice of mask+1 slots.
+func (t *aggNode) home(slots []slot, a, b uint32) int {
+	i := int(hashPair(a, b)) & t.mask
+	for slots[i][0] != emptySlot {
+		i = (i + 1) & t.mask
+	}
+	return i
 }
 
 // probe looks up the combination (a, b) in the node's hash table; ok is
 // false when no rule ever used it.
-func (c *Classifier) probe(t *flatAgg, a, b uint32) (uint32, bool) {
-	w := c.words
-	i := int(hashPair(a, b)) & t.slotMask
+func (t *aggNode) probe(a, b uint32) (uint32, bool) {
+	i := int(hashPair(a, b)) & t.mask
 	for {
-		s := t.slotOff + 3*i
+		s := t.slots.At(i)
 		switch {
-		case w[s] == emptySlot:
+		case s[0] == emptySlot:
 			return 0, false
-		case w[s] == a && w[s+1] == b:
-			return w[s+2], true
+		case s[0] == a && s[1] == b:
+			return s[2], true
 		}
-		i = (i + 1) & t.slotMask
+		i = (i + 1) & t.mask
 	}
-}
-
-// setView returns the directory entry of combination id.
-func (c *Classifier) setView(t *flatAgg, id uint32) (off, n, setCap int) {
-	d := t.dirOff + 3*int(id)
-	w := c.words
-	return int(w[d]), int(w[d+1]), int(w[d+2])
 }
 
 // fieldSearch appends the labels of the unique field values matching the
@@ -330,24 +317,26 @@ func (c *Classifier) setView(t *flatAgg, id uint32) (off, n, setCap int) {
 // longest-prefix/range scan structure DCFL uses per field (a trie or range
 // tree walk per matching prefix length).
 func (c *Classifier) fieldSearch(h fivetuple.Header, sc *scratch) (accesses int) {
-	w := c.words
 	keys := [numFields]uint32{
 		uint32(h.SrcIP), uint32(h.DstIP),
 		uint32(h.SrcPort), uint32(h.DstPort), uint32(h.Protocol),
 	}
-	for f := fieldIndex(0); f < numFields; f++ {
-		span := c.fields[f]
+	for f := range numFields {
+		values := &c.fields[f]
 		v := keys[f]
-		for l := 0; l < span.n; l++ {
-			if v >= w[span.off+2*l] && v <= w[span.off+2*l+1] {
-				sc.labels[f] = append(sc.labels[f], uint32(l))
+		for k := 0; k<<cow.ChunkShift < values.Len(); k++ {
+			base := uint32(k << cow.ChunkShift)
+			for j, r := range values.Chunk(k) {
+				if v >= r[0] && v <= r[1] {
+					sc.labels[f] = append(sc.labels[f], base+uint32(j))
+				}
 			}
 		}
 	}
-	accesses += prefixSearchCost(c.fields[fieldSrcIP].n)
-	accesses += prefixSearchCost(c.fields[fieldDstIP].n)
-	accesses += rangeSearchCost(c.fields[fieldSrcPort].n)
-	accesses += rangeSearchCost(c.fields[fieldDstPort].n)
+	accesses += prefixSearchCost(c.fields[fieldSrcIP].Len())
+	accesses += prefixSearchCost(c.fields[fieldDstIP].Len())
+	accesses += rangeSearchCost(c.fields[fieldSrcPort].Len())
+	accesses += rangeSearchCost(c.fields[fieldDstPort].Len())
 	accesses++ // protocol lookup table
 	return accesses
 }
@@ -387,7 +376,7 @@ func (c *Classifier) aggregate(h fivetuple.Header, sc *scratch) (accesses int) {
 	for _, s := range sc.labels[fieldSrcIP] {
 		for _, d := range sc.labels[fieldDstIP] {
 			accesses++
-			if id, ok := c.probe(&c.ipTable, s, d); ok {
+			if id, ok := c.ipTable.probe(s, d); ok {
 				sc.ip = append(sc.ip, id)
 			}
 		}
@@ -395,7 +384,7 @@ func (c *Classifier) aggregate(h fivetuple.Header, sc *scratch) (accesses int) {
 	for _, s := range sc.labels[fieldSrcPort] {
 		for _, d := range sc.labels[fieldDstPort] {
 			accesses++
-			if id, ok := c.probe(&c.portTable, s, d); ok {
+			if id, ok := c.portTable.probe(s, d); ok {
 				sc.port = append(sc.port, id)
 			}
 		}
@@ -403,7 +392,7 @@ func (c *Classifier) aggregate(h fivetuple.Header, sc *scratch) (accesses int) {
 	for _, p := range sc.port {
 		for _, pr := range sc.labels[fieldProto] {
 			accesses++
-			if id, ok := c.probe(&c.transTable, p, pr); ok {
+			if id, ok := c.transTable.probe(p, pr); ok {
 				sc.trans = append(sc.trans, id)
 			}
 		}
@@ -413,64 +402,100 @@ func (c *Classifier) aggregate(h fivetuple.Header, sc *scratch) (accesses int) {
 
 // Classify returns the index of the highest-priority matching rule, whether
 // any rule matched and the number of memory accesses performed (field
-// searches plus aggregation-table probes).
+// searches plus aggregation-table probes). Sets are best-first, so each
+// surviving final set offers its head.
 func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, accesses int) {
 	sc := scratchPool.Get().(*scratch)
 	accesses = c.aggregate(h, sc)
-	w := c.words
-	best := -1
+	best := uint32(freePos)
 	for _, ip := range sc.ip {
 		for _, tr := range sc.trans {
 			accesses++
-			if id, ok := c.probe(&c.finalTable, ip, tr); ok {
-				off, n, _ := c.setView(&c.finalTable, id)
-				if n > 0 && (best < 0 || int(w[off]) < best) {
-					best = int(w[off])
+			if id, ok := c.finalTable.probe(ip, tr); ok {
+				if set := c.finalTable.sets.List(int(id)); len(set) > 0 {
+					best = min(best, c.pos[set[0]])
 				}
 			}
 		}
 	}
 	scratchPool.Put(sc)
-	if best < 0 {
+	if best == freePos {
 		return 0, false, accesses
 	}
-	return best, true, accesses
+	return int(best), true, accesses
 }
 
-// ClassifyAll appends the indices of every rule matching the header to dst
-// and returns the extended slice plus the number of memory accesses. Each
-// rule belongs to exactly one final-table combination, so the surviving
-// combination spans are disjoint and no deduplication is needed — but the
-// concatenation of spans is not globally ordered (and delta churn reorders
-// combinations), so callers needing priority order must sort the result. dst
-// is appended to without allocating when it has sufficient capacity.
+// ClassifyAll appends to dst the indices of the rules matching the header,
+// best-first, up to and including the first terminating one — the
+// multi-action chain — and returns the extended slice plus the number of
+// memory accesses, which counts every rule of every surviving final set, as
+// an enumeration of every match reads them. Each rule belongs to exactly one
+// final-table combination, so the surviving sets are disjoint; each is
+// best-first, but their concatenation is not, so the chain is sorted. dst is
+// appended to without allocating when it has sufficient capacity.
 func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 	sc := scratchPool.Get().(*scratch)
 	accesses := c.aggregate(h, sc)
-	w := c.words
+	start, last := len(dst), uint32(freePos) // last: the best terminating match
 	for _, ip := range sc.ip {
 		for _, tr := range sc.trans {
 			accesses++
-			if id, ok := c.probe(&c.finalTable, ip, tr); ok {
-				off, n, _ := c.setView(&c.finalTable, id)
-				accesses += n
-				for j := 0; j < n; j++ {
-					dst = append(dst, int(w[off+j]))
+			id, ok := c.finalTable.probe(ip, tr)
+			if !ok {
+				continue
+			}
+			set := c.finalTable.sets.List(int(id))
+			accesses += len(set)
+			for _, rule := range set {
+				p := c.pos[rule]
+				if p > last {
+					break
+				}
+				dst = append(dst, int(p))
+				if !c.rules.At(int(rule)).NonTerminating {
+					last = p
+					break
 				}
 			}
 		}
 	}
 	scratchPool.Put(sc)
-	return dst, accesses
+	chain := dst[start:start]
+	for _, p := range dst[start:] {
+		if uint32(p) <= last {
+			chain = append(chain, p)
+		}
+	}
+	slices.Sort(chain)
+	return dst[:start+len(chain)], accesses
 }
 
 // NumRules returns the length of the rule table the classifier answers in.
-func (c *Classifier) NumRules() int { return len(c.rules) }
+func (c *Classifier) NumRules() int { return c.live }
 
 // Rule returns the rule at index i of that table, for reading only and until
-// the next delta. Build renumbers priorities positionally, so only the rule's
-// matches, action and termination are meaningful to a caller.
-func (c *Classifier) Rule(i int) *fivetuple.Rule { return &c.rules[i] }
+// the next delta. Only its matches, action and termination are meaningful to
+// a caller: Build renumbers priorities positionally. It searches the
+// id → position map, O(rules): its caller is the update plane's check of a
+// delete, not a lookup.
+func (c *Classifier) Rule(i int) *fivetuple.Rule {
+	if id, ok := c.idAt(i); ok {
+		return c.rules.At(id)
+	}
+	panic(fmt.Sprintf("dcfl: rule index %d out of range [0,%d)", i, c.live))
+}
+
+// idAt returns the id of the rule at position i.
+func (c *Classifier) idAt(i int) (int, bool) {
+	if i >= 0 && i < c.live {
+		for id, p := range c.pos {
+			if int(p) == i {
+				return id, true
+			}
+		}
+	}
+	return 0, false
+}
 
 // MemoryBits returns the storage consumed by the field structures and the
 // aggregation tables.
@@ -479,15 +504,15 @@ func (c *Classifier) MemoryBits() int {
 	// Field structures: each unique prefix is a trie entry (~64 bits), each
 	// unique range a pair of bounds plus label, each protocol an 8-bit keyed
 	// entry.
-	total += (c.fields[fieldSrcIP].n + c.fields[fieldDstIP].n) * 64
-	total += (c.fields[fieldSrcPort].n + c.fields[fieldDstPort].n) * (16 + 16 + 16)
-	total += c.fields[fieldProto].n * (8 + 16)
+	total += (c.fields[fieldSrcIP].Len() + c.fields[fieldDstIP].Len()) * 64
+	total += (c.fields[fieldSrcPort].Len() + c.fields[fieldDstPort].Len()) * (16 + 16 + 16)
+	total += c.fields[fieldProto].Len() * (8 + 16)
 	// Aggregation tables: each combination entry stores two 16-bit input
 	// labels/IDs plus the combination ID, and each stored rule index is a
 	// 14-bit pointer (the architecture would store the best rule only per
 	// combination at the final node and the combination ID elsewhere).
 	for _, t := range c.aggTables() {
-		total += t.used*(16+16+16) + t.entries*14
+		total += t.sets.Len()*(16+16+16) + t.entries*14
 	}
 	return total
 }

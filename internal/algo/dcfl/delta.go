@@ -2,338 +2,239 @@ package dcfl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"sdnpc/internal/cow"
 	"sdnpc/internal/fivetuple"
 )
 
 // Incremental updates. DCFL decomposes the rule set per field, which makes
 // it naturally delta-friendly: one rule touches exactly one label per field
 // and one combination entry per aggregation node, so an insert is five label
-// acquisitions plus four table adds, and a delete empties the rule's
-// combination sets along the same path. The only structure-wide work is
-// renumbering the stored rule indices around the spliced position — O(total
-// set entries) of integer increments over the flat spans, versus the
-// per-rule table construction of a full Build. Spans (and the hash tables)
-// that outgrow their slack relocate into the arena's spare region, growing
-// the arena when even that runs out, so a delta never fails mid-structure.
+// acquisitions plus four set edits, and a delete removes the rule from its
+// four sets along the same path. Sets list stable rule ids, so a delta
+// renumbers nothing in them: it shifts the positions in the id → position
+// map (one pass over 4 bytes a rule) and replaces the one set chunk it edits
+// per node. A new field value appends to its value array and a new
+// combination takes a hash slot, each a write to one chunk.
 //
 // Deletes leave garbage behind on purpose: emptied combination entries and
 // unused field values stay in the tables, costing extra probes but never
 // correctness (the final aggregation node decides by set contents, and an
-// empty set matches nothing). Relocations leak their old spans the same
-// way. Degradation quantifies that garbage so a policy layer can amortise
-// it away with an occasional rebuild.
+// empty set matches nothing). Degradation quantifies that garbage so a
+// policy layer can amortise it away with an occasional rebuild.
 
-// Clone returns a deep copy of the classifier: the rule table and the whole
-// arena (field arrays, hash tables, directories and spans) are duplicated
-// with two memcpys, so delta updates applied to the copy are never
-// observable through the original.
+// Clone returns a copy of the classifier for delta updates. It shares
+// everything with c — the rule store, the field values, the hash slots, the
+// sets and the id → position map — and a delta on either side copies what
+// it writes: the map and a directory the first time, then the chunks it
+// changes. Clone takes c's ownership of them away, which is a write to c
+// needing the same serialisation as a delta, though no reader of c sees it.
 func (c *Classifier) Clone() *Classifier {
-	cp := &Classifier{
-		rules:       append([]fivetuple.Rule(nil), c.rules...),
-		ar:          c.ar.Clone(),
-		bump:        c.bump,
-		limit:       c.limit,
-		fields:      c.fields,
-		ipTable:     c.ipTable,
-		portTable:   c.portTable,
-		transTable:  c.transTable,
-		finalTable:  c.finalTable,
-		staleCombos: c.staleCombos,
-		deltas:      c.deltas,
-		deltaWrites: c.deltaWrites,
+	c.posOwned = false
+	cp := *c
+	cp.rules = c.rules.Clone()
+	for f := range cp.fields {
+		cp.fields[f] = c.fields[f].Clone()
 	}
-	cp.words = cp.ar.Words(0, cp.ar.WordLen())
+	cp.ipTable, cp.portTable = c.ipTable.clone(), c.portTable.clone()
+	cp.transTable, cp.finalTable = c.transTable.clone(), c.finalTable.clone()
+	return &cp
+}
+
+// clone returns a node sharing t's slots and sets.
+func (t *aggNode) clone() aggNode {
+	cp := *t
+	cp.slots, cp.sets = t.slots.Clone(), t.sets.Clone()
 	return cp
 }
 
-// shiftUp adds one to every stored rule index >= idx across the node's
-// spans, freeing the index for an insertion. Ascending order is preserved.
-func (c *Classifier) shiftUp(t *flatAgg, idx int) {
-	w := c.words
-	for id := 0; id < t.dirLen; id++ {
-		off, n, _ := c.setView(t, uint32(id))
-		for j := 0; j < n; j++ {
-			if int(w[off+j]) >= idx {
-				w[off+j]++
-			}
-		}
+// ownPos makes the id → position map private, with room for one more id.
+func (c *Classifier) ownPos() {
+	if !c.posOwned {
+		c.pos = append(make([]uint32, 0, len(c.pos)+1), c.pos...)
+		c.posOwned = true
 	}
 }
 
-// shiftDown subtracts one from every stored rule index > idx, closing the
-// gap a deletion left.
-func (c *Classifier) shiftDown(t *flatAgg, idx int) {
-	w := c.words
-	for id := 0; id < t.dirLen; id++ {
-		off, n, _ := c.setView(t, uint32(id))
-		for j := 0; j < n; j++ {
-			if int(w[off+j]) > idx {
-				w[off+j]--
-			}
-		}
-	}
+// setOf returns the chunk and the chunk-local bit of combination id's set.
+func setOf(id uint32) (k int, bit uint64) {
+	return int(id >> cow.ChunkShift), 1 << (id & (cow.ChunkLen - 1))
 }
 
-// setInsert adds rule index v to the set of combination id, relocating the
-// span into the spare region when its slack is exhausted.
-func (c *Classifier) setInsert(t *flatAgg, id uint32, v uint32) {
-	off, n, spanCap := c.setView(t, id)
-	w := c.words
-	span := w[off : off+n]
-	pos := sort.Search(n, func(i int) bool { return span[i] >= v })
-	if pos < n && span[pos] == v {
-		return
-	}
-	d := t.dirOff + 3*int(id)
-	if n == spanCap {
-		newCap := 2*spanCap + 2
-		noff := c.spareAlloc(newCap)
-		w = c.words // spareAlloc may have grown the arena
-		copy(w[noff:noff+n], w[off:off+n])
-		off = noff
-		w[d] = uint32(noff)
-		w[d+2] = uint32(newCap)
-	}
-	copy(w[off+pos+1:off+n+1], w[off+pos:off+n])
-	w[off+pos] = v
-	w[d+1] = uint32(n + 1)
+// add registers that rule uses the combination (a, b) and returns its
+// combination ID, creating the slot and the set on first use and keeping the
+// stale-entry accounting: refilling an emptied set revives it.
+func (c *Classifier) add(t *aggNode, a, b, rule uint32) uint32 {
+	c.deltaWrites++
 	t.entries++
-}
-
-// setRemove deletes rule index v from the set of combination id. emptied
-// reports whether the set became empty (a stale combination entry).
-func (c *Classifier) setRemove(t *flatAgg, id uint32, v uint32) (found, emptied bool) {
-	off, n, _ := c.setView(t, id)
-	w := c.words
-	span := w[off : off+n]
-	pos := sort.Search(n, func(i int) bool { return span[i] >= v })
-	if pos >= n || span[pos] != v {
-		return false, false
-	}
-	copy(span[pos:], span[pos+1:])
-	w[t.dirOff+3*int(id)+1] = uint32(n - 1)
-	t.entries--
-	return true, n-1 == 0
-}
-
-// add registers that a rule uses the combination (a, b) and returns its
-// combination ID, creating the slot, directory entry and span on first use.
-func (c *Classifier) add(t *flatAgg, a, b uint32, idx uint32) uint32 {
-	if id, ok := c.probe(t, a, b); ok {
-		c.setInsert(t, id, idx)
+	id, ok := t.probe(a, b)
+	if !ok {
+		id = uint32(t.sets.Len())
+		t.sets.Append(rule)
+		t.slotInsert(a, b, id)
 		return id
 	}
-	id := uint32(t.dirLen)
-	if t.dirLen == t.dirCap {
-		// Relocate the directory with doubled slack.
-		newCap := 2*t.dirCap + 4
-		noff := c.spareAlloc(3 * newCap)
-		copy(c.words[noff:noff+3*t.dirLen], c.words[t.dirOff:t.dirOff+3*t.dirLen])
-		t.dirOff, t.dirCap = noff, newCap
+	if len(t.sets.List(int(id))) == 0 {
+		c.staleCombos--
 	}
-	spanCap := 4
-	off := c.spareAlloc(spanCap)
-	w := c.words
-	d := t.dirOff + 3*int(id)
-	w[d], w[d+1], w[d+2] = uint32(off), 1, uint32(spanCap)
-	w[off] = idx
-	t.dirLen++
-	t.entries++
-	c.slotInsert(t, a, b, id)
+	p := c.pos[rule]
+	k, bit := setOf(id)
+	t.sets.Insert(k, bit, rule, func(set []uint32) int {
+		return sort.Search(len(set), func(i int) bool { return c.pos[set[i]] > p })
+	})
 	return id
 }
 
+// remove deletes rule, which it must hold, from the set of combination id
+// and reports whether the set became empty (a stale combination entry).
+func (t *aggNode) remove(id, rule uint32) (emptied bool) {
+	emptied = len(t.sets.List(int(id))) == 1
+	k, bit := setOf(id)
+	t.sets.Remove(k, bit, rule)
+	t.entries--
+	return emptied
+}
+
 // slotInsert places a new combination into the hash table, rehashing into a
-// doubled slot array first when the insert would push load past 3/4.
-func (c *Classifier) slotInsert(t *flatAgg, a, b uint32, id uint32) {
-	slotCount := t.slotMask + 1
-	if 4*(t.used+1) > 3*slotCount {
-		newCount := slotCount * 2
-		noff := c.spareAlloc(3 * newCount)
-		w := c.words
-		for i := noff; i < noff+3*newCount; i++ {
-			w[i] = emptySlot
-		}
-		oldOff, oldCount := t.slotOff, slotCount
-		t.slotOff, t.slotMask = noff, newCount-1
-		for s := 0; s < oldCount; s++ {
-			if w[oldOff+3*s] == emptySlot {
-				continue
+// doubled slot table first when the insert would push load past 3/4.
+func (t *aggNode) slotInsert(a, b, id uint32) {
+	if slotCount := t.mask + 1; 4*t.sets.Len() > 3*slotCount {
+		slots := t.emptySlots(2 * slotCount)
+		for k := 0; k<<cow.ChunkShift < slotCount; k++ {
+			for _, s := range t.slots.Chunk(k) {
+				if s[0] != emptySlot {
+					slots[t.home(slots, s[0], s[1])] = s
+				}
 			}
-			c.slotPlace(t, w[oldOff+3*s], w[oldOff+3*s+1], w[oldOff+3*s+2])
 		}
+		t.slots = cow.Adopt(slots)
 	}
-	c.slotPlace(t, a, b, id)
-	t.used++
+	i := int(hashPair(a, b)) & t.mask
+	for t.slots.At(i)[0] != emptySlot {
+		i = (i + 1) & t.mask
+	}
+	*t.slots.Mut(i) = slot{a, b, id}
 }
 
-// slotPlace writes one (a, b, id) triple into its probe-sequence slot.
-func (c *Classifier) slotPlace(t *flatAgg, a, b, id uint32) {
-	w := c.words
-	i := int(hashPair(a, b)) & t.slotMask
-	for w[t.slotOff+3*i] != emptySlot {
-		i = (i + 1) & t.slotMask
-	}
-	s := t.slotOff + 3*i
-	w[s], w[s+1], w[s+2] = a, b, id
-}
-
-// labelOf returns the label of the rule's field value, appending a fresh
-// value (relocating the field array when its slack is exhausted) when the
-// value is new.
-func (c *Classifier) labelOf(f fieldIndex, r fivetuple.Rule) uint32 {
-	lo, hi := fieldRange(f, r)
-	span := &c.fields[f]
-	w := c.words
-	for l := 0; l < span.n; l++ {
-		if w[span.off+2*l] == lo && w[span.off+2*l+1] == hi {
-			return uint32(l)
-		}
-	}
-	if span.n == span.cap {
-		newCap := 2*span.cap + 4
-		noff := c.spareAlloc(2 * newCap)
-		w = c.words
-		copy(w[noff:noff+2*span.n], w[span.off:span.off+2*span.n])
-		span.off, span.cap = noff, newCap
-	}
-	w[span.off+2*span.n] = lo
-	w[span.off+2*span.n+1] = hi
-	span.n++
-	return uint32(span.n - 1)
-}
-
-// findLabel returns the label of an already-stored field value.
-func (c *Classifier) findLabel(f fieldIndex, r fivetuple.Rule) (uint32, bool) {
-	lo, hi := fieldRange(f, r)
-	span := c.fields[f]
-	w := c.words
-	for l := 0; l < span.n; l++ {
-		if w[span.off+2*l] == lo && w[span.off+2*l+1] == hi {
-			return uint32(l), true
+// find returns the label of the value (lo, hi) in a field's value array.
+func find(values *cow.Array[[2]uint32], lo, hi uint32) (uint32, bool) {
+	for k := 0; k<<cow.ChunkShift < values.Len(); k++ {
+		if j := slices.Index(values.Chunk(k), [2]uint32{lo, hi}); j >= 0 {
+			return uint32(k<<cow.ChunkShift + j), true
 		}
 	}
 	return 0, false
 }
 
+// labelOf returns the label of the rule's field value, appending the value
+// when it is new.
+func (c *Classifier) labelOf(f fieldIndex, r *fivetuple.Rule) uint32 {
+	lo, hi := fieldRange(f, r)
+	values := &c.fields[f]
+	if l, ok := find(values, lo, hi); ok {
+		return l
+	}
+	values.Append([2]uint32{lo, hi})
+	return uint32(values.Len() - 1)
+}
+
 // InsertAt splices rule r into the classifier's best-first rule order at
-// index idx: every aggregation set is renumbered around the new index, the
-// rule's five field values are labelled (new values are appended to the
-// field-search arrays), and the rule is added along its combination path.
+// index idx — positions at or above idx shift up by one — labels its five
+// field values (new values are appended to the field-search arrays) and adds
+// its id along its combination path.
 func (c *Classifier) InsertAt(r fivetuple.Rule, idx int) error {
-	if idx < 0 || idx > len(c.rules) {
-		return fmt.Errorf("dcfl: insert index %d out of range [0,%d]", idx, len(c.rules))
+	if idx < 0 || idx > c.live {
+		return fmt.Errorf("dcfl: insert index %d out of range [0,%d]", idx, c.live)
 	}
-	for _, t := range c.aggTables() {
-		c.shiftUp(t, idx)
+	c.ownPos()
+	id := -1
+	for i, p := range c.pos {
+		switch {
+		case p == freePos:
+			if id < 0 {
+				id = i
+			}
+		case int(p) >= idx:
+			c.pos[i]++
+		}
 	}
-	c.rules = append(c.rules, fivetuple.Rule{})
-	copy(c.rules[idx+1:], c.rules[idx:])
-	c.rules[idx] = r
+	if id < 0 {
+		id = len(c.pos)
+		c.pos = append(c.pos, 0)
+		c.rules.Append(r)
+	} else {
+		*c.rules.Mut(id) = r
+	}
+	c.pos[id] = uint32(idx)
+	c.live++
 
-	srcLbl := c.labelOf(fieldSrcIP, r)
-	dstLbl := c.labelOf(fieldDstIP, r)
-	spLbl := c.labelOf(fieldSrcPort, r)
-	dpLbl := c.labelOf(fieldDstPort, r)
-	prLbl := c.labelOf(fieldProto, r)
-
-	ipID := c.addCombo(&c.ipTable, srcLbl, dstLbl, idx)
-	portID := c.addCombo(&c.portTable, spLbl, dpLbl, idx)
-	transID := c.addCombo(&c.transTable, portID, prLbl, idx)
-	c.addCombo(&c.finalTable, ipID, transID, idx)
+	var lbl [numFields]uint32
+	for f := range numFields {
+		lbl[f] = c.labelOf(f, &r)
+	}
+	rule := uint32(id)
+	ipID := c.add(&c.ipTable, lbl[fieldSrcIP], lbl[fieldDstIP], rule)
+	portID := c.add(&c.portTable, lbl[fieldSrcPort], lbl[fieldDstPort], rule)
+	transID := c.add(&c.transTable, portID, lbl[fieldProto], rule)
+	c.add(&c.finalTable, ipID, transID, rule)
 	c.deltas++
 	return nil
 }
 
-// addCombo registers the combination for the rule, maintaining the
-// stale-entry accounting: refilling a previously emptied set revives it.
-func (c *Classifier) addCombo(t *flatAgg, a, b uint32, idx int) uint32 {
-	if id, ok := c.probe(t, a, b); ok {
-		if _, n, _ := c.setView(t, id); n == 0 {
-			c.staleCombos--
-		}
-	}
-	c.deltaWrites++
-	return c.add(t, a, b, uint32(idx))
-}
-
-// DeleteAt removes the rule at index idx of the best-first order: it is
-// deleted from the four aggregation sets along its combination path and the
-// remaining indices are renumbered down. Emptied combination entries and
-// now-unused field values are left in place as tracked garbage.
+// DeleteAt removes the rule at index idx of the best-first order: its id is
+// deleted from the four aggregation sets along its combination path and
+// freed, and positions above idx shift down by one. Emptied combination
+// entries and now-unused field values are left in place as tracked garbage.
+// Everything is looked up before anything is written, so a failed delete
+// changes nothing.
 func (c *Classifier) DeleteAt(idx int) error {
-	if idx < 0 || idx >= len(c.rules) {
-		return fmt.Errorf("dcfl: delete index %d out of range [0,%d)", idx, len(c.rules))
+	id, ok := c.idAt(idx)
+	if !ok {
+		return fmt.Errorf("dcfl: delete index %d out of range [0,%d)", idx, c.live)
 	}
-	r := c.rules[idx]
-	lookup := func(f fieldIndex) (uint32, error) {
-		lbl, ok := c.findLabel(f, r)
-		if !ok {
-			return 0, fmt.Errorf("dcfl: field %d value of rule %d is not labelled", f, idx)
+	r := c.rules.At(id)
+	var lbl [numFields]uint32
+	for f := range numFields {
+		lo, hi := fieldRange(f, r)
+		if lbl[f], ok = find(&c.fields[f], lo, hi); !ok {
+			return fmt.Errorf("dcfl: field %d value of rule %d is not labelled", f, idx)
 		}
-		return lbl, nil
 	}
-	srcLbl, err := lookup(fieldSrcIP)
-	if err != nil {
-		return err
+	ipID, okIP := c.ipTable.probe(lbl[fieldSrcIP], lbl[fieldDstIP])
+	portID, okPort := c.portTable.probe(lbl[fieldSrcPort], lbl[fieldDstPort])
+	transID, okTrans := c.transTable.probe(portID, lbl[fieldProto])
+	finalID, okFinal := c.finalTable.probe(ipID, transID)
+	if !okIP || !okPort || !okTrans || !okFinal {
+		return fmt.Errorf("dcfl: a combination of rule %d is missing", idx)
 	}
-	dstLbl, err := lookup(fieldDstIP)
-	if err != nil {
-		return err
-	}
-	spLbl, err := lookup(fieldSrcPort)
-	if err != nil {
-		return err
-	}
-	dpLbl, err := lookup(fieldDstPort)
-	if err != nil {
-		return err
-	}
-	prLbl, err := lookup(fieldProto)
-	if err != nil {
-		return err
-	}
-	ipID, ok := c.probe(&c.ipTable, srcLbl, dstLbl)
-	if !ok {
-		return fmt.Errorf("dcfl: IP combination of rule %d missing", idx)
-	}
-	portID, ok := c.probe(&c.portTable, spLbl, dpLbl)
-	if !ok {
-		return fmt.Errorf("dcfl: port combination of rule %d missing", idx)
-	}
-	transID, ok := c.probe(&c.transTable, portID, prLbl)
-	if !ok {
-		return fmt.Errorf("dcfl: transport combination of rule %d missing", idx)
-	}
-	finalID, ok := c.probe(&c.finalTable, ipID, transID)
-	if !ok {
-		return fmt.Errorf("dcfl: final combination of rule %d missing", idx)
-	}
-	for _, del := range []struct {
-		t  *flatAgg
-		id uint32
-	}{{&c.ipTable, ipID}, {&c.portTable, portID}, {&c.transTable, transID}, {&c.finalTable, finalID}} {
-		found, emptied := c.setRemove(del.t, del.id, uint32(idx))
-		if !found {
+	combos := [4]uint32{ipID, portID, transID, finalID}
+	for i, t := range c.aggTables() {
+		if !slices.Contains(t.sets.List(int(combos[i])), uint32(id)) {
 			return fmt.Errorf("dcfl: rule %d missing from its combination set", idx)
 		}
-		if emptied {
+	}
+	for i, t := range c.aggTables() {
+		if t.remove(combos[i], uint32(id)) {
 			c.staleCombos++
 		}
 		c.deltaWrites++
 	}
-	for _, t := range c.aggTables() {
-		c.shiftDown(t, idx)
+	c.ownPos()
+	for i, p := range c.pos {
+		if p != freePos && int(p) > idx {
+			c.pos[i]--
+		}
 	}
-	c.rules = append(c.rules[:idx], c.rules[idx+1:]...)
+	c.pos[id] = freePos
+	c.live--
 	c.deltas++
 	return nil
 }
 
-func (c *Classifier) aggTables() [4]*flatAgg {
-	return [4]*flatAgg{&c.ipTable, &c.portTable, &c.transTable, &c.finalTable}
+func (c *Classifier) aggTables() [4]*aggNode {
+	return [4]*aggNode{&c.ipTable, &c.portTable, &c.transTable, &c.finalTable}
 }
 
 // DeltaStats reports the delta debt accumulated since the tables were built.
@@ -360,7 +261,7 @@ func (c *Classifier) DeltaStats() DeltaStats {
 func (c *Classifier) Degradation() float64 {
 	total := 0
 	for _, t := range c.aggTables() {
-		total += t.dirLen
+		total += t.sets.Len()
 	}
 	if total == 0 {
 		return 0

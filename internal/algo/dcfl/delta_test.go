@@ -2,6 +2,8 @@ package dcfl
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"sdnpc/internal/classbench"
@@ -9,17 +11,17 @@ import (
 )
 
 // TestDeltaMatchesFreshBuild churns built tables through a random
-// insert/delete sequence via the delta ops and asserts that every verdict
-// agrees with tables freshly built over the final rule list and with the
-// linear oracle.
+// insert/delete sequence via the delta ops and asserts that every verdict —
+// the first match and the multi-action chain — agrees with tables freshly
+// built over the final rule list and with the linear oracle.
 func TestDeltaMatchesFreshBuild(t *testing.T) {
-	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 200, Seed: 91})
+	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 200, Seed: 91, NonTerminatingFraction: 0.3})
 	c, err := Build(rs)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	live := append([]fivetuple.Rule(nil), rs.Rules()...)
-	extra := classbench.Generate(classbench.Config{Class: classbench.IPC, Rules: 120, Seed: 92}).Rules()
+	extra := classbench.Generate(classbench.Config{Class: classbench.IPC, Rules: 120, Seed: 92, NonTerminatingFraction: 0.3}).Rules()
 	rng := rand.New(rand.NewSource(93))
 	next := 0
 	for op := 0; op < 160; op++ {
@@ -61,6 +63,11 @@ func TestDeltaMatchesFreshBuild(t *testing.T) {
 		if gotOK != freshOK || (gotOK && gotIdx != freshIdx) {
 			t.Fatalf("delta tables Classify(%s) = (%d,%v), fresh build (%d,%v)", h, gotIdx, gotOK, freshIdx, freshOK)
 		}
+		gotAll, _ := c.ClassifyAll(h, nil)
+		freshAll, _ := fresh.ClassifyAll(h, nil)
+		if wantAll := finalSet.ClassifyAll(h); !slices.Equal(gotAll, wantAll) || !slices.Equal(freshAll, wantAll) {
+			t.Fatalf("ClassifyAll(%s): delta tables %v, fresh build %v, oracle %v", h, gotAll, freshAll, wantAll)
+		}
 	}
 }
 
@@ -86,42 +93,97 @@ func TestDeltaIndexBounds(t *testing.T) {
 	}
 }
 
-// TestCloneIsolation asserts that delta ops on a clone are never observable
-// through the original.
-func TestCloneIsolation(t *testing.T) {
-	rs := classbench.Generate(classbench.Config{Class: classbench.FW, Rules: 150, Seed: 23})
-	orig, err := Build(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{Packets: 200, Seed: 24, MatchFraction: 0.9})
-	type verdict struct {
-		idx int
-		ok  bool
-	}
-	before := make([]verdict, len(trace))
-	for i, h := range trace {
-		idx, ok, _ := orig.Classify(h)
-		before[i] = verdict{idx, ok}
-	}
+// tableState is a deep copy of everything a delta may write — the field
+// values, hash slots, sets, rule store and id → position map — plus the
+// verdicts and chains the tables give on a trace.
+type tableState struct {
+	fields   [numFields][][2]uint32
+	slots    [4][]slot
+	sets     [4][][]uint32
+	rules    []fivetuple.Rule
+	pos      []uint32
+	verdicts [][]int
+}
 
-	cl := orig.Clone()
-	for i := 0; i < 40; i++ {
-		if err := cl.DeleteAt(0); err != nil {
-			t.Fatalf("DeleteAt on clone: %v", err)
+func stateOf(c *Classifier, trace []fivetuple.Header) tableState {
+	var s tableState
+	for f := range c.fields {
+		for l := range c.fields[f].Len() {
+			s.fields[f] = append(s.fields[f], *c.fields[f].At(l))
 		}
 	}
-	if err := cl.InsertAt(rs.Rule(0), 0); err != nil {
-		t.Fatalf("InsertAt on clone: %v", err)
+	for i, t := range c.aggTables() {
+		for j := range t.slots.Len() {
+			s.slots[i] = append(s.slots[i], *t.slots.At(j))
+		}
+		for id := range t.sets.Len() {
+			s.sets[i] = append(s.sets[i], slices.Clone(t.sets.List(id)))
+		}
 	}
-	if got := orig.DeltaStats().Deltas; got != 0 {
-		t.Errorf("original DeltaStats.Deltas = %d after clone mutation, want 0", got)
+	for id := range c.rules.Len() {
+		s.rules = append(s.rules, *c.rules.At(id))
 	}
-	for i, h := range trace {
-		idx, ok, _ := orig.Classify(h)
-		if idx != before[i].idx || ok != before[i].ok {
-			t.Fatalf("original verdict for %s changed after clone mutation: (%d,%v) -> (%d,%v)",
-				h, before[i].idx, before[i].ok, idx, ok)
+	s.pos = slices.Clone(c.pos)
+	for _, h := range trace {
+		idx, ok, _ := c.Classify(h)
+		all, _ := c.ClassifyAll(h, nil)
+		if !ok {
+			idx = -1
+		}
+		s.verdicts = append(s.verdicts, append([]int{idx}, all...))
+	}
+	return s
+}
+
+// TestCloneIsolation: after a Clone the two sides share every chunk, and
+// deltas on either side are never observable through the other — neither
+// the written tables nor a verdict — whichever side writes first, and when
+// both write. The two sides insert different rules, so their appends to the
+// value arrays, slots and sets land on the same indices with different
+// contents.
+func TestCloneIsolation(t *testing.T) {
+	rs := classbench.Generate(classbench.Config{Class: classbench.FW, Rules: 150, Seed: 23, NonTerminatingFraction: 0.3})
+	extra := [2][]fivetuple.Rule{
+		classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 40, Seed: 25}).Rules(),
+		classbench.Generate(classbench.Config{Class: classbench.IPC, Rules: 40, Seed: 26}).Rules(),
+	}
+	all := fivetuple.NewRuleSet("all", slices.Concat(rs.Rules(), extra[0], extra[1]))
+	trace := classbench.GenerateTrace(all, classbench.TraceConfig{Packets: 600, Seed: 24, MatchFraction: 0.9})
+	churn := func(c *Classifier, rules []fivetuple.Rule, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		for i, r := range rules {
+			if err := c.InsertAt(r, rng.Intn(c.NumRules()+1)); err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 0 {
+				if err := c.DeleteAt(rng.Intn(c.NumRules())); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, cloneFirst := range []bool{true, false} {
+		orig, err := Build(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := orig.Clone()
+		first, second := cl, orig
+		if !cloneFirst {
+			first, second = orig, cl
+		}
+		want := stateOf(second, trace)
+		churn(first, extra[0], 1)
+		if !reflect.DeepEqual(stateOf(second, trace), want) {
+			t.Fatalf("clone first %v: the first writer's deltas reached the other side", cloneFirst)
+		}
+		want = stateOf(first, trace)
+		churn(second, extra[1], 2)
+		if !reflect.DeepEqual(stateOf(first, trace), want) {
+			t.Fatalf("clone first %v: the second writer's deltas reached the first", cloneFirst)
+		}
+		if second.DeltaStats().Deltas != 60 {
+			t.Fatalf("clone first %v: DeltaStats.Deltas = %d, want 60", cloneFirst, second.DeltaStats().Deltas)
 		}
 	}
 }

@@ -140,7 +140,7 @@ func requireReferenceTree(t *testing.T, c *Classifier, rules []fivetuple.Rule, c
 		if n.children == nil {
 			l := int(rec[nwA])
 			var got []int
-			for _, id := range c.leaves[l>>leafChunkShift].list(l & (leafChunkLen - 1)) {
+			for _, id := range c.leaves.List(l) {
 				got = append(got, int(c.pos[id]))
 			}
 			if rec[nwFlags] != leafFlag || !slices.Equal(got, n.leafRules) {

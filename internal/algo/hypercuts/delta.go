@@ -2,8 +2,8 @@ package hypercuts
 
 import (
 	"fmt"
-	"slices"
 
+	"sdnpc/internal/cow"
 	"sdnpc/internal/fivetuple"
 )
 
@@ -27,8 +27,9 @@ import (
 // Clone takes c's ownership of them away, which is a write to c needing the
 // same serialisation as a delta, though no reader of c sees it.
 func (c *Classifier) Clone() *Classifier {
-	c.leavesOwned, c.posOwned = false, false
+	c.posOwned = false
 	cp := *c
+	cp.leaves = c.leaves.Clone()
 	cp.rules = c.rules.Clone()
 	return &cp
 }
@@ -105,7 +106,7 @@ func (c *Classifier) DeleteAt(idx int) error {
 // with node index, so one pass over the records meets a chunk's leaves
 // together, and each chunk holding such a leaf is replaced once.
 func (c *Classifier) spliceLeaves(r fivetuple.Rule, id uint32, insert bool) {
-	var touched [leafChunkLen]bool
+	var touched uint64
 	chunk := -1
 	for base := 0; base < len(c.nodes); base += nodeWords {
 		rec := c.nodes[base : base+nodeWords]
@@ -113,56 +114,36 @@ func (c *Classifier) spliceLeaves(r fivetuple.Rule, id uint32, insert bool) {
 			continue
 		}
 		leaf := int(rec[nwA])
-		if leaf>>leafChunkShift != chunk {
+		if leaf>>cow.ChunkShift != chunk {
 			if chunk >= 0 {
-				c.rewriteChunk(chunk, &touched, id, insert)
+				c.rewriteChunk(chunk, touched, id, insert)
 			}
-			chunk, touched = leaf>>leafChunkShift, [leafChunkLen]bool{}
+			chunk, touched = leaf>>cow.ChunkShift, 0
 		}
-		touched[leaf&(leafChunkLen-1)] = true
+		touched |= 1 << (leaf & (cow.ChunkLen - 1))
 	}
 	if chunk >= 0 {
-		c.rewriteChunk(chunk, &touched, id, insert)
+		c.rewriteChunk(chunk, touched, id, insert)
 	}
 }
 
-// rewriteChunk replaces leaf chunk k by an exact-fit copy in which every
-// touched leaf has gained id in its best-first place (insert) or lost it,
-// and keeps the leaf-occupancy counters.
-func (c *Classifier) rewriteChunk(k int, touched *[leafChunkLen]bool, id uint32, insert bool) {
-	old := c.leaves[k]
-	size, step := len(old), -1
-	if insert {
-		step = 1
-	}
-	for _, t := range touched {
-		if t {
-			size += step
-		}
-	}
-	lc := make(leafChunk, leafChunkLen+1, size)
-	for j := range leafChunkLen {
-		lc[j] = uint32(len(lc))
-		list := old.list(j)
-		if !touched[j] {
-			lc = append(lc, list...)
+// rewriteChunk replaces leaf chunk k by a copy in which every touched leaf
+// has gained id in its best-first place (insert) or lost it, and keeps the
+// leaf-occupancy counters.
+func (c *Classifier) rewriteChunk(k int, touched uint64, id uint32, insert bool) {
+	lc := c.leaves.Chunk(k)
+	for j := range cow.ChunkLen {
+		if touched>>j&1 == 0 {
 			continue
 		}
-		n := len(list)
+		n := len(lc.List(j))
 		if insert {
-			at := 0
-			for at < n && c.pos[list[at]] < c.pos[id] {
-				at++
-			}
-			lc = append(append(append(lc, list[:at]...), id), list[at:]...)
 			c.rulePtrs++
 			if n+1 > c.cfg.Binth {
 				c.overflowPtrs++
 			}
 			c.maxLeaf = max(c.maxLeaf, n+1)
 		} else {
-			at := slices.Index(list, id)
-			lc = append(append(lc, list[:at]...), list[at+1:]...)
 			c.rulePtrs--
 			if n > c.cfg.Binth {
 				c.overflowPtrs--
@@ -170,12 +151,17 @@ func (c *Classifier) rewriteChunk(k int, touched *[leafChunkLen]bool, id uint32,
 		}
 		c.deltaWrites++
 	}
-	lc[leafChunkLen] = uint32(len(lc))
-	if !c.leavesOwned {
-		c.leaves = slices.Clone(c.leaves)
-		c.leavesOwned = true
+	if !insert {
+		c.leaves.Remove(k, touched, id)
+		return
 	}
-	c.leaves[k] = lc
+	c.leaves.Insert(k, touched, id, func(list []uint32) int {
+		at := 0
+		for at < len(list) && c.pos[list[at]] < c.pos[id] {
+			at++
+		}
+		return at
+	})
 }
 
 // DeltaStats reports the delta debt accumulated since the tree was built.
@@ -226,9 +212,9 @@ func (c *Classifier) MaxLeafOccupancy() int { return c.maxLeaf }
 // sweep of the leaf lists.
 func (c *Classifier) initLeafMetrics() {
 	c.overflowPtrs, c.maxLeaf = 0, 0
-	for _, lc := range c.leaves {
-		for j := range leafChunkLen {
-			n := len(lc.list(j))
+	for k := range c.leaves.Chunks() {
+		for j := range cow.ChunkLen {
+			n := len(c.leaves.Chunk(k).List(j))
 			c.maxLeaf = max(c.maxLeaf, n)
 			if over := n - c.cfg.Binth; over > 0 {
 				c.overflowPtrs += over

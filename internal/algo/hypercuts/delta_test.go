@@ -190,7 +190,8 @@ type treeState struct {
 
 func stateOf(c *Classifier) treeState {
 	var s treeState
-	for _, lc := range c.leaves {
+	for k := range c.leaves.Chunks() {
+		lc := c.leaves.Chunk(k)
 		s.chunks = append(s.chunks, slices.Clone(lc))
 		s.first = append(s.first, &lc[0])
 	}

@@ -154,37 +154,6 @@ const (
 	leafFlag = 1 << 31
 )
 
-// leafChunk holds the rule lists of leafChunkLen consecutive leaves in one
-// pointer-free allocation: leafChunkLen+1 offsets, then the ids, leaf j's
-// list at [lc[j], lc[j+1]), each best-first. A delta never writes a chunk;
-// it replaces it.
-type leafChunk []uint32
-
-const (
-	leafChunkShift = 6
-	leafChunkLen   = 1 << leafChunkShift
-)
-
-// list returns the ids of leaf j of the chunk.
-func (lc leafChunk) list(j int) []uint32 { return lc[lc[j]:lc[j+1]] }
-
-// newLeafChunk lays out up to leafChunkLen leaf lists as one exact-fit chunk.
-func newLeafChunk(lists [][]uint32) leafChunk {
-	n := leafChunkLen + 1
-	for _, l := range lists {
-		n += len(l)
-	}
-	lc := make(leafChunk, leafChunkLen+1, n)
-	for j := range leafChunkLen {
-		lc[j] = uint32(len(lc))
-		if j < len(lists) {
-			lc = append(lc, lists[j]...)
-		}
-	}
-	lc[leafChunkLen] = uint32(len(lc))
-	return lc
-}
-
 // freePos is the position of a rule id no rule holds.
 const freePos = math.MaxUint32
 
@@ -196,16 +165,15 @@ type Classifier struct {
 	// shares them.
 	nodes []uint32
 
-	// leaves holds the leaf lists, leafChunkLen leaves a chunk; rules stores
+	// leaves holds the leaf lists, cow.ChunkLen leaves a chunk; rules stores
 	// the rules by id, and pos maps an id to its best-first position. A delta
-	// replaces the chunks it writes, copying leaves and pos first unless this
-	// classifier owns them (it does until it is cloned).
-	leaves      []leafChunk
-	rules       cow.Array[fivetuple.Rule]
-	pos         []uint32
-	live        int
-	leavesOwned bool
-	posOwned    bool
+	// replaces the chunks it writes, and copies pos first unless this
+	// classifier owns it (it does until it is cloned).
+	leaves   cow.Lists
+	rules    cow.Array[fivetuple.Rule]
+	pos      []uint32
+	live     int
+	posOwned bool
 
 	nodeCount int
 	leafCount int
@@ -236,7 +204,7 @@ func BuildRules(rules []fivetuple.Rule, cfg Config) (*Classifier, error) {
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("hypercuts: empty rule set")
 	}
-	c := &Classifier{cfg: cfg, rules: cow.Adopt(rules), pos: make([]uint32, len(rules)), live: len(rules), leavesOwned: true, posOwned: true}
+	c := &Classifier{cfg: cfg, rules: cow.Adopt(rules), pos: make([]uint32, len(rules)), live: len(rules), posOwned: true}
 	for i := range c.pos {
 		c.pos[i] = uint32(i)
 	}
@@ -271,7 +239,7 @@ func (c *Classifier) build() {
 		keys      = make([]uint64, len(all)) // chooseCuts' scratch; no list is longer than the root's
 		lists     []uint32                   // the children's lists before they are carved
 		ends      []int
-		leafLists [leafChunkLen][]uint32
+		leafLists [cow.ChunkLen][]uint32
 	)
 	for i := 0; i < len(queue); i++ {
 		q := queue[i]
@@ -287,11 +255,11 @@ func (c *Classifier) build() {
 		}
 		if n == 0 {
 			rec[nwFlags], rec[nwA] = leafFlag, uint32(c.leafCount)
-			leafLists[c.leafCount&(leafChunkLen-1)] = q.ids
+			leafLists[c.leafCount&(cow.ChunkLen-1)] = q.ids
 			c.leafCount++
 			c.rulePtrs += len(q.ids)
-			if c.leafCount&(leafChunkLen-1) == 0 {
-				c.leaves = append(c.leaves, newLeafChunk(leafLists[:]))
+			if c.leafCount&(cow.ChunkLen-1) == 0 {
+				c.leaves.AppendChunk(leafLists[:])
 			}
 			continue
 		}
@@ -319,8 +287,8 @@ func (c *Classifier) build() {
 			start = end
 		}
 	}
-	if rest := c.leafCount & (leafChunkLen - 1); rest > 0 {
-		c.leaves = append(c.leaves, newLeafChunk(leafLists[:rest]))
+	if rest := c.leafCount & (cow.ChunkLen - 1); rest > 0 {
+		c.leaves.AppendChunk(leafLists[:rest])
 	}
 	c.nodes = slices.Clone(c.nodes) // the published tree keeps no growth slack
 	c.nodeCount = len(queue)
@@ -477,8 +445,7 @@ func (c *Classifier) leaf(h fivetuple.Header) (ids []uint32, accesses int) {
 		}
 		base = (int(w[base+nwA]) + child) * nodeWords
 	}
-	l := int(w[base+nwA])
-	return c.leaves[l>>leafChunkShift].list(l & (leafChunkLen - 1)), accesses + 1
+	return c.leaves.List(int(w[base+nwA])), accesses + 1
 }
 
 // Classify returns the index of the highest-priority matching rule, whether

@@ -14,18 +14,17 @@
 // the cross-product tables grow with the product of the equivalence-class
 // counts of their inputs.
 //
-// The built classifier is flat: every phase table lives in one contiguous
-// arena (the protocol chunk's class IDs always fit a byte, so its table uses
-// the arena's byte space), and the final phase resolves to a precomputed
-// best-rule-per-class array. The published structure is pointer-free — the
-// collector scans it in O(1) — and Classify allocates nothing.
+// The built classifier is flat: every phase table is one plain []uint32 (the
+// protocol chunk's class IDs always fit a byte, so its table is a []byte),
+// and the final phase resolves to a precomputed best-rule-per-class array.
+// The tables are pointer-free — the collector never scans them — and
+// Classify allocates nothing.
 package rfc
 
 import (
 	"fmt"
 	"sort"
 
-	"sdnpc/internal/arena"
 	"sdnpc/internal/fivetuple"
 )
 
@@ -47,14 +46,13 @@ const (
 const noRule = ^uint32(0)
 
 // Classifier is an RFC classifier built from a rule set. After Build it is
-// read-only: all tables are index-linked views into one arena.
+// read-only: all tables are index-linked, pointer-free slices.
 type Classifier struct {
 	rules []fivetuple.Rule
-	ar    *arena.Arena
 
-	// phase0 maps a chunk value to its equivalence-class ID; the slices are
-	// views into the arena. The protocol chunk lives in the byte space
-	// (256 values, at most 256 classes) — its phase0 entry is nil.
+	// phase0 maps a chunk value to its equivalence-class ID. The protocol
+	// chunk is a byte table (256 values, at most 256 classes) — its phase0
+	// entry is nil.
 	phase0     [numChunks][]uint32
 	protoTable []byte
 
@@ -74,8 +72,7 @@ type Classifier struct {
 	memoryBits  int
 }
 
-// crossTable combines two equivalence-class ID streams into one. entries is
-// a view into the classifier's arena.
+// crossTable combines two equivalence-class ID streams into one.
 type crossTable struct {
 	widthB  int
 	classes int
@@ -103,15 +100,14 @@ func ceilLog2(n int) int {
 
 // buildTable is the transient (pointer-rich) form of a cross table: the
 // class sets exist only while later tables are derived from them, then the
-// entries are flattened into the arena and the sets dropped.
+// entries are kept and the sets dropped.
 type buildTable struct {
 	widthB  int
 	entries []uint32
 	sets    [][]uint32
 }
 
-// Build constructs the RFC tables for a rule set and flattens them into one
-// arena.
+// Build constructs the RFC tables for a rule set and flattens them.
 func Build(rs *fivetuple.RuleSet) (*Classifier, error) {
 	if rs.Len() == 0 {
 		return nil, fmt.Errorf("rfc: empty rule set")
@@ -149,54 +145,30 @@ func Build(rs *fivetuple.RuleSet) (*Classifier, error) {
 	return c, nil
 }
 
-// flatten copies the phase tables into one contiguous arena and precomputes
-// the final best-rule array, dropping every transient build structure.
+// flatten keeps the phase tables, narrows the protocol table to bytes and
+// precomputes the final best-rule array, dropping every transient build
+// structure.
 func (c *Classifier) flatten(phase0 [numChunks][]uint32, tables []*buildTable) {
-	b := arena.NewBuilder()
-	var p0 [numChunks]arena.Handle
-	for ch := chunk(0); ch < numChunks; ch++ {
-		if ch == chunkProto {
-			continue
-		}
-		h, w := b.Words(len(phase0[ch]))
-		copy(w, phase0[ch])
-		p0[ch] = h
-	}
-	protoH, pb := b.Bytes(chunkDomain(chunkProto), 1)
+	c.phase0 = phase0
+	c.phase0[chunkProto] = nil
+	c.protoTable = make([]byte, chunkDomain(chunkProto))
 	for v, id := range phase0[chunkProto] {
-		pb[v] = byte(id)
+		c.protoTable[v] = byte(id)
 	}
 	flat := make([]crossTable, len(tables))
-	handles := make([]arena.Handle, len(tables))
 	for i, t := range tables {
-		h, w := b.Words(len(t.entries))
-		copy(w, t.entries)
-		handles[i] = h
-		flat[i] = crossTable{widthB: t.widthB, classes: len(t.sets)}
-	}
-	final := tables[len(tables)-1]
-	bestH, bw := b.Words(len(final.sets))
-	for id, set := range final.sets {
-		if len(set) == 0 {
-			bw[id] = noRule
-		} else {
-			bw[id] = set[0]
-		}
-	}
-	c.ar = b.Finish()
-	for ch := chunk(0); ch < numChunks; ch++ {
-		if ch == chunkProto {
-			continue
-		}
-		c.phase0[ch] = c.ar.Words(p0[ch], chunkDomain(ch))
-	}
-	c.protoTable = c.ar.Bytes(protoH, chunkDomain(chunkProto))
-	for i, t := range tables {
-		flat[i].entries = c.ar.Words(handles[i], len(t.entries))
+		flat[i] = crossTable{widthB: t.widthB, classes: len(t.sets), entries: t.entries}
 	}
 	c.srcTable, c.dstTable, c.portTable = flat[0], flat[1], flat[2]
 	c.l3Table, c.l4Table, c.finalTable = flat[3], flat[4], flat[5]
-	c.finalBest = c.ar.Words(bestH, len(final.sets))
+	final := tables[len(tables)-1]
+	c.finalBest = make([]uint32, len(final.sets))
+	for id, set := range final.sets {
+		c.finalBest[id] = noRule
+		if len(set) > 0 {
+			c.finalBest[id] = set[0]
+		}
+	}
 
 	total := 0
 	for ch := chunk(0); ch < numChunks; ch++ {
@@ -378,7 +350,7 @@ func intersect(a, b []uint32) []uint32 {
 
 // Classify returns the index of the highest-priority matching rule and the
 // number of table accesses performed. It allocates nothing: thirteen
-// indexings of the flat arena resolve the header.
+// indexings of the flat tables resolve the header.
 func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, accesses int) {
 	// Phase 0: seven chunk tables.
 	srcHi := c.phase0[chunkSrcHi][h.SrcIP.High16()]

@@ -190,13 +190,15 @@ func TestLookupZeroAllocsCrossProduct(t *testing.T) {
 // TestPacketTierUpdateAllocs bounds what one published update allocates under
 // a whole-packet engine, in objects and in bytes. A publish copies the rule
 // table's id list (4 bytes a rule) and, for an insert, one 64-rule chunk; a
-// hypercuts delta copies its id → position map and the leaf chunks and rule
-// chunk it writes; dcfl still deep-copies its tables. With the every-64-deltas
-// rebuild amortised in, that is 23 KiB and 12 objects on hypercuts and
-// 260 KiB and 53 objects on dcfl at acl-1k, and 75 KiB and 14 objects on
-// hypercuts at acl-5k; the bounds sit about 25 % above. While the snapshot
-// and the structure each copied their whole rule table and hypercuts its
-// arena, an update cost 288 / 372 KiB at acl-1k and 1 400 KiB at acl-5k.
+// delta on either engine copies its id → position map and the chunks it
+// writes: hypercuts the leaf chunks its rule overlaps, dcfl one combination
+// set chunk per aggregation node, and both a rule chunk for an insert. With
+// the every-64-deltas rebuild amortised in, that is 23 KiB and 11 objects on
+// hypercuts and 28 KiB and 17 objects on dcfl at acl-1k, and 71 KiB and 11
+// objects on hypercuts at acl-5k; the bounds sit about 25 % above. While the
+// snapshot and the structure each copied their whole rule table and
+// hypercuts and dcfl their arenas, an update cost 288 / 372 KiB at acl-1k
+// and 1 400 KiB at acl-5k.
 func TestPacketTierUpdateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector (sync.Pool drops puts)")
@@ -207,11 +209,12 @@ func TestPacketTierUpdateAllocs(t *testing.T) {
 		objects, kib float64
 	}{
 		{"hypercuts", "hypercuts", classbench.Size1K, 16, 30},
-		{"dcfl", "dcfl", classbench.Size1K, 66, 330},
+		{"dcfl", "dcfl", classbench.Size1K, 21, 35},
 		{"hypercuts-acl5k", "hypercuts", classbench.Size5K, 18, 95},
 	} {
 		t.Run(tc.test, func(t *testing.T) {
 			objects, kib := updateAllocs(t, tc.engine, tc.size)
+			t.Logf("an update on %s allocates %.1f objects, %.1f KiB", tc.test, objects, kib)
 			if objects > tc.objects {
 				t.Fatalf("an update on %s allocates %.1f objects, want at most %.0f", tc.test, objects, tc.objects)
 			}

@@ -1,6 +1,7 @@
-// Package cow provides the copy-on-write chunked array the update plane's
-// tables are stored in: the core's rule table and Rule Filter, and the
-// HyperCuts rule store.
+// Package cow provides the copy-on-write chunked storage the update plane's
+// tables are kept in: Array for the core's rule table and Rule Filter and for
+// the packet structures' rule stores, field values and hash slots, and Lists
+// for the HyperCuts leaf lists and the DCFL combination sets.
 //
 // An Array keeps its elements in fixed chunks of ChunkLen behind a
 // directory. Clone shares the directory and every chunk; a write copies the
@@ -18,8 +19,8 @@ import (
 
 // ChunkLen is the number of elements per chunk: the unit a write copies.
 const (
-	chunkShift = 6
-	ChunkLen   = 1 << chunkShift
+	ChunkShift = 6
+	ChunkLen   = 1 << ChunkShift
 )
 
 // Array is a copy-on-write sequence of T. The zero value is an empty array.
@@ -45,7 +46,7 @@ var stamps atomic.Uint64
 // shared zero chunk: nothing is allocated per chunk until it is written.
 func Make[T any](n int) Array[T] {
 	zero := new([ChunkLen]T)
-	dir := make([]entry[T], (n+ChunkLen-1)>>chunkShift)
+	dir := make([]entry[T], (n+ChunkLen-1)>>ChunkShift)
 	for k := range dir {
 		dir[k].c = zero
 	}
@@ -57,9 +58,9 @@ func Make[T any](n int) Array[T] {
 // capacity) and are copied before any write, so the array never writes s.
 // The caller must not modify s afterwards.
 func Adopt[T any](s []T) Array[T] {
-	dir := make([]entry[T], (len(s)+ChunkLen-1)>>chunkShift)
+	dir := make([]entry[T], (len(s)+ChunkLen-1)>>ChunkShift)
 	for k := range dir {
-		lo := k << chunkShift
+		lo := k << ChunkShift
 		if lo+ChunkLen <= cap(s) {
 			dir[k].c = (*[ChunkLen]T)(s[lo : lo+ChunkLen])
 			continue
@@ -80,13 +81,19 @@ func owning[T any](dir []entry[T], n int) Array[T] {
 func (a *Array[T]) Len() int { return a.n }
 
 // At returns element i for reading only.
-func (a *Array[T]) At(i int) *T { return &a.dir[i>>chunkShift].c[i&(ChunkLen-1)] }
+func (a *Array[T]) At(i int) *T { return &a.dir[i>>ChunkShift].c[i&(ChunkLen-1)] }
+
+// Chunk returns the elements of chunk k for reading only: ChunkLen of them,
+// fewer in the last chunk. A scan over every element reads chunk by chunk.
+func (a *Array[T]) Chunk(k int) []T {
+	return a.dir[k].c[:min(ChunkLen, a.n-k<<ChunkShift)]
+}
 
 // Mut returns element i for writing, first copying its chunk, and the
 // directory, when this array does not own them.
 func (a *Array[T]) Mut(i int) *T {
 	a.ownDir()
-	e := &a.dir[i>>chunkShift]
+	e := &a.dir[i>>ChunkShift]
 	if e.owner != a.stamp {
 		c := new([ChunkLen]T)
 		*c = *e.c
@@ -97,7 +104,7 @@ func (a *Array[T]) Mut(i int) *T {
 
 // Append adds v at the end.
 func (a *Array[T]) Append(v T) {
-	if a.n == len(a.dir)<<chunkShift {
+	if a.n == len(a.dir)<<ChunkShift {
 		a.ownDir()
 		a.dir = append(a.dir, entry[T]{owner: a.stamp, c: new([ChunkLen]T)})
 	}

@@ -78,3 +78,52 @@ func TestCloneSharesUntilWritten(t *testing.T) {
 		}
 	}
 }
+
+func listsOf(s *Lists) [][]uint32 {
+	out := make([][]uint32, s.Len())
+	for i := range out {
+		out[i] = slices.Clone(s.List(i))
+	}
+	return out
+}
+
+// TestListsEditsReplaceChunks: edits insert and remove in place of the list
+// order, append across a chunk boundary, and after a Clone neither side's
+// edits show through the other, whichever side edits first, while a chunk
+// neither side edited stays shared.
+func TestListsEditsReplaceChunks(t *testing.T) {
+	for _, originalFirst := range []bool{true, false} {
+		var a Lists
+		a.AppendChunk([][]uint32{{1, 3}, {}, {7}})
+		for v := range uint32(ChunkLen) {
+			a.Append(100 + v)
+		}
+		if a.Len() != 3+ChunkLen || a.Chunks() != 2 {
+			t.Fatalf("%d lists in %d chunks, want %d in 2", a.Len(), a.Chunks(), 3+ChunkLen)
+		}
+		b := a.Clone()
+		first, second := &a, &b
+		if !originalFirst {
+			first, second = second, first
+		}
+		want := listsOf(second)
+		first.Insert(0, 1<<0|1<<1, 2, func(l []uint32) int { return min(1, len(l)) })
+		first.Remove(0, 1<<2, 7)
+		first.Append(9)
+		got := listsOf(first)
+		if !slices.Equal(got[0], []uint32{1, 2, 3}) || !slices.Equal(got[1], []uint32{2}) || len(got[2]) != 0 || !slices.Equal(got[len(got)-1], []uint32{9}) {
+			t.Fatalf("original first %v: edited lists %v", originalFirst, got)
+		}
+		if !slices.EqualFunc(listsOf(second), want, slices.Equal) {
+			t.Fatalf("original first %v: the other side's edits showed through", originalFirst)
+		}
+		want = listsOf(first)
+		second.Remove(1, 1<<1, 100+ChunkLen-2) // list ChunkLen+1 holds 100+ChunkLen-2
+		if !slices.EqualFunc(listsOf(first), want, slices.Equal) {
+			t.Fatalf("original first %v: the other side's edits showed through", originalFirst)
+		}
+		if &a.Chunk(0)[0] == &b.Chunk(0)[0] || &a.Chunk(1)[0] == &b.Chunk(1)[0] {
+			t.Fatalf("original first %v: an edited chunk is still shared", originalFirst)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 
 	"sdnpc/internal/algo/dcfl"
 	"sdnpc/internal/fivetuple"
@@ -28,15 +27,16 @@ func init() {
 // the combination tables (large) — the Table I decomposition trade-off.
 //
 // The engine is incremental: DCFL decomposes the rule set per field, so a
-// delta update labels five field values and edits one combination entry per
+// delta update labels five field values and edits one combination set per
 // aggregation node (see dcfl delta.go). Deletes leave stale entries behind;
 // the tracked garbage surfaces through UpdateCost.Degradation so the
 // classifier's policy layer can amortise it with a rebuild.
 type dcflEngine struct {
 	c *dcfl.Classifier
 	// owned marks the tables as private to this handle. Clone clears it;
-	// the first delta op on an un-owned handle deep-copies the tables first,
-	// so a delta is never observable through the cloned-from handle.
+	// the first delta op on an un-owned handle takes a copy-on-write clone
+	// of the tables first, so a delta is never observable through the
+	// cloned-from handle.
 	owned bool
 }
 
@@ -47,7 +47,7 @@ func (e *dcflEngine) Install(rules []fivetuple.Rule) error {
 		e.c, e.owned = nil, false
 		return nil
 	}
-	c, err := dcfl.Build(fivetuple.NewRuleSet("dcfl", rules))
+	c, err := dcfl.BuildRules(rules)
 	if err != nil {
 		return err
 	}
@@ -56,8 +56,8 @@ func (e *dcflEngine) Install(rules []fivetuple.Rule) error {
 	return nil
 }
 
-// own makes the underlying tables private to this handle, deep-copying them
-// on the first delta after a Clone.
+// own makes the underlying tables private to this handle, cloning them on
+// the first delta after a Clone.
 func (e *dcflEngine) own() {
 	if !e.owned {
 		e.c = e.c.Clone()
@@ -99,24 +99,14 @@ func (e *dcflEngine) LookupPacket(h fivetuple.Header) (int, bool, int) {
 	return e.c.Classify(h)
 }
 
-// LookupPacketAll enumerates every matching rule in priority order. The
-// final-table spans are disjoint but their concatenation is unordered across
-// combinations (and delta churn reorders it further), so the collected
-// indices are sorted before the terminal-rule truncation — unsorted spans
-// would otherwise truncate the action chain at the wrong rule.
+// LookupPacketAll enumerates the matching rules in priority order: ClassifyAll
+// sorts the surviving final sets' rules and stops after the first
+// terminating match.
 func (e *dcflEngine) LookupPacketAll(h fivetuple.Header, dst []int) ([]int, int) {
 	if e.c == nil {
 		return dst, 0
 	}
-	start := len(dst)
-	dst, accesses := e.c.ClassifyAll(h, dst)
-	slices.Sort(dst[start:])
-	for i := start; i < len(dst); i++ {
-		if !e.c.Rule(dst[i]).NonTerminating {
-			return dst[:i+1], accesses
-		}
-	}
-	return dst, accesses
+	return e.c.ClassifyAll(h, dst)
 }
 
 // dcflProvisionedAccesses is the provisioned per-packet access budget of the

@@ -5,7 +5,7 @@
 # LookupBatchInto and the multi-action LookupAllInto on every selectable
 # engine of both tiers, cached and uncached, plus the cross-product
 # combination mode. A single stray
-# allocation on any serving path fails the gate, so the arena layout's
+# allocation on any serving path fails the gate, so the flat layout's
 # headline contract cannot erode silently. It also runs
 # TestPacketTierUpdateAllocs, which bounds the objects and the bytes one rule
 # update allocates under a whole-packet engine at acl-1k and, for hypercuts,
@@ -16,8 +16,9 @@
 # the label bank, not copy them), TestNewFieldTierAllocs, which bounds what
 # building an empty field-tier classifier allocates on every IP engine (what
 # the tier serves, no simulated memory blocks), and, below the engine
-# adapter, hypercuts' TestDeltaAllocs, which bounds one delta on a fresh
-# clone of the tree (the id map and the chunks it writes, not the tree).
+# adapter, the TestDeltaAllocs of hypercuts and of dcfl, which bound one
+# delta on a fresh clone of the tree or the tables (the id map and the
+# chunks it writes, not the structure).
 # Above the core,
 # TestLookupBatchInto asserts the facade's
 # Classifier.LookupBatchInto allocates nothing with a reused dst, and
@@ -27,7 +28,7 @@
 # developer runs locally with:
 #
 #	go test ./internal/core/ -run 'ZeroAllocs|UpdateAllocs|TestNewFieldTierAllocs'
-#	go test ./internal/algo/hypercuts/ -run TestDeltaAllocs
+#	go test ./internal/algo/hypercuts/ ./internal/algo/dcfl/ -run TestDeltaAllocs
 #	go test . ./internal/server/ -run 'TestLookupBatchInto|TestClassifyBatchAllocs'
 #
 # -count=1 defeats the test cache: the gate must re-measure on the current
@@ -35,7 +36,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-go test -count=1 -run 'TestLookupZeroAllocs|TestLookupBatchZeroAllocs|TestLookupZeroAllocsCrossProduct|TestLookupAllZeroAllocs|TestPacketTierUpdateAllocs|TestFieldTierUpdateAllocs|TestNewFieldTierAllocs|TestDeltaAllocs|TestLookupBatchInto|TestClassifyBatchAllocs' -v ./internal/core/ ./internal/algo/hypercuts/ . ./internal/server/ | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|PASS|FAIL|ok)' || {
+go test -count=1 -run 'TestLookupZeroAllocs|TestLookupBatchZeroAllocs|TestLookupZeroAllocsCrossProduct|TestLookupAllZeroAllocs|TestPacketTierUpdateAllocs|TestFieldTierUpdateAllocs|TestNewFieldTierAllocs|TestDeltaAllocs|TestLookupBatchInto|TestClassifyBatchAllocs' -v ./internal/core/ ./internal/algo/hypercuts/ ./internal/algo/dcfl/ . ./internal/server/ | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|PASS|FAIL|ok)' || {
   echo "check_allocs: the allocation gate failed" >&2
   exit 1
 }

@@ -28,8 +28,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("installing rules: %v", err)
 	}
-	fmt.Printf("installed in %d clock cycles of memory upload, %d unique labels created\n",
-		installReport.ClockCycles, installReport.NewLabels)
+	fmt.Printf("installed with %d engine writes, %d unique labels created\n",
+		installReport.EngineWrites, installReport.NewLabels)
 
 	trace := sdnpc.GenerateTrace(rules, sdnpc.TraceOptions{
 		Packets: 20000, Seed: 5, MatchFraction: 0.85, Locality: 0.5,
@@ -46,16 +46,18 @@ func main() {
 			dropped++
 		}
 	}
-	stats := classifier.Report().Stats
+	rep := classifier.Report()
+	stats := rep.Stats
 	fmt.Printf("replayed %d packets: %d verdict mismatches against the reference classifier\n",
 		len(trace), mismatches)
 	fmt.Printf("dropped by policy: %d packets (%.1f%%)\n", dropped, 100*float64(dropped)/float64(len(trace)))
 	fmt.Printf("average field memory accesses per packet: %.2f\n", stats.AverageFieldAccesses())
 	fmt.Printf("average label combinations presented per packet (modelled cross-product): %.2f\n", stats.AverageCombinations())
 	fmt.Printf("average rule filter slots read per packet: %.2f\n", float64(stats.RuleFilterProbes)/float64(stats.Lookups))
-	fmt.Printf("average lookup latency: %.1f cycles\n", stats.AverageLatencyCycles())
+	fmt.Printf("served %d lookups, %d matched (%.1f%%)\n",
+		rep.Lookups.Lookups, rep.Lookups.Matches, 100*rep.Lookups.MatchRate())
 
-	report := classifier.Report().Memory
+	report := rep.Memory
 	fmt.Printf("IP engine %q memory in use: %.1f Kbit; rule filter occupancy: %d/%d rules\n",
 		report.IPEngine, float64(report.IPEngineUsedBits)/1024, report.RulesInstalled, report.RuleCapacity)
 }

@@ -1,7 +1,7 @@
 // Quickstart: build a classifier through the public sdnpc package, install a
 // handful of rules with the fluent builder, classify a few packets, switch
-// lookup engines at run time and print the architecture's throughput and
-// memory figures.
+// lookup engines at run time and print what each engine served and the
+// memory it holds.
 //
 // Run with:
 //
@@ -17,7 +17,7 @@ import (
 
 func main() {
 	// The default configuration is the paper's evaluated geometry: MBT IP
-	// lookup, 8K-rule filter, 133.51 MHz clock, exact label combination.
+	// lookup, 8K-rule filter, exact label combination.
 	classifier, err := sdnpc.New()
 	if err != nil {
 		log.Fatalf("creating classifier: %v", err)
@@ -35,8 +35,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("inserting rule %s: %v", r, err)
 		}
-		fmt.Printf("installed rule %d: %d new labels, %d engine writes, %d clock cycles\n",
-			r.Priority, report.NewLabels, report.EngineWrites, report.ClockCycles)
+		fmt.Printf("installed rule %d: %d new labels, %d engine writes, %d rule filter probes\n",
+			r.Priority, report.NewLabels, report.EngineWrites, report.RuleFilterProbes)
 	}
 
 	packets := []sdnpc.Header{
@@ -46,25 +46,28 @@ func main() {
 	}
 	for _, h := range packets {
 		result := classifier.Lookup(h)
-		fmt.Printf("%-55s -> matched=%v action=%v priority=%d latency=%d cycles\n",
-			h, result.Matched, result.Action, result.Priority, result.LatencyCycles)
+		fmt.Printf("%-55s -> matched=%v action=%v priority=%d field accesses=%d\n",
+			h, result.Matched, result.Action, result.Priority, result.FieldAccesses)
 	}
 
 	// Every registered engine of both tiers is selectable at run time — the
 	// generalised IPalg_s signal of the paper, extended to the whole-packet
-	// baselines of Table I. Sweep them all.
+	// baselines of Table I. Sweep them all, classifying the packets again
+	// under each one.
 	fmt.Printf("\nregistered engines: %v\n", sdnpc.Engines())
 	for _, name := range sdnpc.Engines() {
 		if err := classifier.SelectEngine(name); err != nil {
 			log.Fatalf("selecting %s: %v", name, err)
 		}
-		report := classifier.Report().Memory
-		tier, nodeBits := "field ", report.IPEngineUsedBits
-		if report.PacketEngine != "" {
-			tier, nodeBits = "packet", report.PacketEngineUsedBits
+		classifier.ResetStats()
+		classifier.LookupBatch(packets)
+		rep := classifier.Report()
+		tier, nodeBits := "field ", rep.Memory.IPEngineUsedBits
+		if rep.Memory.PacketEngine != "" {
+			tier, nodeBits = "packet", rep.Memory.PacketEngineUsedBits
 		}
-		fmt.Printf("%-10s %s %8.2f Gbps modelled at 40-byte packets, %5d-rule capacity, %7.1f Kbit node storage\n",
-			name, tier, classifier.ThroughputGbps(40), classifier.RuleCapacity(),
-			float64(nodeBits)/1024)
+		fmt.Printf("%-10s %s served %d lookups (%d matched, %4.1f field accesses each), %5d-rule capacity, %7.1f Kbit node storage\n",
+			name, tier, rep.Lookups.Lookups, rep.Lookups.Matches, rep.Stats.AverageFieldAccesses(),
+			rep.RuleCapacity, float64(nodeBits)/1024)
 	}
 }

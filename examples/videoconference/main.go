@@ -66,9 +66,9 @@ func runPhase(classifier *sdnpc.Classifier, ruleSet *sdnpc.RuleSet, trace []sdnp
 	rep := classifier.Report()
 	stats, report := rep.Stats, rep.Memory
 	fmt.Printf("  controller selects the %q engine\n", engineName)
-	fmt.Printf("  modelled pipeline rate: %.1f Mlookups/s -> %.2f Gbps at 40-byte packets, %.2f Gbps at 100-byte packets\n",
-		classifier.LookupsPerSecond()/1e6, classifier.ThroughputGbps(40), classifier.ThroughputGbps(100))
-	fmt.Printf("  average lookup latency: %.1f cycles\n", stats.AverageLatencyCycles())
+	fmt.Printf("  served %d lookups, %d matched; %.2f label combinations presented and %.2f rule filter slots read per packet\n",
+		rep.Lookups.Lookups, rep.Lookups.Matches, stats.AverageCombinations(),
+		float64(stats.RuleFilterProbes)/float64(stats.Lookups))
 	fmt.Printf("  rule capacity: %d rules; IP-engine memory in use: %.1f Kbit\n",
 		classifier.RuleCapacity(), float64(report.IPEngineUsedBits)/1024)
 	fmt.Printf("  verdict mismatches against the reference: %d of %d packets (avg %.2f field accesses)\n",

@@ -83,30 +83,32 @@ func EngineSweep(w Workload, only string) ([]EngineRow, error) {
 			continue
 		}
 		c.ResetStats()
-		mismatches := 0
+		model := c.Report()
+		mismatches, cycles := 0, 0
 		for _, h := range w.Trace {
 			wantIdx, wantOK := w.RuleSet.Classify(h)
 			got := c.Lookup(h)
 			if got.Matched != wantOK || (wantOK && got.Priority != wantIdx) {
 				mismatches++
 			}
+			cycles += LookupCycles(model, got)
 		}
 		rep := c.Report()
-		stats := rep.Stats
 		report := rep.Memory
+		p := Pipeline(model)
 		row := EngineRow{
 			Engine:             name,
 			Tier:               tier,
-			AvgFieldAccesses:   stats.AverageFieldAccesses(),
-			AvgLatencyCycles:   stats.AverageLatencyCycles(),
-			LookupsPerSecMega:  c.LookupsPerSecond() / 1e6,
-			ThroughputGbps40:   c.ThroughputGbps(40),
+			AvgFieldAccesses:   rep.Stats.AverageFieldAccesses(),
+			AvgLatencyCycles:   float64(cycles) / float64(len(w.Trace)),
+			LookupsPerSecMega:  p.LookupsPerSecond() / 1e6,
+			ThroughputGbps40:   p.ThroughputGbps(40),
 			EngineMemoryKbit:   Kbit(report.IPEngineUsedBits),
 			ProvisionedKbit:    Kbit(report.IPEngineProvisionedBits),
 			RuleCapacity:       c.RuleCapacity(),
 			VerdictMismatches:  mismatches,
 			PacketsReplayed:    len(w.Trace),
-			InitiationInterval: c.Pipeline().BottleneckInterval(),
+			InitiationInterval: p.BottleneckInterval(),
 		}
 		if tier == "packet" {
 			// Software-precomputed structures have no fixed provisioning; the

@@ -326,7 +326,7 @@ func Table5() (Table5Result, error) {
 	if err != nil {
 		return Table5Result{}, err
 	}
-	report, err := c.Synthesise()
+	report, err := Synthesise(c.Config(), c.Report())
 	if err != nil {
 		return Table5Result{}, err
 	}
@@ -400,12 +400,12 @@ func Table6(w Workload) ([]Table6Row, error) {
 			// them at 1 access each); subtract to isolate the IP engines.
 			ipAccesses += uint64(res.FieldAccesses - 3)
 		}
-		report := c.Report().Memory
+		rep := c.Report()
 		row := Table6Row{
 			Algorithm:             alg,
-			AccessesPerPacket:     c.Pipeline().BottleneckInterval(),
+			AccessesPerPacket:     Pipeline(rep).BottleneckInterval(),
 			MeasuredAvgIPAccesses: float64(ipAccesses) / float64(len(w.Trace)) / 4, // per segment engine
-			MemorySpaceKbit:       Kbit(report.IPEngineUsedBits),
+			MemorySpaceKbit:       Kbit(rep.Memory.IPEngineUsedBits),
 			StoredRuleCapacity:    c.RuleCapacity(),
 			PaperAccesses:         paper[alg].PaperAccesses,
 			PaperKbit:             paper[alg].PaperKbit,
@@ -456,12 +456,12 @@ func Table7() ([]Table7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		report := c.Report().Memory
+		rep := c.Report()
 		rows = append(rows, Table7Row{
 			Algorithm:      "Our system with " + strings.ToUpper(alg),
-			MemorySpaceMb:  Mbit(report.TotalProvisionedBits()),
+			MemorySpaceMb:  Mbit(rep.Memory.TotalProvisionedBits()),
 			StoredRules:    c.RuleCapacity(),
-			ThroughputGbps: c.ThroughputGbps(40),
+			ThroughputGbps: Pipeline(rep).ThroughputGbps(40),
 			Source:         "measured",
 		})
 	}
@@ -508,7 +508,7 @@ func Fig3() (Fig3Result, error) {
 		if err != nil {
 			return Fig3Result{}, err
 		}
-		p := c.Pipeline()
+		p := Pipeline(c.Report())
 		var stages []string
 		for _, s := range p.Stages() {
 			stages = append(stages, fmt.Sprintf("%s: %d cycle(s), II=%d", s.Name, s.LatencyCycles, s.InitiationInterval))
@@ -587,7 +587,7 @@ func UpdateExperiment(w Workload) (UpdateResult, error) {
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	total := UpdateResult{Rules: w.RuleSet.Len(), CyclesPerRule: core.UpdateCyclesPerRule()}
+	total := UpdateResult{Rules: w.RuleSet.Len(), CyclesPerRule: updateCyclesPerRule}
 	newLabels := 0
 	// One ApplyUpdates batch keeps the per-rule reports while paying a
 	// single snapshot clone; per-rule InsertRule would clone the whole data

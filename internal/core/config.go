@@ -30,9 +30,6 @@ import (
 // configuration (Table VI), 128-entry port register banks and the label
 // widths of §IV.C.1.
 const (
-	// DefaultClockHz is the synthesised clock frequency (Table V).
-	DefaultClockHz = 133.51e6
-
 	// Multi-Bit Trie provisioning per 16-bit IP segment: the three levels use
 	// 5-, 5- and 6-bit strides; level 1 is a single 32-entry node and levels
 	// 2 and 3 are provisioned with a fixed node budget.
@@ -66,24 +63,6 @@ const (
 	// DefaultProtocolLabelBits is the protocol label width (§IV.C.1).
 	DefaultProtocolLabelBits = 2
 
-	// Lookup latency model (Fig. 3 and §V.B), in clock cycles.
-	CyclesDispatch     = 1 // phase 1: header split and engine dispatch
-	CyclesPerMBTLevel  = 2 // the 3-level MBT completes in 6 cycles
-	CyclesBSTIteration = 1 // one memory access per bisection step
-	CyclesPortLookup   = 2
-	CyclesProtoLookup  = 1
-	CyclesLabelFetch   = 1 // phase 2→3: fetch the label list pointer target
-	CyclesResult       = 2 // phases 3+4: combination and Rule Filter access
-
-	// Update cost model (§V.A), in clock cycles per rule.
-	CyclesUpdateMemoryUpload = 2 // one cycle per direction (source, destination)
-	CyclesUpdateHash         = 1 // hardware hash producing the rule address
-
-	// CyclesPacketResult is the result-select latency of the whole-packet
-	// engine tier: the matched rule's action is read directly from the rule
-	// table, with no label fetch and no Rule Filter probe.
-	CyclesPacketResult = 1
-
 	// DefaultRebuildAfterDeltas is the default delta-debt bound of the
 	// packet-tier update policy: after this many delta ops have been absorbed
 	// since the last full build, the next publish rebuilds the precomputed
@@ -106,19 +85,18 @@ type CombineMode uint8
 const (
 	// CombineHPML is the paper's single-probe method: the Highest Priority
 	// Matching Label of every dimension is concatenated and hashed once
-	// (§III.B). It is the fastest mode and the one the latency and
-	// throughput figures assume, but it can miss the true
-	// highest-priority matching rule when that rule does not hold the
-	// first-position label in every dimension.
+	// (§III.B). It can miss the true highest-priority matching rule when
+	// that rule does not hold the first-position label in every dimension,
+	// so nothing serves with it: only the hpml experiment of cmd/experiments
+	// selects it, to measure how often it agrees with the exact mode.
 	CombineHPML CombineMode = iota + 1
 	// CombineCrossProduct returns the best-priority rule over every
 	// combination of returned labels. It is exact (it always agrees with a
 	// linear reference search). The software finds that rule by walking only
 	// the label prefixes some installed rule has (snapshot.combineExact) — a
-	// few Rule Filter probes per packet; the latency model still charges the
-	// full cross-product the hardware would examine. It is the default
-	// serving mode and the yardstick for how often the single-probe mode is
-	// optimal.
+	// few Rule Filter probes per packet; Result.Combinations still reports
+	// the full cross-product the hardware would examine. It is the serving
+	// mode and the yardstick for how often the single-probe mode is optimal.
 	CombineCrossProduct
 )
 
@@ -150,9 +128,6 @@ type Config struct {
 	PacketEngine string
 	// CombineMode selects the phase-3 combination strategy.
 	CombineMode CombineMode
-	// ClockHz is the clock frequency used to convert cycle counts into time
-	// and throughput.
-	ClockHz float64
 
 	// MBTLevel2Entries and MBTLevel3Entries size the provisioned node budget
 	// of levels 2 and 3 of each IP-segment trie (level 1 always holds one
@@ -218,7 +193,6 @@ func DefaultConfig() Config {
 	return Config{
 		IPEngine:              "mbt",
 		CombineMode:           CombineCrossProduct,
-		ClockHz:               DefaultClockHz,
 		MBTLevel2Entries:      DefaultMBTLevel2Entries,
 		MBTLevel3Entries:      DefaultMBTLevel3Entries,
 		RuleFilterAddressBits: DefaultRuleFilterAddressBits,
@@ -275,9 +249,6 @@ func (c Config) Validate() error {
 	}
 	if c.CombineMode != CombineHPML && c.CombineMode != CombineCrossProduct {
 		return fmt.Errorf("core: unknown combination mode %v", c.CombineMode)
-	}
-	if c.ClockHz <= 0 {
-		return fmt.Errorf("core: clock frequency must be positive, got %v", c.ClockHz)
 	}
 	if c.MBTLevel2Entries < 32 || c.MBTLevel3Entries < 64 {
 		return fmt.Errorf("core: MBT level budgets (%d, %d) must hold at least one node each",

@@ -62,7 +62,6 @@ func TestConfigValidation(t *testing.T) {
 	invalid := []func(*Config){
 		func(c *Config) { c.IPEngine = "" }, // names neither an IP nor a packet engine
 		func(c *Config) { c.CombineMode = 0 },
-		func(c *Config) { c.ClockHz = 0 },
 		func(c *Config) { c.MBTLevel2Entries = 0 },
 		func(c *Config) { c.MBTLevel3Entries = 0 },
 		func(c *Config) { c.RuleFilterAddressBits = 2 },
@@ -233,9 +232,6 @@ func TestUpdateReportFollowsFigure4(t *testing.T) {
 	if repA.NewLabels != label.NumDimensions {
 		t.Errorf("first rule NewLabels = %d, want %d", repA.NewLabels, label.NumDimensions)
 	}
-	if repA.ClockCycles != 3 {
-		t.Errorf("ClockCycles = %d, want 3 (2 upload + 1 hash, §V.A)", repA.ClockCycles)
-	}
 	if repA.EngineWrites == 0 || repA.RuleFilterProbes == 0 {
 		t.Errorf("report = %+v, want engine writes and filter probes", repA)
 	}
@@ -267,9 +263,6 @@ func TestUpdateReportFollowsFigure4(t *testing.T) {
 	if delB.ReleasedLabels != 1 {
 		t.Errorf("delete ReleasedLabels = %d, want 1", delB.ReleasedLabels)
 	}
-	if delB.ClockCycles != 3 {
-		t.Errorf("delete ClockCycles = %d, want 3", delB.ClockCycles)
-	}
 	// Deleting rule A releases everything that remains.
 	delA, err := c.DeleteRule(ruleA)
 	if err != nil {
@@ -281,9 +274,6 @@ func TestUpdateReportFollowsFigure4(t *testing.T) {
 	if c.RuleCount() != 0 || c.view().field.labels.TotalLabels() != 0 {
 		t.Errorf("classifier not empty after deleting everything: %d rules, %d labels",
 			c.RuleCount(), c.view().field.labels.TotalLabels())
-	}
-	if UpdateCyclesPerRule() != 3 {
-		t.Errorf("UpdateCyclesPerRule() = %d, want 3", UpdateCyclesPerRule())
 	}
 }
 
@@ -415,60 +405,6 @@ func TestSelectEngineSwitchesAndReprogrammes(t *testing.T) {
 	}
 }
 
-func TestLatencyModelMatchesFigure3(t *testing.T) {
-	rs := smallRuleSet()
-	// MBT: 1 dispatch + 6 trie + 1 label fetch + 2 result = 10 cycles.
-	cfgMBT := DefaultConfig()
-	cfgMBT.CombineMode = CombineHPML
-	cMBT := MustNew(cfgMBT)
-	if _, err := cMBT.InstallRuleSet(rs); err != nil {
-		t.Fatal(err)
-	}
-	h := fivetuple.Header{
-		SrcIP: fivetuple.MustParseIPv4("10.1.2.3"), DstIP: fivetuple.MustParseIPv4("192.168.1.9"),
-		SrcPort: 31000, DstPort: 80, Protocol: fivetuple.ProtoTCP,
-	}
-	if got := cMBT.Lookup(h); got.LatencyCycles != 10 {
-		t.Errorf("MBT lookup latency = %d cycles, want 10", got.LatencyCycles)
-	}
-	// BST: 1 + 16 + 1 + 2 = 20 cycles.
-	cfgBST := DefaultConfig()
-	cfgBST.IPEngine = "bst"
-	cfgBST.CombineMode = CombineHPML
-	cBST := MustNew(cfgBST)
-	if _, err := cBST.InstallRuleSet(rs); err != nil {
-		t.Fatal(err)
-	}
-	if got := cBST.Lookup(h); got.LatencyCycles != 20 {
-		t.Errorf("BST lookup latency = %d cycles, want 20", got.LatencyCycles)
-	}
-}
-
-func TestThroughputMatchesTableVII(t *testing.T) {
-	c := MustNew(DefaultConfig())
-	// Table VII: 42.73 Gbps with the MBT, 2.67 Gbps with the BST, for
-	// 40-byte packets at 133.51 MHz.
-	if got := c.ThroughputGbps(40); got < 42.5 || got > 43.0 {
-		t.Errorf("MBT throughput = %.2f Gbps, want ~42.7", got)
-	}
-	if got := c.LookupsPerSecond(); got < 133e6 || got > 134e6 {
-		t.Errorf("MBT lookup rate = %.0f /s, want ~133.51M", got)
-	}
-	if err := c.SelectEngine("bst"); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.ThroughputGbps(40); got < 2.6 || got > 2.75 {
-		t.Errorf("BST throughput = %.2f Gbps, want ~2.67", got)
-	}
-	// The conclusion's claim: >100 Gbps at 100-byte packets with the MBT.
-	if err := c.SelectEngine("mbt"); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.ThroughputGbps(100); got < 100 {
-		t.Errorf("MBT throughput at 100-byte packets = %.2f Gbps, want > 100", got)
-	}
-}
-
 func TestMemoryReportBudget(t *testing.T) {
 	c := MustNew(DefaultConfig())
 	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 500, Seed: 4})
@@ -563,11 +499,7 @@ func TestStatsAccumulation(t *testing.T) {
 	if stats.Inserts != uint64(rs.Len()) {
 		t.Errorf("Inserts = %d, want %d", stats.Inserts, rs.Len())
 	}
-	if stats.UpdateCycles != uint64(3*rs.Len()) {
-		t.Errorf("UpdateCycles = %d, want %d", stats.UpdateCycles, 3*rs.Len())
-	}
-	if stats.AverageFieldAccesses() <= 0 || stats.AverageLatencyCycles() <= 0 ||
-		stats.AverageCombinations() <= 0 || stats.MatchRate() <= 0 {
+	if stats.AverageFieldAccesses() <= 0 || stats.AverageCombinations() <= 0 || stats.MatchRate() <= 0 {
 		t.Errorf("derived stats should be positive: %+v", stats)
 	}
 	c.ResetStats()
@@ -576,8 +508,7 @@ func TestStatsAccumulation(t *testing.T) {
 		t.Errorf("stats not reset: %+v", reset)
 	}
 	empty := Stats{}
-	if empty.AverageFieldAccesses() != 0 || empty.AverageLatencyCycles() != 0 ||
-		empty.AverageCombinations() != 0 || empty.MatchRate() != 0 {
+	if empty.AverageFieldAccesses() != 0 || empty.AverageCombinations() != 0 || empty.MatchRate() != 0 {
 		t.Error("zero-lookup derived stats should be 0")
 	}
 }
@@ -595,45 +526,6 @@ func TestInstalledRulesSnapshot(t *testing.T) {
 	rules[0].Priority = 999
 	if c.InstalledRules()[0].Priority == 999 {
 		t.Error("InstalledRules() exposed internal state")
-	}
-}
-
-func TestArchSpecAndSynthesis(t *testing.T) {
-	c := MustNew(DefaultConfig())
-	spec := c.ArchSpec()
-	if spec.BlockMemoryBits < 2000000 || spec.BlockMemoryBits > 2200000 {
-		t.Errorf("BlockMemoryBits = %d, want ~2.1M", spec.BlockMemoryBits)
-	}
-	if spec.MemoryBlocks != 3*4+7+1+1 {
-		t.Errorf("MemoryBlocks = %d, want 21", spec.MemoryBlocks)
-	}
-	if spec.PipelineStages != 10 {
-		t.Errorf("PipelineStages = %d, want 10", spec.PipelineStages)
-	}
-	report, err := c.Synthesise()
-	if err != nil {
-		t.Fatalf("Synthesise: %v", err)
-	}
-	// Table V: ~4% of the device's 54.5 Mbit block memory.
-	if util := report.MemoryUtilisation(); util < 0.03 || util > 0.05 {
-		t.Errorf("memory utilisation = %.3f, want ~0.04", util)
-	}
-	// The cost model is calibrated to land near the published synthesis
-	// figures: 79,835 ALMs, 129,273 registers, 133.51 MHz, 500 pins.
-	within := func(got, want, tolerance float64) bool {
-		return got >= want*(1-tolerance) && got <= want*(1+tolerance)
-	}
-	if !within(float64(report.LogicALMs), 79835, 0.10) {
-		t.Errorf("LogicALMs = %d, want within 10%% of 79835", report.LogicALMs)
-	}
-	if !within(float64(report.Registers), 129273, 0.10) {
-		t.Errorf("Registers = %d, want within 10%% of 129273", report.Registers)
-	}
-	if !within(report.FmaxMHz, 133.51, 0.10) {
-		t.Errorf("FmaxMHz = %.2f, want within 10%% of 133.51", report.FmaxMHz)
-	}
-	if !within(float64(report.Pins), 500, 0.15) {
-		t.Errorf("Pins = %d, want within 15%% of 500", report.Pins)
 	}
 }
 

@@ -56,7 +56,6 @@ type laneStats struct {
 	labelFetches     atomic.Uint64
 	ruleFilterProbes atomic.Uint64
 	combinations     atomic.Uint64
-	latencyCycles    atomic.Uint64
 }
 
 func (st *laneStats) recordLookup(r Result) {
@@ -68,7 +67,6 @@ func (st *laneStats) recordLookup(r Result) {
 	st.labelFetches.Add(uint64(r.LabelFetches))
 	st.ruleFilterProbes.Add(uint64(r.RuleFilterProbes))
 	st.combinations.Add(uint64(r.Combinations))
-	st.latencyCycles.Add(uint64(r.LatencyCycles))
 }
 
 func (st *laneStats) recordBatch(rep BatchReport) {
@@ -78,7 +76,6 @@ func (st *laneStats) recordBatch(rep BatchReport) {
 	st.labelFetches.Add(uint64(rep.LabelFetches))
 	st.ruleFilterProbes.Add(uint64(rep.RuleFilterProbes))
 	st.combinations.Add(uint64(rep.Combinations))
-	st.latencyCycles.Add(uint64(rep.LatencyCycles))
 }
 
 // addTo folds this lane's counters into an aggregate Stats snapshot.
@@ -89,7 +86,6 @@ func (st *laneStats) addTo(s *Stats) {
 	s.LabelFetches += st.labelFetches.Load()
 	s.RuleFilterProbes += st.ruleFilterProbes.Load()
 	s.Combinations += st.combinations.Load()
-	s.LatencyCycles += st.latencyCycles.Load()
 }
 
 func (st *laneStats) reset() {
@@ -99,7 +95,6 @@ func (st *laneStats) reset() {
 	st.labelFetches.Store(0)
 	st.ruleFilterProbes.Store(0)
 	st.combinations.Store(0)
-	st.latencyCycles.Store(0)
 }
 
 // laneSlot is the pooled token carrying a lane index.

@@ -37,9 +37,6 @@ type Result struct {
 	// dimension matched no label. The software walk visits far fewer
 	// combinations than this; see RuleFilterProbes.
 	Combinations int
-	// LatencyCycles is the end-to-end latency of this lookup in clock cycles
-	// under the Fig. 3 pipeline model.
-	LatencyCycles int
 }
 
 // fieldLookup is the phase-2 result of one dimension.
@@ -47,7 +44,6 @@ type fieldLookup struct {
 	dim      label.Dimension
 	list     *label.List
 	accesses int
-	cycles   int
 }
 
 // lookupScratch is the reusable per-lookup working set of the field-tier
@@ -93,7 +89,7 @@ func (c *Classifier) Lookup(h fivetuple.Header) Result {
 // serveOn answers one header from the given snapshot, through the given
 // microflow cache when one is configured (nil skips the cache). A cache hit
 // replays the memoised Result of the first lookup of this five-tuple under
-// this exact snapshot — including its model cost counters, which are
+// this exact snapshot — including its access counters, which are
 // deterministic per (snapshot, header) — so the cached path is
 // byte-identical to the uncached one. This is what makes the cache
 // tier-agnostic: it fronts the field tier and the packet tier with the same
@@ -148,18 +144,6 @@ type BatchReport struct {
 	LabelFetches     int
 	RuleFilterProbes int
 	Combinations     int
-	// LatencyCycles is the summed per-packet latency; MaxLatencyCycles is
-	// the worst packet of the batch.
-	LatencyCycles    int
-	MaxLatencyCycles int
-}
-
-// AverageLatencyCycles returns the mean modelled latency of the batch.
-func (b BatchReport) AverageLatencyCycles() float64 {
-	if b.Packets == 0 {
-		return 0
-	}
-	return float64(b.LatencyCycles) / float64(b.Packets)
 }
 
 // MatchRate returns the fraction of the batch that matched a rule.
@@ -181,10 +165,6 @@ func SummarizeBatch(results []Result) BatchReport {
 		rep.LabelFetches += r.LabelFetches
 		rep.RuleFilterProbes += r.RuleFilterProbes
 		rep.Combinations += r.Combinations
-		rep.LatencyCycles += r.LatencyCycles
-		if r.LatencyCycles > rep.MaxLatencyCycles {
-			rep.MaxLatencyCycles = r.LatencyCycles
-		}
 	}
 	return rep
 }
@@ -210,26 +190,21 @@ func (s *snapshot) lookup(cfg *Config, h fivetuple.Header) Result {
 	}
 
 	// Phase 1: split the header into per-dimension segments and dispatch to
-	// the engines selected by IPalg_s (the dispatch itself costs one cycle).
-	// Phase 2: parallel single-field lookups, into a pooled scratch so the
-	// serving path performs no per-packet heap allocation.
+	// the engines selected by IPalg_s. Phase 2: parallel single-field
+	// lookups, into a pooled scratch so the serving path performs no
+	// per-packet heap allocation.
 	sc := lookupScratchPool.Get().(*lookupScratch)
 	defer lookupScratchPool.Put(sc)
 	fields := sc.fields[:]
 	s.lookupFieldsInto(h, fields)
 
 	result := Result{}
-	maxFieldCycles := 0
 	for _, f := range fields {
 		result.FieldAccesses += f.accesses
-		if f.cycles > maxFieldCycles {
-			maxFieldCycles = f.cycles
-		}
 		if f.list.Len() > 0 {
 			result.LabelFetches++
 		}
 	}
-	result.LatencyCycles = CyclesDispatch + maxFieldCycles + CyclesLabelFetch + CyclesResult
 
 	// Phase 3 + 4: combine the label lists into Rule Filter probes and fetch
 	// the HPMR. If any dimension produced no matching label, no rule can
@@ -250,15 +225,11 @@ func (s *snapshot) lookup(cfg *Config, h fivetuple.Header) Result {
 
 // lookupPacket serves one header from the whole-packet engine tier. The
 // engine returns an index into the snapshot's best-first rule table, so the
-// matched rule's action and priority are read straight from it;
-// the latency model charges the dispatch cycle, one cycle per engine memory
-// access and the result select — no label fetch, no Rule Filter probe.
+// matched rule's action and priority are read straight from it — no label
+// fetch, no Rule Filter probe.
 func (s *snapshot) lookupPacket(h fivetuple.Header) Result {
 	idx, matched, accesses := s.packet.engine.LookupPacket(h)
-	result := Result{
-		FieldAccesses: accesses,
-		LatencyCycles: CyclesDispatch + accesses + CyclesPacketResult,
-	}
+	result := Result{FieldAccesses: accesses}
 	if !matched {
 		return result
 	}
@@ -296,15 +267,8 @@ func (s *snapshot) lookupFieldsInto(h fivetuple.Header, out []fieldLookup) {
 		eng := s.field.engines[d]
 		out[i].dim = d
 		out[i].accesses = eng.LookupInto(keys[d], out[i].list)
-		out[i].cycles = eng.Cost().LookupCycles
 	}
 }
-
-// mbtLookupCycles returns the phase-2 latency of the MBT engines (§V.B: the
-// three-level trie completes in 6 cycles). It anchors the synthesis
-// estimate, which models the paper's MBT-provisioned pipeline; the live
-// latency model asks each engine for its own cost.
-func mbtLookupCycles() int { return 3 * CyclesPerMBTLevel }
 
 // combineHPML implements the paper's phase-3 combination: the first (highest
 // priority) label of each list is concatenated into the 68-bit key and the
@@ -342,13 +306,11 @@ func (s *snapshot) combineHPML(fields []fieldLookup, result Result) Result {
 // rather than by whatever the walk had found so far.
 func (s *snapshot) combineExact(cfg *Config, h fivetuple.Header, fields []fieldLookup, result Result) Result {
 	// The model's phase-3 cost is the size of the label cross-product the
-	// header presents (one extra result cycle per combination beyond the
-	// first), whatever the software walk skips.
+	// header presents, whatever the software walk skips.
 	result.Combinations = 1
 	for i := range fields {
 		result.Combinations = min(result.Combinations*fields[i].list.Len(), cfg.MaxCrossProductProbes)
 	}
-	result.LatencyCycles += result.Combinations - 1
 
 	// Iterative depth-first walk over stack arrays: next[d] is the next
 	// entry of dimension d's list to try and keys[d] the combination key of
@@ -389,7 +351,6 @@ func (s *snapshot) combineExact(cfg *Config, h fivetuple.Header, fields []fieldL
 			result.Matched, result.Priority = fb.Matched, fb.Priority
 			result.Action, result.ActionArg = fb.Action, fb.ActionArg
 			result.FieldAccesses += fb.FieldAccesses
-			result.LatencyCycles += fb.FieldAccesses
 			return result
 		}
 		entry, probes := s.field.filter.lookup(key)
@@ -419,11 +380,9 @@ type Stats struct {
 	LabelFetches     uint64
 	RuleFilterProbes uint64
 	Combinations     uint64
-	LatencyCycles    uint64
 
-	Inserts      uint64
-	Deletes      uint64
-	UpdateCycles uint64
+	Inserts uint64
+	Deletes uint64
 }
 
 // AverageFieldAccesses returns the mean per-packet algorithm-block accesses.
@@ -432,14 +391,6 @@ func (s Stats) AverageFieldAccesses() float64 {
 		return 0
 	}
 	return float64(s.FieldAccesses) / float64(s.Lookups)
-}
-
-// AverageLatencyCycles returns the mean per-packet latency in cycles.
-func (s Stats) AverageLatencyCycles() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.LatencyCycles) / float64(s.Lookups)
 }
 
 // AverageCombinations returns the mean modelled phase-3 combinations per
@@ -464,9 +415,8 @@ func (s Stats) MatchRate() float64 {
 // (single) writer records; the lookup-side counters live with the lanes
 // (see laneStats).
 type statsCollector struct {
-	inserts      atomic.Uint64
-	deletes      atomic.Uint64
-	updateCycles atomic.Uint64
+	inserts atomic.Uint64
+	deletes atomic.Uint64
 
 	// Update-plane counters (see UpdateStats): how publishes were served by
 	// the packet tier and how long each took wall-clock.
@@ -491,26 +441,22 @@ func (sc *statsCollector) recordPublish(sync publishSync, elapsed time.Duration)
 }
 
 // recordUpdates folds one published update — a single rule or a whole
-// batch — in at once, with the cycle total summed from the per-op reports so
-// the accounting has a single source.
-func (sc *statsCollector) recordUpdates(inserts, deletes, cycles int) {
+// batch — in at once.
+func (sc *statsCollector) recordUpdates(inserts, deletes int) {
 	sc.inserts.Add(uint64(inserts))
 	sc.deletes.Add(uint64(deletes))
-	sc.updateCycles.Add(uint64(cycles))
 }
 
 func (sc *statsCollector) snapshot() Stats {
 	return Stats{
-		Inserts:      sc.inserts.Load(),
-		Deletes:      sc.deletes.Load(),
-		UpdateCycles: sc.updateCycles.Load(),
+		Inserts: sc.inserts.Load(),
+		Deletes: sc.deletes.Load(),
 	}
 }
 
 func (sc *statsCollector) reset() {
 	sc.inserts.Store(0)
 	sc.deletes.Store(0)
-	sc.updateCycles.Store(0)
 	sc.deltasApplied.Store(0)
 	sc.deltaPublishes.Store(0)
 	sc.rebuilds.Store(0)

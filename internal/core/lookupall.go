@@ -89,13 +89,10 @@ func (s *snapshot) lookupAllInto(cfg *Config, h fivetuple.Header, dst []ActionRe
 }
 
 // collectPacket gathers the multi-match verdict from a multi-match packet
-// engine. The engine contract already yields priority order (ascending
-// indices into the best-first rule table) truncated at the first
-// terminating rule; the re-sort and re-truncation here defend that contract
-// against engine-internal orderings that drift after delta churn — the
-// classifier's verdict is priority-ordered no matter what the structure
-// returned. Both passes are allocation-free (insertion sort over the verdict
-// list, pooled index scratch).
+// engine. The engine contract yields priority order (ascending indices into
+// the best-first rule table) cut after the first terminating rule, so the
+// indices map one for one onto the verdict list, through a pooled index
+// scratch.
 func (s *snapshot) collectPacket(mm engine.MultiMatchPacketEngine, h fivetuple.Header, dst []ActionRef) ([]ActionRef, Result) {
 	scp := multiScratchPool.Get().(*[]int)
 	idxs, accesses := mm.LookupPacketAll(h, (*scp)[:0])
@@ -106,8 +103,6 @@ func (s *snapshot) collectPacket(mm engine.MultiMatchPacketEngine, h fivetuple.H
 	}
 	*scp = idxs[:0]
 	multiScratchPool.Put(scp)
-	sortRefsByPriority(dst[start:])
-	dst = truncateAtTerminal(dst, start)
 	return dst, verdictResult(dst[start:], accesses)
 }
 
@@ -134,13 +129,10 @@ func (s *snapshot) collectFallback(h fivetuple.Header, dst []ActionRef) ([]Actio
 }
 
 // verdictResult is the single-verdict Result of a multi-action lookup served
-// outside the field pipeline: the head of the verdict list, under the
-// whole-packet latency model (dispatch, one cycle per access, result select).
+// outside the field pipeline: the head of the verdict list and the accesses
+// that found it.
 func verdictResult(refs []ActionRef, accesses int) Result {
-	result := Result{
-		FieldAccesses: accesses,
-		LatencyCycles: CyclesDispatch + accesses + CyclesPacketResult,
-	}
+	result := Result{FieldAccesses: accesses}
 	if len(refs) > 0 {
 		result.Matched = true
 		result.Priority = refs[0].Priority
@@ -164,29 +156,5 @@ func (s *snapshot) lookupFallback(h fivetuple.Header) Result {
 		}
 	}
 	result.FieldAccesses = accesses
-	result.LatencyCycles = CyclesDispatch + accesses + CyclesPacketResult
 	return result
-}
-
-// sortRefsByPriority sorts a verdict list in place by ascending priority.
-// Stable insertion sort: the lists are short (one entry per matching rule)
-// and usually already ordered, and the hot path cannot afford sort.Slice's
-// closure allocation.
-func sortRefsByPriority(refs []ActionRef) {
-	for i := 1; i < len(refs); i++ {
-		for j := i; j > 0 && refs[j].Priority < refs[j-1].Priority; j-- {
-			refs[j], refs[j-1] = refs[j-1], refs[j]
-		}
-	}
-}
-
-// truncateAtTerminal cuts the verdict list after its first terminal entry:
-// everything past the first terminating rule is unreachable.
-func truncateAtTerminal(dst []ActionRef, start int) []ActionRef {
-	for i := start; i < len(dst); i++ {
-		if dst[i].Terminal {
-			return dst[:i+1]
-		}
-	}
-	return dst
 }

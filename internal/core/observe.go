@@ -1,6 +1,9 @@
 package core
 
-import "sdnpc/internal/cache"
+import (
+	"sdnpc/internal/cache"
+	"sdnpc/internal/engine"
+)
 
 // Report is the one-call observability snapshot of a classifier: data-plane
 // counters, served-request summary, update-plane counters, cache counters and
@@ -31,6 +34,12 @@ type Report struct {
 	// Memory is the block-memory breakdown of §III.D.
 	Memory MemoryReport
 
+	// LookupCost is the modelled cost of the active lookup stage (Fig. 3
+	// phase 2): the packet engine's cost model, or on the field tier the
+	// element-wise maximum over the seven field engines. It is the input of
+	// the paper's pipeline model in internal/bench; no lookup reads it.
+	LookupCost engine.CostModel
+
 	// CacheEnabled reports whether the microflow cache is configured; Cache
 	// holds its counters (zero when disabled), summed over every lane's
 	// private cache so the aggregate hit rate stays meaningful.
@@ -55,6 +64,7 @@ func (c *Classifier) Report() Report {
 		Stats:          c.statsSnapshot(),
 		Updates:        c.updateStats(s),
 		Memory:         c.memoryReport(s),
+		LookupCost:     s.lookupCost(),
 	}
 	r.Lookups = LookupCounters{Lookups: r.Stats.Lookups, Matches: r.Stats.Matches}
 	r.CacheEnabled = c.CacheEnabled()

@@ -62,9 +62,6 @@ func TestEveryPacketEngineMatchesReferenceClassifier(t *testing.T) {
 			if report.PacketEngineUsedBits <= 0 {
 				t.Errorf("MemoryReport.PacketEngineUsedBits = %d, want > 0", report.PacketEngineUsedBits)
 			}
-			if c.ThroughputGbps(40) <= 0 || c.LookupsPerSecond() <= 0 {
-				t.Errorf("non-positive modelled throughput under %s", name)
-			}
 		})
 	}
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"sdnpc/internal/engine"
-	"sdnpc/internal/hw/pipeline"
-	"sdnpc/internal/hw/synth"
 	"sdnpc/internal/label"
 )
 
@@ -83,8 +81,8 @@ func (m MemoryReport) TotalUsedBits() int {
 		m.PacketEngineUsedBits
 }
 
-// memoryReport computes the memory breakdown of one snapshot, for Report
-// and ArchSpec. Provisioned figures come from the configured geometry and
+// memoryReport computes the memory breakdown of one snapshot, for Report.
+// Provisioned figures come from the configured geometry and
 // are the same under every engine; used figures (and the protocol LUT and
 // port registers, which exist only as field engines) describe the one tier
 // the snapshot holds and read 0 for the other.
@@ -141,84 +139,20 @@ func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
 	return report
 }
 
-// Pipeline returns the Fig. 3 lookup pipeline under the current engine
-// selection, for latency and throughput reporting (Table VII). The IP stage
-// takes its latency and initiation interval from the active engine's cost
-// model.
-func (c *Classifier) Pipeline() *pipeline.Pipeline {
-	s := c.view()
+// lookupCost returns the cost model of the snapshot's lookup stage (Fig. 3
+// phase 2), for Report: the packet engine's own, or on the field tier the
+// element-wise maximum over the seven field engines, which the modelled
+// hardware runs in parallel.
+func (s *snapshot) lookupCost() engine.CostModel {
 	if p := s.packet; p != nil {
-		// Packet tier: dispatch, one whole-packet structure walk, result
-		// select — no label fetch and no Rule Filter stage.
-		cost := p.engine.Cost()
-		return pipeline.MustNew("lookup/"+p.name, c.cfg.ClockHz,
-			pipeline.Stage{Name: "split+dispatch", LatencyCycles: CyclesDispatch, InitiationInterval: 1},
-			pipeline.Stage{
-				Name:               "packet lookup (" + p.name + ")",
-				LatencyCycles:      cost.LookupCycles,
-				InitiationInterval: cost.InitiationInterval,
-			},
-			pipeline.Stage{Name: "result select", LatencyCycles: CyclesPacketResult, InitiationInterval: 1},
-		)
+		return p.engine.Cost()
 	}
-	f := s.field
-	cost := f.engines[label.DimSrcIPHigh].Cost()
-	ipStage := pipeline.Stage{
-		Name:               "field lookup (" + f.engineName + ")",
-		LatencyCycles:      cost.LookupCycles,
-		InitiationInterval: cost.InitiationInterval,
+	var cost engine.CostModel
+	for _, d := range label.Dimensions() {
+		c := s.field.engines[d].Cost()
+		cost.LookupCycles = max(cost.LookupCycles, c.LookupCycles)
+		cost.InitiationInterval = max(cost.InitiationInterval, c.InitiationInterval)
+		cost.WorstCaseAccesses = max(cost.WorstCaseAccesses, c.WorstCaseAccesses)
 	}
-	return pipeline.MustNew("lookup/"+f.engineName, c.cfg.ClockHz,
-		pipeline.Stage{Name: "split+dispatch", LatencyCycles: CyclesDispatch, InitiationInterval: 1},
-		ipStage,
-		pipeline.Stage{Name: "label fetch", LatencyCycles: CyclesLabelFetch, InitiationInterval: 1},
-		pipeline.Stage{Name: "combine+rule filter", LatencyCycles: CyclesResult, InitiationInterval: 1},
-	)
-}
-
-// ThroughputGbps returns the sustained line rate for the given packet size
-// under the current algorithm selection.
-func (c *Classifier) ThroughputGbps(packetBytes int) float64 {
-	return c.Pipeline().ThroughputGbps(packetBytes)
-}
-
-// LookupsPerSecond returns the sustained lookup rate under the current
-// algorithm selection.
-func (c *Classifier) LookupsPerSecond() float64 {
-	return c.Pipeline().LookupsPerSecond()
-}
-
-// memoryBlockCount returns the number of independently addressed block
-// memories in the design: three trie levels per IP segment, one Labels block
-// per label dimension, the protocol LUT and the Rule Filter.
-func (c *Classifier) memoryBlockCount() int {
-	return 3*len(ipSegmentDims) + label.NumDimensions + 1 + 1
-}
-
-// ArchSpec derives the synthesis-estimation input from the configured
-// geometry (see internal/hw/synth). It describes the field-tier design of
-// Table V: under a whole-packet engine the protocol LUT and port-register
-// terms, which are read off the resident field engines, are 0.
-func (c *Classifier) ArchSpec() synth.ArchSpec {
-	report := c.memoryReport(c.view())
-	// The datapath carries the 104-bit header five-tuple, the 68-bit label
-	// combination key, one label-list pointer and length per dimension and
-	// the rule-filter result word.
-	datapath := 104 + label.KeyBits + label.NumDimensions*(13+5) + c.cfg.RuleEntryBits
-	return synth.ArchSpec{
-		BlockMemoryBits:  report.TotalProvisionedBits(),
-		MemoryBlocks:     c.memoryBlockCount(),
-		PipelineStages:   CyclesDispatch + mbtLookupCycles() + CyclesLabelFetch + CyclesResult,
-		DatapathBits:     datapath,
-		RegisterFileBits: report.PortRegisterBits,
-		Comparators:      2 * c.cfg.PortRegisters * 2, // low and high bound per register, two banks
-		HashUnits:        1,
-		HeaderBits:       104*2 + 128 + label.KeyBits, // lookup header, update word and key buses
-	}
-}
-
-// Synthesise runs the Stratix V resource estimate for this architecture
-// instance (Table V).
-func (c *Classifier) Synthesise() (synth.Report, error) {
-	return synth.Estimate(c.ArchSpec(), synth.StratixV())
+	return cost
 }

@@ -219,43 +219,29 @@ func (f *fieldTier) buildEngine(cfg *Config, d label.Dimension) (engine.FieldEng
 // the one tier it holds sharing structure with the original until written —
 // so the copy can absorb an update while readers keep traversing the
 // original.
-func (s *snapshot) clone(cfg *Config) (*snapshot, error) {
+func (s *snapshot) clone() *snapshot {
 	c := &snapshot{table: s.table.clone()}
 	if p := s.packet; p != nil {
 		// The clone shares the built structure; a rebuild after a rule change
 		// replaces only the clone's handle, and a delta update copy-on-writes
 		// inside the engine — never the published one either way.
 		c.packet = &packetTier{name: p.name, engine: p.engine.Clone(), dims: p.dims, pending: p.pending[:0], deltas: p.deltas}
-		return c, nil
+		return c
 	}
-	var err error
-	if c.field, err = s.field.clone(cfg, &s.table); err != nil {
-		return nil, fmt.Errorf("core: cloning snapshot: %w", err)
-	}
-	return c, nil
+	c.field = s.field.clone()
+	return c
 }
 
 // clone returns an independent copy of the field tier that costs what the
 // next writes touch, not what the tier holds: the Rule Filter shares its
-// chunks, engines implementing engine.Cloner share whatever their Clone
-// shares (the tries every node), and the label bank is the same bank. Any
-// other engine is rebuilt fresh and re-programmed by replaying the installed
-// rules of its dimension — the rebuild hook for third-party engines without
-// a Clone.
-func (f *fieldTier) clone(cfg *Config, table *ruleTable) (*fieldTier, error) {
+// chunks, every engine shares whatever its Clone shares (the tries every
+// node), and the label bank is the same bank.
+func (f *fieldTier) clone() *fieldTier {
 	c := &fieldTier{engineName: f.engineName, labels: f.labels, filter: f.filter.clone()}
 	for _, d := range label.Dimensions() {
-		if cl, ok := f.engines[d].(engine.Cloner); ok {
-			c.engines[d] = cl.Clone()
-			continue
-		}
-		rebuilt, err := c.rebuildEngine(cfg, d, table)
-		if err != nil {
-			return nil, err
-		}
-		c.engines[d] = rebuilt
+		c.engines[d] = f.engines[d].Clone()
 	}
-	return c, nil
+	return c
 }
 
 // restoreLabels puts the label bank back to what the given (published) rule
@@ -359,31 +345,6 @@ func (p *packetTier) applyDeltas(cfg *Config, inc engine.IncrementalPacketEngine
 	p.pending = p.pending[:0]
 	p.deltas += applied
 	return applied, true
-}
-
-// rebuildEngine is the clone fallback for engines without a Clone hook: a
-// fresh engine is built and the dimension's field values are re-installed by
-// replaying the installed rules, exactly as the controller re-downloads the
-// memory image after an engine switch.
-func (f *fieldTier) rebuildEngine(cfg *Config, d label.Dimension, table *ruleTable) (engine.FieldEngine, error) {
-	eng, err := f.buildEngine(cfg, d)
-	if err != nil {
-		return nil, err
-	}
-	for i := range table.len() {
-		r := table.at(i)
-		lbl, ok := f.labels.Table(d).Lookup(fieldValue(d, *r))
-		if !ok {
-			return nil, fmt.Errorf("core: rebuilding %s: field value %s is not labelled", d, fieldValue(d, *r))
-		}
-		// Insert keeps the better priority for an existing (value, label)
-		// pair, so replaying every rule converges to the best priority per
-		// value — the HPML invariant.
-		if _, err := eng.Insert(fieldValue(d, *r), lbl, r.Priority); err != nil {
-			return nil, fmt.Errorf("core: rebuilding %s: %w", d, err)
-		}
-	}
-	return eng, nil
 }
 
 // prepare forces every deferred engine-side build (engine.Preparer) so that

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sdnpc/internal/fivetuple"
-	"sdnpc/internal/hw/hashunit"
 	"sdnpc/internal/label"
 )
 
@@ -35,22 +34,12 @@ type UpdateReport struct {
 	EngineWrites int
 	// RuleFilterProbes is the number of Rule Filter slots touched.
 	RuleFilterProbes int
-	// ClockCycles is the data-plane upload cost of the update following the
-	// paper's model (§V.A): two cycles for the memory upload of the rule
-	// (source and destination halves) plus one cycle for the hardware hash
-	// producing the rule address.
-	ClockCycles int
-}
-
-// hardwareUpdateCycles is the per-rule upload cost of §V.A.
-func hardwareUpdateCycles() int {
-	return CyclesUpdateMemoryUpload + CyclesUpdateHash
 }
 
 // updateTally is what one update transaction applied to its working copy. A
 // deletion that failed midway counts: it changed the copy.
 type updateTally struct {
-	inserts, deletes, cycles int
+	inserts, deletes int
 }
 
 // update is the one rule-update transaction every entry point runs: with the
@@ -67,10 +56,7 @@ func (c *Classifier) update(mutate func(next *snapshot, applied *updateTally) er
 	defer c.mu.Unlock()
 	start := time.Now()
 	current := c.view()
-	next, err := current.clone(&c.cfg)
-	if err != nil {
-		return err
-	}
+	next := current.clone()
 	var applied updateTally
 	if err := mutate(next, &applied); err != nil {
 		if next.field != nil && applied != (updateTally{}) {
@@ -86,7 +72,7 @@ func (c *Classifier) update(mutate func(next *snapshot, applied *updateTally) er
 		return err
 	}
 	c.publish(next)
-	c.stats.recordUpdates(applied.inserts, applied.deletes, applied.cycles)
+	c.stats.recordUpdates(applied.inserts, applied.deletes)
 	c.stats.recordPublish(sync, time.Since(start))
 	return nil
 }
@@ -106,7 +92,7 @@ func (c *Classifier) InsertRule(r fivetuple.Rule) (report UpdateReport, err erro
 	err = c.update(func(next *snapshot, applied *updateTally) (err error) {
 		// A failed insertion has rolled itself back: nothing was applied.
 		if report, err = next.insertRule(&c.cfg, r); err == nil {
-			*applied = updateTally{inserts: 1, cycles: report.ClockCycles}
+			*applied = updateTally{inserts: 1}
 		}
 		return err
 	})
@@ -127,7 +113,7 @@ func (c *Classifier) DeleteRule(r fivetuple.Rule) (report UpdateReport, err erro
 	err = c.update(func(next *snapshot, applied *updateTally) (err error) {
 		var mutated bool
 		if report, mutated, err = next.deleteRule(r); mutated {
-			*applied = updateTally{deletes: 1, cycles: report.ClockCycles}
+			*applied = updateTally{deletes: 1}
 		}
 		return err
 	})
@@ -154,10 +140,8 @@ func (c *Classifier) InstallRuleSet(rs *fivetuple.RuleSet) (total UpdateReport, 
 			total.NewLabels += rep.NewLabels
 			total.EngineWrites += rep.EngineWrites
 			total.RuleFilterProbes += rep.RuleFilterProbes
-			total.ClockCycles += rep.ClockCycles
 			applied.inserts++
 		}
-		applied.cycles = total.ClockCycles
 		return nil
 	})
 	return total, err
@@ -178,7 +162,7 @@ func (s *snapshot) insertRule(cfg *Config, r fivetuple.Rule) (UpdateReport, erro
 		return UpdateReport{}, fmt.Errorf("%w: rule %s requires dimensions %s but engine %q serves %s",
 			ErrDimsUnsupported, r, dims, name, have)
 	}
-	report := UpdateReport{ClockCycles: hardwareUpdateCycles()}
+	var report UpdateReport
 	// After every rule of the same or a better priority: ties stay in
 	// installation order.
 	idx := s.table.bound(r.Priority, true)
@@ -269,7 +253,6 @@ func (s *snapshot) deleteRule(r fivetuple.Rule) (report UpdateReport, mutated bo
 		return UpdateReport{}, false, fmt.Errorf("%w: %s priority %d", ErrRuleNotInstalled, r, r.Priority)
 	}
 	installed := *s.table.at(idx)
-	report = UpdateReport{ClockCycles: hardwareUpdateCycles()}
 	if s.packet != nil {
 		s.packet.pending = append(s.packet.pending, packetDelta{delete: true, rule: installed, idx: idx})
 	} else if dirty, err := s.field.deleteRule(installed, s.table.key(idx), &report); err != nil {
@@ -312,13 +295,6 @@ func (f *fieldTier) deleteRule(r fivetuple.Rule, key label.CombinationKey, repor
 	}
 	return true, nil
 }
-
-// UpdateCyclesPerRule returns the constant per-rule upload cost of the
-// architecture (§V.A): 2 cycles of memory upload plus 1 hash cycle.
-func UpdateCyclesPerRule() int { return hardwareUpdateCycles() }
-
-// compile-time check that the hash unit's latency matches the update model.
-var _ = [1]struct{}{}[hashunit.LatencyCycles-CyclesUpdateHash]
 
 // UpdateOp is one rule mutation inside an update batch.
 type UpdateOp struct {
@@ -373,7 +349,6 @@ func (c *Classifier) ApplyUpdates(ops []UpdateOp) (reports []UpdateReport, errs 
 				}
 				applied.inserts++
 			}
-			applied.cycles += reports[i].ClockCycles
 		}
 		return nil
 	})

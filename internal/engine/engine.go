@@ -153,10 +153,9 @@ type Footprint struct {
 //
 // Engines that defer expensive structure builds to the first Lookup must
 // implement Preparer so the classifier can force the build before a
-// snapshot is published; engines with mutable state should implement Cloner
-// to make snapshot construction cheap (the classifier otherwise falls back
-// to rebuilding a fresh engine and replaying the installed rules).
+// snapshot is published.
 type FieldEngine interface {
+	Cloner
 	// Insert stores a match condition carrying a label and the priority of
 	// the best rule using it, returning the number of engine memory writes.
 	// Inserting a stored (condition, label) pair refreshes the priority,
@@ -186,17 +185,17 @@ type FieldEngine interface {
 	Footprint() Footprint
 }
 
-// Cloner is implemented by engines that can duplicate themselves cheaply.
-// Clone returns an independent copy: mutating the copy must never be
-// observable through the original, nor the reverse. Structure may be shared
-// until it is written — immutable internals outright, anything else if the
-// first write on either side copies it first, for which Clone may retire the
-// receiver's ownership of what the two now share. That is the only write
-// Clone may make to its receiver, and it must be to state no lookup reads:
-// the classifier clones published engines, with its writer mutex held,
-// while lookups traverse them. The classifier's copy-on-write update path
-// prefers Clone over its rebuild-and-replay fallback, so every engine that
-// keeps mutable state should implement it. All built-in engines do.
+// Cloner is the copy half of FieldEngine, which every field engine
+// implements. Clone returns an independent copy: mutating the copy must
+// never be observable through the original, nor the reverse. Structure may
+// be shared until it is written — immutable internals outright, anything
+// else if the first write on either side copies it first, for which Clone
+// may retire the receiver's ownership of what the two now share. That is
+// the only write Clone may make to its receiver, and it must be to state no
+// lookup reads: the classifier clones published engines, with its writer
+// mutex held, while lookups traverse them. Every update clones every
+// published engine, so Clone should cost what the next writes touch, not
+// what the engine holds.
 type Cloner interface {
 	Clone() FieldEngine
 }

@@ -317,9 +317,9 @@ func prepared(e engine.FieldEngine) engine.FieldEngine {
 }
 
 // TestEngineCloneIndependence verifies the Cloner contract that the
-// classifier's copy-on-write update path depends on: every built-in engine
-// implements Clone, and mutations of the original after cloning are never
-// visible through the clone (nor the reverse). This is what lets readers
+// classifier's copy-on-write update path depends on: mutations of the
+// original after cloning are never visible through the clone (nor the
+// reverse). This is what lets readers
 // keep traversing a published snapshot while a writer mutates its clone.
 func TestEngineCloneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -335,11 +335,7 @@ func TestEngineCloneIndependence(t *testing.T) {
 					t.Fatalf("Insert: %v", err)
 				}
 			}
-			cloner, ok := eng.(engine.Cloner)
-			if !ok {
-				t.Fatalf("engine %q does not implement Cloner; the snapshot-swap update path needs it (or pays a full rebuild per update)", name)
-			}
-			clone := prepared(cloner.Clone())
+			clone := prepared(eng.Clone())
 			prepared(eng)
 
 			keys := make([]uint32, 0, 64)
@@ -409,7 +405,7 @@ func TestEngineCloneIndependence(t *testing.T) {
 			for round, p := range pool {
 				if round == 16 || round == 32 {
 					last := len(gens) - 1
-					gens = append(gens, gens[last].(engine.Cloner).Clone())
+					gens = append(gens, gens[last].Clone())
 					contents = append(contents, append([]storedPrefix(nil), contents[last]...))
 				}
 				// Toggle this prefix in one generation and an earlier one in
@@ -439,7 +435,7 @@ func TestPortProtocolCloneIndependence(t *testing.T) {
 	if _, err := ports.Insert(engine.Range(80, 80), 1, 0); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
-	portsClone := ports.(engine.Cloner).Clone()
+	portsClone := ports.Clone()
 	if _, err := ports.Remove(engine.Range(80, 80), 1); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
@@ -457,7 +453,7 @@ func TestPortProtocolCloneIndependence(t *testing.T) {
 	if _, err := proto.Insert(engine.Exact(6), 1, 0); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
-	protoClone := proto.(engine.Cloner).Clone()
+	protoClone := proto.Clone()
 	if _, err := proto.Remove(engine.Exact(6), 1); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}

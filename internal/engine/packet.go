@@ -70,9 +70,12 @@ type MultiMatchPacketEngine interface {
 	// which is priority order, because Install receives rules best-first —
 	// truncated after the first terminating (non-NonTerminating) match. It
 	// returns the extended slice and the number of memory accesses
-	// performed. Implementations must not allocate when dst has sufficient
-	// capacity, so the zero-allocation serving guarantee extends to the
-	// multi-action path.
+	// performed. The order and the cut are the engine's to keep, after any
+	// number of delta ops too: the classifier turns the indices into the
+	// verdict list as they come, without sorting or cutting them again.
+	// Implementations must not allocate when dst has sufficient capacity,
+	// so the zero-allocation serving guarantee extends to the multi-action
+	// path.
 	LookupPacketAll(h fivetuple.Header, dst []int) ([]int, int)
 }
 

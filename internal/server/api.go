@@ -75,7 +75,6 @@ type CreateTenantRequest struct {
 	CacheCapacity        int     `json:"cache_capacity,omitempty"`
 	RebuildAfterDeltas   int     `json:"rebuild_after_deltas,omitempty"`
 	DegradationThreshold float64 `json:"degradation_threshold,omitempty"`
-	SingleProbe          bool    `json:"single_probe,omitempty"`
 }
 
 // WireTenant describes one tenant in list/get/create responses.
@@ -127,11 +126,9 @@ type ClassifyBatchRequest struct {
 
 // WireBatchReport aggregates one classify-batch response.
 type WireBatchReport struct {
-	Packets          int     `json:"packets"`
-	Matched          int     `json:"matched"`
-	MatchRate        float64 `json:"match_rate"`
-	AvgLatencyCycles float64 `json:"avg_latency_cycles"`
-	MaxLatencyCycles int     `json:"max_latency_cycles"`
+	Packets   int     `json:"packets"`
+	Matched   int     `json:"matched"`
+	MatchRate float64 `json:"match_rate"`
 }
 
 // ClassifyBatchResponse is the classify-batch reply: one verdict per header,
@@ -174,9 +171,6 @@ type WireTenantStats struct {
 	Lookups   uint64  `json:"lookups"`
 	Matched   uint64  `json:"matched"`
 	MatchRate float64 `json:"match_rate"`
-	// ModelLookupsPerSec is the modelled hardware lookup rate of the
-	// tenant's active engine, for capacity planning.
-	ModelLookupsPerSec float64 `json:"model_lookups_per_sec"`
 	// MemoryBits is the tenant's occupied classifier memory (engines,
 	// labels, rule filter, packet structure).
 	MemoryBits int             `json:"memory_bits"`
@@ -274,18 +268,16 @@ func wireTenant(t *Tenant) WireTenant {
 // update plane, cache, memory accounting) comes from one snapshot, so the
 // payload can never mix pre- and post-update views of the same tenant.
 func wireTenantStats(t *Tenant) WireTenantStats {
-	c := t.Classifier
-	rep := c.Report()
+	rep := t.Classifier.Report()
 	ws := WireTenantStats{
-		ID:                 t.ID,
-		Engine:             rep.ActiveEngine,
-		Rules:              rep.RulesInstalled,
-		RuleCapacity:       rep.RuleCapacity,
-		Lookups:            rep.Lookups.Lookups,
-		Matched:            rep.Lookups.Matches,
-		MatchRate:          rep.Lookups.MatchRate(),
-		ModelLookupsPerSec: c.LookupsPerSecond(),
-		MemoryBits:         rep.Memory.TotalUsedBits(),
+		ID:           t.ID,
+		Engine:       rep.ActiveEngine,
+		Rules:        rep.RulesInstalled,
+		RuleCapacity: rep.RuleCapacity,
+		Lookups:      rep.Lookups.Lookups,
+		Matched:      rep.Lookups.Matches,
+		MatchRate:    rep.Lookups.MatchRate(),
+		MemoryBits:   rep.Memory.TotalUsedBits(),
 		Update: WireUpdateStats{
 			Inserts:        rep.Stats.Inserts,
 			Deletes:        rep.Stats.Deletes,
@@ -328,7 +320,6 @@ func (a *api) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 		CacheCapacity:        req.CacheCapacity,
 		RebuildAfterDeltas:   req.RebuildAfterDeltas,
 		DegradationThreshold: req.DegradationThreshold,
-		SingleProbe:          req.SingleProbe,
 	})
 	if err != nil {
 		status := http.StatusBadRequest

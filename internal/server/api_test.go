@@ -152,9 +152,10 @@ func TestCreateTenantMalformedBody(t *testing.T) {
 
 // TestCreateTenantUnknownField pins the honest refusal at the wire edge: a
 // configuration field the request does not declare (a misspelt knob, or one
-// of the withdrawn replica / shard / tuner knobs) is a 400 naming the field
-// and creates nothing — a tenant that asks for a tuner must not silently get
-// none — while a body of known fields only still creates the tenant.
+// of the withdrawn replica / shard / tuner / single-probe knobs) is a 400
+// naming the field and creates nothing — a tenant that asks for a tuner must
+// not silently get none — while a body of known fields only still creates
+// the tenant.
 func TestCreateTenantUnknownField(t *testing.T) {
 	_, h := newTestServer()
 	// Spelt in two halves: CI greps the tree for the tuner's names to keep
@@ -166,6 +167,7 @@ func TestCreateTenantUnknownField(t *testing.T) {
 		"shards":              `{"id": "x", "shards": 4}`,
 		"partition_by":        `{"id": "x", "partition_by": "src-byte"}`,
 		"sampling":            `{"id": "x", "sampling": 64}`,
+		"single_probe":        `{"id": "x", "single_probe": true}`,
 		tune:                  `{"id": "x", "` + tune + `": true}`,
 		tune + "_interval_ms": `{"id": "x", "` + tune + `_interval_ms": 5}`,
 	} {

@@ -384,15 +384,12 @@ func appendBatchResponse(b []byte, results []sdnpc.Result) []byte {
 		if wr.ActionArg != 0 {
 			b = strconv.AppendUint(append(b, `,"action_arg":`...), uint64(wr.ActionArg), 10)
 		}
-		b = strconv.AppendInt(append(b, `,"latency_cycles":`...), int64(wr.LatencyCycles), 10)
 		b = append(b, '}')
 	}
 	rep := sdnpc.SummarizeBatch(results)
 	b = strconv.AppendInt(append(b, `],"report":{"packets":`...), int64(rep.Packets), 10)
 	b = strconv.AppendInt(append(b, `,"matched":`...), int64(rep.Matched), 10)
 	b = appendFloat(append(b, `,"match_rate":`...), rep.MatchRate())
-	b = appendFloat(append(b, `,"avg_latency_cycles":`...), rep.AverageLatencyCycles())
-	b = strconv.AppendInt(append(b, `,"max_latency_cycles":`...), int64(rep.MaxLatencyCycles), 10)
 	return append(b, "}}\n"...)
 }
 

@@ -51,8 +51,6 @@ type TenantConfig struct {
 	// update plane (zero values select the defaults).
 	RebuildAfterDeltas   int
 	DegradationThreshold float64
-	// SingleProbe selects the paper's single-probe HPML combination mode.
-	SingleProbe bool
 }
 
 // Tenant is one isolated classifier table: its own rules, engine selection,
@@ -100,9 +98,6 @@ func (m *Manager) Create(id string, cfg TenantConfig) (*Tenant, error) {
 	}
 	if cfg.RebuildAfterDeltas != 0 || cfg.DegradationThreshold != 0 {
 		opts = append(opts, sdnpc.WithUpdatePolicy(cfg.RebuildAfterDeltas, cfg.DegradationThreshold))
-	}
-	if cfg.SingleProbe {
-		opts = append(opts, sdnpc.WithSingleProbe())
 	}
 	c, err := sdnpc.New(opts...)
 	if err != nil {

@@ -74,10 +74,9 @@ type WireHeader struct {
 type WireResult struct {
 	Matched bool `json:"matched"`
 	// Priority and the action fields are meaningful only when Matched.
-	Priority      int    `json:"priority"`
-	Action        string `json:"action,omitempty"`
-	ActionArg     uint32 `json:"action_arg,omitempty"`
-	LatencyCycles int    `json:"latency_cycles"`
+	Priority  int    `json:"priority"`
+	Action    string `json:"action,omitempty"`
+	ActionArg uint32 `json:"action_arg,omitempty"`
 	// Actions is the full ordered action list under multi-action semantics,
 	// present only when the classify request asked for it (?all=true): every
 	// matching rule's action in priority order, up to and including the
@@ -217,11 +216,7 @@ func decodeHeader(wh WireHeader) (sdnpc.Header, error) {
 
 // encodeResult converts a lookup result to its wire form.
 func encodeResult(r sdnpc.Result) WireResult {
-	wr := WireResult{
-		Matched:       r.Matched,
-		Priority:      r.Priority,
-		LatencyCycles: r.LatencyCycles,
-	}
+	wr := WireResult{Matched: r.Matched, Priority: r.Priority}
 	if r.Matched {
 		wr.Action = r.Action.String()
 		wr.ActionArg = r.ActionArg

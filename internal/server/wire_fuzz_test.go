@@ -213,11 +213,9 @@ func oracleClassifyBatch(t *testing.T, c *sdnpc.Classifier, body []byte) ([]byte
 	resp := ClassifyBatchResponse{
 		Results: make([]WireResult, len(results)),
 		Report: WireBatchReport{
-			Packets:          report.Packets,
-			Matched:          report.Matched,
-			MatchRate:        report.MatchRate(),
-			AvgLatencyCycles: report.AverageLatencyCycles(),
-			MaxLatencyCycles: report.MaxLatencyCycles,
+			Packets:   report.Packets,
+			Matched:   report.Matched,
+			MatchRate: report.MatchRate(),
 		},
 	}
 	for i, res := range results {

@@ -3,8 +3,10 @@
 #
 # Runs the testing.AllocsPerRun-based tests asserting 0 allocs/op for Lookup,
 # LookupBatchInto and the multi-action LookupAllInto on every selectable
-# engine of both tiers, cached and uncached, plus the cross-product
-# combination mode. A single stray
+# engine of both tiers, cached and uncached, in the exact (cross-product)
+# combination mode every classifier serves with. The serving path returns
+# the verdict and the access counters only; the paper's modelled cycles are
+# computed by the experiment harness, off this path. A single stray
 # allocation on any serving path fails the gate, so the flat layout's
 # headline contract cannot erode silently. It also runs
 # TestPacketTierUpdateAllocs, which bounds the objects and the bytes one rule

@@ -10,7 +10,7 @@
 // with WithEngine and Classifier.SelectEngine, so the trade-off between
 // lookup speed, precomputed memory and update cost is run-time data.
 //
-// The package wraps the internal architecture model behind a small surface:
+// The package wraps the internal architecture behind a small surface:
 // a Classifier with insert/delete/lookup, a fluent Rule builder, and engine
 // selection by registry name. Import it as
 //
@@ -39,8 +39,8 @@ type (
 	RuleSet = fivetuple.RuleSet
 	// Header is the five-tuple of one packet.
 	Header = fivetuple.Header
-	// Result is the outcome of one lookup, including the data-plane cost
-	// counters of the architecture model.
+	// Result is the outcome of one lookup, including the memory accesses
+	// it made.
 	Result = core.Result
 	// BatchReport aggregates the accounting fields of one LookupBatch call.
 	BatchReport = core.BatchReport
@@ -135,18 +135,6 @@ func WithEngine(name string) Option {
 	return func(cfg *core.Config) { cfg.SetEngine(name) }
 }
 
-// WithSingleProbe selects the paper's single-probe HPML combination mode:
-// fastest, but it can miss the highest-priority rule when label lists
-// disagree. The default is the exact cross-product mode.
-func WithSingleProbe() Option {
-	return func(cfg *core.Config) { cfg.CombineMode = core.CombineHPML }
-}
-
-// WithClock sets the modelled clock frequency in Hz.
-func WithClock(hz float64) Option {
-	return func(cfg *core.Config) { cfg.ClockHz = hz }
-}
-
 // WithCache enables the sharded exact-match microflow cache in front of the
 // lookup engines (both tiers): repeated five-tuples are answered without
 // walking any classification structure, and every rule update or engine
@@ -235,7 +223,7 @@ func (c *Classifier) Apply(ops []UpdateOp) (reports []UpdateReport, errs []error
 }
 
 // Lookup classifies one packet header and returns the highest-priority
-// matching rule's action together with the model's cost counters. It is
+// matching rule's action together with its memory-access counters. It is
 // lock-free and safe to call from any number of goroutines.
 func (c *Classifier) Lookup(h Header) Result { return c.inner.Lookup(h) }
 
@@ -277,8 +265,7 @@ func (c *Classifier) LookupAllInto(dst []ActionRef, h Header) ([]ActionRef, Resu
 func EngineDims(name string) DimSet { return engine.Dims(name) }
 
 // SummarizeBatch aggregates per-lookup results into batch-level totals:
-// match rate, summed and worst-case modelled latency, and the summed memory
-// access counters.
+// match rate and the summed memory access counters.
 func SummarizeBatch(results []Result) BatchReport { return core.SummarizeBatch(results) }
 
 // Reader is a worker-pinned serving handle: all lookups through one Reader
@@ -322,16 +309,6 @@ func (c *Classifier) Report() Report { return c.inner.Report() }
 
 // ResetStats zeroes the counters without touching installed rules.
 func (c *Classifier) ResetStats() { c.inner.ResetStats() }
-
-// ThroughputGbps returns the modelled sustained line rate for the given
-// packet size under the active engine.
-func (c *Classifier) ThroughputGbps(packetBytes int) float64 {
-	return c.inner.ThroughputGbps(packetBytes)
-}
-
-// LookupsPerSecond returns the modelled sustained lookup rate under the
-// active engine.
-func (c *Classifier) LookupsPerSecond() float64 { return c.inner.LookupsPerSecond() }
 
 // ParseHeader builds a packet header from dotted-quad addresses.
 func ParseHeader(srcIP string, srcPort uint16, dstIP string, dstPort uint16, protocol uint8) (Header, error) {

@@ -480,6 +480,10 @@ func TestDifferentialUpdateSequences(t *testing.T) {
 				}
 			})
 
+			t.Run("equal-priority-ties", func(t *testing.T) {
+				checkTieOrder(t, name)
+			})
+
 			// The sequence ran entirely on the delta path for incremental
 			// engines; pin that so the corpus cannot silently regress into
 			// testing the rebuild path.
@@ -514,6 +518,66 @@ func TestDifferentialUpdateSequences(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkTieOrder runs three overlapping rules of one priority — a wire tenant
+// installs every rule at priority 0 — through the named packet engine's delta
+// path and a rebuild, against an install-order oracle: the first installed
+// rule wins, and a multi-action chain lists the ties in installation order.
+// The third rule repeats the first's matches, so a structure that files such
+// rules together (dcfl's final sets) must order them too. Where the engine
+// serves multi-action rules the first two do not terminate, so the chain
+// shows the whole order.
+func checkTieOrder(t *testing.T, name string) {
+	cfg := bench.EngineConfig(name)
+	cfg.RebuildAfterDeltas = 1 << 20
+	cfg.DegradationThreshold = 1.01
+	c := core.MustNew(cfg)
+	chain := engine.Dims(name).Covers(fivetuple.DimMultiAction)
+	var live []fivetuple.Rule
+	for i, src := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.0.0.0/8"} {
+		r := fivetuple.Rule{
+			SrcPrefix: fivetuple.MustParsePrefix(src), DstPrefix: fivetuple.MustParsePrefix("0.0.0.0/0"),
+			SrcPort: fivetuple.WildcardPortRange(), DstPort: fivetuple.WildcardPortRange(),
+			Protocol: fivetuple.WildcardProtocol(), Action: fivetuple.ActionForward, ActionArg: uint32(i + 1),
+			NonTerminating: chain && i < 2,
+		}
+		if _, err := c.InsertRule(r); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, r)
+	}
+	headers := []fivetuple.Header{
+		{SrcIP: fivetuple.MustParseIPv4("10.1.2.3"), DstIP: fivetuple.MustParseIPv4("192.0.2.1"), SrcPort: 1, DstPort: 2, Protocol: fivetuple.ProtoUDP},
+		{SrcIP: fivetuple.MustParseIPv4("10.1.9.9"), DstIP: fivetuple.MustParseIPv4("192.0.2.1"), SrcPort: 1, DstPort: 2, Protocol: fivetuple.ProtoTCP},
+		{SrcIP: fivetuple.MustParseIPv4("10.7.0.1"), DstIP: fivetuple.MustParseIPv4("192.0.2.1"), SrcPort: 1, DstPort: 2, Protocol: fivetuple.ProtoTCP},
+	}
+	checkAgainstOracle(t, "installed", name, c, live, headers)
+
+	first := live[0]
+	if _, err := c.DeleteRule(first); err != nil {
+		t.Fatal(err)
+	}
+	live = live[1:]
+	checkAgainstOracle(t, "first deleted", name, c, live, headers)
+
+	if _, err := c.InsertRule(first); err != nil {
+		t.Fatal(err)
+	}
+	live = append(live, first) // now the last installed of its priority
+	checkAgainstOracle(t, "first reinserted", name, c, live, headers)
+
+	hop := "linear"
+	if name == hop {
+		hop = "hypercuts"
+	}
+	if err := c.SelectEngine(hop); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SelectEngine(name); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstOracle(t, "rebuilt", name, c, live, headers)
 }
 
 // TestDecodeUpdateInputShapes pins the mutation decoder's normalisation:

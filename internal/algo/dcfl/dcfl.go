@@ -19,17 +19,17 @@
 // The built classifier is pointer-free and copy-on-write. The per-field
 // unique values are (lo,hi) pairs indexed by label, and each aggregation node
 // is an open-addressed hash of 3-word slots plus the combination sets, all in
-// internal/cow chunks. Sets list stable rule ids, best-first, and one
-// id → position map answers in the best-first order, so a delta update
-// renumbers nothing: it writes the map, the set chunk of each node it edits,
-// the rule chunk it fills and, for a new value or combination, a field or
-// slot chunk — and every clone shares the rest. Classify keeps its
-// per-packet label sets in a pooled scratch and allocates nothing.
+// internal/cow chunks. Sets list stable rule ids, best-first by (priority,
+// id), and a lookup answers in those ids, so a delta update renumbers
+// nothing: it writes the set chunk of each node it edits, the rule chunk it
+// fills and, for a new value or combination, a field or slot chunk — and
+// every clone shares the rest. Classify keeps its per-packet label sets in a
+// pooled scratch and allocates nothing.
 package dcfl
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 
@@ -53,9 +53,6 @@ const (
 // dense small integers, so the all-ones word can never collide with one.
 const emptySlot = ^uint32(0)
 
-// freePos is the position of a rule id no rule holds.
-const freePos = math.MaxUint32
-
 // slot is one hash slot of an aggregation node: the combination's two input
 // labels or IDs and its combination ID.
 type slot [3]uint32
@@ -72,13 +69,12 @@ type aggNode struct {
 
 // Classifier is a DCFL classifier built from a rule set.
 type Classifier struct {
-	// rules stores the rules by id, and pos maps an id to its best-first
-	// position. A delta copies pos first unless this classifier owns it (it
-	// does until it is cloned).
-	rules    cow.Array[fivetuple.Rule]
-	pos      []uint32
-	live     int
-	posOwned bool
+	// rules stores the rules by id. Build numbers the rules best-first and
+	// an insert appends, so ids only grow between builds and (priority, id)
+	// is the best-first order, ties included; a delete retires its id (see
+	// delta.go).
+	rules cow.Array[fivetuple.Rule]
+	live  int
 
 	// fields holds each field's unique values, the label being the index.
 	// They are only ever appended to.
@@ -153,9 +149,11 @@ func Build(rs *fivetuple.RuleSet) (*Classifier, error) {
 	return BuildRules(rs.Rules())
 }
 
-// BuildRules constructs a DCFL classifier over rules, best-first, and stores
-// them without copying: the caller must not modify the slice afterwards. The
-// classifier never writes it; a delta copies the chunk it changes.
+// BuildRules constructs a DCFL classifier over rules, best-first — ascending
+// priority, ties in installation order — with rule i under id i. It keeps the
+// rules' priorities and stores the rules without copying: the caller must not
+// modify the slice afterwards. The classifier never writes it; a delta copies
+// the chunk it changes.
 //
 // The build numbers each field's values, then each node's label pairs, in
 // order of first use through one map it reuses throughout, and groups each
@@ -166,10 +164,7 @@ func BuildRules(rules []fivetuple.Rule) (*Classifier, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("dcfl: empty rule set")
 	}
-	c := &Classifier{rules: cow.Adopt(rules), pos: make([]uint32, n), live: n, posOwned: true}
-	for i := range c.pos {
-		c.pos[i] = uint32(i)
-	}
+	c := &Classifier{rules: cow.Adopt(rules), live: n}
 	b := &builder{index: make(map[uint64]uint32, n), keys: make([]uint64, n), distinct: make([]uint64, 0, n)}
 	buf := make([]uint32, 10*n+1)
 	var labels [numFields][]uint32
@@ -400,32 +395,34 @@ func (c *Classifier) aggregate(h fivetuple.Header, sc *scratch) (accesses int) {
 	return accesses
 }
 
-// Classify returns the index of the highest-priority matching rule, whether
-// any rule matched and the number of memory accesses performed (field
-// searches plus aggregation-table probes). Sets are best-first, so each
-// surviving final set offers its head.
-func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, accesses int) {
+// Classify returns the id of the highest-priority matching rule, whether any
+// rule matched and the number of memory accesses performed (field searches
+// plus aggregation-table probes). Sets are best-first, so each surviving
+// final set offers its head.
+func (c *Classifier) Classify(h fivetuple.Header) (id int, matched bool, accesses int) {
 	sc := scratchPool.Get().(*scratch)
 	accesses = c.aggregate(h, sc)
-	best := uint32(freePos)
 	for _, ip := range sc.ip {
 		for _, tr := range sc.trans {
 			accesses++
-			if id, ok := c.finalTable.probe(ip, tr); ok {
-				if set := c.finalTable.sets.List(int(id)); len(set) > 0 {
-					best = min(best, c.pos[set[0]])
+			if combo, ok := c.finalTable.probe(ip, tr); ok {
+				if set := c.finalTable.sets.List(int(combo)); len(set) > 0 && (!matched || c.order(int(set[0]), id) < 0) {
+					id, matched = int(set[0]), true
 				}
 			}
 		}
 	}
 	scratchPool.Put(sc)
-	if best == freePos {
-		return 0, false, accesses
-	}
-	return int(best), true, accesses
+	return id, matched, accesses
 }
 
-// ClassifyAll appends to dst the indices of the rules matching the header,
+// order compares rule ids a and b best-first: by priority, ties by id, which
+// is installation order.
+func (c *Classifier) order(a, b int) int {
+	return cmp.Or(cmp.Compare(c.rules.At(a).Priority, c.rules.At(b).Priority), cmp.Compare(a, b))
+}
+
+// ClassifyAll appends to dst the ids of the rules matching the header,
 // best-first, up to and including the first terminating one — the
 // multi-action chain — and returns the extended slice plus the number of
 // memory accesses, which counts every rule of every surviving final set, as
@@ -436,24 +433,24 @@ func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, 
 func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 	sc := scratchPool.Get().(*scratch)
 	accesses := c.aggregate(h, sc)
-	start, last := len(dst), uint32(freePos) // last: the best terminating match
+	start, last := len(dst), -1 // last: the best terminating match, once there is one
 	for _, ip := range sc.ip {
 		for _, tr := range sc.trans {
 			accesses++
-			id, ok := c.finalTable.probe(ip, tr)
+			combo, ok := c.finalTable.probe(ip, tr)
 			if !ok {
 				continue
 			}
-			set := c.finalTable.sets.List(int(id))
+			set := c.finalTable.sets.List(int(combo))
 			accesses += len(set)
 			for _, rule := range set {
-				p := c.pos[rule]
-				if p > last {
+				id := int(rule)
+				if last >= 0 && c.order(id, last) > 0 {
 					break
 				}
-				dst = append(dst, int(p))
-				if !c.rules.At(int(rule)).NonTerminating {
-					last = p
+				dst = append(dst, id)
+				if !c.rules.At(id).NonTerminating {
+					last = id
 					break
 				}
 			}
@@ -461,41 +458,22 @@ func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 	}
 	scratchPool.Put(sc)
 	chain := dst[start:start]
-	for _, p := range dst[start:] {
-		if uint32(p) <= last {
-			chain = append(chain, p)
+	for _, id := range dst[start:] {
+		if last < 0 || c.order(id, last) <= 0 {
+			chain = append(chain, id)
 		}
 	}
-	slices.Sort(chain)
+	slices.SortFunc(chain, c.order)
 	return dst[:start+len(chain)], accesses
 }
 
-// NumRules returns the length of the rule table the classifier answers in.
+// NumRules returns the number of rules the classifier holds.
 func (c *Classifier) NumRules() int { return c.live }
 
-// Rule returns the rule at index i of that table, for reading only and until
-// the next delta. Only its matches, action and termination are meaningful to
-// a caller: Build renumbers priorities positionally. It searches the
-// id → position map, O(rules): its caller is the update plane's check of a
-// delete, not a lookup.
-func (c *Classifier) Rule(i int) *fivetuple.Rule {
-	if id, ok := c.idAt(i); ok {
-		return c.rules.At(id)
-	}
-	panic(fmt.Sprintf("dcfl: rule index %d out of range [0,%d)", i, c.live))
-}
-
-// idAt returns the id of the rule at position i.
-func (c *Classifier) idAt(i int) (int, bool) {
-	if i >= 0 && i < c.live {
-		for id, p := range c.pos {
-			if int(p) == i {
-				return id, true
-			}
-		}
-	}
-	return 0, false
-}
+// Rule returns the rule with the given id, for reading only, with the
+// priority it was built or inserted with. No delta rewrites a stored rule,
+// so the rule stays valid for as long as the caller holds it.
+func (c *Classifier) Rule(id int) *fivetuple.Rule { return c.rules.At(id) }
 
 // MemoryBits returns the storage consumed by the field structures and the
 // aggregation tables.

@@ -14,10 +14,15 @@ import (
 // and one combination entry per aggregation node, so an insert is five label
 // acquisitions plus four set edits, and a delete removes the rule from its
 // four sets along the same path. Sets list stable rule ids, so a delta
-// renumbers nothing in them: it shifts the positions in the id → position
-// map (one pass over 4 bytes a rule) and replaces the one set chunk it edits
-// per node. A new field value appends to its value array and a new
-// combination takes a hash slot, each a write to one chunk.
+// renumbers nothing: it replaces the one set chunk it edits per node, and an
+// insert appends the rule to the store under the next id. A new field value
+// appends to its value array and a new combination takes a hash slot, each a
+// write to one chunk.
+//
+// A deleted rule's id is retired, not reused, which keeps (priority, id) the
+// best-first order with no sequence numbers. The store keeps retired rules
+// until the next build, so a delete that would leave more dead ids than live
+// ones plus deadSlack is refused: the caller rebuilds, which renumbers.
 //
 // Deletes leave garbage behind on purpose: emptied combination entries and
 // unused field values stay in the tables, costing extra probes but never
@@ -25,14 +30,17 @@ import (
 // empty set matches nothing). Degradation quantifies that garbage so a
 // policy layer can amortise it away with an occasional rebuild.
 
+// deadSlack is how far dead ids may outnumber live ones before a delete is
+// refused.
+const deadSlack = 64
+
 // Clone returns a copy of the classifier for delta updates. It shares
-// everything with c — the rule store, the field values, the hash slots, the
-// sets and the id → position map — and a delta on either side copies what
-// it writes: the map and a directory the first time, then the chunks it
-// changes. Clone takes c's ownership of them away, which is a write to c
-// needing the same serialisation as a delta, though no reader of c sees it.
+// everything with c — the rule store, the field values, the hash slots and
+// the sets — and a delta on either side copies what it writes: a directory
+// the first time, then the chunks it changes. Clone takes c's ownership of
+// them away, which is a write to c needing the same serialisation as a
+// delta, though no reader of c sees it.
 func (c *Classifier) Clone() *Classifier {
-	c.posOwned = false
 	cp := *c
 	cp.rules = c.rules.Clone()
 	for f := range cp.fields {
@@ -50,22 +58,15 @@ func (t *aggNode) clone() aggNode {
 	return cp
 }
 
-// ownPos makes the id → position map private, with room for one more id.
-func (c *Classifier) ownPos() {
-	if !c.posOwned {
-		c.pos = append(make([]uint32, 0, len(c.pos)+1), c.pos...)
-		c.posOwned = true
-	}
-}
-
 // setOf returns the chunk and the chunk-local bit of combination id's set.
 func setOf(id uint32) (k int, bit uint64) {
 	return int(id >> cow.ChunkShift), 1 << (id & (cow.ChunkLen - 1))
 }
 
-// add registers that rule uses the combination (a, b) and returns its
-// combination ID, creating the slot and the set on first use and keeping the
-// stale-entry accounting: refilling an emptied set revives it.
+// add registers that rule, the newest id, uses the combination (a, b) and
+// returns its combination ID, creating the slot and the set on first use and
+// keeping the stale-entry accounting: refilling an emptied set revives it.
+// The rule goes after the set's rules of the same or a better priority.
 func (c *Classifier) add(t *aggNode, a, b, rule uint32) uint32 {
 	c.deltaWrites++
 	t.entries++
@@ -79,10 +80,10 @@ func (c *Classifier) add(t *aggNode, a, b, rule uint32) uint32 {
 	if len(t.sets.List(int(id))) == 0 {
 		c.staleCombos--
 	}
-	p := c.pos[rule]
+	p := c.rules.At(int(rule)).Priority
 	k, bit := setOf(id)
 	t.sets.Insert(k, bit, rule, func(set []uint32) int {
-		return sort.Search(len(set), func(i int) bool { return c.pos[set[i]] > p })
+		return sort.Search(len(set), func(i int) bool { return c.rules.At(int(set[i])).Priority > p })
 	})
 	return id
 }
@@ -140,97 +141,96 @@ func (c *Classifier) labelOf(f fieldIndex, r *fivetuple.Rule) uint32 {
 	return uint32(values.Len() - 1)
 }
 
-// InsertAt splices rule r into the classifier's best-first rule order at
-// index idx — positions at or above idx shift up by one — labels its five
-// field values (new values are appended to the field-search arrays) and adds
-// its id along its combination path.
-func (c *Classifier) InsertAt(r fivetuple.Rule, idx int) error {
-	if idx < 0 || idx > c.live {
-		return fmt.Errorf("dcfl: insert index %d out of range [0,%d]", idx, c.live)
-	}
-	c.ownPos()
-	id := -1
-	for i, p := range c.pos {
-		switch {
-		case p == freePos:
-			if id < 0 {
-				id = i
-			}
-		case int(p) >= idx:
-			c.pos[i]++
-		}
-	}
-	if id < 0 {
-		id = len(c.pos)
-		c.pos = append(c.pos, 0)
-		c.rules.Append(r)
-	} else {
-		*c.rules.Mut(id) = r
-	}
-	c.pos[id] = uint32(idx)
+// Insert labels rule r's five field values (new values are appended to the
+// field-search arrays) and adds it under the next id along its combination
+// path.
+func (c *Classifier) Insert(r fivetuple.Rule) {
+	rule := uint32(c.rules.Len())
+	c.rules.Append(r)
 	c.live++
-
 	var lbl [numFields]uint32
 	for f := range numFields {
 		lbl[f] = c.labelOf(f, &r)
 	}
-	rule := uint32(id)
 	ipID := c.add(&c.ipTable, lbl[fieldSrcIP], lbl[fieldDstIP], rule)
 	portID := c.add(&c.portTable, lbl[fieldSrcPort], lbl[fieldDstPort], rule)
 	transID := c.add(&c.transTable, portID, lbl[fieldProto], rule)
 	c.add(&c.finalTable, ipID, transID, rule)
 	c.deltas++
-	return nil
 }
 
-// DeleteAt removes the rule at index idx of the best-first order: its id is
-// deleted from the four aggregation sets along its combination path and
-// freed, and positions above idx shift down by one. Emptied combination
-// entries and now-unused field values are left in place as tracked garbage.
-// Everything is looked up before anything is written, so a failed delete
-// changes nothing.
-func (c *Classifier) DeleteAt(idx int) error {
-	id, ok := c.idAt(idx)
+// Delete removes the first-installed rule with r's matches and priority: its
+// id, found in the final-table set of r's combination, is deleted from the
+// four aggregation sets along its combination path and retired. Emptied
+// combination entries and now-unused field values are left in place as
+// tracked garbage. A refused delete — no such rule is installed, or too many
+// ids are already dead — changes nothing.
+func (c *Classifier) Delete(r fivetuple.Rule) error {
+	if dead := c.rules.Len() - c.live; dead+1 > c.live-1+deadSlack {
+		return fmt.Errorf("dcfl: %d dead ids beside %d live rules: rebuild to renumber", dead, c.live)
+	}
+	rule, combos, ok := c.locate(&r)
 	if !ok {
-		return fmt.Errorf("dcfl: delete index %d out of range [0,%d)", idx, c.live)
+		return fmt.Errorf("dcfl: rule %s priority %d is not installed", r, r.Priority)
 	}
-	r := c.rules.At(id)
-	var lbl [numFields]uint32
-	for f := range numFields {
-		lo, hi := fieldRange(f, r)
-		if lbl[f], ok = find(&c.fields[f], lo, hi); !ok {
-			return fmt.Errorf("dcfl: field %d value of rule %d is not labelled", f, idx)
-		}
-	}
-	ipID, okIP := c.ipTable.probe(lbl[fieldSrcIP], lbl[fieldDstIP])
-	portID, okPort := c.portTable.probe(lbl[fieldSrcPort], lbl[fieldDstPort])
-	transID, okTrans := c.transTable.probe(portID, lbl[fieldProto])
-	finalID, okFinal := c.finalTable.probe(ipID, transID)
-	if !okIP || !okPort || !okTrans || !okFinal {
-		return fmt.Errorf("dcfl: a combination of rule %d is missing", idx)
-	}
-	combos := [4]uint32{ipID, portID, transID, finalID}
+	// Insert added the id along this same path, so every set holds it.
 	for i, t := range c.aggTables() {
-		if !slices.Contains(t.sets.List(int(combos[i])), uint32(id)) {
-			return fmt.Errorf("dcfl: rule %d missing from its combination set", idx)
-		}
-	}
-	for i, t := range c.aggTables() {
-		if t.remove(combos[i], uint32(id)) {
+		if t.remove(combos[i], rule) {
 			c.staleCombos++
 		}
 		c.deltaWrites++
 	}
-	c.ownPos()
-	for i, p := range c.pos {
-		if p != freePos && int(p) > idx {
-			c.pos[i]--
-		}
-	}
-	c.pos[id] = freePos
 	c.live--
 	c.deltas++
 	return nil
+}
+
+// locate returns the id of the first-installed rule with r's matches and
+// priority, taken from the final-table set of r's combination, and the
+// combination IDs of r's path through the four aggregation nodes.
+func (c *Classifier) locate(r *fivetuple.Rule) (rule uint32, combos [4]uint32, ok bool) {
+	var lbl [numFields]uint32
+	for f := range numFields {
+		lo, hi := fieldRange(f, r)
+		if lbl[f], ok = find(&c.fields[f], lo, hi); !ok {
+			return 0, combos, false
+		}
+	}
+	var okIP, okPort, okTrans, okFinal bool
+	combos[0], okIP = c.ipTable.probe(lbl[fieldSrcIP], lbl[fieldDstIP])
+	combos[1], okPort = c.portTable.probe(lbl[fieldSrcPort], lbl[fieldDstPort])
+	combos[2], okTrans = c.transTable.probe(combos[1], lbl[fieldProto])
+	combos[3], okFinal = c.finalTable.probe(combos[0], combos[2])
+	if !okIP || !okPort || !okTrans || !okFinal {
+		return 0, combos, false
+	}
+	for _, id := range c.finalTable.sets.List(int(combos[3])) {
+		if q := c.rules.At(int(id)); q.Priority == r.Priority && q.SameMatch(*r) {
+			return id, combos, true
+		}
+	}
+	return 0, combos, false
+}
+
+// InsertAt is Insert behind the positional signature of the benchmark's
+// structure ladder: idx must lie in [0, NumRules()], and r goes where its
+// priority places it — at idx when priorities are the best-first positions,
+// as a fivetuple.RuleSet numbers them.
+func (c *Classifier) InsertAt(r fivetuple.Rule, idx int) error {
+	if idx < 0 || idx > c.live {
+		return fmt.Errorf("dcfl: insert index %d out of range [0,%d]", idx, c.live)
+	}
+	c.Insert(r)
+	return nil
+}
+
+// DeleteAt deletes Rule(id). On tables built from a fivetuple.RuleSet, id is
+// the rule's best-first position until the first delta.
+func (c *Classifier) DeleteAt(id int) error {
+	if id < 0 || id >= c.rules.Len() {
+		return fmt.Errorf("dcfl: delete id %d out of range [0,%d)", id, c.rules.Len())
+	}
+	return c.Delete(*c.rules.At(id))
 }
 
 func (c *Classifier) aggTables() [4]*aggNode {
@@ -239,8 +239,10 @@ func (c *Classifier) aggTables() [4]*aggNode {
 
 // DeltaStats reports the delta debt accumulated since the tables were built.
 type DeltaStats struct {
-	// Deltas is the number of InsertAt/DeleteAt ops applied since Build.
+	// Deltas is the number of Insert/Delete ops applied since Build.
 	Deltas int
+	// DeadIDs is the number of ids deletes retired since Build.
+	DeadIDs int
 	// Writes is the number of combination-set edits performed by those ops.
 	Writes int
 	// StaleCombos is the number of combination entries whose rule set is
@@ -250,7 +252,7 @@ type DeltaStats struct {
 
 // DeltaStats returns the delta debt since Build.
 func (c *Classifier) DeltaStats() DeltaStats {
-	return DeltaStats{Deltas: c.deltas, Writes: c.deltaWrites, StaleCombos: c.staleCombos}
+	return DeltaStats{Deltas: c.deltas, DeadIDs: c.rules.Len() - c.live, Writes: c.deltaWrites, StaleCombos: c.staleCombos}
 }
 
 // Degradation estimates how far the delta-updated tables have drifted from

@@ -139,9 +139,9 @@ func requireReferenceTree(t *testing.T, c *Classifier, rules []fivetuple.Rule, c
 		}
 		if n.children == nil {
 			l := int(rec[nwA])
-			var got []int
+			var got []int // a fresh build gives rule i id i
 			for _, id := range c.leaves.List(l) {
-				got = append(got, int(c.pos[id]))
+				got = append(got, int(id))
 			}
 			if rec[nwFlags] != leafFlag || !slices.Equal(got, n.leafRules) {
 				t.Fatalf("node %d: flags %#x, leaf list %v; reference leaf %v", i, rec[nwFlags], got, n.leafRules)

@@ -11,101 +11,93 @@ import (
 // internal nodes encode a fixed partition of the header space, so inserting
 // or deleting one rule only changes the lists of the leaves whose region it
 // overlaps — the cut structure is untouched. Leaves list stable rule ids, so
-// a delta renumbers nothing in them: it shifts the positions in the
-// id → position map (one pass over 4 bytes a rule) and rewrites the chunks of
-// the leaves its rule overlaps, about two leaves in one chunk on ACL sets.
+// a delta renumbers nothing: it rewrites the chunks of the leaves its rule
+// overlaps, about two leaves in one chunk on ACL sets, and an insert appends
+// the rule to the store under the next id.
+//
+// A deleted rule's id is retired, not reused, which keeps (priority, id) the
+// best-first order with no sequence numbers. The store keeps retired rules
+// until the next build, so a delete that would leave more dead ids than live
+// ones plus deadSlack is refused: the caller rebuilds, which renumbers.
 //
 // The price is drift: inserts can grow a leaf beyond binth (a fresh build
 // would have split it), so the linear leaf scan slowly lengthens. The tree
 // stays correct — Degradation quantifies the drift so a policy layer can
 // amortise it away with an occasional rebuild.
 
+// deadSlack is how far dead ids may outnumber live ones before a delete is
+// refused.
+const deadSlack = 64
+
 // Clone returns a copy of the classifier for delta updates. It shares
-// everything with c — the node records, the leaf chunks, the rule store and
-// the id → position map — and a delta on either side copies what it writes:
-// the map and the leaf directory the first time, then the chunks it changes.
-// Clone takes c's ownership of them away, which is a write to c needing the
-// same serialisation as a delta, though no reader of c sees it.
+// everything with c — the node records, the leaf chunks and the rule store —
+// and a delta on either side copies what it writes: the leaf directory the
+// first time, then the chunks it changes. Clone takes c's ownership of them
+// away, which is a write to c needing the same serialisation as a delta,
+// though no reader of c sees it.
 func (c *Classifier) Clone() *Classifier {
-	c.posOwned = false
 	cp := *c
 	cp.leaves = c.leaves.Clone()
 	cp.rules = c.rules.Clone()
 	return &cp
 }
 
-// ownPos makes the id → position map private, with room for one more id.
-func (c *Classifier) ownPos() {
-	if !c.posOwned {
-		c.pos = append(make([]uint32, 0, len(c.pos)+1), c.pos...)
-		c.posOwned = true
-	}
+// Insert adds rule r under the next id to every leaf whose region it
+// overlaps, after the entries of the same or a better priority: the
+// leaf-local delta update.
+func (c *Classifier) Insert(r fivetuple.Rule) {
+	id := uint32(c.rules.Len())
+	c.rules.Append(r)
+	c.live++
+	c.spliceLeaves(r, id, true)
+	c.deltas++
 }
 
-// InsertAt splices rule r into the classifier's best-first rule order at
-// index idx — positions at or above idx shift up by one — and adds it to
-// every leaf whose region the rule overlaps: the leaf-local delta update.
+// Delete removes the first-installed rule with r's matches and priority from
+// every leaf storing it and retires its id. It refuses, changing nothing,
+// when no such rule is installed or when too many ids are already dead.
+// Leaves are never re-merged; the (cheap) excess depth this can leave behind
+// is amortised away by the policy layer's periodic rebuild.
+func (c *Classifier) Delete(r fivetuple.Rule) error {
+	if dead := c.rules.Len() - c.live; dead+1 > c.live-1+deadSlack {
+		return fmt.Errorf("hypercuts: %d dead ids beside %d live rules: rebuild to renumber", dead, c.live)
+	}
+	if !c.spliceLeaves(r, 0, false) {
+		return fmt.Errorf("hypercuts: rule %s priority %d is not installed", r, r.Priority)
+	}
+	c.live--
+	c.deltas++
+	return nil
+}
+
+// InsertAt is Insert behind the positional signature of the benchmark's
+// structure ladder: idx must lie in [0, NumRules()], and r goes where its
+// priority places it — at idx when priorities are the best-first positions,
+// as a fivetuple.RuleSet numbers them.
 func (c *Classifier) InsertAt(r fivetuple.Rule, idx int) error {
 	if idx < 0 || idx > c.live {
 		return fmt.Errorf("hypercuts: insert index %d out of range [0,%d]", idx, c.live)
 	}
-	c.ownPos()
-	id := -1
-	for i, p := range c.pos {
-		switch {
-		case p == freePos:
-			if id < 0 {
-				id = i
-			}
-		case int(p) >= idx:
-			c.pos[i]++
-		}
-	}
-	if id < 0 {
-		id = len(c.pos)
-		c.pos = append(c.pos, 0)
-		c.rules.Append(r)
-	} else {
-		*c.rules.Mut(id) = r
-	}
-	c.pos[id] = uint32(idx)
-	c.live++
-	c.spliceLeaves(r, uint32(id), true)
-	c.deltas++
+	c.Insert(r)
 	return nil
 }
 
-// DeleteAt removes the rule at index idx of the best-first order from every
-// leaf storing it and frees its id; positions above idx shift down by one.
-// Leaves are never re-merged; the (cheap) excess depth this can leave behind
-// is amortised away by the policy layer's periodic rebuild.
-func (c *Classifier) DeleteAt(idx int) error {
-	if idx < 0 || idx >= c.live {
-		return fmt.Errorf("hypercuts: delete index %d out of range [0,%d)", idx, c.live)
+// DeleteAt deletes Rule(id). On a tree built from a fivetuple.RuleSet, id is
+// the rule's best-first position until the first delta.
+func (c *Classifier) DeleteAt(id int) error {
+	if id < 0 || id >= c.rules.Len() {
+		return fmt.Errorf("hypercuts: delete id %d out of range [0,%d)", id, c.rules.Len())
 	}
-	c.ownPos()
-	id := 0
-	for i, p := range c.pos {
-		switch {
-		case p == freePos:
-		case int(p) == idx:
-			id = i
-		case int(p) > idx:
-			c.pos[i]--
-		}
-	}
-	c.pos[id] = freePos
-	c.live--
-	c.spliceLeaves(*c.rules.At(id), uint32(id), false)
-	c.deltas++
-	return nil
+	return c.Delete(*c.rules.At(id))
 }
 
 // spliceLeaves adds id to (insert) or removes it from every leaf whose region
 // r overlaps — the leaves a fresh build would store r in. Leaf numbers rise
 // with node index, so one pass over the records meets a chunk's leaves
-// together, and each chunk holding such a leaf is replaced once.
-func (c *Classifier) spliceLeaves(r fivetuple.Rule, id uint32, insert bool) {
+// together, and each chunk holding such a leaf is replaced once. A delete
+// takes its id from the first such leaf, before writing anything, and
+// reports false when that leaf holds no entry with r's matches and priority.
+func (c *Classifier) spliceLeaves(r fivetuple.Rule, id uint32, insert bool) bool {
 	var touched uint64
 	chunk := -1
 	for base := 0; base < len(c.nodes); base += nodeWords {
@@ -114,6 +106,12 @@ func (c *Classifier) spliceLeaves(r fivetuple.Rule, id uint32, insert bool) {
 			continue
 		}
 		leaf := int(rec[nwA])
+		if chunk < 0 && !insert {
+			var ok bool
+			if id, ok = c.find(c.leaves.List(leaf), r); !ok {
+				return false
+			}
+		}
 		if leaf>>cow.ChunkShift != chunk {
 			if chunk >= 0 {
 				c.rewriteChunk(chunk, touched, id, insert)
@@ -125,6 +123,18 @@ func (c *Classifier) spliceLeaves(r fivetuple.Rule, id uint32, insert bool) {
 	if chunk >= 0 {
 		c.rewriteChunk(chunk, touched, id, insert)
 	}
+	return true
+}
+
+// find returns the id of the first entry of a leaf list with r's matches and
+// priority: the first installed of them, as the list is best-first.
+func (c *Classifier) find(list []uint32, r fivetuple.Rule) (uint32, bool) {
+	for _, id := range list {
+		if q := c.rules.At(int(id)); q.Priority == r.Priority && q.SameMatch(r) {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 // rewriteChunk replaces leaf chunk k by a copy in which every touched leaf
@@ -155,9 +165,10 @@ func (c *Classifier) rewriteChunk(k int, touched uint64, id uint32, insert bool)
 		c.leaves.Remove(k, touched, id)
 		return
 	}
+	p := c.rules.At(int(id)).Priority
 	c.leaves.Insert(k, touched, id, func(list []uint32) int {
 		at := 0
-		for at < len(list) && c.pos[list[at]] < c.pos[id] {
+		for at < len(list) && c.rules.At(int(list[at])).Priority <= p {
 			at++
 		}
 		return at
@@ -166,8 +177,10 @@ func (c *Classifier) rewriteChunk(k int, touched uint64, id uint32, insert bool)
 
 // DeltaStats reports the delta debt accumulated since the tree was built.
 type DeltaStats struct {
-	// Deltas is the number of InsertAt/DeleteAt ops applied since Build.
+	// Deltas is the number of Insert/Delete ops applied since Build.
 	Deltas int
+	// DeadIDs is the number of ids deletes retired since Build.
+	DeadIDs int
 	// Writes is the number of leaf entries written or removed by those ops.
 	Writes int
 	// OverflowPtrs is the number of leaf entries beyond binth in excess of
@@ -183,7 +196,7 @@ func (c *Classifier) DeltaStats() DeltaStats {
 	if over < 0 {
 		over = 0
 	}
-	return DeltaStats{Deltas: c.deltas, Writes: c.deltaWrites, OverflowPtrs: over}
+	return DeltaStats{Deltas: c.deltas, DeadIDs: c.rules.Len() - c.live, Writes: c.deltaWrites, OverflowPtrs: over}
 }
 
 // Degradation estimates how far the delta-updated tree has drifted from a

@@ -3,74 +3,132 @@ package hypercuts
 import (
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/fivetuple"
 )
 
+// placeBestFirst inserts r into the best-first list live after every rule of
+// the same or a better priority, as Insert places it.
+func placeBestFirst(live []fivetuple.Rule, r fivetuple.Rule) []fivetuple.Rule {
+	at := sort.Search(len(live), func(i int) bool { return live[i].Priority > r.Priority })
+	return slices.Insert(live, at, r)
+}
+
+// removeFirstInstalled drops the first rule of live with r's matches and
+// priority, as Delete does.
+func removeFirstInstalled(live []fivetuple.Rule, r fivetuple.Rule) []fivetuple.Rule {
+	i := slices.IndexFunc(live, func(q fivetuple.Rule) bool { return q.Priority == r.Priority && q.SameMatch(r) })
+	return slices.Delete(live, i, i+1)
+}
+
+// oracle returns the multi-action chain of the best-first list live for h:
+// every match up to and including the first terminating one.
+func oracle(live []fivetuple.Rule, h fivetuple.Header) []fivetuple.Rule {
+	var chain []fivetuple.Rule
+	for _, r := range live {
+		if r.Matches(h) {
+			chain = append(chain, r)
+			if !r.NonTerminating {
+				break
+			}
+		}
+	}
+	return chain
+}
+
+// requireVerdicts asserts that c answers the trace as the best-first list
+// live does: the first match and the multi-action chain, through Rule.
+func requireVerdicts(t *testing.T, who string, c *Classifier, live []fivetuple.Rule, trace []fivetuple.Header) {
+	t.Helper()
+	for _, h := range trace {
+		want := oracle(live, h)
+		id, ok, _ := c.Classify(h)
+		if ok != (len(want) > 0) || (ok && *c.Rule(id) != want[0]) {
+			t.Fatalf("%s: Classify(%s) = (%d, %v), oracle chain %v", who, h, id, ok, want)
+		}
+		ids, _ := c.ClassifyAll(h, nil)
+		got := make([]fivetuple.Rule, len(ids))
+		for i, id := range ids {
+			got[i] = *c.Rule(id)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: ClassifyAll(%s) = %v, oracle %v", who, h, got, want)
+		}
+	}
+}
+
 // TestDeltaMatchesFreshBuild churns a built tree through a random
-// insert/delete sequence via the delta ops and asserts that every verdict —
-// the first match and the multi-action chain — agrees with a tree freshly
-// built over the final rule list and with the linear oracle.
+// insert/delete sequence via the delta ops — inserted priorities collide with
+// live ones, so ties are placed too — and asserts that every verdict, the
+// first match and the multi-action chain, agrees with a tree freshly built
+// over the final rule list and with the linear oracle.
 func TestDeltaMatchesFreshBuild(t *testing.T) {
 	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 200, Seed: 81, NonTerminatingFraction: 0.3})
 	c, err := Build(rs, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	live := append([]fivetuple.Rule(nil), rs.Rules()...)
+	live := rs.Rules()
 	extra := classbench.Generate(classbench.Config{Class: classbench.FW, Rules: 120, Seed: 82, NonTerminatingFraction: 0.3}).Rules()
 	rng := rand.New(rand.NewSource(83))
 	next := 0
 	for op := 0; op < 160; op++ {
 		if (rng.Intn(2) == 0 || len(live) == 0) && next < len(extra) {
-			idx := rng.Intn(len(live) + 1)
 			r := extra[next]
+			r.Priority = rng.Intn(220)
 			next++
-			if err := c.InsertAt(r, idx); err != nil {
-				t.Fatalf("InsertAt(%d): %v", idx, err)
-			}
-			live = append(live, fivetuple.Rule{})
-			copy(live[idx+1:], live[idx:])
-			live[idx] = r
+			c.Insert(r)
+			live = placeBestFirst(live, r)
 		} else if len(live) > 0 {
-			idx := rng.Intn(len(live))
-			if err := c.DeleteAt(idx); err != nil {
-				t.Fatalf("DeleteAt(%d): %v", idx, err)
+			r := live[rng.Intn(len(live))]
+			if err := c.Delete(r); err != nil {
+				t.Fatalf("Delete(%s): %v", r, err)
 			}
-			live = append(live[:idx], live[idx+1:]...)
+			live = removeFirstInstalled(live, r)
 		}
 	}
 	if got := c.DeltaStats().Deltas; got != 160 {
 		t.Errorf("DeltaStats.Deltas = %d, want 160", got)
 	}
+	if got := c.NumRules(); got != len(live) {
+		t.Errorf("NumRules = %d, want %d", got, len(live))
+	}
 
-	finalSet := fivetuple.NewRuleSet("final", live)
-	fresh, err := Build(finalSet, DefaultConfig())
+	fresh, err := BuildRules(slices.Clone(live), DefaultConfig())
 	if err != nil {
-		t.Fatalf("fresh Build over %d rules: %v", finalSet.Len(), err)
+		t.Fatalf("fresh Build over %d rules: %v", len(live), err)
 	}
-	trace := classbench.GenerateTrace(finalSet, classbench.TraceConfig{Packets: 800, Seed: 84, MatchFraction: 0.85})
-	for _, h := range trace {
-		wantIdx, wantOK := finalSet.Classify(h)
-		gotIdx, gotOK, _ := c.Classify(h)
-		if gotOK != wantOK || (wantOK && gotIdx != wantIdx) {
-			t.Fatalf("delta tree Classify(%s) = (%d,%v), oracle (%d,%v)", h, gotIdx, gotOK, wantIdx, wantOK)
-		}
-		freshIdx, freshOK, _ := fresh.Classify(h)
-		if gotOK != freshOK || (gotOK && gotIdx != freshIdx) {
-			t.Fatalf("delta tree Classify(%s) = (%d,%v), fresh build (%d,%v)", h, gotIdx, gotOK, freshIdx, freshOK)
-		}
-		gotAll, _ := c.ClassifyAll(h, nil)
-		freshAll, _ := fresh.ClassifyAll(h, nil)
-		if wantAll := finalSet.ClassifyAll(h); !slices.Equal(gotAll, wantAll) || !slices.Equal(freshAll, wantAll) {
-			t.Fatalf("ClassifyAll(%s): delta tree %v, fresh build %v, oracle %v", h, gotAll, freshAll, wantAll)
-		}
-	}
+	trace := classbench.GenerateTrace(fivetuple.NewRuleSet("final", live), classbench.TraceConfig{Packets: 800, Seed: 84, MatchFraction: 0.85})
+	requireVerdicts(t, "delta tree", c, live, trace)
+	requireVerdicts(t, "fresh build", fresh, live, trace)
 }
 
-// TestDeltaIndexBounds pins the range checks of the delta ops.
+// TestPositionalShims: on a tree built from a RuleSet, InsertAt and DeleteAt
+// take best-first positions, and deleting then reinserting distinct rules —
+// the benchmark ladder's sequence — leaves the verdicts of the set.
+func TestPositionalShims(t *testing.T) {
+	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 300, Seed: 85})
+	c, err := Build(rs, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx := 0; idx < rs.Len(); idx += 7 {
+		if err := c.DeleteAt(idx); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.InsertAt(rs.Rule(idx), idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{Packets: 600, Seed: 86, MatchFraction: 0.9})
+	requireVerdicts(t, "after the shims", c, rs.Rules(), trace)
+}
+
+// TestDeltaIndexBounds pins the range checks of the positional shims and the
+// refusal of a delete naming no installed rule.
 func TestDeltaIndexBounds(t *testing.T) {
 	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 20, Seed: 5})
 	c, err := Build(rs, DefaultConfig())
@@ -90,6 +148,41 @@ func TestDeltaIndexBounds(t *testing.T) {
 	if err := c.DeleteAt(-1); err == nil {
 		t.Error("DeleteAt(-1) should fail")
 	}
+	moved := rs.Rule(3)
+	moved.Priority = 4
+	if err := c.Delete(moved); err == nil {
+		t.Error("Delete of a rule at a priority it was not installed with should fail")
+	}
+	if got := c.DeltaStats().Deltas; got != 0 {
+		t.Errorf("DeltaStats.Deltas = %d after refused ops, want 0", got)
+	}
+}
+
+// TestDeadIDsBounded: delete+insert pairs retire one id each, and the delete
+// that would leave more dead ids than live ones plus deadSlack is refused,
+// changing nothing.
+func TestDeadIDsBounded(t *testing.T) {
+	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 10, Seed: 7})
+	c, err := Build(rs, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rs.Rule(0)
+	for pair := 0; ; pair++ {
+		dead := c.DeltaStats().DeadIDs
+		if err := c.Delete(r); err != nil {
+			if dead+1 <= c.NumRules()-1+deadSlack {
+				t.Fatalf("pair %d: Delete refused with %d dead ids beside %d live rules: %v", pair, dead, c.NumRules(), err)
+			}
+			break
+		}
+		c.Insert(r)
+		if got := c.DeltaStats().DeadIDs; got != pair+1 || got > c.NumRules()+deadSlack {
+			t.Fatalf("pair %d: %d dead ids beside %d live rules", pair, got, c.NumRules())
+		}
+	}
+	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{Packets: 200, Seed: 8, MatchFraction: 0.9})
+	requireVerdicts(t, "after the refusal", c, rs.Rules(), trace)
 }
 
 // TestCloneIsolation asserts that delta ops on a clone are never observable
@@ -115,13 +208,11 @@ func TestCloneIsolation(t *testing.T) {
 
 	cl := orig.Clone()
 	for i := 0; i < 40; i++ {
-		if err := cl.DeleteAt(0); err != nil {
-			t.Fatalf("DeleteAt on clone: %v", err)
+		if err := cl.Delete(rs.Rule(i)); err != nil {
+			t.Fatalf("Delete on clone: %v", err)
 		}
 	}
-	if err := cl.InsertAt(rs.Rule(0), 0); err != nil {
-		t.Fatalf("InsertAt on clone: %v", err)
-	}
+	cl.Insert(rs.Rule(0))
 	if got := orig.DeltaStats().Deltas; got != 0 {
 		t.Errorf("original DeltaStats.Deltas = %d after clone mutation, want 0", got)
 	}
@@ -155,9 +246,7 @@ func TestDegradationTracksLeafOverflow(t *testing.T) {
 		t.Fatalf("fresh build degradation = %v, want 0", got)
 	}
 	for i := 0; i < cfg.Binth; i++ {
-		if err := c.InsertAt(fivetuple.Wildcard(0, fivetuple.ActionDrop), 0); err != nil {
-			t.Fatal(err)
-		}
+		c.Insert(fivetuple.Wildcard(0, fivetuple.ActionDrop))
 	}
 	if got := c.Degradation(); got <= 0.4 {
 		t.Errorf("degradation after doubling a full leaf = %v, want > 0.4", got)
@@ -170,7 +259,7 @@ func TestDegradationTracksLeafOverflow(t *testing.T) {
 	}
 	// Deleting back down clears the overflow.
 	for i := 0; i < cfg.Binth; i++ {
-		if err := c.DeleteAt(0); err != nil {
+		if err := c.Delete(fivetuple.Wildcard(0, fivetuple.ActionDrop)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,12 +269,11 @@ func TestDegradationTracksLeafOverflow(t *testing.T) {
 }
 
 // treeState is a deep copy of what a delta may write: the leaf chunks and
-// their identities, the rule store and the id → position map.
+// their identities and the rule store.
 type treeState struct {
 	chunks [][]uint32
 	first  []*uint32
 	rules  []fivetuple.Rule
-	pos    []uint32
 }
 
 func stateOf(c *Classifier) treeState {
@@ -198,7 +286,6 @@ func stateOf(c *Classifier) treeState {
 	for id := range c.rules.Len() {
 		s.rules = append(s.rules, *c.rules.At(id))
 	}
-	s.pos = slices.Clone(c.pos)
 	return s
 }
 
@@ -208,13 +295,13 @@ func requireState(t *testing.T, who string, c *Classifier, want treeState) {
 	if !slices.EqualFunc(got.chunks, want.chunks, slices.Equal) || !slices.Equal(got.first, want.first) {
 		t.Fatalf("%s: leaf chunks changed", who)
 	}
-	if !slices.Equal(got.rules, want.rules) || !slices.Equal(got.pos, want.pos) {
-		t.Fatalf("%s: rule store or id map changed", who)
+	if !slices.Equal(got.rules, want.rules) {
+		t.Fatalf("%s: rule store changed", who)
 	}
 }
 
 // TestCloneDeltasLeaveSourceUntouched: deltas on a clone never write the
-// leaf chunks, the rule store or the id map it shares with its source —
+// leaf chunks or the rule store it shares with its source —
 // byte for byte and chunk for chunk — and deltas on the source after the
 // clone never write the clone's, whichever side writes first.
 func TestCloneDeltasLeaveSourceUntouched(t *testing.T) {
@@ -226,12 +313,12 @@ func TestCloneDeltasLeaveSourceUntouched(t *testing.T) {
 	extra := classbench.Generate(classbench.Config{Class: classbench.FW, Rules: 40, Seed: 9}).Rules()
 	churn := func(c *Classifier, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
+		victims := rng.Perm(rs.Len())
 		for i, r := range extra {
-			if err := c.InsertAt(r, rng.Intn(c.NumRules()+1)); err != nil {
-				t.Fatal(err)
-			}
+			r.Priority = rng.Intn(rs.Len())
+			c.Insert(r)
 			if i%2 == 0 {
-				if err := c.DeleteAt(rng.Intn(c.NumRules())); err != nil {
+				if err := c.Delete(rs.Rule(victims[i])); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -11,11 +11,11 @@
 //
 // The built tree is flat: Build lays every node out as a fixed 14-word
 // record in one pointer-free slice, children linked by node index instead of
-// pointer. Leaves list stable rule ids, not positions, in exact-fit chunks of
-// 64 leaves, and one id → position map answers in the best-first order. So a
-// delta update writes the chunks of the leaves its rule overlaps, the rule
-// store chunk it fills and the map, never the node records, which every
-// clone shares. Classify allocates nothing.
+// pointer. Leaves list stable rule ids in exact-fit chunks of 64 leaves,
+// best-first by (priority, id), and a lookup answers in those ids. So a delta
+// update writes the chunks of the leaves its rule overlaps and the rule store
+// chunk it fills, never the node records, which every clone shares. Classify
+// allocates nothing.
 package hypercuts
 
 import (
@@ -154,9 +154,6 @@ const (
 	leafFlag = 1 << 31
 )
 
-// freePos is the position of a rule id no rule holds.
-const freePos = math.MaxUint32
-
 // Classifier is a HyperCuts decision tree built from a rule set.
 type Classifier struct {
 	cfg Config
@@ -166,14 +163,13 @@ type Classifier struct {
 	nodes []uint32
 
 	// leaves holds the leaf lists, cow.ChunkLen leaves a chunk; rules stores
-	// the rules by id, and pos maps an id to its best-first position. A delta
-	// replaces the chunks it writes, and copies pos first unless this
-	// classifier owns it (it does until it is cloned).
-	leaves   cow.Lists
-	rules    cow.Array[fivetuple.Rule]
-	pos      []uint32
-	live     int
-	posOwned bool
+	// the rules by id. Build numbers the rules best-first and an insert
+	// appends, so ids only grow between builds and (priority, id) is the
+	// best-first order, ties included; a delete retires its id (see
+	// delta.go). A delta replaces the chunks it writes.
+	leaves cow.Lists
+	rules  cow.Array[fivetuple.Rule]
+	live   int
 
 	nodeCount int
 	leafCount int
@@ -194,9 +190,11 @@ func Build(rs *fivetuple.RuleSet, cfg Config) (*Classifier, error) {
 	return BuildRules(rs.Rules(), cfg)
 }
 
-// BuildRules constructs a HyperCuts tree over rules, best-first, and stores
-// them without copying: the caller must not modify the slice afterwards. The
-// classifier never writes it; a delta copies the chunk it changes.
+// BuildRules constructs a HyperCuts tree over rules, best-first — ascending
+// priority, ties in installation order — with rule i under id i. It keeps
+// the rules' priorities and stores the rules without copying: the caller must
+// not modify the slice afterwards. The classifier never writes it; a delta
+// copies the chunk it changes.
 func BuildRules(rules []fivetuple.Rule, cfg Config) (*Classifier, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -204,10 +202,7 @@ func BuildRules(rules []fivetuple.Rule, cfg Config) (*Classifier, error) {
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("hypercuts: empty rule set")
 	}
-	c := &Classifier{cfg: cfg, rules: cow.Adopt(rules), pos: make([]uint32, len(rules)), live: len(rules), posOwned: true}
-	for i := range c.pos {
-		c.pos[i] = uint32(i)
-	}
+	c := &Classifier{cfg: cfg, rules: cow.Adopt(rules), live: len(rules)}
 	c.build()
 	c.initLeafMetrics()
 	return c, nil
@@ -448,20 +443,20 @@ func (c *Classifier) leaf(h fivetuple.Header) (ids []uint32, accesses int) {
 	return c.leaves.List(int(w[base+nwA])), accesses + 1
 }
 
-// Classify returns the index of the highest-priority matching rule, whether
-// any rule matched and the number of memory accesses (tree nodes visited plus
+// Classify returns the id of the highest-priority matching rule, whether any
+// rule matched and the number of memory accesses (tree nodes visited plus
 // leaf rules scanned). It allocates nothing.
-func (c *Classifier) Classify(h fivetuple.Header) (ruleIndex int, matched bool, accesses int) {
+func (c *Classifier) Classify(h fivetuple.Header) (id int, matched bool, accesses int) {
 	ids, accesses := c.leaf(h)
 	for j, id := range ids {
 		if c.rules.At(int(id)).Matches(h) {
-			return int(c.pos[id]), true, accesses + j + 1 // leaf rules are best-first
+			return int(id), true, accesses + j + 1 // leaf rules are best-first
 		}
 	}
 	return 0, false, accesses + len(ids)
 }
 
-// ClassifyAll appends to dst the indices of the rules matching the header,
+// ClassifyAll appends to dst the ids of the rules matching the header,
 // best-first, up to and including the first terminating one — the
 // multi-action chain — and returns the extended slice plus the number of
 // memory accesses, which counts the whole leaf, as an enumeration of every
@@ -472,7 +467,7 @@ func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 	ids, accesses := c.leaf(h)
 	for _, id := range ids {
 		if r := c.rules.At(int(id)); r.Matches(h) {
-			dst = append(dst, int(c.pos[id]))
+			dst = append(dst, int(id))
 			if !r.NonTerminating {
 				break
 			}
@@ -481,24 +476,13 @@ func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 	return dst, accesses + len(ids)
 }
 
-// NumRules returns the length of the rule table the classifier answers in.
+// NumRules returns the number of rules the classifier holds.
 func (c *Classifier) NumRules() int { return c.live }
 
-// Rule returns the rule at index i of that table, for reading only and until
-// the next delta. Only its matches, action and termination are meaningful to
-// a caller: Build renumbers priorities positionally. It searches the
-// id → position map, O(rules): its caller is the update plane's check of a
-// delete, not a lookup.
-func (c *Classifier) Rule(i int) *fivetuple.Rule {
-	if i >= 0 && i < c.live {
-		for id, p := range c.pos {
-			if int(p) == i {
-				return c.rules.At(id)
-			}
-		}
-	}
-	panic(fmt.Sprintf("hypercuts: rule index %d out of range [0,%d)", i, c.live))
-}
+// Rule returns the rule with the given id, for reading only, with the
+// priority it was built or inserted with. No delta rewrites a stored rule,
+// so the rule stays valid for as long as the caller holds it.
+func (c *Classifier) Rule(id int) *fivetuple.Rule { return c.rules.At(id) }
 
 // NodeCount returns the number of tree nodes.
 func (c *Classifier) NodeCount() int { return c.nodeCount }

@@ -189,16 +189,20 @@ func TestLookupZeroAllocsCrossProduct(t *testing.T) {
 
 // TestPacketTierUpdateAllocs bounds what one published update allocates under
 // a whole-packet engine, in objects and in bytes. A publish copies the rule
-// table's id list (4 bytes a rule) and, for an insert, one 64-rule chunk; a
-// delta on either engine copies its id → position map and the chunks it
-// writes: hypercuts the leaf chunks its rule overlaps, dcfl one combination
-// set chunk per aggregation node, and both a rule chunk for an insert. With
-// the every-64-deltas rebuild amortised in, that is 23 KiB and 11 objects on
-// hypercuts and 28 KiB and 17 objects on dcfl at acl-1k, and 71 KiB and 11
-// objects on hypercuts at acl-5k; the bounds sit about 25 % above. While the
-// snapshot and the structure each copied their whole rule table and
-// hypercuts and dcfl their arenas, an update cost 288 / 372 KiB at acl-1k
-// and 1 400 KiB at acl-5k.
+// table's id list (4 bytes a rule: 20 KiB at acl-5k) and, for an insert, one
+// 64-rule table chunk. A delta copies only the chunks it writes — hypercuts
+// the leaf chunks its rule overlaps and the leaf directory, dcfl one
+// combination set chunk and one set directory per aggregation node — and an
+// insert appends to the structure's rule store, one more rule chunk. The
+// every-64-deltas rebuild, amortised, is the rest: about 20 KiB at acl-5k.
+// That is 18.9 KiB and 10 objects on hypercuts and 23.5 KiB and 16 objects
+// on dcfl at acl-1k, and 52.7 KiB and 10 objects on hypercuts at acl-5k. The
+// acl-5k bounds sit about 25 % above; the acl-1k KiB bounds about 15 %, below
+// the 23.0 / 27.6 KiB an update cost while each structure also copied an
+// id → position map (4 bytes a rule) and shifted it on every delta (70.8 KiB
+// at acl-5k). While the snapshot and the structure each copied their whole
+// rule table and hypercuts and dcfl their arenas, an update cost 288 / 372
+// KiB at acl-1k and 1 400 KiB at acl-5k.
 func TestPacketTierUpdateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector (sync.Pool drops puts)")
@@ -208,9 +212,9 @@ func TestPacketTierUpdateAllocs(t *testing.T) {
 		size         classbench.Size
 		objects, kib float64
 	}{
-		{"hypercuts", "hypercuts", classbench.Size1K, 16, 30},
-		{"dcfl", "dcfl", classbench.Size1K, 21, 35},
-		{"hypercuts-acl5k", "hypercuts", classbench.Size5K, 18, 95},
+		{"hypercuts", "hypercuts", classbench.Size1K, 13, 22},
+		{"dcfl", "dcfl", classbench.Size1K, 20, 27},
+		{"hypercuts-acl5k", "hypercuts", classbench.Size5K, 13, 66},
 	} {
 		t.Run(tc.test, func(t *testing.T) {
 			objects, kib := updateAllocs(t, tc.engine, tc.size)

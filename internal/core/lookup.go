@@ -224,16 +224,16 @@ func (s *snapshot) lookup(cfg *Config, h fivetuple.Header) Result {
 }
 
 // lookupPacket serves one header from the whole-packet engine tier. The
-// engine returns an index into the snapshot's best-first rule table, so the
-// matched rule's action and priority are read straight from it — no label
-// fetch, no Rule Filter probe.
+// engine answers a rule id it resolves itself, so the matched rule's action
+// and priority are read straight from the engine — no label fetch, no Rule
+// Filter probe.
 func (s *snapshot) lookupPacket(h fivetuple.Header) Result {
-	idx, matched, accesses := s.packet.engine.LookupPacket(h)
+	id, matched, accesses := s.packet.engine.LookupPacket(h)
 	result := Result{FieldAccesses: accesses}
 	if !matched {
 		return result
 	}
-	r := s.table.at(idx)
+	r := s.packet.engine.Rule(id)
 	result.Matched = true
 	result.Priority = r.Priority
 	result.Action = r.Action

@@ -89,19 +89,18 @@ func (s *snapshot) lookupAllInto(cfg *Config, h fivetuple.Header, dst []ActionRe
 }
 
 // collectPacket gathers the multi-match verdict from a multi-match packet
-// engine. The engine contract yields priority order (ascending indices into
-// the best-first rule table) cut after the first terminating rule, so the
-// indices map one for one onto the verdict list, through a pooled index
-// scratch.
+// engine. The engine contract yields rule ids best-first, cut after the
+// first terminating rule, so the ids map one for one onto the verdict list
+// through the engine's Rule, via a pooled id scratch.
 func (s *snapshot) collectPacket(mm engine.MultiMatchPacketEngine, h fivetuple.Header, dst []ActionRef) ([]ActionRef, Result) {
 	scp := multiScratchPool.Get().(*[]int)
-	idxs, accesses := mm.LookupPacketAll(h, (*scp)[:0])
+	ids, accesses := mm.LookupPacketAll(h, (*scp)[:0])
 	start := len(dst)
-	for _, i := range idxs {
-		r := s.table.at(i)
+	for _, id := range ids {
+		r := mm.Rule(id)
 		dst = append(dst, ActionRef{Priority: r.Priority, Action: r.Action, ActionArg: r.ActionArg, Terminal: !r.NonTerminating})
 	}
-	*scp = idxs[:0]
+	*scp = ids[:0]
 	multiScratchPool.Put(scp)
 	return dst, verdictResult(dst[start:], accesses)
 }

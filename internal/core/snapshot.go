@@ -108,12 +108,11 @@ type packetTier struct {
 }
 
 // packetDelta is one pending rule mutation awaiting packet-tier sync: the
-// rule and the position in the rule table it was placed at or removed from,
-// as of the moment the op was applied to the table.
+// rule inserted, or the installed rule deleted. The engine places and finds
+// the rule itself, by priority and installation order, as the table does.
 type packetDelta struct {
 	delete bool
 	rule   fivetuple.Rule
-	idx    int
 }
 
 // activeEngineName returns the registry name of the engine answering this
@@ -298,8 +297,8 @@ func (s *snapshot) syncPacket(cfg *Config) (publishSync, error) {
 		}
 		p.engine = eng
 	}
-	// The Table I structures resolve ties by table order and answer in
-	// indices into the slice they were built over: hand them the rule table.
+	// The Table I structures resolve ties by table order: hand them the rule
+	// table, best-first.
 	if err := p.engine.Install(s.table.copyRules()); err != nil {
 		return publishSync{}, fmt.Errorf("core: building %s packet engine over %d rules: %w", p.name, s.table.len(), err)
 	}
@@ -318,19 +317,21 @@ func (p *packetTier) deltaBudgetAllows(cfg *Config) bool {
 	return k <= 0 || p.deltas+len(p.pending) < k
 }
 
-// applyDeltas forwards the pending mutations to the engine's delta ops at
-// the rule-table positions insertRule and deleteRule recorded, so the
-// structure's rule order stays the table's and a delta-updated structure
-// answers as one rebuilt over the table would. ok is false when an op failed
-// or the applied deltas tripped the degradation threshold; the caller then
-// rebuilds.
+// applyDeltas forwards the pending mutations to the engine's delta ops in
+// the order insertRule and deleteRule applied them to the table. The engine
+// places an insert after its equal-priority rules and deletes the first
+// installed match, as the table does, so a delta-updated structure answers
+// as one rebuilt over the table would. ok is false when an op failed — a
+// rule the engine does not hold, or a structure whose dead ids have reached
+// its bound — or the applied deltas tripped the degradation threshold; the
+// caller then rebuilds.
 func (p *packetTier) applyDeltas(cfg *Config, inc engine.IncrementalPacketEngine) (applied int, ok bool) {
 	for _, op := range p.pending {
 		var err error
 		if op.delete {
-			err = inc.DeleteRule(op.rule, op.idx)
+			err = inc.DeleteRule(op.rule)
 		} else {
-			err = inc.InsertRule(op.rule, op.idx)
+			err = inc.InsertRule(op.rule)
 		}
 		if err != nil {
 			return 0, false

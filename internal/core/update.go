@@ -168,7 +168,7 @@ func (s *snapshot) insertRule(cfg *Config, r fivetuple.Rule) (UpdateReport, erro
 	idx := s.table.bound(r.Priority, true)
 	var key label.CombinationKey
 	if s.packet != nil {
-		s.packet.pending = append(s.packet.pending, packetDelta{rule: r, idx: idx})
+		s.packet.pending = append(s.packet.pending, packetDelta{rule: r})
 	} else {
 		var err error
 		if key, err = s.field.insertRule(r, &report); err != nil {
@@ -254,7 +254,7 @@ func (s *snapshot) deleteRule(r fivetuple.Rule) (report UpdateReport, mutated bo
 	}
 	installed := *s.table.at(idx)
 	if s.packet != nil {
-		s.packet.pending = append(s.packet.pending, packetDelta{delete: true, rule: installed, idx: idx})
+		s.packet.pending = append(s.packet.pending, packetDelta{delete: true, rule: installed})
 	} else if dirty, err := s.field.deleteRule(installed, s.table.key(idx), &report); err != nil {
 		return report, dirty, fmt.Errorf("core: deleting rule %s: %w", r, err)
 	}

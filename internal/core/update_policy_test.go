@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
 )
 
@@ -261,5 +262,57 @@ func TestBatchedUpdatesDeltaApplyAsOnePublish(t *testing.T) {
 		SrcPort: 5, DstPort: extra[1].DstPort.Lo, Protocol: fivetuple.ProtoTCP,
 	}); r.Matched {
 		t.Fatalf("deleted batch rule still matches: %+v", r)
+	}
+}
+
+// TestRetiredIDsStayBounded pins the bound on a packet engine's retired ids.
+// With both rebuild triggers disabled, only the engine's own refusal — a
+// delete that would leave more dead ids than live ones plus 64 — turns a
+// publish into a rebuild, which renumbers. So 10 000 delete/insert pairs keep
+// the structure's id count at or below 2 × live + 64, and verdicts still match
+// the oracle.
+func TestRetiredIDsStayBounded(t *testing.T) {
+	rules := policyRules(40)
+	headers := make([]fivetuple.Header, len(rules))
+	for i, r := range rules {
+		headers[i] = fivetuple.Header{SrcIP: r.SrcPrefix.Addr + 1, DstIP: r.DstPrefix.Addr + 1, SrcPort: 1, DstPort: r.DstPort.Lo, Protocol: fivetuple.ProtoTCP}
+	}
+	for _, name := range []string{"hypercuts", "dcfl"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.PacketEngine = name
+			cfg.RebuildAfterDeltas = -1
+			cfg.DegradationThreshold = -1
+			c := MustNew(cfg)
+			if _, err := c.InstallRuleSet(fivetuple.NewRuleSet("policy", rules)); err != nil {
+				t.Fatal(err)
+			}
+			maxIDs := 0
+			for pair := range 10000 {
+				r := rules[pair%len(rules)]
+				if _, err := c.DeleteRule(r); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.InsertRule(r); err != nil {
+					t.Fatal(err)
+				}
+				live := c.RuleCount()
+				ids := live + c.view().packet.engine.(engine.IncrementalPacketEngine).UpdateCost().DeadIDs
+				if ids > 2*live+64 {
+					t.Fatalf("pair %d: %d ids beside %d live rules", pair, ids, live)
+				}
+				maxIDs = max(maxIDs, ids)
+			}
+			stats := c.Report().Updates
+			t.Logf("at most %d ids, %d rebuilds", maxIDs, stats.Rebuilds)
+			if stats.Rebuilds < 2 {
+				t.Fatalf("stats = %+v: no refused delta turned into a rebuild", stats)
+			}
+			for i, h := range headers {
+				if got := c.Lookup(h); !got.Matched || got.Priority != rules[i].Priority || got.ActionArg != rules[i].ActionArg {
+					t.Fatalf("header %d: %+v, want rule %s", i, got, rules[i])
+				}
+			}
+		})
 	}
 }

@@ -65,23 +65,21 @@ func (e *dcflEngine) own() {
 	}
 }
 
-func (e *dcflEngine) InsertRule(r fivetuple.Rule, idx int) error {
+func (e *dcflEngine) InsertRule(r fivetuple.Rule) error {
 	if e.c == nil {
 		return fmt.Errorf("dcfl: no built tables to delta-update (install first)")
 	}
 	e.own()
-	return e.c.InsertAt(r, idx)
+	e.c.Insert(r)
+	return nil
 }
 
-func (e *dcflEngine) DeleteRule(r fivetuple.Rule, idx int) error {
+func (e *dcflEngine) DeleteRule(r fivetuple.Rule) error {
 	if e.c == nil {
 		return fmt.Errorf("dcfl: no built tables to delta-update (install first)")
 	}
-	if idx < 0 || idx >= e.c.NumRules() || !e.c.Rule(idx).SameMatch(r) {
-		return fmt.Errorf("dcfl: delete index %d does not hold rule %s", idx, r)
-	}
 	e.own()
-	return e.c.DeleteAt(idx)
+	return e.c.Delete(r)
 }
 
 func (e *dcflEngine) UpdateCost() UpdateCost {
@@ -89,7 +87,7 @@ func (e *dcflEngine) UpdateCost() UpdateCost {
 		return UpdateCost{}
 	}
 	ds := e.c.DeltaStats()
-	return UpdateCost{Deltas: ds.Deltas, Writes: ds.Writes, Degradation: e.c.Degradation()}
+	return UpdateCost{Deltas: ds.Deltas, Writes: ds.Writes, DeadIDs: ds.DeadIDs, Degradation: e.c.Degradation()}
 }
 
 func (e *dcflEngine) LookupPacket(h fivetuple.Header) (int, bool, int) {
@@ -98,6 +96,8 @@ func (e *dcflEngine) LookupPacket(h fivetuple.Header) (int, bool, int) {
 	}
 	return e.c.Classify(h)
 }
+
+func (e *dcflEngine) Rule(id int) *fivetuple.Rule { return e.c.Rule(id) }
 
 // LookupPacketAll enumerates the matching rules in priority order: ClassifyAll
 // sorts the surviving final sets' rules and stops after the first

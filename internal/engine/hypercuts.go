@@ -67,23 +67,21 @@ func (e *hypercutsEngine) own() {
 	}
 }
 
-func (e *hypercutsEngine) InsertRule(r fivetuple.Rule, idx int) error {
+func (e *hypercutsEngine) InsertRule(r fivetuple.Rule) error {
 	if e.c == nil {
 		return fmt.Errorf("hypercuts: no built tree to delta-update (install first)")
 	}
 	e.own()
-	return e.c.InsertAt(r, idx)
+	e.c.Insert(r)
+	return nil
 }
 
-func (e *hypercutsEngine) DeleteRule(r fivetuple.Rule, idx int) error {
+func (e *hypercutsEngine) DeleteRule(r fivetuple.Rule) error {
 	if e.c == nil {
 		return fmt.Errorf("hypercuts: no built tree to delta-update (install first)")
 	}
-	if idx < 0 || idx >= e.c.NumRules() || !e.c.Rule(idx).SameMatch(r) {
-		return fmt.Errorf("hypercuts: delete index %d does not hold rule %s", idx, r)
-	}
 	e.own()
-	return e.c.DeleteAt(idx)
+	return e.c.Delete(r)
 }
 
 func (e *hypercutsEngine) UpdateCost() UpdateCost {
@@ -91,7 +89,7 @@ func (e *hypercutsEngine) UpdateCost() UpdateCost {
 		return UpdateCost{}
 	}
 	ds := e.c.DeltaStats()
-	return UpdateCost{Deltas: ds.Deltas, Writes: ds.Writes, Degradation: e.c.Degradation()}
+	return UpdateCost{Deltas: ds.Deltas, Writes: ds.Writes, DeadIDs: ds.DeadIDs, Degradation: e.c.Degradation()}
 }
 
 func (e *hypercutsEngine) LookupPacket(h fivetuple.Header) (int, bool, int) {
@@ -100,6 +98,8 @@ func (e *hypercutsEngine) LookupPacket(h fivetuple.Header) (int, bool, int) {
 	}
 	return e.c.Classify(h)
 }
+
+func (e *hypercutsEngine) Rule(id int) *fivetuple.Rule { return e.c.Rule(id) }
 
 // LookupPacketAll enumerates the matching rules in priority order: leaf lists
 // stay best-first through delta churn, and ClassifyAll stops after the first

@@ -16,6 +16,10 @@ type UpdateCost struct {
 	Deltas int
 	// Writes is the number of structure memory writes those ops performed.
 	Writes int
+	// DeadIDs is the number of ids deletes retired since the last Install:
+	// rules the structure's store still holds but no lookup answers. It
+	// stays at most the live rule count plus 64.
+	DeadIDs int
 	// Degradation, in [0,1], estimates the structure's drift from a fresh
 	// build: 0 immediately after Install, growing as deltas leave imperfection
 	// behind (overfull HyperCuts leaves, stale DCFL combination entries).
@@ -31,13 +35,17 @@ type UpdateCost struct {
 // one rule in or out without rebuilding, which is what keeps publish latency
 // flat under SDN flow-mod churn.
 //
-// Index contract: both ops are expressed against the installed best-first
-// rule order — the table handed to Install, kept current across deltas by the
-// structure and, as its own rule table, by the classifier.
-// InsertRule splices r in at position idx — indices at or above idx shift up
-// by one — and DeleteRule removes the rule at idx — indices above it shift
-// down. After either op, LookupPacket must answer exactly as a fresh Install
-// over the spliced slice would.
+// Rule contract: a delta names only the rule, never where it sits. The
+// structure places an inserted rule after every rule of the same or a better
+// priority — ties stay in installation order, as in the table handed to
+// Install — and a delete removes the first-installed rule with the same
+// matches (Rule.SameMatch) and an equal priority, or refuses when none is
+// installed. After either op, LookupPacket must answer exactly as a fresh
+// Install over the classifier's rule table would, with ids that Rule
+// resolves. Ids stay stable between builds, so a structure may retire the
+// id of a deleted rule instead of reusing it; it keeps its dead ids bounded
+// by refusing a delta once they would outnumber the live ones plus 64, and
+// the classifier turns any refused delta into a full rebuild.
 //
 // Concurrency contract: delta ops are writes and follow the same rule as
 // Install — external serialisation, never on a published structure. A handle
@@ -47,13 +55,13 @@ type UpdateCost struct {
 // traverse the published one.
 type IncrementalPacketEngine interface {
 	PacketEngine
-	// InsertRule splices r into the installed best-first order at idx.
-	InsertRule(r fivetuple.Rule, idx int) error
-	// DeleteRule removes the rule at idx of the installed best-first order;
-	// r is the rule the caller believes lives there, and an implementation
-	// whose table holds a rule with different matches at idx (Rule.SameMatch)
-	// rejects the divergent view instead of corrupting the structure.
-	DeleteRule(r fivetuple.Rule, idx int) error
+	// InsertRule adds r after every installed rule of the same or a better
+	// priority.
+	InsertRule(r fivetuple.Rule) error
+	// DeleteRule removes the first-installed rule with r's matches and
+	// priority, and refuses, changing nothing, when no such rule is
+	// installed.
+	DeleteRule(r fivetuple.Rule) error
 	// UpdateCost reports the delta debt since the last full Install.
 	UpdateCost() UpdateCost
 }

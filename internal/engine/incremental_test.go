@@ -2,6 +2,8 @@ package engine_test
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"sdnpc/internal/engine"
@@ -33,9 +35,21 @@ func TestIncrementalFlagMatchesCapability(t *testing.T) {
 	}
 }
 
+// firstMatch returns the first rule of the best-first list live matching h.
+func firstMatch(live []fivetuple.Rule, h fivetuple.Header) (fivetuple.Rule, bool) {
+	for _, r := range live {
+		if r.Matches(h) {
+			return r, true
+		}
+	}
+	return fivetuple.Rule{}, false
+}
+
 // TestIncrementalDeltaMatchesInstall drives every incremental packet engine
-// through a random splice sequence and asserts verdict-for-verdict agreement
-// with a freshly installed twin and the linear oracle after every op.
+// through a random insert/delete sequence — inserted priorities collide with
+// live ones, so ties are placed too — and asserts verdict-for-verdict
+// agreement, through Rule, with a freshly installed twin and the linear
+// oracle after every op.
 func TestIncrementalDeltaMatchesInstall(t *testing.T) {
 	for _, name := range engine.IncrementalPacketEngineNames() {
 		t.Run(name, func(t *testing.T) {
@@ -60,42 +74,43 @@ func TestIncrementalDeltaMatchesInstall(t *testing.T) {
 			pool := randomRules(rng, 30)
 			for op := 0; op < 60; op++ {
 				if (rng.Intn(2) == 0 || len(live) == 0) && len(pool) > 0 {
-					idx := rng.Intn(len(live) + 1)
 					r := pool[0]
+					r.Priority = rng.Intn(50)
 					pool = pool[1:]
-					if err := inc.InsertRule(r, idx); err != nil {
-						t.Fatalf("op %d InsertRule(%d): %v", op, idx, err)
+					if err := inc.InsertRule(r); err != nil {
+						t.Fatalf("op %d InsertRule(%s): %v", op, r, err)
 					}
-					live = append(live, fivetuple.Rule{})
-					copy(live[idx+1:], live[idx:])
-					live[idx] = r
+					at := sort.Search(len(live), func(i int) bool { return live[i].Priority > r.Priority })
+					live = slices.Insert(live, at, r)
 				} else {
 					idx := rng.Intn(len(live))
-					if err := inc.DeleteRule(live[idx], idx); err != nil {
-						t.Fatalf("op %d DeleteRule(%d): %v", op, idx, err)
+					r := live[idx]
+					if err := inc.DeleteRule(r); err != nil {
+						t.Fatalf("op %d DeleteRule(%s): %v", op, r, err)
 					}
-					live = append(live[:idx], live[idx+1:]...)
+					// The first installed of r's matches and priority goes.
+					idx = slices.IndexFunc(live, func(q fivetuple.Rule) bool { return q.Priority == r.Priority && q.SameMatch(r) })
+					live = slices.Delete(live, idx, idx+1)
 				}
 				headers := probeHeaders(rng, live, 25)
 				fresh, err := engine.NewPacket(name, engine.Spec{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := fresh.Install(live); err != nil {
+				if err := fresh.Install(slices.Clone(live)); err != nil {
 					t.Fatalf("op %d fresh Install over %d rules: %v", op, len(live), err)
 				}
-				oracle := fivetuple.NewRuleSet("oracle", live)
 				for _, h := range headers {
-					wantIdx, wantOK := oracle.Classify(h)
-					gotIdx, gotOK, _ := inc.LookupPacket(h)
-					if gotOK != wantOK || (wantOK && gotIdx != wantIdx) {
-						t.Fatalf("op %d: delta path LookupPacket(%s) = (%d,%v), oracle (%d,%v)",
-							op, h, gotIdx, gotOK, wantIdx, wantOK)
+					want, wantOK := firstMatch(live, h)
+					gotID, gotOK, _ := inc.LookupPacket(h)
+					if gotOK != wantOK || (wantOK && *inc.Rule(gotID) != want) {
+						t.Fatalf("op %d: delta path LookupPacket(%s) = (%d,%v), oracle (%s,%v)",
+							op, h, gotID, gotOK, want, wantOK)
 					}
-					freshIdx, freshOK, _ := fresh.LookupPacket(h)
-					if gotOK != freshOK || (gotOK && gotIdx != freshIdx) {
+					freshID, freshOK, _ := fresh.LookupPacket(h)
+					if gotOK != freshOK || (gotOK && *inc.Rule(gotID) != *fresh.Rule(freshID)) {
 						t.Fatalf("op %d: delta path LookupPacket(%s) = (%d,%v), fresh Install (%d,%v)",
-							op, h, gotIdx, gotOK, freshIdx, freshOK)
+							op, h, gotID, gotOK, freshID, freshOK)
 					}
 				}
 			}
@@ -106,7 +121,7 @@ func TestIncrementalDeltaMatchesInstall(t *testing.T) {
 			if err := inc.Install(live); err != nil {
 				t.Fatal(err)
 			}
-			if cost := inc.UpdateCost(); cost.Deltas != 0 || cost.Degradation != 0 {
+			if cost := inc.UpdateCost(); cost.Deltas != 0 || cost.DeadIDs != 0 || cost.Degradation != 0 {
 				t.Errorf("UpdateCost after re-Install = %+v, want zero debt", cost)
 			}
 		})
@@ -130,21 +145,20 @@ func TestIncrementalCloneIsolation(t *testing.T) {
 				t.Fatal(err)
 			}
 			type verdict struct {
-				idx int
-				ok  bool
+				id int
+				ok bool
 			}
 			before := make([]verdict, len(headers))
 			for i, h := range headers {
-				idx, ok, _ := eng.LookupPacket(h)
-				before[i] = verdict{idx, ok}
+				id, ok, _ := eng.LookupPacket(h)
+				before[i] = verdict{id, ok}
 			}
 
 			cl := eng.Clone().(engine.IncrementalPacketEngine)
-			for i := 0; i < 10; i++ {
-				if err := cl.DeleteRule(rules[0], 0); err != nil {
+			for _, r := range rules[:10] {
+				if err := cl.DeleteRule(r); err != nil {
 					t.Fatalf("DeleteRule on clone: %v", err)
 				}
-				rules = rules[1:]
 			}
 			orig := eng.(engine.IncrementalPacketEngine)
 			if cost := orig.UpdateCost(); cost.Deltas != 0 {
@@ -154,10 +168,10 @@ func TestIncrementalCloneIsolation(t *testing.T) {
 				t.Errorf("clone UpdateCost.Deltas = %d, want 10", cost.Deltas)
 			}
 			for i, h := range headers {
-				idx, ok, _ := eng.LookupPacket(h)
-				if idx != before[i].idx || ok != before[i].ok {
+				id, ok, _ := eng.LookupPacket(h)
+				if id != before[i].id || ok != before[i].ok {
 					t.Fatalf("original verdict for %s changed after clone deltas: (%d,%v) -> (%d,%v)",
-						h, before[i].idx, before[i].ok, idx, ok)
+						h, before[i].id, before[i].ok, id, ok)
 				}
 			}
 		})
@@ -165,10 +179,11 @@ func TestIncrementalCloneIsolation(t *testing.T) {
 }
 
 // TestIncrementalDeleteRejectsDivergentMatch pins the divergent-view check:
-// DeleteRule names the rule the caller believes lives at idx, and an index
-// holding a rule of the same priority but different matches — every index, on
-// a wire tenant whose rules all carry priority 0 — must be refused with the
-// structure left answering as before the call.
+// DeleteRule names a rule, and one no installed rule matches exactly
+// (Rule.SameMatch) at its priority — a rule of the priority every rule of a
+// wire tenant carries, 0, but matches none has, or an installed rule's
+// matches at another priority — must be refused with the structure left
+// answering as before the call.
 func TestIncrementalDeleteRejectsDivergentMatch(t *testing.T) {
 	for _, name := range engine.IncrementalPacketEngineNames() {
 		t.Run(name, func(t *testing.T) {
@@ -183,30 +198,36 @@ func TestIncrementalDeleteRejectsDivergentMatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			inc := eng.(engine.IncrementalPacketEngine)
-			if err := inc.Install(rules); err != nil {
+			if err := inc.Install(slices.Clone(rules)); err != nil {
 				t.Fatal(err)
 			}
 			before := make([]int, len(headers))
 			for i, h := range headers {
 				before[i], _, _ = inc.LookupPacket(h)
 			}
-			wrong := 1
-			for rules[wrong].SameMatch(rules[0]) {
-				wrong++
-			}
-			if err := inc.DeleteRule(rules[0], wrong); err == nil {
-				t.Fatalf("DeleteRule(%s, %d) accepted an index holding %s", rules[0], wrong, rules[wrong])
+			absent := rules[0]
+			absent.SrcPrefix = fivetuple.MustParsePrefix("203.0.113.7/32")
+			absent.DstPort = fivetuple.ExactPort(7)
+			elsewhere := rules[1]
+			elsewhere.Priority = 1
+			for _, r := range []fivetuple.Rule{absent, elsewhere} {
+				if slices.ContainsFunc(rules, func(q fivetuple.Rule) bool { return q.Priority == r.Priority && q.SameMatch(r) }) {
+					t.Fatalf("probe rule %s is installed", r)
+				}
+				if err := inc.DeleteRule(r); err == nil {
+					t.Fatalf("DeleteRule(%s priority %d) accepted a rule that is not installed", r, r.Priority)
+				}
 			}
 			if cost := inc.UpdateCost(); cost.Deltas != 0 {
 				t.Errorf("UpdateCost.Deltas = %d after a refused delete, want 0", cost.Deltas)
 			}
 			for i, h := range headers {
-				if idx, _, _ := inc.LookupPacket(h); idx != before[i] {
-					t.Fatalf("verdict for %s changed across a refused delete: rule %d -> %d", h, before[i], idx)
+				if id, _, _ := inc.LookupPacket(h); id != before[i] {
+					t.Fatalf("verdict for %s changed across a refused delete: rule %d -> %d", h, before[i], id)
 				}
 			}
-			if err := inc.DeleteRule(rules[wrong], wrong); err != nil {
-				t.Fatalf("DeleteRule with the matching view: %v", err)
+			if err := inc.DeleteRule(rules[1]); err != nil {
+				t.Fatalf("DeleteRule of an installed rule: %v", err)
 			}
 		})
 	}
@@ -224,17 +245,17 @@ func TestIncrementalDeltaOnEmptyEngineFails(t *testing.T) {
 			}
 			inc := eng.(engine.IncrementalPacketEngine)
 			r := fivetuple.Wildcard(0, fivetuple.ActionForward)
-			if err := inc.InsertRule(r, 0); err == nil {
+			if err := inc.InsertRule(r); err == nil {
 				t.Error("InsertRule on an empty engine should fail")
 			}
-			if err := inc.DeleteRule(r, 0); err == nil {
+			if err := inc.DeleteRule(r); err == nil {
 				t.Error("DeleteRule on an empty engine should fail")
 			}
 			if err := inc.Install([]fivetuple.Rule{r}); err != nil {
 				t.Fatal(err)
 			}
-			if err := inc.DeleteRule(r, 5); err == nil {
-				t.Error("DeleteRule with a divergent index should fail")
+			if err := inc.DeleteRule(fivetuple.Wildcard(5, fivetuple.ActionForward)); err == nil {
+				t.Error("DeleteRule of a rule at a priority it was not installed with should fail")
 			}
 		})
 	}

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"sdnpc/internal/fivetuple"
 )
@@ -42,46 +44,31 @@ func (e *linearEngine) Install(rules []fivetuple.Rule) error {
 	return nil
 }
 
-func (e *linearEngine) InsertRule(r fivetuple.Rule, idx int) error {
+// InsertRule splices r in after every rule of the same or a better priority.
+// Neither splice writes the shared backing array, which the handle this one
+// was cloned from — a published snapshot's engine — still scans.
+func (e *linearEngine) InsertRule(r fivetuple.Rule) error {
 	if !e.installed {
 		return fmt.Errorf("linear: no installed scan to delta-update (install first)")
 	}
-	if idx < 0 || idx > len(e.rules) {
-		return fmt.Errorf("linear: insert index %d out of range [0,%d]", idx, len(e.rules))
-	}
-	e.rules = spliceIn(e.rules, r, idx)
+	i := sort.Search(len(e.rules), func(i int) bool { return e.rules[i].Priority > r.Priority })
+	e.rules = slices.Insert(slices.Clip(e.rules), i, r)
 	e.deltas++
 	return nil
 }
 
-func (e *linearEngine) DeleteRule(r fivetuple.Rule, idx int) error {
+// DeleteRule splices out the first rule with r's matches and priority.
+func (e *linearEngine) DeleteRule(r fivetuple.Rule) error {
 	if !e.installed {
 		return fmt.Errorf("linear: no installed scan to delta-update (install first)")
 	}
-	if idx < 0 || idx >= len(e.rules) || !e.rules[idx].SameMatch(r) {
-		return fmt.Errorf("linear: delete index %d does not hold rule %s", idx, r)
+	i := slices.IndexFunc(e.rules, func(q fivetuple.Rule) bool { return q.Priority == r.Priority && q.SameMatch(r) })
+	if i < 0 {
+		return fmt.Errorf("linear: rule %s priority %d is not installed", r, r.Priority)
 	}
-	e.rules = spliceOut(e.rules, idx)
+	e.rules = slices.Concat(e.rules[:i], e.rules[i+1:])
 	e.deltas++
 	return nil
-}
-
-// spliceIn returns a fresh slice with r inserted at idx. It never mutates
-// the input's backing array, which the handle this one was cloned from — a
-// published snapshot's engine — still scans.
-func spliceIn(rules []fivetuple.Rule, r fivetuple.Rule, idx int) []fivetuple.Rule {
-	out := make([]fivetuple.Rule, 0, len(rules)+1)
-	out = append(out, rules[:idx]...)
-	out = append(out, r)
-	return append(out, rules[idx:]...)
-}
-
-// spliceOut returns a fresh slice with the rule at idx removed, again
-// without touching the shared input.
-func spliceOut(rules []fivetuple.Rule, idx int) []fivetuple.Rule {
-	out := make([]fivetuple.Rule, 0, len(rules)-1)
-	out = append(out, rules[:idx]...)
-	return append(out, rules[idx+1:]...)
 }
 
 // UpdateCost never reports degradation: a splice leaves the scan exactly as a
@@ -100,6 +87,10 @@ func (e *linearEngine) LookupPacket(h fivetuple.Header) (int, bool, int) {
 	}
 	return 0, false, accesses
 }
+
+// Rule returns the rule at position id of the scan, the id LookupPacket
+// answered.
+func (e *linearEngine) Rule(id int) *fivetuple.Rule { return &e.rules[id] }
 
 // LookupPacketAll scans best-first, so matches append in priority order and
 // collection stops naturally at the first terminating match.
@@ -135,8 +126,8 @@ func (e *linearEngine) Footprint() Footprint {
 }
 
 // Clone shares the installed slice; Install and the delta ops replace the
-// slice (spliceIn/spliceOut never mutate the shared backing array), so
-// neither handle can observe the other's mutations.
+// slice (a splice never mutates the shared backing array), so neither handle
+// can observe the other's mutations.
 func (e *linearEngine) Clone() PacketEngine {
 	cp := *e
 	return &cp

@@ -25,25 +25,29 @@ import (
 // publishes the finished snapshot, exactly as it does for field engines.
 //
 // Concurrency contract (read-only after build): once Install has returned,
-// LookupPacket, Cost and Footprint must be safe to call from any number of
-// goroutines concurrently — LookupPacket performs no writes to the engine;
+// LookupPacket, Rule, Cost and Footprint must be safe to call from any number
+// of goroutines concurrently — LookupPacket performs no writes to the engine;
 // the access count is returned, never accumulated inside. Install requires
 // external serialisation; the classifier only ever calls it on an
 // unpublished snapshot's engine.
 type PacketEngine interface {
 	// Install (re)builds the engine over the rule set. Rules are ordered
-	// best-first (ascending Priority value: index 0 is the highest-priority
-	// rule) and
-	// LookupPacket answers in terms of indices into this slice. The engine
-	// may keep the slice as its own storage (linear and hypercuts do), so the
-	// caller hands it over and must not modify it afterwards. Installing an
-	// empty slice is valid and yields an engine that matches nothing. A
-	// failed Install leaves the previously installed state serving.
+	// best-first: ascending Priority value, rules of equal priority in
+	// installation order. A fresh Install numbers the rules' ids by index
+	// into this slice. The engine may keep the slice as its own storage
+	// (linear, hypercuts and dcfl do), so the caller hands it over and must
+	// not modify it afterwards. Installing an empty slice is valid and
+	// yields an engine that matches nothing. A failed Install leaves the
+	// previously installed state serving.
 	Install(rules []fivetuple.Rule) error
-	// LookupPacket classifies one header: the index (into the installed
-	// slice) of the highest-priority matching rule, whether any rule
-	// matched, and the number of memory accesses performed.
-	LookupPacket(h fivetuple.Header) (ruleIndex int, matched bool, accesses int)
+	// LookupPacket classifies one header: the id of the highest-priority
+	// matching rule, whether any rule matched, and the number of memory
+	// accesses performed. Rule resolves the id on the same handle.
+	LookupPacket(h fivetuple.Header) (id int, matched bool, accesses int)
+	// Rule returns the rule an id LookupPacket or LookupPacketAll answered
+	// names, for reading only, in O(1). The rule carries the priority it
+	// was installed with.
+	Rule(id int) *fivetuple.Rule
 	// Cost returns the engine's clock-cycle model under the installed rule
 	// set (decision-tree engines derive it from the built tree).
 	Cost() CostModel
@@ -65,14 +69,14 @@ type PacketEngine interface {
 // non-terminating rules through this interface.
 type MultiMatchPacketEngine interface {
 	PacketEngine
-	// LookupPacketAll appends the indices (into the installed rule slice)
-	// of every rule matching the header to dst, in ascending index order —
-	// which is priority order, because Install receives rules best-first —
+	// LookupPacketAll appends the ids of every rule matching the header to
+	// dst, best-first — ascending priority, ties in installation order —
 	// truncated after the first terminating (non-NonTerminating) match. It
 	// returns the extended slice and the number of memory accesses
 	// performed. The order and the cut are the engine's to keep, after any
-	// number of delta ops too: the classifier turns the indices into the
-	// verdict list as they come, without sorting or cutting them again.
+	// number of delta ops too: the classifier turns the ids into the
+	// verdict list through Rule as they come, without sorting or cutting
+	// them again.
 	// Implementations must not allocate when dst has sufficient capacity,
 	// so the zero-allocation serving guarantee extends to the multi-action
 	// path.

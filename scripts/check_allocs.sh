@@ -19,8 +19,8 @@
 # building an empty field-tier classifier allocates on every IP engine (what
 # the tier serves, no simulated memory blocks), and, below the engine
 # adapter, the TestDeltaAllocs of hypercuts and of dcfl, which bound one
-# delta on a fresh clone of the tree or the tables (the id map and the
-# chunks it writes, not the structure).
+# delta on a fresh clone of the tree or the tables (the chunks it writes,
+# not the structure).
 # Above the core,
 # TestLookupBatchInto asserts the facade's
 # Classifier.LookupBatchInto allocates nothing with a reused dst, and

@@ -211,14 +211,12 @@ func BenchmarkAblation_BSTRebuild(b *testing.B) {
 // "structure-*" rows isolate the update primitive itself: one delta op
 // (insert + delete) versus one full Install of the precomputed structure —
 // the marginal per-op cost a batched flow-mod download pays, and where the
-// incremental plane must win by >= 5x. The publish-level "delta"/"rebuild"
-// rows run the same single-rule updates through the full RCU
-// clone-mutate-sync-swap path, whose snapshot clone is a shared constant
-// cost on both modes (benchmark/'s core.publish_p99_us is the measured
-// record of that path). "delta" rows ride the incremental plane (unbounded
-// budget, degradation trip disabled); "rebuild" rows pin
-// RebuildAfterDeltas=1, the pre-incremental one-precomputation-per-publish
-// behaviour.
+// incremental plane must win by >= 5x. The publish-level "publish" rows run
+// the same single-rule updates through the full RCU clone-mutate-sync-swap
+// path under the fixed policy: an incremental engine delta-applies and
+// rebuilds every DefaultRebuildAfterDeltas deltas, any other engine rebuilds
+// every publish (benchmark/'s core.publish_p99_us is the measured record of
+// that path).
 func BenchmarkUpdateLatency(b *testing.B) {
 	structureRules := benchSmallWorkload.RuleSet.Rules()
 	for _, name := range engine.PacketEngineNames() {
@@ -272,47 +270,34 @@ func BenchmarkUpdateLatency(b *testing.B) {
 				}
 			})
 		}
-		for _, mode := range []string{"delta", "rebuild"} {
-			b.Run(fmt.Sprintf("%s/%s", name, mode), func(b *testing.B) {
-				cfg := bench.EngineConfig(name)
-				if mode == "rebuild" {
-					cfg.RebuildAfterDeltas = 1
-				} else {
-					def, _ := engine.Get(name)
-					if !def.Incremental {
-						b.Skipf("%s has no incremental update path", name)
-					}
-					cfg.RebuildAfterDeltas = -1
-					cfg.DegradationThreshold = 1.01
-				}
-				c := core.MustNew(cfg)
-				if _, err := c.InstallRuleSet(benchSmallWorkload.RuleSet); err != nil {
+		b.Run(name+"/publish", func(b *testing.B) {
+			c := core.MustNew(bench.EngineConfig(name))
+			if _, err := c.InstallRuleSet(benchSmallWorkload.RuleSet); err != nil {
+				b.Fatal(err)
+			}
+			churn := fivetuple.Rule{
+				SrcPrefix: fivetuple.MustParsePrefix("203.0.113.0/24"),
+				DstPrefix: fivetuple.MustParsePrefix("198.51.100.0/24"),
+				SrcPort:   fivetuple.WildcardPortRange(),
+				DstPort:   fivetuple.ExactPort(8443),
+				Protocol:  fivetuple.ExactProtocol(fivetuple.ProtoTCP),
+				Priority:  100000, Action: fivetuple.ActionForward,
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.InsertRule(churn); err != nil {
 					b.Fatal(err)
 				}
-				churn := fivetuple.Rule{
-					SrcPrefix: fivetuple.MustParsePrefix("203.0.113.0/24"),
-					DstPrefix: fivetuple.MustParsePrefix("198.51.100.0/24"),
-					SrcPort:   fivetuple.WildcardPortRange(),
-					DstPort:   fivetuple.ExactPort(8443),
-					Protocol:  fivetuple.ExactProtocol(fivetuple.ProtoTCP),
-					Priority:  100000, Action: fivetuple.ActionForward,
+				if _, err := c.DeleteRule(churn); err != nil {
+					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := c.InsertRule(churn); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := c.DeleteRule(churn); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				stats := c.Report().Updates
-				b.ReportMetric(float64(stats.DeltasApplied), "deltas")
-				b.ReportMetric(float64(stats.Rebuilds), "rebuilds")
-				b.ReportMetric(stats.PublishLatency.P99().Seconds()*1e9, "p99_ns")
-			})
-		}
+			}
+			b.StopTimer()
+			stats := c.Report().Updates
+			b.ReportMetric(float64(stats.DeltasApplied), "deltas")
+			b.ReportMetric(float64(stats.Rebuilds), "rebuilds")
+			b.ReportMetric(stats.PublishLatency.P99().Seconds()*1e9, "p99_ns")
+		})
 	}
 }
 

@@ -4,21 +4,23 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"sdnpc/internal/core"
 )
 
 // The update-storm hammer: a writer floods the incremental update plane of
 // the packet tier (single-rule inserts and deletes riding the delta-apply
-// path, with periodic amortising rebuilds and hops between the packet
-// engines) while readers assert old-or-new-snapshot consistency through the
-// microflow cache — a cached verdict from a retired generation must never
-// surface. After the storm, the UpdateStats counters must be coherent:
-// every update publish was served by exactly one of the delta and rebuild
-// paths, the latency histogram saw every publish, the delta debt never
-// exceeds the configured bound, and a forced rebuild resets it to zero.
-// Run with -race.
+// path, with the amortising rebuild every DefaultRebuildAfterDeltas deltas
+// and hops between the packet engines) while readers assert
+// old-or-new-snapshot consistency through the microflow cache — a cached
+// verdict from a retired generation must never surface. After the storm, the
+// UpdateStats counters must be coherent: every update publish was served by
+// exactly one of the delta and rebuild paths, the latency histogram saw
+// every publish, the delta debt never reaches the bound, and a forced
+// rebuild resets it to zero. Run with -race.
 func TestConcurrentUpdateStormIncremental(t *testing.T) {
-	const rebuildAfterDeltas = 8
-	c := MustNew(WithEngine("hypercuts"), WithCache(4, 512), WithUpdatePolicy(rebuildAfterDeltas, 0))
+	const rebuildAfterDeltas = core.DefaultRebuildAfterDeltas
+	c := MustNew(WithEngine("hypercuts"), WithCache(4, 512))
 
 	stable := NewRule(5).From("10.1.0.0/16").To("192.168.0.0/16").DstPort(443).Proto(TCP).Forward(42).MustBuild()
 	if _, err := c.Insert(stable); err != nil {
@@ -62,17 +64,21 @@ func TestConcurrentUpdateStormIncremental(t *testing.T) {
 
 	// The writer hops only between packet engines, so every update publish
 	// runs the packet-tier update plane and the publish accounting below is
-	// exact: updates = 1 stable insert + 2 per iteration.
+	// exact: updates = 1 stable insert + 2 per iteration. A hop comes every
+	// 100 publishes, more than rebuildAfterDeltas apart, so on an engine
+	// whose degradation stays low the debt climbs to the bound and the
+	// amortising rebuild fires between hops.
 	packetEngines := PacketEngines()
-	const writerIterations = 150
+	const writerIterations = 300
 	updates := uint64(1)
+	maxDebt := 0
 	for i := 0; i < writerIterations; i++ {
 		if _, err := c.Insert(flip); err != nil {
 			t.Fatalf("insert flip: %v", err)
 		}
 		updates++
-		if i%25 == 12 {
-			if err := c.SelectEngine(packetEngines[(i/25)%len(packetEngines)]); err != nil {
+		if i%50 == 49 {
+			if err := c.SelectEngine(packetEngines[(i/50)%len(packetEngines)]); err != nil {
 				t.Fatalf("engine hop: %v", err)
 			}
 		}
@@ -80,9 +86,14 @@ func TestConcurrentUpdateStormIncremental(t *testing.T) {
 			t.Fatalf("delete flip: %v", err)
 		}
 		updates++
-		if debt := c.Report().Updates.DeltasSinceRebuild; debt >= rebuildAfterDeltas {
+		debt := c.Report().Updates.DeltasSinceRebuild
+		if debt >= rebuildAfterDeltas {
 			t.Fatalf("delta debt %d reached the bound %d; the amortising rebuild never fired", debt, rebuildAfterDeltas)
 		}
+		maxDebt = max(maxDebt, debt)
+	}
+	if maxDebt < rebuildAfterDeltas-2 {
+		t.Errorf("delta debt peaked at %d: no stretch between hops came near the bound %d", maxDebt, rebuildAfterDeltas)
 	}
 	close(done)
 	wg.Wait()

@@ -180,12 +180,15 @@ func removeFirstMatch(live []fivetuple.Rule, r fivetuple.Rule) []fivetuple.Rule 
 }
 
 // runDifferentialUpdates applies the mutation sequence through each packet
-// engine's incremental publish path (delta-friendly policy, plus cached
-// variants of hypercuts and dcfl on the host's lanes and on multiLanes forced
-// ones, so lane-private caches sit in front of every published snapshot) and
-// through each field engine's copy-on-write update path, checking
-// every intermediate state against the best-first oracle and the final state
-// against a freshly rebuilt classifier pinned to rebuild-on-every-publish.
+// engine's publish path (plus cached variants of hypercuts and dcfl on the
+// host's lanes and on multiLanes forced ones, so lane-private caches sit in
+// front of every published snapshot) and through each field engine's
+// copy-on-write update path, checking every intermediate state against the
+// best-first oracle and the final state against a freshly built classifier.
+// The sequences are far shorter than DefaultRebuildAfterDeltas, so the
+// packet engines delta-apply them unless a small rule set trips the
+// degradation rebuild; FuzzIncrementalDeltas drives delta chains of any
+// length at the engine, where no policy runs.
 func runDifferentialUpdates(t testing.TB, init []fivetuple.Rule, ops []fuzzUpdateOp, headers []fivetuple.Header) {
 	t.Helper()
 	// The whole sequence's dimension requirement (initial rules plus every
@@ -215,12 +218,7 @@ func runDifferentialUpdates(t testing.TB, init []fivetuple.Rule, ops []fuzzUpdat
 		if !engine.Dims(name).Covers(need) {
 			continue
 		}
-		cfg := bench.EngineConfig(name)
-		// Keep the whole sequence on the delta path: unbounded budget and a
-		// disabled degradation trip (Degradation never exceeds 1).
-		cfg.RebuildAfterDeltas = 1 << 20
-		cfg.DegradationThreshold = 1.01
-		variants[name] = variant{cfg: cfg}
+		variants[name] = variant{cfg: bench.EngineConfig(name)}
 	}
 	// The field tier's update path — shared label bank, path-copied tries,
 	// chunk-copied Rule Filter — runs the sequence under every field engine
@@ -245,8 +243,6 @@ func runDifferentialUpdates(t testing.TB, init []fivetuple.Rule, ops []fuzzUpdat
 	}
 	for _, base := range cachedBases {
 		cached := bench.CachedEngineConfig(base, 4, 1024)
-		cached.RebuildAfterDeltas = 1 << 20
-		cached.DegradationThreshold = 1.01
 		variants[base+"+cache"] = variant{cfg: cached}
 		variants[fmt.Sprintf("%s+cache/%d-lanes", base, multiLanes)] = variant{cfg: cached, lanes: multiLanes}
 	}
@@ -294,24 +290,10 @@ func runDifferentialUpdates(t testing.TB, init []fivetuple.Rule, ops []fuzzUpdat
 			t.Fatalf("%s: the rule table is not best-first after the sequence: %v", label, table)
 		}
 
-		// Final cross-check: a freshly rebuilt classifier on whatever engine
-		// the sequence left active, pinned to the rebuild path, must answer
-		// byte-identically to the delta-updated one.
-		freshCfg := bench.EngineConfig(c.ActiveEngineName())
-		freshCfg.RebuildAfterDeltas = 1
-		fresh, err := core.New(freshCfg)
-		if err != nil {
-			t.Fatalf("%s: building fresh comparator: %v", label, err)
-		}
-		reinstall := make([]core.UpdateOp, len(live))
-		for i, r := range live {
-			reinstall[i] = core.UpdateOp{Rule: r}
-		}
-		if len(reinstall) > 0 {
-			if _, _, err := fresh.ApplyUpdates(reinstall); err != nil {
-				t.Fatalf("%s: reinstalling %d rules on the fresh comparator: %v", label, len(live), err)
-			}
-		}
+		// Final cross-check: a freshly built classifier on whatever engine
+		// the sequence left active must answer byte-identically to the
+		// delta-updated one.
+		fresh := freshlyBuilt(t, c.ActiveEngineName(), live)
 		for i, h := range headers {
 			got, want := c.Lookup(h), fresh.Lookup(h)
 			if got.Matched != want.Matched || got.Priority != want.Priority ||
@@ -320,6 +302,30 @@ func runDifferentialUpdates(t testing.TB, init []fivetuple.Rule, ops []fuzzUpdat
 			}
 		}
 	}
+}
+
+// freshlyBuilt returns a classifier serving the named engine whose structure
+// was built in one piece over live — the comparator a delta-churned
+// classifier must answer like. The rules go in on the linear scan, which
+// covers every dimension, and the switch to name builds its tier from the
+// table in full, as every engine switch does; for linear itself, a splice
+// into the empty scan leaves what that build would.
+func freshlyBuilt(t testing.TB, name string, live []fivetuple.Rule) *core.Classifier {
+	t.Helper()
+	fresh := core.MustNew(bench.EngineConfig("linear"))
+	ops := make([]core.UpdateOp, len(live))
+	for i, r := range live {
+		ops[i] = core.UpdateOp{Rule: r}
+	}
+	if len(ops) > 0 {
+		if _, _, err := fresh.ApplyUpdates(ops); err != nil {
+			t.Fatalf("installing %d rules on the fresh comparator: %v", len(live), err)
+		}
+	}
+	if err := fresh.SelectEngine(name); err != nil {
+		t.Fatalf("building the fresh %s comparator: %v", name, err)
+	}
+	return fresh
 }
 
 // FuzzDifferentialUpdates drives fuzz-decoded mutation sequences through the
@@ -389,12 +395,18 @@ func TestDifferentialUpdateSequences(t *testing.T) {
 
 	for _, name := range engine.PacketEngineNames() {
 		t.Run(name, func(t *testing.T) {
-			cfg := bench.EngineConfig(name)
-			cfg.RebuildAfterDeltas = 1 << 20 // every sequence stays on the delta path
-			cfg.DegradationThreshold = 1.01  // tiny rule sets trip the default 0.5 by design
-			c, err := core.New(cfg)
+			c, err := core.New(bench.EngineConfig(name))
 			if err != nil {
 				t.Fatal(err)
+			}
+			// Filler rules that no probe matches keep the set from being
+			// tiny: over two rules, one delete leaves half of dcfl's
+			// combination entries stale, which trips the degradation rebuild
+			// and takes the sequence off the delta path.
+			for i := range 8 {
+				if _, err := c.InsertRule(mk(fmt.Sprintf("192.0.2.%d/32", i), uint16(9000+i), 100+i, 0)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			a := mk("10.1.0.0/16", 80, 1, 10)
 			b := mk("10.0.0.0/8", 80, 5, 20)
@@ -500,16 +512,7 @@ func TestDifferentialUpdateSequences(t *testing.T) {
 
 			// Final differential sweep: delta-churned classifier versus a
 			// freshly rebuilt one over the surviving rules.
-			finalRules := c.InstalledRules()
-			sort.SliceStable(finalRules, func(i, j int) bool { return finalRules[i].Priority < finalRules[j].Priority })
-			freshCfg := bench.EngineConfig(name)
-			freshCfg.RebuildAfterDeltas = 1
-			fresh := core.MustNew(freshCfg)
-			for _, r := range finalRules {
-				if _, err := fresh.InsertRule(r); err != nil {
-					t.Fatal(err)
-				}
-			}
+			fresh := freshlyBuilt(t, name, c.InstalledRules())
 			for _, h := range []fivetuple.Header{probe, hdr("10.200.0.1", 80), hdr("10.1.2.3", 81)} {
 				got, want := c.Lookup(h), fresh.Lookup(h)
 				if got.Matched != want.Matched || got.Priority != want.Priority || got.ActionArg != want.ActionArg {
@@ -529,10 +532,7 @@ func TestDifferentialUpdateSequences(t *testing.T) {
 // serves multi-action rules the first two do not terminate, so the chain
 // shows the whole order.
 func checkTieOrder(t *testing.T, name string) {
-	cfg := bench.EngineConfig(name)
-	cfg.RebuildAfterDeltas = 1 << 20
-	cfg.DegradationThreshold = 1.01
-	c := core.MustNew(cfg)
+	c := core.MustNew(bench.EngineConfig(name))
 	chain := engine.Dims(name).Covers(fivetuple.DimMultiAction)
 	var live []fivetuple.Rule
 	for i, src := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.0.0.0/8"} {

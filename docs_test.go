@@ -68,7 +68,7 @@ func TestArchitectureDocExists(t *testing.T) {
 // TestDocsCoverUpdatePlane keeps the incremental update plane documented:
 // ARCHITECTURE.md must describe the delta-apply vs rebuild decision and the
 // Report().Updates surface, ENGINES.md must state the incremental contract and
-// the policy knobs, and the ENGINES.md incremental-support matrix must agree
+// the fixed policy's constants, and the ENGINES.md incremental-support matrix must agree
 // with the registry's Incremental flags engine by engine — so the docs
 // cannot claim (or forget) delta support the code does not have.
 func TestDocsCoverUpdatePlane(t *testing.T) {
@@ -77,7 +77,7 @@ func TestDocsCoverUpdatePlane(t *testing.T) {
 		t.Fatalf("reading docs/ARCHITECTURE.md: %v", err)
 	}
 	for _, want := range []string{
-		"delta-apply", "RebuildAfterDeltas", "DegradationThreshold", "Report().Updates",
+		"delta-apply", "DefaultRebuildAfterDeltas", "DefaultDegradationThreshold", "Report().Updates",
 		"BenchmarkUpdateLatency", "e2e.update_p99_us", "core.publish_p99_us",
 	} {
 		if !strings.Contains(string(arch), want) {
@@ -90,8 +90,8 @@ func TestDocsCoverUpdatePlane(t *testing.T) {
 	}
 	text := string(engines)
 	for _, want := range []string{
-		"IncrementalPacketEngine", "UpdateCost", "RebuildAfterDeltas",
-		"DegradationThreshold", "Incremental-support matrix", "copy-on-write",
+		"IncrementalPacketEngine", "UpdateCost", "DefaultRebuildAfterDeltas",
+		"DefaultDegradationThreshold", "Incremental-support matrix", "copy-on-write",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("docs/ENGINES.md does not mention %q", want)

@@ -3,11 +3,11 @@ package sdnpc
 import "testing"
 
 // TestFacadeUpdatePlane exercises the incremental update surface end to end:
-// WithUpdatePolicy selects the delta path, Apply drains a generated churn
-// trace, and UpdateStats reports the delta/rebuild split with a populated
-// latency histogram.
+// Apply drains a generated churn trace of fewer ops than
+// DefaultRebuildAfterDeltas through the delta path, and UpdateStats reports
+// the delta/rebuild split with a populated latency histogram.
 func TestFacadeUpdatePlane(t *testing.T) {
-	c, err := New(WithEngine("hypercuts"), WithUpdatePolicy(10000, 0))
+	c, err := New(WithEngine("hypercuts"))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -1,7 +1,6 @@
-// Package advisor is the read-only engine report: it turns the signals a
-// running Classifier already exposes (cache hit rate, publish latency,
-// delta debt, memory bits) plus a shadow bench of candidate engines on a
-// caller-supplied trace into ranked Recommendations.
+// Package advisor is the read-only engine report: it turns the cache hit
+// rate a running Classifier already exposes plus a shadow bench of candidate
+// engines on a caller-supplied trace into an engine Recommendation.
 //
 // The flow is signal → shadow-bench → recommend:
 //
@@ -9,8 +8,7 @@
 //     pressure profile — how much raw engine speed matters versus memory
 //     footprint (a hot cache absorbs repeated flows, so the engine behind
 //     it should be chosen for leanness; a cold cache puts every packet on
-//     the engine, so speed dominates) — along with decision-table
-//     recommendations for the update policy and the cache.
+//     the engine, so speed dominates).
 //  2. shadowBench replays the trace (or, when the caller has none, a
 //     synthetic trace derived from the installed rules) against a fresh
 //     classifier per candidate engine, under a bounded CPU budget.
@@ -19,14 +17,12 @@
 //     the active engine by a clear margin. It ranks lookup speed and memory
 //     only — never update cost.
 //
-// Advise changes nothing. Whoever reads the report acts on it: an engine
-// recommendation through SelectEngine, update-policy bounds and cache
-// geometry at construction.
+// Advise changes nothing. Whoever reads the report acts on it through
+// SelectEngine.
 package advisor
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"sdnpc/internal/core"
@@ -37,53 +33,29 @@ import (
 // Kind classifies what a Recommendation asks to change.
 type Kind string
 
-// Recommendation kinds.
-const (
-	// KindEngine recommends switching the serving engine (either tier)
-	// through SelectEngine.
-	KindEngine Kind = "engine"
-	// KindUpdatePolicy recommends new delta-vs-rebuild policy bounds
-	// (Config.RebuildAfterDeltas / DegradationThreshold, fixed at
-	// construction).
-	KindUpdatePolicy Kind = "update-policy"
-	// KindCache flags a cache configuration mismatch (cache geometry is
-	// fixed at construction).
-	KindCache Kind = "cache"
-)
+// KindEngine, the kind of every Recommendation, recommends switching the
+// serving engine (either tier) through SelectEngine.
+const KindEngine Kind = "engine"
 
-// Recommendation is one ranked, self-describing tuning suggestion.
+// Recommendation is one self-describing engine switch suggestion.
 type Recommendation struct {
-	// Kind selects which fields below are meaningful.
+	// Kind is always KindEngine.
 	Kind Kind `json:"kind"`
-	// Engine is the target engine of a KindEngine recommendation.
+	// Engine is the recommended engine.
 	Engine string `json:"engine,omitempty"`
-	// RebuildAfterDeltas and DegradationThreshold are the suggested policy
-	// bounds of a KindUpdatePolicy recommendation (Config conventions:
-	// 0 = default).
-	RebuildAfterDeltas   int     `json:"rebuild_after_deltas,omitempty"`
-	DegradationThreshold float64 `json:"degradation_threshold,omitempty"`
 	// Reason explains the signal that produced the recommendation.
 	Reason string `json:"reason"`
-	// Score orders recommendations (higher = stronger). For KindEngine it
-	// is the relative score improvement over the active engine.
+	// Score is the relative score improvement over the active engine.
 	Score float64 `json:"score"`
 	// NsPerLookup and MemoryBits carry the shadow-bench measurements behind
-	// a KindEngine recommendation.
+	// the recommendation.
 	NsPerLookup float64 `json:"ns_per_lookup,omitempty"`
 	MemoryBits  int     `json:"memory_bits,omitempty"`
 }
 
 // String renders the recommendation for logs.
 func (r Recommendation) String() string {
-	switch r.Kind {
-	case KindEngine:
-		return fmt.Sprintf("engine → %s (score %+.0f%%): %s", r.Engine, 100*r.Score, r.Reason)
-	case KindUpdatePolicy:
-		return fmt.Sprintf("update policy → rebuild-after-deltas %d, degradation %.2f: %s",
-			r.RebuildAfterDeltas, r.DegradationThreshold, r.Reason)
-	default:
-		return fmt.Sprintf("%s: %s", r.Kind, r.Reason)
-	}
+	return fmt.Sprintf("engine → %s (score %+.0f%%): %s", r.Engine, 100*r.Score, r.Reason)
 }
 
 // Decision-table thresholds. They are deliberately coarse: the advisor's
@@ -92,14 +64,8 @@ const (
 	// minSignalLookups is the traffic floor below which the cache hit rate
 	// is considered unmeasured.
 	minSignalLookups = 256
-	// highDeltaDebt is the delta-debt depth that triggers a tighter
-	// RebuildAfterDeltas recommendation.
-	highDeltaDebt = 128
-	// worryingDegradation is the incremental-engine drift that triggers a
-	// tighter DegradationThreshold recommendation.
-	worryingDegradation = 0.4
-	// minCacheHitRate is the hit rate below which the cache is flagged as
-	// ineffective.
+	// minCacheHitRate is the hit rate below which the traffic is reported
+	// as cache-unfriendly.
 	minCacheHitRate = 0.5
 	// margin is the minimum relative score improvement over the active
 	// engine before a switch is recommended.
@@ -115,8 +81,7 @@ const (
 )
 
 // signals is the analyzed pressure profile of one Report: how the engine
-// ranking should weigh measured speed against memory footprint, plus the
-// decision-table recommendations that don't need a shadow bench.
+// ranking should weigh measured speed against memory footprint.
 type signals struct {
 	// speedWeight and memoryWeight blend the shadow-bench scores; they sum
 	// to 1.
@@ -124,8 +89,6 @@ type signals struct {
 	memoryWeight float64
 	// reasons collects the human-readable signal trail.
 	reasons []string
-	// extra holds the policy/cache recommendations from the decision table.
-	extra []Recommendation
 }
 
 func clamp(v, lo, hi float64) float64 {
@@ -138,8 +101,8 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// analyze runs the decision table over one observability snapshot. It is a
-// pure function of the Report, which is what makes the table testable from
+// analyze derives the pressure profile from one observability snapshot. It
+// is a pure function of the Report, which is what makes it testable from
 // synthetic fixtures.
 func analyze(rep core.Report) signals {
 	sig := signals{speedWeight: 0.5, memoryWeight: 0.5}
@@ -159,12 +122,6 @@ func analyze(rep core.Report) signals {
 			sig.reasons = append(sig.reasons,
 				fmt.Sprintf("cache hit rate %.0f%% below %.0f%%: traffic is cache-unfriendly, engine speed dominates",
 					100*hit, 100*minCacheHitRate))
-			sig.extra = append(sig.extra, Recommendation{
-				Kind:  KindCache,
-				Score: clamp(minCacheHitRate-hit, 0.05, 0.5),
-				Reason: fmt.Sprintf("microflow cache answers only %.0f%% of lookups; consider more capacity or disabling it to reclaim %d Kbit",
-					100*hit, rep.Memory.CacheBits/1024),
-			})
 		} else {
 			sig.reasons = append(sig.reasons,
 				fmt.Sprintf("cache hit rate %.0f%% absorbs the hot flows: engine memory matters more than raw speed", 100*hit))
@@ -175,41 +132,16 @@ func analyze(rep core.Report) signals {
 	}
 
 	sig.memoryWeight = 1 - sig.speedWeight
-
-	// Update-plane signals: deep delta debt means the incremental structure
-	// has drifted far from a fresh build; worrying degradation means the
-	// engine itself is reporting the drift. Both call for tighter rebuild
-	// bounds.
-	if debt := rep.Updates.DeltasSinceRebuild; debt >= highDeltaDebt {
-		sig.extra = append(sig.extra, Recommendation{
-			Kind:               KindUpdatePolicy,
-			RebuildAfterDeltas: debt / 2,
-			Score:              clamp(float64(debt)/float64(4*highDeltaDebt), 0.2, 0.8),
-			Reason: fmt.Sprintf("delta debt %d deep (publish P99 %v): bound it at %d so rebuilds amortise the drift",
-				debt, rep.Updates.PublishLatency.P99(), debt/2),
-		})
-	}
-	if deg := rep.Memory.PacketEngineDegradation; deg >= worryingDegradation {
-		sig.extra = append(sig.extra, Recommendation{
-			Kind:                 KindUpdatePolicy,
-			RebuildAfterDeltas:   rep.Updates.DeltasSinceRebuild / 2,
-			DegradationThreshold: worryingDegradation / 2,
-			Score:                clamp(deg, 0.2, 0.9),
-			Reason: fmt.Sprintf("packet structure degradation %.2f: trip rebuilds at %.2f before lookup cost drifts further",
-				deg, worryingDegradation/2),
-		})
-	}
 	return sig
 }
 
-// Advise produces ranked recommendations for a live classifier, strongest
-// first: the decision-table output of its current Report plus, when rules
-// are installed, an engine recommendation from shadow-benching the
-// candidates on the trace. A nil trace selects one derived from the
-// installed rules; a longer one is cut to its most recent maxHeaders. Empty
-// candidates select every selectable engine; an unknown name is an error. An
-// empty slice means the current configuration already looks right. Advise
-// never changes the classifier.
+// Advise produces the engine recommendation for a live classifier: when
+// rules are installed, the candidate that wins a shadow bench on the trace,
+// weighted by the profile of its current Report. A nil trace selects one
+// derived from the installed rules; a longer one is cut to its most recent
+// maxHeaders. Empty candidates select every selectable engine; an unknown
+// name is an error. An empty slice means the serving engine already looks
+// right. Advise never changes the classifier.
 func Advise(c *core.Classifier, trace []fivetuple.Header, candidates []string) ([]Recommendation, error) {
 	for _, name := range candidates {
 		if _, ok := engine.Selectable(name); !ok {
@@ -219,35 +151,33 @@ func Advise(c *core.Classifier, trace []fivetuple.Header, candidates []string) (
 	if len(candidates) == 0 {
 		candidates = engine.SelectableNames()
 	}
+	rules := c.InstalledRules()
+	if len(rules) == 0 {
+		return nil, nil
+	}
+	switch {
+	case len(trace) == 0:
+		trace = syntheticTrace(rules, maxHeaders)
+	case len(trace) > maxHeaders:
+		trace = trace[len(trace)-maxHeaders:]
+	}
+	// A candidate whose capacity cannot hold the installed rule set is not
+	// benched: SelectEngine would reject the switch anyway.
 	rep := c.Report()
-	sig := analyze(rep)
-	recs := append([]Recommendation(nil), sig.extra...)
-
-	if rules := c.InstalledRules(); len(rules) > 0 {
-		switch {
-		case len(trace) == 0:
-			trace = syntheticTrace(rules, maxHeaders)
-		case len(trace) > maxHeaders:
-			trace = trace[len(trace)-maxHeaders:]
-		}
-		// A candidate whose capacity cannot hold the installed rule set is
-		// not benched: SelectEngine would reject the switch anyway.
-		cfg := c.Config()
-		fits := candidates[:0:0]
-		for _, name := range candidates {
-			if cfg.RuleCapacityFor(name) >= rep.RulesInstalled {
-				fits = append(fits, name)
-			}
-		}
-		if len(rules) > maxRules {
-			rules = rules[:maxRules]
-		}
-		if eng, ok := rankEngines(shadowBench(rules, trace, fits, benchBudget), sig, rep); ok {
-			recs = append(recs, eng)
+	cfg := c.Config()
+	fits := candidates[:0:0]
+	for _, name := range candidates {
+		if cfg.RuleCapacityFor(name) >= rep.RulesInstalled {
+			fits = append(fits, name)
 		}
 	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Score > recs[j].Score })
-	return recs, nil
+	if len(rules) > maxRules {
+		rules = rules[:maxRules]
+	}
+	if eng, ok := rankEngines(shadowBench(rules, trace, fits, benchBudget), analyze(rep), rep); ok {
+		return []Recommendation{eng}, nil
+	}
+	return nil, nil
 }
 
 // rankEngines scores the shadow-bench results by the profile-weighted blend

@@ -19,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"sdnpc/internal/engine"
 )
@@ -63,17 +62,15 @@ const (
 	// DefaultProtocolLabelBits is the protocol label width (§IV.C.1).
 	DefaultProtocolLabelBits = 2
 
-	// DefaultRebuildAfterDeltas is the default delta-debt bound of the
-	// packet-tier update policy: after this many delta ops have been absorbed
-	// since the last full build, the next publish rebuilds the precomputed
-	// structure instead of delta-applying, amortising the accumulated
-	// imperfection.
+	// DefaultRebuildAfterDeltas bounds the delta debt of an incremental
+	// whole-packet engine: a publish whose pending mutations would bring
+	// the structure's UpdateCost().Deltas to this many rebuilds it instead
+	// of delta-applying, amortising the accumulated imperfection.
 	DefaultRebuildAfterDeltas = 64
 
-	// DefaultDegradationThreshold is the default degradation trip point: a
-	// publish whose deltas push the incremental engine's
-	// UpdateCost.Degradation to or past this value rebuilds in the same
-	// publish.
+	// DefaultDegradationThreshold is the degradation trip point: a publish
+	// whose deltas push the engine's UpdateCost().Degradation to or past
+	// this value rebuilds in the same publish.
 	DefaultDegradationThreshold = 0.5
 )
 
@@ -167,23 +164,6 @@ type Config struct {
 	// lane's cache, rounded up to a power of two; <= 0 selects the default
 	// (8). Only consulted when CacheCapacity > 0.
 	CacheShards int
-
-	// RebuildAfterDeltas bounds the delta debt of an incremental whole-packet
-	// engine: once the structure has absorbed this many delta ops since its
-	// last full build, the next publish rebuilds instead of delta-applying.
-	// 0 selects DefaultRebuildAfterDeltas; 1 degenerates to rebuild-on-every-
-	// publish (the pre-incremental behaviour, useful as a benchmark
-	// baseline); negative disables the bound so only the degradation
-	// threshold forces rebuilds. Ignored by non-incremental engines, which
-	// always rebuild.
-	RebuildAfterDeltas int
-	// DegradationThreshold forces a rebuild in the same publish whose deltas
-	// drive the incremental engine's UpdateCost.Degradation to or past this
-	// value. 0 selects DefaultDegradationThreshold; values above 1 or below
-	// 0 disable the trip (Degradation itself never leaves [0,1]), mirroring
-	// the negative-disables convention of RebuildAfterDeltas; NaN is
-	// rejected by Validate.
-	DegradationThreshold float64
 }
 
 // DefaultConfig returns the architecture configuration evaluated in the
@@ -279,33 +259,7 @@ func (c Config) Validate() error {
 	if c.CacheShards > 1<<12 {
 		return fmt.Errorf("core: microflow cache shard count %d out of range (max %d)", c.CacheShards, 1<<12)
 	}
-	if math.IsNaN(c.DegradationThreshold) {
-		return fmt.Errorf("core: degradation threshold must not be NaN")
-	}
 	return nil
-}
-
-// rebuildAfterDeltas resolves the configured delta-debt bound: the explicit
-// value, or the default when unset. Negative means unbounded.
-func (c Config) rebuildAfterDeltas() int {
-	if c.RebuildAfterDeltas == 0 {
-		return DefaultRebuildAfterDeltas
-	}
-	return c.RebuildAfterDeltas
-}
-
-// degradationThreshold resolves the configured degradation trip point: the
-// default when unset, and an unreachable value when negative (disabled) so
-// the delta path never pointlessly applies-then-discards its work.
-func (c Config) degradationThreshold() float64 {
-	switch {
-	case c.DegradationThreshold == 0:
-		return DefaultDegradationThreshold
-	case c.DegradationThreshold < 0:
-		return 2 // Degradation never leaves [0,1]: the trip is disabled
-	default:
-		return c.DegradationThreshold
-	}
 }
 
 // RuleFilterSlots returns the number of Rule Filter slots in the base (MBT)

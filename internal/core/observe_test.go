@@ -7,6 +7,7 @@ import (
 
 	"sdnpc/internal/cache"
 	"sdnpc/internal/classbench"
+	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
 )
 
@@ -194,6 +195,17 @@ func TestReportMatchesAccessors(t *testing.T) {
 			// Two counted publishes: the install and the delete.
 			if got := rep.Updates.PublishLatency.Total(); got != 2 {
 				t.Errorf("Updates.PublishLatency saw %d publishes, want 2", got)
+			}
+			// The debt is the published engine's own UpdateCost: the delete
+			// delta-applied on hypercuts; the field tier has none.
+			var cost engine.UpdateCost
+			if p := c.view().packet; p != nil {
+				cost = p.engine.(engine.IncrementalPacketEngine).UpdateCost()
+			}
+			if rep.Updates.DeltasSinceRebuild != cost.Deltas || rep.Updates.Degradation != cost.Degradation ||
+				(name == "hypercuts") != (cost.Deltas == 1) {
+				t.Errorf("Updates debt = (%d, %v), want the engine's (%d, %v) with the delete's one delta on hypercuts",
+					rep.Updates.DeltasSinceRebuild, rep.Updates.Degradation, cost.Deltas, cost.Degradation)
 			}
 			if rep.Memory.RulesInstalled != rep.RulesInstalled || rep.Memory.RuleCapacity != rep.RuleCapacity {
 				t.Errorf("Memory rules = (%d, %d), want (%d, %d)",

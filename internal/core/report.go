@@ -35,14 +35,6 @@ type MemoryReport struct {
 	PacketEngine         string
 	PacketEngineUsedBits int
 
-	// Update plane: the delta debt of the active packet structure. Deltas is
-	// how many incremental ops it has absorbed since its last full build,
-	// and Degradation the engine-reported drift from a fresh build (stale
-	// DCFL combination entries, overfull HyperCuts leaves). Both are 0 for
-	// non-incremental engines and right after a rebuild.
-	PacketEngineDeltas      int
-	PacketEngineDegradation float64
-
 	// Microflow cache: the provisioned entry slots of the exact-match cache
 	// fronting both tiers and their software footprint (entry structs plus
 	// per-bucket eviction state). Both are 0 when the cache is disabled. The
@@ -111,10 +103,6 @@ func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
 	if p := s.packet; p != nil {
 		report.PacketEngine = p.name
 		report.PacketEngineUsedBits = p.engine.Footprint().NodeBits
-		report.PacketEngineDeltas = p.deltas
-		if inc, ok := p.engine.(engine.IncrementalPacketEngine); ok {
-			report.PacketEngineDegradation = inc.UpdateCost().Degradation
-		}
 		return report
 	}
 	f := s.field

@@ -96,15 +96,11 @@ type packetTier struct {
 
 	// Update plane. pending records the rule mutations applied to this
 	// (unpublished) snapshot since it was cloned; syncPacket drains it —
-	// through the engine's delta ops when it is incremental and the policy
-	// allows, through a full rebuild otherwise — so a published snapshot has
-	// none. Its backing array is the writer's: each clone takes it over,
-	// drained, so publishes reuse one buffer. deltas counts the delta ops the
-	// current structure has absorbed since its last full build (the debt the
-	// RebuildAfterDeltas policy bounds); it is carried across clones and reset
-	// by every rebuild.
+	// through the engine's delta ops when it is incremental and the
+	// engine's own delta debt allows, through a full rebuild otherwise — so
+	// a published snapshot has none. Its backing array is the writer's:
+	// each clone takes it over, drained, so publishes reuse one buffer.
 	pending []packetDelta
-	deltas  int
 }
 
 // packetDelta is one pending rule mutation awaiting packet-tier sync: the
@@ -159,7 +155,7 @@ func newSnapshot(cfg *Config, name string, rules []fivetuple.Rule) (*snapshot, e
 			return nil, fmt.Errorf("core: programming the %s engine: %w", name, err)
 		}
 	}
-	if _, err := s.syncPacket(cfg); err != nil {
+	if _, err := s.syncPacket(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -224,7 +220,7 @@ func (s *snapshot) clone() *snapshot {
 		// The clone shares the built structure; a rebuild after a rule change
 		// replaces only the clone's handle, and a delta update copy-on-writes
 		// inside the engine — never the published one either way.
-		c.packet = &packetTier{name: p.name, engine: p.engine.Clone(), dims: p.dims, pending: p.pending[:0], deltas: p.deltas}
+		c.packet = &packetTier{name: p.name, engine: p.engine.Clone(), dims: p.dims, pending: p.pending[:0]}
 		return c
 	}
 	c.field = s.field.clone()
@@ -268,22 +264,22 @@ type publishSync struct {
 // syncPacket brings the whole-packet engine in sync with the installed rules
 // before a mutated snapshot is published; a field-tier snapshot, whose
 // engines are updated in place per rule, has nothing to sync. When the
-// engine is incremental and the update policy allows, the pending mutations
-// are delta-applied — the flat-latency path SDN flow-mod churn rides;
-// otherwise the structure is rebuilt from scratch. The policy forces the
-// amortising rebuild in two cases: the structure's delta debt would reach
-// Config.RebuildAfterDeltas, or the applied deltas push the engine's
-// degradation past Config.DegradationThreshold. A build failure (e.g. an
+// engine is incremental, the pending mutations are delta-applied — the
+// flat-latency path SDN flow-mod churn rides — unless the structure's delta
+// debt would reach DefaultRebuildAfterDeltas or the applied deltas push its
+// degradation to DefaultDegradationThreshold; then, as for every other
+// engine, the structure is rebuilt from scratch. A build failure (e.g. an
 // RFC cross-product explosion) surfaces as the update's error and nothing is
 // published.
-func (s *snapshot) syncPacket(cfg *Config) (publishSync, error) {
+func (s *snapshot) syncPacket() (publishSync, error) {
 	p := s.packet
 	if p == nil || (p.engine != nil && len(p.pending) == 0) {
 		return publishSync{}, nil
 	}
 	if p.engine != nil {
-		if inc, ok := p.engine.(engine.IncrementalPacketEngine); ok && p.deltaBudgetAllows(cfg) {
-			if applied, ok := p.applyDeltas(cfg, inc); ok {
+		if inc, ok := p.engine.(engine.IncrementalPacketEngine); ok &&
+			inc.UpdateCost().Deltas+len(p.pending) < DefaultRebuildAfterDeltas {
+			if applied, ok := p.applyDeltas(inc); ok {
 				return publishSync{deltas: applied}, nil
 			}
 			// The delta path declined (an op failed midway, or the applied
@@ -305,16 +301,7 @@ func (s *snapshot) syncPacket(cfg *Config) (publishSync, error) {
 	// A rebuild may follow a whole rule set's inserts: drop the buffer rather
 	// than keep it in the published snapshot.
 	p.pending = nil
-	p.deltas = 0
 	return publishSync{rebuilt: true}, nil
-}
-
-// deltaBudgetAllows applies the amortisation bound: a publish whose pending
-// mutations would push the structure's delta debt to RebuildAfterDeltas (or
-// past it) must rebuild instead.
-func (p *packetTier) deltaBudgetAllows(cfg *Config) bool {
-	k := cfg.rebuildAfterDeltas()
-	return k <= 0 || p.deltas+len(p.pending) < k
 }
 
 // applyDeltas forwards the pending mutations to the engine's delta ops in
@@ -325,7 +312,7 @@ func (p *packetTier) deltaBudgetAllows(cfg *Config) bool {
 // rule the engine does not hold, or a structure whose dead ids have reached
 // its bound — or the applied deltas tripped the degradation threshold; the
 // caller then rebuilds.
-func (p *packetTier) applyDeltas(cfg *Config, inc engine.IncrementalPacketEngine) (applied int, ok bool) {
+func (p *packetTier) applyDeltas(inc engine.IncrementalPacketEngine) (applied int, ok bool) {
 	for _, op := range p.pending {
 		var err error
 		if op.delete {
@@ -337,14 +324,13 @@ func (p *packetTier) applyDeltas(cfg *Config, inc engine.IncrementalPacketEngine
 			return 0, false
 		}
 	}
-	if inc.UpdateCost().Degradation >= cfg.degradationThreshold() {
+	if inc.UpdateCost().Degradation >= DefaultDegradationThreshold {
 		// The deltas themselves tripped the degradation bound: amortise now,
 		// in the same publish, rather than serving a degraded structure.
 		return 0, false
 	}
 	applied = len(p.pending)
 	p.pending = p.pending[:0]
-	p.deltas += applied
 	return applied, true
 }
 

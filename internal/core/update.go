@@ -67,7 +67,7 @@ func (c *Classifier) update(mutate func(next *snapshot, applied *updateTally) er
 	if applied.inserts+applied.deletes == 0 {
 		return nil
 	}
-	sync, err := next.syncPacket(&c.cfg)
+	sync, err := next.syncPacket()
 	if err != nil {
 		return err
 	}

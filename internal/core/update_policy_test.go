@@ -28,66 +28,62 @@ func policyRules(n int) []fivetuple.Rule {
 	return out
 }
 
-// TestRebuildAfterDeltasPolicyPinsK pins the amortisation bound: with
-// RebuildAfterDeltas = K, exactly the K-th single-rule publish rebuilds and
-// resets the delta debt, and the cycle repeats.
+// TestRebuildAfterDeltasPolicyPinsK pins the amortisation bound: exactly
+// the DefaultRebuildAfterDeltas-th single-rule publish after a build
+// rebuilds and resets the delta debt, and the cycle repeats. linear never
+// degrades and dcfl's inserts leave no stale entries, so only the bound can
+// fire.
 func TestRebuildAfterDeltasPolicyPinsK(t *testing.T) {
-	const k = 3
-	cfg := DefaultConfig()
-	cfg.PacketEngine = "hypercuts"
-	cfg.RebuildAfterDeltas = k
-	c := MustNew(cfg)
-	base := fivetuple.NewRuleSet("base", policyRules(10))
-	if _, err := c.InstallRuleSet(base); err != nil {
-		t.Fatal(err)
-	}
-	// The bulk install exceeds the delta budget outright: one rebuild.
-	stats := c.Report().Updates
-	if stats.Rebuilds != 1 || stats.DeltasApplied != 0 || stats.DeltasSinceRebuild != 0 {
-		t.Fatalf("after bulk install: %+v, want exactly one rebuild and no deltas", stats)
-	}
-
-	extra := policyRules(2 * k)
-	for i := range extra {
-		extra[i].Priority = 100 + i
-		extra[i].DstPort = fivetuple.ExactPort(uint16(2000 + i))
-	}
-	want := []struct {
-		rebuilds, deltas uint64
-		debt             int
-	}{
-		{1, 1, 1}, // delta 1
-		{1, 2, 2}, // delta 2
-		{2, 2, 0}, // the K-th publish trips the bound: rebuild, debt reset
-		{2, 3, 1}, // the cycle restarts
-		{2, 4, 2},
-		{3, 4, 0},
-	}
-	for i, r := range extra {
-		if _, err := c.InsertRule(r); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-		stats := c.Report().Updates
-		if stats.Rebuilds != want[i].rebuilds || stats.DeltasApplied != want[i].deltas ||
-			stats.DeltasSinceRebuild != want[i].debt {
-			t.Fatalf("after single insert %d: rebuilds=%d deltas=%d debt=%d, want %+v",
-				i, stats.Rebuilds, stats.DeltasApplied, stats.DeltasSinceRebuild, want[i])
-		}
-	}
-	if got := c.Report().Updates.PublishLatency.Total(); got != uint64(1+len(extra)) {
-		t.Errorf("PublishLatency.Total() = %d, want %d publishes", got, 1+len(extra))
+	const k = DefaultRebuildAfterDeltas
+	for _, name := range []string{"linear", "dcfl"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.PacketEngine = name
+			c := MustNew(cfg)
+			if _, err := c.InstallRuleSet(fivetuple.NewRuleSet("base", policyRules(k))); err != nil {
+				t.Fatal(err)
+			}
+			// The bulk install of k rules is past the delta budget outright:
+			// one rebuild.
+			stats := c.Report().Updates
+			if stats.Rebuilds != 1 || stats.DeltasApplied != 0 || stats.DeltasSinceRebuild != 0 {
+				t.Fatalf("after bulk install: %+v, want exactly one rebuild and no deltas", stats)
+			}
+			extra := policyRules(2 * k)
+			for i := range extra {
+				extra[i].Priority = 100 + i
+				extra[i].DstPort = fivetuple.ExactPort(uint16(2000 + i))
+			}
+			var deltas uint64
+			for i, r := range extra {
+				if _, err := c.InsertRule(r); err != nil {
+					t.Fatalf("insert %d: %v", i, err)
+				}
+				// Publish i+1 of each cycle of k delta-applies until the k-th,
+				// which trips the bound: rebuild, debt reset.
+				rebuilds, debt := uint64(1+(i+1)/k), (i+1)%k
+				if debt != 0 {
+					deltas++
+				}
+				stats := c.Report().Updates
+				if stats.Rebuilds != rebuilds || stats.DeltasApplied != deltas || stats.DeltasSinceRebuild != debt {
+					t.Fatalf("after single insert %d: rebuilds=%d deltas=%d debt=%d, want %d/%d/%d",
+						i, stats.Rebuilds, stats.DeltasApplied, stats.DeltasSinceRebuild, rebuilds, deltas, debt)
+				}
+			}
+			if got := c.Report().Updates.PublishLatency.Total(); got != uint64(1+len(extra)) {
+				t.Errorf("PublishLatency.Total() = %d, want %d publishes", got, 1+len(extra))
+			}
+		})
 	}
 }
 
-// TestDegradationThresholdTriggersRebuild drives one HyperCuts leaf past the
-// configured degradation threshold and requires the tripping publish itself
-// to rebuild (and reset the debt), with the bound K disabled so only the
-// threshold can fire.
+// TestDegradationThresholdTriggersRebuild drives one HyperCuts leaf to
+// DefaultDegradationThreshold well within the delta budget and requires the
+// tripping publish itself to rebuild and reset the debt.
 func TestDegradationThresholdTriggersRebuild(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PacketEngine = "hypercuts"
-	cfg.RebuildAfterDeltas = -1 // unbounded: only degradation may force rebuilds
-	cfg.DegradationThreshold = 0.2
 	c := MustNew(cfg)
 
 	// 16 identical wildcard rules = exactly one full leaf (binth 16): every
@@ -103,65 +99,26 @@ func TestDegradationThresholdTriggersRebuild(t *testing.T) {
 		t.Fatalf("Rebuilds after install = %d, want 1", got)
 	}
 
-	// Degradation after n overflowing inserts is n/(16+n): inserts 1..3 stay
-	// below 0.2 and delta-apply; the 4th reaches 4/20 = 0.2 and must rebuild
-	// in the same publish.
-	for i := 0; i < 4; i++ {
+	// Degradation after n overflowing inserts is n/(16+n): inserts 1..15
+	// stay below 0.5 and delta-apply; the 16th reaches 16/32 = 0.5 and must
+	// rebuild in the same publish.
+	for i := 0; i < 16; i++ {
 		r := fivetuple.Wildcard(100+i, fivetuple.ActionDrop)
 		if _, err := c.InsertRule(r); err != nil {
 			t.Fatal(err)
 		}
-		rep := c.Report()
-		stats, report := rep.Updates, rep.Memory
-		if i < 3 {
+		stats := c.Report().Updates
+		if i < 15 {
 			if stats.Rebuilds != 1 || stats.DeltasSinceRebuild != i+1 {
 				t.Fatalf("insert %d: rebuilds=%d debt=%d, want the delta path", i, stats.Rebuilds, stats.DeltasSinceRebuild)
 			}
-			if report.PacketEngineDegradation <= 0 {
-				t.Fatalf("insert %d: degradation = %v, want > 0 while drifting", i, report.PacketEngineDegradation)
+			if want := float64(i+1) / float64(17+i); stats.Degradation != want {
+				t.Fatalf("insert %d: degradation = %v, want %v while drifting", i, stats.Degradation, want)
 			}
-		} else {
-			if stats.Rebuilds != 2 || stats.DeltasSinceRebuild != 0 {
-				t.Fatalf("tripping insert: rebuilds=%d debt=%d, want a same-publish rebuild with the debt reset",
-					stats.Rebuilds, stats.DeltasSinceRebuild)
-			}
-			if report.PacketEngineDegradation != 0 || report.PacketEngineDeltas != 0 {
-				t.Fatalf("after the amortising rebuild: degradation=%v deltas=%d, want a clean structure",
-					report.PacketEngineDegradation, report.PacketEngineDeltas)
-			}
+		} else if stats.Rebuilds != 2 || stats.DeltasSinceRebuild != 0 || stats.Degradation != 0 {
+			t.Fatalf("tripping insert: rebuilds=%d debt=%d degradation=%v, want a same-publish rebuild to a clean structure",
+				stats.Rebuilds, stats.DeltasSinceRebuild, stats.Degradation)
 		}
-	}
-}
-
-// TestNegativeThresholdDisablesDegradationTrip pins the
-// negative-disables convention: with both bounds negative, churn that would
-// trip the default threshold keeps delta-applying and never rebuilds.
-func TestNegativeThresholdDisablesDegradationTrip(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PacketEngine = "hypercuts"
-	cfg.RebuildAfterDeltas = -1
-	cfg.DegradationThreshold = -1
-	c := MustNew(cfg)
-	var base []fivetuple.Rule
-	for i := 0; i < 16; i++ {
-		base = append(base, fivetuple.Wildcard(i, fivetuple.ActionForward))
-	}
-	if _, err := c.InstallRuleSet(fivetuple.NewRuleSet("wild", base)); err != nil {
-		t.Fatal(err)
-	}
-	// 32 fully overlapping inserts push Degradation to 32/48 = 0.67, past
-	// the default 0.5 trip — which must stay disabled.
-	for i := 0; i < 32; i++ {
-		if _, err := c.InsertRule(fivetuple.Wildcard(100+i, fivetuple.ActionDrop)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats := c.Report().Updates
-	if stats.Rebuilds != 1 || stats.DeltasSinceRebuild != 32 {
-		t.Fatalf("stats = %+v, want only the bulk-install rebuild and 32 carried deltas", stats)
-	}
-	if got := c.Report().Memory.PacketEngineDegradation; got <= 0.5 {
-		t.Fatalf("degradation = %v, want the drift past the (disabled) default trip", got)
 	}
 }
 
@@ -222,7 +179,6 @@ func TestFieldTierPublishesCountOnlyLatency(t *testing.T) {
 func TestBatchedUpdatesDeltaApplyAsOnePublish(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PacketEngine = "dcfl"
-	cfg.RebuildAfterDeltas = 100
 	c := MustNew(cfg)
 	if _, err := c.InstallRuleSet(fivetuple.NewRuleSet("base", policyRules(10))); err != nil {
 		t.Fatal(err)
@@ -265,30 +221,28 @@ func TestBatchedUpdatesDeltaApplyAsOnePublish(t *testing.T) {
 	}
 }
 
-// TestRetiredIDsStayBounded pins the bound on a packet engine's retired ids.
-// With both rebuild triggers disabled, only the engine's own refusal — a
-// delete that would leave more dead ids than live ones plus 64 — turns a
-// publish into a rebuild, which renumbers. So 10 000 delete/insert pairs keep
-// the structure's id count at or below 2 × live + 64, and verdicts still match
-// the oracle.
+// TestRetiredIDsStayBounded pins the bound on a packet engine's retired ids
+// under churn. Every DefaultRebuildAfterDeltas-th publish rebuilds, which
+// renumbers, so 10 000 delete/insert pairs keep the dead ids below that
+// bound — inside the engine's own refusal bound of live ids plus 64, which
+// the engine-level FuzzIncrementalDeltas drives past — and verdicts still
+// match the oracle.
 func TestRetiredIDsStayBounded(t *testing.T) {
 	rules := policyRules(40)
 	headers := make([]fivetuple.Header, len(rules))
 	for i, r := range rules {
 		headers[i] = fivetuple.Header{SrcIP: r.SrcPrefix.Addr + 1, DstIP: r.DstPrefix.Addr + 1, SrcPort: 1, DstPort: r.DstPort.Lo, Protocol: fivetuple.ProtoTCP}
 	}
+	const pairs = 10000
 	for _, name := range []string{"hypercuts", "dcfl"} {
 		t.Run(name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.PacketEngine = name
-			cfg.RebuildAfterDeltas = -1
-			cfg.DegradationThreshold = -1
 			c := MustNew(cfg)
 			if _, err := c.InstallRuleSet(fivetuple.NewRuleSet("policy", rules)); err != nil {
 				t.Fatal(err)
 			}
-			maxIDs := 0
-			for pair := range 10000 {
+			for pair := range pairs {
 				r := rules[pair%len(rules)]
 				if _, err := c.DeleteRule(r); err != nil {
 					t.Fatal(err)
@@ -296,17 +250,12 @@ func TestRetiredIDsStayBounded(t *testing.T) {
 				if _, err := c.InsertRule(r); err != nil {
 					t.Fatal(err)
 				}
-				live := c.RuleCount()
-				ids := live + c.view().packet.engine.(engine.IncrementalPacketEngine).UpdateCost().DeadIDs
-				if ids > 2*live+64 {
-					t.Fatalf("pair %d: %d ids beside %d live rules", pair, ids, live)
+				if dead := c.view().packet.engine.(engine.IncrementalPacketEngine).UpdateCost().DeadIDs; dead >= DefaultRebuildAfterDeltas {
+					t.Fatalf("pair %d: %d dead ids beside %d live rules", pair, dead, c.RuleCount())
 				}
-				maxIDs = max(maxIDs, ids)
 			}
-			stats := c.Report().Updates
-			t.Logf("at most %d ids, %d rebuilds", maxIDs, stats.Rebuilds)
-			if stats.Rebuilds < 2 {
-				t.Fatalf("stats = %+v: no refused delta turned into a rebuild", stats)
+			if stats := c.Report().Updates; stats.Rebuilds != 1+2*pairs/DefaultRebuildAfterDeltas {
+				t.Fatalf("stats = %+v, want the install plus one rebuild per %d publishes", stats, DefaultRebuildAfterDeltas)
 			}
 			for i, h := range headers {
 				if got := c.Lookup(h); !got.Matched || got.Priority != rules[i].Priority || got.ActionArg != rules[i].ActionArg {

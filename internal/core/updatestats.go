@@ -3,6 +3,8 @@ package core
 import (
 	"math/bits"
 	"time"
+
+	"sdnpc/internal/engine"
 )
 
 // publishLatencyBuckets is the bucket count of the publish-latency
@@ -83,16 +85,17 @@ type UpdateStats struct {
 	DeltaPublishes uint64
 	// Rebuilds is the number of publishes that rebuilt the precomputed
 	// packet structure in full — because the engine is not incremental, the
-	// RebuildAfterDeltas bound was reached, the degradation threshold
-	// tripped, or a delta op failed.
+	// delta debt reached DefaultRebuildAfterDeltas, the degradation reached
+	// DefaultDegradationThreshold, or a delta op failed.
 	Rebuilds uint64
-	// DeltasSinceRebuild is the delta debt of the currently published packet
-	// structure: how many delta ops it has absorbed since its last full
-	// build. Every rebuild resets it to zero; when a positive
-	// RebuildAfterDeltas bound is configured it stays below that bound by
-	// construction (with the bound disabled, only a degradation trip resets
-	// it, so it can grow arbitrarily).
+	// DeltasSinceRebuild and Degradation are the published packet
+	// structure's own UpdateCost: how many delta ops it has absorbed since
+	// its last full build, which stays below DefaultRebuildAfterDeltas, and
+	// its drift from a fresh build in [0,1] (stale DCFL combination
+	// entries, overfull HyperCuts leaves). Both read 0 right after a
+	// rebuild and for engines without delta support.
 	DeltasSinceRebuild int
+	Degradation        float64
 	// PublishLatency is the wall-clock latency histogram of rule-update
 	// publishes (clone + mutate + sync + swap).
 	PublishLatency LatencyHistogram
@@ -108,7 +111,10 @@ func (c *Classifier) updateStats(s *snapshot) UpdateStats {
 		Rebuilds:       c.stats.rebuilds.Load(),
 	}
 	if s.packet != nil {
-		stats.DeltasSinceRebuild = s.packet.deltas
+		if inc, ok := s.packet.engine.(engine.IncrementalPacketEngine); ok {
+			cost := inc.UpdateCost()
+			stats.DeltasSinceRebuild, stats.Degradation = cost.Deltas, cost.Degradation
+		}
 	}
 	for i := range stats.PublishLatency.Counts {
 		stats.PublishLatency.Counts[i] = c.stats.publishLatency[i].Load()

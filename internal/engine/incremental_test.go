@@ -260,3 +260,192 @@ func TestIncrementalDeltaOnEmptyEngineFails(t *testing.T) {
 		})
 	}
 }
+
+// maxFuzzDeltas caps the delta chain one FuzzIncrementalDeltas input decodes
+// to, and maxFuzzLive the rules live at once: enough to run far past 64
+// deltas, past 0.5 degradation and into the dead-id bound, few enough that
+// checking every state keeps an execution fast.
+const (
+	maxFuzzDeltas = 512
+	maxFuzzLive   = 80
+)
+
+// fuzzDeltaPool decodes the rules a delta chain draws from: 16 overlapping
+// rules from the seed byte, every third one non-terminating so
+// LookupPacketAll's chains have something to cut.
+func fuzzDeltaPool(seed byte) []fivetuple.Rule {
+	pool := randomRules(rand.New(rand.NewSource(int64(seed))), 16)
+	for i := range pool {
+		pool[i].NonTerminating = i%3 == 0
+	}
+	return pool
+}
+
+// FuzzIncrementalDeltas drives decoded insert/delete chains of any length
+// through every incremental packet engine's delta ops, with no update policy
+// in between: the chain runs past 64 deltas, past 0.5 degradation and up to
+// the dead-id bound, where a refused delete is turned into a full Install as
+// the classifier does. Each op runs on a Clone of the previous handle, as
+// each publish does. After every op, LookupPacket / Rule and
+// LookupPacketAll's order and cut must match a best-first oracle.
+//
+// Input: byte 0 seeds the rule pool, byte 1 sizes the installed base (0–15
+// pool rules), and every further byte is one op. An op with the high bit
+// clear inserts pool rule b&15 at priority (b>>4)&7, so ties are frequent;
+// one with it set, or any op once maxFuzzLive rules are live, deletes live
+// rule (b&127) mod the live count.
+func FuzzIncrementalDeltas(f *testing.F) {
+	chain := func(seed, base byte, n int, op func(i int) byte) []byte {
+		data := []byte{seed, base}
+		for i := range n {
+			data = append(data, op(i))
+		}
+		return data
+	}
+	// Overlapping inserts only: overfull leaves and long tie runs.
+	f.Add(chain(1, 4, 200, func(i int) byte { return byte(i*7) & 0x7f }))
+	// Delete/insert churn over a small base: the dead ids reach their bound.
+	f.Add(chain(2, 8, 400, func(i int) byte {
+		if i%2 == 1 {
+			return 0x80 | byte(i*13)
+		}
+		return byte(i*5) & 0x7f
+	}))
+	// Drain to empty and refill.
+	f.Add(chain(3, 15, 60, func(i int) byte {
+		if i < 30 {
+			return 0x80
+		}
+		return byte(i) & 0x7f
+	}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			t.Skip("input too short to decode a delta chain")
+		}
+		pool := fuzzDeltaPool(data[0])
+		var live []fivetuple.Rule
+		for i := range int(data[1] % 16) {
+			r := pool[i]
+			r.Priority = i % 8
+			live = slices.Insert(live, sort.Search(len(live), func(j int) bool { return live[j].Priority > r.Priority }), r)
+		}
+		ops := data[2:]
+		if len(ops) > maxFuzzDeltas {
+			ops = ops[:maxFuzzDeltas]
+		}
+		headers := probeHeaders(rand.New(rand.NewSource(int64(data[0]))), pool, 16)
+		for _, name := range engine.IncrementalPacketEngineNames() {
+			runDeltaChain(t, name, slices.Clone(live), pool, ops, headers)
+		}
+	})
+}
+
+// runDeltaChain applies one decoded chain to the named engine, checking
+// every state against the best-first oracle over live. A delta the contract
+// lets the engine refuse is followed by a full Install over live, as the
+// classifier follows it.
+func runDeltaChain(t *testing.T, name string, live, pool []fivetuple.Rule, ops []byte, headers []fivetuple.Header) {
+	eng, err := engine.NewPacket(name, engine.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := eng.(engine.IncrementalPacketEngine)
+	// emptyBuild records that the last Install had no rules: an engine may
+	// then hold no structure to splice into and refuse every delta.
+	var emptyBuild bool
+	rebuild := func(op int) {
+		t.Helper()
+		if err := inc.Install(slices.Clone(live)); err != nil {
+			t.Fatalf("%s op %d: Install over %d rules: %v", name, op, len(live), err)
+		}
+		if cost := inc.UpdateCost(); cost != (engine.UpdateCost{}) {
+			t.Fatalf("%s op %d: UpdateCost after Install = %+v, want zero debt", name, op, cost)
+		}
+		emptyBuild = len(live) == 0
+		checkDeltaOracle(t, name, op, inc, live, headers)
+	}
+	rebuild(-1)
+	for i, b := range ops {
+		inc = inc.Clone().(engine.IncrementalPacketEngine)
+		before := inc.UpdateCost()
+		if b&0x80 == 0 && len(live) < maxFuzzLive {
+			r := pool[b&15]
+			r.Priority = int(b>>4) & 7
+			err := inc.InsertRule(r)
+			if err != nil && !emptyBuild {
+				t.Fatalf("%s op %d: InsertRule(%s): %v", name, i, r, err)
+			}
+			live = slices.Insert(live, sort.Search(len(live), func(j int) bool { return live[j].Priority > r.Priority }), r)
+			if err != nil {
+				rebuild(i)
+				continue
+			}
+		} else {
+			if len(live) == 0 {
+				continue
+			}
+			r := live[int(b&0x7f)%len(live)]
+			err := inc.DeleteRule(r)
+			if err != nil {
+				// The only refusal the contract allows for an installed
+				// rule: the dead ids would outnumber the live ones plus 64.
+				if before.DeadIDs+1 <= len(live)-1+64 {
+					t.Fatalf("%s op %d: DeleteRule(%s) refused at %d dead ids beside %d live rules: %v",
+						name, i, r, before.DeadIDs, len(live), err)
+				}
+				if after := inc.UpdateCost(); after != before {
+					t.Fatalf("%s op %d: a refused delete changed the debt %+v -> %+v", name, i, before, after)
+				}
+				checkDeltaOracle(t, name, i, inc, live, headers)
+			}
+			at := slices.IndexFunc(live, func(q fivetuple.Rule) bool { return q.Priority == r.Priority && q.SameMatch(r) })
+			live = slices.Delete(live, at, at+1)
+			if err != nil {
+				rebuild(i)
+				continue
+			}
+		}
+		cost := inc.UpdateCost()
+		if cost.Deltas != before.Deltas+1 || cost.DeadIDs > len(live)+64 || cost.Degradation < 0 || cost.Degradation > 1 {
+			t.Fatalf("%s op %d: UpdateCost %+v after %+v over %d live rules", name, i, cost, before, len(live))
+		}
+		checkDeltaOracle(t, name, i, inc, live, headers)
+	}
+}
+
+// checkDeltaOracle compares one engine state with the best-first list live:
+// LookupPacket names, through Rule, the first matching rule, and
+// LookupPacketAll lists the matching rules in order up to and including the
+// first terminating one.
+func checkDeltaOracle(t *testing.T, name string, op int, eng engine.PacketEngine, live []fivetuple.Rule, headers []fivetuple.Header) {
+	t.Helper()
+	multi, _ := eng.(engine.MultiMatchPacketEngine)
+	var ids []int
+	for _, h := range headers {
+		want, wantOK := firstMatch(live, h)
+		id, ok, _ := eng.LookupPacket(h)
+		if ok != wantOK || (ok && *eng.Rule(id) != want) {
+			t.Fatalf("%s op %d: LookupPacket(%s) = (%d, %v), oracle (%s, %v)", name, op, h, id, ok, want, wantOK)
+		}
+		if multi == nil {
+			continue
+		}
+		ids, _ = multi.LookupPacketAll(h, ids[:0])
+		n := 0
+		for _, r := range live {
+			if !r.Matches(h) {
+				continue
+			}
+			if n >= len(ids) || *eng.Rule(ids[n]) != r {
+				t.Fatalf("%s op %d: LookupPacketAll(%s) = %v, diverges from the oracle at match %d (%s)", name, op, h, ids, n, r)
+			}
+			n++
+			if !r.NonTerminating {
+				break
+			}
+		}
+		if n != len(ids) {
+			t.Fatalf("%s op %d: LookupPacketAll(%s) = %d ids, oracle %d", name, op, h, len(ids), n)
+		}
+	}
+}

@@ -69,12 +69,10 @@ func Routes() []string {
 
 // CreateTenantRequest is the POST /v1/tenants body.
 type CreateTenantRequest struct {
-	ID                   string  `json:"id"`
-	Engine               string  `json:"engine,omitempty"`
-	CacheShards          int     `json:"cache_shards,omitempty"`
-	CacheCapacity        int     `json:"cache_capacity,omitempty"`
-	RebuildAfterDeltas   int     `json:"rebuild_after_deltas,omitempty"`
-	DegradationThreshold float64 `json:"degradation_threshold,omitempty"`
+	ID            string `json:"id"`
+	Engine        string `json:"engine,omitempty"`
+	CacheShards   int    `json:"cache_shards,omitempty"`
+	CacheCapacity int    `json:"cache_capacity,omitempty"`
 }
 
 // WireTenant describes one tenant in list/get/create responses.
@@ -190,8 +188,8 @@ type WireGlobalStats struct {
 	PerTenant  []WireTenantStats `json:"per_tenant"`
 }
 
-// AdviseResponse is the GET /v1/tenants/{id}/advise payload: the ranked
-// recommendations beside the engine the tenant is serving from.
+// AdviseResponse is the GET /v1/tenants/{id}/advise payload: the engine
+// recommendation, if any, beside the engine the tenant is serving from.
 type AdviseResponse struct {
 	Recommendations []sdnpc.Recommendation `json:"recommendations"`
 	Engine          string                 `json:"engine"`
@@ -315,11 +313,9 @@ func (a *api) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t, err := a.mgr.Create(req.ID, TenantConfig{
-		Engine:               req.Engine,
-		CacheShards:          req.CacheShards,
-		CacheCapacity:        req.CacheCapacity,
-		RebuildAfterDeltas:   req.RebuildAfterDeltas,
-		DegradationThreshold: req.DegradationThreshold,
+		Engine:        req.Engine,
+		CacheShards:   req.CacheShards,
+		CacheCapacity: req.CacheCapacity,
 	})
 	if err != nil {
 		status := http.StatusBadRequest
@@ -566,7 +562,7 @@ func (a *api) handleTenantStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wireTenantStats(t))
 }
 
-// handleAdvise returns the tenant's engine report — ranked recommendations
+// handleAdvise returns the tenant's engine report — an engine recommendation
 // from a shadow bench on a trace derived from the installed rules — and
 // changes nothing; the controller acts on it through PUT …/engine. A
 // comma-separated ?candidates= query restricts the shadow-benched engines.

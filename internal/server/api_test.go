@@ -152,15 +152,16 @@ func TestCreateTenantMalformedBody(t *testing.T) {
 
 // TestCreateTenantUnknownField pins the honest refusal at the wire edge: a
 // configuration field the request does not declare (a misspelt knob, or one
-// of the withdrawn replica / shard / tuner / single-probe knobs) is a 400
-// naming the field and creates nothing — a tenant that asks for a tuner must
-// not silently get none — while a body of known fields only still creates
-// the tenant.
+// of the withdrawn replica / shard / tuner / single-probe / update-policy
+// knobs) is a 400 naming the field and creates nothing — a tenant that asks
+// for a tuner must not silently get none — while a body of known fields only
+// still creates the tenant.
 func TestCreateTenantUnknownField(t *testing.T) {
 	_, h := newTestServer()
-	// Spelt in two halves: CI greps the tree for the tuner's names to keep
-	// it deleted.
+	// Spelt in two halves: CI greps the tree for the tuner's and the update
+	// policy's names to keep them deleted.
 	tune := "auto" + "_tune"
+	rebuildAfter, degradation := "rebuild_after"+"_deltas", "degradation"+"_threshold"
 	for field, body := range map[string]string{
 		"cache_capacty":       `{"id": "x", "engine": "hypercuts", "cache_capacty": 1024}`,
 		"replicas":            `{"id": "x", "replicas": 2}`,
@@ -170,6 +171,8 @@ func TestCreateTenantUnknownField(t *testing.T) {
 		"single_probe":        `{"id": "x", "single_probe": true}`,
 		tune:                  `{"id": "x", "` + tune + `": true}`,
 		tune + "_interval_ms": `{"id": "x", "` + tune + `_interval_ms": 5}`,
+		rebuildAfter:          `{"id": "x", "engine": "hypercuts", "` + rebuildAfter + `": 64}`,
+		degradation:           `{"id": "x", "engine": "hypercuts", "` + degradation + `": 0.5}`,
 	} {
 		rec := do(t, h, "POST", "/v1/tenants", body)
 		wantStatus(t, rec, http.StatusBadRequest)

@@ -37,7 +37,7 @@ var tenantIDPattern = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
 
 // TenantConfig is the per-tenant classifier configuration carried by the
 // create request. The zero value selects the paper's defaults: field tier
-// with the default engine, no microflow cache, default update policy.
+// with the default engine, no microflow cache.
 type TenantConfig struct {
 	// Engine selects the serving engine of either tier by registry name;
 	// empty keeps the default.
@@ -47,10 +47,6 @@ type TenantConfig struct {
 	// budget, split across its serving lanes, and <= 0 disables the cache.
 	CacheShards   int
 	CacheCapacity int
-	// RebuildAfterDeltas and DegradationThreshold tune the incremental
-	// update plane (zero values select the defaults).
-	RebuildAfterDeltas   int
-	DegradationThreshold float64
 }
 
 // Tenant is one isolated classifier table: its own rules, engine selection,
@@ -95,9 +91,6 @@ func (m *Manager) Create(id string, cfg TenantConfig) (*Tenant, error) {
 	}
 	if cfg.CacheCapacity > 0 {
 		opts = append(opts, sdnpc.WithCache(cfg.CacheShards, cfg.CacheCapacity))
-	}
-	if cfg.RebuildAfterDeltas != 0 || cfg.DegradationThreshold != 0 {
-		opts = append(opts, sdnpc.WithUpdatePolicy(cfg.RebuildAfterDeltas, cfg.DegradationThreshold))
 	}
 	c, err := sdnpc.New(opts...)
 	if err != nil {

@@ -152,21 +152,6 @@ func WithCache(shards, capacity int) Option {
 	}
 }
 
-// WithUpdatePolicy tunes the packet tier's incremental update plane: an
-// incremental engine (dcfl, hypercuts) absorbs single-rule updates as delta
-// ops until either it has carried rebuildAfterDeltas of them since the last
-// full build, or its structural degradation reaches degradationThreshold —
-// then one publish pays an amortising rebuild. Zero values select the
-// defaults (64 deltas, 0.5 degradation); rebuildAfterDeltas = 1 restores
-// rebuild-on-every-update; a negative value disables either bound. Engines
-// without delta support rebuild on every update regardless.
-func WithUpdatePolicy(rebuildAfterDeltas int, degradationThreshold float64) Option {
-	return func(cfg *core.Config) {
-		cfg.RebuildAfterDeltas = rebuildAfterDeltas
-		cfg.DegradationThreshold = degradationThreshold
-	}
-}
-
 // Classifier is a configurable five-tuple packet classifier.
 //
 // It is safe for concurrent use. Lookups are served lock-free from an

@@ -158,9 +158,8 @@ func BenchmarkAblation_MBTStrides(b *testing.B) {
 func BenchmarkAblation_HashLoad(b *testing.B) {
 	for _, load := range []float64{0.25, 0.5, 0.75, 0.9} {
 		b.Run(fmt.Sprintf("load_%.2f", load), func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			c := core.MustNew(cfg)
-			target := int(load * float64(cfg.RuleFilterSlots()))
+			c := core.MustNew(core.DefaultConfig())
+			target := int(load * float64(core.RuleFilterSlots))
 			rules := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: target, Seed: 7})
 			var totalProbes, inserted int
 			for _, r := range rules.Rules() {

@@ -55,9 +55,9 @@ func main() {
 	fmt.Printf("average label combinations presented per packet (modelled cross-product): %.2f\n", stats.AverageCombinations())
 	fmt.Printf("average rule filter slots read per packet: %.2f\n", float64(stats.RuleFilterProbes)/float64(stats.Lookups))
 	fmt.Printf("served %d lookups, %d matched (%.1f%%)\n",
-		rep.Lookups.Lookups, rep.Lookups.Matches, 100*rep.Lookups.MatchRate())
+		stats.Lookups, stats.Matches, 100*stats.MatchRate())
 
 	report := rep.Memory
 	fmt.Printf("IP engine %q memory in use: %.1f Kbit; rule filter occupancy: %d/%d rules\n",
-		report.IPEngine, float64(report.IPEngineUsedBits)/1024, report.RulesInstalled, report.RuleCapacity)
+		report.IPEngine, float64(report.IPEngineUsedBits)/1024, rep.RulesInstalled, rep.RuleCapacity)
 }

@@ -67,7 +67,7 @@ func main() {
 			tier, nodeBits = "packet", rep.Memory.PacketEngineUsedBits
 		}
 		fmt.Printf("%-10s %s served %d lookups (%d matched, %4.1f field accesses each), %5d-rule capacity, %7.1f Kbit node storage\n",
-			name, tier, rep.Lookups.Lookups, rep.Lookups.Matches, rep.Stats.AverageFieldAccesses(),
+			name, tier, rep.Stats.Lookups, rep.Stats.Matches, rep.Stats.AverageFieldAccesses(),
 			rep.RuleCapacity, float64(nodeBits)/1024)
 	}
 }

@@ -67,7 +67,7 @@ func runPhase(classifier *sdnpc.Classifier, ruleSet *sdnpc.RuleSet, trace []sdnp
 	stats, report := rep.Stats, rep.Memory
 	fmt.Printf("  controller selects the %q engine\n", engineName)
 	fmt.Printf("  served %d lookups, %d matched; %.2f label combinations presented and %.2f rule filter slots read per packet\n",
-		rep.Lookups.Lookups, rep.Lookups.Matches, stats.AverageCombinations(),
+		stats.Lookups, stats.Matches, stats.AverageCombinations(),
 		float64(stats.RuleFilterProbes)/float64(stats.Lookups))
 	fmt.Printf("  rule capacity: %d rules; IP-engine memory in use: %.1f Kbit\n",
 		classifier.RuleCapacity(), float64(report.IPEngineUsedBits)/1024)

@@ -164,10 +164,9 @@ func Advise(c *core.Classifier, trace []fivetuple.Header, candidates []string) (
 	// A candidate whose capacity cannot hold the installed rule set is not
 	// benched: SelectEngine would reject the switch anyway.
 	rep := c.Report()
-	cfg := c.Config()
 	fits := candidates[:0:0]
 	for _, name := range candidates {
-		if cfg.RuleCapacityFor(name) >= rep.RulesInstalled {
+		if core.RuleCapacityFor(name) >= rep.RulesInstalled {
 			fits = append(fits, name)
 		}
 	}

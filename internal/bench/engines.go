@@ -95,7 +95,7 @@ func EngineSweep(w Workload, only string) ([]EngineRow, error) {
 		}
 		rep := c.Report()
 		report := rep.Memory
-		p := Pipeline(model)
+		p := LookupPipeline(model)
 		row := EngineRow{
 			Engine:             name,
 			Tier:               tier,
@@ -104,7 +104,7 @@ func EngineSweep(w Workload, only string) ([]EngineRow, error) {
 			LookupsPerSecMega:  p.LookupsPerSecond() / 1e6,
 			ThroughputGbps40:   p.ThroughputGbps(40),
 			EngineMemoryKbit:   Kbit(report.IPEngineUsedBits),
-			ProvisionedKbit:    Kbit(report.IPEngineProvisionedBits),
+			ProvisionedKbit:    Kbit(ipEngineProvisionedBits(report.IPEngine)),
 			RuleCapacity:       c.RuleCapacity(),
 			VerdictMismatches:  mismatches,
 			PacketsReplayed:    len(w.Trace),

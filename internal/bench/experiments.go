@@ -12,7 +12,6 @@ import (
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/core"
 	"sdnpc/internal/fivetuple"
-	"sdnpc/internal/hw/synth"
 	"sdnpc/internal/label"
 )
 
@@ -311,7 +310,7 @@ func RenderTable4(r Table4Result) string {
 
 // Table5Result pairs the estimated synthesis report with the paper's values.
 type Table5Result struct {
-	Report synth.Report
+	Report SynthReport
 
 	PaperLogic      int
 	PaperMemoryBits int
@@ -326,12 +325,8 @@ func Table5() (Table5Result, error) {
 	if err != nil {
 		return Table5Result{}, err
 	}
-	report, err := Synthesise(c.Config(), c.Report())
-	if err != nil {
-		return Table5Result{}, err
-	}
 	return Table5Result{
-		Report:          report,
+		Report:          Synthesise(c.Report()),
 		PaperLogic:      79835,
 		PaperMemoryBits: 2097184,
 		PaperRegisters:  129273,
@@ -403,7 +398,7 @@ func Table6(w Workload) ([]Table6Row, error) {
 		rep := c.Report()
 		row := Table6Row{
 			Algorithm:             alg,
-			AccessesPerPacket:     Pipeline(rep).BottleneckInterval(),
+			AccessesPerPacket:     LookupPipeline(rep).BottleneckInterval(),
 			MeasuredAvgIPAccesses: float64(ipAccesses) / float64(len(w.Trace)) / 4, // per segment engine
 			MemorySpaceKbit:       Kbit(rep.Memory.IPEngineUsedBits),
 			StoredRuleCapacity:    c.RuleCapacity(),
@@ -459,9 +454,9 @@ func Table7() ([]Table7Row, error) {
 		rep := c.Report()
 		rows = append(rows, Table7Row{
 			Algorithm:      "Our system with " + strings.ToUpper(alg),
-			MemorySpaceMb:  Mbit(rep.Memory.TotalProvisionedBits()),
+			MemorySpaceMb:  Mbit(totalProvisionedBits(rep)),
 			StoredRules:    c.RuleCapacity(),
-			ThroughputGbps: Pipeline(rep).ThroughputGbps(40),
+			ThroughputGbps: LookupPipeline(rep).ThroughputGbps(40),
 			Source:         "measured",
 		})
 	}
@@ -508,9 +503,9 @@ func Fig3() (Fig3Result, error) {
 		if err != nil {
 			return Fig3Result{}, err
 		}
-		p := Pipeline(c.Report())
+		p := LookupPipeline(c.Report())
 		var stages []string
-		for _, s := range p.Stages() {
+		for _, s := range p {
 			stages = append(stages, fmt.Sprintf("%s: %d cycle(s), II=%d", s.Name, s.LatencyCycles, s.InitiationInterval))
 		}
 		if alg == "mbt" {
@@ -550,13 +545,12 @@ type Fig5Result struct {
 
 // Fig5 quantifies the shared-block scheme of §IV.C.2.
 func Fig5() Fig5Result {
-	cfg := core.DefaultConfig()
 	return Fig5Result{
-		SharedBlockBits:     4 * cfg.MBTLevel2Entries * core.DefaultMBTEntryBits,
-		FreedMBTBits:        4 * (core.DefaultMBTLevel1Entries + cfg.MBTLevel3Entries) * core.DefaultMBTEntryBits,
-		RuleCapacityMBT:     cfg.RuleCapacityFor("mbt"),
-		RuleCapacityBST:     cfg.RuleCapacityFor("bst"),
-		ExtraRulesFromShare: cfg.ExtraRuleCapacityBST(),
+		SharedBlockBits:     bstProvisionedBits,
+		FreedMBTBits:        mbtProvisionedBits - bstProvisionedBits,
+		RuleCapacityMBT:     core.RuleCapacityFor("mbt"),
+		RuleCapacityBST:     core.RuleCapacityFor("bst"),
+		ExtraRulesFromShare: core.ExtraRuleCapacityBST,
 	}
 }
 

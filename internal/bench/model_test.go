@@ -34,7 +34,7 @@ func TestLatencyModelMatchesFigure3(t *testing.T) {
 	}{{"mbt", 10, 1}, {"bst", 20, 16}} {
 		c, w := loadedClassifier(t, tc.engine, core.CombineHPML)
 		rep := c.Report()
-		p := Pipeline(rep)
+		p := LookupPipeline(rep)
 		if p.LatencyCycles() != tc.cycles || p.BottleneckInterval() != tc.ii {
 			t.Errorf("%s pipeline: %d cycles, II %d; want %d, II %d",
 				tc.engine, p.LatencyCycles(), p.BottleneckInterval(), tc.cycles, tc.ii)
@@ -72,7 +72,7 @@ func TestLookupCyclesFormula(t *testing.T) {
 
 	c, w = loadedClassifier(t, "dcfl", core.CombineCrossProduct)
 	rep = c.Report()
-	if n := len(Pipeline(rep).Stages()); n != 3 {
+	if n := len(LookupPipeline(rep)); n != 3 {
 		t.Errorf("dcfl pipeline has %d stages, want 3 (dispatch, packet lookup, result select)", n)
 	}
 	for _, h := range w.Trace {
@@ -87,7 +87,7 @@ func TestThroughputMatchesTableVII(t *testing.T) {
 	c := core.MustNew(core.DefaultConfig())
 	// Table VII: 42.73 Gbps with the MBT, 2.67 Gbps with the BST, for
 	// 40-byte packets at 133.51 MHz.
-	p := Pipeline(c.Report())
+	p := LookupPipeline(c.Report())
 	if got := p.ThroughputGbps(40); got < 42.5 || got > 43.0 {
 		t.Errorf("MBT throughput = %.2f Gbps, want ~42.7", got)
 	}
@@ -101,14 +101,14 @@ func TestThroughputMatchesTableVII(t *testing.T) {
 	if err := c.SelectEngine("bst"); err != nil {
 		t.Fatal(err)
 	}
-	if got := Pipeline(c.Report()).ThroughputGbps(40); got < 2.6 || got > 2.75 {
+	if got := LookupPipeline(c.Report()).ThroughputGbps(40); got < 2.6 || got > 2.75 {
 		t.Errorf("BST throughput = %.2f Gbps, want ~2.67", got)
 	}
 }
 
 func TestArchSpecAndSynthesis(t *testing.T) {
 	c := core.MustNew(core.DefaultConfig())
-	spec := ArchSpec(c.Config(), c.Report())
+	spec := ArchSpec(c.Report())
 	if spec.BlockMemoryBits < 2000000 || spec.BlockMemoryBits > 2200000 {
 		t.Errorf("BlockMemoryBits = %d, want ~2.1M", spec.BlockMemoryBits)
 	}
@@ -118,9 +118,18 @@ func TestArchSpecAndSynthesis(t *testing.T) {
 	if spec.PipelineStages != 10 {
 		t.Errorf("PipelineStages = %d, want 10", spec.PipelineStages)
 	}
-	report, err := Synthesise(c.Config(), c.Report())
-	if err != nil {
-		t.Fatalf("Synthesise: %v", err)
+	report := Synthesise(c.Report())
+	// Table V's denominators are the Stratix V's resources.
+	if d := report.Device; d.ALMs != 225400 || d.BlockMemoryBits != 54476800 || d.Pins != 908 {
+		t.Errorf("device = %+v, want 225400 ALMs, 54476800 block memory bits, 908 pins", d)
+	}
+	// Block memory and pins follow exactly from the specification.
+	if report.BlockMemoryBits != spec.BlockMemoryBits || report.Pins != spec.HeaderBits+controlPins {
+		t.Errorf("block memory %d bits, %d pins; want the spec's %d bits and %d header + control pins",
+			report.BlockMemoryBits, report.Pins, spec.BlockMemoryBits, spec.HeaderBits+controlPins)
+	}
+	if report.FmaxMHz <= 0 || report.FmaxMHz > baseFmaxMHz {
+		t.Errorf("FmaxMHz = %v, want in (0, %v]", report.FmaxMHz, baseFmaxMHz)
 	}
 	// Table V: ~4% of the device's 54.5 Mbit block memory.
 	if util := report.MemoryUtilisation(); util < 0.03 || util > 0.05 {
@@ -142,5 +151,56 @@ func TestArchSpecAndSynthesis(t *testing.T) {
 	}
 	if !within(float64(report.Pins), 500, 0.15) {
 		t.Errorf("Pins = %d, want within 15%% of 500", report.Pins)
+	}
+}
+
+// TestEstimateScalesWithGeometry pins the relative behaviour the synthesis
+// cost model is for: more block memory changes only the memory figure, more
+// memory blocks cost logic and clock, a wider datapath costs registers.
+func TestEstimateScalesWithGeometry(t *testing.T) {
+	base := ArchSpec(core.MustNew(core.DefaultConfig()).Report())
+	baseReport := estimate(base)
+
+	bigger := base
+	bigger.BlockMemoryBits *= 2
+	if r := estimate(bigger); r.BlockMemoryBits != 2*baseReport.BlockMemoryBits || r.LogicALMs != baseReport.LogicALMs {
+		t.Errorf("doubling block memory: %d bits, %d ALMs; want %d bits and the unchanged %d ALMs",
+			r.BlockMemoryBits, r.LogicALMs, 2*baseReport.BlockMemoryBits, baseReport.LogicALMs)
+	}
+	moreBlocks := base
+	moreBlocks.MemoryBlocks *= 2
+	if r := estimate(moreBlocks); r.LogicALMs <= baseReport.LogicALMs || r.FmaxMHz >= baseReport.FmaxMHz {
+		t.Errorf("doubling memory blocks: %d ALMs at %.2f MHz, want more than %d ALMs at less than %.2f MHz",
+			r.LogicALMs, r.FmaxMHz, baseReport.LogicALMs, baseReport.FmaxMHz)
+	}
+	wider := base
+	wider.DatapathBits *= 2
+	if r := estimate(wider); r.Registers <= baseReport.Registers {
+		t.Errorf("doubling the datapath: %d registers, want more than %d", r.Registers, baseReport.Registers)
+	}
+}
+
+// TestProvisionedMemoryBudget pins the provisioned block memory, which is
+// the same under every rule set: ~2.1 Mbit in all (Tables V and VII), the
+// MBT family of three trie levels per IP segment, and the shared level-2
+// blocks a BST maps onto (Fig. 5). A loaded classifier uses less than that.
+func TestProvisionedMemoryBudget(t *testing.T) {
+	if mbtProvisionedBits != 4*(32+1024+3288)*32 || bstProvisionedBits != 4*1024*32 {
+		t.Errorf("MBT / BST provisioned bits = %d / %d", mbtProvisionedBits, bstProvisionedBits)
+	}
+	if got := ipEngineProvisionedBits("bst"); got != bstProvisionedBits {
+		t.Errorf("bst maps onto %d provisioned bits, want the shared level-2 blocks' %d", got, bstProvisionedBits)
+	}
+	if got := ipEngineProvisionedBits("mbt"); got != mbtProvisionedBits {
+		t.Errorf("mbt maps onto %d provisioned bits, want the MBT family's %d", got, mbtProvisionedBits)
+	}
+	c, _ := loadedClassifier(t, "mbt", core.CombineCrossProduct)
+	rep := c.Report()
+	total := totalProvisionedBits(rep)
+	if total < 2000000 || total > 2200000 {
+		t.Errorf("provisioned block memory = %d bits, want ~2.1M", total)
+	}
+	if used := rep.Memory.TotalUsedBits(); used <= 0 || used >= total {
+		t.Errorf("used bits %d out of range (0, %d)", used, total)
 	}
 }

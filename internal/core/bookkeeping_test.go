@@ -54,11 +54,12 @@ func requireBankMatchesPublished(t *testing.T, c *Classifier) {
 }
 
 // requireChurnAgreesWithReference deletes and re-inserts every third rule of
-// the set — each pair releases and re-acquires labels through the bank — and
-// then checks every trace header against the linear reference.
+// the set (of a set past 900 rules, about 300 rules spread over it) — each
+// pair releases and re-acquires labels through the bank — and then checks
+// every trace header against the linear reference.
 func requireChurnAgreesWithReference(t *testing.T, c *Classifier, rs *fivetuple.RuleSet, trace []fivetuple.Header) {
 	t.Helper()
-	for i := 0; i < rs.Len(); i += 3 {
+	for i := 0; i < rs.Len(); i += max(3, rs.Len()/300) {
 		if _, err := c.DeleteRule(rs.Rule(i)); err != nil {
 			t.Fatalf("DeleteRule(%d): %v", i, err)
 		}
@@ -93,15 +94,24 @@ func freshRules(n, firstPriority int) []fivetuple.Rule {
 func TestAbandonedUpdateRestoresLabelBank(t *testing.T) {
 	rs, _ := allocTrace(t)
 	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{Packets: 2000, Seed: 5, MatchFraction: 0.9})
-	install := func(t *testing.T) (*Classifier, MemoryReport) {
+	// published is the bookkeeping an abandoned update must leave as it was.
+	type published struct {
+		rules  int
+		memory MemoryReport
+	}
+	publishedOf := func(c *Classifier) published {
+		rep := c.Report()
+		return published{rep.RulesInstalled, rep.Memory}
+	}
+	install := func(t *testing.T) (*Classifier, published) {
 		c, _ := newAllocClassifier(t, "mbt", false)
 		requireBankMatchesPublished(t, c)
-		return c, c.Report().Memory
+		return c, publishedOf(c)
 	}
-	requireUnchanged := func(t *testing.T, c *Classifier, before MemoryReport) {
+	requireUnchanged := func(t *testing.T, c *Classifier, before published) {
 		t.Helper()
-		if after := c.Report().Memory; after != before {
-			t.Fatalf("the abandoned update changed the published memory report:\n before %+v\n after  %+v", before, after)
+		if after := publishedOf(c); after != before {
+			t.Fatalf("the abandoned update changed the published rule count or memory report:\n before %+v\n after  %+v", before, after)
 		}
 		requireBankMatchesPublished(t, c)
 		requireChurnAgreesWithReference(t, c, rs, trace)
@@ -134,7 +144,7 @@ func TestAbandonedUpdateRestoresLabelBank(t *testing.T) {
 		if _, err := c.InsertRule(victim); err != nil {
 			t.Fatal(err)
 		}
-		before := c.Report().Memory
+		before := publishedOf(c)
 		proto := c.view().field.engines[label.DimProtocol]
 		lbl, _ := c.view().field.labels.Table(label.DimProtocol).Lookup(engine.Exact(99))
 		if _, err := proto.Remove(engine.Exact(99), lbl); err != nil {
@@ -155,33 +165,31 @@ func TestAbandonedUpdateRestoresLabelBank(t *testing.T) {
 		if _, err := c.DeleteRule(victim); err != nil {
 			t.Fatalf("deleting the rule the abandoned batch failed on: %v", err)
 		}
-		before.RulesInstalled--
-		before.RuleFilterUsedBits -= c.Config().RuleEntryBits
-		before.LabelTableBits = c.Report().Memory.LabelTableBits
+		before.rules--
+		before.memory.RuleFilterUsedBits -= DefaultRuleEntryBits
+		before.memory.LabelTableBits = c.Report().Memory.LabelTableBits
 		requireUnchanged(t, c, before)
 	})
 
 	// A failed engine switch programmes a tier of its own, bank included, and
 	// drops it: the serving tier's bank is not touched.
 	t.Run("SelectEngine", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.RuleFilterAddressBits = 4 // 16 rules under mbt, more under bst
-		c := MustNew(cfg)
+		c := MustNew(DefaultConfig())
 		if err := c.SelectEngine("bst"); err != nil {
 			t.Fatal(err)
 		}
-		small := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 40, Seed: 2})
-		if _, err := c.InstallRuleSet(small); err != nil {
+		over := capacityRuleSet(RuleCapacityFor("mbt") + 1) // bst holds it, mbt does not
+		if _, err := c.InstallRuleSet(over); err != nil {
 			t.Fatal(err)
 		}
-		before := c.Report().Memory
+		before := publishedOf(c)
 		if err := c.SelectEngine("mbt"); !errors.Is(err, ErrRuleFilterFull) {
 			t.Fatalf("SelectEngine(mbt) = %v, want ErrRuleFilterFull", err)
 		}
-		if after := c.Report().Memory; after != before {
-			t.Fatalf("the failed switch changed the memory report:\n before %+v\n after  %+v", before, after)
+		if after := publishedOf(c); after != before {
+			t.Fatalf("the failed switch changed the rule count or memory report:\n before %+v\n after  %+v", before, after)
 		}
-		requireChurnAgreesWithReference(t, c, small, classbench.GenerateTrace(small, classbench.TraceConfig{Packets: 500, Seed: 5, MatchFraction: 0.9}))
+		requireChurnAgreesWithReference(t, c, over, classbench.GenerateTrace(over, classbench.TraceConfig{Packets: 500, Seed: 5, MatchFraction: 0.9}))
 	})
 }
 

@@ -158,7 +158,7 @@ func TestCacheMemoryReport(t *testing.T) {
 		t.Errorf("CacheBits = %d for %d entries: entries cannot fit in one byte each", rep.CacheBits, rep.CacheEntries)
 	}
 	// The cache is software state, not a modelled block memory.
-	if total := rep.TotalProvisionedBits(); total != MustNew(DefaultConfig()).Report().Memory.TotalProvisionedBits() {
+	if total := rep.TotalUsedBits(); total != MustNew(DefaultConfig()).Report().Memory.TotalUsedBits() {
 		t.Errorf("cache footprint leaked into the hardware block-memory total: %d", total)
 	}
 }

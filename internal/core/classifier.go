@@ -122,7 +122,7 @@ func (c *Classifier) RuleCount() int { return c.view().table.len() }
 // RuleCapacity returns the rule capacity under the active engine — the
 // capacity insertions are enforced against.
 func (c *Classifier) RuleCapacity() int {
-	return c.cfg.RuleCapacityFor(c.view().activeEngineName())
+	return RuleCapacityFor(c.view().activeEngineName())
 }
 
 // InstalledRules returns a copy of the rule table: the installed rules

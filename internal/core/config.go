@@ -14,7 +14,7 @@
 // incremental label-counting procedure of Fig. 4; and the IPalg_s
 // configuration signal (§IV.C.2, Fig. 5) is the IP engine name, which
 // decides how the MBT blocks are used and how many rules fit
-// (Config.RuleCapacityFor).
+// (RuleCapacityFor).
 package core
 
 import (
@@ -23,23 +23,20 @@ import (
 	"sdnpc/internal/engine"
 )
 
-// Default architecture geometry. The constants reproduce the memory budget
-// the paper reports: ~2.1 Mbit of block memory (Tables V and VII), an 8K-rule
-// filter in the MBT configuration growing to ~12K rules in the BST
-// configuration (Table VI), 128-entry port register banks and the label
-// widths of §IV.C.1.
+// Default architecture geometry: what the classifier enforces. An 8K-rule
+// filter in the MBT configuration grows to ~12K rules in the BST
+// configuration (Table VI, Fig. 5); the port register banks hold 128 ranges
+// and the protocol label is 2 bits wide (§IV.C.1). The rest of the
+// synthesised design's provisioning (the MBT level-2 budget, the Labels
+// memory) is the hardware model's alone (internal/bench/model.go).
 const (
 	// Multi-Bit Trie provisioning per 16-bit IP segment: the three levels use
-	// 5-, 5- and 6-bit strides; level 1 is a single 32-entry node and levels
-	// 2 and 3 are provisioned with a fixed node budget.
+	// 5-, 5- and 6-bit strides; level 1 is a single 32-entry node and level 3
+	// is provisioned with a fixed node budget. Levels 1 and 3 are what the
+	// BST configuration frees for rule storage.
 	DefaultMBTLevel1Entries = 32
-	DefaultMBTLevel2Entries = 1024
 	DefaultMBTLevel3Entries = 3288
 	DefaultMBTEntryBits     = 32
-
-	// DefaultBSTNodeBits is the width of one BST interval node stored in the
-	// shared level-2 block.
-	DefaultBSTNodeBits = 32
 
 	// DefaultRuleFilterAddressBits gives an 8192-slot Rule Filter (13-bit
 	// addresses produced by the hash unit).
@@ -48,12 +45,6 @@ const (
 	// combination key, a 14-bit priority, a 3-bit action, a 16-bit action
 	// argument and a valid flag, padded to a power-of-two word.
 	DefaultRuleEntryBits = 128
-
-	// DefaultLabelMemoryEntries provisions the Labels memory block shared by
-	// the label lists of every dimension.
-	DefaultLabelMemoryEntries = 32768
-	// DefaultLabelMemoryEntryBits is the width of one stored label entry.
-	DefaultLabelMemoryEntryBits = 16
 
 	// DefaultPortRegisters is the number of port-range registers per port
 	// dimension (bounded by the 7-bit port label space).
@@ -126,22 +117,6 @@ type Config struct {
 	// CombineMode selects the phase-3 combination strategy.
 	CombineMode CombineMode
 
-	// MBTLevel2Entries and MBTLevel3Entries size the provisioned node budget
-	// of levels 2 and 3 of each IP-segment trie (level 1 always holds one
-	// 32-entry node).
-	MBTLevel2Entries int
-	MBTLevel3Entries int
-
-	// RuleFilterAddressBits sizes the Rule Filter hash table at
-	// 2^RuleFilterAddressBits slots.
-	RuleFilterAddressBits int
-	// RuleEntryBits is the stored width of one Rule Filter entry.
-	RuleEntryBits int
-
-	// LabelMemoryEntries and LabelMemoryEntryBits size the Labels memory.
-	LabelMemoryEntries   int
-	LabelMemoryEntryBits int
-
 	// PortRegisters is the number of port-range registers per port dimension.
 	PortRegisters int
 
@@ -173,12 +148,6 @@ func DefaultConfig() Config {
 	return Config{
 		IPEngine:              "mbt",
 		CombineMode:           CombineCrossProduct,
-		MBTLevel2Entries:      DefaultMBTLevel2Entries,
-		MBTLevel3Entries:      DefaultMBTLevel3Entries,
-		RuleFilterAddressBits: DefaultRuleFilterAddressBits,
-		RuleEntryBits:         DefaultRuleEntryBits,
-		LabelMemoryEntries:    DefaultLabelMemoryEntries,
-		LabelMemoryEntryBits:  DefaultLabelMemoryEntryBits,
 		PortRegisters:         DefaultPortRegisters,
 		MaxCrossProductProbes: 65536,
 	}
@@ -230,20 +199,6 @@ func (c Config) Validate() error {
 	if c.CombineMode != CombineHPML && c.CombineMode != CombineCrossProduct {
 		return fmt.Errorf("core: unknown combination mode %v", c.CombineMode)
 	}
-	if c.MBTLevel2Entries < 32 || c.MBTLevel3Entries < 64 {
-		return fmt.Errorf("core: MBT level budgets (%d, %d) must hold at least one node each",
-			c.MBTLevel2Entries, c.MBTLevel3Entries)
-	}
-	if c.RuleFilterAddressBits < 4 || c.RuleFilterAddressBits > 24 {
-		return fmt.Errorf("core: rule filter address width %d out of range [4,24]", c.RuleFilterAddressBits)
-	}
-	if c.RuleEntryBits < 86 {
-		return fmt.Errorf("core: rule entry width %d cannot hold key, priority and action", c.RuleEntryBits)
-	}
-	if c.LabelMemoryEntries < 1 || c.LabelMemoryEntryBits < 13 {
-		return fmt.Errorf("core: label memory geometry (%d x %d) too small",
-			c.LabelMemoryEntries, c.LabelMemoryEntryBits)
-	}
 	if c.PortRegisters < 1 || c.PortRegisters > 128 {
 		return fmt.Errorf("core: port register count %d out of range [1,128]", c.PortRegisters)
 	}
@@ -262,42 +217,24 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// RuleFilterSlots returns the number of Rule Filter slots in the base (MBT)
-// configuration.
-func (c Config) RuleFilterSlots() int { return 1 << c.RuleFilterAddressBits }
-
-// mbtProvisionedBitsPerSegment returns the provisioned node storage of one
-// IP-segment trie.
-func (c Config) mbtProvisionedBitsPerSegment() int {
-	return (DefaultMBTLevel1Entries + c.MBTLevel2Entries + c.MBTLevel3Entries) * DefaultMBTEntryBits
-}
-
-// sharedLevel2BitsPerSegment returns the capacity of the shared level-2 /
-// BST block of one IP segment.
-func (c Config) sharedLevel2BitsPerSegment() int {
-	return c.MBTLevel2Entries * DefaultMBTEntryBits
-}
-
-// freedMBTBitsPerSegment returns the MBT storage released for rule data when
-// the BST is selected: levels 1 and 3 (level 2 keeps the BST nodes).
-func (c Config) freedMBTBitsPerSegment() int {
-	return (DefaultMBTLevel1Entries + c.MBTLevel3Entries) * DefaultMBTEntryBits
-}
-
-// ExtraRuleCapacityBST returns how many additional Rule Filter entries fit in
-// the MBT blocks freed by selecting the BST (Fig. 5: "the rest of the memory
-// determined for MBT can be used to collect more rules").
-func (c Config) ExtraRuleCapacityBST() int {
-	return 4 * c.freedMBTBitsPerSegment() / c.RuleEntryBits
-}
+// Rule capacity (Table VI, Fig. 5). RuleFilterSlots is the hash-addressed
+// base block, the capacity of the MBT configuration. ExtraRuleCapacityBST is
+// how many more entries fit in the MBT blocks freed by selecting the BST —
+// levels 1 and 3 of the four IP-segment tries; level 2 keeps the BST nodes
+// ("the rest of the memory determined for MBT can be used to collect more
+// rules").
+const (
+	RuleFilterSlots      = 1 << DefaultRuleFilterAddressBits
+	ExtraRuleCapacityBST = 4 * (DefaultMBTLevel1Entries + DefaultMBTLevel3Entries) * DefaultMBTEntryBits / DefaultRuleEntryBits
+)
 
 // RuleCapacityFor returns the number of rules the architecture can hold
 // under the named engine selection (Table VI: 8K with the MBT, ~12K with the
 // BST). Engines whose node data resides entirely in the shared level-2
 // blocks free the remaining MBT blocks for rule storage.
-func (c Config) RuleCapacityFor(name string) int {
+func RuleCapacityFor(name string) int {
 	if def, ok := engine.Get(name); ok && def.SharesLevel2 {
-		return c.RuleFilterSlots() + c.ExtraRuleCapacityBST()
+		return RuleFilterSlots + ExtraRuleCapacityBST
 	}
-	return c.RuleFilterSlots()
+	return RuleFilterSlots
 }

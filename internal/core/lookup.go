@@ -476,26 +476,6 @@ func (c *Classifier) statsSnapshot() Stats {
 	return s
 }
 
-// LookupCounters is the served-request summary of one classifier: how many
-// lookups it answered and how many returned a rule. It is the cheap
-// per-tenant accounting surface of the serving layer — two counters, not the
-// full Stats snapshot.
-type LookupCounters struct {
-	// Lookups is the number of headers classified (batch lookups count one
-	// per header).
-	Lookups uint64
-	// Matches is the number of those lookups that returned a rule.
-	Matches uint64
-}
-
-// MatchRate returns the fraction of served lookups that matched a rule.
-func (lc LookupCounters) MatchRate() float64 {
-	if lc.Lookups == 0 {
-		return 0
-	}
-	return float64(lc.Matches) / float64(lc.Lookups)
-}
-
 // ResetStats zeroes the classifier's counters — the update-plane collector
 // and every lane's lookup and cache counters — without touching installed
 // rules or cached entries.

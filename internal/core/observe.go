@@ -6,11 +6,10 @@ import (
 )
 
 // Report is the one-call observability snapshot of a classifier: data-plane
-// counters, served-request summary, update-plane counters, cache counters and
-// the memory breakdown, assembled against a single published snapshot, so the
+// counters, update-plane counters, cache counters and the memory breakdown, assembled against a single published snapshot, so the
 // engine names, rule counts, memory breakdown and update-plane view are
 // mutually consistent even when updates race the read. (The atomic counters
-// inside Stats, Lookups and Updates remain individually atomic reads, which
+// inside Stats and Updates remain individually atomic reads, which
 // is inherent to concurrent collection.)
 type Report struct {
 	// ActiveEngine is the registry name of the engine answering lookups, of
@@ -22,10 +21,8 @@ type Report struct {
 	RulesInstalled int
 	RuleCapacity   int
 
-	// Lookups is the cheap served-request summary (lookups answered,
-	// matches returned); Stats is the full data-plane counter snapshot.
-	Lookups LookupCounters
-	Stats   Stats
+	// Stats is the data-plane counter snapshot.
+	Stats Stats
 
 	// Updates is the update-plane view: delta-vs-rebuild publish counters,
 	// current delta debt and the publish-latency histogram.
@@ -60,13 +57,12 @@ func (c *Classifier) Report() Report {
 	r := Report{
 		ActiveEngine:   s.activeEngineName(),
 		RulesInstalled: s.table.len(),
-		RuleCapacity:   c.cfg.RuleCapacityFor(s.activeEngineName()),
+		RuleCapacity:   RuleCapacityFor(s.activeEngineName()),
 		Stats:          c.statsSnapshot(),
 		Updates:        c.updateStats(s),
 		Memory:         c.memoryReport(s),
 		LookupCost:     s.lookupCost(),
 	}
-	r.Lookups = LookupCounters{Lookups: r.Stats.Lookups, Matches: r.Stats.Matches}
 	r.CacheEnabled = c.CacheEnabled()
 	r.Generation = s.gen
 	for _, ln := range c.lanes.all {

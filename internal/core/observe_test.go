@@ -12,23 +12,20 @@ import (
 )
 
 // TestReportRuleCapacityTracksActiveTier pins rule capacity to the engine
-// answering lookups on every surface — Report, RuleCapacity, the memory
-// breakdown and the limit insertions are refused at — across tier switches.
-// bst's shared-level-2 bonus capacity makes the engines observably
-// different.
+// answering lookups on every surface — Report, RuleCapacity and the limit
+// insertions are refused at — across tier switches. bst's shared-level-2
+// bonus capacity makes the engines observably different.
 func TestReportRuleCapacityTracksActiveTier(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RuleFilterAddressBits = 4 // 16 base slots, so the limit is cheap to reach
-	c, err := New(cfg)
+	c, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	if err := c.SelectEngine("bst"); err != nil {
 		t.Fatalf("SelectEngine(bst): %v", err)
 	}
-	bstCap := cfg.RuleCapacityFor("bst")
-	if bstCap <= cfg.RuleFilterSlots() {
-		t.Fatalf("bst capacity %d should exceed the base %d slots", bstCap, cfg.RuleFilterSlots())
+	bstCap := RuleCapacityFor("bst")
+	if bstCap <= RuleFilterSlots {
+		t.Fatalf("bst capacity %d should exceed the base %d slots", bstCap, RuleFilterSlots)
 	}
 	if got := c.Report().RuleCapacity; got != bstCap {
 		t.Fatalf("field tier RuleCapacity = %d, want %d", got, bstCap)
@@ -39,7 +36,7 @@ func TestReportRuleCapacityTracksActiveTier(t *testing.T) {
 	if err := c.SelectEngine("hypercuts"); err != nil {
 		t.Fatalf("SelectEngine(hypercuts): %v", err)
 	}
-	wantCap := cfg.RuleCapacityFor("hypercuts")
+	wantCap := RuleCapacityFor("hypercuts")
 	if wantCap == bstCap {
 		t.Fatalf("test needs distinguishable capacities, got %d for both", wantCap)
 	}
@@ -54,23 +51,16 @@ func TestReportRuleCapacityTracksActiveTier(t *testing.T) {
 	if got := c.RuleCapacity(); got != wantCap {
 		t.Errorf("packet tier RuleCapacity() = %d, want %d", got, wantCap)
 	}
-	if rep.Memory.RuleCapacity != wantCap {
-		t.Errorf("packet tier Memory.RuleCapacity = %d, want %d", rep.Memory.RuleCapacity, wantCap)
-	}
 
 	// The reported limit is the enforced one: the classifier fills to it and
 	// refuses the next rule, although bst (the engine before the switch)
 	// would have held it.
-	for i := 0; i < wantCap+1; i++ {
-		r := fivetuple.Wildcard(i, fivetuple.ActionForward)
-		r.DstPrefix = fivetuple.Prefix{Addr: fivetuple.IPv4(uint32(i) << 16), Len: 16}
-		_, err := c.InsertRule(r)
-		if i < wantCap && err != nil {
-			t.Fatalf("InsertRule %d of %d: %v", i, wantCap, err)
-		}
-		if i == wantCap && !errors.Is(err, ErrRuleFilterFull) {
-			t.Fatalf("InsertRule at the reported limit %d = %v, want ErrRuleFilterFull", wantCap, err)
-		}
+	rs := capacityRuleSet(wantCap + 1)
+	if _, err := c.InstallRuleSet(fivetuple.NewRuleSet("full", rs.Rules()[:wantCap])); err != nil {
+		t.Fatalf("installing the %d rules the reported capacity allows: %v", wantCap, err)
+	}
+	if _, err := c.InsertRule(rs.Rule(wantCap)); !errors.Is(err, ErrRuleFilterFull) {
+		t.Fatalf("InsertRule at the reported limit %d = %v, want ErrRuleFilterFull", wantCap, err)
 	}
 
 	// Switching back to bst restores its capacity.
@@ -131,9 +121,6 @@ func TestReplicatedStatsAggregation(t *testing.T) {
 	if rep.Stats.Lookups != want {
 		t.Errorf("Report().Stats.Lookups = %d, want %d", rep.Stats.Lookups, want)
 	}
-	if rep.Lookups.Lookups != want {
-		t.Errorf("Report().Lookups = %d, want %d", rep.Lookups.Lookups, want)
-	}
 	if rep.Stats.FieldAccesses == 0 || rep.Stats.Matches == 0 {
 		t.Errorf("aggregate lost accounting fields: %+v", rep.Stats)
 	}
@@ -145,9 +132,7 @@ func TestReplicatedStatsAggregation(t *testing.T) {
 }
 
 // TestReportMatchesAccessors pins the one-call Report against the surviving
-// single-value accessors and against itself (Lookups is the summary of
-// Stats, Memory and the top level agree on the rule count), on both tiers,
-// with the cache on.
+// single-value accessors, on both tiers, with the cache on.
 func TestReportMatchesAccessors(t *testing.T) {
 	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, classbench.Size1K))
 	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{
@@ -189,9 +174,6 @@ func TestReportMatchesAccessors(t *testing.T) {
 			if rep.Stats.Lookups != uint64(len(trace)) {
 				t.Errorf("Stats.Lookups = %d, want %d", rep.Stats.Lookups, len(trace))
 			}
-			if want := (LookupCounters{Lookups: rep.Stats.Lookups, Matches: rep.Stats.Matches}); rep.Lookups != want {
-				t.Errorf("Lookups = %+v, want the Stats summary %+v", rep.Lookups, want)
-			}
 			// Two counted publishes: the install and the delete.
 			if got := rep.Updates.PublishLatency.Total(); got != 2 {
 				t.Errorf("Updates.PublishLatency saw %d publishes, want 2", got)
@@ -207,15 +189,11 @@ func TestReportMatchesAccessors(t *testing.T) {
 				t.Errorf("Updates debt = (%d, %v), want the engine's (%d, %v) with the delete's one delta on hypercuts",
 					rep.Updates.DeltasSinceRebuild, rep.Updates.Degradation, cost.Deltas, cost.Degradation)
 			}
-			if rep.Memory.RulesInstalled != rep.RulesInstalled || rep.Memory.RuleCapacity != rep.RuleCapacity {
-				t.Errorf("Memory rules = (%d, %d), want (%d, %d)",
-					rep.Memory.RulesInstalled, rep.Memory.RuleCapacity, rep.RulesInstalled, rep.RuleCapacity)
-			}
 			if own := c.lanes.all[0].microflow.Stats(); !rep.CacheEnabled || !c.CacheEnabled() || rep.Cache != own {
 				t.Errorf("Cache = (%v, %+v), want (true, %+v)", rep.CacheEnabled, rep.Cache, own)
 			}
-			if rep.Lookups.Lookups == 0 || rep.Stats.Deletes == 0 {
-				t.Errorf("report shows no traffic or no update: %+v", rep.Lookups)
+			if rep.Stats.Lookups == 0 || rep.Stats.Deletes == 0 {
+				t.Errorf("report shows no traffic or no update: %+v", rep.Stats)
 			}
 		})
 	}

@@ -177,28 +177,17 @@ func TestPacketTierIncrementalUpdates(t *testing.T) {
 // change the engine or lose a rule.
 func TestSelectEngineFailureLeavesServingStateUntouched(t *testing.T) {
 	cfg := DefaultConfig()
-	// Shrink the base Rule Filter so the bst configuration (base + freed MBT
-	// blocks) holds rules that the mbt and hypercuts configurations (base
-	// only) cannot.
-	cfg.RuleFilterAddressBits = 4
 	cfg.IPEngine = "bst"
 	c := MustNew(cfg)
 
-	mbtCapacity := cfg.RuleCapacityFor("mbt")
-	rules := make([]fivetuple.Rule, 0, mbtCapacity+4)
-	for i := 0; i < mbtCapacity+4; i++ {
-		r := fivetuple.Wildcard(i, fivetuple.ActionForward)
-		r.DstPrefix = fivetuple.Prefix{Addr: fivetuple.IPv4(uint32(i) << 16), Len: 16}
-		r.ActionArg = uint32(i + 1)
-		rules = append(rules, r)
-	}
-	for _, r := range rules {
-		if _, err := c.InsertRule(r); err != nil {
-			t.Fatalf("InsertRule(%d): %v", r.Priority, err)
-		}
+	// The bst configuration (base + freed MBT blocks) holds rules that the
+	// mbt and hypercuts configurations (base only) cannot.
+	over := capacityRuleSet(RuleCapacityFor("mbt") + 4)
+	if _, err := c.InstallRuleSet(over); err != nil {
+		t.Fatalf("InstallRuleSet: %v", err)
 	}
 
-	probe := fivetuple.Header{DstIP: fivetuple.IPv4(3 << 16), SrcPort: 1, DstPort: 2, Protocol: fivetuple.ProtoTCP}
+	probe := fivetuple.Header{SrcIP: fivetuple.IPv4(3 << 16), DstIP: fivetuple.IPv4(0), SrcPort: 1, DstPort: 2, Protocol: fivetuple.ProtoTCP}
 	before := c.Lookup(probe)
 
 	for _, name := range []string{"mbt", "hypercuts"} {
@@ -208,8 +197,8 @@ func TestSelectEngineFailureLeavesServingStateUntouched(t *testing.T) {
 		if got := c.ActiveEngineName(); got != "bst" {
 			t.Errorf("after failed switch to %s: ActiveEngineName = %q, want bst", name, got)
 		}
-		if got := c.RuleCount(); got != len(rules) {
-			t.Errorf("after failed switch to %s: %d rules, want %d", name, got, len(rules))
+		if got := c.RuleCount(); got != over.Len() {
+			t.Errorf("after failed switch to %s: %d rules, want %d", name, got, over.Len())
 		}
 		if after := c.Lookup(probe); after != before {
 			t.Errorf("after failed switch to %s: Lookup = %+v, want the pre-switch %+v", name, after, before)

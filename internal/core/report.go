@@ -5,24 +5,18 @@ import (
 	"sdnpc/internal/label"
 )
 
-// MemoryReport breaks down the architecture's memory consumption into the
-// three block families of §III.D, distinguishing provisioned capacity (what
-// the synthesised design reserves, Table V) from used bits (what the current
-// rule set occupies, Table VI).
+// MemoryReport breaks down the memory the current rule set occupies (Table
+// VI) into the three block families of §III.D. What the synthesised design
+// provisions (Table V) is the same under every rule set and is the hardware
+// model's (internal/bench/model.go).
 type MemoryReport struct {
 	// IPEngine is the registry name of the field engine serving the
 	// IP-segment dimensions ("" when a whole-packet engine serves).
 	IPEngine string
 
-	// IP algorithm blocks. IPEngineUsedBits is the node storage of the
-	// active engine whatever its name (the "Memory Space Required" column of
-	// Table VI); IPEngineProvisionedBits is the block capacity that engine
-	// maps onto (the shared level-2 blocks for shared-resident engines, the
-	// full MBT block family otherwise).
-	IPEngineUsedBits        int
-	IPEngineProvisionedBits int
-	MBTProvisionedBits      int
-	BSTProvisionedBits      int
+	// IP algorithm blocks: the node storage of the active engine whatever
+	// its name (the "Memory Space Required" column of Table VI).
+	IPEngineUsedBits int
 
 	// Other algorithm blocks of the field tier (0 under a whole-packet
 	// engine, which has neither).
@@ -40,29 +34,16 @@ type MemoryReport struct {
 	// per-bucket eviction state). Both are 0 when the cache is disabled. The
 	// cache is a software serving-path structure, not one of the modelled
 	// hardware block memories, so these are reported beside — not inside —
-	// the provisioned block-memory totals.
+	// the block-memory totals.
 	CacheEntries int
 	CacheBits    int
 
-	// Labels memory block (used bits are 0 under a whole-packet engine).
-	LabelMemoryProvisionedBits int
-	LabelMemoryUsedBits        int
-	LabelTableBits             int
+	// Labels memory block (0 under a whole-packet engine).
+	LabelMemoryUsedBits int
+	LabelTableBits      int
 
-	// Rule Filter block (used bits are 0 under a whole-packet engine).
-	RuleFilterProvisionedBits int
-	RuleFilterUsedBits        int
-
-	RulesInstalled int
-	RuleCapacity   int
-}
-
-// TotalProvisionedBits returns the block-memory capacity of the synthesised
-// design (the Table V / Table VII memory figure). Port registers live in
-// logic registers, not block RAM, and are excluded.
-func (m MemoryReport) TotalProvisionedBits() int {
-	return m.MBTProvisionedBits + m.ProtocolLUTBits +
-		m.LabelMemoryProvisionedBits + m.RuleFilterProvisionedBits
+	// Rule Filter block (0 under a whole-packet engine).
+	RuleFilterUsedBits int
 }
 
 // TotalUsedBits returns the occupied block-memory bits, including the
@@ -74,26 +55,11 @@ func (m MemoryReport) TotalUsedBits() int {
 }
 
 // memoryReport computes the memory breakdown of one snapshot, for Report.
-// Provisioned figures come from the configured geometry and
-// are the same under every engine; used figures (and the protocol LUT and
-// port registers, which exist only as field engines) describe the one tier
-// the snapshot holds and read 0 for the other.
+// The figures (and the protocol LUT and port registers, which exist only as
+// field engines) describe the one tier the snapshot holds and read 0 for the
+// other.
 func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
-	report := MemoryReport{
-		MBTProvisionedBits: 4 * c.cfg.mbtProvisionedBitsPerSegment(),
-		BSTProvisionedBits: 4 * c.cfg.sharedLevel2BitsPerSegment(),
-
-		LabelMemoryProvisionedBits: c.cfg.LabelMemoryEntries * c.cfg.LabelMemoryEntryBits,
-
-		// The provisioned Rule Filter is the base hash-addressed block; the
-		// extra capacity available under a shared-resident engine selection
-		// reuses the freed MBT blocks, which are already counted in
-		// MBTProvisionedBits.
-		RuleFilterProvisionedBits: c.cfg.RuleFilterSlots() * c.cfg.RuleEntryBits,
-
-		RulesInstalled: s.table.len(),
-		RuleCapacity:   c.cfg.RuleCapacityFor(s.activeEngineName()),
-	}
+	var report MemoryReport
 	for _, ln := range c.lanes.all {
 		if ln.microflow != nil {
 			report.CacheEntries += ln.microflow.Capacity()
@@ -106,7 +72,6 @@ func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
 		return report
 	}
 	f := s.field
-	def, _ := engine.Get(f.engineName)
 	report.IPEngine = f.engineName
 	report.ProtocolLUTBits = f.engines[label.DimProtocol].Footprint().NodeBits
 	report.PortRegisterBits = f.engines[label.DimSrcPort].Footprint().NodeBits +
@@ -119,10 +84,6 @@ func (c *Classifier) memoryReport(s *snapshot) MemoryReport {
 		fp := f.engines[d].Footprint()
 		report.IPEngineUsedBits += fp.NodeBits
 		report.LabelMemoryUsedBits += fp.LabelListBits
-	}
-	report.IPEngineProvisionedBits = report.MBTProvisionedBits
-	if def.SharesLevel2 {
-		report.IPEngineProvisionedBits = report.BSTProvisionedBits
 	}
 	return report
 }

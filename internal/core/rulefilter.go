@@ -16,7 +16,7 @@ var ErrRuleFilterFull = errors.New("core: rule filter full")
 
 // ruleEntry is one Rule Filter slot: the rule's label combination key, its
 // priority and its action. The slot layout corresponds to the
-// Config.RuleEntryBits stored word. The fields are ordered widest first and
+// DefaultRuleEntryBits stored word. The fields are ordered widest first and
 // the 68-bit key is split into its 64-bit and 4-bit halves so a slot is 24
 // bytes: the slot array is the largest thing a field tier holds.
 type ruleEntry struct {
@@ -51,19 +51,17 @@ type ruleFilter struct {
 	hash *hashunit.Unit
 	// slots is the slot array. A rule update writes one slot, so a clone
 	// shares every chunk and copies the one written.
-	slots     cow.Array[ruleEntry]
-	entryBits int
-	used      int
+	slots cow.Array[ruleEntry]
+	used  int
 }
 
 // newRuleFilter creates a rule filter with the given capacity. The hash unit
-// addresses the first 2^addressBits slots; linear probing covers any extra
+// addresses the first RuleFilterSlots slots; linear probing covers any extra
 // capacity contributed by freed MBT blocks in the BST configuration.
-func newRuleFilter(addressBits, capacity, entryBits int) *ruleFilter {
+func newRuleFilter(capacity int) *ruleFilter {
 	return &ruleFilter{
-		hash:      hashunit.MustNew(addressBits),
-		slots:     cow.Make[ruleEntry](capacity),
-		entryBits: entryBits,
+		hash:  hashunit.MustNew(DefaultRuleFilterAddressBits),
+		slots: cow.Make[ruleEntry](capacity),
 	}
 }
 
@@ -71,7 +69,7 @@ func newRuleFilter(addressBits, capacity, entryBits int) *ruleFilter {
 func (rf *ruleFilter) usedRules() int { return rf.used }
 
 // usedBits returns the storage occupied by live entries.
-func (rf *ruleFilter) usedBits() int { return rf.used * rf.entryBits }
+func (rf *ruleFilter) usedBits() int { return rf.used * DefaultRuleEntryBits }
 
 // home returns the first slot of the key's probe sequence; linear probing
 // continues from it with wrap-around.

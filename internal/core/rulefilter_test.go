@@ -17,7 +17,7 @@ import (
 func TestRuleFilterGenerationsAreIsolated(t *testing.T) {
 	const capacity = 1000 // not a multiple of the chunk size: the last chunk is partial
 	rng := rand.New(rand.NewSource(3))
-	gens := []*ruleFilter{newRuleFilter(8, capacity, 144)}
+	gens := []*ruleFilter{newRuleFilter(capacity)}
 	contents := []map[label.CombinationKey]int{{}}
 	keyOf := func(i int) label.CombinationKey { return label.KeyFromParts(uint8(i), uint64(i)*0x9E3779B97F4A7C15) }
 	check := func(round int) {

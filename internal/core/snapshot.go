@@ -151,7 +151,7 @@ func newSnapshot(cfg *Config, name string, rules []fivetuple.Rule) (*snapshot, e
 		s.field = f
 	}
 	for _, r := range rules {
-		if _, err := s.insertRule(cfg, r); err != nil {
+		if _, err := s.insertRule(r); err != nil {
 			return nil, fmt.Errorf("core: programming the %s engine: %w", name, err)
 		}
 	}
@@ -172,7 +172,7 @@ func newFieldTier(cfg *Config, engineName string) (*fieldTier, error) {
 		}
 		f.engines[d] = eng
 	}
-	f.filter = newRuleFilter(cfg.RuleFilterAddressBits, cfg.RuleCapacityFor(engineName), cfg.RuleEntryBits)
+	f.filter = newRuleFilter(RuleCapacityFor(engineName))
 	return f, nil
 }
 

@@ -91,7 +91,7 @@ func (c *Classifier) update(mutate func(next *snapshot, applied *updateTally) er
 func (c *Classifier) InsertRule(r fivetuple.Rule) (report UpdateReport, err error) {
 	err = c.update(func(next *snapshot, applied *updateTally) (err error) {
 		// A failed insertion has rolled itself back: nothing was applied.
-		if report, err = next.insertRule(&c.cfg, r); err == nil {
+		if report, err = next.insertRule(r); err == nil {
 			*applied = updateTally{inserts: 1}
 		}
 		return err
@@ -133,7 +133,7 @@ func (c *Classifier) InstallRuleSet(rs *fivetuple.RuleSet) (total UpdateReport, 
 		// whatever spare capacity repeated appends happened to round up to.
 		next.table.ownIDs(rs.Len())
 		for _, r := range rs.Rules() {
-			rep, err := next.insertRule(&c.cfg, r)
+			rep, err := next.insertRule(r)
 			if err != nil {
 				return fmt.Errorf("core: installing %q rule %d: %w", rs.Name, r.Priority, err)
 			}
@@ -148,11 +148,11 @@ func (c *Classifier) InstallRuleSet(rs *fivetuple.RuleSet) (total UpdateReport, 
 }
 
 // insertRule applies one insertion to this (unpublished) snapshot.
-func (s *snapshot) insertRule(cfg *Config, r fivetuple.Rule) (UpdateReport, error) {
+func (s *snapshot) insertRule(r fivetuple.Rule) (UpdateReport, error) {
 	name := s.activeEngineName()
-	if s.table.len() >= cfg.RuleCapacityFor(name) {
+	if capacity := RuleCapacityFor(name); s.table.len() >= capacity {
 		return UpdateReport{}, fmt.Errorf("%w: capacity %d under the %s configuration",
-			ErrRuleFilterFull, cfg.RuleCapacityFor(name), name)
+			ErrRuleFilterFull, capacity, name)
 	}
 	// Extended rules (IPv6/VLAN/TCP-flag/masked-proto/non-terminating) need
 	// an engine that declares every dimension they require — otherwise the
@@ -343,7 +343,7 @@ func (c *Classifier) ApplyUpdates(ops []UpdateOp) (reports []UpdateReport, errs 
 			} else {
 				// insertRule rolls itself back on failure, so a failed insert
 				// never poisons the working copy.
-				reports[i], errs[i] = next.insertRule(&c.cfg, op.Rule)
+				reports[i], errs[i] = next.insertRule(op.Rule)
 				if errs[i] != nil {
 					continue
 				}

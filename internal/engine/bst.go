@@ -57,8 +57,6 @@ func (a *bstEngine) Reprioritise(v Value, lbl label.Label, priority int) (int, e
 	return reprioritise(a, v, lbl, priority)
 }
 
-func (a *bstEngine) Lookup(key uint32) (*label.List, int) { return a.e.Lookup(key) }
-
 func (a *bstEngine) LookupInto(key uint32, out *label.List) int { return a.e.LookupInto(key, out) }
 
 func (a *bstEngine) Cost() CostModel {

@@ -141,17 +141,17 @@ type Footprint struct {
 // FieldEngine is one pluggable single-field lookup engine.
 //
 // Concurrency contract (read-only after build): once an engine stops being
-// mutated, Lookup, Cost and Footprint must be safe to call from any number
-// of goroutines concurrently — Lookup performs no writes to the engine; what
+// mutated, LookupInto, Cost and Footprint must be safe to call from any number
+// of goroutines concurrently — LookupInto performs no writes to the engine; what
 // a lookup cost is returned to the caller, never accumulated inside. Insert,
 // Remove and Reprioritise still require external serialisation and must
-// never run concurrently with Lookup on the same instance. The classifier
+// never run concurrently with LookupInto on the same instance. The classifier
 // in internal/core guarantees that split by copy-on-write: updates mutate a
 // private clone of every engine (see Cloner) and atomically publish the
 // finished snapshot, so readers only ever see engines that are no longer
 // written.
 //
-// Engines that defer expensive structure builds to the first Lookup must
+// Engines that defer expensive structure builds to the first lookup must
 // implement Preparer so the classifier can force the build before a
 // snapshot is published.
 type FieldEngine interface {
@@ -168,16 +168,11 @@ type FieldEngine interface {
 	// positionally (specificity) rather than by rule priority treat this as
 	// a no-op.
 	Reprioritise(v Value, lbl label.Label, priority int) (writes int, err error)
-	// Lookup returns the priority-ordered label list of every stored
-	// condition matching the key and the number of memory accesses
-	// performed. The returned list is freshly allocated.
-	Lookup(key uint32) (*label.List, int)
-	// LookupInto is the allocation-free variant of Lookup: it resets out,
-	// fills it with the priority-ordered labels of every stored condition
-	// matching the key and returns the number of memory accesses. Once out
-	// has grown to the engine's result size, repeated calls perform no heap
-	// allocation — the contract the classifier's pooled serving path and the
-	// 0 allocs/op CI gate depend on.
+	// LookupInto resets out, fills it with the priority-ordered label list
+	// of every stored condition matching the key and returns the number of
+	// memory accesses performed. Once out has grown to the engine's result
+	// size, repeated calls perform no heap allocation — the contract the
+	// classifier's pooled serving path and the 0 allocs/op CI gate depend on.
 	LookupInto(key uint32, out *label.List) int
 	// Cost returns the engine's clock-cycle model.
 	Cost() CostModel
@@ -202,7 +197,7 @@ type Cloner interface {
 
 // Preparer is implemented by engines that defer expensive structure builds
 // (e.g. the RFC segment table regenerates its equivalence classes lazily on
-// the next Lookup). Prepare forces any pending build so that subsequent
+// the next lookup). Prepare forces any pending build so that subsequent
 // Lookups are pure reads; the classifier calls it on every engine of a
 // snapshot before publishing the snapshot to concurrent readers.
 type Preparer interface {

@@ -26,6 +26,13 @@ func (p storedPrefix) matches(key uint32) bool {
 	return key>>shift == p.value>>shift
 }
 
+// lookup runs the engine's LookupInto on a fresh list.
+func lookup(e engine.FieldEngine, key uint32) (*label.List, int) {
+	var out label.List
+	accesses := e.LookupInto(key, &out)
+	return &out, accesses
+}
+
 // oracleLookup is the naive linear-scan reference: the labels of every
 // stored prefix matching the key, sorted by ascending priority.
 func oracleLookup(stored []storedPrefix, key uint32) []label.Label {
@@ -113,7 +120,7 @@ func TestIPEngineConformance(t *testing.T) {
 				for i := 0; i < 500; i++ {
 					key := uint32(rng.Intn(1 << 16))
 					want := oracleLookup(current, key)
-					got, accesses := eng.Lookup(key)
+					got, accesses := lookup(eng, key)
 					if accesses < 1 {
 						t.Fatalf("%s: Lookup(%#x) reported %d accesses", phase, key, accesses)
 					}
@@ -160,7 +167,7 @@ func TestIPEngineConformance(t *testing.T) {
 			}
 			for i := 0; i < 100; i++ {
 				key := uint32(rng.Intn(1 << 16))
-				if got, _ := eng.Lookup(key); got.Len() != 0 {
+				if got, _ := lookup(eng, key); got.Len() != 0 {
 					t.Fatalf("after drain: Lookup(%#x) returned %v, want empty", key, got.Labels())
 				}
 			}
@@ -274,7 +281,7 @@ func TestPortAndProtocolEngines(t *testing.T) {
 	if _, err := ports.Insert(engine.Exact(150), 2, 9); err != nil {
 		t.Fatalf("portreg Insert exact: %v", err)
 	}
-	list, _ := ports.Lookup(150)
+	list, _ := lookup(ports, 150)
 	if list.Len() != 2 {
 		t.Fatalf("portreg Lookup(150) returned %d labels, want 2", list.Len())
 	}
@@ -293,14 +300,14 @@ func TestPortAndProtocolEngines(t *testing.T) {
 	if _, err := proto.Insert(engine.Wildcard(), 2, 1); err != nil {
 		t.Fatalf("lut Insert wildcard: %v", err)
 	}
-	list, _ = proto.Lookup(6)
+	list, _ = lookup(proto, 6)
 	if list.Len() != 2 {
 		t.Fatalf("lut Lookup(6) returned %d labels, want 2", list.Len())
 	}
 	if hpml, _ := list.HPML(); hpml.Label != 1 {
 		t.Errorf("lut HPML = %v, want the exact-match label 1", hpml)
 	}
-	list, _ = proto.Lookup(17)
+	list, _ = lookup(proto, 17)
 	if list.Len() != 1 {
 		t.Fatalf("lut Lookup(17) returned %d labels, want the wildcard only", list.Len())
 	}
@@ -345,7 +352,7 @@ func TestEngineCloneIndependence(t *testing.T) {
 			// The clone answers exactly like the original before divergence.
 			for _, key := range keys {
 				want := oracleLookup(stored, key)
-				if got, _ := clone.Lookup(key); !sameLabels(got, want) {
+				if got, _ := lookup(clone, key); !sameLabels(got, want) {
 					t.Fatalf("clone Lookup(%#x) = %v, want %v", key, got.Labels(), want)
 				}
 			}
@@ -359,7 +366,7 @@ func TestEngineCloneIndependence(t *testing.T) {
 			prepared(eng)
 			for _, key := range keys {
 				want := oracleLookup(stored, key)
-				if got, _ := clone.Lookup(key); !sameLabels(got, want) {
+				if got, _ := lookup(clone, key); !sameLabels(got, want) {
 					t.Errorf("after mutating original: clone Lookup(%#x) = %v, want %v", key, got.Labels(), want)
 				}
 			}
@@ -374,7 +381,7 @@ func TestEngineCloneIndependence(t *testing.T) {
 			prepared(clone)
 			for _, key := range keys {
 				want := oracleLookup(remaining, key)
-				if got, _ := eng.Lookup(key); !sameLabels(got, want) {
+				if got, _ := lookup(eng, key); !sameLabels(got, want) {
 					t.Errorf("after mutating clone: original Lookup(%#x) = %v, want %v", key, got.Labels(), want)
 				}
 			}
@@ -416,7 +423,7 @@ func TestEngineCloneIndependence(t *testing.T) {
 					prepared(gens[g])
 					for _, key := range keys[:16] {
 						want := oracleLookup(contents[g], key)
-						if got, _ := gens[g].Lookup(key); !sameLabels(got, want) {
+						if got, _ := lookup(gens[g], key); !sameLabels(got, want) {
 							t.Fatalf("round %d: generation %d of %d Lookup(%#x) = %v, want %v", round, g, len(gens), key, got.Labels(), want)
 						}
 					}
@@ -439,10 +446,10 @@ func TestPortProtocolCloneIndependence(t *testing.T) {
 	if _, err := ports.Remove(engine.Range(80, 80), 1); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
-	if got, _ := portsClone.Lookup(80); got.Len() != 1 {
+	if got, _ := lookup(portsClone, 80); got.Len() != 1 {
 		t.Errorf("portreg clone lost its entry after the original was mutated")
 	}
-	if got, _ := ports.Lookup(80); got.Len() != 0 {
+	if got, _ := lookup(ports, 80); got.Len() != 0 {
 		t.Errorf("portreg original still matches after Remove")
 	}
 
@@ -457,7 +464,7 @@ func TestPortProtocolCloneIndependence(t *testing.T) {
 	if _, err := proto.Remove(engine.Exact(6), 1); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
-	if got, _ := protoClone.Lookup(6); got.Len() != 1 {
+	if got, _ := lookup(protoClone, 6); got.Len() != 1 {
 		t.Errorf("lut clone lost its entry after the original was mutated")
 	}
 }

@@ -59,10 +59,6 @@ func (a *lutEngine) Reprioritise(v Value, lbl label.Label, priority int) (int, e
 	return 0, nil
 }
 
-func (a *lutEngine) Lookup(key uint32) (*label.List, int) {
-	return a.t.Lookup(uint8(key))
-}
-
 func (a *lutEngine) LookupInto(key uint32, out *label.List) int {
 	return a.t.LookupInto(uint8(key), out)
 }

@@ -55,8 +55,6 @@ func (a *mbtEngine) Reprioritise(v Value, lbl label.Label, priority int) (int, e
 	return reprioritise(a, v, lbl, priority)
 }
 
-func (a *mbtEngine) Lookup(key uint32) (*label.List, int) { return a.e.Lookup(key) }
-
 func (a *mbtEngine) LookupInto(key uint32, out *label.List) int { return a.e.LookupInto(key, out) }
 
 func (a *mbtEngine) Cost() CostModel {

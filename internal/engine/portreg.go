@@ -72,10 +72,6 @@ func (a *portregEngine) Reprioritise(v Value, lbl label.Label, priority int) (in
 	return 0, nil
 }
 
-func (a *portregEngine) Lookup(key uint32) (*label.List, int) {
-	return a.b.Lookup(uint16(key))
-}
-
 func (a *portregEngine) LookupInto(key uint32, out *label.List) int {
 	return a.b.LookupInto(uint16(key), out)
 }

@@ -56,8 +56,6 @@ func (a *rfcEngine) Reprioritise(v Value, lbl label.Label, priority int) (int, e
 	return reprioritise(a, v, lbl, priority)
 }
 
-func (a *rfcEngine) Lookup(key uint32) (*label.List, int) { return a.t.Lookup(key) }
-
 func (a *rfcEngine) LookupInto(key uint32, out *label.List) int { return a.t.LookupInto(key, out) }
 
 func (a *rfcEngine) Cost() CostModel {
@@ -76,5 +74,5 @@ func (a *rfcEngine) Footprint() Footprint {
 func (a *rfcEngine) Clone() FieldEngine { return &rfcEngine{t: a.t.Clone()} }
 
 // Prepare implements Preparer: it forces the table's deferred equivalence-
-// class rebuild so that a published snapshot never rebuilds inside Lookup.
+// class rebuild so that a published snapshot never rebuilds inside a lookup.
 func (a *rfcEngine) Prepare() { a.t.Prepare() }

@@ -80,10 +80,6 @@ func (a *segtrieEngine) Reprioritise(v Value, lbl label.Label, priority int) (in
 	return reprioritise(a, v, lbl, priority)
 }
 
-func (a *segtrieEngine) Lookup(key uint32) (*label.List, int) {
-	return a.e.Lookup(uint16(key))
-}
-
 func (a *segtrieEngine) LookupInto(key uint32, out *label.List) int {
 	return a.e.LookupInto(uint16(key), out)
 }

@@ -1,18 +1,22 @@
-package pipeline
+// Package pipeline_test checks the Fig. 3 lookup pipeline accounting of the
+// FPGA model in internal/bench/model.go through its exported API. The
+// directory holds tests only: the model itself lives in internal/bench.
+package pipeline_test
 
 import (
 	"math"
 	"testing"
-)
 
-const fmaxHz = 133.51e6 // the paper's synthesised clock (Table V)
+	"sdnpc/internal/bench"
+	"sdnpc/internal/core"
+)
 
 // mbtStages reproduces the lookup pipeline of Fig. 3 with the MBT selected:
 // header split/dispatch, parallel field lookup dominated by the 6-cycle MBT,
 // one cycle to fetch the label list pointer, two cycles of final result
 // processing. All stages are fully pipelined.
-func mbtStages() []Stage {
-	return []Stage{
+func mbtStages() bench.Pipeline {
+	return bench.Pipeline{
 		{Name: "split+dispatch", LatencyCycles: 1, InitiationInterval: 1},
 		{Name: "field lookup (MBT)", LatencyCycles: 6, InitiationInterval: 1},
 		{Name: "label fetch", LatencyCycles: 1, InitiationInterval: 1},
@@ -23,8 +27,8 @@ func mbtStages() []Stage {
 // bstStages is the same pipeline with the BST selected: the IP lookup needs
 // up to 16 sequential memory accesses, so its initiation interval equals its
 // latency.
-func bstStages() []Stage {
-	return []Stage{
+func bstStages() bench.Pipeline {
+	return bench.Pipeline{
 		{Name: "split+dispatch", LatencyCycles: 1, InitiationInterval: 1},
 		{Name: "field lookup (BST)", LatencyCycles: 16, InitiationInterval: 16},
 		{Name: "label fetch", LatencyCycles: 1, InitiationInterval: 1},
@@ -32,33 +36,19 @@ func bstStages() []Stage {
 	}
 }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New("empty", fmaxHz); err == nil {
-		t.Error("New with no stages should fail")
+// servedPipeline is the model's pipeline for a default classifier serving
+// the named IP engine.
+func servedPipeline(t *testing.T, engineName string) bench.Pipeline {
+	t.Helper()
+	c := core.MustNew(core.DefaultConfig())
+	if err := c.SelectEngine(engineName); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New("bad clock", 0, Stage{Name: "s", LatencyCycles: 1, InitiationInterval: 1}); err == nil {
-		t.Error("New with zero clock should fail")
-	}
-	badStages := []Stage{
-		{Name: "zero latency", LatencyCycles: 0, InitiationInterval: 1},
-		{Name: "zero interval", LatencyCycles: 1, InitiationInterval: 0},
-		{Name: "interval exceeds latency", LatencyCycles: 2, InitiationInterval: 3},
-	}
-	for _, s := range badStages {
-		if _, err := New("bad", fmaxHz, s); err == nil {
-			t.Errorf("New with stage %+v should fail", s)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew with invalid input did not panic")
-		}
-	}()
-	MustNew("bad", 0)
+	return bench.LookupPipeline(c.Report())
 }
 
 func TestMBTPipelineLatencyAndThroughput(t *testing.T) {
-	p := MustNew("lookup-mbt", fmaxHz, mbtStages()...)
+	p := mbtStages()
 	// §V.B: MBT latency 6 cycles, +1 label fetch, +2 result, +1 dispatch.
 	if got, want := p.LatencyCycles(), 10; got != want {
 		t.Errorf("LatencyCycles() = %d, want %d", got, want)
@@ -79,13 +69,16 @@ func TestMBTPipelineLatencyAndThroughput(t *testing.T) {
 	if got := p.ThroughputGbps(100); got < 100 {
 		t.Errorf("ThroughputGbps(100) = %v, want > 100", got)
 	}
-	if p.Name() != "lookup-mbt" || p.ClockHz() != fmaxHz {
-		t.Error("accessors wrong")
+	// The model builds the same accounting for a classifier serving the MBT.
+	served := servedPipeline(t, "mbt")
+	if served.LatencyCycles() != p.LatencyCycles() || served.BottleneckInterval() != p.BottleneckInterval() {
+		t.Errorf("served MBT pipeline %+v, want latency %d and interval %d",
+			served, p.LatencyCycles(), p.BottleneckInterval())
 	}
 }
 
 func TestBSTPipelineThroughput(t *testing.T) {
-	p := MustNew("lookup-bst", fmaxHz, bstStages()...)
+	p := bstStages()
 	if got := p.BottleneckInterval(); got != 16 {
 		t.Errorf("BottleneckInterval() = %d, want 16", got)
 	}
@@ -96,13 +89,10 @@ func TestBSTPipelineThroughput(t *testing.T) {
 	if got, want := p.LatencyCycles(), 20; got != want {
 		t.Errorf("LatencyCycles() = %d, want %d", got, want)
 	}
-}
-
-func TestStagesReturnsCopy(t *testing.T) {
-	p := MustNew("copy", fmaxHz, mbtStages()...)
-	stages := p.Stages()
-	stages[0].Name = "mutated"
-	if p.Stages()[0].Name == "mutated" {
-		t.Error("Stages() exposed internal state")
+	// The model builds the same accounting for a classifier serving the BST.
+	served := servedPipeline(t, "bst")
+	if served.LatencyCycles() != p.LatencyCycles() || served.BottleneckInterval() != p.BottleneckInterval() {
+		t.Errorf("served BST pipeline %+v, want latency %d and interval %d",
+			served, p.LatencyCycles(), p.BottleneckInterval())
 	}
 }

@@ -165,7 +165,7 @@ type WireTenantStats struct {
 	Rules        int    `json:"rules"`
 	RuleCapacity int    `json:"rule_capacity"`
 	// Lookups and Matched are the tenant's served-request counters
-	// (facade LookupCounters), i.e. what this process actually answered.
+	// (Report().Stats), i.e. what this process actually answered.
 	Lookups   uint64  `json:"lookups"`
 	Matched   uint64  `json:"matched"`
 	MatchRate float64 `json:"match_rate"`
@@ -272,9 +272,9 @@ func wireTenantStats(t *Tenant) WireTenantStats {
 		Engine:       rep.ActiveEngine,
 		Rules:        rep.RulesInstalled,
 		RuleCapacity: rep.RuleCapacity,
-		Lookups:      rep.Lookups.Lookups,
-		Matched:      rep.Lookups.Matches,
-		MatchRate:    rep.Lookups.MatchRate(),
+		Lookups:      rep.Stats.Lookups,
+		Matched:      rep.Stats.Matches,
+		MatchRate:    rep.Stats.MatchRate(),
 		MemoryBits:   rep.Memory.TotalUsedBits(),
 		Update: WireUpdateStats{
 			Inserts:        rep.Stats.Inserts,

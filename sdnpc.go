@@ -54,9 +54,6 @@ type (
 	// packet tier's update plane: delta publishes versus full rebuilds, plus
 	// the wall-clock publish-latency histogram.
 	UpdateStats = core.UpdateStats
-	// LookupCounters is the served-request summary of one classifier:
-	// lookups answered and matches returned. See Classifier.LookupCounters.
-	LookupCounters = core.LookupCounters
 	// LatencyHistogram is the fixed-bucket publish-latency histogram inside
 	// UpdateStats.
 	LatencyHistogram = core.LatencyHistogram

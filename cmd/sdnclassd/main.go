@@ -1,10 +1,10 @@
 // Command sdnclassd is the classifier daemon. It serves the multi-tenant
 // wire API of internal/server: any number of independent classifier tables
 // (tenants) behind one HTTP/JSON endpoint, with per-tenant rule CRUD,
-// classify/classify-batch, engine selection, stats and the workload advisor
-// (see docs/SERVICE.md for the API reference). The wire API is the control
-// channel of the paper's §III: a controller downloads rules, selects the
-// lookup engine and reads punted verdicts over it.
+// classify/classify-batch, engine selection and stats (see docs/SERVICE.md
+// for the API reference). The wire API is the control channel of the
+// paper's §III: a controller downloads rules, selects the lookup engine and
+// reads punted verdicts over it.
 //
 //	sdnclassd [-http addr] [-log-level level]
 //

@@ -171,10 +171,10 @@ func newWithLanes(n int, cfg core.Config) (*core.Classifier, error) {
 }
 
 // differentialPaths builds one classifier per selectable engine of both
-// tiers plus one cache-enabled classifier per tier, all in exact
-// (cross-product) combination mode, with the rule set installed — and, on
-// top, one cached classifier forced onto multiLanes serving lanes, whose
-// lane-private caches must stay bit-identical to the uncached classifier.
+// tiers plus one cache-enabled classifier per tier, with the rule set
+// installed — and, on top, one cached classifier forced onto multiLanes
+// serving lanes, whose lane-private caches must stay bit-identical to the
+// uncached classifier.
 func differentialPaths(t testing.TB, rs *fivetuple.RuleSet) map[string]*core.Classifier {
 	t.Helper()
 	// Paths whose engine does not declare the workload's required dimensions

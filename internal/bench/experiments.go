@@ -11,6 +11,7 @@ import (
 	"sdnpc/internal/algo/rfc"
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/core"
+	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/label"
 )
@@ -619,7 +620,7 @@ func RenderUpdate(r UpdateResult) string {
 }
 
 // HPMLAccuracyResult quantifies how often the paper's single-probe
-// combination returns the same verdict as the exact cross-product mode.
+// combination returns the same verdict as the classifier's exact walk.
 type HPMLAccuracyResult struct {
 	Packets        int
 	Agreement      float64
@@ -628,41 +629,119 @@ type HPMLAccuracyResult struct {
 	AvgProbesExact float64
 }
 
-// HPMLAccuracy compares the two phase-3 combination modes on a workload.
+// HPMLAccuracy compares the paper's single-probe combination (§III.B) with
+// the exact walk the classifier serves. The single probe is computed here:
+// the seven field engines of the default configuration are programmed as
+// the controller programs them — one label per unique field value, in
+// install order, at the best priority of the rules using it — and the head
+// label of each dimension's list forms the one combination key, which
+// resolves to the best-priority rule whose seven labels equal it.
 func HPMLAccuracy(w Workload) (HPMLAccuracyResult, error) {
-	build := func(mode core.CombineMode) (*core.Classifier, error) {
-		cfg := core.DefaultConfig()
-		cfg.CombineMode = mode
-		c, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		_, err = c.InstallRuleSet(w.RuleSet)
-		return c, err
-	}
-	hpml, err := build(core.CombineHPML)
+	exact, err := core.New(core.DefaultConfig())
 	if err != nil {
 		return HPMLAccuracyResult{}, err
 	}
-	exact, err := build(core.CombineCrossProduct)
+	if _, err := exact.InstallRuleSet(w.RuleSet); err != nil {
+		return HPMLAccuracyResult{}, err
+	}
+	probe, err := newSingleProbe(w.RuleSet)
 	if err != nil {
 		return HPMLAccuracyResult{}, err
 	}
 	result := HPMLAccuracyResult{Packets: len(w.Trace)}
-	agree := 0
+	agree, hpmlMatches := 0, 0
 	for _, h := range w.Trace {
-		a := hpml.Lookup(h)
-		b := exact.Lookup(h)
-		if a.Matched == b.Matched && (!a.Matched || a.Priority == b.Priority) {
+		priority, matched := probe.lookup(h)
+		want := exact.Lookup(h)
+		if matched {
+			hpmlMatches++
+		}
+		if matched == want.Matched && (!matched || priority == want.Priority) {
 			agree++
 		}
 	}
 	result.Agreement = float64(agree) / float64(len(w.Trace))
-	hpmlStats, exactStats := hpml.Report().Stats, exact.Report().Stats
-	result.HPMLMatchRate = hpmlStats.MatchRate()
+	result.HPMLMatchRate = float64(hpmlMatches) / float64(len(w.Trace))
+	exactStats := exact.Report().Stats
 	result.ExactMatchRate = exactStats.MatchRate()
 	result.AvgProbesExact = exactStats.AverageCombinations()
 	return result, nil
+}
+
+// singleProbe is the field tier of the default configuration with the
+// paper's combination: one engine per dimension, and the best rule priority
+// of every installed label combination.
+type singleProbe struct {
+	engines [label.NumDimensions + 1]engine.FieldEngine
+	best    map[label.CombinationKey]int
+}
+
+// newSingleProbe installs the rule set in order, as the controller does.
+func newSingleProbe(rs *fivetuple.RuleSet) (*singleProbe, error) {
+	p := &singleProbe{best: make(map[label.CombinationKey]int, rs.Len())}
+	labels := label.NewBank[engine.Value]()
+	ipEngine := core.DefaultConfig().IPEngine
+	for _, d := range label.Dimensions() {
+		name, spec := ipEngine, engine.Spec{KeyBits: 16, LabelBits: d.Bits()}
+		switch d {
+		case label.DimSrcPort, label.DimDstPort:
+			name, spec.Registers = "portreg", core.DefaultPortRegisters
+		case label.DimProtocol:
+			name, spec = "lut", engine.Spec{KeyBits: 8, LabelBits: core.DefaultProtocolLabelBits}
+		}
+		eng, err := engine.New(name, spec)
+		if err != nil {
+			return nil, fmt.Errorf("bench: building %s engine for %s: %w", name, d, err)
+		}
+		p.engines[d] = eng
+	}
+	for _, r := range rs.Rules() {
+		var ruleLabels [label.NumDimensions + 1]label.Label
+		for _, d := range label.Dimensions() {
+			v := engine.RuleValue(d, r)
+			tbl := labels.Table(d)
+			previousBest, _ := tbl.Best(v)
+			lbl, created, err := tbl.Acquire(v, r.Priority)
+			if err != nil {
+				return nil, fmt.Errorf("bench: labelling rule %d: %w", r.Priority, err)
+			}
+			ruleLabels[d] = lbl
+			if created || r.Priority < previousBest {
+				if _, err := p.engines[d].Insert(v, lbl, r.Priority); err != nil {
+					return nil, fmt.Errorf("bench: installing rule %d: %w", r.Priority, err)
+				}
+			}
+		}
+		key := label.PackKeyDims(&ruleLabels)
+		if best, ok := p.best[key]; !ok || r.Priority < best {
+			p.best[key] = r.Priority
+		}
+	}
+	for _, d := range label.Dimensions() {
+		if prep, ok := p.engines[d].(engine.Preparer); ok {
+			prep.Prepare()
+		}
+	}
+	return p, nil
+}
+
+// lookup probes the combination of the seven list heads once.
+func (p *singleProbe) lookup(h fivetuple.Header) (priority int, matched bool) {
+	keys := engine.HeaderKeys(h)
+	var (
+		list   label.List
+		labels [label.NumDimensions + 1]label.Label
+	)
+	for _, d := range label.Dimensions() {
+		p.engines[d].LookupInto(keys[d], &list)
+		head, ok := list.HPML()
+		if !ok {
+			return 0, false
+		}
+		labels[d] = head.Label
+	}
+	priority, matched = p.best[label.PackKeyDims(&labels)]
+	return priority, matched
 }
 
 // RenderHPMLAccuracy renders the combination-mode comparison.

@@ -4,16 +4,15 @@ import (
 	"testing"
 
 	"sdnpc/internal/core"
+	"sdnpc/internal/fivetuple"
 )
 
 // loadedClassifier builds a classifier serving the named engine with the
 // small workload's rules installed.
-func loadedClassifier(t *testing.T, engineName string, mode core.CombineMode) (*core.Classifier, Workload) {
+func loadedClassifier(t *testing.T, engineName string) (*core.Classifier, Workload) {
 	t.Helper()
 	w := smallWorkload()
-	cfg := EngineConfig(engineName)
-	cfg.CombineMode = mode
-	c, err := core.New(cfg)
+	c, err := core.New(EngineConfig(engineName))
 	if err != nil {
 		t.Fatalf("New(%s): %v", engineName, err)
 	}
@@ -25,23 +24,32 @@ func loadedClassifier(t *testing.T, engineName string, mode core.CombineMode) (*
 
 func TestLatencyModelMatchesFigure3(t *testing.T) {
 	// MBT: 1 dispatch + 6 trie + 1 label fetch + 2 result = 10 cycles.
-	// BST: 1 + 16 + 1 + 2 = 20 cycles. The single-probe mode presents one
-	// combination, so every lookup costs the pipeline latency alone.
+	// BST: 1 + 16 + 1 + 2 = 20 cycles. A lookup that presents one label
+	// combination costs the pipeline latency alone.
 	for _, tc := range []struct {
 		engine string
 		cycles int
 		ii     int
 	}{{"mbt", 10, 1}, {"bst", 20, 16}} {
-		c, w := loadedClassifier(t, tc.engine, core.CombineHPML)
+		c, w := loadedClassifier(t, tc.engine)
 		rep := c.Report()
 		p := LookupPipeline(rep)
 		if p.LatencyCycles() != tc.cycles || p.BottleneckInterval() != tc.ii {
 			t.Errorf("%s pipeline: %d cycles, II %d; want %d, II %d",
 				tc.engine, p.LatencyCycles(), p.BottleneckInterval(), tc.cycles, tc.ii)
 		}
+		// One wildcard rule: every lookup presents one combination.
+		one, err := core.New(EngineConfig(tc.engine))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := one.InsertRule(fivetuple.Wildcard(0, fivetuple.ActionForward)); err != nil {
+			t.Fatal(err)
+		}
 		for _, h := range w.Trace[:20] {
-			if got := LookupCycles(rep, c.Lookup(h)); got != tc.cycles {
-				t.Fatalf("%s lookup latency = %d cycles, want %d", tc.engine, got, tc.cycles)
+			r := one.Lookup(h)
+			if got := LookupCycles(one.Report(), r); r.Combinations != 1 || got != tc.cycles {
+				t.Fatalf("%s lookup latency = %d cycles over %d combinations, want %d over 1", tc.engine, got, r.Combinations, tc.cycles)
 			}
 		}
 	}
@@ -52,7 +60,7 @@ func TestLatencyModelMatchesFigure3(t *testing.T) {
 // combination beyond the first, on the packet tier dispatch + one cycle per
 // access + result select.
 func TestLookupCyclesFormula(t *testing.T) {
-	c, w := loadedClassifier(t, "mbt", core.CombineCrossProduct)
+	c, w := loadedClassifier(t, "mbt")
 	rep := c.Report()
 	crossProducts := 0
 	for _, h := range w.Trace {
@@ -70,7 +78,7 @@ func TestLookupCyclesFormula(t *testing.T) {
 		t.Error("no lookup presented more than one label combination")
 	}
 
-	c, w = loadedClassifier(t, "dcfl", core.CombineCrossProduct)
+	c, w = loadedClassifier(t, "dcfl")
 	rep = c.Report()
 	if n := len(LookupPipeline(rep)); n != 3 {
 		t.Errorf("dcfl pipeline has %d stages, want 3 (dispatch, packet lookup, result select)", n)
@@ -194,7 +202,7 @@ func TestProvisionedMemoryBudget(t *testing.T) {
 	if got := ipEngineProvisionedBits("mbt"); got != mbtProvisionedBits {
 		t.Errorf("mbt maps onto %d provisioned bits, want the MBT family's %d", got, mbtProvisionedBits)
 	}
-	c, _ := loadedClassifier(t, "mbt", core.CombineCrossProduct)
+	c, _ := loadedClassifier(t, "mbt")
 	rep := c.Report()
 	total := totalProvisionedBits(rep)
 	if total < 2000000 || total > 2200000 {

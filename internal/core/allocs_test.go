@@ -156,9 +156,8 @@ func TestLookupAllZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestLookupZeroAllocsCrossProduct pins the exact combination mode: its
-// depth-first walk over the label lists must stay allocation-free too, not
-// just the single-probe HPML path.
+// TestLookupZeroAllocsCrossProduct pins the exact combination walk: its
+// depth-first walk over the label lists must stay allocation-free.
 func TestLookupZeroAllocsCrossProduct(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector (sync.Pool drops puts)")
@@ -166,7 +165,6 @@ func TestLookupZeroAllocsCrossProduct(t *testing.T) {
 	rs, trace := allocTrace(t)
 	cfg := DefaultConfig()
 	cfg.CacheCapacity = 0
-	cfg.CombineMode = CombineCrossProduct
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)

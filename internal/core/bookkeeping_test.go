@@ -35,7 +35,7 @@ func requireBankMatchesPublished(t *testing.T, c *Classifier) {
 		values := map[engine.Value]bool{}
 		for i := range s.table.len() {
 			r, key := s.table.at(i), s.table.key(i)
-			v := fieldValue(d, *r)
+			v := engine.RuleValue(d, *r)
 			values[v] = true
 			if lbl, ok := bank.Table(d).Lookup(v); !ok || lbl != key.Label(d) {
 				t.Fatalf("%s: value %s of rule %d is labelled (%d, %v) in the bank, %d in the rule's key",
@@ -199,13 +199,12 @@ func TestAbandonedUpdateRestoresLabelBank(t *testing.T) {
 // rolled-back rule's. Two 10.0.0.0/8 rules fill both destination-port
 // registers; the batch's insert of a better 10.0.0.0/8 rule with a third
 // port range fails on the full bank after re-writing the shared source
-// segments, and the batch's delete still publishes. Under HPML a skewed
-// entry changes the answer: the /8's label outranks the 10.1.0.0/16 rule's
-// and the lookup lands on the worse rule.
+// segments, and the batch's delete still publishes. A skewed entry changes
+// the list heads: the /8's label outranks the 10.1.0.0/16 rule's, so the
+// paper's single probe would land on the worse rule.
 func TestRolledBackInsertReseatsPriority(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PortRegisters = 2
-	cfg.CombineMode = CombineHPML
 	cfg.CacheCapacity = 0
 	rule := func(src string, ports fivetuple.PortRange, priority int) fivetuple.Rule {
 		r := fivetuple.Wildcard(priority, fivetuple.ActionForward)
@@ -233,7 +232,7 @@ func TestRolledBackInsertReseatsPriority(t *testing.T) {
 	var list label.List
 	for i := range s.table.len() {
 		for _, d := range ipSegmentDims {
-			v := fieldValue(d, *s.table.at(i))
+			v := engine.RuleValue(d, *s.table.at(i))
 			lbl, _ := s.field.labels.Table(d).Lookup(v)
 			best, _ := s.field.labels.Table(d).Best(v)
 			s.field.engines[d].LookupInto(v.Value, &list)
@@ -252,18 +251,13 @@ func TestRolledBackInsertReseatsPriority(t *testing.T) {
 		}
 	}
 
-	fresh := MustNew(cfg)
-	for _, r := range c.InstalledRules() {
-		if _, err := fresh.InsertRule(r); err != nil {
-			t.Fatal(err)
-		}
+	// Each list's head is the best rule's value, at that value's best.
+	header := func(src string, port uint16) fivetuple.Header {
+		return fivetuple.Header{SrcIP: fivetuple.MustParseIPv4(src), DstIP: fivetuple.MustParseIPv4("192.0.2.1"), DstPort: port, Protocol: fivetuple.ProtoTCP}
 	}
-	for _, src := range []string{"10.1.2.3", "10.2.3.4"} {
-		for _, port := range []uint16{1500, 2500} {
-			h := fivetuple.Header{SrcIP: fivetuple.MustParseIPv4(src), DstIP: fivetuple.MustParseIPv4("192.0.2.1"), DstPort: port, Protocol: fivetuple.ProtoTCP}
-			if got, want := c.Lookup(h), fresh.Lookup(h); got != want {
-				t.Errorf("Lookup(%s) = %+v, a classifier built from the published rules answers %+v", h, got, want)
-			}
-		}
+	requireHeads(t, c, header("10.1.2.3", 1500), rule("10.1.0.0/16", low, 7))
+	requireHeads(t, c, header("10.2.3.4", 1500), rule("10.0.0.0/8", low, 10))
+	if _, ok := fieldHeads(c, header("10.1.2.3", 2500)); ok {
+		t.Error("the deleted rule's port range still yields a label")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/label"
 )
@@ -95,7 +94,7 @@ func (c *Classifier) view() *snapshot { return c.snap.Load() }
 // cache in O(1) with no flush. Every lane serves the snapshot from the
 // moment of the swap.
 func (c *Classifier) publish(s *snapshot) {
-	s.prepare(&c.cfg)
+	s.prepare()
 	s.gen = c.gen.Add(1)
 	c.snap.Store(s)
 }
@@ -160,43 +159,4 @@ func (c *Classifier) SelectEngine(name string) error {
 	}
 	c.publish(next)
 	return nil
-}
-
-// segmentValue returns a rule's IP-prefix slice in one IP-segment dimension.
-func segmentValue(d label.Dimension, r fivetuple.Rule) (value uint16, bits uint8) {
-	switch d {
-	case label.DimSrcIPHigh:
-		return r.SrcPrefix.HighSegment()
-	case label.DimSrcIPLow:
-		return r.SrcPrefix.LowSegment()
-	case label.DimDstIPHigh:
-		return r.DstPrefix.HighSegment()
-	default:
-		return r.DstPrefix.LowSegment()
-	}
-}
-
-// fieldValue extracts the match condition of a rule in one dimension — the
-// data handed to that dimension's engine, and the key the dimension's label
-// table knows the value by. This is pure header-format extraction; which
-// algorithm stores the value is decided by the engine registry, not here.
-// Partially masked protocols never reach the field tier (they are extended
-// rules).
-func fieldValue(d label.Dimension, r fivetuple.Rule) engine.Value {
-	switch d {
-	case label.DimSrcIPHigh, label.DimSrcIPLow, label.DimDstIPHigh, label.DimDstIPLow:
-		value, bits := segmentValue(d, r)
-		return engine.Prefix(uint32(value), bits)
-	case label.DimSrcPort:
-		return engine.Range(uint32(r.SrcPort.Lo), uint32(r.SrcPort.Hi))
-	case label.DimDstPort:
-		return engine.Range(uint32(r.DstPort.Lo), uint32(r.DstPort.Hi))
-	case label.DimProtocol:
-		if r.Protocol.IsWildcard() {
-			return engine.Wildcard()
-		}
-		return engine.Exact(uint32(r.Protocol.Value))
-	default:
-		return engine.Value{}
-	}
 }

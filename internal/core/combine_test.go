@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sdnpc/internal/classbench"
+	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/label"
 )
@@ -120,7 +121,7 @@ func TestRecycledLabelLeavesNoStalePrefix(t *testing.T) {
 		}
 	}
 	requirePrefixesCoverInstalled(t, c)
-	oldLabel, ok := c.view().field.labels.Table(label.DimSrcIPHigh).Lookup(fieldValue(label.DimSrcIPHigh, old))
+	oldLabel, ok := c.view().field.labels.Table(label.DimSrcIPHigh).Lookup(engine.RuleValue(label.DimSrcIPHigh, old))
 	if !ok {
 		t.Fatal("the first rule's source segment is not labelled")
 	}
@@ -131,7 +132,7 @@ func TestRecycledLabelLeavesNoStalePrefix(t *testing.T) {
 	if _, err := c.InsertRule(fresh); err != nil {
 		t.Fatalf("InsertRule(%s): %v", fresh, err)
 	}
-	freshLabel, ok := c.view().field.labels.Table(label.DimSrcIPHigh).Lookup(fieldValue(label.DimSrcIPHigh, fresh))
+	freshLabel, ok := c.view().field.labels.Table(label.DimSrcIPHigh).Lookup(engine.RuleValue(label.DimSrcIPHigh, fresh))
 	if !ok || freshLabel != oldLabel {
 		t.Fatalf("the new rule's source segment got label %d (found %v), want the recycled label %d", freshLabel, ok, oldLabel)
 	}

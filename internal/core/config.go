@@ -65,41 +65,6 @@ const (
 	DefaultDegradationThreshold = 0.5
 )
 
-// CombineMode selects how the label lists of the seven dimensions are
-// combined into Rule Filter probes in lookup phase 3.
-type CombineMode uint8
-
-// Combination modes.
-const (
-	// CombineHPML is the paper's single-probe method: the Highest Priority
-	// Matching Label of every dimension is concatenated and hashed once
-	// (§III.B). It can miss the true highest-priority matching rule when
-	// that rule does not hold the first-position label in every dimension,
-	// so nothing serves with it: only the hpml experiment of cmd/experiments
-	// selects it, to measure how often it agrees with the exact mode.
-	CombineHPML CombineMode = iota + 1
-	// CombineCrossProduct returns the best-priority rule over every
-	// combination of returned labels. It is exact (it always agrees with a
-	// linear reference search). The software finds that rule by walking only
-	// the label prefixes some installed rule has (snapshot.combineExact) — a
-	// few Rule Filter probes per packet; Result.Combinations still reports
-	// the full cross-product the hardware would examine. It is the serving
-	// mode and the yardstick for how often the single-probe mode is optimal.
-	CombineCrossProduct
-)
-
-// String names the mode.
-func (m CombineMode) String() string {
-	switch m {
-	case CombineHPML:
-		return "hpml"
-	case CombineCrossProduct:
-		return "cross-product"
-	default:
-		return fmt.Sprintf("CombineMode(%d)", uint8(m))
-	}
-}
-
 // Config parameterises a Classifier. Use DefaultConfig and override fields as
 // needed.
 type Config struct {
@@ -114,16 +79,14 @@ type Config struct {
 	// engines, label tables and Rule Filter are not built at all. SelectEngine
 	// with a field engine name builds them from the installed rules.
 	PacketEngine string
-	// CombineMode selects the phase-3 combination strategy.
-	CombineMode CombineMode
 
 	// PortRegisters is the number of port-range registers per port dimension.
 	PortRegisters int
 
 	// MaxCrossProductProbes bounds the Rule Filter slots the exact
-	// (cross-product) combination mode may read for a single lookup. A header
-	// that exhausts it is answered by a scan of the installed rules — slower,
-	// never wrong. It also caps the modelled cross-product size reported in
+	// combination walk may read for a single lookup. A header that exhausts
+	// it is answered by a scan of the installed rules — slower, never wrong.
+	// It also caps the modelled cross-product size reported in
 	// Result.Combinations.
 	MaxCrossProductProbes int
 
@@ -142,12 +105,10 @@ type Config struct {
 }
 
 // DefaultConfig returns the architecture configuration evaluated in the
-// paper, with the MBT selected and the exact (cross-product) combination
-// mode.
+// paper, with the MBT selected.
 func DefaultConfig() Config {
 	return Config{
 		IPEngine:              "mbt",
-		CombineMode:           CombineCrossProduct,
 		PortRegisters:         DefaultPortRegisters,
 		MaxCrossProductProbes: 65536,
 	}
@@ -195,9 +156,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: unknown packet engine %q (registered: %v)",
 				c.PacketEngine, engine.PacketEngineNames())
 		}
-	}
-	if c.CombineMode != CombineHPML && c.CombineMode != CombineCrossProduct {
-		return fmt.Errorf("core: unknown combination mode %v", c.CombineMode)
 	}
 	if c.PortRegisters < 1 || c.PortRegisters > 128 {
 		return fmt.Errorf("core: port register count %d out of range [1,128]", c.PortRegisters)

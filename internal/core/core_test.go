@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sdnpc/internal/classbench"
+	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/label"
 )
@@ -61,7 +62,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	invalid := []func(*Config){
 		func(c *Config) { c.IPEngine = "" }, // names neither an IP nor a packet engine
-		func(c *Config) { c.CombineMode = 0 },
 		func(c *Config) { c.PortRegisters = 0 },
 		func(c *Config) { c.PortRegisters = 1000 },
 		func(c *Config) { c.MaxCrossProductProbes = 0 },
@@ -113,15 +113,6 @@ func capacityRuleSet(n int) *fivetuple.RuleSet {
 		rules[i] = r
 	}
 	return fivetuple.NewRuleSet("capacity", rules)
-}
-
-func TestCombineModeString(t *testing.T) {
-	if CombineHPML.String() != "hpml" || CombineCrossProduct.String() != "cross-product" {
-		t.Errorf("mode names: %q, %q", CombineHPML, CombineCrossProduct)
-	}
-	if CombineMode(9).String() == "" {
-		t.Error("unknown mode should still render")
-	}
 }
 
 func TestInsertAndLookupSmallSet(t *testing.T) {
@@ -183,42 +174,97 @@ func TestLookupAgainstReferenceOnGeneratedFilterSets(t *testing.T) {
 	}
 }
 
+// fieldHeads runs phase 2 of a lookup on the published snapshot and returns
+// the head of every dimension's label list — its Highest Priority Matching
+// Label — in label.Dimensions() order; ok is false when some dimension
+// matched no label.
+func fieldHeads(c *Classifier, h fivetuple.Header) (heads [label.NumDimensions]label.PriorityLabel, ok bool) {
+	var (
+		fields [label.NumDimensions]fieldLookup
+		lists  [label.NumDimensions]label.List
+	)
+	for i := range fields {
+		fields[i].list = &lists[i]
+	}
+	c.view().lookupFieldsInto(h, fields[:])
+	for i := range fields {
+		if heads[i], ok = fields[i].list.HPML(); !ok {
+			return heads, false
+		}
+	}
+	return heads, true
+}
+
+// requireHeads asserts the head of every dimension's list for the header:
+// the label of the want rule's field value and, in the priority-ordered IP
+// segments (port and protocol lists are ordered by specificity), that
+// value's best rule priority.
+func requireHeads(t *testing.T, c *Classifier, h fivetuple.Header, want fivetuple.Rule) {
+	t.Helper()
+	heads, ok := fieldHeads(c, h)
+	if !ok {
+		t.Fatalf("%s: some dimension matched no label", h)
+	}
+	for i, d := range label.Dimensions() {
+		v := engine.RuleValue(d, want)
+		lbl, _ := c.view().field.labels.Table(d).Lookup(v)
+		if heads[i].Label != lbl {
+			t.Errorf("%s: %s list head is label %d, want %d (%s)", h, d, heads[i].Label, lbl, v)
+		}
+		if best, _ := c.view().field.labels.Table(d).Best(v); i < len(ipSegmentDims) && heads[i].Priority != best {
+			t.Errorf("%s: %s list head is at priority %d, want %d (%s)", h, d, heads[i].Priority, best, v)
+		}
+	}
+}
+
 func TestHPMLModeIsSoundAndSingleProbe(t *testing.T) {
-	// The paper's single-probe combination (§III.B) concatenates only the
-	// first-position label of each dimension, so it can return "no match" or
-	// a lower-priority rule when the true HPMR does not hold the HPML in
-	// every dimension. Two properties must nevertheless hold:
+	// The paper's single-probe combination (§III.B) concatenates the head
+	// label of each dimension's list and probes the Rule Filter once. It can
+	// return "no match" or a lower-priority rule when the true HPMR does not
+	// hold the head label in every dimension, so nothing serves with it; two
+	// properties must nevertheless hold of the lists it reads:
 	//
-	//  1. soundness: any rule it does return genuinely matches the packet;
-	//  2. cost: it examines exactly one combination per lookup.
+	//  1. every head in the priority-ordered IP segments carries its field
+	//     value's best rule priority;
+	//  2. soundness: any rule the one probe returns genuinely matches the
+	//     packet.
 	//
-	// The agreement rate with the exact (cross-product) mode is measured and
-	// reported by the experiment harness (EXPERIMENTS.md) rather than
-	// asserted here, because it depends on the workload's shadowing
-	// structure.
+	// The agreement rate with the exact walk is measured and reported by the
+	// experiment harness (bench.HPMLAccuracy) rather than asserted here,
+	// because it depends on the workload's shadowing structure.
 	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 300, Seed: 21})
-	cfg := DefaultConfig()
-	cfg.CombineMode = CombineHPML
-	c := MustNew(cfg)
+	c := MustNew(DefaultConfig())
 	if _, err := c.InstallRuleSet(rs); err != nil {
 		t.Fatalf("InstallRuleSet: %v", err)
 	}
+	s := c.view()
 	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{Packets: 500, Seed: 9, MatchFraction: 0.9})
 	hits := 0
 	for _, h := range trace {
-		got := c.Lookup(h)
-		if got.Combinations != 1 {
-			t.Fatalf("HPML mode examined %d combinations, want exactly 1", got.Combinations)
+		heads, ok := fieldHeads(c, h)
+		if !ok {
+			continue
 		}
-		if got.Matched {
+		var labels [label.NumDimensions + 1]label.Label
+		for i, d := range label.Dimensions() {
+			labels[d] = heads[i].Label
+			if i >= len(ipSegmentDims) {
+				continue
+			}
+			v, _ := s.field.labels.Table(d).Value(heads[i].Label)
+			if best, _ := s.field.labels.Table(d).Best(v); heads[i].Priority != best {
+				t.Fatalf("%s: %s head %s is at priority %d, its best rule's is %d", h, d, v, heads[i].Priority, best)
+			}
+		}
+		if entry, _ := s.field.filter.lookup(label.PackKeyDims(&labels)); entry != nil {
 			hits++
-			if !rs.Rule(got.Priority).Matches(h) {
-				t.Fatalf("HPML mode returned rule %d which does not match %s", got.Priority, h)
+			if !rs.Rule(entry.priority).Matches(h) {
+				t.Fatalf("the single probe returned rule %d which does not match %s", entry.priority, h)
 			}
 		}
 	}
 	if hits == 0 {
-		t.Error("HPML mode never returned a match on a 90%-matching trace")
+		t.Error("the single probe never returned a match on a 90%-matching trace")
 	}
 }
 
@@ -256,10 +302,10 @@ func TestUpdateReportFollowsFigure4(t *testing.T) {
 	if repB.NewLabels != 1 {
 		t.Errorf("second rule NewLabels = %d, want 1", repB.NewLabels)
 	}
-	if got := c.view().field.labels.Table(label.DimDstPort).RefCount(fieldValue(label.DimDstPort, ruleA)); got != 1 {
+	if got := c.view().field.labels.Table(label.DimDstPort).RefCount(engine.RuleValue(label.DimDstPort, ruleA)); got != 1 {
 		t.Errorf("dst port 80 refcount = %d, want 1", got)
 	}
-	if got := c.view().field.labels.Table(label.DimProtocol).RefCount(fieldValue(label.DimProtocol, ruleA)); got != 2 {
+	if got := c.view().field.labels.Table(label.DimProtocol).RefCount(engine.RuleValue(label.DimProtocol, ruleA)); got != 2 {
 		t.Errorf("protocol refcount = %d, want 2", got)
 	}
 
@@ -313,11 +359,9 @@ func TestDeleteRestoresShadowedRule(t *testing.T) {
 
 func TestDeleteReprioritisesSharedFieldValues(t *testing.T) {
 	// Two rules share a source prefix; deleting the higher-priority one must
-	// leave the shared label ordered by the surviving rule's priority so HPML
-	// lookups stay consistent.
-	cfg := DefaultConfig()
-	cfg.CombineMode = CombineHPML
-	c := MustNew(cfg)
+	// leave the shared label ordered by the surviving rule's priority, so the
+	// head of each list stays its Highest Priority Matching Label.
+	c := MustNew(DefaultConfig())
 	shared := fivetuple.MustParsePrefix("10.0.0.0/8")
 	ruleHigh := fivetuple.Rule{
 		SrcPrefix: shared, DstPrefix: fivetuple.MustParsePrefix("192.168.1.0/24"),
@@ -342,6 +386,7 @@ func TestDeleteReprioritisesSharedFieldValues(t *testing.T) {
 		SrcIP: fivetuple.MustParseIPv4("10.9.9.9"), DstIP: fivetuple.MustParseIPv4("192.168.2.7"),
 		SrcPort: 1000, DstPort: 80, Protocol: fivetuple.ProtoTCP,
 	}
+	requireHeads(t, c, h, ruleLow)
 	got := c.Lookup(h)
 	if !got.Matched || got.Priority != 7 || got.Action != fivetuple.ActionDrop {
 		t.Fatalf("lookup after reprioritising delete = %+v, want rule 7", got)

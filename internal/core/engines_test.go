@@ -9,7 +9,7 @@ import (
 
 // TestEveryIPEngineMatchesReferenceClassifier installs a generated filter
 // set under every registered IP engine and replays a trace, requiring the
-// exact combination mode to agree with the linear reference classifier —
+// exact combination walk to agree with the linear reference classifier —
 // HPMR correctness is engine-independent.
 func TestEveryIPEngineMatchesReferenceClassifier(t *testing.T) {
 	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, classbench.Size1K))

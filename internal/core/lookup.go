@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sdnpc/internal/cache"
+	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/label"
 )
@@ -33,9 +34,9 @@ type Result struct {
 	// Combinations is the modelled phase-3 cost: the size of the label
 	// cross-product the header presents (the product of the seven list
 	// lengths, capped by Config.MaxCrossProductProbes), which is what the
-	// hardware pipeline would examine. It is 1 in HPML mode and 0 when some
-	// dimension matched no label. The software walk visits far fewer
-	// combinations than this; see RuleFilterProbes.
+	// hardware pipeline would examine. It is 0 when some dimension matched
+	// no label. The software walk visits far fewer combinations than this;
+	// see RuleFilterProbes.
 	Combinations int
 }
 
@@ -67,8 +68,7 @@ var lookupScratchPool = sync.Pool{New: func() any {
 }}
 
 // Lookup classifies one packet header through the four pipelined phases of
-// Fig. 3 and returns the Highest Priority Matching Rule found by the
-// configured combination mode.
+// Fig. 3 and returns the Highest Priority Matching Rule.
 //
 // Lookup is lock-free and safe to call from any number of goroutines: it
 // loads the published snapshot once and traverses only that snapshot, so a
@@ -215,12 +215,7 @@ func (s *snapshot) lookup(cfg *Config, h fivetuple.Header) Result {
 		}
 	}
 
-	switch cfg.CombineMode {
-	case CombineHPML:
-		return s.combineHPML(fields, result)
-	default:
-		return s.combineExact(cfg, h, fields, result)
-	}
+	return s.combineExact(cfg, h, fields, result)
 }
 
 // lookupPacket serves one header from the whole-packet engine tier. The
@@ -241,54 +236,17 @@ func (s *snapshot) lookupPacket(h fivetuple.Header) Result {
 	return result
 }
 
-// headerKeys splits the header into the per-dimension lookup keys of
-// phase 1 — pure header-format extraction, independent of which engine
-// serves each dimension. Indexed by Dimension (a dense 1-based enum) to
-// keep the per-packet hot path allocation-free.
-func headerKeys(h fivetuple.Header) [label.NumDimensions + 1]uint32 {
-	var keys [label.NumDimensions + 1]uint32
-	keys[label.DimSrcIPHigh] = uint32(h.SrcIP.High16())
-	keys[label.DimSrcIPLow] = uint32(h.SrcIP.Low16())
-	keys[label.DimDstIPHigh] = uint32(h.DstIP.High16())
-	keys[label.DimDstIPLow] = uint32(h.DstIP.Low16())
-	keys[label.DimSrcPort] = uint32(h.SrcPort)
-	keys[label.DimDstPort] = uint32(h.DstPort)
-	keys[label.DimProtocol] = uint32(h.Protocol)
-	return keys
-}
-
 // lookupFieldsInto performs the parallel phase-2 lookups: every dimension's
 // key is handed to that dimension's engine through the FieldEngine
 // interface, filling the caller's per-dimension slots (one per entry of
 // label.Dimensions(), whose lists must be non-nil) without allocating.
 func (s *snapshot) lookupFieldsInto(h fivetuple.Header, out []fieldLookup) {
-	keys := headerKeys(h)
+	keys := engine.HeaderKeys(h)
 	for i, d := range label.Dimensions() {
 		eng := s.field.engines[d]
 		out[i].dim = d
 		out[i].accesses = eng.LookupInto(keys[d], out[i].list)
 	}
-}
-
-// combineHPML implements the paper's phase-3 combination: the first (highest
-// priority) label of each list is concatenated into the 68-bit key and the
-// Rule Filter is probed once.
-func (s *snapshot) combineHPML(fields []fieldLookup, result Result) Result {
-	var labels [label.NumDimensions + 1]label.Label
-	for i := range fields {
-		hpml, _ := fields[i].list.HPML()
-		labels[fields[i].dim] = hpml.Label
-	}
-	result.Combinations = 1
-	entry, probes := s.field.filter.lookup(label.PackKeyDims(&labels))
-	result.RuleFilterProbes = probes
-	if entry != nil {
-		result.Matched = true
-		result.Priority = entry.priority
-		result.Action = entry.action
-		result.ActionArg = entry.actionArg
-	}
-	return result
 }
 
 // combineExact finds the HPMR among every combination of matching labels
@@ -299,7 +257,9 @@ func (s *snapshot) combineHPML(fields []fieldLookup, result Result) Result {
 // dimensions — a handful per packet where the full cross-product runs to
 // hundreds. The prefix set only prunes: every verdict comes from a Rule
 // Filter probe, so a false positive costs a wasted step and the answer is
-// exact.
+// exact. (The paper's single probe of the seven list heads, §III.B, misses
+// the HPMR whenever it does not hold the head label in every dimension; the
+// hpml experiment of cmd/experiments measures how often.)
 //
 // Config.MaxCrossProductProbes bounds the Rule Filter slots the walk may
 // read; a header that exhausts it is answered by the installed-rule scan

@@ -74,9 +74,8 @@ type fieldTier struct {
 
 	// prefixes is the set of label prefixes the installed rules' combination
 	// keys have, which lets the combination walk skip label tuples no rule
-	// uses. prepare rebuilds it from the table on every publish in the exact
-	// combination mode; it is empty in HPML mode, and clone does not carry
-	// it.
+	// uses. prepare rebuilds it from the table on every publish, and clone
+	// does not carry it.
 	prefixes prefixSet
 }
 
@@ -248,7 +247,7 @@ func (f *fieldTier) restoreLabels(table *ruleTable) {
 	for _, d := range label.Dimensions() {
 		f.labels.Table(d).Restore(table.len(), func(i int) (engine.Value, label.PriorityLabel) {
 			r := table.at(i)
-			return fieldValue(d, *r), label.PriorityLabel{Label: table.key(i).Label(d), Priority: r.Priority}
+			return engine.RuleValue(d, *r), label.PriorityLabel{Label: table.key(i).Label(d), Priority: r.Priority}
 		})
 	}
 }
@@ -339,16 +338,13 @@ func (p *packetTier) applyDeltas(inc engine.IncrementalPacketEngine) (applied in
 // field tier's prefix set, which must not be recomputed per packet, and
 // stamps the tier with the label bank's footprint so Report never reads the
 // writer's bank. A packet tier is complete once syncPacket has run.
-func (s *snapshot) prepare(cfg *Config) {
+func (s *snapshot) prepare() {
 	f := s.field
 	if f == nil {
 		return
 	}
 	f.labelTableBits = f.labels.StorageBits()
-	f.prefixes = prefixSet{}
-	if cfg.CombineMode != CombineHPML {
-		f.prefixes = newPrefixSet(&s.table)
-	}
+	f.prefixes = newPrefixSet(&s.table)
 	for _, d := range label.Dimensions() {
 		if p, ok := f.engines[d].(engine.Preparer); ok {
 			p.Prepare()

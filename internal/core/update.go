@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/label"
 )
@@ -190,7 +191,7 @@ func (f *fieldTier) insertRule(r fivetuple.Rule, report *UpdateReport) (label.Co
 	// rollback undoes the first n dimensions, last first.
 	rollback := func(n int) {
 		for _, d := range slices.Backward(label.Dimensions()[:n]) {
-			v := fieldValue(d, r)
+			v := engine.RuleValue(d, r)
 			tbl := f.labels.Table(d)
 			if _, removed, err := tbl.Release(v, r.Priority); err == nil && removed {
 				// The value was created by this insertion; undo the engine
@@ -205,7 +206,7 @@ func (f *fieldTier) insertRule(r fivetuple.Rule, report *UpdateReport) (label.Co
 	}
 
 	for i, d := range label.Dimensions() {
-		v := fieldValue(d, r)
+		v := engine.RuleValue(d, r)
 		tbl := f.labels.Table(d)
 		previousBest, _ := tbl.Best(v)
 		lbl, created, err := tbl.Acquire(v, r.Priority)
@@ -272,7 +273,7 @@ func (f *fieldTier) deleteRule(r fivetuple.Rule, key label.CombinationKey, repor
 		return false, errors.New("rule filter entry missing")
 	}
 	for _, d := range label.Dimensions() {
-		v := fieldValue(d, r)
+		v := engine.RuleValue(d, r)
 		lbl, removed, err := f.labels.Table(d).Release(v, r.Priority)
 		if err != nil {
 			return true, err

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/label"
 )
 
@@ -87,6 +88,57 @@ func Exact(value uint32) Value {
 // Wildcard returns a match-all condition.
 func Wildcard() Value {
 	return Value{Kind: KindWildcard}
+}
+
+// RuleValue extracts the match condition of a rule in one label dimension —
+// the data handed to that dimension's engine, and the key the dimension's
+// label table knows the value by. This is pure header-format extraction;
+// which algorithm stores the value is decided by the registry, not here.
+// Partially masked protocols never reach the field tier (they are extended
+// rules).
+func RuleValue(d label.Dimension, r fivetuple.Rule) Value {
+	var (
+		seg  uint16
+		bits uint8
+	)
+	switch d {
+	case label.DimSrcIPHigh:
+		seg, bits = r.SrcPrefix.HighSegment()
+	case label.DimSrcIPLow:
+		seg, bits = r.SrcPrefix.LowSegment()
+	case label.DimDstIPHigh:
+		seg, bits = r.DstPrefix.HighSegment()
+	case label.DimDstIPLow:
+		seg, bits = r.DstPrefix.LowSegment()
+	case label.DimSrcPort:
+		return Range(uint32(r.SrcPort.Lo), uint32(r.SrcPort.Hi))
+	case label.DimDstPort:
+		return Range(uint32(r.DstPort.Lo), uint32(r.DstPort.Hi))
+	case label.DimProtocol:
+		if r.Protocol.IsWildcard() {
+			return Wildcard()
+		}
+		return Exact(uint32(r.Protocol.Value))
+	default:
+		return Value{}
+	}
+	return Prefix(uint32(seg), bits)
+}
+
+// HeaderKeys splits a header into the per-dimension lookup keys of lookup
+// phase 1 — pure header-format extraction, independent of which engine
+// serves each dimension. Indexed by label.Dimension (a dense 1-based enum)
+// to keep the per-packet hot path allocation-free.
+func HeaderKeys(h fivetuple.Header) [label.NumDimensions + 1]uint32 {
+	var keys [label.NumDimensions + 1]uint32
+	keys[label.DimSrcIPHigh] = uint32(h.SrcIP.High16())
+	keys[label.DimSrcIPLow] = uint32(h.SrcIP.Low16())
+	keys[label.DimDstIPHigh] = uint32(h.DstIP.High16())
+	keys[label.DimDstIPLow] = uint32(h.DstIP.Low16())
+	keys[label.DimSrcPort] = uint32(h.SrcPort)
+	keys[label.DimDstPort] = uint32(h.DstPort)
+	keys[label.DimProtocol] = uint32(h.Protocol)
+	return keys
 }
 
 // String renders the condition.

@@ -1,9 +1,6 @@
 package fivetuple
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Action is the forwarding action attached to a rule, mirroring the OpenFlow
 // actions mentioned by the paper: forwarding, modification and redirection to
@@ -39,24 +36,6 @@ func (a Action) String() string {
 		return "controller"
 	default:
 		return fmt.Sprintf("Action(%d)", uint8(a))
-	}
-}
-
-// ParseAction parses an action name produced by Action.String.
-func ParseAction(s string) (Action, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "forward":
-		return ActionForward, nil
-	case "drop":
-		return ActionDrop, nil
-	case "modify":
-		return ActionModify, nil
-	case "group":
-		return ActionGroup, nil
-	case "controller":
-		return ActionController, nil
-	default:
-		return 0, fmt.Errorf("fivetuple: unknown action %q", s)
 	}
 }
 
@@ -192,28 +171,5 @@ func (r Rule) FieldKey(f Field) string {
 		return r.Protocol.String()
 	default:
 		return ""
-	}
-}
-
-// CoverageWeight returns a coarse measure of how much of the header space the
-// rule covers in the given dimension (0 = exact, larger = wider). HyperCuts
-// and EffiCuts style heuristics use this to pick cut dimensions.
-func (r Rule) CoverageWeight(f Field) float64 {
-	switch f {
-	case FieldSrcIP:
-		return float64(uint64(1) << (32 - uint(r.SrcPrefix.Len)))
-	case FieldDstIP:
-		return float64(uint64(1) << (32 - uint(r.DstPrefix.Len)))
-	case FieldSrcPort:
-		return float64(r.SrcPort.Width())
-	case FieldDstPort:
-		return float64(r.DstPort.Width())
-	case FieldProtocol:
-		if r.Protocol.IsWildcard() {
-			return 256
-		}
-		return 1
-	default:
-		return 0
 	}
 }

@@ -1,9 +1,6 @@
 package fivetuple
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // RuleSet is an ordered collection of classification rules: a filter set in
 // ClassBench terminology, a flow table in OpenFlow terminology.
@@ -86,19 +83,6 @@ func (rs *RuleSet) Classify(h Header) (int, bool) {
 	return 0, false
 }
 
-// MatchingRules returns the indices of all rules matching the header, in
-// priority order. Label-based engines return the full matching set per field;
-// this is the multi-field equivalent used in tests.
-func (rs *RuleSet) MatchingRules(h Header) []int {
-	var out []int
-	for i, r := range rs.rules {
-		if r.Matches(h) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // ClassifyAll returns the indices of the matching rules that contribute to
 // the multi-action verdict, in priority order: every matching non-terminating
 // rule up to and including the first matching terminating rule. This is the
@@ -118,139 +102,13 @@ func (rs *RuleSet) ClassifyAll(h Header) []int {
 	return out
 }
 
-// UniqueFieldValues returns the distinct field keys present in the set for
-// the given dimension, in first-appearance (priority) order. The length of
-// the result is the "number of unique rule fields" reported in Table II of
-// the paper and determines the label-table sizes.
-func (rs *RuleSet) UniqueFieldValues(f Field) []string {
-	seen := make(map[string]struct{}, len(rs.rules))
-	var out []string
-	for _, r := range rs.rules {
-		key := r.FieldKey(f)
-		if _, ok := seen[key]; ok {
-			continue
-		}
-		seen[key] = struct{}{}
-		out = append(out, key)
-	}
-	return out
-}
-
-// UniqueFieldCount returns len(UniqueFieldValues(f)) without materialising
-// the value list.
+// UniqueFieldCount returns the number of distinct field keys present in the
+// set for the given dimension — the "number of unique rule fields" reported
+// in Table II of the paper, which determines the label-table sizes.
 func (rs *RuleSet) UniqueFieldCount(f Field) int {
 	seen := make(map[string]struct{}, len(rs.rules))
 	for _, r := range rs.rules {
 		seen[r.FieldKey(f)] = struct{}{}
 	}
 	return len(seen)
-}
-
-// FieldStatistics summarises the structure of one dimension of the rule set.
-type FieldStatistics struct {
-	Field        Field
-	UniqueValues int
-	Wildcards    int
-	ExactMatches int
-	// PrefixLengthHistogram counts rules per prefix length (IP fields only).
-	PrefixLengthHistogram [33]int
-	// RangeRules counts non-exact, non-wildcard port ranges (port fields only).
-	RangeRules int
-}
-
-// Statistics computes per-field statistics for the whole rule set.
-func (rs *RuleSet) Statistics() []FieldStatistics {
-	stats := make([]FieldStatistics, 0, NumFields)
-	for _, f := range Fields() {
-		s := FieldStatistics{Field: f, UniqueValues: rs.UniqueFieldCount(f)}
-		for _, r := range rs.rules {
-			switch f {
-			case FieldSrcIP, FieldDstIP:
-				p := r.SrcPrefix
-				if f == FieldDstIP {
-					p = r.DstPrefix
-				}
-				s.PrefixLengthHistogram[p.Len]++
-				if p.IsWildcard() {
-					s.Wildcards++
-				}
-				if p.Len == 32 {
-					s.ExactMatches++
-				}
-			case FieldSrcPort, FieldDstPort:
-				pr := r.SrcPort
-				if f == FieldDstPort {
-					pr = r.DstPort
-				}
-				switch {
-				case pr.IsWildcard():
-					s.Wildcards++
-				case pr.IsExact():
-					s.ExactMatches++
-				default:
-					s.RangeRules++
-				}
-			case FieldProtocol:
-				if r.Protocol.IsWildcard() {
-					s.Wildcards++
-				} else {
-					s.ExactMatches++
-				}
-			}
-		}
-		stats = append(stats, s)
-	}
-	return stats
-}
-
-// OverlapDegree returns, for a sample of rule pairs, the fraction that
-// overlap in every dimension. Decision-tree classifiers degrade as overlap
-// grows; the statistic is used by the experiment harness to characterise the
-// generated filter sets.
-func (rs *RuleSet) OverlapDegree() float64 {
-	n := len(rs.rules)
-	if n < 2 {
-		return 0
-	}
-	// Bound the O(n^2) scan for very large sets.
-	const maxPairs = 200000
-	pairs := 0
-	overlapping := 0
-	for i := 0; i < n && pairs < maxPairs; i++ {
-		for j := i + 1; j < n && pairs < maxPairs; j++ {
-			pairs++
-			a, b := rs.rules[i], rs.rules[j]
-			if a.SrcPrefix.Overlaps(b.SrcPrefix) &&
-				a.DstPrefix.Overlaps(b.DstPrefix) &&
-				a.SrcPort.Overlaps(b.SrcPort) &&
-				a.DstPort.Overlaps(b.DstPort) &&
-				(a.Protocol.IsWildcard() || b.Protocol.IsWildcard() || a.Protocol.Value == b.Protocol.Value) {
-				overlapping++
-			}
-		}
-	}
-	return float64(overlapping) / float64(pairs)
-}
-
-// SortedPrefixLengths returns the distinct prefix lengths used by the given
-// IP dimension in ascending order. Segment-trie and DCFL style engines build
-// one search structure per distinct length.
-func (rs *RuleSet) SortedPrefixLengths(f Field) []uint8 {
-	if f != FieldSrcIP && f != FieldDstIP {
-		return nil
-	}
-	seen := make(map[uint8]struct{})
-	for _, r := range rs.rules {
-		p := r.SrcPrefix
-		if f == FieldDstIP {
-			p = r.DstPrefix
-		}
-		seen[p.Len] = struct{}{}
-	}
-	out := make([]uint8, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -116,10 +116,6 @@ func TestRuleSetClassifyReturnsHPMR(t *testing.T) {
 	if !ok || idx != 0 {
 		t.Fatalf("Classify() = (%d, %v), want (0, true)", idx, ok)
 	}
-	matches := rs.MatchingRules(h)
-	if len(matches) != 2 || matches[0] != 0 || matches[1] != 4 {
-		t.Errorf("MatchingRules() = %v, want [0 4]", matches)
-	}
 }
 
 func TestRuleSetClassifyNoDefault(t *testing.T) {
@@ -205,9 +201,6 @@ func TestUniqueFieldValues(t *testing.T) {
 			if got := rs.UniqueFieldCount(tt.field); got != tt.want {
 				t.Errorf("UniqueFieldCount(%s) = %d, want %d", tt.field, got, tt.want)
 			}
-			if got := len(rs.UniqueFieldValues(tt.field)); got != tt.want {
-				t.Errorf("len(UniqueFieldValues(%s)) = %d, want %d", tt.field, got, tt.want)
-			}
 		})
 	}
 }
@@ -223,90 +216,6 @@ func TestFieldKeyCanonicalises(t *testing.T) {
 	}
 	if got := (Rule{}).FieldKey(Field(42)); got != "" {
 		t.Errorf("unknown field key = %q, want empty", got)
-	}
-}
-
-func TestStatistics(t *testing.T) {
-	rs := NewRuleSet("sample", sampleRules())
-	stats := rs.Statistics()
-	if len(stats) != NumFields {
-		t.Fatalf("Statistics() returned %d entries, want %d", len(stats), NumFields)
-	}
-	byField := make(map[Field]FieldStatistics, len(stats))
-	for _, s := range stats {
-		byField[s.Field] = s
-	}
-	srcIP := byField[FieldSrcIP]
-	if srcIP.PrefixLengthHistogram[8] != 2 {
-		t.Errorf("srcIP /8 histogram = %d, want 2", srcIP.PrefixLengthHistogram[8])
-	}
-	if srcIP.ExactMatches != 1 {
-		t.Errorf("srcIP exact matches = %d, want 1", srcIP.ExactMatches)
-	}
-	dstPort := byField[FieldDstPort]
-	if dstPort.ExactMatches != 3 || dstPort.RangeRules != 1 || dstPort.Wildcards != 1 {
-		t.Errorf("dstPort stats = %+v, want 3 exact / 1 range / 1 wildcard", dstPort)
-	}
-	proto := byField[FieldProtocol]
-	if proto.ExactMatches != 4 || proto.Wildcards != 1 {
-		t.Errorf("protocol stats = %+v, want 4 exact / 1 wildcard", proto)
-	}
-}
-
-func TestOverlapDegree(t *testing.T) {
-	// Identical rules overlap fully.
-	r := sampleRules()[0]
-	rs := NewRuleSet("dup", []Rule{r, r, r})
-	if got := rs.OverlapDegree(); got != 1 {
-		t.Errorf("OverlapDegree() of identical rules = %v, want 1", got)
-	}
-	// Disjoint source prefixes never overlap.
-	a := r
-	a.SrcPrefix = MustParsePrefix("10.0.0.0/8")
-	b := r
-	b.SrcPrefix = MustParsePrefix("11.0.0.0/8")
-	rs = NewRuleSet("disjoint", []Rule{a, b})
-	if got := rs.OverlapDegree(); got != 0 {
-		t.Errorf("OverlapDegree() of disjoint rules = %v, want 0", got)
-	}
-	single := NewRuleSet("single", []Rule{a})
-	if got := single.OverlapDegree(); got != 0 {
-		t.Errorf("OverlapDegree() of single rule = %v, want 0", got)
-	}
-}
-
-func TestSortedPrefixLengths(t *testing.T) {
-	rs := NewRuleSet("sample", sampleRules())
-	got := rs.SortedPrefixLengths(FieldSrcIP)
-	want := []uint8{0, 8, 32}
-	if len(got) != len(want) {
-		t.Fatalf("SortedPrefixLengths(srcIP) = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedPrefixLengths(srcIP) = %v, want %v", got, want)
-		}
-	}
-	if rs.SortedPrefixLengths(FieldProtocol) != nil {
-		t.Error("SortedPrefixLengths on non-IP field should be nil")
-	}
-}
-
-func TestActionRoundTrip(t *testing.T) {
-	for _, a := range []Action{ActionForward, ActionDrop, ActionModify, ActionGroup, ActionController} {
-		parsed, err := ParseAction(a.String())
-		if err != nil {
-			t.Fatalf("ParseAction(%q) error: %v", a.String(), err)
-		}
-		if parsed != a {
-			t.Errorf("ParseAction(%q) = %v, want %v", a.String(), parsed, a)
-		}
-	}
-	if _, err := ParseAction("explode"); err == nil {
-		t.Error("ParseAction of unknown action should fail")
-	}
-	if got := Action(200).String(); got != "Action(200)" {
-		t.Errorf("unknown action String() = %q", got)
 	}
 }
 
@@ -422,28 +331,5 @@ func TestWildcardRule(t *testing.T) {
 		if !w.Matches(h) {
 			t.Errorf("wildcard rule should match %s", h)
 		}
-	}
-}
-
-func TestCoverageWeight(t *testing.T) {
-	r := sampleRules()[0]
-	if got := r.CoverageWeight(FieldSrcIP); got != float64(uint64(1)<<24) {
-		t.Errorf("CoverageWeight(srcIP) = %v, want 2^24", got)
-	}
-	if got := r.CoverageWeight(FieldDstPort); got != 1 {
-		t.Errorf("CoverageWeight(dstPort) = %v, want 1", got)
-	}
-	if got := r.CoverageWeight(FieldSrcPort); got != 65536 {
-		t.Errorf("CoverageWeight(srcPort) = %v, want 65536", got)
-	}
-	if got := r.CoverageWeight(FieldProtocol); got != 1 {
-		t.Errorf("CoverageWeight(protocol) = %v, want 1", got)
-	}
-	wild := Wildcard(0, ActionDrop)
-	if got := wild.CoverageWeight(FieldProtocol); got != 256 {
-		t.Errorf("CoverageWeight(wildcard protocol) = %v, want 256", got)
-	}
-	if got := wild.CoverageWeight(Field(99)); got != 0 {
-		t.Errorf("CoverageWeight(unknown) = %v, want 0", got)
 	}
 }

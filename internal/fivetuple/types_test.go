@@ -373,6 +373,9 @@ func TestFieldString(t *testing.T) {
 	if got := Field(99).String(); got != "Field(99)" {
 		t.Errorf("unknown field String() = %q", got)
 	}
+	if got := Action(200).String(); got != "Action(200)" {
+		t.Errorf("unknown action String() = %q", got)
+	}
 	if len(Fields()) != NumFields {
 		t.Errorf("Fields() returned %d fields, want %d", len(Fields()), NumFields)
 	}

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"sdnpc"
@@ -49,7 +48,6 @@ func (a *api) routes() map[string]http.HandlerFunc {
 		"POST /v1/tenants/{id}/classify":       a.handleClassify,
 		"POST /v1/tenants/{id}/classify-batch": a.handleClassifyBatch,
 		"GET /v1/tenants/{id}/stats":           a.handleTenantStats,
-		"GET /v1/tenants/{id}/advise":          a.handleAdvise,
 	}
 }
 
@@ -186,13 +184,6 @@ type WireGlobalStats struct {
 	MemoryBits int               `json:"memory_bits"`
 	CacheBits  int               `json:"cache_bits"`
 	PerTenant  []WireTenantStats `json:"per_tenant"`
-}
-
-// AdviseResponse is the GET /v1/tenants/{id}/advise payload: the engine
-// recommendation, if any, beside the engine the tenant is serving from.
-type AdviseResponse struct {
-	Recommendations []sdnpc.Recommendation `json:"recommendations"`
-	Engine          string                 `json:"engine"`
 }
 
 // errorResponse is the uniform error envelope.
@@ -560,28 +551,6 @@ func (a *api) handleTenantStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, wireTenantStats(t))
-}
-
-// handleAdvise returns the tenant's engine report — an engine recommendation
-// from a shadow bench on a trace derived from the installed rules — and
-// changes nothing; the controller acts on it through PUT …/engine. A
-// comma-separated ?candidates= query restricts the shadow-benched engines.
-func (a *api) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	t, ok := a.tenant(w, r)
-	if !ok {
-		return
-	}
-	var candidates []string
-	if q := r.URL.Query().Get("candidates"); q != "" {
-		candidates = strings.Split(q, ",")
-	}
-	recs, err := t.Classifier.Advise(nil, candidates...)
-	if err != nil {
-		// The only error Advise returns is an unknown candidate name.
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, AdviseResponse{Recommendations: recs, Engine: t.Classifier.Engine()})
 }
 
 // handleGlobalStats sums the served-traffic and memory accounting across

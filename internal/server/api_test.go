@@ -588,56 +588,16 @@ func TestStatsEndpoints(t *testing.T) {
 	wantStatus(t, do(t, h, "GET", "/v1/tenants/ghost/stats", nil), http.StatusNotFound)
 }
 
-// TestAdviseEndpoint drives the one advise route: a read-only engine report.
-// It ranks the named candidates, reports the serving engine, leaves the
-// tenant's engine, rules, lookup counters and update plane as they were (no
-// publish, no served lookup charged to the tenant), refuses a candidate that
-// is not a selectable engine, and has no POST form.
+// TestAdviseEndpoint pins the advise route's withdrawal: the engine report
+// is gone and the controller chooses through PUT …/engine alone, so the
+// former advise path answers 404 to every method on a live tenant, like any
+// path the API does not serve.
 func TestAdviseEndpoint(t *testing.T) {
 	_, h := newTestServer()
 	wantStatus(t, do(t, h, "POST", "/v1/tenants", server.CreateTenantRequest{ID: "adv"}), http.StatusCreated)
-	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 300, Seed: 42})
-	wire := make([]server.WireRule, rs.Len())
-	for i, r := range rs.Rules() {
-		wire[i] = wireRuleFrom(r)
-	}
-	wantStatus(t, do(t, h, "POST", "/v1/tenants/adv/rules", map[string]any{"rules": wire}), http.StatusOK)
-	wantStatus(t, do(t, h, "POST", "/v1/tenants/adv/classify", server.WireHeader{SrcIP: "10.0.0.1", DstIP: "1.1.1.1"}), http.StatusOK)
-
-	stats := func() server.WireTenantStats {
-		rec := do(t, h, "GET", "/v1/tenants/adv/stats", nil)
-		wantStatus(t, rec, http.StatusOK)
-		var ts server.WireTenantStats
-		decode(t, rec, &ts)
-		return ts
-	}
-	before := stats()
-
-	rec := do(t, h, "GET", "/v1/tenants/adv/advise?candidates=mbt,bst,hypercuts", nil)
-	wantStatus(t, rec, http.StatusOK)
-	var adv server.AdviseResponse
-	decode(t, rec, &adv)
-	if adv.Engine != before.Engine {
-		t.Fatalf("advise engine = %q, want the serving engine %q", adv.Engine, before.Engine)
-	}
-	for i := 1; i < len(adv.Recommendations); i++ {
-		if adv.Recommendations[i].Score > adv.Recommendations[i-1].Score {
-			t.Fatalf("recommendations not sorted by score: %v", adv.Recommendations)
-		}
-	}
-	after := stats()
-	if after.Engine != before.Engine || after.Rules != before.Rules ||
-		after.Lookups != before.Lookups || after.Update != before.Update {
-		t.Fatalf("advise changed the tenant:\nbefore %+v\nafter  %+v", before, after)
-	}
-
-	rec = do(t, h, "GET", "/v1/tenants/adv/advise?candidates=mbt,hypercutz", nil)
-	wantStatus(t, rec, http.StatusBadRequest)
-	if body := rec.Body.String(); !strings.Contains(body, "hypercutz") || !strings.Contains(body, "hypercuts") {
-		t.Fatalf("400 body %q must name the unknown candidate and the selectable engines", body)
-	}
-	wantStatus(t, do(t, h, "POST", "/v1/tenants/adv/advise", `{}`), http.StatusMethodNotAllowed)
-	wantStatus(t, do(t, h, "GET", "/v1/tenants/ghost/advise", nil), http.StatusNotFound)
+	wantStatus(t, do(t, h, "GET", "/v1/tenants/adv/advise", nil), http.StatusNotFound)
+	wantStatus(t, do(t, h, "POST", "/v1/tenants/adv/advise", `{}`), http.StatusNotFound)
+	wantStatus(t, do(t, h, "GET", "/v1/tenants/adv/stats", nil), http.StatusOK)
 }
 
 // TestRoutesCovered pins the route table: every pattern the handler serves is

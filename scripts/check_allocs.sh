@@ -3,8 +3,8 @@
 #
 # Runs the testing.AllocsPerRun-based tests asserting 0 allocs/op for Lookup,
 # LookupBatchInto and the multi-action LookupAllInto on every selectable
-# engine of both tiers, cached and uncached, in the exact (cross-product)
-# combination mode every classifier serves with. The serving path returns
+# engine of both tiers, cached and uncached, through the exact combination
+# walk, the field tier's only one. The serving path returns
 # the verdict and the access counters only; the paper's modelled cycles are
 # computed by the experiment harness, off this path. A single stray
 # allocation on any serving path fails the gate, so the flat layout's

@@ -20,11 +20,12 @@
 // unique values are (lo,hi) pairs indexed by label, and each aggregation node
 // is an open-addressed hash of 3-word slots plus the combination sets, all in
 // internal/cow chunks. Sets list stable rule ids, best-first by (priority,
-// id), and a lookup answers in those ids, so a delta update renumbers
-// nothing: it writes the set chunk of each node it edits, the rule chunk it
-// fills and, for a new value or combination, a field or slot chunk — and
-// every clone shares the rest. Classify keeps its per-packet label sets in a
-// pooled scratch and allocates nothing.
+// id), and a lookup answers in those ids; the rules themselves are 40-byte
+// fivetuple.PackedRule records by id, which carry the verdict. So a delta
+// update renumbers nothing: it writes the set chunk of each node it edits,
+// the record chunk it fills and, for a new value or combination, a field or
+// slot chunk — and every clone shares the rest. Classify keeps its
+// per-packet label sets in a pooled scratch and allocates nothing.
 package dcfl
 
 import (
@@ -69,11 +70,11 @@ type aggNode struct {
 
 // Classifier is a DCFL classifier built from a rule set.
 type Classifier struct {
-	// rules stores the rules by id. Build numbers the rules best-first and
-	// an insert appends, so ids only grow between builds and (priority, id)
-	// is the best-first order, ties included; a delete retires its id (see
-	// delta.go).
-	rules cow.Array[fivetuple.Rule]
+	// rules stores the rules' records by id. Build numbers the rules
+	// best-first and an insert appends, so ids only grow between builds and
+	// (priority, id) is the best-first order, ties included; a delete
+	// retires its id (see delta.go).
+	rules cow.Array[fivetuple.PackedRule]
 	live  int
 
 	// fields holds each field's unique values, the label being the index.
@@ -102,29 +103,11 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// fieldRange converts one rule field into the inclusive (lo,hi) range the
-// value arrays store. Canonical prefixes are contiguous ranges, so range
+// fieldRange returns the inclusive (lo,hi) range the value arrays store for
+// one field of a rule. Canonical prefixes are contiguous ranges, so range
 // containment is exactly prefix match.
-func fieldRange(f fieldIndex, r *fivetuple.Rule) (lo, hi uint32) {
-	switch f {
-	case fieldSrcIP:
-		p := r.SrcPrefix.Canonical()
-		span := uint64(1) << (32 - uint64(p.Len))
-		return uint32(p.Addr), uint32(uint64(p.Addr) + span - 1)
-	case fieldDstIP:
-		p := r.DstPrefix.Canonical()
-		span := uint64(1) << (32 - uint64(p.Len))
-		return uint32(p.Addr), uint32(uint64(p.Addr) + span - 1)
-	case fieldSrcPort:
-		return uint32(r.SrcPort.Lo), uint32(r.SrcPort.Hi)
-	case fieldDstPort:
-		return uint32(r.DstPort.Lo), uint32(r.DstPort.Hi)
-	default:
-		if r.Protocol.IsWildcard() {
-			return 0, 255
-		}
-		return uint32(r.Protocol.Value), uint32(r.Protocol.Value)
-	}
+func fieldRange(f fieldIndex, r *fivetuple.PackedRule) (lo, hi uint32) {
+	return r.Range(fivetuple.Fields()[f])
 }
 
 // hashPair mixes a packed label pair into a hash-slot index seed.
@@ -150,10 +133,9 @@ func Build(rs *fivetuple.RuleSet) (*Classifier, error) {
 }
 
 // BuildRules constructs a DCFL classifier over rules, best-first — ascending
-// priority, ties in installation order — with rule i under id i. It keeps the
-// rules' priorities and stores the rules without copying: the caller must not
-// modify the slice afterwards. The classifier never writes it; a delta copies
-// the chunk it changes.
+// priority, ties in installation order — with rule i under id i, keeping
+// each rule's record with the priority it has. It refuses a rule the record
+// cannot encode, naming the dimension, and keeps nothing of the slice.
 //
 // The build numbers each field's values, then each node's label pairs, in
 // order of first use through one map it reuses throughout, and groups each
@@ -164,14 +146,21 @@ func BuildRules(rules []fivetuple.Rule) (*Classifier, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("dcfl: empty rule set")
 	}
-	c := &Classifier{rules: cow.Adopt(rules), live: n}
+	recs := make([]fivetuple.PackedRule, n, roundChunk(n))
+	for i := range rules {
+		var err error
+		if recs[i], err = pack(&rules[i]); err != nil {
+			return nil, err
+		}
+	}
+	c := &Classifier{rules: cow.Adopt(recs), live: n}
 	b := &builder{index: make(map[uint64]uint32, n), keys: make([]uint64, n), distinct: make([]uint64, 0, n)}
 	buf := make([]uint32, 10*n+1)
 	var labels [numFields][]uint32
 	for f := range numFields {
 		labels[f] = buf[int(f)*n : int(f+1)*n]
-		for i := range rules {
-			lo, hi := fieldRange(f, &rules[i])
+		for i := range recs {
+			lo, hi := fieldRange(f, &recs[i])
 			b.keys[i] = uint64(lo)<<32 | uint64(hi)
 		}
 		b.number(labels[f])
@@ -470,10 +459,9 @@ func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 // NumRules returns the number of rules the classifier holds.
 func (c *Classifier) NumRules() int { return c.live }
 
-// Rule returns the rule with the given id, for reading only, with the
-// priority it was built or inserted with. No delta rewrites a stored rule,
-// so the rule stays valid for as long as the caller holds it.
-func (c *Classifier) Rule(id int) *fivetuple.Rule { return c.rules.At(id) }
+// Verdict returns the verdict of the rule with the given id, with the
+// priority it was built or inserted with.
+func (c *Classifier) Verdict(id int) fivetuple.Verdict { return c.rules.At(id).Verdict() }
 
 // MemoryBits returns the storage consumed by the field structures and the
 // aggregation tables.

@@ -15,12 +15,12 @@ import (
 // acquisitions plus four set edits, and a delete removes the rule from its
 // four sets along the same path. Sets list stable rule ids, so a delta
 // renumbers nothing: it replaces the one set chunk it edits per node, and an
-// insert appends the rule to the store under the next id. A new field value
-// appends to its value array and a new combination takes a hash slot, each a
-// write to one chunk.
+// insert appends the rule's record to the store under the next id. A new
+// field value appends to its value array and a new combination takes a hash
+// slot, each a write to one chunk.
 //
 // A deleted rule's id is retired, not reused, which keeps (priority, id) the
-// best-first order with no sequence numbers. The store keeps retired rules
+// best-first order with no sequence numbers. The store keeps retired records
 // until the next build, so a delete that would leave more dead ids than live
 // ones plus deadSlack is refused: the caller rebuilds, which renumbers.
 //
@@ -35,7 +35,7 @@ import (
 const deadSlack = 64
 
 // Clone returns a copy of the classifier for delta updates. It shares
-// everything with c — the rule store, the field values, the hash slots and
+// everything with c — the record store, the field values, the hash slots and
 // the sets — and a delta on either side copies what it writes: a directory
 // the first time, then the chunks it changes. Clone takes c's ownership of
 // them away, which is a write to c needing the same serialisation as a
@@ -131,7 +131,7 @@ func find(values *cow.Array[[2]uint32], lo, hi uint32) (uint32, bool) {
 
 // labelOf returns the label of the rule's field value, appending the value
 // when it is new.
-func (c *Classifier) labelOf(f fieldIndex, r *fivetuple.Rule) uint32 {
+func (c *Classifier) labelOf(f fieldIndex, r *fivetuple.PackedRule) uint32 {
 	lo, hi := fieldRange(f, r)
 	values := &c.fields[f]
 	if l, ok := find(values, lo, hi); ok {
@@ -141,37 +141,62 @@ func (c *Classifier) labelOf(f fieldIndex, r *fivetuple.Rule) uint32 {
 	return uint32(values.Len() - 1)
 }
 
+// pack returns r's record, or an error naming the dimensions the tables
+// cannot encode.
+func pack(r *fivetuple.Rule) (fivetuple.PackedRule, error) {
+	p, ok := fivetuple.PackRule(r)
+	if !ok {
+		return p, fmt.Errorf("dcfl: rule %s needs %s, which the tables cannot encode", *r, r.Dims()&^fivetuple.DimMultiAction)
+	}
+	return p, nil
+}
+
 // Insert labels rule r's five field values (new values are appended to the
 // field-search arrays) and adds it under the next id along its combination
-// path.
-func (c *Classifier) Insert(r fivetuple.Rule) {
+// path. It refuses, changing nothing, a rule the tables cannot encode.
+func (c *Classifier) Insert(r fivetuple.Rule) error {
+	p, err := pack(&r)
+	if err != nil {
+		return err
+	}
 	rule := uint32(c.rules.Len())
-	c.rules.Append(r)
+	c.rules.Append(p)
 	c.live++
 	var lbl [numFields]uint32
 	for f := range numFields {
-		lbl[f] = c.labelOf(f, &r)
+		lbl[f] = c.labelOf(f, &p)
 	}
 	ipID := c.add(&c.ipTable, lbl[fieldSrcIP], lbl[fieldDstIP], rule)
 	portID := c.add(&c.portTable, lbl[fieldSrcPort], lbl[fieldDstPort], rule)
 	transID := c.add(&c.transTable, portID, lbl[fieldProto], rule)
 	c.add(&c.finalTable, ipID, transID, rule)
 	c.deltas++
+	return nil
 }
 
 // Delete removes the first-installed rule with r's matches and priority: its
 // id, found in the final-table set of r's combination, is deleted from the
 // four aggregation sets along its combination path and retired. Emptied
 // combination entries and now-unused field values are left in place as
-// tracked garbage. A refused delete — no such rule is installed, or too many
-// ids are already dead — changes nothing.
+// tracked garbage. A refused delete — no such rule is installed (a rule the
+// tables cannot encode never is), or too many ids are already dead —
+// changes nothing.
 func (c *Classifier) Delete(r fivetuple.Rule) error {
+	p, ok := fivetuple.PackRule(&r)
+	if !ok {
+		return fmt.Errorf("dcfl: rule %s priority %d is not installed", r, r.Priority)
+	}
+	return c.delete(&p)
+}
+
+// delete is Delete of the rule with r's matches and priority.
+func (c *Classifier) delete(r *fivetuple.PackedRule) error {
 	if dead := c.rules.Len() - c.live; dead+1 > c.live-1+deadSlack {
 		return fmt.Errorf("dcfl: %d dead ids beside %d live rules: rebuild to renumber", dead, c.live)
 	}
-	rule, combos, ok := c.locate(&r)
+	rule, combos, ok := c.locate(r)
 	if !ok {
-		return fmt.Errorf("dcfl: rule %s priority %d is not installed", r, r.Priority)
+		return fmt.Errorf("dcfl: no rule with these matches is installed at priority %d", r.Priority)
 	}
 	// Insert added the id along this same path, so every set holds it.
 	for i, t := range c.aggTables() {
@@ -188,7 +213,7 @@ func (c *Classifier) Delete(r fivetuple.Rule) error {
 // locate returns the id of the first-installed rule with r's matches and
 // priority, taken from the final-table set of r's combination, and the
 // combination IDs of r's path through the four aggregation nodes.
-func (c *Classifier) locate(r *fivetuple.Rule) (rule uint32, combos [4]uint32, ok bool) {
+func (c *Classifier) locate(r *fivetuple.PackedRule) (rule uint32, combos [4]uint32, ok bool) {
 	var lbl [numFields]uint32
 	for f := range numFields {
 		lo, hi := fieldRange(f, r)
@@ -205,7 +230,7 @@ func (c *Classifier) locate(r *fivetuple.Rule) (rule uint32, combos [4]uint32, o
 		return 0, combos, false
 	}
 	for _, id := range c.finalTable.sets.List(int(combos[3])) {
-		if q := c.rules.At(int(id)); q.Priority == r.Priority && q.SameMatch(*r) {
+		if c.rules.At(int(id)).Same(r) {
 			return id, combos, true
 		}
 	}
@@ -220,17 +245,17 @@ func (c *Classifier) InsertAt(r fivetuple.Rule, idx int) error {
 	if idx < 0 || idx > c.live {
 		return fmt.Errorf("dcfl: insert index %d out of range [0,%d]", idx, c.live)
 	}
-	c.Insert(r)
-	return nil
+	return c.Insert(r)
 }
 
-// DeleteAt deletes Rule(id). On tables built from a fivetuple.RuleSet, id is
-// the rule's best-first position until the first delta.
+// DeleteAt deletes the first-installed rule with the matches and priority of
+// rule id. On tables built from a fivetuple.RuleSet, id is the rule's
+// best-first position until the first delta.
 func (c *Classifier) DeleteAt(id int) error {
 	if id < 0 || id >= c.rules.Len() {
 		return fmt.Errorf("dcfl: delete id %d out of range [0,%d)", id, c.rules.Len())
 	}
-	return c.Delete(*c.rules.At(id))
+	return c.delete(c.rules.At(id))
 }
 
 func (c *Classifier) aggTables() [4]*aggNode {

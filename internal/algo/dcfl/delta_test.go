@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"sdnpc/internal/classbench"
@@ -25,28 +26,41 @@ func removeFirstInstalled(live []fivetuple.Rule, r fivetuple.Rule) []fivetuple.R
 	return slices.Delete(live, i, i+1)
 }
 
+// tagged generates a rule set whose rules carry ActionArg base+i, so that a
+// verdict names exactly one rule even where priorities tie.
+func tagged(cfg classbench.Config, base int) *fivetuple.RuleSet {
+	rs := classbench.Generate(cfg)
+	rules := rs.Rules()
+	for i := range rules {
+		rules[i].ActionArg = uint32(base + i)
+	}
+	return fivetuple.NewRuleSet(rs.Name, rules)
+}
+
 // requireVerdicts asserts that c answers the trace as the best-first list
 // live does: the first match and the multi-action chain — every match up to
-// and including the first terminating one — through Rule.
+// and including the first terminating one — through Verdict. The rules of
+// live carry distinct action arguments, so equal verdicts name the same
+// rule.
 func requireVerdicts(t *testing.T, who string, c *Classifier, live []fivetuple.Rule, trace []fivetuple.Header) {
 	t.Helper()
 	for _, h := range trace {
-		var want []fivetuple.Rule
+		var want []fivetuple.Verdict
 		for _, r := range live {
 			if r.Matches(h) {
-				if want = append(want, r); !r.NonTerminating {
+				if want = append(want, r.Verdict()); !r.NonTerminating {
 					break
 				}
 			}
 		}
 		id, ok, _ := c.Classify(h)
-		if ok != (len(want) > 0) || (ok && *c.Rule(id) != want[0]) {
+		if ok != (len(want) > 0) || (ok && c.Verdict(id) != want[0]) {
 			t.Fatalf("%s: Classify(%s) = (%d, %v), oracle chain %v", who, h, id, ok, want)
 		}
 		ids, _ := c.ClassifyAll(h, nil)
-		got := make([]fivetuple.Rule, len(ids))
+		got := make([]fivetuple.Verdict, len(ids))
 		for i, id := range ids {
-			got[i] = *c.Rule(id)
+			got[i] = c.Verdict(id)
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: ClassifyAll(%s) = %v, oracle %v", who, h, got, want)
@@ -60,13 +74,13 @@ func requireVerdicts(t *testing.T, who string, c *Classifier, live []fivetuple.R
 // first match and the multi-action chain, agrees with tables freshly built
 // over the final rule list and with the linear oracle.
 func TestDeltaMatchesFreshBuild(t *testing.T) {
-	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 200, Seed: 91, NonTerminatingFraction: 0.3})
+	rs := tagged(classbench.Config{Class: classbench.ACL, Rules: 200, Seed: 91, NonTerminatingFraction: 0.3}, 1)
 	c, err := Build(rs)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	live := rs.Rules()
-	extra := classbench.Generate(classbench.Config{Class: classbench.IPC, Rules: 120, Seed: 92, NonTerminatingFraction: 0.3}).Rules()
+	extra := tagged(classbench.Config{Class: classbench.IPC, Rules: 120, Seed: 92, NonTerminatingFraction: 0.3}, 1001).Rules()
 	rng := rand.New(rand.NewSource(93))
 	next := 0
 	for op := 0; op < 160; op++ {
@@ -74,7 +88,9 @@ func TestDeltaMatchesFreshBuild(t *testing.T) {
 			r := extra[next]
 			r.Priority = rng.Intn(220)
 			next++
-			c.Insert(r)
+			if err := c.Insert(r); err != nil {
+				t.Fatalf("Insert(%s): %v", r, err)
+			}
 			live = placeBestFirst(live, r)
 		} else if len(live) > 0 {
 			r := live[rng.Intn(len(live))]
@@ -104,7 +120,7 @@ func TestDeltaMatchesFreshBuild(t *testing.T) {
 // take best-first positions, and deleting then reinserting distinct rules —
 // the benchmark ladder's sequence — leaves the verdicts of the set.
 func TestPositionalShims(t *testing.T) {
-	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 300, Seed: 95})
+	rs := tagged(classbench.Config{Class: classbench.ACL, Rules: 300, Seed: 95}, 1)
 	c, err := Build(rs)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +172,7 @@ func TestDeltaIndexBounds(t *testing.T) {
 // that would leave more dead ids than live ones plus deadSlack is refused,
 // changing nothing.
 func TestDeadIDsBounded(t *testing.T) {
-	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 10, Seed: 7})
+	rs := tagged(classbench.Config{Class: classbench.ACL, Rules: 10, Seed: 7}, 1)
 	c, err := Build(rs)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +186,9 @@ func TestDeadIDsBounded(t *testing.T) {
 			}
 			break
 		}
-		c.Insert(r)
+		if err := c.Insert(r); err != nil {
+			t.Fatal(err)
+		}
 		if got := c.DeltaStats().DeadIDs; got != pair+1 || got > c.NumRules()+deadSlack {
 			t.Fatalf("pair %d: %d dead ids beside %d live rules", pair, got, c.NumRules())
 		}
@@ -180,13 +198,13 @@ func TestDeadIDsBounded(t *testing.T) {
 }
 
 // tableState is a deep copy of everything a delta may write — the field
-// values, hash slots, sets and rule store — plus the verdicts and chains the
-// tables give on a trace.
+// values, hash slots, sets and record store — plus the verdicts and chains
+// the tables give on a trace.
 type tableState struct {
 	fields   [numFields][][2]uint32
 	slots    [4][]slot
 	sets     [4][][]uint32
-	rules    []fivetuple.Rule
+	rules    []fivetuple.PackedRule
 	verdicts [][]int
 }
 
@@ -238,7 +256,9 @@ func TestCloneIsolation(t *testing.T) {
 		victims := rng.Perm(rs.Len())
 		for i, r := range rules {
 			r.Priority = rng.Intn(rs.Len())
-			c.Insert(r)
+			if err := c.Insert(r); err != nil {
+				t.Fatal(err)
+			}
 			if i%2 == 0 {
 				if err := c.Delete(rs.Rule(victims[i])); err != nil {
 					t.Fatal(err)
@@ -296,12 +316,57 @@ func TestDegradationTracksStaleCombos(t *testing.T) {
 		t.Fatalf("degradation after 20 deletes = %v, want > 0", mid)
 	}
 	for _, r := range deleted {
-		c.Insert(r)
+		if err := c.Insert(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := c.Degradation(); got >= mid {
 		t.Errorf("degradation after re-inserting = %v, want below the post-delete %v", got, mid)
 	}
 	if got := c.DeltaStats().StaleCombos; got != 0 {
 		t.Errorf("StaleCombos after full re-insert = %d, want 0", got)
+	}
+}
+
+// TestRefusesUnencodableRules: a rule needing a dimension the tables cannot
+// encode is refused by BuildRules and Insert with an error naming the
+// dimension, and its Delete reports it not installed, changing nothing.
+func TestRefusesUnencodableRules(t *testing.T) {
+	rs := tagged(classbench.Config{Class: classbench.ACL, Rules: 100, Seed: 97, NonTerminatingFraction: 0.2}, 1)
+	vlan := rs.Rule(3)
+	vlan.VLAN = fivetuple.ExactVLAN(7)
+	v6 := fivetuple.Wildcard(5, fivetuple.ActionDrop)
+	v6.Src6 = fivetuple.MustParsePrefix6("2001:db8::/32")
+	masked := rs.Rule(4)
+	masked.Protocol = fivetuple.ProtocolMatch{Value: 6, Mask: 0x0F}
+	cases := []struct {
+		r   fivetuple.Rule
+		dim string
+	}{{vlan, "vlan"}, {v6, "ipv6"}, {masked, "masked-proto"}}
+	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{Packets: 300, Seed: 98, MatchFraction: 0.9})
+	for _, tc := range cases {
+		rules := rs.Rules()
+		rules[tc.r.Priority] = tc.r
+		if _, err := BuildRules(rules); err == nil || !strings.Contains(err.Error(), tc.dim) {
+			t.Errorf("BuildRules with a %s rule: error %v, want one naming %s", tc.dim, err, tc.dim)
+		}
+		c, err := Build(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := stateOf(c, trace)
+		if err := c.Insert(tc.r); err == nil || !strings.Contains(err.Error(), tc.dim) {
+			t.Errorf("Insert of a %s rule: error %v, want one naming %s", tc.dim, err, tc.dim)
+		}
+		if err := c.Delete(tc.r); err == nil || !strings.Contains(err.Error(), "not installed") {
+			t.Errorf("Delete of a %s rule: error %v, want not installed", tc.dim, err)
+		}
+		if !reflect.DeepEqual(stateOf(c, trace), before) {
+			t.Errorf("the refused %s rule changed the tables", tc.dim)
+		}
+		if ds := c.DeltaStats(); ds != (DeltaStats{}) || c.NumRules() != rs.Len() {
+			t.Errorf("after the refused %s rule: %+v over %d rules", tc.dim, ds, c.NumRules())
+		}
+		requireVerdicts(t, "after the refused "+tc.dim+" rule", c, rs.Rules(), trace)
 	}
 }

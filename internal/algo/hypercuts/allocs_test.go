@@ -43,18 +43,19 @@ func deltaAllocs(t *testing.T) (objects, kib float64) {
 
 // TestDeltaAllocs bounds what a delta on a fresh clone allocates on acl-5k:
 // the leaf directory, the leaf chunks it rewrites and, for an insert, one
-// rule chunk and the rule directory — 7.0 KiB and 4 objects; the bounds sit
-// about 25 % above. While a delta also copied the id → position map (4 bytes
-// a rule) and shifted it: 25.1 KiB and 5 objects. While a delta renumbered
-// every stored leaf index, the clone copied the arena and the rule table
-// whole: ≈ 800 KiB.
+// 2.5 KiB record chunk (64 packed 40-byte records) and the record directory
+// — 4.3 KiB and 4 objects; the bounds sit about 25 % above. While the store
+// held 112-byte rules, a 7 KiB chunk: 7.0 KiB. While a delta also copied the
+// id → position map (4 bytes a rule) and shifted it: 25.1 KiB and 5
+// objects. While a delta renumbered every stored leaf index, the clone
+// copied the arena and the rule table whole: ≈ 800 KiB.
 func TestDeltaAllocs(t *testing.T) {
 	objects, kib := deltaAllocs(t)
 	t.Logf("a delta on a fresh clone allocates %.1f objects, %.1f KiB", objects, kib)
 	if objects > 5 {
 		t.Errorf("a delta allocates %.1f objects, want at most 5", objects)
 	}
-	if kib > 9 {
-		t.Errorf("a delta allocates %.1f KiB, want at most 9", kib)
+	if kib > 5.5 {
+		t.Errorf("a delta allocates %.1f KiB, want at most 5.5", kib)
 	}
 }

@@ -29,6 +29,40 @@ type refTree struct {
 	nodeCount, leafCount, rulePtrs, maxDepth int
 }
 
+// refRuleRange is the rule's covered range in the given dimension, read
+// from the rule itself rather than its packed record.
+func refRuleRange(r fivetuple.Rule, f fivetuple.Field) (uint64, uint64) {
+	switch f {
+	case fivetuple.FieldSrcIP:
+		p := r.SrcPrefix.Canonical()
+		span := uint64(1) << (32 - uint64(p.Len))
+		return uint64(p.Addr), uint64(p.Addr) + span - 1
+	case fivetuple.FieldDstIP:
+		p := r.DstPrefix.Canonical()
+		span := uint64(1) << (32 - uint64(p.Len))
+		return uint64(p.Addr), uint64(p.Addr) + span - 1
+	case fivetuple.FieldSrcPort:
+		return uint64(r.SrcPort.Lo), uint64(r.SrcPort.Hi)
+	case fivetuple.FieldDstPort:
+		return uint64(r.DstPort.Lo), uint64(r.DstPort.Hi)
+	default:
+		if r.Protocol.IsWildcard() {
+			return 0, 255
+		}
+		return uint64(r.Protocol.Value), uint64(r.Protocol.Value)
+	}
+}
+
+func refOverlapsRegion(r fivetuple.Rule, reg region) bool {
+	for di, f := range fivetuple.Fields() {
+		lo, hi := refRuleRange(r, f)
+		if hi < reg.lo[di] || lo > reg.hi[di] {
+			return false
+		}
+	}
+	return true
+}
+
 func (t *refTree) build(ruleIdx []int, reg region, depth int) *refNode {
 	t.nodeCount++
 	if depth > t.maxDepth {
@@ -59,7 +93,7 @@ func (t *refTree) build(ruleIdx []int, reg region, depth int) *refNode {
 		childReg := childRegion(reg, dims, cuts, child)
 		var childRules []int
 		for _, ri := range ruleIdx {
-			if ruleOverlapsRegion(t.rules[ri], childReg) {
+			if refOverlapsRegion(t.rules[ri], childReg) {
 				childRules = append(childRules, ri)
 			}
 		}
@@ -82,7 +116,7 @@ func (t *refTree) chooseCuts(ruleIdx []int, reg region) (dims []int, cuts []int)
 		}
 		uniq := make(map[[2]uint64]struct{})
 		for _, ri := range ruleIdx {
-			lo, hi := ruleRange(t.rules[ri], f)
+			lo, hi := refRuleRange(t.rules[ri], f)
 			uniq[[2]uint64{lo, hi}] = struct{}{}
 		}
 		if len(uniq) > 1 {

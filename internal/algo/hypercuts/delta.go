@@ -13,10 +13,10 @@ import (
 // overlaps — the cut structure is untouched. Leaves list stable rule ids, so
 // a delta renumbers nothing: it rewrites the chunks of the leaves its rule
 // overlaps, about two leaves in one chunk on ACL sets, and an insert appends
-// the rule to the store under the next id.
+// the rule's record to the store under the next id.
 //
 // A deleted rule's id is retired, not reused, which keeps (priority, id) the
-// best-first order with no sequence numbers. The store keeps retired rules
+// best-first order with no sequence numbers. The store keeps retired records
 // until the next build, so a delete that would leave more dead ids than live
 // ones plus deadSlack is refused: the caller rebuilds, which renumbers.
 //
@@ -30,7 +30,7 @@ import (
 const deadSlack = 64
 
 // Clone returns a copy of the classifier for delta updates. It shares
-// everything with c — the node records, the leaf chunks and the rule store —
+// everything with c — the node records, the leaf chunks and the record store —
 // and a delta on either side copies what it writes: the leaf directory the
 // first time, then the chunks it changes. Clone takes c's ownership of them
 // away, which is a write to c needing the same serialisation as a delta,
@@ -42,28 +42,54 @@ func (c *Classifier) Clone() *Classifier {
 	return &cp
 }
 
+// pack returns r's record, or an error naming the dimensions the tree cannot
+// encode.
+func pack(r *fivetuple.Rule) (fivetuple.PackedRule, error) {
+	p, ok := fivetuple.PackRule(r)
+	if !ok {
+		return p, fmt.Errorf("hypercuts: rule %s needs %s, which the tree cannot encode", *r, r.Dims()&^fivetuple.DimMultiAction)
+	}
+	return p, nil
+}
+
 // Insert adds rule r under the next id to every leaf whose region it
 // overlaps, after the entries of the same or a better priority: the
-// leaf-local delta update.
-func (c *Classifier) Insert(r fivetuple.Rule) {
+// leaf-local delta update. It refuses, changing nothing, a rule the tree
+// cannot encode.
+func (c *Classifier) Insert(r fivetuple.Rule) error {
+	p, err := pack(&r)
+	if err != nil {
+		return err
+	}
 	id := uint32(c.rules.Len())
-	c.rules.Append(r)
+	c.rules.Append(p)
 	c.live++
-	c.spliceLeaves(r, id, true)
+	c.spliceLeaves(&p, id, true)
 	c.deltas++
+	return nil
 }
 
 // Delete removes the first-installed rule with r's matches and priority from
 // every leaf storing it and retires its id. It refuses, changing nothing,
-// when no such rule is installed or when too many ids are already dead.
-// Leaves are never re-merged; the (cheap) excess depth this can leave behind
-// is amortised away by the policy layer's periodic rebuild.
+// when no such rule is installed — a rule the tree cannot encode never is —
+// or when too many ids are already dead. Leaves are never re-merged; the
+// (cheap) excess depth this can leave behind is amortised away by the policy
+// layer's periodic rebuild.
 func (c *Classifier) Delete(r fivetuple.Rule) error {
+	p, ok := fivetuple.PackRule(&r)
+	if !ok {
+		return fmt.Errorf("hypercuts: rule %s priority %d is not installed", r, r.Priority)
+	}
+	return c.delete(&p)
+}
+
+// delete is Delete of the rule with p's matches and priority.
+func (c *Classifier) delete(p *fivetuple.PackedRule) error {
 	if dead := c.rules.Len() - c.live; dead+1 > c.live-1+deadSlack {
 		return fmt.Errorf("hypercuts: %d dead ids beside %d live rules: rebuild to renumber", dead, c.live)
 	}
-	if !c.spliceLeaves(r, 0, false) {
-		return fmt.Errorf("hypercuts: rule %s priority %d is not installed", r, r.Priority)
+	if !c.spliceLeaves(p, 0, false) {
+		return fmt.Errorf("hypercuts: no rule with these matches is installed at priority %d", p.Priority)
 	}
 	c.live--
 	c.deltas++
@@ -78,17 +104,17 @@ func (c *Classifier) InsertAt(r fivetuple.Rule, idx int) error {
 	if idx < 0 || idx > c.live {
 		return fmt.Errorf("hypercuts: insert index %d out of range [0,%d]", idx, c.live)
 	}
-	c.Insert(r)
-	return nil
+	return c.Insert(r)
 }
 
-// DeleteAt deletes Rule(id). On a tree built from a fivetuple.RuleSet, id is
-// the rule's best-first position until the first delta.
+// DeleteAt deletes the first-installed rule with the matches and priority of
+// rule id. On a tree built from a fivetuple.RuleSet, id is the rule's
+// best-first position until the first delta.
 func (c *Classifier) DeleteAt(id int) error {
 	if id < 0 || id >= c.rules.Len() {
 		return fmt.Errorf("hypercuts: delete id %d out of range [0,%d)", id, c.rules.Len())
 	}
-	return c.Delete(*c.rules.At(id))
+	return c.delete(c.rules.At(id))
 }
 
 // spliceLeaves adds id to (insert) or removes it from every leaf whose region
@@ -97,7 +123,7 @@ func (c *Classifier) DeleteAt(id int) error {
 // together, and each chunk holding such a leaf is replaced once. A delete
 // takes its id from the first such leaf, before writing anything, and
 // reports false when that leaf holds no entry with r's matches and priority.
-func (c *Classifier) spliceLeaves(r fivetuple.Rule, id uint32, insert bool) bool {
+func (c *Classifier) spliceLeaves(r *fivetuple.PackedRule, id uint32, insert bool) bool {
 	var touched uint64
 	chunk := -1
 	for base := 0; base < len(c.nodes); base += nodeWords {
@@ -128,9 +154,9 @@ func (c *Classifier) spliceLeaves(r fivetuple.Rule, id uint32, insert bool) bool
 
 // find returns the id of the first entry of a leaf list with r's matches and
 // priority: the first installed of them, as the list is best-first.
-func (c *Classifier) find(list []uint32, r fivetuple.Rule) (uint32, bool) {
+func (c *Classifier) find(list []uint32, r *fivetuple.PackedRule) (uint32, bool) {
 	for _, id := range list {
-		if q := c.rules.At(int(id)); q.Priority == r.Priority && q.SameMatch(r) {
+		if c.rules.At(int(id)).Same(r) {
 			return id, true
 		}
 	}

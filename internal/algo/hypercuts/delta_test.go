@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"sdnpc/internal/classbench"
@@ -39,20 +40,42 @@ func oracle(live []fivetuple.Rule, h fivetuple.Header) []fivetuple.Rule {
 	return chain
 }
 
+// tagged generates a rule set whose rules carry ActionArg base+i, so that a
+// verdict names exactly one rule even where priorities tie.
+func tagged(cfg classbench.Config, base int) *fivetuple.RuleSet {
+	rs := classbench.Generate(cfg)
+	rules := rs.Rules()
+	for i := range rules {
+		rules[i].ActionArg = uint32(base + i)
+	}
+	return fivetuple.NewRuleSet(rs.Name, rules)
+}
+
+// verdicts returns the verdicts of rules.
+func verdicts(rules []fivetuple.Rule) []fivetuple.Verdict {
+	out := make([]fivetuple.Verdict, len(rules))
+	for i, r := range rules {
+		out[i] = r.Verdict()
+	}
+	return out
+}
+
 // requireVerdicts asserts that c answers the trace as the best-first list
-// live does: the first match and the multi-action chain, through Rule.
+// live does: the first match and the multi-action chain, through Verdict.
+// The rules of live carry distinct action arguments, so equal verdicts name
+// the same rule.
 func requireVerdicts(t *testing.T, who string, c *Classifier, live []fivetuple.Rule, trace []fivetuple.Header) {
 	t.Helper()
 	for _, h := range trace {
-		want := oracle(live, h)
+		want := verdicts(oracle(live, h))
 		id, ok, _ := c.Classify(h)
-		if ok != (len(want) > 0) || (ok && *c.Rule(id) != want[0]) {
+		if ok != (len(want) > 0) || (ok && c.Verdict(id) != want[0]) {
 			t.Fatalf("%s: Classify(%s) = (%d, %v), oracle chain %v", who, h, id, ok, want)
 		}
 		ids, _ := c.ClassifyAll(h, nil)
-		got := make([]fivetuple.Rule, len(ids))
+		got := make([]fivetuple.Verdict, len(ids))
 		for i, id := range ids {
-			got[i] = *c.Rule(id)
+			got[i] = c.Verdict(id)
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: ClassifyAll(%s) = %v, oracle %v", who, h, got, want)
@@ -66,13 +89,13 @@ func requireVerdicts(t *testing.T, who string, c *Classifier, live []fivetuple.R
 // first match and the multi-action chain, agrees with a tree freshly built
 // over the final rule list and with the linear oracle.
 func TestDeltaMatchesFreshBuild(t *testing.T) {
-	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 200, Seed: 81, NonTerminatingFraction: 0.3})
+	rs := tagged(classbench.Config{Class: classbench.ACL, Rules: 200, Seed: 81, NonTerminatingFraction: 0.3}, 1)
 	c, err := Build(rs, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	live := rs.Rules()
-	extra := classbench.Generate(classbench.Config{Class: classbench.FW, Rules: 120, Seed: 82, NonTerminatingFraction: 0.3}).Rules()
+	extra := tagged(classbench.Config{Class: classbench.FW, Rules: 120, Seed: 82, NonTerminatingFraction: 0.3}, 1001).Rules()
 	rng := rand.New(rand.NewSource(83))
 	next := 0
 	for op := 0; op < 160; op++ {
@@ -80,7 +103,9 @@ func TestDeltaMatchesFreshBuild(t *testing.T) {
 			r := extra[next]
 			r.Priority = rng.Intn(220)
 			next++
-			c.Insert(r)
+			if err := c.Insert(r); err != nil {
+				t.Fatalf("Insert(%s): %v", r, err)
+			}
 			live = placeBestFirst(live, r)
 		} else if len(live) > 0 {
 			r := live[rng.Intn(len(live))]
@@ -110,7 +135,7 @@ func TestDeltaMatchesFreshBuild(t *testing.T) {
 // take best-first positions, and deleting then reinserting distinct rules —
 // the benchmark ladder's sequence — leaves the verdicts of the set.
 func TestPositionalShims(t *testing.T) {
-	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 300, Seed: 85})
+	rs := tagged(classbench.Config{Class: classbench.ACL, Rules: 300, Seed: 85}, 1)
 	c, err := Build(rs, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +187,7 @@ func TestDeltaIndexBounds(t *testing.T) {
 // that would leave more dead ids than live ones plus deadSlack is refused,
 // changing nothing.
 func TestDeadIDsBounded(t *testing.T) {
-	rs := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: 10, Seed: 7})
+	rs := tagged(classbench.Config{Class: classbench.ACL, Rules: 10, Seed: 7}, 1)
 	c, err := Build(rs, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +201,9 @@ func TestDeadIDsBounded(t *testing.T) {
 			}
 			break
 		}
-		c.Insert(r)
+		if err := c.Insert(r); err != nil {
+			t.Fatal(err)
+		}
 		if got := c.DeltaStats().DeadIDs; got != pair+1 || got > c.NumRules()+deadSlack {
 			t.Fatalf("pair %d: %d dead ids beside %d live rules", pair, got, c.NumRules())
 		}
@@ -212,7 +239,9 @@ func TestCloneIsolation(t *testing.T) {
 			t.Fatalf("Delete on clone: %v", err)
 		}
 	}
-	cl.Insert(rs.Rule(0))
+	if err := cl.Insert(rs.Rule(0)); err != nil {
+		t.Fatal(err)
+	}
 	if got := orig.DeltaStats().Deltas; got != 0 {
 		t.Errorf("original DeltaStats.Deltas = %d after clone mutation, want 0", got)
 	}
@@ -246,7 +275,9 @@ func TestDegradationTracksLeafOverflow(t *testing.T) {
 		t.Fatalf("fresh build degradation = %v, want 0", got)
 	}
 	for i := 0; i < cfg.Binth; i++ {
-		c.Insert(fivetuple.Wildcard(0, fivetuple.ActionDrop))
+		if err := c.Insert(fivetuple.Wildcard(0, fivetuple.ActionDrop)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := c.Degradation(); got <= 0.4 {
 		t.Errorf("degradation after doubling a full leaf = %v, want > 0.4", got)
@@ -269,11 +300,11 @@ func TestDegradationTracksLeafOverflow(t *testing.T) {
 }
 
 // treeState is a deep copy of what a delta may write: the leaf chunks and
-// their identities and the rule store.
+// their identities and the record store.
 type treeState struct {
 	chunks [][]uint32
 	first  []*uint32
-	rules  []fivetuple.Rule
+	rules  []fivetuple.PackedRule
 }
 
 func stateOf(c *Classifier) treeState {
@@ -316,7 +347,9 @@ func TestCloneDeltasLeaveSourceUntouched(t *testing.T) {
 		victims := rng.Perm(rs.Len())
 		for i, r := range extra {
 			r.Priority = rng.Intn(rs.Len())
-			c.Insert(r)
+			if err := c.Insert(r); err != nil {
+				t.Fatal(err)
+			}
 			if i%2 == 0 {
 				if err := c.Delete(rs.Rule(victims[i])); err != nil {
 					t.Fatal(err)
@@ -333,4 +366,45 @@ func TestCloneDeltasLeaveSourceUntouched(t *testing.T) {
 	cloned := stateOf(cl)
 	churn(src, 2)
 	requireState(t, "clone after the source's deltas", cl, cloned)
+}
+
+// TestRefusesUnencodableRules: a rule needing a dimension the tree cannot
+// encode is refused by BuildRules and Insert with an error naming the
+// dimension, and its Delete reports it not installed, changing nothing.
+func TestRefusesUnencodableRules(t *testing.T) {
+	rs := tagged(classbench.Config{Class: classbench.ACL, Rules: 100, Seed: 87, NonTerminatingFraction: 0.2}, 1)
+	vlan := rs.Rule(3)
+	vlan.VLAN = fivetuple.ExactVLAN(7)
+	v6 := fivetuple.Wildcard(5, fivetuple.ActionDrop)
+	v6.Src6 = fivetuple.MustParsePrefix6("2001:db8::/32")
+	masked := rs.Rule(4)
+	masked.Protocol = fivetuple.ProtocolMatch{Value: 6, Mask: 0x0F}
+	cases := []struct {
+		r   fivetuple.Rule
+		dim string
+	}{{vlan, "vlan"}, {v6, "ipv6"}, {masked, "masked-proto"}}
+	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{Packets: 300, Seed: 88, MatchFraction: 0.9})
+	for _, tc := range cases {
+		rules := rs.Rules()
+		rules[tc.r.Priority] = tc.r
+		if _, err := BuildRules(rules, DefaultConfig()); err == nil || !strings.Contains(err.Error(), tc.dim) {
+			t.Errorf("BuildRules with a %s rule: error %v, want one naming %s", tc.dim, err, tc.dim)
+		}
+		c, err := Build(rs, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := stateOf(c)
+		if err := c.Insert(tc.r); err == nil || !strings.Contains(err.Error(), tc.dim) {
+			t.Errorf("Insert of a %s rule: error %v, want one naming %s", tc.dim, err, tc.dim)
+		}
+		if err := c.Delete(tc.r); err == nil || !strings.Contains(err.Error(), "not installed") {
+			t.Errorf("Delete of a %s rule: error %v, want not installed", tc.dim, err)
+		}
+		requireState(t, "after the refused "+tc.dim+" rule", c, before)
+		if ds := c.DeltaStats(); ds != (DeltaStats{}) || c.NumRules() != rs.Len() {
+			t.Errorf("after the refused %s rule: %+v over %d rules", tc.dim, ds, c.NumRules())
+		}
+		requireVerdicts(t, "after the refused "+tc.dim+" rule", c, rs.Rules(), trace)
+	}
 }

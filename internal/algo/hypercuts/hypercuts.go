@@ -12,10 +12,11 @@
 // The built tree is flat: Build lays every node out as a fixed 14-word
 // record in one pointer-free slice, children linked by node index instead of
 // pointer. Leaves list stable rule ids in exact-fit chunks of 64 leaves,
-// best-first by (priority, id), and a lookup answers in those ids. So a delta
-// update writes the chunks of the leaves its rule overlaps and the rule store
-// chunk it fills, never the node records, which every clone shares. Classify
-// allocates nothing.
+// best-first by (priority, id), and a lookup answers in those ids; the rules
+// themselves are 40-byte fivetuple.PackedRule records by id, which the leaf
+// scan reads and which carry the verdict. So a delta update writes the chunks
+// of the leaves its rule overlaps and the record chunk it fills, never the
+// node records, which every clone shares. Classify allocates nothing.
 package hypercuts
 
 import (
@@ -94,29 +95,6 @@ func dimensionMax(f fivetuple.Field) uint64 {
 	}
 }
 
-// ruleRange returns the rule's covered range in the given dimension.
-func ruleRange(r fivetuple.Rule, f fivetuple.Field) (uint64, uint64) {
-	switch f {
-	case fivetuple.FieldSrcIP:
-		p := r.SrcPrefix.Canonical()
-		span := uint64(1) << (32 - uint64(p.Len))
-		return uint64(p.Addr), uint64(p.Addr) + span - 1
-	case fivetuple.FieldDstIP:
-		p := r.DstPrefix.Canonical()
-		span := uint64(1) << (32 - uint64(p.Len))
-		return uint64(p.Addr), uint64(p.Addr) + span - 1
-	case fivetuple.FieldSrcPort:
-		return uint64(r.SrcPort.Lo), uint64(r.SrcPort.Hi)
-	case fivetuple.FieldDstPort:
-		return uint64(r.DstPort.Lo), uint64(r.DstPort.Hi)
-	default:
-		if r.Protocol.IsWildcard() {
-			return 0, 255
-		}
-		return uint64(r.Protocol.Value), uint64(r.Protocol.Value)
-	}
-}
-
 func headerValue(h fivetuple.Header, f fivetuple.Field) uint64 {
 	switch f {
 	case fivetuple.FieldSrcIP:
@@ -163,12 +141,12 @@ type Classifier struct {
 	nodes []uint32
 
 	// leaves holds the leaf lists, cow.ChunkLen leaves a chunk; rules stores
-	// the rules by id. Build numbers the rules best-first and an insert
-	// appends, so ids only grow between builds and (priority, id) is the
-	// best-first order, ties included; a delete retires its id (see
+	// the rules' records by id. Build numbers the rules best-first and an
+	// insert appends, so ids only grow between builds and (priority, id) is
+	// the best-first order, ties included; a delete retires its id (see
 	// delta.go). A delta replaces the chunks it writes.
 	leaves cow.Lists
-	rules  cow.Array[fivetuple.Rule]
+	rules  cow.Array[fivetuple.PackedRule]
 	live   int
 
 	nodeCount int
@@ -191,10 +169,9 @@ func Build(rs *fivetuple.RuleSet, cfg Config) (*Classifier, error) {
 }
 
 // BuildRules constructs a HyperCuts tree over rules, best-first — ascending
-// priority, ties in installation order — with rule i under id i. It keeps
-// the rules' priorities and stores the rules without copying: the caller must
-// not modify the slice afterwards. The classifier never writes it; a delta
-// copies the chunk it changes.
+// priority, ties in installation order — with rule i under id i, keeping
+// each rule's record with the priority it has. It refuses a rule the record
+// cannot encode, naming the dimension, and keeps nothing of the slice.
 func BuildRules(rules []fivetuple.Rule, cfg Config) (*Classifier, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -202,7 +179,14 @@ func BuildRules(rules []fivetuple.Rule, cfg Config) (*Classifier, error) {
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("hypercuts: empty rule set")
 	}
-	c := &Classifier{cfg: cfg, rules: cow.Adopt(rules), live: len(rules)}
+	recs := make([]fivetuple.PackedRule, len(rules), (len(rules)+cow.ChunkLen-1)&^(cow.ChunkLen-1))
+	for i := range rules {
+		var err error
+		if recs[i], err = pack(&rules[i]); err != nil {
+			return nil, err
+		}
+	}
+	c := &Classifier{cfg: cfg, rules: cow.Adopt(recs), live: len(rules)}
 	c.build()
 	c.initLeafMetrics()
 	return c, nil
@@ -269,7 +253,7 @@ func (c *Classifier) build() {
 		for child := range children {
 			childReg := childRegion(reg, dims[:n], cuts[:n], child)
 			for _, id := range q.ids {
-				if ruleOverlapsRegion(*c.rules.At(int(id)), childReg) {
+				if ruleOverlapsRegion(c.rules.At(int(id)), childReg) {
 					lists = append(lists, id)
 				}
 			}
@@ -329,8 +313,8 @@ func (c *Classifier) chooseCuts(ids []uint32, reg region, keys []uint64) (dims, 
 		}
 		proj := keys[:len(ids)]
 		for j, id := range ids {
-			lo, hi := ruleRange(*c.rules.At(int(id)), f)
-			proj[j] = lo<<32 | hi
+			lo, hi := c.rules.At(int(id)).Range(f)
+			proj[j] = uint64(lo)<<32 | uint64(hi)
 		}
 		slices.Sort(proj)
 		d := 1
@@ -396,10 +380,10 @@ func childRegion(parent region, dims, cuts []int, child int) region {
 	return reg
 }
 
-func ruleOverlapsRegion(r fivetuple.Rule, reg region) bool {
+func ruleOverlapsRegion(r *fivetuple.PackedRule, reg region) bool {
 	for di, f := range fivetuple.Fields() {
-		lo, hi := ruleRange(r, f)
-		if hi < reg.lo[di] || lo > reg.hi[di] {
+		lo, hi := r.Range(f)
+		if uint64(hi) < reg.lo[di] || uint64(lo) > reg.hi[di] {
 			return false
 		}
 	}
@@ -449,7 +433,7 @@ func (c *Classifier) leaf(h fivetuple.Header) (ids []uint32, accesses int) {
 func (c *Classifier) Classify(h fivetuple.Header) (id int, matched bool, accesses int) {
 	ids, accesses := c.leaf(h)
 	for j, id := range ids {
-		if c.rules.At(int(id)).Matches(h) {
+		if c.rules.At(int(id)).Matches(&h) {
 			return int(id), true, accesses + j + 1 // leaf rules are best-first
 		}
 	}
@@ -466,7 +450,7 @@ func (c *Classifier) Classify(h fivetuple.Header) (id int, matched bool, accesse
 func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 	ids, accesses := c.leaf(h)
 	for _, id := range ids {
-		if r := c.rules.At(int(id)); r.Matches(h) {
+		if r := c.rules.At(int(id)); r.Matches(&h) {
 			dst = append(dst, int(id))
 			if !r.NonTerminating {
 				break
@@ -479,10 +463,9 @@ func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 // NumRules returns the number of rules the classifier holds.
 func (c *Classifier) NumRules() int { return c.live }
 
-// Rule returns the rule with the given id, for reading only, with the
-// priority it was built or inserted with. No delta rewrites a stored rule,
-// so the rule stays valid for as long as the caller holds it.
-func (c *Classifier) Rule(id int) *fivetuple.Rule { return c.rules.At(id) }
+// Verdict returns the verdict of the rule with the given id, with the
+// priority it was built or inserted with.
+func (c *Classifier) Verdict(id int) fivetuple.Verdict { return c.rules.At(id).Verdict() }
 
 // NodeCount returns the number of tree nodes.
 func (c *Classifier) NodeCount() int { return c.nodeCount }

@@ -219,21 +219,16 @@ func (s *snapshot) lookup(cfg *Config, h fivetuple.Header) Result {
 }
 
 // lookupPacket serves one header from the whole-packet engine tier. The
-// engine answers a rule id it resolves itself, so the matched rule's action
-// and priority are read straight from the engine — no label fetch, no Rule
-// Filter probe.
+// engine answers a rule id it resolves to a verdict itself, so the matched
+// rule's action and priority are read straight from the engine — no label
+// fetch, no Rule Filter probe.
 func (s *snapshot) lookupPacket(h fivetuple.Header) Result {
 	id, matched, accesses := s.packet.engine.LookupPacket(h)
-	result := Result{FieldAccesses: accesses}
 	if !matched {
-		return result
+		return Result{FieldAccesses: accesses}
 	}
-	r := s.packet.engine.Rule(id)
-	result.Matched = true
-	result.Priority = r.Priority
-	result.Action = r.Action
-	result.ActionArg = r.ActionArg
-	return result
+	v := s.packet.engine.Verdict(id)
+	return Result{Matched: true, Priority: v.Priority, Action: v.Action, ActionArg: v.ActionArg, FieldAccesses: accesses}
 }
 
 // lookupFieldsInto performs the parallel phase-2 lookups: every dimension's

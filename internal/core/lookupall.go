@@ -91,14 +91,14 @@ func (s *snapshot) lookupAllInto(cfg *Config, h fivetuple.Header, dst []ActionRe
 // collectPacket gathers the multi-match verdict from a multi-match packet
 // engine. The engine contract yields rule ids best-first, cut after the
 // first terminating rule, so the ids map one for one onto the verdict list
-// through the engine's Rule, via a pooled id scratch.
+// through the engine's Verdict, via a pooled id scratch.
 func (s *snapshot) collectPacket(mm engine.MultiMatchPacketEngine, h fivetuple.Header, dst []ActionRef) ([]ActionRef, Result) {
 	scp := multiScratchPool.Get().(*[]int)
 	ids, accesses := mm.LookupPacketAll(h, (*scp)[:0])
 	start := len(dst)
 	for _, id := range ids {
-		r := mm.Rule(id)
-		dst = append(dst, ActionRef{Priority: r.Priority, Action: r.Action, ActionArg: r.ActionArg, Terminal: !r.NonTerminating})
+		v := mm.Verdict(id)
+		dst = append(dst, ActionRef{Priority: v.Priority, Action: v.Action, ActionArg: v.ActionArg, Terminal: !v.NonTerminating})
 	}
 	*scp = ids[:0]
 	multiScratchPool.Put(scp)

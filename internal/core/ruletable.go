@@ -98,11 +98,9 @@ func (t *ruleTable) delete(i int) {
 	t.ids[t.live] = id
 }
 
-// copyRules returns a copy of the table's rules best-first, with capacity
-// rounded up to whole cow chunks so a structure storing rules in them
-// (hypercuts) adopts the copy without copying its tail.
+// copyRules returns a copy of the table's rules best-first.
 func (t *ruleTable) copyRules() []fivetuple.Rule {
-	out := make([]fivetuple.Rule, t.live, (t.live+cow.ChunkLen-1)&^(cow.ChunkLen-1))
+	out := make([]fivetuple.Rule, t.live)
 	for i := range out {
 		out[i] = *t.at(i)
 	}

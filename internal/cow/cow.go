@@ -1,6 +1,6 @@
 // Package cow provides the copy-on-write chunked storage the update plane's
 // tables are kept in: Array for the core's rule table and Rule Filter and for
-// the packet structures' rule stores, field values and hash slots, and Lists
+// the packet structures' record stores, field values and hash slots, and Lists
 // for the HyperCuts leaf lists and the DCFL combination sets.
 //
 // An Array keeps its elements in fixed chunks of ChunkLen behind a

@@ -70,8 +70,7 @@ func (e *dcflEngine) InsertRule(r fivetuple.Rule) error {
 		return fmt.Errorf("dcfl: no built tables to delta-update (install first)")
 	}
 	e.own()
-	e.c.Insert(r)
-	return nil
+	return e.c.Insert(r)
 }
 
 func (e *dcflEngine) DeleteRule(r fivetuple.Rule) error {
@@ -97,7 +96,7 @@ func (e *dcflEngine) LookupPacket(h fivetuple.Header) (int, bool, int) {
 	return e.c.Classify(h)
 }
 
-func (e *dcflEngine) Rule(id int) *fivetuple.Rule { return e.c.Rule(id) }
+func (e *dcflEngine) Verdict(id int) fivetuple.Verdict { return e.c.Verdict(id) }
 
 // LookupPacketAll enumerates the matching rules in priority order: ClassifyAll
 // sorts the surviving final sets' rules and stops after the first

@@ -72,8 +72,7 @@ func (e *hypercutsEngine) InsertRule(r fivetuple.Rule) error {
 		return fmt.Errorf("hypercuts: no built tree to delta-update (install first)")
 	}
 	e.own()
-	e.c.Insert(r)
-	return nil
+	return e.c.Insert(r)
 }
 
 func (e *hypercutsEngine) DeleteRule(r fivetuple.Rule) error {
@@ -99,7 +98,7 @@ func (e *hypercutsEngine) LookupPacket(h fivetuple.Header) (int, bool, int) {
 	return e.c.Classify(h)
 }
 
-func (e *hypercutsEngine) Rule(id int) *fivetuple.Rule { return e.c.Rule(id) }
+func (e *hypercutsEngine) Verdict(id int) fivetuple.Verdict { return e.c.Verdict(id) }
 
 // LookupPacketAll enumerates the matching rules in priority order: leaf lists
 // stay best-first through delta churn, and ClassifyAll stops after the first

@@ -41,7 +41,7 @@ type UpdateCost struct {
 // Install — and a delete removes the first-installed rule with the same
 // matches (Rule.SameMatch) and an equal priority, or refuses when none is
 // installed. After either op, LookupPacket must answer exactly as a fresh
-// Install over the classifier's rule table would, with ids that Rule
+// Install over the classifier's rule table would, with ids that Verdict
 // resolves. Ids stay stable between builds, so a structure may retire the
 // id of a deleted rule instead of reusing it; it keeps its dead ids bounded
 // by refusing a delta once they would outnumber the live ones plus 64, and

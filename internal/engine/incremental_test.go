@@ -48,8 +48,9 @@ func firstMatch(live []fivetuple.Rule, h fivetuple.Header) (fivetuple.Rule, bool
 // TestIncrementalDeltaMatchesInstall drives every incremental packet engine
 // through a random insert/delete sequence — inserted priorities collide with
 // live ones, so ties are placed too — and asserts verdict-for-verdict
-// agreement, through Rule, with a freshly installed twin and the linear
-// oracle after every op.
+// agreement, through Verdict, with a freshly installed twin and the linear
+// oracle after every op. Every rule carries its own action argument, so a
+// verdict names exactly one rule.
 func TestIncrementalDeltaMatchesInstall(t *testing.T) {
 	for _, name := range engine.IncrementalPacketEngineNames() {
 		t.Run(name, func(t *testing.T) {
@@ -72,6 +73,9 @@ func TestIncrementalDeltaMatchesInstall(t *testing.T) {
 
 			live := append([]fivetuple.Rule(nil), rules...)
 			pool := randomRules(rng, 30)
+			for i := range pool {
+				pool[i].ActionArg += uint32(len(rules))
+			}
 			for op := 0; op < 60; op++ {
 				if (rng.Intn(2) == 0 || len(live) == 0) && len(pool) > 0 {
 					r := pool[0]
@@ -103,12 +107,12 @@ func TestIncrementalDeltaMatchesInstall(t *testing.T) {
 				for _, h := range headers {
 					want, wantOK := firstMatch(live, h)
 					gotID, gotOK, _ := inc.LookupPacket(h)
-					if gotOK != wantOK || (wantOK && *inc.Rule(gotID) != want) {
+					if gotOK != wantOK || (wantOK && inc.Verdict(gotID) != want.Verdict()) {
 						t.Fatalf("op %d: delta path LookupPacket(%s) = (%d,%v), oracle (%s,%v)",
 							op, h, gotID, gotOK, want, wantOK)
 					}
 					freshID, freshOK, _ := fresh.LookupPacket(h)
-					if gotOK != freshOK || (gotOK && *inc.Rule(gotID) != *fresh.Rule(freshID)) {
+					if gotOK != freshOK || (gotOK && inc.Verdict(gotID) != fresh.Verdict(freshID)) {
 						t.Fatalf("op %d: delta path LookupPacket(%s) = (%d,%v), fresh Install (%d,%v)",
 							op, h, gotID, gotOK, freshID, freshOK)
 					}
@@ -272,11 +276,13 @@ const (
 
 // fuzzDeltaPool decodes the rules a delta chain draws from: 16 overlapping
 // rules from the seed byte, every third one non-terminating so
-// LookupPacketAll's chains have something to cut.
+// LookupPacketAll's chains have something to cut, and each with its own
+// action argument, so that a verdict names one pool rule at one priority.
 func fuzzDeltaPool(seed byte) []fivetuple.Rule {
 	pool := randomRules(rand.New(rand.NewSource(int64(seed))), 16)
 	for i := range pool {
 		pool[i].NonTerminating = i%3 == 0
+		pool[i].ActionArg = uint32(i + 1)
 	}
 	return pool
 }
@@ -286,7 +292,7 @@ func fuzzDeltaPool(seed byte) []fivetuple.Rule {
 // in between: the chain runs past 64 deltas, past 0.5 degradation and up to
 // the dead-id bound, where a refused delete is turned into a full Install as
 // the classifier does. Each op runs on a Clone of the previous handle, as
-// each publish does. After every op, LookupPacket / Rule and
+// each publish does. After every op, LookupPacket / Verdict and
 // LookupPacketAll's order and cut must match a best-first oracle.
 //
 // Input: byte 0 seeds the rule pool, byte 1 sizes the installed base (0–15
@@ -414,9 +420,10 @@ func runDeltaChain(t *testing.T, name string, live, pool []fivetuple.Rule, ops [
 }
 
 // checkDeltaOracle compares one engine state with the best-first list live:
-// LookupPacket names, through Rule, the first matching rule, and
+// LookupPacket names, through Verdict, the first matching rule, and
 // LookupPacketAll lists the matching rules in order up to and including the
-// first terminating one.
+// first terminating one. The rules of live carry distinct action arguments
+// (fuzzDeltaPool's), so equal verdicts name the same rule.
 func checkDeltaOracle(t *testing.T, name string, op int, eng engine.PacketEngine, live []fivetuple.Rule, headers []fivetuple.Header) {
 	t.Helper()
 	multi, _ := eng.(engine.MultiMatchPacketEngine)
@@ -424,7 +431,7 @@ func checkDeltaOracle(t *testing.T, name string, op int, eng engine.PacketEngine
 	for _, h := range headers {
 		want, wantOK := firstMatch(live, h)
 		id, ok, _ := eng.LookupPacket(h)
-		if ok != wantOK || (ok && *eng.Rule(id) != want) {
+		if ok != wantOK || (ok && eng.Verdict(id) != want.Verdict()) {
 			t.Fatalf("%s op %d: LookupPacket(%s) = (%d, %v), oracle (%s, %v)", name, op, h, id, ok, want, wantOK)
 		}
 		if multi == nil {
@@ -436,7 +443,7 @@ func checkDeltaOracle(t *testing.T, name string, op int, eng engine.PacketEngine
 			if !r.Matches(h) {
 				continue
 			}
-			if n >= len(ids) || *eng.Rule(ids[n]) != r {
+			if n >= len(ids) || eng.Verdict(ids[n]) != r.Verdict() {
 				t.Fatalf("%s op %d: LookupPacketAll(%s) = %v, diverges from the oracle at match %d (%s)", name, op, h, ids, n, r)
 			}
 			n++

@@ -88,9 +88,9 @@ func (e *linearEngine) LookupPacket(h fivetuple.Header) (int, bool, int) {
 	return 0, false, accesses
 }
 
-// Rule returns the rule at position id of the scan, the id LookupPacket
-// answered.
-func (e *linearEngine) Rule(id int) *fivetuple.Rule { return &e.rules[id] }
+// Verdict returns the verdict of the rule at position id of the scan, the id
+// LookupPacket answered.
+func (e *linearEngine) Verdict(id int) fivetuple.Verdict { return e.rules[id].Verdict() }
 
 // LookupPacketAll scans best-first, so matches append in priority order and
 // collection stops naturally at the first terminating match.

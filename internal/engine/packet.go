@@ -25,7 +25,7 @@ import (
 // publishes the finished snapshot, exactly as it does for field engines.
 //
 // Concurrency contract (read-only after build): once Install has returned,
-// LookupPacket, Rule, Cost and Footprint must be safe to call from any number
+// LookupPacket, Verdict, Cost and Footprint must be safe to call from any number
 // of goroutines concurrently — LookupPacket performs no writes to the engine;
 // the access count is returned, never accumulated inside. Install requires
 // external serialisation; the classifier only ever calls it on an
@@ -35,19 +35,20 @@ type PacketEngine interface {
 	// best-first: ascending Priority value, rules of equal priority in
 	// installation order. A fresh Install numbers the rules' ids by index
 	// into this slice. The engine may keep the slice as its own storage
-	// (linear, hypercuts and dcfl do), so the caller hands it over and must
-	// not modify it afterwards. Installing an empty slice is valid and
+	// (linear and rfc-full do; hypercuts and dcfl keep packed records of
+	// their own), so the caller hands it over and must not modify it
+	// afterwards. Installing an empty slice is valid and
 	// yields an engine that matches nothing. A failed Install leaves the
 	// previously installed state serving.
 	Install(rules []fivetuple.Rule) error
 	// LookupPacket classifies one header: the id of the highest-priority
 	// matching rule, whether any rule matched, and the number of memory
-	// accesses performed. Rule resolves the id on the same handle.
+	// accesses performed. Verdict resolves the id on the same handle.
 	LookupPacket(h fivetuple.Header) (id int, matched bool, accesses int)
-	// Rule returns the rule an id LookupPacket or LookupPacketAll answered
-	// names, for reading only, in O(1). The rule carries the priority it
+	// Verdict returns the verdict of the rule an id LookupPacket or
+	// LookupPacketAll answered names, in O(1), with the priority the rule
 	// was installed with.
-	Rule(id int) *fivetuple.Rule
+	Verdict(id int) fivetuple.Verdict
 	// Cost returns the engine's clock-cycle model under the installed rule
 	// set (decision-tree engines derive it from the built tree).
 	Cost() CostModel
@@ -75,7 +76,7 @@ type MultiMatchPacketEngine interface {
 	// returns the extended slice and the number of memory accesses
 	// performed. The order and the cut are the engine's to keep, after any
 	// number of delta ops too: the classifier turns the ids into the
-	// verdict list through Rule as they come, without sorting or cutting
+	// verdict list through Verdict as they come, without sorting or cutting
 	// them again.
 	// Implementations must not allocate when dst has sufficient capacity,
 	// so the zero-allocation serving guarantee extends to the multi-action

@@ -78,8 +78,8 @@ func checkPacketOracle(t *testing.T, phase string, eng engine.PacketEngine, rule
 		if gotOK != wantOK || (wantOK && gotIdx != wantIdx) {
 			t.Fatalf("%s: LookupPacket(%s) = (%d, %v), oracle (%d, %v)", phase, h, gotIdx, gotOK, wantIdx, wantOK)
 		}
-		if gotOK && *eng.Rule(gotIdx) != rules[wantIdx] {
-			t.Fatalf("%s: Rule(%d) = %s, installed %s", phase, gotIdx, eng.Rule(gotIdx), rules[wantIdx])
+		if gotOK && eng.Verdict(gotIdx) != rules[wantIdx].Verdict() {
+			t.Fatalf("%s: Verdict(%d) = %+v, installed %s", phase, gotIdx, eng.Verdict(gotIdx), rules[wantIdx])
 		}
 		if len(rules) > 0 && accesses < 1 {
 			t.Fatalf("%s: LookupPacket(%s) reported %d accesses", phase, h, accesses)

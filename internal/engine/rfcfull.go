@@ -46,10 +46,10 @@ func (e *rfcFullEngine) LookupPacket(h fivetuple.Header) (int, bool, int) {
 	return e.c.Classify(h)
 }
 
-// Rule returns the installed rule with index id, the id LookupPacket
-// answered: the RFC tables keep no rule, only indices into the installed
-// slice.
-func (e *rfcFullEngine) Rule(id int) *fivetuple.Rule { return &e.rules[id] }
+// Verdict returns the verdict of the installed rule with index id, the id
+// LookupPacket answered: the RFC tables keep no rule, only indices into the
+// installed slice.
+func (e *rfcFullEngine) Verdict(id int) fivetuple.Verdict { return e.rules[id].Verdict() }
 
 func (e *rfcFullEngine) Cost() CostModel {
 	accesses := 13

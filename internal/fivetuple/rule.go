@@ -103,10 +103,10 @@ func (r Rule) Matches(h Header) bool {
 		r.TCPFlags.Matches(h.TCPFlags)
 }
 
-// SameMatch reports whether two rules match exactly the same set of headers,
-// comparing every dimension in canonical form. Priority, action and
-// termination semantics are not part of the comparison: this is the identity
-// used by the update plane to locate an installed rule.
+// SameMatch reports whether two rules have the same matches: prefixes, VLAN
+// and TCP-flag matches in canonical form, ports and the protocol match as
+// given. Priority, action and termination are not compared: this is the
+// identity the update plane locates an installed rule by.
 func (r Rule) SameMatch(o Rule) bool {
 	return r.SrcPrefix.Canonical() == o.SrcPrefix.Canonical() &&
 		r.DstPrefix.Canonical() == o.DstPrefix.Canonical() &&
@@ -115,8 +115,8 @@ func (r Rule) SameMatch(o Rule) bool {
 		r.Protocol == o.Protocol &&
 		r.Src6.Canonical() == o.Src6.Canonical() &&
 		r.Dst6.Canonical() == o.Dst6.Canonical() &&
-		r.VLAN == o.VLAN &&
-		r.TCPFlags == o.TCPFlags
+		r.VLAN.Mask == o.VLAN.Mask && r.VLAN.Matches(o.VLAN.Value) &&
+		r.TCPFlags.Mask == o.TCPFlags.Mask && r.TCPFlags.Matches(o.TCPFlags.Value)
 }
 
 // Wildcard returns a rule matching every packet, with the given priority and

@@ -16,6 +16,7 @@ import (
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/core"
 	"sdnpc/internal/engine"
+	"sdnpc/internal/fieldtier"
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/hw/hashunit"
 	"sdnpc/internal/label"
@@ -159,7 +160,7 @@ func BenchmarkAblation_HashLoad(b *testing.B) {
 	for _, load := range []float64{0.25, 0.5, 0.75, 0.9} {
 		b.Run(fmt.Sprintf("load_%.2f", load), func(b *testing.B) {
 			c := core.MustNew(core.DefaultConfig())
-			target := int(load * float64(core.RuleFilterSlots))
+			target := int(load * float64(fieldtier.RuleFilterSlots))
 			rules := classbench.Generate(classbench.Config{Class: classbench.ACL, Rules: target, Seed: 7})
 			var totalProbes, inserted int
 			for _, r := range rules.Rules() {
@@ -243,10 +244,10 @@ func BenchmarkUpdateLatency(b *testing.B) {
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if err := inc.InsertRule(churn); err != nil {
+						if _, err := inc.InsertRule(churn); err != nil {
 							b.Fatal(err)
 						}
-						if err := inc.DeleteRule(churn); err != nil {
+						if _, err := inc.DeleteRule(churn); err != nil {
 							if inc.UpdateCost().DeadIDs < len(structureRules) {
 								b.Fatal(err)
 							}

@@ -496,11 +496,15 @@ func TestDifferentialUpdateSequences(t *testing.T) {
 				checkTieOrder(t, name)
 			})
 
-			// The sequence ran entirely on the delta path for incremental
-			// engines; pin that so the corpus cannot silently regress into
-			// testing the rebuild path.
+			// The sequence ran entirely on the delta path for engines that
+			// take deltas; pin that so the corpus cannot silently regress
+			// into testing the rebuild path.
 			stats := c.Report().Updates
-			if def, _ := engine.Get(name); def.Incremental {
+			eng, err := engine.NewPacket(name, engine.Spec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, takesDeltas := eng.(engine.IncrementalPacketEngine); takesDeltas {
 				// At most the seed build pays a rebuild: engines that splice
 				// deltas straight into an empty structure (linear) report zero.
 				if stats.DeltasApplied == 0 || stats.Rebuilds > 1 {

@@ -64,6 +64,39 @@ func TestFacadeUpdatePlane(t *testing.T) {
 	}
 }
 
+// TestFacadeFieldEngineUpdatePlane is TestFacadeUpdatePlane's twin on the
+// paper's field engine (mbt), which takes every op as a delta and never asks
+// for a rebuild: the 40-op Apply is one delta publish of 40 deltas, and
+// neither it nor the bulk install rebuilds.
+func TestFacadeFieldEngineUpdatePlane(t *testing.T) {
+	c, err := New(WithEngine("mbt"))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rs := MustGenerateRuleSet("acl", "1k")
+	if _, err := c.InsertAll(rs); err != nil {
+		t.Fatalf("InsertAll: %v", err)
+	}
+	before := c.Report().Updates
+	ops := GenerateUpdateTrace(rs, UpdateTraceOptions{Ops: 40, Seed: 9, Locality: 0.5})
+	_, errs, err := c.Apply(ops)
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	for i, opErr := range errs {
+		if opErr != nil {
+			t.Fatalf("op %d failed: %v", i, opErr)
+		}
+	}
+	after := c.Report().Updates
+	if d, p := after.DeltasApplied-before.DeltasApplied, after.DeltaPublishes-before.DeltaPublishes; d != 40 || p != 1 {
+		t.Errorf("Apply added %d deltas in %d publishes (%+v), want one delta publish carrying all 40 ops", d, p, after)
+	}
+	if after.Rebuilds != 0 || after.DeltasSinceRebuild != 0 {
+		t.Errorf("UpdateStats = %+v, want no rebuild and no debt", after)
+	}
+}
+
 func TestFacadeRoundTrip(t *testing.T) {
 	c, err := New()
 	if err != nil {

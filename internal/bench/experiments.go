@@ -12,6 +12,7 @@ import (
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/core"
 	"sdnpc/internal/engine"
+	"sdnpc/internal/fieldtier"
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/label"
 )
@@ -549,9 +550,9 @@ func Fig5() Fig5Result {
 	return Fig5Result{
 		SharedBlockBits:     bstProvisionedBits,
 		FreedMBTBits:        mbtProvisionedBits - bstProvisionedBits,
-		RuleCapacityMBT:     core.RuleCapacityFor("mbt"),
-		RuleCapacityBST:     core.RuleCapacityFor("bst"),
-		ExtraRulesFromShare: core.ExtraRuleCapacityBST,
+		RuleCapacityMBT:     fieldtier.RuleCapacityFor("mbt"),
+		RuleCapacityBST:     fieldtier.RuleCapacityFor("bst"),
+		ExtraRulesFromShare: fieldtier.ExtraRuleCapacityBST,
 	}
 }
 
@@ -668,60 +669,30 @@ func HPMLAccuracy(w Workload) (HPMLAccuracyResult, error) {
 	return result, nil
 }
 
-// singleProbe is the field tier of the default configuration with the
-// paper's combination: one engine per dimension, and the best rule priority
-// of every installed label combination.
+// singleProbe is the field engine of the default configuration with the
+// paper's combination: the best rule priority of every installed label
+// combination, probed once with the seven list heads.
 type singleProbe struct {
-	engines [label.NumDimensions + 1]engine.FieldEngine
-	best    map[label.CombinationKey]int
+	e    *fieldtier.Engine
+	best map[label.CombinationKey]int
 }
 
 // newSingleProbe installs the rule set in order, as the controller does.
 func newSingleProbe(rs *fivetuple.RuleSet) (*singleProbe, error) {
-	p := &singleProbe{best: make(map[label.CombinationKey]int, rs.Len())}
-	labels := label.NewBank[engine.Value]()
-	ipEngine := core.DefaultConfig().IPEngine
-	for _, d := range label.Dimensions() {
-		name, spec := ipEngine, engine.Spec{KeyBits: 16, LabelBits: d.Bits()}
-		switch d {
-		case label.DimSrcPort, label.DimDstPort:
-			name, spec.Registers = "portreg", core.DefaultPortRegisters
-		case label.DimProtocol:
-			name, spec = "lut", engine.Spec{KeyBits: 8, LabelBits: core.DefaultProtocolLabelBits}
-		}
-		eng, err := engine.New(name, spec)
-		if err != nil {
-			return nil, fmt.Errorf("bench: building %s engine for %s: %w", name, d, err)
-		}
-		p.engines[d] = eng
+	cfg := core.DefaultConfig()
+	e, err := fieldtier.New(cfg.IPEngine, cfg.PortRegisters, cfg.MaxCrossProductProbes)
+	if err != nil {
+		return nil, err
 	}
-	for _, r := range rs.Rules() {
-		var ruleLabels [label.NumDimensions + 1]label.Label
-		for _, d := range label.Dimensions() {
-			v := engine.RuleValue(d, r)
-			tbl := labels.Table(d)
-			previousBest, _ := tbl.Best(v)
-			lbl, created, err := tbl.Acquire(v, r.Priority)
-			if err != nil {
-				return nil, fmt.Errorf("bench: labelling rule %d: %w", r.Priority, err)
-			}
-			ruleLabels[d] = lbl
-			if created || r.Priority < previousBest {
-				if _, err := p.engines[d].Insert(v, lbl, r.Priority); err != nil {
-					return nil, fmt.Errorf("bench: installing rule %d: %w", r.Priority, err)
-				}
-			}
-		}
-		key := label.PackKeyDims(&ruleLabels)
-		if best, ok := p.best[key]; !ok || r.Priority < best {
-			p.best[key] = r.Priority
-		}
+	if err := e.Install(rs.Rules()); err != nil {
+		return nil, err
 	}
-	for _, d := range label.Dimensions() {
-		if prep, ok := p.engines[d].(engine.Preparer); ok {
-			prep.Prepare()
+	p := &singleProbe{e: e, best: make(map[label.CombinationKey]int, rs.Len())}
+	e.Entries(func(_ int, key label.CombinationKey, v fivetuple.Verdict) {
+		if best, ok := p.best[key]; !ok || v.Priority < best {
+			p.best[key] = v.Priority
 		}
-	}
+	})
 	return p, nil
 }
 
@@ -733,7 +704,7 @@ func (p *singleProbe) lookup(h fivetuple.Header) (priority int, matched bool) {
 		labels [label.NumDimensions + 1]label.Label
 	)
 	for _, d := range label.Dimensions() {
-		p.engines[d].LookupInto(keys[d], &list)
+		p.e.Field(d).LookupInto(keys[d], &list)
 		head, ok := list.HPML()
 		if !ok {
 			return 0, false

@@ -3,6 +3,7 @@ package bench
 import (
 	"sdnpc/internal/core"
 	"sdnpc/internal/engine"
+	"sdnpc/internal/fieldtier"
 	"sdnpc/internal/hw/hashunit"
 	"sdnpc/internal/label"
 )
@@ -56,16 +57,16 @@ const (
 const (
 	// mbtProvisionedBits is the MBT block family: three trie levels for each
 	// of the four IP segments.
-	mbtProvisionedBits = 4 * (core.DefaultMBTLevel1Entries + mbtLevel2Entries + core.DefaultMBTLevel3Entries) *
-		core.DefaultMBTEntryBits
+	mbtProvisionedBits = 4 * (fieldtier.DefaultMBTLevel1Entries + mbtLevel2Entries + fieldtier.DefaultMBTLevel3Entries) *
+		fieldtier.DefaultMBTEntryBits
 	// bstProvisionedBits is the four shared level-2 blocks, which hold every
 	// node of a shared-resident engine such as the BST.
-	bstProvisionedBits         = 4 * mbtLevel2Entries * core.DefaultMBTEntryBits
+	bstProvisionedBits         = 4 * mbtLevel2Entries * fieldtier.DefaultMBTEntryBits
 	labelMemoryProvisionedBits = labelMemoryEntries * labelMemoryEntryBits
 	// ruleFilterProvisionedBits is the base hash-addressed block. The extra
 	// capacity of a shared-resident engine selection reuses the freed MBT
 	// blocks, which mbtProvisionedBits already counts.
-	ruleFilterProvisionedBits = core.RuleFilterSlots * core.DefaultRuleEntryBits
+	ruleFilterProvisionedBits = fieldtier.RuleFilterSlots * fieldtier.DefaultRuleEntryBits
 )
 
 // ipEngineProvisionedBits is the block capacity the named IP engine maps
@@ -286,7 +287,7 @@ func ArchSpec(rep core.Report) SynthSpec {
 	// The datapath carries the 104-bit header five-tuple, the 68-bit label
 	// combination key, one label-list pointer and length per dimension and
 	// the rule-filter result word.
-	datapath := 104 + label.KeyBits + label.NumDimensions*(13+5) + core.DefaultRuleEntryBits
+	datapath := 104 + label.KeyBits + label.NumDimensions*(13+5) + fieldtier.DefaultRuleEntryBits
 	return SynthSpec{
 		BlockMemoryBits: totalProvisionedBits(rep),
 		MemoryBlocks:    memoryBlocks,

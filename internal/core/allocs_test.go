@@ -259,7 +259,7 @@ func TestFieldTierUpdateAllocs(t *testing.T) {
 // allocates, per IP engine: the engines, the label bank, the Rule Filter and
 // the serving lanes (two, forced, so the bound does not move with the core
 // count) — 14 KiB on mbt, bounded at 24. Fig. 5's level-2 sharing is
-// capacity arithmetic (RuleCapacityFor), so a tier holds no memory
+// capacity arithmetic (fieldtier.RuleCapacityFor), so a tier holds no memory
 // model beside what it serves.
 func TestNewFieldTierAllocs(t *testing.T) {
 	if raceEnabled {

@@ -8,39 +8,75 @@ import (
 	"sdnpc/internal/algo/portreg"
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/engine"
+	"sdnpc/internal/fieldtier"
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/label"
 )
 
-// The field tier's label bank is shared by every generation of the tier and
+// The field engine's label bank is shared by every clone of the engine and
 // written in place by the transaction in flight, so a transaction that is
 // abandoned after applying ops must leave it describing the published rule
 // table again. These tests abandon transactions every way one can be
 // abandoned and then make the classifier prove the bank still fits: by its
 // contents, and by churning rules through it against the linear reference.
 
+// fieldEngine returns the published snapshot's field engine.
+func fieldEngine(t *testing.T, c *Classifier) *fieldtier.Engine {
+	t.Helper()
+	f, ok := c.view().engine.(*fieldtier.Engine)
+	if !ok {
+		t.Fatalf("the %s engine serves, not the field engine", c.ActiveEngineName())
+	}
+	return f
+}
+
+// storedRule is one Rule Filter entry: a combination key and a verdict.
+type storedRule struct {
+	key label.CombinationKey
+	v   fivetuple.Verdict
+}
+
 // requireBankMatchesPublished asserts that the writer-side label bank is
-// exactly what the published rule table implies: every installed rule's field
-// values carry the labels packed in its combination key, the reference
-// counters add up to one use per rule and dimension, nothing else is
-// labelled, and the footprint Report publishes is the bank's.
+// exactly what the published rule table implies: the labels the bank gives
+// every installed rule's field values pack into a combination key the Rule
+// Filter stores with that rule's verdict, and into no key it does not, the
+// reference counters add up to one use per rule and dimension, nothing else
+// is labelled, and the footprint Report publishes is the bank's.
 func requireBankMatchesPublished(t *testing.T, c *Classifier) {
 	t.Helper()
-	s := c.view()
-	bank := s.field.labels
+	s, f := c.view(), fieldEngine(t, c)
+	bank := f.Labels()
 	if got, want := bank.StorageBits(), c.Report().Memory.LabelTableBits; got != want {
 		t.Fatalf("bookkeeping holds %d label bits, published %d", got, want)
+	}
+	stored := map[storedRule]int{}
+	f.Entries(func(_ int, key label.CombinationKey, v fivetuple.Verdict) { stored[storedRule{key, v}]++ })
+	for i := range s.table.len() {
+		r := s.table.at(i)
+		var labels [label.NumDimensions + 1]label.Label
+		for _, d := range label.Dimensions() {
+			v := engine.RuleValue(d, *r)
+			lbl, ok := bank.Table(d).Lookup(v)
+			if !ok {
+				t.Fatalf("%s: value %s of rule %d has no label in the bank", d, v, r.Priority)
+			}
+			labels[d] = lbl
+		}
+		e := storedRule{label.PackKeyDims(&labels), r.Verdict()}
+		if stored[e] == 0 {
+			t.Fatalf("rule %d: the bank labels its values %v, a key the Rule Filter does not store with its verdict", r.Priority, e.key.Unpack())
+		}
+		stored[e]--
+	}
+	for e, n := range stored {
+		if n != 0 {
+			t.Fatalf("the Rule Filter stores %d entries of priority %d under key %v, which no installed rule's labels make", n, e.v.Priority, e.key.Unpack())
+		}
 	}
 	for _, d := range label.Dimensions() {
 		values := map[engine.Value]bool{}
 		for i := range s.table.len() {
-			r, key := s.table.at(i), s.table.key(i)
-			v := engine.RuleValue(d, *r)
-			values[v] = true
-			if lbl, ok := bank.Table(d).Lookup(v); !ok || lbl != key.Label(d) {
-				t.Fatalf("%s: value %s of rule %d is labelled (%d, %v) in the bank, %d in the rule's key",
-					d, v, r.Priority, lbl, ok, key.Label(d))
-			}
+			values[engine.RuleValue(d, *s.table.at(i))] = true
 		}
 		uses := 0
 		for v := range values {
@@ -134,9 +170,12 @@ func TestAbandonedUpdateRestoresLabelBank(t *testing.T) {
 		requireUnchanged(t, c, before)
 	})
 
-	// A batch-level abandon: 39 inserts, then a deletion that fails in its
-	// last dimension — after the Rule Filter entry and six labels are gone —
-	// because the published protocol engine was tampered with.
+	// A batch-level abandon: 39 inserts, then a deletion the field engine
+	// declines — the published protocol engine was tampered with, so the
+	// deletion fails in its last dimension, after six labels were released,
+	// and rolls itself back — and 130 inserts of fresh destination ports,
+	// past the 128 labels of the destination-port dimension, which the
+	// rebuild the decline asks for cannot hold.
 	t.Run("ApplyUpdates", func(t *testing.T) {
 		c, _ := install(t)
 		victim := fivetuple.Wildcard(300000, fivetuple.ActionDrop)
@@ -145,8 +184,8 @@ func TestAbandonedUpdateRestoresLabelBank(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := publishedOf(c)
-		proto := c.view().field.engines[label.DimProtocol]
-		lbl, _ := c.view().field.labels.Table(label.DimProtocol).Lookup(engine.Exact(99))
+		proto := fieldEngine(t, c).Field(label.DimProtocol)
+		lbl, _ := fieldEngine(t, c).Labels().Table(label.DimProtocol).Lookup(engine.Exact(99))
 		if _, err := proto.Remove(engine.Exact(99), lbl); err != nil {
 			t.Fatal(err)
 		}
@@ -155,8 +194,12 @@ func TestAbandonedUpdateRestoresLabelBank(t *testing.T) {
 			ops = append(ops, UpdateOp{Rule: r})
 		}
 		ops = append(ops, UpdateOp{Delete: true, Rule: victim})
-		if _, _, err := c.ApplyUpdates(ops); err == nil {
-			t.Fatal("ApplyUpdates published a batch whose deletion failed midway")
+		for i, r := range freshRules(130, 400000) {
+			r.DstPort = fivetuple.ExactPort(uint16(50000 + i))
+			ops = append(ops, UpdateOp{Rule: r})
+		}
+		if _, _, err := c.ApplyUpdates(ops); !errors.Is(err, label.ErrTableFull) {
+			t.Fatalf("ApplyUpdates = %v, want the batch abandoned on the rebuild's full port label table", err)
 		}
 		if _, err := proto.Insert(engine.Exact(99), lbl, victim.Priority); err != nil {
 			t.Fatal(err)
@@ -166,7 +209,7 @@ func TestAbandonedUpdateRestoresLabelBank(t *testing.T) {
 			t.Fatalf("deleting the rule the abandoned batch failed on: %v", err)
 		}
 		before.rules--
-		before.memory.RuleFilterUsedBits -= DefaultRuleEntryBits
+		before.memory.RuleFilterUsedBits -= fieldtier.DefaultRuleEntryBits
 		before.memory.LabelTableBits = c.Report().Memory.LabelTableBits
 		requireUnchanged(t, c, before)
 	})
@@ -178,7 +221,7 @@ func TestAbandonedUpdateRestoresLabelBank(t *testing.T) {
 		if err := c.SelectEngine("bst"); err != nil {
 			t.Fatal(err)
 		}
-		over := capacityRuleSet(RuleCapacityFor("mbt") + 1) // bst holds it, mbt does not
+		over := capacityRuleSet(fieldtier.RuleCapacityFor("mbt") + 1) // bst holds it, mbt does not
 		if _, err := c.InstallRuleSet(over); err != nil {
 			t.Fatal(err)
 		}
@@ -228,14 +271,14 @@ func TestRolledBackInsertReseatsPriority(t *testing.T) {
 
 	// Every value of the priority-ordered dimensions (the IP segments; port
 	// and protocol lists are ordered by specificity) carries its best.
-	s := c.view()
+	s, f := c.view(), fieldEngine(t, c)
 	var list label.List
 	for i := range s.table.len() {
 		for _, d := range ipSegmentDims {
 			v := engine.RuleValue(d, *s.table.at(i))
-			lbl, _ := s.field.labels.Table(d).Lookup(v)
-			best, _ := s.field.labels.Table(d).Best(v)
-			s.field.engines[d].LookupInto(v.Value, &list)
+			lbl, _ := f.Labels().Table(d).Lookup(v)
+			best, _ := f.Labels().Table(d).Best(v)
+			f.Field(d).LookupInto(v.Value, &list)
 			found := false
 			for j := range list.Len() {
 				if pl := list.At(j); pl.Label == lbl {
@@ -257,7 +300,7 @@ func TestRolledBackInsertReseatsPriority(t *testing.T) {
 	}
 	requireHeads(t, c, header("10.1.2.3", 1500), rule("10.1.0.0/16", low, 7))
 	requireHeads(t, c, header("10.2.3.4", 1500), rule("10.0.0.0/8", low, 10))
-	if _, ok := fieldHeads(c, header("10.1.2.3", 2500)); ok {
+	if _, ok := fieldHeads(t, c, header("10.1.2.3", 2500)); ok {
 		t.Error("the deleted rule's port range still yields a label")
 	}
 }

@@ -1,29 +1,24 @@
 package core
 
 import (
+	"cmp"
 	"sync"
 	"sync/atomic"
 
+	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
-	"sdnpc/internal/label"
 )
-
-// ipSegmentDims lists the four IP-segment label dimensions in a fixed order.
-var ipSegmentDims = []label.Dimension{
-	label.DimSrcIPHigh, label.DimSrcIPLow, label.DimDstIPHigh, label.DimDstIPLow,
-}
 
 // Classifier is one instance of the configurable packet classification
 // architecture.
 //
-// Under a field engine every header dimension is served by one pluggable
-// engine.FieldEngine, built through the engine registry: the four IP-segment
-// dimensions run the selected engine (switchable at run time via
-// SelectEngine — the generalised IPalg_s signal), the port dimensions run
-// the register bank and the protocol dimension runs the LUT. Under a
-// whole-packet engine one engine.PacketEngine serves the header instead. The
-// classifier itself never dispatches on an algorithm name; every call goes
-// through the two engine interfaces.
+// One engine.PacketEngine serves the header: under an IP-capable engine
+// name the paper's field engine (internal/fieldtier), whose four IP-segment
+// dimensions run the named engine (switchable at run time via SelectEngine —
+// the generalised IPalg_s signal), the port dimensions the register bank and
+// the protocol dimension the LUT; under any other name a whole-packet
+// engine. The classifier itself never dispatches on an algorithm name; every
+// call goes through the engine interfaces.
 //
 // Classifier is safe for concurrent use. The serving path is RCU-style: the
 // complete data path lives in an immutable snapshot behind an atomic
@@ -31,7 +26,7 @@ var ipSegmentDims = []label.Dimension{
 // lock-free. Updates (InsertRule, DeleteRule, InstallRuleSet, ApplyUpdates,
 // SelectEngine) serialise on an internal mutex, build the next snapshot
 // off to the side — cloning the current one and mutating the private copy,
-// or building a fresh tier on an engine switch — and publish it with a
+// or building a fresh engine on an engine switch — and publish it with a
 // single atomic swap. A lookup that raced an update returns a result
 // consistent with either the old or the new rule set, never a half-applied
 // mixture; this mirrors the modelled hardware, where the controller
@@ -51,11 +46,15 @@ type Classifier struct {
 	gen atomic.Uint64
 
 	// lanes holds the serving lanes — the optional microflow caches in
-	// front of both engine tiers and the lookup counters, one per processor.
+	// front of the engine and the lookup counters, one per processor.
 	lanes *lanes
 
 	// stats is the update-plane collector; lookups account to their lane.
 	stats statsCollector
+
+	// undo is the writer's undo-log buffer, reused across transactions
+	// while it stays small (see update).
+	undo []delta
 }
 
 // New creates a classifier with the given configuration.
@@ -65,7 +64,9 @@ func New(cfg Config) (*Classifier, error) {
 	}
 	c := &Classifier{cfg: cfg}
 	c.lanes = newLanes(&c.cfg)
-	s, err := newSnapshot(&c.cfg, cfg.engineName(), nil)
+	// PacketEngine, when set, wins over IPEngine.
+	name := cmp.Or(cfg.PacketEngine, cfg.IPEngine)
+	s, err := newSnapshot(&c.cfg, name, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -87,14 +88,18 @@ func MustNew(cfg Config) *Classifier {
 // is still reading it.
 func (c *Classifier) view() *snapshot { return c.snap.Load() }
 
-// publish prepares a snapshot, stamps it with the next generation and makes
-// it the one served to readers. The fresh generation is what retires every
+// publish prepares a snapshot — forcing every deferred engine-side build
+// (engine.Preparer), so that a published snapshot never mutates itself
+// inside a lookup — stamps it with the next generation and makes it the one
+// served to readers. The fresh generation is what retires every
 // microflow-cache entry filled under predecessors: entries are only served
 // to readers of the generation that filled them, so the swap invalidates the
 // cache in O(1) with no flush. Every lane serves the snapshot from the
 // moment of the swap.
 func (c *Classifier) publish(s *snapshot) {
-	s.prepare()
+	if p, ok := s.engine.(engine.Preparer); ok {
+		p.Prepare()
+	}
 	s.gen = c.gen.Add(1)
 	c.snap.Store(s)
 }
@@ -113,7 +118,7 @@ func (c *Classifier) Config() Config { return c.cfg }
 // ActiveEngineName returns the name of the engine answering lookups: the
 // whole-packet engine or IP-segment field engine the classifier was last
 // configured or switched to.
-func (c *Classifier) ActiveEngineName() string { return c.view().activeEngineName() }
+func (c *Classifier) ActiveEngineName() string { return c.view().name }
 
 // RuleCount returns the number of installed rules.
 func (c *Classifier) RuleCount() int { return c.view().table.len() }
@@ -121,7 +126,7 @@ func (c *Classifier) RuleCount() int { return c.view().table.len() }
 // RuleCapacity returns the rule capacity under the active engine — the
 // capacity insertions are enforced against.
 func (c *Classifier) RuleCapacity() int {
-	return RuleCapacityFor(c.view().activeEngineName())
+	return c.view().capacity
 }
 
 // InstalledRules returns a copy of the rule table: the installed rules
@@ -131,14 +136,14 @@ func (c *Classifier) InstalledRules() []fivetuple.Rule {
 	return c.view().table.copyRules()
 }
 
-// SelectEngine selects any registered serving engine by name, whichever
-// tier it belongs to — the generalised IPalg_s signal (§III.A). It builds a
-// fresh data path for the named engine (for a field engine: new engines and a
-// rule filter re-provisioned to the engine's capacity (Fig. 5); for a
-// whole-packet engine: its precomputed structure), programmes it from the
-// installed rules and atomically swaps it in, exactly as the software
-// controller would re-download the memory images after a configuration
-// change; the previous tier is dropped with the snapshot that held it.
+// SelectEngine selects any registered serving engine by name — the
+// generalised IPalg_s signal (§III.A). It builds a fresh engine for the name
+// (for an IP-segment engine: the field engine with a rule filter
+// re-provisioned to the engine's capacity (Fig. 5); for a whole-packet
+// engine: its precomputed structure), programmes it from the installed rules
+// and atomically swaps it in, exactly as the software controller would
+// re-download the memory images after a configuration change; the previous
+// engine is dropped with the snapshot that held it.
 // Lookups racing the switch are served by the old data path until the swap;
 // none ever observes a half-programmed engine. Everything is staged on an
 // unpublished snapshot, so a failed switch — an engine that cannot hold the
@@ -150,7 +155,7 @@ func (c *Classifier) SelectEngine(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	current := c.view()
-	if name == current.activeEngineName() {
+	if name == current.name {
 		return nil
 	}
 	next, err := newSnapshot(&c.cfg, name, current.table.copyRules())

@@ -83,24 +83,11 @@ func TestProbeBudgetExhaustionStaysExact(t *testing.T) {
 	}
 }
 
-// requirePrefixesCoverInstalled asserts the walk's pruning structure can
-// never hide a rule: every label prefix of every installed key is in the
-// published snapshot's prefix set.
-func requirePrefixesCoverInstalled(t *testing.T, c *Classifier) {
-	t.Helper()
-	s := c.view()
-	for i := range s.table.len() {
-		for depth := 1; depth < label.NumDimensions; depth++ {
-			if !s.field.prefixes.has(depth, s.table.key(i).Prefix(depth)) {
-				t.Fatalf("rule %s: its %d-label prefix is missing from the published prefix set", s.table.at(i), depth)
-			}
-		}
-	}
-}
-
 // A label recycled from a deleted rule to a different field value must not
 // carry the old rule's prefixes across the publish: headers of the deleted
-// rule stop matching, headers of the new rule match it.
+// rule stop matching, headers of the new rule match it. (That the prefix set
+// covers every stored key across the recycle is the field engine's own
+// test, TestPrefixSetCoversLiveEntries.)
 func TestRecycledLabelLeavesNoStalePrefix(t *testing.T) {
 	old := mustRule(t, "10.1.0.0/16", "192.168.1.0/24", 80, fivetuple.ProtoTCP, 0)
 	keep := mustRule(t, "10.9.0.0/16", "192.168.9.0/24", 22, fivetuple.ProtoTCP, 1)
@@ -120,8 +107,7 @@ func TestRecycledLabelLeavesNoStalePrefix(t *testing.T) {
 			t.Fatalf("InsertRule(%s): %v", r, err)
 		}
 	}
-	requirePrefixesCoverInstalled(t, c)
-	oldLabel, ok := c.view().field.labels.Table(label.DimSrcIPHigh).Lookup(engine.RuleValue(label.DimSrcIPHigh, old))
+	oldLabel, ok := fieldEngine(t, c).Labels().Table(label.DimSrcIPHigh).Lookup(engine.RuleValue(label.DimSrcIPHigh, old))
 	if !ok {
 		t.Fatal("the first rule's source segment is not labelled")
 	}
@@ -132,11 +118,10 @@ func TestRecycledLabelLeavesNoStalePrefix(t *testing.T) {
 	if _, err := c.InsertRule(fresh); err != nil {
 		t.Fatalf("InsertRule(%s): %v", fresh, err)
 	}
-	freshLabel, ok := c.view().field.labels.Table(label.DimSrcIPHigh).Lookup(engine.RuleValue(label.DimSrcIPHigh, fresh))
+	freshLabel, ok := fieldEngine(t, c).Labels().Table(label.DimSrcIPHigh).Lookup(engine.RuleValue(label.DimSrcIPHigh, fresh))
 	if !ok || freshLabel != oldLabel {
 		t.Fatalf("the new rule's source segment got label %d (found %v), want the recycled label %d", freshLabel, ok, oldLabel)
 	}
-	requirePrefixesCoverInstalled(t, c)
 
 	rs := fivetuple.NewRuleSet("recycled", []fivetuple.Rule{fresh, keep})
 	checkAgainstOracle(t, c, rs, []fivetuple.Header{oldHeader, freshHeader})

@@ -1,20 +1,22 @@
-// Package core implements the paper's primary contribution: the configurable
-// label-based packet classification architecture for SDN (§III, §IV).
+// Package core implements the classifier around the paper's primary
+// contribution, the configurable label-based packet classification
+// architecture for SDN (§III, §IV): the rule table, the snapshot-swap
+// serving path, the serving lanes and their microflow caches, and the one
+// update discipline.
 //
-// A Classifier holds one single-field lookup engine per header dimension —
-// four IP-segment engines that can be switched at run time between a
-// Multi-Bit Trie (fast) and a Binary Search Tree (memory-efficient), two
-// port register banks and a protocol look-up table — plus the three memory
-// block families of §III.D: the Algorithm blocks (owned by the engines), the
-// Labels blocks (the per-dimension label tables) and the Rule Filter block
-// (a hash table addressed by the hardware hash of the 68-bit label
-// combination key).
+// A snapshot holds the rule table and one engine.PacketEngine programmed
+// from it. Under an IP-capable engine name that is the paper's classifier,
+// the field engine of internal/fieldtier: seven single-field engines, the
+// label tables and the Rule Filter, answering in the four pipelined phases
+// of Fig. 3 and updated by the label-counting procedure of Fig. 4. The
+// IPalg_s configuration signal (§IV.C.2, Fig. 5) is the IP engine name,
+// which decides how the MBT blocks are used and how many rules fit
+// (fieldtier.RuleCapacityFor). Under any other name a whole-packet engine of
+// the registry serves instead. newEngine is the one place the two differ.
 //
-// Lookups follow the four pipelined phases of Fig. 3; updates follow the
-// incremental label-counting procedure of Fig. 4; and the IPalg_s
-// configuration signal (§IV.C.2, Fig. 5) is the IP engine name, which
-// decides how the MBT blocks are used and how many rules fit
-// (RuleCapacityFor).
+// Every update applies its deltas to the working engine at the op, while the
+// engine's own debt allows; otherwise the publish rebuilds the engine over
+// the table (see Classifier.ApplyUpdates).
 package core
 
 import (
@@ -23,45 +25,22 @@ import (
 	"sdnpc/internal/engine"
 )
 
-// Default architecture geometry: what the classifier enforces. An 8K-rule
-// filter in the MBT configuration grows to ~12K rules in the BST
-// configuration (Table VI, Fig. 5); the port register banks hold 128 ranges
-// and the protocol label is 2 bits wide (§IV.C.1). The rest of the
-// synthesised design's provisioning (the MBT level-2 budget, the Labels
-// memory) is the hardware model's alone (internal/bench/model.go).
+// Defaults of the classifier: the port register banks hold 128 ranges
+// (§IV.C.1), and the rebuild policy over an incremental engine's own debt.
 const (
-	// Multi-Bit Trie provisioning per 16-bit IP segment: the three levels use
-	// 5-, 5- and 6-bit strides; level 1 is a single 32-entry node and level 3
-	// is provisioned with a fixed node budget. Levels 1 and 3 are what the
-	// BST configuration frees for rule storage.
-	DefaultMBTLevel1Entries = 32
-	DefaultMBTLevel3Entries = 3288
-	DefaultMBTEntryBits     = 32
-
-	// DefaultRuleFilterAddressBits gives an 8192-slot Rule Filter (13-bit
-	// addresses produced by the hash unit).
-	DefaultRuleFilterAddressBits = 13
-	// DefaultRuleEntryBits is the width of one Rule Filter entry: the 68-bit
-	// combination key, a 14-bit priority, a 3-bit action, a 16-bit action
-	// argument and a valid flag, padded to a power-of-two word.
-	DefaultRuleEntryBits = 128
-
 	// DefaultPortRegisters is the number of port-range registers per port
 	// dimension (bounded by the 7-bit port label space).
 	DefaultPortRegisters = 128
 
-	// DefaultProtocolLabelBits is the protocol label width (§IV.C.1).
-	DefaultProtocolLabelBits = 2
-
 	// DefaultRebuildAfterDeltas bounds the delta debt of an incremental
-	// whole-packet engine: a publish whose pending mutations would bring
-	// the structure's UpdateCost().Deltas to this many rebuilds it instead
-	// of delta-applying, amortising the accumulated imperfection.
+	// engine: a delta that would bring the engine's UpdateCost().Deltas to
+	// this many is not applied, and the publish rebuilds the engine instead,
+	// amortising the accumulated imperfection.
 	DefaultRebuildAfterDeltas = 64
 
-	// DefaultDegradationThreshold is the degradation trip point: a publish
-	// whose deltas push the engine's UpdateCost().Degradation to or past
-	// this value rebuilds in the same publish.
+	// DefaultDegradationThreshold is the degradation trip point: a delta
+	// that pushes the engine's UpdateCost().Degradation to or past this
+	// value is the last the engine takes, and the publish rebuilds it.
 	DefaultDegradationThreshold = 0.5
 )
 
@@ -126,15 +105,6 @@ func (c *Config) SetEngine(name string) {
 	c.IPEngine, c.PacketEngine = name, ""
 }
 
-// engineName resolves the engine a new classifier serves from: PacketEngine
-// when set, otherwise IPEngine.
-func (c Config) engineName() string {
-	if c.PacketEngine != "" {
-		return c.PacketEngine
-	}
-	return c.IPEngine
-}
-
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	if c.IPEngine == "" && c.PacketEngine == "" {
@@ -173,26 +143,4 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: microflow cache shard count %d out of range (max %d)", c.CacheShards, 1<<12)
 	}
 	return nil
-}
-
-// Rule capacity (Table VI, Fig. 5). RuleFilterSlots is the hash-addressed
-// base block, the capacity of the MBT configuration. ExtraRuleCapacityBST is
-// how many more entries fit in the MBT blocks freed by selecting the BST —
-// levels 1 and 3 of the four IP-segment tries; level 2 keeps the BST nodes
-// ("the rest of the memory determined for MBT can be used to collect more
-// rules").
-const (
-	RuleFilterSlots      = 1 << DefaultRuleFilterAddressBits
-	ExtraRuleCapacityBST = 4 * (DefaultMBTLevel1Entries + DefaultMBTLevel3Entries) * DefaultMBTEntryBits / DefaultRuleEntryBits
-)
-
-// RuleCapacityFor returns the number of rules the architecture can hold
-// under the named engine selection (Table VI: 8K with the MBT, ~12K with the
-// BST). Engines whose node data resides entirely in the shared level-2
-// blocks free the remaining MBT blocks for rule storage.
-func RuleCapacityFor(name string) int {
-	if def, ok := engine.Get(name); ok && def.SharesLevel2 {
-		return RuleFilterSlots + ExtraRuleCapacityBST
-	}
-	return RuleFilterSlots
 }

@@ -7,6 +7,7 @@ import (
 
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/engine"
+	"sdnpc/internal/fieldtier"
 	"sdnpc/internal/fivetuple"
 	"sdnpc/internal/label"
 )
@@ -87,14 +88,14 @@ func TestConfigValidation(t *testing.T) {
 func TestRuleCapacityMatchesTableVI(t *testing.T) {
 	// Table VI: 8K rules with the MBT, ~12K with the BST (the freed levels 1
 	// and 3 of the four MBT tries hold 3 320 more rules, Fig. 5).
-	if got := RuleCapacityFor("mbt"); got != 8192 {
+	if got := fieldtier.RuleCapacityFor("mbt"); got != 8192 {
 		t.Errorf("MBT rule capacity = %d, want 8192", got)
 	}
-	if got := RuleCapacityFor("bst"); got != 11512 {
+	if got := fieldtier.RuleCapacityFor("bst"); got != 11512 {
 		t.Errorf("BST rule capacity = %d, want 11512", got)
 	}
-	if ExtraRuleCapacityBST != 3320 {
-		t.Errorf("ExtraRuleCapacityBST = %d, want 3320", ExtraRuleCapacityBST)
+	if fieldtier.ExtraRuleCapacityBST != 3320 {
+		t.Errorf("fieldtier.ExtraRuleCapacityBST = %d, want 3320", fieldtier.ExtraRuleCapacityBST)
 	}
 }
 
@@ -174,21 +175,21 @@ func TestLookupAgainstReferenceOnGeneratedFilterSets(t *testing.T) {
 	}
 }
 
-// fieldHeads runs phase 2 of a lookup on the published snapshot and returns
-// the head of every dimension's label list — its Highest Priority Matching
-// Label — in label.Dimensions() order; ok is false when some dimension
-// matched no label.
-func fieldHeads(c *Classifier, h fivetuple.Header) (heads [label.NumDimensions]label.PriorityLabel, ok bool) {
-	var (
-		fields [label.NumDimensions]fieldLookup
-		lists  [label.NumDimensions]label.List
-	)
-	for i := range fields {
-		fields[i].list = &lists[i]
-	}
-	c.view().lookupFieldsInto(h, fields[:])
-	for i := range fields {
-		if heads[i], ok = fields[i].list.HPML(); !ok {
+// ipSegmentDims are the four IP-segment dimensions, whose label lists are
+// ordered by rule priority.
+var ipSegmentDims = label.Dimensions()[:4]
+
+// fieldHeads runs phase 2 of a lookup on the published field engine and
+// returns the head of every dimension's label list — its Highest Priority
+// Matching Label — in label.Dimensions() order; ok is false when some
+// dimension matched no label.
+func fieldHeads(t *testing.T, c *Classifier, h fivetuple.Header) (heads [label.NumDimensions]label.PriorityLabel, ok bool) {
+	f := fieldEngine(t, c)
+	keys := engine.HeaderKeys(h)
+	var list label.List
+	for i, d := range label.Dimensions() {
+		f.Field(d).LookupInto(keys[d], &list)
+		if heads[i], ok = list.HPML(); !ok {
 			return heads, false
 		}
 	}
@@ -201,17 +202,18 @@ func fieldHeads(c *Classifier, h fivetuple.Header) (heads [label.NumDimensions]l
 // value's best rule priority.
 func requireHeads(t *testing.T, c *Classifier, h fivetuple.Header, want fivetuple.Rule) {
 	t.Helper()
-	heads, ok := fieldHeads(c, h)
+	heads, ok := fieldHeads(t, c, h)
 	if !ok {
 		t.Fatalf("%s: some dimension matched no label", h)
 	}
+	labels := fieldEngine(t, c).Labels()
 	for i, d := range label.Dimensions() {
 		v := engine.RuleValue(d, want)
-		lbl, _ := c.view().field.labels.Table(d).Lookup(v)
+		lbl, _ := labels.Table(d).Lookup(v)
 		if heads[i].Label != lbl {
 			t.Errorf("%s: %s list head is label %d, want %d (%s)", h, d, heads[i].Label, lbl, v)
 		}
-		if best, _ := c.view().field.labels.Table(d).Best(v); i < len(ipSegmentDims) && heads[i].Priority != best {
+		if best, _ := labels.Table(d).Best(v); i < len(ipSegmentDims) && heads[i].Priority != best {
 			t.Errorf("%s: %s list head is at priority %d, want %d (%s)", h, d, heads[i].Priority, best, v)
 		}
 	}
@@ -237,11 +239,19 @@ func TestHPMLModeIsSoundAndSingleProbe(t *testing.T) {
 	if _, err := c.InstallRuleSet(rs); err != nil {
 		t.Fatalf("InstallRuleSet: %v", err)
 	}
-	s := c.view()
+	f := fieldEngine(t, c)
+	// The Rule Filter's best verdict under every stored key: what one probe
+	// of a key reads.
+	filter := map[label.CombinationKey]fivetuple.Verdict{}
+	f.Entries(func(_ int, key label.CombinationKey, v fivetuple.Verdict) {
+		if best, ok := filter[key]; !ok || v.Priority < best.Priority {
+			filter[key] = v
+		}
+	})
 	trace := classbench.GenerateTrace(rs, classbench.TraceConfig{Packets: 500, Seed: 9, MatchFraction: 0.9})
 	hits := 0
 	for _, h := range trace {
-		heads, ok := fieldHeads(c, h)
+		heads, ok := fieldHeads(t, c, h)
 		if !ok {
 			continue
 		}
@@ -251,15 +261,15 @@ func TestHPMLModeIsSoundAndSingleProbe(t *testing.T) {
 			if i >= len(ipSegmentDims) {
 				continue
 			}
-			v, _ := s.field.labels.Table(d).Value(heads[i].Label)
-			if best, _ := s.field.labels.Table(d).Best(v); heads[i].Priority != best {
+			v, _ := f.Labels().Table(d).Value(heads[i].Label)
+			if best, _ := f.Labels().Table(d).Best(v); heads[i].Priority != best {
 				t.Fatalf("%s: %s head %s is at priority %d, its best rule's is %d", h, d, v, heads[i].Priority, best)
 			}
 		}
-		if entry, _ := s.field.filter.lookup(label.PackKeyDims(&labels)); entry != nil {
+		if v, ok := filter[label.PackKeyDims(&labels)]; ok {
 			hits++
-			if !rs.Rule(entry.priority).Matches(h) {
-				t.Fatalf("the single probe returned rule %d which does not match %s", entry.priority, h)
+			if !rs.Rule(v.Priority).Matches(h) {
+				t.Fatalf("the single probe returned rule %d which does not match %s", v.Priority, h)
 			}
 		}
 	}
@@ -302,10 +312,10 @@ func TestUpdateReportFollowsFigure4(t *testing.T) {
 	if repB.NewLabels != 1 {
 		t.Errorf("second rule NewLabels = %d, want 1", repB.NewLabels)
 	}
-	if got := c.view().field.labels.Table(label.DimDstPort).RefCount(engine.RuleValue(label.DimDstPort, ruleA)); got != 1 {
+	if got := fieldEngine(t, c).Labels().Table(label.DimDstPort).RefCount(engine.RuleValue(label.DimDstPort, ruleA)); got != 1 {
 		t.Errorf("dst port 80 refcount = %d, want 1", got)
 	}
-	if got := c.view().field.labels.Table(label.DimProtocol).RefCount(engine.RuleValue(label.DimProtocol, ruleA)); got != 2 {
+	if got := fieldEngine(t, c).Labels().Table(label.DimProtocol).RefCount(engine.RuleValue(label.DimProtocol, ruleA)); got != 2 {
 		t.Errorf("protocol refcount = %d, want 2", got)
 	}
 
@@ -325,9 +335,9 @@ func TestUpdateReportFollowsFigure4(t *testing.T) {
 	if delA.ReleasedLabels != label.NumDimensions {
 		t.Errorf("final delete ReleasedLabels = %d, want %d", delA.ReleasedLabels, label.NumDimensions)
 	}
-	if c.RuleCount() != 0 || c.view().field.labels.TotalLabels() != 0 {
+	if c.RuleCount() != 0 || fieldEngine(t, c).Labels().TotalLabels() != 0 {
 		t.Errorf("classifier not empty after deleting everything: %d rules, %d labels",
-			c.RuleCount(), c.view().field.labels.TotalLabels())
+			c.RuleCount(), fieldEngine(t, c).Labels().TotalLabels())
 	}
 }
 
@@ -469,8 +479,8 @@ func TestMemoryReportBudget(t *testing.T) {
 	if report.IPEngine != "mbt" || report.IPEngineUsedBits == 0 {
 		t.Errorf("IP engine %q uses %d bits, want nonzero MBT usage", report.IPEngine, report.IPEngineUsedBits)
 	}
-	if report.RuleFilterUsedBits != rs.Len()*DefaultRuleEntryBits {
-		t.Errorf("RuleFilterUsedBits = %d, want %d", report.RuleFilterUsedBits, rs.Len()*DefaultRuleEntryBits)
+	if report.RuleFilterUsedBits != rs.Len()*fieldtier.DefaultRuleEntryBits {
+		t.Errorf("RuleFilterUsedBits = %d, want %d", report.RuleFilterUsedBits, rs.Len()*fieldtier.DefaultRuleEntryBits)
 	}
 	if rep.RulesInstalled != rs.Len() || rep.RuleCapacity != 8192 {
 		t.Errorf("rules %d / capacity %d", rep.RulesInstalled, rep.RuleCapacity)

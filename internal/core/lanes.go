@@ -50,31 +50,22 @@ type lane struct {
 // packet. The update-plane counters live in the classifier's statsCollector
 // — updates are single-writer and don't need this.
 type laneStats struct {
-	lookups          atomic.Uint64
-	matches          atomic.Uint64
-	fieldAccesses    atomic.Uint64
-	labelFetches     atomic.Uint64
-	ruleFilterProbes atomic.Uint64
-	combinations     atomic.Uint64
+	lookups       atomic.Uint64
+	matches       atomic.Uint64
+	fieldAccesses atomic.Uint64
+	labelFetches  atomic.Uint64
+	filterProbes  atomic.Uint64
+	combinations  atomic.Uint64
 }
 
-func (st *laneStats) recordLookup(r Result) {
-	st.lookups.Add(1)
-	if r.Matched {
-		st.matches.Add(1)
-	}
-	st.fieldAccesses.Add(uint64(r.FieldAccesses))
-	st.labelFetches.Add(uint64(r.LabelFetches))
-	st.ruleFilterProbes.Add(uint64(r.RuleFilterProbes))
-	st.combinations.Add(uint64(r.Combinations))
-}
+func (st *laneStats) recordLookup(r Result) { st.recordBatch(SummarizeBatch([]Result{r})) }
 
 func (st *laneStats) recordBatch(rep BatchReport) {
 	st.lookups.Add(uint64(rep.Packets))
 	st.matches.Add(uint64(rep.Matched))
 	st.fieldAccesses.Add(uint64(rep.FieldAccesses))
 	st.labelFetches.Add(uint64(rep.LabelFetches))
-	st.ruleFilterProbes.Add(uint64(rep.RuleFilterProbes))
+	st.filterProbes.Add(uint64(rep.RuleFilterProbes))
 	st.combinations.Add(uint64(rep.Combinations))
 }
 
@@ -84,7 +75,7 @@ func (st *laneStats) addTo(s *Stats) {
 	s.Matches += st.matches.Load()
 	s.FieldAccesses += st.fieldAccesses.Load()
 	s.LabelFetches += st.labelFetches.Load()
-	s.RuleFilterProbes += st.ruleFilterProbes.Load()
+	s.RuleFilterProbes += st.filterProbes.Load()
 	s.Combinations += st.combinations.Load()
 }
 
@@ -93,7 +84,7 @@ func (st *laneStats) reset() {
 	st.matches.Store(0)
 	st.fieldAccesses.Store(0)
 	st.labelFetches.Store(0)
-	st.ruleFilterProbes.Store(0)
+	st.filterProbes.Store(0)
 	st.combinations.Store(0)
 }
 

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"sdnpc/internal/cache"
-	"sdnpc/internal/engine"
+	"sdnpc/internal/fieldtier"
 	"sdnpc/internal/fivetuple"
-	"sdnpc/internal/label"
 )
 
 // Result is the outcome of one lookup.
@@ -22,50 +20,10 @@ type Result struct {
 	Action    fivetuple.Action
 	ActionArg uint32
 
-	// FieldAccesses is the number of algorithm-block memory accesses
-	// performed by the per-field engines for this packet.
-	FieldAccesses int
-	// LabelFetches is the number of Labels-memory reads (one per non-empty
-	// field list).
-	LabelFetches int
-	// RuleFilterProbes is the number of Rule Filter slots actually read in
-	// phase 4 — the work done, where Combinations is the work modelled.
-	RuleFilterProbes int
-	// Combinations is the modelled phase-3 cost: the size of the label
-	// cross-product the header presents (the product of the seven list
-	// lengths, capped by Config.MaxCrossProductProbes), which is what the
-	// hardware pipeline would examine. It is 0 when some dimension matched
-	// no label. The software walk visits far fewer combinations than this;
-	// see RuleFilterProbes.
-	Combinations int
+	// Counts are the hardware model's counters of the lookup. A whole-packet
+	// engine fills only FieldAccesses, with its own memory accesses.
+	fieldtier.Counts
 }
-
-// fieldLookup is the phase-2 result of one dimension.
-type fieldLookup struct {
-	dim      label.Dimension
-	list     *label.List
-	accesses int
-}
-
-// lookupScratch is the reusable per-lookup working set of the field-tier
-// pipeline: one fieldLookup and one label list per dimension, wired together
-// once at construction so a pooled scratch never re-points or reallocates.
-// Together with the engines' LookupInto this makes the serving path free of
-// per-packet heap allocation — the lists grow to the hot rule set's label
-// fan-out during warm-up and are recycled through lookupScratchPool
-// thereafter.
-type lookupScratch struct {
-	fields [label.NumDimensions]fieldLookup
-	lists  [label.NumDimensions]label.List
-}
-
-var lookupScratchPool = sync.Pool{New: func() any {
-	sc := &lookupScratch{}
-	for i := range sc.fields {
-		sc.fields[i].list = &sc.lists[i]
-	}
-	return sc
-}}
 
 // Lookup classifies one packet header through the four pipelined phases of
 // Fig. 3 and returns the Highest Priority Matching Rule.
@@ -75,7 +33,7 @@ var lookupScratchPool = sync.Pool{New: func() any {
 // concurrent update can never hand it a half-programmed data path.
 //
 // When the microflow cache is configured, a repeated five-tuple is answered
-// from the cache before any engine structure — of either tier — is walked.
+// from the cache before any engine structure is walked.
 // Cached verdicts are keyed by the snapshot's generation, so a lookup racing
 // a rule update still returns a result consistent with either the pre-update
 // or the post-update snapshot, never a cached leftover of a third.
@@ -92,16 +50,16 @@ func (c *Classifier) Lookup(h fivetuple.Header) Result {
 // this exact snapshot — including its access counters, which are
 // deterministic per (snapshot, header) — so the cached path is
 // byte-identical to the uncached one. This is what makes the cache
-// tier-agnostic: it fronts the field tier and the packet tier with the same
-// three lines, and lane-agnostic: each lane passes its own private cache.
+// engine-agnostic: it fronts every engine with the same three lines, and
+// lane-agnostic: each lane passes its own private cache.
 func (c *Classifier) serveOn(s *snapshot, mf *cache.Cache[Result], h fivetuple.Header) Result {
 	if mf == nil {
-		return s.lookup(&c.cfg, h)
+		return s.lookup(h)
 	}
 	if r, ok := mf.Get(s.gen, h); ok {
 		return r
 	}
-	r := s.lookup(&c.cfg, h)
+	r := s.lookup(h)
 	mf.Put(s.gen, h, r)
 	return r
 }
@@ -138,12 +96,8 @@ type BatchReport struct {
 	Packets int
 	// Matched is the number of packets that matched some rule.
 	Matched int
-	// FieldAccesses, LabelFetches, RuleFilterProbes and Combinations are the
-	// summed per-packet counters.
-	FieldAccesses    int
-	LabelFetches     int
-	RuleFilterProbes int
-	Combinations     int
+	// Counts are the summed per-packet counters.
+	fieldtier.Counts
 }
 
 // MatchRate returns the fraction of the batch that matched a rule.
@@ -169,157 +123,36 @@ func SummarizeBatch(results []Result) BatchReport {
 	return rep
 }
 
-// lookup runs the four-phase pipeline against this snapshot. It performs no
+// lookup answers one header from this snapshot's engine. It performs no
 // writes to the snapshot — every cost it incurs is returned in the Result —
 // which is what lets any number of readers share one published snapshot.
-func (s *snapshot) lookup(cfg *Config, h fivetuple.Header) Result {
-	// Family fallback: an IPv6 header can only be answered by a structure
-	// whose engine declares DimIPv6 — the field tier and the IPv4-only packet
-	// engines key on 32-bit addresses and would misclassify it. Those
-	// snapshots serve the header honestly by scanning the rule table
-	// (correct, O(n)); the wildcard-in-both-families rules still match.
-	if h.Family != fivetuple.FamilyIPv4 && !s.servedDims().Has(fivetuple.DimIPv6) {
+func (s *snapshot) lookup(h fivetuple.Header) Result {
+	// Family fallback: an IPv6 header can only be answered by an engine that
+	// declares DimIPv6 — the field engine and the IPv4-only packet engines
+	// key on 32-bit addresses and would misclassify it. Those snapshots serve
+	// the header honestly by scanning the rule table (correct, O(n)); the
+	// wildcard-in-both-families rules still match.
+	if h.Family != fivetuple.FamilyIPv4 && !s.packetDims.Has(fivetuple.DimIPv6) {
 		return s.lookupFallback(h)
 	}
-
-	// Whole-packet tier: one precomputed multi-field structure answers the
-	// five-tuple directly, bypassing the per-field engines, the label
-	// fetches and the Rule Filter.
-	if s.packet != nil {
-		return s.lookupPacket(h)
-	}
-
-	// Phase 1: split the header into per-dimension segments and dispatch to
-	// the engines selected by IPalg_s. Phase 2: parallel single-field
-	// lookups, into a pooled scratch so the serving path performs no
-	// per-packet heap allocation.
-	sc := lookupScratchPool.Get().(*lookupScratch)
-	defer lookupScratchPool.Put(sc)
-	fields := sc.fields[:]
-	s.lookupFieldsInto(h, fields)
-
-	result := Result{}
-	for _, f := range fields {
-		result.FieldAccesses += f.accesses
-		if f.list.Len() > 0 {
-			result.LabelFetches++
-		}
-	}
-
-	// Phase 3 + 4: combine the label lists into Rule Filter probes and fetch
-	// the HPMR. If any dimension produced no matching label, no rule can
-	// match the packet.
-	for _, f := range fields {
-		if f.list.Len() == 0 {
-			return result
-		}
-	}
-
-	return s.combineExact(cfg, h, fields, result)
-}
-
-// lookupPacket serves one header from the whole-packet engine tier. The
-// engine answers a rule id it resolves to a verdict itself, so the matched
-// rule's action and priority are read straight from the engine — no label
-// fetch, no Rule Filter probe.
-func (s *snapshot) lookupPacket(h fivetuple.Header) Result {
-	id, matched, accesses := s.packet.engine.LookupPacket(h)
-	if !matched {
-		return Result{FieldAccesses: accesses}
-	}
-	v := s.packet.engine.Verdict(id)
-	return Result{Matched: true, Priority: v.Priority, Action: v.Action, ActionArg: v.ActionArg, FieldAccesses: accesses}
-}
-
-// lookupFieldsInto performs the parallel phase-2 lookups: every dimension's
-// key is handed to that dimension's engine through the FieldEngine
-// interface, filling the caller's per-dimension slots (one per entry of
-// label.Dimensions(), whose lists must be non-nil) without allocating.
-func (s *snapshot) lookupFieldsInto(h fivetuple.Header, out []fieldLookup) {
-	keys := engine.HeaderKeys(h)
-	for i, d := range label.Dimensions() {
-		eng := s.field.engines[d]
-		out[i].dim = d
-		out[i].accesses = eng.LookupInto(keys[d], out[i].list)
-	}
-}
-
-// combineExact finds the HPMR among every combination of matching labels
-// without enumerating them. It walks the seven label lists depth-first and
-// extends a partial label tuple by one dimension only when some installed
-// rule's combination key starts with the extended tuple (snapshot.prefixes),
-// so the Rule Filter is probed only for tuples that survive all seven
-// dimensions — a handful per packet where the full cross-product runs to
-// hundreds. The prefix set only prunes: every verdict comes from a Rule
-// Filter probe, so a false positive costs a wasted step and the answer is
-// exact. (The paper's single probe of the seven list heads, §III.B, misses
-// the HPMR whenever it does not hold the head label in every dimension; the
-// hpml experiment of cmd/experiments measures how often.)
-//
-// Config.MaxCrossProductProbes bounds the Rule Filter slots the walk may
-// read; a header that exhausts it is answered by the installed-rule scan
-// rather than by whatever the walk had found so far.
-func (s *snapshot) combineExact(cfg *Config, h fivetuple.Header, fields []fieldLookup, result Result) Result {
-	// The model's phase-3 cost is the size of the label cross-product the
-	// header presents, whatever the software walk skips.
-	result.Combinations = 1
-	for i := range fields {
-		result.Combinations = min(result.Combinations*fields[i].list.Len(), cfg.MaxCrossProductProbes)
-	}
-
-	// Iterative depth-first walk over stack arrays: next[d] is the next
-	// entry of dimension d's list to try and keys[d] the combination key of
-	// the labels chosen in dimensions 0..d-1, extended by one shift per
-	// level. Every list is non-empty here; lookup returned early otherwise.
-	var (
-		next [label.NumDimensions]int
-		keys [label.NumDimensions]label.CombinationKey
-		best *ruleEntry
-	)
-	last := len(fields) - 1
-	for d := 0; d >= 0; {
-		f := &fields[d]
-		if next[d] == f.list.Len() {
-			d--
-			continue
-		}
-		pl := f.list.At(next[d])
-		next[d]++
-		// The IP-segment lists are ordered by the best priority of any rule
-		// using each label, so once a label cannot beat the hit in hand
-		// neither can the rest of its list. (Port and protocol lists are
-		// ordered by specificity and must be walked whole.)
-		if best != nil && d < len(ipSegmentDims) && pl.Priority >= best.priority {
-			d--
-			continue
-		}
-		key := keys[d].Append(f.dim, pl.Label)
-		if d < last {
-			if s.field.prefixes.has(d+1, key) {
-				d++
-				next[d], keys[d] = 0, key
-			}
-			continue
-		}
-		if result.RuleFilterProbes >= cfg.MaxCrossProductProbes {
+	result, id, matched := Result{}, 0, false
+	if m := s.modelled; m != nil {
+		var exhausted bool
+		id, matched, result.Counts, exhausted = m.LookupCounted(h)
+		if exhausted {
+			// The walk ran out of probe budget: answer from the installed
+			// rules rather than from whatever it had found so far.
 			fb := s.lookupFallback(h)
-			result.Matched, result.Priority = fb.Matched, fb.Priority
-			result.Action, result.ActionArg = fb.Action, fb.ActionArg
-			result.FieldAccesses += fb.FieldAccesses
-			return result
+			fb.FieldAccesses += result.FieldAccesses
+			fb.LabelFetches, fb.RuleFilterProbes, fb.Combinations = result.LabelFetches, result.RuleFilterProbes, result.Combinations
+			return fb
 		}
-		entry, probes := s.field.filter.lookup(key)
-		result.RuleFilterProbes += probes
-		if entry != nil && (best == nil || entry.priority < best.priority) {
-			best = entry
-		}
+	} else {
+		id, matched, result.FieldAccesses = s.engine.LookupPacket(h)
 	}
-
-	if best != nil {
-		result.Matched = true
-		result.Priority = best.priority
-		result.Action = best.action
-		result.ActionArg = best.actionArg
+	if matched {
+		v := s.engine.Verdict(id)
+		result.Matched, result.Priority, result.Action, result.ActionArg = true, v.Priority, v.Action, v.ActionArg
 	}
 	return result
 }
@@ -373,8 +206,8 @@ type statsCollector struct {
 	inserts atomic.Uint64
 	deletes atomic.Uint64
 
-	// Update-plane counters (see UpdateStats): how publishes were served by
-	// the packet tier and how long each took wall-clock.
+	// Update-plane counters (see UpdateStats): how each publish brought the
+	// engine in step and how long it took wall-clock.
 	deltasApplied  atomic.Uint64
 	deltaPublishes atomic.Uint64
 	rebuilds       atomic.Uint64
@@ -382,15 +215,14 @@ type statsCollector struct {
 }
 
 // recordPublish folds one rule-update publish into the update-plane
-// counters: the sync outcome (delta-applied vs rebuilt) and the wall-clock
-// latency of the whole clone-mutate-sync-swap.
-func (sc *statsCollector) recordPublish(sync publishSync, elapsed time.Duration) {
-	switch {
-	case sync.rebuilt:
+// counters: how the engine was brought in step (deltas applied, or rebuilt)
+// and the wall-clock latency of the whole clone-mutate-swap.
+func (sc *statsCollector) recordPublish(deltas int, rebuilt bool, elapsed time.Duration) {
+	if rebuilt {
 		sc.rebuilds.Add(1)
-	case sync.deltas > 0:
+	} else {
 		sc.deltaPublishes.Add(1)
-		sc.deltasApplied.Add(uint64(sync.deltas))
+		sc.deltasApplied.Add(uint64(deltas))
 	}
 	sc.publishLatency[latencyBucket(elapsed)].Add(1)
 }

@@ -56,32 +56,24 @@ func (c *Classifier) LookupAllInto(dst []ActionRef, h fivetuple.Header) ([]Actio
 // LookupAllInto collects the multi-action verdict, appending to dst[:0], and
 // accounts the lookup to this reader's lane.
 func (r *Reader) LookupAllInto(dst []ActionRef, h fivetuple.Header) ([]ActionRef, Result) {
-	dst, result := r.c.view().lookupAllInto(&r.c.cfg, h, dst[:0])
+	dst, result := r.c.view().lookupAllInto(h, dst[:0])
 	r.lane.stats.recordLookup(result)
 	return dst, result
 }
 
 // lookupAllInto is the snapshot-level multi-action lookup. Routing mirrors
-// snapshot.lookup — family fallback, packet tier, field tier —
-// with one addition: a packet engine declaring multi-match support is asked
-// for every matching rule. Engines without multi-match support can only be
-// serving terminating rules (DimMultiAction is gated at install), so their
-// single verdict IS the complete list.
-func (s *snapshot) lookupAllInto(cfg *Config, h fivetuple.Header, dst []ActionRef) ([]ActionRef, Result) {
-	if h.Family != fivetuple.FamilyIPv4 && !s.servedDims().Has(fivetuple.DimIPv6) {
+// snapshot.lookup, with one addition: an engine declaring multi-match
+// support is asked for every matching rule. Engines without multi-match
+// support can only be serving terminating rules (DimMultiAction is gated at
+// install), so their single verdict IS the complete list.
+func (s *snapshot) lookupAllInto(h fivetuple.Header, dst []ActionRef) ([]ActionRef, Result) {
+	if h.Family != fivetuple.FamilyIPv4 && !s.packetDims.Has(fivetuple.DimIPv6) {
 		return s.collectFallback(h, dst)
 	}
-	if s.packet != nil {
-		if mm, ok := s.packet.engine.(engine.MultiMatchPacketEngine); ok {
-			return s.collectPacket(mm, h, dst)
-		}
-		res := s.lookupPacket(h)
-		if res.Matched {
-			dst = append(dst, ActionRef{Priority: res.Priority, Action: res.Action, ActionArg: res.ActionArg, Terminal: true})
-		}
-		return dst, res
+	if mm, ok := s.engine.(engine.MultiMatchPacketEngine); ok {
+		return s.collectPacket(mm, h, dst)
 	}
-	res := s.lookup(cfg, h)
+	res := s.lookup(h)
 	if res.Matched {
 		dst = append(dst, ActionRef{Priority: res.Priority, Action: res.Action, ActionArg: res.ActionArg, Terminal: true})
 	}
@@ -128,10 +120,11 @@ func (s *snapshot) collectFallback(h fivetuple.Header, dst []ActionRef) ([]Actio
 }
 
 // verdictResult is the single-verdict Result of a multi-action lookup served
-// outside the field pipeline: the head of the verdict list and the accesses
+// outside the field engine: the head of the verdict list and the accesses
 // that found it.
 func verdictResult(refs []ActionRef, accesses int) Result {
-	result := Result{FieldAccesses: accesses}
+	var result Result
+	result.FieldAccesses = accesses
 	if len(refs) > 0 {
 		result.Matched = true
 		result.Priority = refs[0].Priority

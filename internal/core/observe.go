@@ -12,8 +12,8 @@ import (
 // inside Stats and Updates remain individually atomic reads, which
 // is inherent to concurrent collection.)
 type Report struct {
-	// ActiveEngine is the registry name of the engine answering lookups, of
-	// either tier; it is the only engine the snapshot holds.
+	// ActiveEngine is the registry name of the engine answering lookups; it
+	// is the only engine the snapshot holds.
 	ActiveEngine string
 
 	// RulesInstalled and RuleCapacity describe the rule table under the
@@ -32,8 +32,8 @@ type Report struct {
 	Memory MemoryReport
 
 	// LookupCost is the modelled cost of the active lookup stage (Fig. 3
-	// phase 2): the packet engine's cost model, or on the field tier the
-	// element-wise maximum over the seven field engines. It is the input of
+	// phase 2): the engine's cost model — under the field engine the
+	// element-wise maximum over its seven field engines. It is the input of
 	// the paper's pipeline model in internal/bench; no lookup reads it.
 	LookupCost engine.CostModel
 
@@ -55,13 +55,13 @@ type Report struct {
 func (c *Classifier) Report() Report {
 	s := c.view()
 	r := Report{
-		ActiveEngine:   s.activeEngineName(),
+		ActiveEngine:   s.name,
 		RulesInstalled: s.table.len(),
-		RuleCapacity:   RuleCapacityFor(s.activeEngineName()),
+		RuleCapacity:   s.capacity,
 		Stats:          c.statsSnapshot(),
 		Updates:        c.updateStats(s),
 		Memory:         c.memoryReport(s),
-		LookupCost:     s.lookupCost(),
+		LookupCost:     s.engine.Cost(),
 	}
 	r.CacheEnabled = c.CacheEnabled()
 	r.Generation = s.gen

@@ -8,6 +8,7 @@ import (
 	"sdnpc/internal/cache"
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/engine"
+	"sdnpc/internal/fieldtier"
 	"sdnpc/internal/fivetuple"
 )
 
@@ -23,9 +24,9 @@ func TestReportRuleCapacityTracksActiveTier(t *testing.T) {
 	if err := c.SelectEngine("bst"); err != nil {
 		t.Fatalf("SelectEngine(bst): %v", err)
 	}
-	bstCap := RuleCapacityFor("bst")
-	if bstCap <= RuleFilterSlots {
-		t.Fatalf("bst capacity %d should exceed the base %d slots", bstCap, RuleFilterSlots)
+	bstCap := fieldtier.RuleCapacityFor("bst")
+	if bstCap <= fieldtier.RuleFilterSlots {
+		t.Fatalf("bst capacity %d should exceed the base %d slots", bstCap, fieldtier.RuleFilterSlots)
 	}
 	if got := c.Report().RuleCapacity; got != bstCap {
 		t.Fatalf("field tier RuleCapacity = %d, want %d", got, bstCap)
@@ -36,7 +37,7 @@ func TestReportRuleCapacityTracksActiveTier(t *testing.T) {
 	if err := c.SelectEngine("hypercuts"); err != nil {
 		t.Fatalf("SelectEngine(hypercuts): %v", err)
 	}
-	wantCap := RuleCapacityFor("hypercuts")
+	wantCap := fieldtier.RuleCapacityFor("hypercuts")
 	if wantCap == bstCap {
 		t.Fatalf("test needs distinguishable capacities, got %d for both", wantCap)
 	}
@@ -179,11 +180,8 @@ func TestReportMatchesAccessors(t *testing.T) {
 				t.Errorf("Updates.PublishLatency saw %d publishes, want 2", got)
 			}
 			// The debt is the published engine's own UpdateCost: the delete
-			// delta-applied on hypercuts; the field tier has none.
-			var cost engine.UpdateCost
-			if p := c.view().packet; p != nil {
-				cost = p.engine.(engine.IncrementalPacketEngine).UpdateCost()
-			}
+			// delta-applied on hypercuts; the field engine has none.
+			cost := c.view().engine.(engine.IncrementalPacketEngine).UpdateCost()
 			if rep.Updates.DeltasSinceRebuild != cost.Deltas || rep.Updates.Degradation != cost.Degradation ||
 				(name == "hypercuts") != (cost.Deltas == 1) {
 				t.Errorf("Updates debt = (%d, %v), want the engine's (%d, %v) with the delete's one delta on hypercuts",

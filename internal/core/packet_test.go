@@ -6,7 +6,9 @@ import (
 
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/engine"
+	"sdnpc/internal/fieldtier"
 	"sdnpc/internal/fivetuple"
+	"sdnpc/internal/label"
 )
 
 // TestEveryPacketEngineMatchesReferenceClassifier installs a generated
@@ -88,11 +90,6 @@ func TestSelectEngineSwitchesTiers(t *testing.T) {
 		}
 		if c.RuleCount() != rs.Len() {
 			t.Fatalf("after switch to %s: %d rules, want %d", name, c.RuleCount(), rs.Len())
-		}
-		// A field-tier snapshot carries the combination walk's prefix set,
-		// built before the snapshot is published.
-		if isPacket, _ := engine.Selectable(name); !isPacket {
-			requirePrefixesCoverInstalled(t, c)
 		}
 		for _, h := range probe {
 			wantIdx, wantOK := rs.Classify(h)
@@ -182,7 +179,7 @@ func TestSelectEngineFailureLeavesServingStateUntouched(t *testing.T) {
 
 	// The bst configuration (base + freed MBT blocks) holds rules that the
 	// mbt and hypercuts configurations (base only) cannot.
-	over := capacityRuleSet(RuleCapacityFor("mbt") + 4)
+	over := capacityRuleSet(fieldtier.RuleCapacityFor("mbt") + 4)
 	if _, err := c.InstallRuleSet(over); err != nil {
 		t.Fatalf("InstallRuleSet: %v", err)
 	}
@@ -233,10 +230,11 @@ func TestConfigPacketEngineValidation(t *testing.T) {
 	}
 }
 
-// TestSnapshotHoldsOneTier pins the one-tier invariant: whichever engine is
-// selected, the published snapshot holds that engine's tier and nothing of
-// the other, and under a packet engine the memory report shows no field-tier
-// usage.
+// TestSnapshotHoldsOneTier pins the one-engine invariant: whichever engine
+// is selected, the published snapshot holds that one engine — the field
+// engine, with its counted lookup, for a field engine name, the packet
+// engine otherwise — and under a packet engine the memory report shows no
+// field-tier usage.
 func TestSnapshotHoldsOneTier(t *testing.T) {
 	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, classbench.Size1K))
 	c := MustNew(DefaultConfig())
@@ -256,9 +254,10 @@ func TestSnapshotHoldsOneTier(t *testing.T) {
 		}
 		s, mem := c.view(), c.Report().Memory
 		isPacket, _ := engine.Selectable(name)
+		_, isField := s.engine.(*fieldtier.Engine)
 		if isPacket {
-			if s.field != nil || s.packet == nil || s.packet.engine == nil {
-				t.Fatalf("%s: snapshot tiers = (field %v, packet %v), want the packet tier alone", name, s.field, s.packet)
+			if isField || s.modelled != nil || s.engine == nil {
+				t.Fatalf("%s: snapshot engine = %T, want the packet engine alone", name, s.engine)
 			}
 			if mem.IPEngineUsedBits != 0 || mem.LabelTableBits != 0 || mem.LabelMemoryUsedBits != 0 || mem.RuleFilterUsedBits != 0 {
 				t.Errorf("%s: memory report shows field-tier usage: %+v", name, mem)
@@ -268,8 +267,8 @@ func TestSnapshotHoldsOneTier(t *testing.T) {
 			}
 			continue
 		}
-		if s.packet != nil || s.field == nil {
-			t.Fatalf("%s: snapshot tiers = (field %v, packet %v), want the field tier alone", name, s.field, s.packet)
+		if !isField || s.modelled == nil {
+			t.Fatalf("%s: snapshot engine = %T, want the field engine", name, s.engine)
 		}
 		if mem.PacketEngineUsedBits != 0 || mem.IPEngineUsedBits <= 0 || mem.RuleFilterUsedBits <= 0 {
 			t.Errorf("%s: memory report = %+v, want field-tier usage only", name, mem)
@@ -277,12 +276,11 @@ func TestSnapshotHoldsOneTier(t *testing.T) {
 	}
 }
 
-// TestTierSwitchRebuildsFieldTier checks that a field tier built by a switch
-// away from a packet engine is exact: after churn under hypercuts (where no
-// label or Rule Filter entry exists to keep in step) the rebuilt tier
-// classifies like the reference, its prefix set covers every rule, and its
-// reference counts are right — deleting every rule empties the label tables
-// and the Rule Filter.
+// TestTierSwitchRebuildsFieldTier checks that a field engine built by a
+// switch away from a packet engine is exact: after churn under hypercuts
+// (where no label or Rule Filter entry exists to keep in step) the rebuilt
+// field engine classifies like the reference, and its reference counts are
+// right — deleting every rule empties the label tables and the Rule Filter.
 func TestTierSwitchRebuildsFieldTier(t *testing.T) {
 	rs := classbench.Generate(classbench.StandardConfig(classbench.ACL, classbench.Size1K))
 	probe := classbench.GenerateTrace(rs, classbench.TraceConfig{
@@ -339,7 +337,6 @@ func TestTierSwitchRebuildsFieldTier(t *testing.T) {
 		t.Fatalf("SelectEngine(mbt): %v", err)
 	}
 	verify("mbt")
-	requirePrefixesCoverInstalled(t, c)
 
 	ops := make([]UpdateOp, len(rules))
 	for i, r := range rules {
@@ -348,10 +345,11 @@ func TestTierSwitchRebuildsFieldTier(t *testing.T) {
 	if _, errs, err := c.ApplyUpdates(ops); err != nil || errors.Join(errs...) != nil {
 		t.Fatalf("deleting every rule from the rebuilt tier: %v / %v", err, errors.Join(errs...))
 	}
-	f := c.view().field
-	if c.RuleCount() != 0 || f.labels.TotalLabels() != 0 || f.filter.usedRules() != 0 {
+	f, entries := fieldEngine(t, c), 0
+	f.Entries(func(int, label.CombinationKey, fivetuple.Verdict) { entries++ })
+	if c.RuleCount() != 0 || f.Labels().TotalLabels() != 0 || entries != 0 {
 		t.Fatalf("after deleting every rule: %d rules, %d labels, %d Rule Filter entries, want all 0",
-			c.RuleCount(), f.labels.TotalLabels(), f.filter.usedRules())
+			c.RuleCount(), f.Labels().TotalLabels(), entries)
 	}
 
 	// Back onto a packet engine with the rules re-installed.

@@ -6,7 +6,6 @@ import (
 
 	"sdnpc/internal/cow"
 	"sdnpc/internal/fivetuple"
-	"sdnpc/internal/label"
 )
 
 // ruleTable is a snapshot's rule table: the installed rules best-first —
@@ -17,7 +16,7 @@ import (
 // one; the best-first order is a list of slot ids, the one part a publish
 // copies whole (4 bytes a rule).
 type ruleTable struct {
-	slots cow.Array[installedRule]
+	slots cow.Array[fivetuple.Rule]
 	// ids[:live] are the installed rules' slots best-first; ids[live:] are the
 	// slots deletes freed, which the next inserts reuse. ids is private to
 	// this table only while idsOwned.
@@ -29,19 +28,8 @@ type ruleTable struct {
 // len returns the number of installed rules.
 func (t *ruleTable) len() int { return t.live }
 
-// installedRule is one slot of the table: a rule and, on a field tier, its
-// label combination (zero on a packet tier, which has no labels). Together
-// they are 128 bytes, so a 64-slot chunk fills its allocation exactly.
-type installedRule struct {
-	rule fivetuple.Rule
-	key  label.CombinationKey
-}
-
 // at returns the installed rule at best-first position i, for reading only.
-func (t *ruleTable) at(i int) *fivetuple.Rule { return &t.slots.At(int(t.ids[i])).rule }
-
-// key returns the label combination of the rule at position i.
-func (t *ruleTable) key(i int) label.CombinationKey { return t.slots.At(int(t.ids[i])).key }
+func (t *ruleTable) at(i int) *fivetuple.Rule { return t.slots.At(int(t.ids[i])) }
 
 // clone returns a table sharing t's slots and id list; neither side writes
 // them in place afterwards.
@@ -69,18 +57,17 @@ func (t *ruleTable) bound(p int, upper bool) int {
 	})
 }
 
-// insert places r, with its label combination, at best-first position i, in
-// a freed slot when there is one.
-func (t *ruleTable) insert(i int, r fivetuple.Rule, key label.CombinationKey) {
+// insert places r at best-first position i, in a freed slot when there is
+// one.
+func (t *ruleTable) insert(i int, r fivetuple.Rule) {
 	t.ownIDs(1)
-	ir := installedRule{rule: r, key: key}
 	var id uint32
 	if t.live < len(t.ids) {
 		id = t.ids[t.live]
-		*t.slots.Mut(int(id)) = ir
+		*t.slots.Mut(int(id)) = r
 	} else {
 		id = uint32(t.slots.Len())
-		t.slots.Append(ir)
+		t.slots.Append(r)
 		t.ids = append(t.ids, id)
 	}
 	copy(t.ids[i+1:t.live+1], t.ids[i:t.live])

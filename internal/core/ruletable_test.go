@@ -10,7 +10,6 @@ import (
 
 	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
-	"sdnpc/internal/label"
 )
 
 // tableRule builds one IPv4 rule of the best-first table test.
@@ -230,11 +229,11 @@ func TestRuleTableBestFirst(t *testing.T) {
 	}
 }
 
-// tableState is a deep copy of a ruleTable: every slot's rule and key,
-// every chunk's identity (the address of its first slot) and the id list.
+// tableState is a deep copy of a ruleTable: every slot's rule, every
+// chunk's identity (the address of its first slot) and the id list.
 type tableState struct {
-	slots  []installedRule
-	chunks []*installedRule
+	slots  []fivetuple.Rule
+	chunks []*fivetuple.Rule
 	ids    []uint32
 	live   int
 }
@@ -261,10 +260,10 @@ func requireTableState(t *testing.T, who string, tbl *ruleTable, want tableState
 	}
 }
 
-// tableInsert places r as a field-tier insertRule does: after every rule of
-// its priority, keyed (here by its action argument).
+// tableInsert places r as txn.insertRule does: after every rule of its
+// priority.
 func tableInsert(tbl *ruleTable, r fivetuple.Rule) {
-	tbl.insert(tbl.bound(r.Priority, true), r, label.KeyFromParts(0, uint64(r.ActionArg)))
+	tbl.insert(tbl.bound(r.Priority, true), r)
 }
 
 // tableRules lists the table best-first.
@@ -308,7 +307,7 @@ func TestRuleTableUnit(t *testing.T) {
 	}
 	r := fivetuple.Wildcard(1, fivetuple.ActionDrop)
 	tableInsert(&cl, r)
-	if cl.slots.Len() != tbl.slots.Len() || cl.slots.At(int(freed)).rule != r {
+	if cl.slots.Len() != tbl.slots.Len() || *cl.slots.At(int(freed)) != r {
 		t.Fatalf("the insert after a delete did not reuse the freed slot %d (%d slots, want %d)", freed, cl.slots.Len(), tbl.slots.Len())
 	}
 	for range 100 {

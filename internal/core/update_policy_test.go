@@ -146,10 +146,10 @@ func TestNonIncrementalEnginesAlwaysRebuild(t *testing.T) {
 	}
 }
 
-// TestFieldTierPublishesCountOnlyLatency pins that field-tier-only updates
-// appear in the publish-latency histogram but in neither packet-tier
-// counter.
-func TestFieldTierPublishesCountOnlyLatency(t *testing.T) {
+// TestFieldTierPublishesCountAsDeltas pins that the field engine takes every
+// update as a delta at the op and never asks for a rebuild: each publish is a
+// delta publish, and each appears in the publish-latency histogram.
+func TestFieldTierPublishesCountAsDeltas(t *testing.T) {
 	c := MustNew(DefaultConfig())
 	rules := policyRules(5)
 	for _, r := range rules {
@@ -161,8 +161,8 @@ func TestFieldTierPublishesCountOnlyLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := c.Report().Updates
-	if stats.Rebuilds != 0 || stats.DeltasApplied != 0 || stats.DeltaPublishes != 0 {
-		t.Fatalf("field-tier stats = %+v, want zero packet-tier activity", stats)
+	if stats.Rebuilds != 0 || stats.DeltasApplied != 6 || stats.DeltaPublishes != 6 || stats.DeltasSinceRebuild != 0 {
+		t.Fatalf("field-engine stats = %+v, want 6 delta publishes of one delta each, no rebuild and no debt", stats)
 	}
 	if got := stats.PublishLatency.Total(); got != 6 {
 		t.Fatalf("PublishLatency.Total() = %d, want 6 publishes", got)
@@ -250,7 +250,7 @@ func TestRetiredIDsStayBounded(t *testing.T) {
 				if _, err := c.InsertRule(r); err != nil {
 					t.Fatal(err)
 				}
-				if dead := c.view().packet.engine.(engine.IncrementalPacketEngine).UpdateCost().DeadIDs; dead >= DefaultRebuildAfterDeltas {
+				if dead := c.view().engine.(engine.IncrementalPacketEngine).UpdateCost().DeadIDs; dead >= DefaultRebuildAfterDeltas {
 					t.Fatalf("pair %d: %d dead ids beside %d live rules", pair, dead, c.RuleCount())
 				}
 			}

@@ -72,32 +72,31 @@ func (h LatencyHistogram) P50() time.Duration { return h.Quantile(0.50) }
 // P99 returns the 99th-percentile publish latency bucket bound.
 func (h LatencyHistogram) P99() time.Duration { return h.Quantile(0.99) }
 
-// UpdateStats describes the write side of the classifier — how rule-update
-// publishes were served by the whole-packet tier's update plane. Publishes
-// with only the field tier active appear in the latency histogram but in
-// neither the delta nor the rebuild counters (the field tier is updated in
-// place per label, not delta-vs-rebuild).
+// UpdateStats describes the write side of the classifier — how each
+// rule-update publish brought the engine in step with the rule table: by
+// delta ops applied at each op (every publish under the field engine, which
+// never asks for a rebuild), or by a full rebuild.
 type UpdateStats struct {
 	// DeltasApplied is the total number of rule mutations applied through
-	// the incremental engine's delta ops.
+	// the engine's delta ops.
 	DeltasApplied uint64
 	// DeltaPublishes is the number of publishes served entirely by deltas.
 	DeltaPublishes uint64
-	// Rebuilds is the number of publishes that rebuilt the precomputed
-	// packet structure in full — because the engine is not incremental, the
-	// delta debt reached DefaultRebuildAfterDeltas, the degradation reached
-	// DefaultDegradationThreshold, or a delta op failed.
+	// Rebuilds is the number of publishes that rebuilt the engine in full —
+	// because the engine is not incremental, the delta debt reached
+	// DefaultRebuildAfterDeltas, the degradation reached
+	// DefaultDegradationThreshold, or the engine declined a delta.
 	Rebuilds uint64
-	// DeltasSinceRebuild and Degradation are the published packet
-	// structure's own UpdateCost: how many delta ops it has absorbed since
-	// its last full build, which stays below DefaultRebuildAfterDeltas, and
-	// its drift from a fresh build in [0,1] (stale DCFL combination
-	// entries, overfull HyperCuts leaves). Both read 0 right after a
-	// rebuild and for engines without delta support.
+	// DeltasSinceRebuild and Degradation are the published engine's own
+	// UpdateCost: how many delta ops it has absorbed since its last full
+	// build, which stays below DefaultRebuildAfterDeltas, and its drift from
+	// a fresh build in [0,1] (stale DCFL combination entries, overfull
+	// HyperCuts leaves). Both read 0 right after a rebuild, for engines
+	// without delta support and for the field engine.
 	DeltasSinceRebuild int
 	Degradation        float64
 	// PublishLatency is the wall-clock latency histogram of rule-update
-	// publishes (clone + mutate + sync + swap).
+	// publishes (clone + mutate + rebuild, if any + swap).
 	PublishLatency LatencyHistogram
 }
 
@@ -110,11 +109,9 @@ func (c *Classifier) updateStats(s *snapshot) UpdateStats {
 		DeltaPublishes: c.stats.deltaPublishes.Load(),
 		Rebuilds:       c.stats.rebuilds.Load(),
 	}
-	if s.packet != nil {
-		if inc, ok := s.packet.engine.(engine.IncrementalPacketEngine); ok {
-			cost := inc.UpdateCost()
-			stats.DeltasSinceRebuild, stats.Degradation = cost.Deltas, cost.Degradation
-		}
+	if inc, ok := s.engine.(engine.IncrementalPacketEngine); ok {
+		cost := inc.UpdateCost()
+		stats.DeltasSinceRebuild, stats.Degradation = cost.Deltas, cost.Degradation
 	}
 	for i := range stats.PublishLatency.Counts {
 		stats.PublishLatency.Counts[i] = c.stats.publishLatency[i].Load()

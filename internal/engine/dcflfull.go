@@ -65,20 +65,20 @@ func (e *dcflEngine) own() {
 	}
 }
 
-func (e *dcflEngine) InsertRule(r fivetuple.Rule) error {
+func (e *dcflEngine) InsertRule(r fivetuple.Rule) (UpdateReport, error) {
 	if e.c == nil {
-		return fmt.Errorf("dcfl: no built tables to delta-update (install first)")
+		return UpdateReport{}, fmt.Errorf("dcfl: no built tables to delta-update (install first)")
 	}
 	e.own()
-	return e.c.Insert(r)
+	return UpdateReport{}, e.c.Insert(r)
 }
 
-func (e *dcflEngine) DeleteRule(r fivetuple.Rule) error {
+func (e *dcflEngine) DeleteRule(r fivetuple.Rule) (UpdateReport, error) {
 	if e.c == nil {
-		return fmt.Errorf("dcfl: no built tables to delta-update (install first)")
+		return UpdateReport{}, fmt.Errorf("dcfl: no built tables to delta-update (install first)")
 	}
 	e.own()
-	return e.c.Delete(r)
+	return UpdateReport{}, e.c.Delete(r)
 }
 
 func (e *dcflEngine) UpdateCost() UpdateCost {

@@ -67,20 +67,20 @@ func (e *hypercutsEngine) own() {
 	}
 }
 
-func (e *hypercutsEngine) InsertRule(r fivetuple.Rule) error {
+func (e *hypercutsEngine) InsertRule(r fivetuple.Rule) (UpdateReport, error) {
 	if e.c == nil {
-		return fmt.Errorf("hypercuts: no built tree to delta-update (install first)")
+		return UpdateReport{}, fmt.Errorf("hypercuts: no built tree to delta-update (install first)")
 	}
 	e.own()
-	return e.c.Insert(r)
+	return UpdateReport{}, e.c.Insert(r)
 }
 
-func (e *hypercutsEngine) DeleteRule(r fivetuple.Rule) error {
+func (e *hypercutsEngine) DeleteRule(r fivetuple.Rule) (UpdateReport, error) {
 	if e.c == nil {
-		return fmt.Errorf("hypercuts: no built tree to delta-update (install first)")
+		return UpdateReport{}, fmt.Errorf("hypercuts: no built tree to delta-update (install first)")
 	}
 	e.own()
-	return e.c.Delete(r)
+	return UpdateReport{}, e.c.Delete(r)
 }
 
 func (e *hypercutsEngine) UpdateCost() UpdateCost {

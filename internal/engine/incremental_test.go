@@ -81,7 +81,7 @@ func TestIncrementalDeltaMatchesInstall(t *testing.T) {
 					r := pool[0]
 					r.Priority = rng.Intn(50)
 					pool = pool[1:]
-					if err := inc.InsertRule(r); err != nil {
+					if _, err := inc.InsertRule(r); err != nil {
 						t.Fatalf("op %d InsertRule(%s): %v", op, r, err)
 					}
 					at := sort.Search(len(live), func(i int) bool { return live[i].Priority > r.Priority })
@@ -89,7 +89,7 @@ func TestIncrementalDeltaMatchesInstall(t *testing.T) {
 				} else {
 					idx := rng.Intn(len(live))
 					r := live[idx]
-					if err := inc.DeleteRule(r); err != nil {
+					if _, err := inc.DeleteRule(r); err != nil {
 						t.Fatalf("op %d DeleteRule(%s): %v", op, r, err)
 					}
 					// The first installed of r's matches and priority goes.
@@ -160,7 +160,7 @@ func TestIncrementalCloneIsolation(t *testing.T) {
 
 			cl := eng.Clone().(engine.IncrementalPacketEngine)
 			for _, r := range rules[:10] {
-				if err := cl.DeleteRule(r); err != nil {
+				if _, err := cl.DeleteRule(r); err != nil {
 					t.Fatalf("DeleteRule on clone: %v", err)
 				}
 			}
@@ -218,7 +218,7 @@ func TestIncrementalDeleteRejectsDivergentMatch(t *testing.T) {
 				if slices.ContainsFunc(rules, func(q fivetuple.Rule) bool { return q.Priority == r.Priority && q.SameMatch(r) }) {
 					t.Fatalf("probe rule %s is installed", r)
 				}
-				if err := inc.DeleteRule(r); err == nil {
+				if _, err := inc.DeleteRule(r); err == nil {
 					t.Fatalf("DeleteRule(%s priority %d) accepted a rule that is not installed", r, r.Priority)
 				}
 			}
@@ -230,7 +230,7 @@ func TestIncrementalDeleteRejectsDivergentMatch(t *testing.T) {
 					t.Fatalf("verdict for %s changed across a refused delete: rule %d -> %d", h, before[i], id)
 				}
 			}
-			if err := inc.DeleteRule(rules[1]); err != nil {
+			if _, err := inc.DeleteRule(rules[1]); err != nil {
 				t.Fatalf("DeleteRule of an installed rule: %v", err)
 			}
 		})
@@ -249,16 +249,16 @@ func TestIncrementalDeltaOnEmptyEngineFails(t *testing.T) {
 			}
 			inc := eng.(engine.IncrementalPacketEngine)
 			r := fivetuple.Wildcard(0, fivetuple.ActionForward)
-			if err := inc.InsertRule(r); err == nil {
+			if _, err := inc.InsertRule(r); err == nil {
 				t.Error("InsertRule on an empty engine should fail")
 			}
-			if err := inc.DeleteRule(r); err == nil {
+			if _, err := inc.DeleteRule(r); err == nil {
 				t.Error("DeleteRule on an empty engine should fail")
 			}
 			if err := inc.Install([]fivetuple.Rule{r}); err != nil {
 				t.Fatal(err)
 			}
-			if err := inc.DeleteRule(fivetuple.Wildcard(5, fivetuple.ActionForward)); err == nil {
+			if _, err := inc.DeleteRule(fivetuple.Wildcard(5, fivetuple.ActionForward)); err == nil {
 				t.Error("DeleteRule of a rule at a priority it was not installed with should fail")
 			}
 		})
@@ -377,7 +377,7 @@ func runDeltaChain(t *testing.T, name string, live, pool []fivetuple.Rule, ops [
 		if b&0x80 == 0 && len(live) < maxFuzzLive {
 			r := pool[b&15]
 			r.Priority = int(b>>4) & 7
-			err := inc.InsertRule(r)
+			_, err := inc.InsertRule(r)
 			if err != nil && !emptyBuild {
 				t.Fatalf("%s op %d: InsertRule(%s): %v", name, i, r, err)
 			}
@@ -391,7 +391,7 @@ func runDeltaChain(t *testing.T, name string, live, pool []fivetuple.Rule, ops [
 				continue
 			}
 			r := live[int(b&0x7f)%len(live)]
-			err := inc.DeleteRule(r)
+			_, err := inc.DeleteRule(r)
 			if err != nil {
 				// The only refusal the contract allows for an installed
 				// rule: the dead ids would outnumber the live ones plus 64.

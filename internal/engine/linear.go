@@ -47,28 +47,28 @@ func (e *linearEngine) Install(rules []fivetuple.Rule) error {
 // InsertRule splices r in after every rule of the same or a better priority.
 // Neither splice writes the shared backing array, which the handle this one
 // was cloned from — a published snapshot's engine — still scans.
-func (e *linearEngine) InsertRule(r fivetuple.Rule) error {
+func (e *linearEngine) InsertRule(r fivetuple.Rule) (UpdateReport, error) {
 	if !e.installed {
-		return fmt.Errorf("linear: no installed scan to delta-update (install first)")
+		return UpdateReport{}, fmt.Errorf("linear: no installed scan to delta-update (install first)")
 	}
 	i := sort.Search(len(e.rules), func(i int) bool { return e.rules[i].Priority > r.Priority })
 	e.rules = slices.Insert(slices.Clip(e.rules), i, r)
 	e.deltas++
-	return nil
+	return UpdateReport{}, nil
 }
 
 // DeleteRule splices out the first rule with r's matches and priority.
-func (e *linearEngine) DeleteRule(r fivetuple.Rule) error {
+func (e *linearEngine) DeleteRule(r fivetuple.Rule) (UpdateReport, error) {
 	if !e.installed {
-		return fmt.Errorf("linear: no installed scan to delta-update (install first)")
+		return UpdateReport{}, fmt.Errorf("linear: no installed scan to delta-update (install first)")
 	}
 	i := slices.IndexFunc(e.rules, func(q fivetuple.Rule) bool { return q.Priority == r.Priority && q.SameMatch(r) })
 	if i < 0 {
-		return fmt.Errorf("linear: rule %s priority %d is not installed", r, r.Priority)
+		return UpdateReport{}, fmt.Errorf("linear: rule %s priority %d is not installed", r, r.Priority)
 	}
 	e.rules = slices.Concat(e.rules[:i], e.rules[i+1:])
 	e.deltas++
-	return nil
+	return UpdateReport{}, nil
 }
 
 // UpdateCost never reports degradation: a splice leaves the scan exactly as a

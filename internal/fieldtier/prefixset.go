@@ -1,4 +1,4 @@
-package core
+package fieldtier
 
 import (
 	"math/bits"
@@ -6,15 +6,15 @@ import (
 	"sdnpc/internal/label"
 )
 
-// prefixSet answers, for the field tier's combination walk, whether some
+// prefixSet answers, for the field engine's combination walk, whether some
 // installed rule's combination key starts with a given label prefix
 // (l1..lk), 1 <= k < NumDimensions. It is a one-hash Bloom filter — one bit
 // per (depth, partial key) — so it can say yes to a prefix no rule has, never
 // no to one a rule has: the walk treats a yes as "worth descending" and
 // takes every verdict from the Rule Filter.
 //
-// A set is built whole from the installed keys each time a field-tier
-// snapshot is published and never edited afterwards, so a recycled label
+// A set is built whole from the Rule Filter's live keys each time the engine
+// is prepared for publishing and never edited afterwards, so a recycled label
 // cannot leave a stale bit behind and readers share it without
 // synchronisation. The zero value holds nothing.
 type prefixSet struct {
@@ -32,21 +32,21 @@ type prefixSet struct {
 // packet.
 const prefixBitsPerKey = 8
 
-// newPrefixSet builds the set of every proper label prefix of every rule
-// installed on a field tier.
-func newPrefixSet(table *ruleTable) prefixSet {
-	n := table.len() * (label.NumDimensions - 1)
+// newPrefixSet builds the set of every proper label prefix of every key
+// stored in the Rule Filter.
+func newPrefixSet(rf *ruleFilter) prefixSet {
+	n := rf.used * (label.NumDimensions - 1)
 	if n == 0 {
 		return prefixSet{}
 	}
 	logBits := max(bits.Len(uint(n*prefixBitsPerKey-1)), 6)
 	p := prefixSet{words: make([]uint64, 1<<(logBits-6)), shift: uint(64 - logBits)}
-	for i := range table.len() {
+	rf.live(func(_ int, e *ruleEntry) {
 		for depth := 1; depth < label.NumDimensions; depth++ {
-			bit := prefixHash(depth, table.key(i).Prefix(depth)) >> p.shift
+			bit := prefixHash(depth, e.key().Prefix(depth)) >> p.shift
 			p.words[bit>>6] |= 1 << (bit & 63)
 		}
-	}
+	})
 	return p
 }
 

@@ -1,4 +1,4 @@
-package core
+package fieldtier
 
 import (
 	"errors"
@@ -12,13 +12,13 @@ import (
 
 // ErrRuleFilterFull is returned when the Rule Filter has no free slot for a
 // new rule under the current IP algorithm selection.
-var ErrRuleFilterFull = errors.New("core: rule filter full")
+var ErrRuleFilterFull = errors.New("rule filter full")
 
 // ruleEntry is one Rule Filter slot: the rule's label combination key, its
 // priority and its action. The slot layout corresponds to the
 // DefaultRuleEntryBits stored word. The fields are ordered widest first and
 // the 68-bit key is split into its 64-bit and 4-bit halves so a slot is 24
-// bytes: the slot array is the largest thing a field tier holds.
+// bytes: the slot array is the largest thing a field engine holds.
 type ruleEntry struct {
 	keyLo     uint64
 	priority  int
@@ -43,10 +43,19 @@ func (e *ruleEntry) holds(key label.CombinationKey) bool {
 	return e.state == slotLive && e.keyLo == key.Lo() && e.keyHi == key.Hi()
 }
 
+// key returns the combination key the slot stores.
+func (e *ruleEntry) key() label.CombinationKey { return label.KeyFromParts(e.keyHi, e.keyLo) }
+
+// verdict returns the verdict of the rule the slot stores.
+func (e *ruleEntry) verdict() fivetuple.Verdict {
+	return fivetuple.Verdict{Priority: e.priority, ActionArg: e.actionArg, Action: e.action}
+}
+
 // ruleFilter is the Rule Filter memory block: an open-addressed hash table
 // keyed by the 68-bit combination key produced by the hash unit, with linear
 // probing and tombstone deletion. Distinct rules with identical keys
 // (duplicate 5-tuple matches at different priorities) occupy distinct slots.
+// A slot's index is the id the field engine answers lookups in.
 type ruleFilter struct {
 	hash *hashunit.Unit
 	// slots is the slot array. A rule update writes one slot, so a clone
@@ -64,9 +73,6 @@ func newRuleFilter(capacity int) *ruleFilter {
 		slots: cow.Make[ruleEntry](capacity),
 	}
 }
-
-// usedRules returns the number of live entries.
-func (rf *ruleFilter) usedRules() int { return rf.used }
 
 // usedBits returns the storage occupied by live entries.
 func (rf *ruleFilter) usedBits() int { return rf.used * DefaultRuleEntryBits }
@@ -87,11 +93,11 @@ func (rf *ruleFilter) next(idx int) int {
 
 // insert stores a rule entry. It returns the slot index, the number of
 // probes taken and the number of memory writes, or ErrRuleFilterFull.
-func (rf *ruleFilter) insert(key label.CombinationKey, priority int, action fivetuple.Action, actionArg uint32) (slot, probes, writes int, err error) {
+func (rf *ruleFilter) insert(key label.CombinationKey, v fivetuple.Verdict) (slot, probes, writes int, err error) {
 	idx := rf.home(key)
 	for probe := 0; probe < rf.slots.Len(); probe++ {
 		if rf.slots.At(idx).state != slotLive {
-			*rf.slots.Mut(idx) = ruleEntry{state: slotLive, keyLo: key.Lo(), keyHi: key.Hi(), priority: priority, action: action, actionArg: actionArg}
+			*rf.slots.Mut(idx) = ruleEntry{state: slotLive, keyLo: key.Lo(), keyHi: key.Hi(), priority: v.Priority, action: v.Action, actionArg: v.ActionArg}
 			rf.used++
 			return idx, probe + 1, 1, nil
 		}
@@ -100,29 +106,34 @@ func (rf *ruleFilter) insert(key label.CombinationKey, priority int, action five
 	return 0, rf.slots.Len(), 0, fmt.Errorf("%w: %d slots", ErrRuleFilterFull, rf.slots.Len())
 }
 
-// remove deletes the entry holding (key, priority). It reports whether the
-// entry was found.
-func (rf *ruleFilter) remove(key label.CombinationKey, priority int) (found bool, probes int) {
+// find returns the slot holding the key with the verdict v, or -1, and the
+// number of probes taken.
+func (rf *ruleFilter) find(key label.CombinationKey, v fivetuple.Verdict) (slot, probes int) {
 	idx := rf.home(key)
 	for probe := 0; probe < rf.slots.Len(); probe++ {
 		e := rf.slots.At(idx)
 		if e.state == slotEmpty {
-			return false, probe + 1
+			return -1, probe + 1
 		}
-		if e.holds(key) && e.priority == priority {
-			rf.slots.Mut(idx).state = slotTombstone
-			rf.used--
-			return true, probe + 1
+		if e.holds(key) && e.verdict() == v {
+			return idx, probe + 1
 		}
 		idx = rf.next(idx)
 	}
-	return false, rf.slots.Len()
+	return -1, rf.slots.Len()
 }
 
-// lookup probes the filter for the key and returns the best-priority entry
-// holding it (nil when no live slot does). probes is the number of slots
-// read.
-func (rf *ruleFilter) lookup(key label.CombinationKey) (best *ruleEntry, probes int) {
+// remove turns a live slot into a tombstone.
+func (rf *ruleFilter) remove(slot int) {
+	rf.slots.Mut(slot).state = slotTombstone
+	rf.used--
+}
+
+// lookup probes the filter for the key and returns the slot and priority of
+// the best-priority entry holding it (slot -1 when no live slot does).
+// probes is the number of slots read.
+func (rf *ruleFilter) lookup(key label.CombinationKey) (best, priority, probes int) {
+	best = -1
 	idx := rf.home(key)
 	for probes < rf.slots.Len() {
 		probes++
@@ -130,12 +141,25 @@ func (rf *ruleFilter) lookup(key label.CombinationKey) (best *ruleEntry, probes 
 		if e.state == slotEmpty {
 			break
 		}
-		if e.holds(key) && (best == nil || e.priority < best.priority) {
-			best = e
+		if e.holds(key) && (best < 0 || e.priority < priority) {
+			best, priority = idx, e.priority
 		}
 		idx = rf.next(idx)
 	}
-	return best, probes
+	return best, priority, probes
+}
+
+// live calls yield with the index and entry of every live slot, in slot
+// order, reading the slots chunk by chunk.
+func (rf *ruleFilter) live(yield func(slot int, e *ruleEntry)) {
+	for k := 0; k<<cow.ChunkShift < rf.slots.Len(); k++ {
+		chunk := rf.slots.Chunk(k)
+		for i := range chunk {
+			if chunk[i].state == slotLive {
+				yield(k<<cow.ChunkShift+i, &chunk[i])
+			}
+		}
+	}
 }
 
 // clone duplicates the filter for the copy-on-write update path in O(1): the

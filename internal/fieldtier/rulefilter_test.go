@@ -1,4 +1,4 @@
-package core
+package fieldtier
 
 import (
 	"maps"
@@ -20,16 +20,19 @@ func TestRuleFilterGenerationsAreIsolated(t *testing.T) {
 	gens := []*ruleFilter{newRuleFilter(capacity)}
 	contents := []map[label.CombinationKey]int{{}}
 	keyOf := func(i int) label.CombinationKey { return label.KeyFromParts(uint8(i), uint64(i)*0x9E3779B97F4A7C15) }
+	verdictOf := func(priority int) fivetuple.Verdict {
+		return fivetuple.Verdict{Priority: priority, Action: fivetuple.ActionForward, ActionArg: uint32(priority)}
+	}
 	check := func(round int) {
 		t.Helper()
 		for g, rf := range gens {
-			if rf.usedRules() != len(contents[g]) {
-				t.Fatalf("round %d: generation %d holds %d entries, want %d", round, g, rf.usedRules(), len(contents[g]))
+			if rf.used != len(contents[g]) {
+				t.Fatalf("round %d: generation %d holds %d entries, want %d", round, g, rf.used, len(contents[g]))
 			}
 			for i := 0; i < 400; i++ {
 				priority, stored := contents[g][keyOf(i)]
-				if e, _ := rf.lookup(keyOf(i)); (e != nil) != stored || (stored && e.priority != priority) {
-					t.Fatalf("round %d: generation %d lookup(key %d) = %+v, want stored=%v priority %d", round, g, i, e, stored, priority)
+				if slot, got, _ := rf.lookup(keyOf(i)); (slot >= 0) != stored || (stored && (got != priority || rf.slots.At(slot).verdict() != verdictOf(priority))) {
+					t.Fatalf("round %d: generation %d lookup(key %d) = slot %d priority %d, want stored=%v priority %d", round, g, i, slot, got, stored, priority)
 				}
 			}
 		}
@@ -42,12 +45,14 @@ func TestRuleFilterGenerationsAreIsolated(t *testing.T) {
 		}
 		g, k := round%len(gens), keyOf(rng.Intn(400))
 		if priority, stored := contents[g][k]; stored {
-			if found, _ := gens[g].remove(k, priority); !found {
+			slot, _ := gens[g].find(k, verdictOf(priority))
+			if slot < 0 {
 				t.Fatalf("round %d: generation %d lost key %v", round, g, k)
 			}
+			gens[g].remove(slot)
 			delete(contents[g], k)
 		} else {
-			if _, _, _, err := gens[g].insert(k, round, fivetuple.ActionForward, uint32(round)); err != nil {
+			if _, _, _, err := gens[g].insert(k, verdictOf(round)); err != nil {
 				t.Fatalf("round %d: generation %d insert: %v", round, g, err)
 			}
 			contents[g][k] = round

@@ -238,34 +238,6 @@ func (t *Table[V]) StorageBits() int {
 	return t.Len() * (t.dim.Bits() + counterBits)
 }
 
-// Restore replaces the table's contents by n uses, use(i) returning the i-th
-// — a field value, its label and the using rule's priority — in ascending
-// priority order. The table is derived state: the installed rules determine
-// every value's label, counter and priorities, so a controller that abandons
-// a half-applied update recovers its tables from the rules it last
-// published. Labels below the highest in use that no value carries are free.
-func (t *Table[V]) Restore(n int, use func(i int) (V, PriorityLabel)) {
-	clear(t.entries)
-	t.free, t.next = t.free[:0], 0
-	for i := 0; i < n; i++ {
-		v, pl := use(i)
-		e := t.entries[v]
-		e.label = pl.Label
-		e.priorities = append(e.priorities, pl.Priority)
-		t.entries[v] = e
-		t.next = max(t.next, pl.Label+1)
-	}
-	inUse := make([]bool, t.next)
-	for _, e := range t.entries {
-		inUse[e.label] = true
-	}
-	for lbl, used := range inUse {
-		if !used {
-			t.free = append(t.free, Label(lbl))
-		}
-	}
-}
-
 // Bank groups the seven per-dimension label tables of one classifier
 // instance.
 type Bank[V comparable] struct {

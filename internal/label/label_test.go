@@ -193,48 +193,6 @@ func TestTableTracksUsesByPriority(t *testing.T) {
 	}
 }
 
-// TestTableRestore rebuilds a table from its uses: labels, counters and
-// priorities come back as given, and the label space below the highest label
-// in use is free again.
-func TestTableRestore(t *testing.T) {
-	tbl := NewTable[string](DimDstPort)
-	for _, v := range []string{"stale-a", "stale-b"} {
-		if _, _, err := tbl.Acquire(v, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	uses := []struct {
-		v  string
-		pl PriorityLabel
-	}{
-		{"a", PriorityLabel{Label: 4, Priority: 1}},
-		{"b", PriorityLabel{Label: 1, Priority: 2}},
-		{"a", PriorityLabel{Label: 4, Priority: 7}},
-	}
-	tbl.Restore(len(uses), func(i int) (string, PriorityLabel) { return uses[i].v, uses[i].pl })
-	if tbl.Len() != 2 || tbl.RefCount("a") != 2 || tbl.RefCount("b") != 1 || tbl.RefCount("stale-a") != 0 {
-		t.Fatalf("restored table holds %d values, a×%d b×%d", tbl.Len(), tbl.RefCount("a"), tbl.RefCount("b"))
-	}
-	if lbl, _ := tbl.Lookup("a"); lbl != 4 {
-		t.Errorf("a restored under label %d, want 4", lbl)
-	}
-	if best, _ := tbl.Best("a"); best != 1 {
-		t.Errorf("Best(a) = %d, want 1", best)
-	}
-	// Labels 0, 2 and 3 are free and are handed out before 5.
-	seen := map[Label]bool{}
-	for i := 0; i < 4; i++ {
-		lbl, created, err := tbl.Acquire(fmt.Sprintf("new-%d", i), 0)
-		if err != nil || !created || lbl == 1 || lbl == 4 || seen[lbl] {
-			t.Fatalf("Acquire after Restore = (%d, %v, %v), already seen %v", lbl, created, err, seen)
-		}
-		seen[lbl] = true
-	}
-	if !seen[0] || !seen[2] || !seen[3] || !seen[5] {
-		t.Errorf("labels handed out after Restore = %v, want 0, 2, 3 and 5", seen)
-	}
-}
-
 func TestBank(t *testing.T) {
 	b := NewBank[string]()
 	if b.TotalLabels() != 0 || b.StorageBits() != 0 {

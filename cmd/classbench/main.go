@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"sdnpc/internal/classbench"
 	"sdnpc/internal/fivetuple"
@@ -40,27 +39,13 @@ func run(args []string) error {
 		return err
 	}
 
-	var class classbench.Class
-	switch strings.ToLower(*className) {
-	case "acl", "acl1":
-		class = classbench.ACL
-	case "fw", "fw1":
-		class = classbench.FW
-	case "ipc", "ipc1":
-		class = classbench.IPC
-	default:
-		return fmt.Errorf("unknown class %q", *className)
+	class, err := classbench.ParseClass(*className)
+	if err != nil {
+		return err
 	}
-	var size classbench.Size
-	switch strings.ToLower(*sizeName) {
-	case "1k":
-		size = classbench.Size1K
-	case "5k":
-		size = classbench.Size5K
-	case "10k":
-		size = classbench.Size10K
-	default:
-		return fmt.Errorf("unknown size %q", *sizeName)
+	size, err := classbench.ParseSize(*sizeName)
+	if err != nil {
+		return err
 	}
 
 	cfg := classbench.StandardConfig(class, size)

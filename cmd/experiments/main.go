@@ -122,11 +122,11 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	class, err := parseClass(*className)
+	class, err := classbench.ParseClass(*className)
 	if err != nil {
 		return err
 	}
-	size, err := parseSize(*sizeName)
+	size, err := classbench.ParseSize(*sizeName)
 	if err != nil {
 		return err
 	}
@@ -149,30 +149,4 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown experiment %q (valid: %s)", *selected, valid)
 	}
 	return nil
-}
-
-func parseClass(name string) (classbench.Class, error) {
-	switch strings.ToLower(name) {
-	case "acl", "acl1":
-		return classbench.ACL, nil
-	case "fw", "fw1":
-		return classbench.FW, nil
-	case "ipc", "ipc1":
-		return classbench.IPC, nil
-	default:
-		return 0, fmt.Errorf("unknown filter-set class %q", name)
-	}
-}
-
-func parseSize(name string) (classbench.Size, error) {
-	switch strings.ToLower(name) {
-	case "1k":
-		return classbench.Size1K, nil
-	case "5k":
-		return classbench.Size5K, nil
-	case "10k":
-		return classbench.Size10K, nil
-	default:
-		return 0, fmt.Errorf("unknown filter-set size %q", name)
-	}
 }

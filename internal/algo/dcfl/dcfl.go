@@ -30,7 +30,6 @@ package dcfl
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sync"
 
@@ -70,12 +69,9 @@ type aggNode struct {
 
 // Classifier is a DCFL classifier built from a rule set.
 type Classifier struct {
-	// rules stores the rules' records by id. Build numbers the rules
-	// best-first and an insert appends, so ids only grow between builds and
-	// (priority, id) is the best-first order, ties included; a delete
-	// retires its id (see delta.go).
-	rules cow.Array[fivetuple.PackedRule]
-	live  int
+	// Records stores the rules' records by stable id, best-first by
+	// (priority, id), with the delta debt.
+	fivetuple.Records
 
 	// fields holds each field's unique values, the label being the index.
 	// They are only ever appended to.
@@ -86,11 +82,9 @@ type Classifier struct {
 	transTable aggNode // (portTable result, proto)
 	finalTable aggNode // (ipTable result, transTable result) -> rule sets
 
-	// Delta accounting (see delta.go): stale combination entries left by
-	// deletes, and the op/write counters of updates applied since Build.
+	// Drift accounting (see delta.go): stale combination entries left by
+	// deletes.
 	staleCombos int
-	deltas      int
-	deltaWrites int
 }
 
 // scratch is the per-lookup working set: the matching labels per field and
@@ -142,25 +136,19 @@ func Build(rs *fivetuple.RuleSet) (*Classifier, error) {
 // node's rule ids by combination with a counting sort, so it allocates a
 // handful of slices per table, none per combination.
 func BuildRules(rules []fivetuple.Rule) (*Classifier, error) {
+	recs, err := fivetuple.NewRecords("dcfl", rules)
+	if err != nil {
+		return nil, err
+	}
 	n := len(rules)
-	if n == 0 {
-		return nil, fmt.Errorf("dcfl: empty rule set")
-	}
-	recs := make([]fivetuple.PackedRule, n, roundChunk(n))
-	for i := range rules {
-		var err error
-		if recs[i], err = pack(&rules[i]); err != nil {
-			return nil, err
-		}
-	}
-	c := &Classifier{rules: cow.Adopt(recs), live: n}
+	c := &Classifier{Records: recs}
 	b := &builder{index: make(map[uint64]uint32, n), keys: make([]uint64, n), distinct: make([]uint64, 0, n)}
 	buf := make([]uint32, 10*n+1)
 	var labels [numFields][]uint32
 	for f := range numFields {
 		labels[f] = buf[int(f)*n : int(f+1)*n]
-		for i := range recs {
-			lo, hi := fieldRange(f, &recs[i])
+		for i := range n {
+			lo, hi := fieldRange(f, c.At(i))
 			b.keys[i] = uint64(lo)<<32 | uint64(hi)
 		}
 		b.number(labels[f])
@@ -408,7 +396,7 @@ func (c *Classifier) Classify(h fivetuple.Header) (id int, matched bool, accesse
 // order compares rule ids a and b best-first: by priority, ties by id, which
 // is installation order.
 func (c *Classifier) order(a, b int) int {
-	return cmp.Or(cmp.Compare(c.rules.At(a).Priority, c.rules.At(b).Priority), cmp.Compare(a, b))
+	return cmp.Or(cmp.Compare(c.At(a).Priority, c.At(b).Priority), cmp.Compare(a, b))
 }
 
 // ClassifyAll appends to dst the ids of the rules matching the header,
@@ -438,7 +426,7 @@ func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 					break
 				}
 				dst = append(dst, id)
-				if !c.rules.At(id).NonTerminating {
+				if !c.At(id).NonTerminating {
 					last = id
 					break
 				}
@@ -455,13 +443,6 @@ func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 	slices.SortFunc(chain, c.order)
 	return dst[:start+len(chain)], accesses
 }
-
-// NumRules returns the number of rules the classifier holds.
-func (c *Classifier) NumRules() int { return c.live }
-
-// Verdict returns the verdict of the rule with the given id, with the
-// priority it was built or inserted with.
-func (c *Classifier) Verdict(id int) fivetuple.Verdict { return c.rules.At(id).Verdict() }
 
 // MemoryBits returns the storage consumed by the field structures and the
 // aggregation tables.

@@ -1,7 +1,6 @@
 package dcfl
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -19,20 +18,14 @@ import (
 // field value appends to its value array and a new combination takes a hash
 // slot, each a write to one chunk.
 //
-// A deleted rule's id is retired, not reused, which keeps (priority, id) the
-// best-first order with no sequence numbers. The store keeps retired records
-// until the next build, so a delete that would leave more dead ids than live
-// ones plus deadSlack is refused: the caller rebuilds, which renumbers.
+// A deleted rule's id is retired, not reused (see fivetuple.Records, which
+// keeps the records, the dead-id bound and the op counters).
 //
 // Deletes leave garbage behind on purpose: emptied combination entries and
 // unused field values stay in the tables, costing extra probes but never
 // correctness (the final aggregation node decides by set contents, and an
 // empty set matches nothing). Degradation quantifies that garbage so a
 // policy layer can amortise it away with an occasional rebuild.
-
-// deadSlack is how far dead ids may outnumber live ones before a delete is
-// refused.
-const deadSlack = 64
 
 // Clone returns a copy of the classifier for delta updates. It shares
 // everything with c — the record store, the field values, the hash slots and
@@ -42,7 +35,7 @@ const deadSlack = 64
 // delta, though no reader of c sees it.
 func (c *Classifier) Clone() *Classifier {
 	cp := *c
-	cp.rules = c.rules.Clone()
+	cp.Records = c.Records.Clone()
 	for f := range cp.fields {
 		cp.fields[f] = c.fields[f].Clone()
 	}
@@ -68,7 +61,6 @@ func setOf(id uint32) (k int, bit uint64) {
 // keeping the stale-entry accounting: refilling an emptied set revives it.
 // The rule goes after the set's rules of the same or a better priority.
 func (c *Classifier) add(t *aggNode, a, b, rule uint32) uint32 {
-	c.deltaWrites++
 	t.entries++
 	id, ok := t.probe(a, b)
 	if !ok {
@@ -80,10 +72,10 @@ func (c *Classifier) add(t *aggNode, a, b, rule uint32) uint32 {
 	if len(t.sets.List(int(id))) == 0 {
 		c.staleCombos--
 	}
-	p := c.rules.At(int(rule)).Priority
+	p := c.At(int(rule)).Priority
 	k, bit := setOf(id)
 	t.sets.Insert(k, bit, rule, func(set []uint32) int {
-		return sort.Search(len(set), func(i int) bool { return c.rules.At(int(set[i])).Priority > p })
+		return sort.Search(len(set), func(i int) bool { return c.At(int(set[i])).Priority > p })
 	})
 	return id
 }
@@ -141,38 +133,10 @@ func (c *Classifier) labelOf(f fieldIndex, r *fivetuple.PackedRule) uint32 {
 	return uint32(values.Len() - 1)
 }
 
-// pack returns r's record, or an error naming the dimensions the tables
-// cannot encode.
-func pack(r *fivetuple.Rule) (fivetuple.PackedRule, error) {
-	p, ok := fivetuple.PackRule(r)
-	if !ok {
-		return p, fmt.Errorf("dcfl: rule %s needs %s, which the tables cannot encode", *r, r.Dims()&^fivetuple.DimMultiAction)
-	}
-	return p, nil
-}
-
 // Insert labels rule r's five field values (new values are appended to the
 // field-search arrays) and adds it under the next id along its combination
 // path. It refuses, changing nothing, a rule the tables cannot encode.
-func (c *Classifier) Insert(r fivetuple.Rule) error {
-	p, err := pack(&r)
-	if err != nil {
-		return err
-	}
-	rule := uint32(c.rules.Len())
-	c.rules.Append(p)
-	c.live++
-	var lbl [numFields]uint32
-	for f := range numFields {
-		lbl[f] = c.labelOf(f, &p)
-	}
-	ipID := c.add(&c.ipTable, lbl[fieldSrcIP], lbl[fieldDstIP], rule)
-	portID := c.add(&c.portTable, lbl[fieldSrcPort], lbl[fieldDstPort], rule)
-	transID := c.add(&c.transTable, portID, lbl[fieldProto], rule)
-	c.add(&c.finalTable, ipID, transID, rule)
-	c.deltas++
-	return nil
-}
+func (c *Classifier) Insert(r fivetuple.Rule) error { return c.Records.Insert(&r, c.place) }
 
 // Delete removes the first-installed rule with r's matches and priority: its
 // id, found in the final-table set of r's combination, is deleted from the
@@ -181,33 +145,46 @@ func (c *Classifier) Insert(r fivetuple.Rule) error {
 // tracked garbage. A refused delete — no such rule is installed (a rule the
 // tables cannot encode never is), or too many ids are already dead —
 // changes nothing.
-func (c *Classifier) Delete(r fivetuple.Rule) error {
-	p, ok := fivetuple.PackRule(&r)
-	if !ok {
-		return fmt.Errorf("dcfl: rule %s priority %d is not installed", r, r.Priority)
-	}
-	return c.delete(&p)
+func (c *Classifier) Delete(r fivetuple.Rule) error { return c.Records.Delete(&r, c.remove) }
+
+// InsertAt is Insert behind the positional signature of the benchmark's
+// structure ladder (fivetuple.Records.InsertAt).
+func (c *Classifier) InsertAt(r fivetuple.Rule, idx int) error {
+	return c.Records.InsertAt(&r, idx, c.place)
 }
 
-// delete is Delete of the rule with r's matches and priority.
-func (c *Classifier) delete(r *fivetuple.PackedRule) error {
-	if dead := c.rules.Len() - c.live; dead+1 > c.live-1+deadSlack {
-		return fmt.Errorf("dcfl: %d dead ids beside %d live rules: rebuild to renumber", dead, c.live)
+// DeleteAt deletes the first-installed rule with the matches and priority of
+// rule id (fivetuple.Records.DeleteAt).
+func (c *Classifier) DeleteAt(id int) error { return c.Records.DeleteAt(id, c.remove) }
+
+// place adds the new rule id along r's combination path, one set edit per
+// aggregation node.
+func (c *Classifier) place(r *fivetuple.PackedRule, rule uint32) int {
+	var lbl [numFields]uint32
+	for f := range numFields {
+		lbl[f] = c.labelOf(f, r)
 	}
-	rule, combos, ok := c.locate(r)
+	ipID := c.add(&c.ipTable, lbl[fieldSrcIP], lbl[fieldDstIP], rule)
+	portID := c.add(&c.portTable, lbl[fieldSrcPort], lbl[fieldDstPort], rule)
+	transID := c.add(&c.transTable, portID, lbl[fieldProto], rule)
+	c.add(&c.finalTable, ipID, transID, rule)
+	return len(c.aggTables())
+}
+
+// remove deletes the first-installed rule with r's matches and priority from
+// the four aggregation sets along its combination path.
+func (c *Classifier) remove(r fivetuple.PackedRule) (int, bool) {
+	rule, combos, ok := c.locate(&r)
 	if !ok {
-		return fmt.Errorf("dcfl: no rule with these matches is installed at priority %d", r.Priority)
+		return 0, false
 	}
 	// Insert added the id along this same path, so every set holds it.
 	for i, t := range c.aggTables() {
 		if t.remove(combos[i], rule) {
 			c.staleCombos++
 		}
-		c.deltaWrites++
 	}
-	c.live--
-	c.deltas++
-	return nil
+	return len(combos), true
 }
 
 // locate returns the id of the first-installed rule with r's matches and
@@ -230,55 +207,20 @@ func (c *Classifier) locate(r *fivetuple.PackedRule) (rule uint32, combos [4]uin
 		return 0, combos, false
 	}
 	for _, id := range c.finalTable.sets.List(int(combos[3])) {
-		if c.rules.At(int(id)).Same(r) {
+		if c.At(int(id)).Same(r) {
 			return id, combos, true
 		}
 	}
 	return 0, combos, false
 }
 
-// InsertAt is Insert behind the positional signature of the benchmark's
-// structure ladder: idx must lie in [0, NumRules()], and r goes where its
-// priority places it — at idx when priorities are the best-first positions,
-// as a fivetuple.RuleSet numbers them.
-func (c *Classifier) InsertAt(r fivetuple.Rule, idx int) error {
-	if idx < 0 || idx > c.live {
-		return fmt.Errorf("dcfl: insert index %d out of range [0,%d]", idx, c.live)
-	}
-	return c.Insert(r)
-}
-
-// DeleteAt deletes the first-installed rule with the matches and priority of
-// rule id. On tables built from a fivetuple.RuleSet, id is the rule's
-// best-first position until the first delta.
-func (c *Classifier) DeleteAt(id int) error {
-	if id < 0 || id >= c.rules.Len() {
-		return fmt.Errorf("dcfl: delete id %d out of range [0,%d)", id, c.rules.Len())
-	}
-	return c.delete(c.rules.At(id))
-}
-
 func (c *Classifier) aggTables() [4]*aggNode {
 	return [4]*aggNode{&c.ipTable, &c.portTable, &c.transTable, &c.finalTable}
 }
 
-// DeltaStats reports the delta debt accumulated since the tables were built.
-type DeltaStats struct {
-	// Deltas is the number of Insert/Delete ops applied since Build.
-	Deltas int
-	// DeadIDs is the number of ids deletes retired since Build.
-	DeadIDs int
-	// Writes is the number of combination-set edits performed by those ops.
-	Writes int
-	// StaleCombos is the number of combination entries whose rule set is
-	// empty — garbage a fresh build would not contain.
-	StaleCombos int
-}
-
-// DeltaStats returns the delta debt since Build.
-func (c *Classifier) DeltaStats() DeltaStats {
-	return DeltaStats{Deltas: c.deltas, DeadIDs: c.rules.Len() - c.live, Writes: c.deltaWrites, StaleCombos: c.staleCombos}
-}
+// StaleCombos returns the number of combination entries whose rule set is
+// empty — garbage a fresh build would not contain.
+func (c *Classifier) StaleCombos() int { return c.staleCombos }
 
 // Degradation estimates how far the delta-updated tables have drifted from
 // freshly built ones, as the fraction of combination entries that are stale:

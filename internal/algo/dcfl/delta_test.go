@@ -169,8 +169,8 @@ func TestDeltaIndexBounds(t *testing.T) {
 }
 
 // TestDeadIDsBounded: delete+insert pairs retire one id each, and the delete
-// that would leave more dead ids than live ones plus deadSlack is refused,
-// changing nothing.
+// that would leave more dead ids than live ones plus fivetuple.DeadSlack is
+// refused, changing nothing.
 func TestDeadIDsBounded(t *testing.T) {
 	rs := tagged(classbench.Config{Class: classbench.ACL, Rules: 10, Seed: 7}, 1)
 	c, err := Build(rs)
@@ -181,7 +181,7 @@ func TestDeadIDsBounded(t *testing.T) {
 	for pair := 0; ; pair++ {
 		dead := c.DeltaStats().DeadIDs
 		if err := c.Delete(r); err != nil {
-			if dead+1 <= c.NumRules()-1+deadSlack {
+			if dead+1 <= c.NumRules()-1+fivetuple.DeadSlack {
 				t.Fatalf("pair %d: Delete refused with %d dead ids beside %d live rules: %v", pair, dead, c.NumRules(), err)
 			}
 			break
@@ -189,7 +189,7 @@ func TestDeadIDsBounded(t *testing.T) {
 		if err := c.Insert(r); err != nil {
 			t.Fatal(err)
 		}
-		if got := c.DeltaStats().DeadIDs; got != pair+1 || got > c.NumRules()+deadSlack {
+		if got := c.DeltaStats().DeadIDs; got != pair+1 || got > c.NumRules()+fivetuple.DeadSlack {
 			t.Fatalf("pair %d: %d dead ids beside %d live rules", pair, got, c.NumRules())
 		}
 	}
@@ -223,8 +223,8 @@ func stateOf(c *Classifier, trace []fivetuple.Header) tableState {
 			s.sets[i] = append(s.sets[i], slices.Clone(t.sets.List(id)))
 		}
 	}
-	for id := range c.rules.Len() {
-		s.rules = append(s.rules, *c.rules.At(id))
+	for id := range c.IDs() {
+		s.rules = append(s.rules, *c.At(id))
 	}
 	for _, h := range trace {
 		idx, ok, _ := c.Classify(h)
@@ -323,7 +323,7 @@ func TestDegradationTracksStaleCombos(t *testing.T) {
 	if got := c.Degradation(); got >= mid {
 		t.Errorf("degradation after re-inserting = %v, want below the post-delete %v", got, mid)
 	}
-	if got := c.DeltaStats().StaleCombos; got != 0 {
+	if got := c.StaleCombos(); got != 0 {
 		t.Errorf("StaleCombos after full re-insert = %d, want 0", got)
 	}
 }
@@ -364,7 +364,7 @@ func TestRefusesUnencodableRules(t *testing.T) {
 		if !reflect.DeepEqual(stateOf(c, trace), before) {
 			t.Errorf("the refused %s rule changed the tables", tc.dim)
 		}
-		if ds := c.DeltaStats(); ds != (DeltaStats{}) || c.NumRules() != rs.Len() {
+		if ds := c.DeltaStats(); ds != (fivetuple.DeltaStats{}) || c.StaleCombos() != 0 || c.NumRules() != rs.Len() {
 			t.Errorf("after the refused %s rule: %+v over %d rules", tc.dim, ds, c.NumRules())
 		}
 		requireVerdicts(t, "after the refused "+tc.dim+" rule", c, rs.Rules(), trace)

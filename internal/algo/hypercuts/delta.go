@@ -1,8 +1,6 @@
 package hypercuts
 
 import (
-	"fmt"
-
 	"sdnpc/internal/cow"
 	"sdnpc/internal/fivetuple"
 )
@@ -15,19 +13,13 @@ import (
 // overlaps, about two leaves in one chunk on ACL sets, and an insert appends
 // the rule's record to the store under the next id.
 //
-// A deleted rule's id is retired, not reused, which keeps (priority, id) the
-// best-first order with no sequence numbers. The store keeps retired records
-// until the next build, so a delete that would leave more dead ids than live
-// ones plus deadSlack is refused: the caller rebuilds, which renumbers.
+// A deleted rule's id is retired, not reused (see fivetuple.Records, which
+// keeps the records, the dead-id bound and the op counters).
 //
 // The price is drift: inserts can grow a leaf beyond binth (a fresh build
 // would have split it), so the linear leaf scan slowly lengthens. The tree
 // stays correct — Degradation quantifies the drift so a policy layer can
 // amortise it away with an occasional rebuild.
-
-// deadSlack is how far dead ids may outnumber live ones before a delete is
-// refused.
-const deadSlack = 64
 
 // Clone returns a copy of the classifier for delta updates. It shares
 // everything with c — the node records, the leaf chunks and the record store —
@@ -38,36 +30,15 @@ const deadSlack = 64
 func (c *Classifier) Clone() *Classifier {
 	cp := *c
 	cp.leaves = c.leaves.Clone()
-	cp.rules = c.rules.Clone()
+	cp.Records = c.Records.Clone()
 	return &cp
-}
-
-// pack returns r's record, or an error naming the dimensions the tree cannot
-// encode.
-func pack(r *fivetuple.Rule) (fivetuple.PackedRule, error) {
-	p, ok := fivetuple.PackRule(r)
-	if !ok {
-		return p, fmt.Errorf("hypercuts: rule %s needs %s, which the tree cannot encode", *r, r.Dims()&^fivetuple.DimMultiAction)
-	}
-	return p, nil
 }
 
 // Insert adds rule r under the next id to every leaf whose region it
 // overlaps, after the entries of the same or a better priority: the
 // leaf-local delta update. It refuses, changing nothing, a rule the tree
 // cannot encode.
-func (c *Classifier) Insert(r fivetuple.Rule) error {
-	p, err := pack(&r)
-	if err != nil {
-		return err
-	}
-	id := uint32(c.rules.Len())
-	c.rules.Append(p)
-	c.live++
-	c.spliceLeaves(&p, id, true)
-	c.deltas++
-	return nil
-}
+func (c *Classifier) Insert(r fivetuple.Rule) error { return c.Records.Insert(&r, c.place) }
 
 // Delete removes the first-installed rule with r's matches and priority from
 // every leaf storing it and retires its id. It refuses, changing nothing,
@@ -75,47 +46,27 @@ func (c *Classifier) Insert(r fivetuple.Rule) error {
 // or when too many ids are already dead. Leaves are never re-merged; the
 // (cheap) excess depth this can leave behind is amortised away by the policy
 // layer's periodic rebuild.
-func (c *Classifier) Delete(r fivetuple.Rule) error {
-	p, ok := fivetuple.PackRule(&r)
-	if !ok {
-		return fmt.Errorf("hypercuts: rule %s priority %d is not installed", r, r.Priority)
-	}
-	return c.delete(&p)
-}
-
-// delete is Delete of the rule with p's matches and priority.
-func (c *Classifier) delete(p *fivetuple.PackedRule) error {
-	if dead := c.rules.Len() - c.live; dead+1 > c.live-1+deadSlack {
-		return fmt.Errorf("hypercuts: %d dead ids beside %d live rules: rebuild to renumber", dead, c.live)
-	}
-	if !c.spliceLeaves(p, 0, false) {
-		return fmt.Errorf("hypercuts: no rule with these matches is installed at priority %d", p.Priority)
-	}
-	c.live--
-	c.deltas++
-	return nil
-}
+func (c *Classifier) Delete(r fivetuple.Rule) error { return c.Records.Delete(&r, c.remove) }
 
 // InsertAt is Insert behind the positional signature of the benchmark's
-// structure ladder: idx must lie in [0, NumRules()], and r goes where its
-// priority places it — at idx when priorities are the best-first positions,
-// as a fivetuple.RuleSet numbers them.
+// structure ladder (fivetuple.Records.InsertAt).
 func (c *Classifier) InsertAt(r fivetuple.Rule, idx int) error {
-	if idx < 0 || idx > c.live {
-		return fmt.Errorf("hypercuts: insert index %d out of range [0,%d]", idx, c.live)
-	}
-	return c.Insert(r)
+	return c.Records.InsertAt(&r, idx, c.place)
 }
 
 // DeleteAt deletes the first-installed rule with the matches and priority of
-// rule id. On a tree built from a fivetuple.RuleSet, id is the rule's
-// best-first position until the first delta.
-func (c *Classifier) DeleteAt(id int) error {
-	if id < 0 || id >= c.rules.Len() {
-		return fmt.Errorf("hypercuts: delete id %d out of range [0,%d)", id, c.rules.Len())
-	}
-	return c.delete(c.rules.At(id))
+// rule id (fivetuple.Records.DeleteAt).
+func (c *Classifier) DeleteAt(id int) error { return c.Records.DeleteAt(id, c.remove) }
+
+// place adds the new id to the leaves r overlaps.
+func (c *Classifier) place(r *fivetuple.PackedRule, id uint32) int {
+	writes, _ := c.spliceLeaves(r, id, true)
+	return writes
 }
+
+// remove takes the id of the first-installed rule with r's matches and
+// priority out of the leaves r overlaps.
+func (c *Classifier) remove(r fivetuple.PackedRule) (int, bool) { return c.spliceLeaves(&r, 0, false) }
 
 // spliceLeaves adds id to (insert) or removes it from every leaf whose region
 // r overlaps — the leaves a fresh build would store r in. Leaf numbers rise
@@ -123,7 +74,8 @@ func (c *Classifier) DeleteAt(id int) error {
 // together, and each chunk holding such a leaf is replaced once. A delete
 // takes its id from the first such leaf, before writing anything, and
 // reports false when that leaf holds no entry with r's matches and priority.
-func (c *Classifier) spliceLeaves(r *fivetuple.PackedRule, id uint32, insert bool) bool {
+// It returns the number of leaves it wrote.
+func (c *Classifier) spliceLeaves(r *fivetuple.PackedRule, id uint32, insert bool) (writes int, ok bool) {
 	var touched uint64
 	chunk := -1
 	for base := 0; base < len(c.nodes); base += nodeWords {
@@ -133,30 +85,29 @@ func (c *Classifier) spliceLeaves(r *fivetuple.PackedRule, id uint32, insert boo
 		}
 		leaf := int(rec[nwA])
 		if chunk < 0 && !insert {
-			var ok bool
 			if id, ok = c.find(c.leaves.List(leaf), r); !ok {
-				return false
+				return 0, false
 			}
 		}
 		if leaf>>cow.ChunkShift != chunk {
 			if chunk >= 0 {
-				c.rewriteChunk(chunk, touched, id, insert)
+				writes += c.rewriteChunk(chunk, touched, id, insert)
 			}
 			chunk, touched = leaf>>cow.ChunkShift, 0
 		}
 		touched |= 1 << (leaf & (cow.ChunkLen - 1))
 	}
 	if chunk >= 0 {
-		c.rewriteChunk(chunk, touched, id, insert)
+		writes += c.rewriteChunk(chunk, touched, id, insert)
 	}
-	return true
+	return writes, true
 }
 
 // find returns the id of the first entry of a leaf list with r's matches and
 // priority: the first installed of them, as the list is best-first.
 func (c *Classifier) find(list []uint32, r *fivetuple.PackedRule) (uint32, bool) {
 	for _, id := range list {
-		if c.rules.At(int(id)).Same(r) {
+		if c.At(int(id)).Same(r) {
 			return id, true
 		}
 	}
@@ -164,9 +115,9 @@ func (c *Classifier) find(list []uint32, r *fivetuple.PackedRule) (uint32, bool)
 }
 
 // rewriteChunk replaces leaf chunk k by a copy in which every touched leaf
-// has gained id in its best-first place (insert) or lost it, and keeps the
-// leaf-occupancy counters.
-func (c *Classifier) rewriteChunk(k int, touched uint64, id uint32, insert bool) {
+// has gained id in its best-first place (insert) or lost it, keeps the
+// leaf-occupancy counters and returns the number of leaves it wrote.
+func (c *Classifier) rewriteChunk(k int, touched uint64, id uint32, insert bool) (writes int) {
 	lc := c.leaves.Chunk(k)
 	for j := range cow.ChunkLen {
 		if touched>>j&1 == 0 {
@@ -185,45 +136,27 @@ func (c *Classifier) rewriteChunk(k int, touched uint64, id uint32, insert bool)
 				c.overflowPtrs--
 			}
 		}
-		c.deltaWrites++
+		writes++
 	}
 	if !insert {
 		c.leaves.Remove(k, touched, id)
-		return
+		return writes
 	}
-	p := c.rules.At(int(id)).Priority
+	p := c.At(int(id)).Priority
 	c.leaves.Insert(k, touched, id, func(list []uint32) int {
 		at := 0
-		for at < len(list) && c.rules.At(int(list[at])).Priority <= p {
+		for at < len(list) && c.At(int(list[at])).Priority <= p {
 			at++
 		}
 		return at
 	})
+	return writes
 }
 
-// DeltaStats reports the delta debt accumulated since the tree was built.
-type DeltaStats struct {
-	// Deltas is the number of Insert/Delete ops applied since Build.
-	Deltas int
-	// DeadIDs is the number of ids deletes retired since Build.
-	DeadIDs int
-	// Writes is the number of leaf entries written or removed by those ops.
-	Writes int
-	// OverflowPtrs is the number of leaf entries beyond binth in excess of
-	// what the build itself produced (deep or fully overlapping rule sets
-	// can leave overfull leaves even in a fresh tree, which is not delta
-	// drift).
-	OverflowPtrs int
-}
-
-// DeltaStats returns the delta debt since Build.
-func (c *Classifier) DeltaStats() DeltaStats {
-	over := c.overflowPtrs - c.baseOverflow
-	if over < 0 {
-		over = 0
-	}
-	return DeltaStats{Deltas: c.deltas, DeadIDs: c.rules.Len() - c.live, Writes: c.deltaWrites, OverflowPtrs: over}
-}
+// OverflowPtrs returns the number of leaf entries beyond binth in excess of
+// what the build itself produced (deep or fully overlapping rule sets can
+// leave overfull leaves even in a fresh tree, which is not delta drift).
+func (c *Classifier) OverflowPtrs() int { return max(c.overflowPtrs-c.baseOverflow, 0) }
 
 // Degradation estimates how far the delta-updated tree has drifted from a
 // freshly built one, as the fraction of rules now sitting in overfull
@@ -231,10 +164,10 @@ func (c *Classifier) DeltaStats() DeltaStats {
 // outgrown binth everywhere. The classifier stays correct regardless —
 // degradation only measures lookup-cost drift.
 func (c *Classifier) Degradation() float64 {
-	if c.live == 0 {
+	if c.NumRules() == 0 {
 		return 0
 	}
-	d := float64(c.DeltaStats().OverflowPtrs) / float64(c.live)
+	d := float64(c.OverflowPtrs()) / float64(c.NumRules())
 	if d > 1 {
 		d = 1
 	}
@@ -261,5 +194,4 @@ func (c *Classifier) initLeafMetrics() {
 		}
 	}
 	c.baseOverflow = c.overflowPtrs
-	c.deltas, c.deltaWrites = 0, 0
 }

@@ -184,8 +184,8 @@ func TestDeltaIndexBounds(t *testing.T) {
 }
 
 // TestDeadIDsBounded: delete+insert pairs retire one id each, and the delete
-// that would leave more dead ids than live ones plus deadSlack is refused,
-// changing nothing.
+// that would leave more dead ids than live ones plus fivetuple.DeadSlack is
+// refused, changing nothing.
 func TestDeadIDsBounded(t *testing.T) {
 	rs := tagged(classbench.Config{Class: classbench.ACL, Rules: 10, Seed: 7}, 1)
 	c, err := Build(rs, DefaultConfig())
@@ -196,7 +196,7 @@ func TestDeadIDsBounded(t *testing.T) {
 	for pair := 0; ; pair++ {
 		dead := c.DeltaStats().DeadIDs
 		if err := c.Delete(r); err != nil {
-			if dead+1 <= c.NumRules()-1+deadSlack {
+			if dead+1 <= c.NumRules()-1+fivetuple.DeadSlack {
 				t.Fatalf("pair %d: Delete refused with %d dead ids beside %d live rules: %v", pair, dead, c.NumRules(), err)
 			}
 			break
@@ -204,7 +204,7 @@ func TestDeadIDsBounded(t *testing.T) {
 		if err := c.Insert(r); err != nil {
 			t.Fatal(err)
 		}
-		if got := c.DeltaStats().DeadIDs; got != pair+1 || got > c.NumRules()+deadSlack {
+		if got := c.DeltaStats().DeadIDs; got != pair+1 || got > c.NumRules()+fivetuple.DeadSlack {
 			t.Fatalf("pair %d: %d dead ids beside %d live rules", pair, got, c.NumRules())
 		}
 	}
@@ -282,7 +282,7 @@ func TestDegradationTracksLeafOverflow(t *testing.T) {
 	if got := c.Degradation(); got <= 0.4 {
 		t.Errorf("degradation after doubling a full leaf = %v, want > 0.4", got)
 	}
-	if got := c.DeltaStats().OverflowPtrs; got != cfg.Binth {
+	if got := c.OverflowPtrs(); got != cfg.Binth {
 		t.Errorf("OverflowPtrs = %d, want %d", got, cfg.Binth)
 	}
 	if got := c.MaxLeafOccupancy(); got < 2*cfg.Binth {
@@ -294,7 +294,7 @@ func TestDegradationTracksLeafOverflow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.DeltaStats().OverflowPtrs; got != 0 {
+	if got := c.OverflowPtrs(); got != 0 {
 		t.Errorf("OverflowPtrs after shrinking back = %d, want 0", got)
 	}
 }
@@ -314,8 +314,8 @@ func stateOf(c *Classifier) treeState {
 		s.chunks = append(s.chunks, slices.Clone(lc))
 		s.first = append(s.first, &lc[0])
 	}
-	for id := range c.rules.Len() {
-		s.rules = append(s.rules, *c.rules.At(id))
+	for id := range c.IDs() {
+		s.rules = append(s.rules, *c.At(id))
 	}
 	return s
 }
@@ -402,7 +402,7 @@ func TestRefusesUnencodableRules(t *testing.T) {
 			t.Errorf("Delete of a %s rule: error %v, want not installed", tc.dim, err)
 		}
 		requireState(t, "after the refused "+tc.dim+" rule", c, before)
-		if ds := c.DeltaStats(); ds != (DeltaStats{}) || c.NumRules() != rs.Len() {
+		if ds := c.DeltaStats(); ds != (fivetuple.DeltaStats{}) || c.OverflowPtrs() != 0 || c.NumRules() != rs.Len() {
 			t.Errorf("after the refused %s rule: %+v over %d rules", tc.dim, ds, c.NumRules())
 		}
 		requireVerdicts(t, "after the refused "+tc.dim+" rule", c, rs.Rules(), trace)

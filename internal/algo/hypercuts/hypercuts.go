@@ -140,27 +140,23 @@ type Classifier struct {
 	// shares them.
 	nodes []uint32
 
-	// leaves holds the leaf lists, cow.ChunkLen leaves a chunk; rules stores
-	// the rules' records by id. Build numbers the rules best-first and an
-	// insert appends, so ids only grow between builds and (priority, id) is
-	// the best-first order, ties included; a delete retires its id (see
-	// delta.go). A delta replaces the chunks it writes.
+	// Records stores the rules' records by stable id, best-first by
+	// (priority, id), with the delta debt; leaves holds the leaf lists of
+	// those ids, cow.ChunkLen leaves a chunk. A delta replaces the chunks it
+	// writes.
+	fivetuple.Records
 	leaves cow.Lists
-	rules  cow.Array[fivetuple.PackedRule]
-	live   int
 
 	nodeCount int
 	leafCount int
 	rulePtrs  int
 	maxDepth  int
 
-	// Delta accounting (see delta.go): leaf-occupancy metrics anchored at
-	// Build time, and the op/write counters of updates applied since.
+	// Drift accounting (see delta.go): leaf-occupancy metrics anchored at
+	// Build time.
 	maxLeaf      int
 	baseOverflow int
 	overflowPtrs int
-	deltas       int
-	deltaWrites  int
 }
 
 // Build constructs a HyperCuts tree for the rule set.
@@ -176,17 +172,11 @@ func BuildRules(rules []fivetuple.Rule, cfg Config) (*Classifier, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(rules) == 0 {
-		return nil, fmt.Errorf("hypercuts: empty rule set")
+	recs, err := fivetuple.NewRecords("hypercuts", rules)
+	if err != nil {
+		return nil, err
 	}
-	recs := make([]fivetuple.PackedRule, len(rules), (len(rules)+cow.ChunkLen-1)&^(cow.ChunkLen-1))
-	for i := range rules {
-		var err error
-		if recs[i], err = pack(&rules[i]); err != nil {
-			return nil, err
-		}
-	}
-	c := &Classifier{cfg: cfg, rules: cow.Adopt(recs), live: len(rules)}
+	c := &Classifier{cfg: cfg, Records: recs}
 	c.build()
 	c.initLeafMetrics()
 	return c, nil
@@ -208,7 +198,7 @@ type pendingNode struct {
 // as it stands. A cut node carves all its children's lists out of one slab;
 // leaf lists go into the leaf chunks 64 at a time.
 func (c *Classifier) build() {
-	all := make([]uint32, c.live)
+	all := make([]uint32, c.NumRules())
 	for i := range all {
 		all[i] = uint32(i)
 	}
@@ -253,7 +243,7 @@ func (c *Classifier) build() {
 		for child := range children {
 			childReg := childRegion(reg, dims[:n], cuts[:n], child)
 			for _, id := range q.ids {
-				if ruleOverlapsRegion(c.rules.At(int(id)), childReg) {
+				if ruleOverlapsRegion(c.At(int(id)), childReg) {
 					lists = append(lists, id)
 				}
 			}
@@ -313,7 +303,7 @@ func (c *Classifier) chooseCuts(ids []uint32, reg region, keys []uint64) (dims, 
 		}
 		proj := keys[:len(ids)]
 		for j, id := range ids {
-			lo, hi := c.rules.At(int(id)).Range(f)
+			lo, hi := c.At(int(id)).Range(f)
 			proj[j] = uint64(lo)<<32 | uint64(hi)
 		}
 		slices.Sort(proj)
@@ -433,7 +423,7 @@ func (c *Classifier) leaf(h fivetuple.Header) (ids []uint32, accesses int) {
 func (c *Classifier) Classify(h fivetuple.Header) (id int, matched bool, accesses int) {
 	ids, accesses := c.leaf(h)
 	for j, id := range ids {
-		if c.rules.At(int(id)).Matches(&h) {
+		if c.At(int(id)).Matches(&h) {
 			return int(id), true, accesses + j + 1 // leaf rules are best-first
 		}
 	}
@@ -450,7 +440,7 @@ func (c *Classifier) Classify(h fivetuple.Header) (id int, matched bool, accesse
 func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 	ids, accesses := c.leaf(h)
 	for _, id := range ids {
-		if r := c.rules.At(int(id)); r.Matches(&h) {
+		if r := c.At(int(id)); r.Matches(&h) {
 			dst = append(dst, int(id))
 			if !r.NonTerminating {
 				break
@@ -459,13 +449,6 @@ func (c *Classifier) ClassifyAll(h fivetuple.Header, dst []int) ([]int, int) {
 	}
 	return dst, accesses + len(ids)
 }
-
-// NumRules returns the number of rules the classifier holds.
-func (c *Classifier) NumRules() int { return c.live }
-
-// Verdict returns the verdict of the rule with the given id, with the
-// priority it was built or inserted with.
-func (c *Classifier) Verdict(id int) fivetuple.Verdict { return c.rules.At(id).Verdict() }
 
 // NodeCount returns the number of tree nodes.
 func (c *Classifier) NodeCount() int { return c.nodeCount }
@@ -484,5 +467,5 @@ func (c *Classifier) MemoryBits() int {
 	const nodeBits = 128
 	const rulePtrBits = 14
 	const ruleBits = 144
-	return c.nodeCount*nodeBits + c.rulePtrs*rulePtrBits + c.live*ruleBits
+	return c.nodeCount*nodeBits + c.rulePtrs*rulePtrBits + c.NumRules()*ruleBits
 }

@@ -21,6 +21,7 @@ package classbench
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"sdnpc/internal/fivetuple"
 )
@@ -55,6 +56,21 @@ func (c Class) String() string {
 	}
 }
 
+// ParseClass returns the class a name selects: "acl", "fw" or "ipc", or its
+// String form ("acl1", …), in any case, surrounding space ignored.
+func ParseClass(name string) (Class, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "acl", "acl1":
+		return ACL, nil
+	case "fw", "fw1":
+		return FW, nil
+	case "ipc", "ipc1":
+		return IPC, nil
+	default:
+		return 0, fmt.Errorf("unknown filter-set class %q (acl, fw, ipc)", name)
+	}
+}
+
 // Size selects one of the three filter-set sizes evaluated in the paper.
 type Size int
 
@@ -76,6 +92,21 @@ func (s Size) String() string {
 		return "10k"
 	default:
 		return fmt.Sprintf("Size(%d)", int(s))
+	}
+}
+
+// ParseSize returns the size a name selects: "1k", "5k" or "10k", in any
+// case, surrounding space ignored.
+func ParseSize(name string) (Size, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "1k":
+		return Size1K, nil
+	case "5k":
+		return Size5K, nil
+	case "10k":
+		return Size10K, nil
+	default:
+		return 0, fmt.Errorf("unknown filter-set size %q (1k, 5k, 10k)", name)
 	}
 }
 

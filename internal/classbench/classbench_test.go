@@ -1,6 +1,7 @@
 package classbench
 
 import (
+	"strings"
 	"testing"
 
 	"sdnpc/internal/fivetuple"
@@ -221,5 +222,27 @@ func TestACLSourcePortIsWildcardOnly(t *testing.T) {
 		if !r.SrcPort.IsWildcard() {
 			t.Fatalf("rule %d has non-wildcard source port %s", i, r.SrcPort)
 		}
+	}
+}
+
+// TestParseNames pins the class and size names every command and the facade
+// accept: the short names, the classes' String forms, any case, surrounding
+// space ignored; anything else fails naming the valid ones.
+func TestParseNames(t *testing.T) {
+	for name, want := range map[string]Class{"acl": ACL, " ACL1 ": ACL, "fw": FW, "Fw1": FW, "ipc": IPC, "ipc1\n": IPC} {
+		if got, err := ParseClass(name); err != nil || got != want {
+			t.Errorf("ParseClass(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for name, want := range map[string]Size{"1k": Size1K, " 5K": Size5K, "10k ": Size10K} {
+		if got, err := ParseSize(name); err != nil || got != want {
+			t.Errorf("ParseSize(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseClass("acl2"); err == nil || !strings.Contains(err.Error(), "acl, fw, ipc") {
+		t.Errorf("ParseClass(acl2) error %v, want one naming acl, fw, ipc", err)
+	}
+	if _, err := ParseSize("2k"); err == nil || !strings.Contains(err.Error(), "1k, 5k, 10k") {
+		t.Errorf("ParseSize(2k) error %v, want one naming 1k, 5k, 10k", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sdnpc/internal/engine"
 	"sdnpc/internal/fivetuple"
 )
 
@@ -88,18 +87,14 @@ func MustNew(cfg Config) *Classifier {
 // is still reading it.
 func (c *Classifier) view() *snapshot { return c.snap.Load() }
 
-// publish prepares a snapshot — forcing every deferred engine-side build
-// (engine.Preparer), so that a published snapshot never mutates itself
-// inside a lookup — stamps it with the next generation and makes it the one
-// served to readers. The fresh generation is what retires every
-// microflow-cache entry filled under predecessors: entries are only served
-// to readers of the generation that filled them, so the swap invalidates the
-// cache in O(1) with no flush. Every lane serves the snapshot from the
-// moment of the swap.
+// publish stamps a prepared snapshot with the next generation and makes it
+// the one served to readers. Its engine is prepared already: an Install
+// prepares itself, and update prepares an engine that took deltas. The
+// fresh generation is what retires every microflow-cache entry filled under
+// predecessors: entries are only served to readers of the generation that
+// filled them, so the swap invalidates the cache in O(1) with no flush.
+// Every lane serves the snapshot from the moment of the swap.
 func (c *Classifier) publish(s *snapshot) {
-	if p, ok := s.engine.(engine.Preparer); ok {
-		p.Prepare()
-	}
 	s.gen = c.gen.Add(1)
 	c.snap.Store(s)
 }

@@ -62,12 +62,14 @@ type txn struct {
 // writer mutex held it clones the published snapshot, lets mutate apply its
 // ops to the private clone — each to the rule table and, at the op, to the
 // engine — rebuilds the engine over the table when the transaction decided
-// so, publishes the result with a single atomic swap and records the
-// publish. Nothing is published when mutate fails, when it applied no op, or
-// when the rebuild fails: the clone is discarded, so a partially applied
-// update can never become visible, after the deltas applied to its engine
-// are undone, last first — the field engine's label bank is shared with the
-// published engine, and undoing hands every published value its label back.
+// so, else prepares the engine its deltas left (engine.Preparer), so that a
+// published snapshot never mutates itself inside a lookup, publishes the
+// result with a single atomic swap and records the publish. Nothing is
+// published when mutate fails, when it applied no op, or when the rebuild
+// fails: the clone is discarded, so a partially applied update can never
+// become visible, after the deltas applied to its engine are undone, last
+// first — the field engine's label bank is shared with the published
+// engine, and undoing hands every published value its label back.
 func (c *Classifier) update(mutate func(tx *txn) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -76,8 +78,12 @@ func (c *Classifier) update(mutate func(tx *txn) error) error {
 	tx.inc, _ = tx.next.engine.(engine.IncrementalPacketEngine)
 	err := mutate(tx)
 	rebuilt := tx.inc == nil
-	if err == nil && rebuilt && tx.inserts+tx.deletes > 0 {
-		err = tx.next.rebuild()
+	if err == nil && tx.inserts+tx.deletes > 0 {
+		if rebuilt {
+			err = tx.next.rebuild()
+		} else if p, ok := tx.next.engine.(engine.Preparer); ok {
+			p.Prepare()
+		}
 	}
 	if err != nil {
 		tx.abandon()

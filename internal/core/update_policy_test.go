@@ -265,3 +265,61 @@ func TestRetiredIDsStayBounded(t *testing.T) {
 		})
 	}
 }
+
+// preparingEngine is an incremental packet engine (linear underneath) that
+// implements engine.Preparer and counts its Prepare calls, and declines
+// every delta while decline is set. It is not registered, so no suite over
+// the registry iterates it.
+type preparingEngine struct {
+	engine.IncrementalPacketEngine
+	prepares *int
+	decline  *bool
+}
+
+func (e *preparingEngine) Prepare() { *e.prepares++ }
+
+func (e *preparingEngine) Clone() engine.PacketEngine {
+	return &preparingEngine{e.IncrementalPacketEngine.Clone().(engine.IncrementalPacketEngine), e.prepares, e.decline}
+}
+
+func (e *preparingEngine) InsertRule(r fivetuple.Rule) (UpdateReport, error) {
+	if *e.decline {
+		return UpdateReport{}, fmt.Errorf("declined")
+	}
+	return e.IncrementalPacketEngine.InsertRule(r)
+}
+
+// TestPublishPreparesOnce pins where a publish prepares its engine: once
+// after the engine took deltas, and not at all after a rebuild, whose
+// Install prepared it already.
+func TestPublishPreparesOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PacketEngine = "linear"
+	c := MustNew(cfg)
+	rules := policyRules(3)
+	if _, err := c.InsertRule(rules[0]); err != nil {
+		t.Fatal(err)
+	}
+	var prepares int
+	var decline bool
+	s := c.view()
+	s.setEngine(&preparingEngine{s.engine.(engine.IncrementalPacketEngine), &prepares, &decline})
+
+	if _, err := c.InsertRule(rules[1]); err != nil {
+		t.Fatal(err)
+	}
+	if stats := c.Report().Updates; prepares != 1 || stats.Rebuilds != 0 {
+		t.Errorf("a publish after an accepted delta: %d Prepare calls, %d rebuilds; want 1 and 0", prepares, stats.Rebuilds)
+	}
+
+	prepares, decline = 0, true
+	if _, err := c.InsertRule(rules[2]); err != nil {
+		t.Fatal(err)
+	}
+	if stats := c.Report().Updates; prepares != 0 || stats.Rebuilds != 1 {
+		t.Errorf("a publish after a declined delta: %d Prepare calls, %d rebuilds; want 0 and 1", prepares, stats.Rebuilds)
+	}
+	if got := c.RuleCount(); got != 3 {
+		t.Errorf("RuleCount = %d, want 3", got)
+	}
+}

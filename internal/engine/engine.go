@@ -250,8 +250,8 @@ type Cloner interface {
 // Preparer is implemented by engines that defer expensive structure builds
 // (e.g. the RFC segment table regenerates its equivalence classes lazily on
 // the next lookup). Prepare forces any pending build so that subsequent
-// Lookups are pure reads; the classifier calls it on every engine of a
-// snapshot before publishing the snapshot to concurrent readers.
+// lookups are pure reads. A packet engine's Install prepares it; after
+// deltas the classifier calls Prepare once before publishing the snapshot.
 type Preparer interface {
 	Prepare()
 }

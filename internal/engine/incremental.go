@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"sort"
 
 	"sdnpc/internal/fivetuple"
 )
@@ -80,11 +79,11 @@ type UpdateCost struct {
 // rule table instead. Either way the op must have changed nothing.
 //
 // Concurrency contract: delta ops are writes and follow the same rule as
-// Install — external serialisation, never on a published structure. A handle
-// obtained from Clone must copy-on-write before its first delta so the
-// mutation is never observable through the other handle; the classifier
-// relies on this when it delta-updates a cloned snapshot while readers
-// traverse the published one.
+// Install — external serialisation, never on a published structure. After
+// Clone, both handles copy-on-write before their first delta, so neither
+// handle ever observes the other's deltas; the classifier relies on this
+// when it delta-updates a cloned snapshot while readers traverse the
+// published one.
 type IncrementalPacketEngine interface {
 	PacketEngine
 	// InsertRule adds r after every installed rule of the same or a better
@@ -99,16 +98,13 @@ type IncrementalPacketEngine interface {
 }
 
 // IncrementalPacketEngineNames returns the sorted names of the registered
-// whole-packet engines that declare delta-update support.
-func IncrementalPacketEngineNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name, def := range registry {
-		if def.PacketFactory != nil && def.Incremental {
-			out = append(out, name)
+// whole-packet engines whose instances implement IncrementalPacketEngine.
+func IncrementalPacketEngineNames() (names []string) {
+	for _, name := range PacketEngineNames() {
+		eng, _ := NewPacket(name, Spec{}) // nil when the factory fails
+		if _, ok := eng.(IncrementalPacketEngine); ok {
+			names = append(names, name)
 		}
 	}
-	sort.Strings(out)
-	return out
+	return names
 }

@@ -10,31 +10,6 @@ import (
 	"sdnpc/internal/fivetuple"
 )
 
-// TestIncrementalFlagMatchesCapability pins the registry honesty of the
-// delta-update capability: a definition may declare Incremental if and only
-// if its instances actually implement IncrementalPacketEngine.
-func TestIncrementalFlagMatchesCapability(t *testing.T) {
-	for _, name := range engine.PacketEngineNames() {
-		def, ok := engine.Get(name)
-		if !ok {
-			t.Fatalf("packet engine %q vanished from the registry", name)
-		}
-		eng, err := engine.NewPacket(name, engine.Spec{})
-		if err != nil {
-			t.Fatalf("building %q: %v", name, err)
-		}
-		_, incremental := eng.(engine.IncrementalPacketEngine)
-		if incremental != def.Incremental {
-			t.Errorf("engine %q: Incremental flag = %v but interface implemented = %v",
-				name, def.Incremental, incremental)
-		}
-	}
-	names := engine.IncrementalPacketEngineNames()
-	if len(names) < 2 {
-		t.Fatalf("IncrementalPacketEngineNames() = %v, want at least dcfl and hypercuts", names)
-	}
-}
-
 // firstMatch returns the first rule of the best-first list live matching h.
 func firstMatch(live []fivetuple.Rule, h fivetuple.Header) (fivetuple.Rule, bool) {
 	for _, r := range live {
@@ -132,9 +107,10 @@ func TestIncrementalDeltaMatchesInstall(t *testing.T) {
 	}
 }
 
-// TestIncrementalCloneIsolation asserts the copy-on-write contract: a delta
-// applied to a cloned handle is never observable through the original, in
-// either verdicts or delta accounting.
+// TestIncrementalCloneIsolation asserts the copy-on-write contract both
+// ways: a delta applied to a cloned handle is never observable through the
+// original, and a delta applied to the original after a Clone is never
+// observable through the clone, in either verdicts or delta accounting.
 func TestIncrementalCloneIsolation(t *testing.T) {
 	for _, name := range engine.IncrementalPacketEngineNames() {
 		t.Run(name, func(t *testing.T) {
@@ -175,6 +151,28 @@ func TestIncrementalCloneIsolation(t *testing.T) {
 				id, ok, _ := eng.LookupPacket(h)
 				if id != before[i].id || ok != before[i].ok {
 					t.Fatalf("original verdict for %s changed after clone deltas: (%d,%v) -> (%d,%v)",
+						h, before[i].id, before[i].ok, id, ok)
+				}
+			}
+
+			// The reverse direction: deltas on the original after a Clone
+			// leave the clone as it was.
+			cl2 := eng.Clone().(engine.IncrementalPacketEngine)
+			for _, r := range rules[:10] {
+				if _, err := orig.DeleteRule(r); err != nil {
+					t.Fatalf("DeleteRule on original: %v", err)
+				}
+			}
+			if cost := cl2.UpdateCost(); cost.Deltas != 0 {
+				t.Errorf("clone UpdateCost.Deltas = %d after original deltas, want 0", cost.Deltas)
+			}
+			if cost := orig.UpdateCost(); cost.Deltas != 10 {
+				t.Errorf("original UpdateCost.Deltas = %d, want 10", cost.Deltas)
+			}
+			for i, h := range headers {
+				id, ok, _ := cl2.LookupPacket(h)
+				if id != before[i].id || ok != before[i].ok {
+					t.Fatalf("clone verdict for %s changed after original deltas: (%d,%v) -> (%d,%v)",
 						h, before[i].id, before[i].ok, id, ok)
 				}
 			}

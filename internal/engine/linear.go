@@ -13,7 +13,6 @@ func init() {
 		Name:          "linear",
 		Description:   "Priority-ordered linear scan: serves every dimension (IPv6/VLAN/TCP-flags/masked-proto/multi-action), O(n) lookup",
 		PacketFactory: newLinearEngine,
-		Incremental:   true,
 		// The scan evaluates Rule.Matches directly, so every dimension the
 		// rule model can express is served — this is the capability ceiling
 		// the conformance suite measures the specialised engines against.

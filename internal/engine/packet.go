@@ -56,10 +56,12 @@ type PacketEngine interface {
 	// Whole-packet engines do not use the Labels memory, so LabelListBits is
 	// zero.
 	Footprint() Footprint
-	// Clone returns a handle sharing the immutable built structure such that
-	// a later Install on either handle is never observable through the
-	// other. This is what lets the classifier rebuild a cloned snapshot's
-	// engine while readers keep traversing the published one.
+	// Clone returns a handle sharing the built structure such that a later
+	// Install or delta op on either handle is never observable through the
+	// other. As with Cloner, it may retire the receiver's ownership of what
+	// the two share, and writes nothing a lookup reads. This is what lets
+	// the classifier rebuild or delta-update a cloned snapshot's engine
+	// while readers keep traversing the published one.
 	Clone() PacketEngine
 }
 

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sdnpc/internal/engine"
@@ -216,6 +217,12 @@ func TestPacketRegistryTiering(t *testing.T) {
 			if ip == want {
 				t.Errorf("%q must not be listed as an IP field engine", want)
 			}
+		}
+	}
+	incremental := engine.IncrementalPacketEngineNames()
+	for _, want := range []string{"dcfl", "hypercuts"} {
+		if !slices.Contains(incremental, want) {
+			t.Errorf("IncrementalPacketEngineNames() = %v, want at least dcfl and hypercuts", incremental)
 		}
 	}
 	if _, err := engine.NewPacket("mbt", engine.Spec{}); err == nil {

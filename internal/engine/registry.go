@@ -36,12 +36,9 @@ type Definition struct {
 	// and PacketFactory must be set.
 	Factory Factory
 	// PacketFactory builds whole-packet engine instances: setting it makes
-	// the definition a second-tier (PacketEngine) entry.
+	// the definition a second-tier (PacketEngine) entry. Instances that
+	// implement IncrementalPacketEngine take deltas.
 	PacketFactory PacketFactory
-	// Incremental marks whole-packet engines whose instances implement
-	// IncrementalPacketEngine — the delta-update capability the classifier's
-	// update policy prefers over a full rebuild.
-	Incremental bool
 	// IPCapable marks engines that can serve the 16-bit IP-segment
 	// dimensions (they accept KindPrefix values).
 	IPCapable bool
@@ -77,9 +74,6 @@ func Register(def Definition) error {
 	}
 	if def.Factory != nil && def.PacketFactory != nil {
 		return fmt.Errorf("engine: engine %q registers both a field and a packet factory", def.Name)
-	}
-	if def.Incremental && def.PacketFactory == nil {
-		return fmt.Errorf("engine: engine %q declares incremental updates without a packet factory", def.Name)
 	}
 	registryMu.Lock()
 	defer registryMu.Unlock()

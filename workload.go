@@ -2,7 +2,6 @@ package sdnpc
 
 import (
 	"fmt"
-	"strings"
 
 	"sdnpc/internal/classbench"
 )
@@ -10,13 +9,13 @@ import (
 // GenerateRuleSet produces a ClassBench-style synthetic filter set. class is
 // "acl", "fw" or "ipc" (Table III); size is "1k", "5k" or "10k".
 func GenerateRuleSet(class, size string) (*RuleSet, error) {
-	cls, err := parseClass(class)
+	cls, err := classbench.ParseClass(class)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sdnpc: %w", err)
 	}
-	sz, err := parseSize(size)
+	sz, err := classbench.ParseSize(size)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sdnpc: %w", err)
 	}
 	return classbench.Generate(classbench.StandardConfig(cls, sz)), nil
 }
@@ -102,30 +101,4 @@ func GenerateUpdateTrace(rs *RuleSet, opts UpdateTraceOptions) []UpdateOp {
 		ops[i] = UpdateOp{Delete: op.Delete, Rule: op.Rule}
 	}
 	return ops
-}
-
-func parseClass(name string) (classbench.Class, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "acl", "acl1":
-		return classbench.ACL, nil
-	case "fw", "fw1":
-		return classbench.FW, nil
-	case "ipc", "ipc1":
-		return classbench.IPC, nil
-	default:
-		return 0, fmt.Errorf("sdnpc: unknown filter-set class %q (acl, fw, ipc)", name)
-	}
-}
-
-func parseSize(name string) (classbench.Size, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "1k":
-		return classbench.Size1K, nil
-	case "5k":
-		return classbench.Size5K, nil
-	case "10k":
-		return classbench.Size10K, nil
-	default:
-		return 0, fmt.Errorf("sdnpc: unknown filter-set size %q (1k, 5k, 10k)", name)
-	}
 }

@@ -57,6 +57,7 @@ func main() {
 	fmt.Printf("served %d lookups, %d matched (%.1f%%)\n",
 		stats.Lookups, stats.Matches, 100*stats.MatchRate())
 
+	// RuleCapacity is the field engine's Rule Filter (0 under a packet engine).
 	report := rep.Memory
 	fmt.Printf("IP engine %q memory in use: %.1f Kbit; rule filter occupancy: %d/%d rules\n",
 		report.IPEngine, float64(report.IPEngineUsedBits)/1024, rep.RulesInstalled, rep.RuleCapacity)

@@ -62,12 +62,12 @@ func main() {
 		classifier.ResetStats()
 		classifier.LookupBatch(packets)
 		rep := classifier.Report()
-		tier, nodeBits := "field ", rep.Memory.IPEngineUsedBits
+		tier, nodeBits, capacity := "field ", rep.Memory.IPEngineUsedBits, fmt.Sprintf("%d-rule Rule Filter", rep.RuleCapacity)
 		if rep.Memory.PacketEngine != "" {
-			tier, nodeBits = "packet", rep.Memory.PacketEngineUsedBits
+			tier, nodeBits, capacity = "packet", rep.Memory.PacketEngineUsedBits, "no fixed capacity"
 		}
-		fmt.Printf("%-10s %s served %d lookups (%d matched, %4.1f field accesses each), %5d-rule capacity, %7.1f Kbit node storage\n",
+		fmt.Printf("%-10s %s served %d lookups (%d matched, %4.1f field accesses each), %s, %7.1f Kbit node storage\n",
 			name, tier, rep.Stats.Lookups, rep.Stats.Matches, rep.Stats.AverageFieldAccesses(),
-			rep.RuleCapacity, float64(nodeBits)/1024)
+			capacity, float64(nodeBits)/1024)
 	}
 }

@@ -112,7 +112,7 @@ func main() {
 	// the control channel — the generalised IPalg_s signal.
 	ctrl.call(http.MethodPut, table+"/engine", map[string]string{"engine": "bst"}, nil)
 	ctrl.call(http.MethodGet, table, nil, &tenant)
-	fmt.Printf("controller re-programmed the data plane to the %q engine (capacity %d rules)\n", tenant.Engine, tenant.RuleCapacity)
+	fmt.Printf("controller re-programmed the data plane to the %q engine (Rule Filter capacity %d rules)\n", tenant.Engine, tenant.RuleCapacity)
 
 	// Background traffic keeps flowing through the policy.
 	var batch server.ClassifyBatchRequest

@@ -69,8 +69,8 @@ func runPhase(classifier *sdnpc.Classifier, ruleSet *sdnpc.RuleSet, trace []sdnp
 	fmt.Printf("  served %d lookups, %d matched; %.2f label combinations presented and %.2f rule filter slots read per packet\n",
 		stats.Lookups, stats.Matches, stats.AverageCombinations(),
 		float64(stats.RuleFilterProbes)/float64(stats.Lookups))
-	fmt.Printf("  rule capacity: %d rules; IP-engine memory in use: %.1f Kbit\n",
-		classifier.RuleCapacity(), float64(report.IPEngineUsedBits)/1024)
+	fmt.Printf("  rule capacity (the field engine's Rule Filter): %d rules; IP-engine memory in use: %.1f Kbit\n",
+		rep.RuleCapacity, float64(report.IPEngineUsedBits)/1024)
 	fmt.Printf("  verdict mismatches against the reference: %d of %d packets (avg %.2f field accesses)\n",
 		mismatches, len(trace), stats.AverageFieldAccesses())
 }

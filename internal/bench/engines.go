@@ -31,8 +31,9 @@ func CachedEngineConfig(name string, shards, capacity int) core.Config {
 // EngineRow is one row of the engine sweep: the architecture evaluated with
 // one registered engine — field tier or whole-packet tier — on a shared
 // workload. For a field engine the memory columns report the IP-segment
-// node storage; for a packet engine they report the precomputed multi-field
-// structure (the Table I memory figure).
+// node storage and RuleCapacity its Rule Filter's slots; for a packet engine
+// they report the precomputed multi-field structure (the Table I memory
+// figure), and RuleCapacity 0: it has no fixed capacity.
 type EngineRow struct {
 	Engine             string
 	Tier               string
@@ -105,7 +106,7 @@ func EngineSweep(w Workload, only string) ([]EngineRow, error) {
 			ThroughputGbps40:   p.ThroughputGbps(40),
 			EngineMemoryKbit:   Kbit(report.IPEngineUsedBits),
 			ProvisionedKbit:    Kbit(ipEngineProvisionedBits(report.IPEngine)),
-			RuleCapacity:       c.RuleCapacity(),
+			RuleCapacity:       rep.RuleCapacity,
 			VerdictMismatches:  mismatches,
 			PacketsReplayed:    len(w.Trace),
 			InitiationInterval: p.BottleneckInterval(),

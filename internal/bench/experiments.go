@@ -403,7 +403,7 @@ func Table6(w Workload) ([]Table6Row, error) {
 			AccessesPerPacket:     LookupPipeline(rep).BottleneckInterval(),
 			MeasuredAvgIPAccesses: float64(ipAccesses) / float64(len(w.Trace)) / 4, // per segment engine
 			MemorySpaceKbit:       Kbit(rep.Memory.IPEngineUsedBits),
-			StoredRuleCapacity:    c.RuleCapacity(),
+			StoredRuleCapacity:    rep.RuleCapacity,
 			PaperAccesses:         paper[alg].PaperAccesses,
 			PaperKbit:             paper[alg].PaperKbit,
 			PaperRules:            paper[alg].PaperRules,
@@ -457,7 +457,7 @@ func Table7() ([]Table7Row, error) {
 		rows = append(rows, Table7Row{
 			Algorithm:      "Our system with " + strings.ToUpper(alg),
 			MemorySpaceMb:  Mbit(totalProvisionedBits(rep)),
-			StoredRules:    c.RuleCapacity(),
+			StoredRules:    rep.RuleCapacity,
 			ThroughputGbps: LookupPipeline(rep).ThroughputGbps(40),
 			Source:         "measured",
 		})

@@ -51,9 +51,8 @@ type Classifier struct {
 	// stats is the update-plane collector; lookups account to their lane.
 	stats statsCollector
 
-	// undo is the writer's undo-log buffer, reused across transactions
-	// while it stays small (see update).
-	undo []delta
+	// tx is the writer's transaction state, reused under mu (see update).
+	tx txn
 }
 
 // New creates a classifier with the given configuration.
@@ -118,12 +117,6 @@ func (c *Classifier) ActiveEngineName() string { return c.view().name }
 // RuleCount returns the number of installed rules.
 func (c *Classifier) RuleCount() int { return c.view().table.len() }
 
-// RuleCapacity returns the rule capacity under the active engine — the
-// capacity insertions are enforced against.
-func (c *Classifier) RuleCapacity() int {
-	return c.view().capacity
-}
-
 // InstalledRules returns a copy of the rule table: the installed rules
 // best-first — ascending priority, rules of equal priority in installation
 // order.
@@ -133,9 +126,9 @@ func (c *Classifier) InstalledRules() []fivetuple.Rule {
 
 // SelectEngine selects any registered serving engine by name — the
 // generalised IPalg_s signal (§III.A). It builds a fresh engine for the name
-// (for an IP-segment engine: the field engine with a rule filter
-// re-provisioned to the engine's capacity (Fig. 5); for a whole-packet
-// engine: its precomputed structure), programmes it from the installed rules
+// (for an IP-segment engine: the field engine, whose Rule Filter is
+// provisioned for that engine (Fig. 5); for a whole-packet engine: its
+// precomputed structure), programmes it from the installed rules
 // and atomically swaps it in, exactly as the software controller would
 // re-download the memory images after a configuration change; the previous
 // engine is dropped with the snapshot that held it.

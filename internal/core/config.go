@@ -8,11 +8,11 @@
 // from it. Under an IP-capable engine name that is the paper's classifier,
 // the field engine of internal/fieldtier: seven single-field engines, the
 // label tables and the Rule Filter, answering in the four pipelined phases
-// of Fig. 3 and updated by the label-counting procedure of Fig. 4. The
-// IPalg_s configuration signal (§IV.C.2, Fig. 5) is the IP engine name,
-// which decides how the MBT blocks are used and how many rules fit
-// (fieldtier.RuleCapacityFor). Under any other name a whole-packet engine of
-// the registry serves instead. newEngine is the one place the two differ.
+// of Fig. 3 and updated by the label-counting procedure of Fig. 4. The IPalg_s
+// configuration signal (§IV.C.2, Fig. 5) is the IP engine name, which decides
+// how the MBT blocks are used and how many rules the Rule Filter, the one
+// rule-count limit, holds. Under any other name a whole-packet engine, with no
+// fixed capacity, serves instead. newEngine is the one place the two differ.
 //
 // Every update applies its deltas to the working engine at the op, while the
 // engine's own debt allows; otherwise the publish rebuilds the engine over
@@ -48,15 +48,15 @@ const (
 // needed.
 type Config struct {
 	// IPEngine names the registered field engine serving the four IP-segment
-	// dimensions (see internal/engine: "mbt", "bst", "segtrie", "rfc", ...).
-	// The paper's IPalg_s signal selects between its two values, "mbt" and
-	// "bst"; any name in engine.IPEngineNames() is accepted.
+	// dimensions (any of engine.IPEngineNames(); the paper's IPalg_s signal
+	// selects "mbt" or "bst"). It sizes the Rule Filter, the one rule-count
+	// limit: 8 192 rules, 11 512 under "bst" (Table VI).
 	IPEngine string
 	// PacketEngine, when set, selects a whole-packet engine ("rfc-full",
-	// "dcfl", "hypercuts") to serve lookups and wins over IPEngine: the
-	// five-tuple is answered by one precomputed structure, and the per-field
-	// engines, label tables and Rule Filter are not built at all. SelectEngine
-	// with a field engine name builds them from the installed rules.
+	// "dcfl", "hypercuts") to serve lookups and wins over IPEngine: one
+	// precomputed structure, with no fixed rule capacity, answers the
+	// five-tuple, and the field engine is not built at all. SelectEngine with
+	// a field engine name builds it from the installed rules.
 	PacketEngine string
 
 	// PortRegisters is the number of port-range registers per port dimension.

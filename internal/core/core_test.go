@@ -433,7 +433,7 @@ func TestSelectEngineSwitchesAndReprogrammes(t *testing.T) {
 	if c.ActiveEngineName() != "mbt" {
 		t.Fatalf("initial engine = %q, want mbt", c.ActiveEngineName())
 	}
-	capMBT := c.RuleCapacity()
+	capMBT := c.Report().RuleCapacity
 
 	if err := c.SelectEngine("bst"); err != nil {
 		t.Fatalf("SelectEngine(bst): %v", err)
@@ -441,8 +441,8 @@ func TestSelectEngineSwitchesAndReprogrammes(t *testing.T) {
 	if c.ActiveEngineName() != "bst" {
 		t.Fatalf("engine after switch = %q, want bst", c.ActiveEngineName())
 	}
-	if c.RuleCapacity() <= capMBT {
-		t.Errorf("BST capacity %d should exceed MBT capacity %d (Fig. 5 sharing)", c.RuleCapacity(), capMBT)
+	if capBST := c.Report().RuleCapacity; capBST <= capMBT {
+		t.Errorf("BST capacity %d should exceed MBT capacity %d (Fig. 5 sharing)", capBST, capMBT)
 	}
 	if c.RuleCount() != rs.Len() {
 		t.Errorf("rules after switch = %d, want %d", c.RuleCount(), rs.Len())

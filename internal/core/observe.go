@@ -16,8 +16,8 @@ type Report struct {
 	// is the only engine the snapshot holds.
 	ActiveEngine string
 
-	// RulesInstalled and RuleCapacity describe the rule table under the
-	// current engine selection.
+	// RulesInstalled is the rule count; RuleCapacity the field engine's Rule
+	// Filter slots, 0 (no fixed capacity) under a whole-packet engine.
 	RulesInstalled int
 	RuleCapacity   int
 
@@ -57,12 +57,12 @@ func (c *Classifier) Report() Report {
 	r := Report{
 		ActiveEngine:   s.name,
 		RulesInstalled: s.table.len(),
-		RuleCapacity:   s.capacity,
 		Stats:          c.statsSnapshot(),
 		Updates:        c.updateStats(s),
 		Memory:         c.memoryReport(s),
 		LookupCost:     s.engine.Cost(),
 	}
+	r.RuleCapacity = r.Memory.RuleCapacity
 	r.CacheEnabled = c.CacheEnabled()
 	r.Generation = s.gen
 	for _, ln := range c.lanes.all {

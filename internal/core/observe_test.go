@@ -13,9 +13,11 @@ import (
 )
 
 // TestReportRuleCapacityTracksActiveTier pins rule capacity to the engine
-// answering lookups on every surface — Report, RuleCapacity and the limit
-// insertions are refused at — across tier switches. bst's shared-level-2
-// bonus capacity makes the engines observably different.
+// answering lookups, across tier switches: Report reads the field engine's
+// Rule Filter slots, and 0 under a whole-packet engine, which has no fixed
+// capacity and takes rules past every Rule Filter. The limit is the field
+// engine's alone: a switch back to bst is refused by bst's Rule Filter until
+// the rules fit again.
 func TestReportRuleCapacityTracksActiveTier(t *testing.T) {
 	c, err := New(DefaultConfig())
 	if err != nil {
@@ -28,43 +30,42 @@ func TestReportRuleCapacityTracksActiveTier(t *testing.T) {
 	if bstCap <= fieldtier.RuleFilterSlots {
 		t.Fatalf("bst capacity %d should exceed the base %d slots", bstCap, fieldtier.RuleFilterSlots)
 	}
-	if got := c.Report().RuleCapacity; got != bstCap {
-		t.Fatalf("field tier RuleCapacity = %d, want %d", got, bstCap)
+	if rep := c.Report(); rep.RuleCapacity != bstCap || rep.Memory.RuleCapacity != bstCap {
+		t.Fatalf("field tier RuleCapacity = %d (Memory %d), want %d", rep.RuleCapacity, rep.Memory.RuleCapacity, bstCap)
 	}
 
-	// Switch the serving tier to hypercuts: capacity must follow the active
-	// engine.
+	// Switch the serving tier to hypercuts: it has no Rule Filter, so no
+	// fixed capacity.
 	if err := c.SelectEngine("hypercuts"); err != nil {
 		t.Fatalf("SelectEngine(hypercuts): %v", err)
-	}
-	wantCap := fieldtier.RuleCapacityFor("hypercuts")
-	if wantCap == bstCap {
-		t.Fatalf("test needs distinguishable capacities, got %d for both", wantCap)
 	}
 	rep := c.Report()
 	if rep.ActiveEngine != "hypercuts" {
 		t.Fatalf("ActiveEngine = %q, want hypercuts", rep.ActiveEngine)
 	}
-	if rep.RuleCapacity != wantCap {
-		t.Errorf("packet tier Report().RuleCapacity = %d, want %d (active engine), not %d (field engine)",
-			rep.RuleCapacity, wantCap, bstCap)
-	}
-	if got := c.RuleCapacity(); got != wantCap {
-		t.Errorf("packet tier RuleCapacity() = %d, want %d", got, wantCap)
+	if rep.RuleCapacity != 0 {
+		t.Errorf("packet tier Report().RuleCapacity = %d, want 0 (no fixed capacity), not %d (field engine)",
+			rep.RuleCapacity, bstCap)
 	}
 
-	// The reported limit is the enforced one: the classifier fills to it and
-	// refuses the next rule, although bst (the engine before the switch)
-	// would have held it.
-	rs := capacityRuleSet(wantCap + 1)
-	if _, err := c.InstallRuleSet(fivetuple.NewRuleSet("full", rs.Rules()[:wantCap])); err != nil {
-		t.Fatalf("installing the %d rules the reported capacity allows: %v", wantCap, err)
+	// The packet engine holds one rule more than bst's Rule Filter, and bst
+	// refuses the switch back, leaving hypercuts serving every rule.
+	rs := capacityRuleSet(bstCap + 1)
+	if _, err := c.InstallRuleSet(rs); err != nil {
+		t.Fatalf("installing %d rules on hypercuts: %v", rs.Len(), err)
 	}
-	if _, err := c.InsertRule(rs.Rule(wantCap)); !errors.Is(err, ErrRuleFilterFull) {
-		t.Fatalf("InsertRule at the reported limit %d = %v, want ErrRuleFilterFull", wantCap, err)
+	if err := c.SelectEngine("bst"); !errors.Is(err, ErrRuleFilterFull) {
+		t.Fatalf("SelectEngine(bst) over %d rules = %v, want ErrRuleFilterFull", rs.Len(), err)
+	}
+	if c.ActiveEngineName() != "hypercuts" || c.RuleCount() != rs.Len() {
+		t.Fatalf("after the refused switch: %s serving %d rules, want hypercuts serving %d",
+			c.ActiveEngineName(), c.RuleCount(), rs.Len())
 	}
 
-	// Switching back to bst restores its capacity.
+	// Once the rules fit, switching back to bst restores its capacity.
+	if _, err := c.DeleteRule(rs.Rule(bstCap)); err != nil {
+		t.Fatalf("DeleteRule: %v", err)
+	}
 	if err := c.SelectEngine("bst"); err != nil {
 		t.Fatalf("SelectEngine(bst) back: %v", err)
 	}
@@ -168,9 +169,9 @@ func TestReportMatchesAccessors(t *testing.T) {
 			if rep.ActiveEngine != name {
 				t.Errorf("ActiveEngine = %q, want the selected %q", rep.ActiveEngine, name)
 			}
-			if rep.RulesInstalled != c.RuleCount() || rep.RuleCapacity != c.RuleCapacity() {
+			if rep.RulesInstalled != c.RuleCount() || rep.RuleCapacity != rep.Memory.RuleCapacity {
 				t.Errorf("rules = (%d, %d), want (%d, %d)",
-					rep.RulesInstalled, rep.RuleCapacity, c.RuleCount(), c.RuleCapacity())
+					rep.RulesInstalled, rep.RuleCapacity, c.RuleCount(), rep.Memory.RuleCapacity)
 			}
 			if rep.Stats.Lookups != uint64(len(trace)) {
 				t.Errorf("Stats.Lookups = %d, want %d", rep.Stats.Lookups, len(trace))

@@ -169,38 +169,58 @@ func TestPacketTierIncrementalUpdates(t *testing.T) {
 }
 
 // TestSelectEngineFailureLeavesServingStateUntouched drives the switch into
-// a capacity failure towards each tier and requires the classifier to keep
-// serving exactly what it served before: a failed SelectEngine must not
-// change the engine or lose a rule.
+// a failure towards each tier and requires the classifier to keep serving
+// exactly what it served before: a failed SelectEngine must not change the
+// engine or lose a rule. The field tier fails on its Rule Filter's capacity;
+// the packet tier, which has no fixed capacity, on a dimension it does not
+// serve.
 func TestSelectEngineFailureLeavesServingStateUntouched(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.IPEngine = "bst"
-	c := MustNew(cfg)
-
-	// The bst configuration (base + freed MBT blocks) holds rules that the
-	// mbt and hypercuts configurations (base only) cannot.
-	over := capacityRuleSet(fieldtier.RuleCapacityFor("mbt") + 4)
-	if _, err := c.InstallRuleSet(over); err != nil {
-		t.Fatalf("InstallRuleSet: %v", err)
-	}
-
-	probe := fivetuple.Header{SrcIP: fivetuple.IPv4(3 << 16), DstIP: fivetuple.IPv4(0), SrcPort: 1, DstPort: 2, Protocol: fivetuple.ProtoTCP}
-	before := c.Lookup(probe)
-
-	for _, name := range []string{"mbt", "hypercuts"} {
-		if err := c.SelectEngine(name); !errors.Is(err, ErrRuleFilterFull) {
-			t.Fatalf("SelectEngine(%s) = %v, want ErrRuleFilterFull: installed rules exceed its capacity", name, err)
+	requireUntouched := func(t *testing.T, c *Classifier, name string, probe fivetuple.Header, want error) {
+		t.Helper()
+		active, rules, before := c.ActiveEngineName(), c.RuleCount(), c.Lookup(probe)
+		if err := c.SelectEngine(name); !errors.Is(err, want) {
+			t.Fatalf("SelectEngine(%s) = %v, want %v", name, err, want)
 		}
-		if got := c.ActiveEngineName(); got != "bst" {
-			t.Errorf("after failed switch to %s: ActiveEngineName = %q, want bst", name, got)
+		if got := c.ActiveEngineName(); got != active {
+			t.Errorf("after failed switch to %s: ActiveEngineName = %q, want %s", name, got, active)
 		}
-		if got := c.RuleCount(); got != over.Len() {
-			t.Errorf("after failed switch to %s: %d rules, want %d", name, got, over.Len())
+		if got := c.RuleCount(); got != rules {
+			t.Errorf("after failed switch to %s: %d rules, want %d", name, got, rules)
 		}
 		if after := c.Lookup(probe); after != before {
 			t.Errorf("after failed switch to %s: Lookup = %+v, want the pre-switch %+v", name, after, before)
 		}
 	}
+
+	t.Run("field", func(t *testing.T) {
+		// The bst configuration (base + freed MBT blocks) holds rules that
+		// the mbt configuration (base only) cannot.
+		cfg := DefaultConfig()
+		cfg.IPEngine = "bst"
+		c := MustNew(cfg)
+		if _, err := c.InstallRuleSet(capacityRuleSet(fieldtier.RuleCapacityFor("mbt") + 4)); err != nil {
+			t.Fatalf("InstallRuleSet: %v", err)
+		}
+		probe := fivetuple.Header{SrcIP: fivetuple.IPv4(3 << 16), DstIP: fivetuple.IPv4(0), SrcPort: 1, DstPort: 2, Protocol: fivetuple.ProtoTCP}
+		requireUntouched(t, c, "mbt", probe, ErrRuleFilterFull)
+	})
+
+	t.Run("packet", func(t *testing.T) {
+		// linear serves IPv6; hypercuts does not.
+		cfg := DefaultConfig()
+		cfg.SetEngine("linear")
+		c := MustNew(cfg)
+		v6 := fivetuple.Wildcard(1, fivetuple.ActionDrop)
+		v6.Src6 = fivetuple.Prefix6{Addr: fivetuple.MustParseIPv6("2001:db8::"), Len: 32}
+		if _, err := c.InstallRuleSet(fivetuple.NewRuleSet("v6", []fivetuple.Rule{v6, fivetuple.Wildcard(2, fivetuple.ActionForward)})); err != nil {
+			t.Fatalf("InstallRuleSet: %v", err)
+		}
+		probe := fivetuple.Header{Family: fivetuple.FamilyIPv6, SrcIP6: fivetuple.MustParseIPv6("2001:db8::1"), SrcPort: 1, DstPort: 2, Protocol: fivetuple.ProtoTCP}
+		if r := c.Lookup(probe); !r.Matched || r.Action != fivetuple.ActionDrop {
+			t.Fatalf("Lookup(IPv6 probe) = %+v, want the IPv6 rule", r)
+		}
+		requireUntouched(t, c, "hypercuts", probe, ErrDimsUnsupported)
+	})
 }
 
 func TestConfigPacketEngineValidation(t *testing.T) {

@@ -37,13 +37,12 @@ type snapshot struct {
 	name   string
 	engine engine.PacketEngine
 	// modelled is engine's counted lookup when it has one (the field
-	// engine), packetDims the extension dimensions the engine's registry
-	// definition declares and capacity the rules it may hold: all resolved
-	// once, so neither a lookup nor an update asserts an interface or takes
-	// the registry lock per packet or rule.
+	// engine) and packetDims the extension dimensions the engine's registry
+	// definition declares: both resolved once, so neither a lookup nor an
+	// update asserts an interface or takes the registry lock per packet or
+	// rule.
 	modelled   modelled
 	packetDims fivetuple.DimSet
-	capacity   int
 
 	// table is the rule table, and the only copy of it above the serving
 	// engine: best-first — ascending Priority, ties in installation order —
@@ -88,7 +87,7 @@ func newSnapshot(cfg *Config, name string, rules []fivetuple.Rule) (*snapshot, e
 	if err != nil {
 		return nil, err
 	}
-	s := &snapshot{name: name, packetDims: engine.Dims(name), capacity: fieldtier.RuleCapacityFor(name)}
+	s := &snapshot{name: name, packetDims: engine.Dims(name)}
 	s.setEngine(eng)
 	s.table.ownIDs(len(rules))
 	for _, r := range rules {
@@ -111,15 +110,11 @@ func (s *snapshot) setEngine(eng engine.PacketEngine) {
 	s.modelled, _ = eng.(modelled)
 }
 
-// admit checks that the snapshot's engine may take one more rule: the rule
-// table is below the engine's capacity, and the engine serves every
-// dimension the rule requires (IPv6, VLAN, TCP flags, masked protocol,
-// non-terminating semantics) — otherwise the install is refused rather than
-// silently misclassified. The field engine serves only the IPv4 five-tuple.
+// admit checks that the snapshot's engine serves every dimension the rule
+// requires (IPv6, VLAN, TCP flags, masked protocol, non-terminating
+// semantics) — otherwise the install is refused rather than silently
+// misclassified. How many rules fit is the engine's to refuse.
 func (s *snapshot) admit(r fivetuple.Rule) error {
-	if s.table.len() >= s.capacity {
-		return fmt.Errorf("%w: capacity %d under the %s configuration", ErrRuleFilterFull, s.capacity, s.name)
-	}
 	if dims := r.Dims(); !s.packetDims.Covers(dims) {
 		return fmt.Errorf("%w: rule %s requires dimensions %s but engine %q serves %s",
 			ErrDimsUnsupported, r, dims, s.name, s.packetDims)
@@ -142,7 +137,7 @@ func (s *snapshot) rebuild() error {
 // the engine sharing structure with the original until written — so the copy
 // can absorb an update while readers keep traversing the original.
 func (s *snapshot) clone() *snapshot {
-	c := &snapshot{name: s.name, packetDims: s.packetDims, capacity: s.capacity, table: s.table.clone()}
+	c := &snapshot{name: s.name, packetDims: s.packetDims, table: s.table.clone()}
 	c.setEngine(s.engine.Clone())
 	return c
 }

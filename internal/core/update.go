@@ -14,9 +14,8 @@ import (
 // ErrRuleNotInstalled is returned when deleting a rule that is not present.
 var ErrRuleNotInstalled = errors.New("core: rule not installed")
 
-// ErrRuleFilterFull is returned when the rule table holds as many rules as
-// the engine selection's capacity (RuleCapacity), or the field engine's Rule
-// Filter has no free slot for a new rule.
+// ErrRuleFilterFull is returned when the field engine's Rule Filter has no
+// free slot for a new rule: the one rule-count limit there is.
 var ErrRuleFilterFull = fieldtier.ErrRuleFilterFull
 
 // ErrDimsUnsupported is returned when installing a rule that requires
@@ -46,9 +45,12 @@ func (d delta) to(inc engine.IncrementalPacketEngine, undo bool) (UpdateReport, 
 
 // txn is one update transaction's writer state: the working snapshot, the
 // ops it applied to the rule table and, in order, the deltas it applied to
-// the working engine.
+// the working engine. The classifier reuses one under its writer lock.
 type txn struct {
-	next *snapshot
+	// next is the published snapshot until working() makes it a private
+	// clone (owned) at the first op that changes something.
+	next  *snapshot
+	owned bool
 	// inc is next's engine while it takes deltas: nil when the engine is not
 	// incremental or once the transaction has decided to rebuild it.
 	inc              engine.IncrementalPacketEngine
@@ -59,26 +61,37 @@ type txn struct {
 }
 
 // update is the one rule-update transaction every entry point runs: with the
-// writer mutex held it clones the published snapshot, lets mutate apply its
-// ops to the private clone — each to the rule table and, at the op, to the
-// engine — rebuilds the engine over the table when the transaction decided
-// so, else prepares the engine its deltas left (engine.Preparer), so that a
+// writer mutex held it lets mutate apply its ops to a private clone of the
+// published snapshot — each to the rule table and, at the op, to the engine
+// — rebuilds the engine over the table when the transaction decided so,
+// else prepares the engine its deltas left (engine.Preparer), so that a
 // published snapshot never mutates itself inside a lookup, publishes the
 // result with a single atomic swap and records the publish. Nothing is
-// published when mutate fails, when it applied no op, or when the rebuild
-// fails: the clone is discarded, so a partially applied update can never
-// become visible, after the deltas applied to its engine are undone, last
-// first — the field engine's label bank is shared with the published
-// engine, and undoing hands every published value its label back.
+// published (nor cloned, by an update that applies nothing) when mutate
+// fails, when it applied no op, or when the rebuild fails: the clone is
+// discarded, after the deltas applied to its engine are undone, last first
+// — the field engine's label bank is shared with the published engine, and
+// undoing hands every published value its label back.
 func (c *Classifier) update(mutate func(tx *txn) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	start := time.Now()
-	tx := &txn{next: c.view().clone(), undo: c.undo[:0]}
-	tx.inc, _ = tx.next.engine.(engine.IncrementalPacketEngine)
+	tx := &c.tx
+	tx.next = c.view()
+	defer func() {
+		// Keep a small undo log for the next transaction, not a large one.
+		undo := tx.undo[:0]
+		if cap(undo) > DefaultRebuildAfterDeltas {
+			undo = nil
+		}
+		*tx = txn{undo: undo}
+	}()
 	err := mutate(tx)
+	if !tx.owned || err == nil && tx.inserts+tx.deletes == 0 {
+		return err
+	}
 	rebuilt := tx.inc == nil
-	if err == nil && tx.inserts+tx.deletes > 0 {
+	if err == nil {
 		if rebuilt {
 			err = tx.next.rebuild()
 		} else if p, ok := tx.next.engine.(engine.Preparer); ok {
@@ -87,21 +100,21 @@ func (c *Classifier) update(mutate func(tx *txn) error) error {
 	}
 	if err != nil {
 		tx.abandon()
-	}
-	// The classifier keeps a small log for the next transaction to reuse,
-	// so a single-rule update appends without allocating; a large
-	// install's log is not pinned.
-	c.undo = nil
-	if cap(tx.undo) <= DefaultRebuildAfterDeltas {
-		c.undo = tx.undo[:0]
-	}
-	if err != nil || tx.inserts+tx.deletes == 0 {
 		return err
 	}
 	c.publish(tx.next)
 	c.stats.recordUpdates(tx.inserts, tx.deletes)
 	c.stats.recordPublish(len(tx.undo), rebuilt, time.Since(start))
 	return nil
+}
+
+// working returns the transaction's private snapshot, cloning on first use.
+func (tx *txn) working() *snapshot {
+	if !tx.owned {
+		tx.next, tx.owned = tx.next.clone(), true
+		tx.inc, _ = tx.next.engine.(engine.IncrementalPacketEngine)
+	}
+	return tx.next
 }
 
 // apply hands one delta to the working engine at the op, while the engine's
@@ -150,44 +163,32 @@ func (tx *txn) abandon() {
 	}
 }
 
-// InsertRule installs one rule. Under the field engine it follows the
-// incremental procedure of Fig. 4: for every dimension the controller looks
-// the field value up in the label table; a hit only increments the
-// reference counter, a miss creates a new label and writes the value into
-// the corresponding lookup engine. Finally the rule's label combination is
-// hashed into the Rule Filter. (A whole-packet engine splices the rule into,
-// or is rebuilt into, its precomputed structure.)
+// InsertRule installs one rule: under the field engine by the label-counted
+// insert of Fig. 4 (fieldtier.Engine.InsertRule), under a whole-packet
+// engine by splicing it into, or rebuilding, its precomputed structure.
 //
 // The update is applied to a private clone of the published snapshot and
 // swapped in atomically, so concurrent lookups see the rule either fully
 // installed or not at all. A failed insertion publishes nothing.
 func (c *Classifier) InsertRule(r fivetuple.Rule) (report UpdateReport, err error) {
-	err = c.update(func(tx *txn) (err error) {
-		report, err = tx.insertRule(r)
-		return err
-	})
+	err = c.update(func(tx *txn) (err error) { report, err = tx.insertRule(r); return err })
 	if err != nil {
-		return UpdateReport{}, err
+		report = UpdateReport{}
 	}
-	return report, nil
+	return report, err
 }
 
 // DeleteRule removes one installed rule, identified by its field matches and
-// priority (the first installed, when several rules share both). Deletion
-// mirrors insertion: under the field engine every dimension's label counter
-// is decremented and only a counter that reaches zero removes the value from
-// its engine (§IV.A: "only when the counter is zero, the label is deleted
-// from the hardware architecture"). Like InsertRule, the deletion is built on
-// a private clone and published atomically.
+// priority (the first installed, when several rules share both); under the
+// field engine a value leaves its engine with its last use (§IV.A). Like
+// InsertRule, the deletion is built on a private clone and published
+// atomically.
 func (c *Classifier) DeleteRule(r fivetuple.Rule) (report UpdateReport, err error) {
-	err = c.update(func(tx *txn) (err error) {
-		report, err = tx.deleteRule(r)
-		return err
-	})
+	err = c.update(func(tx *txn) (err error) { report, err = tx.deleteRule(r); return err })
 	if err != nil {
-		return UpdateReport{}, err
+		report = UpdateReport{}
 	}
-	return report, nil
+	return report, err
 }
 
 // InstallRuleSet inserts every rule of the set in priority order as one
@@ -198,7 +199,7 @@ func (c *Classifier) InstallRuleSet(rs *fivetuple.RuleSet) (total UpdateReport, 
 	err = c.update(func(tx *txn) error {
 		// One exact-size growth, so the published snapshot does not hold
 		// whatever spare capacity repeated appends happened to round up to.
-		tx.next.table.ownIDs(rs.Len())
+		tx.working().table.ownIDs(rs.Len())
 		for i, r := range rs.Rules() {
 			tx.left = rs.Len() - 1 - i
 			rep, err := tx.insertRule(r)
@@ -212,9 +213,9 @@ func (c *Classifier) InstallRuleSet(rs *fivetuple.RuleSet) (total UpdateReport, 
 		return nil
 	})
 	if err != nil {
-		return UpdateReport{}, err
+		total = UpdateReport{}
 	}
-	return total, nil
+	return total, err
 }
 
 // insertRule applies one insertion to the working snapshot: the engine's
@@ -225,11 +226,12 @@ func (tx *txn) insertRule(r fivetuple.Rule) (UpdateReport, error) {
 	if err := tx.next.admit(r); err != nil {
 		return UpdateReport{}, err
 	}
+	s := tx.working()
 	report, err := tx.apply(delta{rule: r})
 	if err != nil {
 		return UpdateReport{}, fmt.Errorf("core: inserting rule %s: %w", r, err)
 	}
-	t := &tx.next.table
+	t := &s.table
 	t.insert(t.bound(r.Priority, true), r)
 	tx.inserts++
 	return report, nil
@@ -238,11 +240,11 @@ func (tx *txn) insertRule(r fivetuple.Rule) (UpdateReport, error) {
 // deleteRule applies one deletion to the working snapshot. A rule that is
 // not installed changes nothing.
 func (tx *txn) deleteRule(r fivetuple.Rule) (UpdateReport, error) {
-	t := &tx.next.table
 	idx := tx.next.findInstalled(r)
 	if idx < 0 {
 		return UpdateReport{}, fmt.Errorf("%w: %s priority %d", ErrRuleNotInstalled, r, r.Priority)
 	}
+	t := &tx.working().table
 	report, err := tx.apply(delta{delete: true, rule: *t.at(idx)})
 	if err != nil {
 		return UpdateReport{}, fmt.Errorf("core: deleting rule %s: %w", r, err)
@@ -260,20 +262,23 @@ type UpdateOp struct {
 }
 
 // ApplyUpdates applies a mixed, ordered sequence of insertions and
-// deletions as one batch: the published snapshot is cloned once, every op
-// is applied to the clone in order — to the rule table and, at the op, to
-// the engine — and the result is published with a single swap. This is the
-// amortised update path — a control plane streaming thousands of flow-mods
-// pays one data-path copy per batch instead of one per rule.
+// deletions as one batch: the published snapshot is cloned once, at the
+// first op that changes something, every op is applied to the clone in
+// order — to the rule table and, at the op, to the engine — and the result
+// is published with a single swap. This is the amortised update path — a
+// control plane streaming thousands of flow-mods pays one data-path copy per
+// batch instead of one per rule.
 //
 // Ops are independent, as if issued separately: an op that fails (duplicate
-// delete, capacity exceeded, a rule the engine refuses) changes nothing and
+// delete, a full Rule Filter, a rule the engine refuses) changes nothing and
 // is skipped with its error recorded at its index in errs, and the remaining
 // ops still apply. The batch is published when at least one op succeeded.
 // One failure is batch-level instead, abandoning the whole batch unpublished
 // with the error returned as err: a failed rebuild of the engine over the
-// batch's final rule set (e.g. an RFC cross-product explosion), which is a
-// property of the aggregate rule set rather than of any single op.
+// batch's final rule set (e.g. an RFC cross-product explosion, or a full
+// Rule Filter once the field engine has declined a delta of the batch —
+// capacity is refused at the delta, so an insert past the slots then fails
+// the rebuild, not the op).
 func (c *Classifier) ApplyUpdates(ops []UpdateOp) (reports []UpdateReport, errs []error, err error) {
 	if len(ops) == 0 {
 		return nil, nil, nil

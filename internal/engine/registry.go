@@ -45,7 +45,7 @@ type Definition struct {
 	// SharesLevel2 marks engines whose node data fits in the MBT level-2
 	// block of Fig. 5, freeing the remaining MBT blocks for additional rule
 	// storage (the BST-style capacity bonus of Table VI). It feeds the
-	// classifier's capacity arithmetic (fieldtier.RuleCapacityFor).
+	// field engine's Rule Filter size (fieldtier.RuleCapacityFor).
 	SharesLevel2 bool
 	// Dims declares the extension dimensions beyond the classic IPv4
 	// first-match five-tuple this engine serves (IPv6 prefixes, VLAN tags,

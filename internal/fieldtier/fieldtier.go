@@ -58,10 +58,10 @@ const (
 	ExtraRuleCapacityBST = 4 * (DefaultMBTLevel1Entries + DefaultMBTLevel3Entries) * DefaultMBTEntryBits / DefaultRuleEntryBits
 )
 
-// RuleCapacityFor returns the number of rules the architecture can hold
-// under the named engine selection (Table VI: 8K with the MBT, ~12K with the
-// BST). Engines whose node data resides entirely in the shared level-2
-// blocks free the remaining MBT blocks for rule storage.
+// RuleCapacityFor returns the number of Rule Filter slots the field engine
+// provisions under the named IP-segment engine (Table VI: 8K with the MBT,
+// ~12K with the BST). Engines whose node data resides entirely in the shared
+// level-2 blocks free the remaining MBT blocks for rule storage.
 func RuleCapacityFor(name string) int {
 	if def, ok := engine.Get(name); ok && def.SharesLevel2 {
 		return RuleFilterSlots + ExtraRuleCapacityBST
@@ -234,8 +234,9 @@ type Memory struct {
 	LabelMemoryUsedBits int
 	LabelTableBits      int
 
-	// Rule Filter block.
+	// Rule Filter block, and its slots: the rule capacity (Table VI).
 	RuleFilterUsedBits int
+	RuleCapacity       int
 }
 
 // Memory returns the engine's memory breakdown. Only the selected engine's
@@ -248,6 +249,7 @@ func (e *Engine) Memory() Memory {
 		PortRegisterBits:   e.engines[label.DimSrcPort].Footprint().NodeBits + e.engines[label.DimDstPort].Footprint().NodeBits,
 		LabelTableBits:     e.labelTableBits,
 		RuleFilterUsedBits: e.filter.usedBits(),
+		RuleCapacity:       e.filter.slots.Len(),
 	}
 	for _, d := range label.Dimensions()[:ipSegments] {
 		fp := e.engines[d].Footprint()

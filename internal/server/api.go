@@ -401,14 +401,10 @@ func (a *api) handlePostRules(w http.ResponseWriter, r *http.Request) {
 	// errors from Apply are reported against the caller's numbering even
 	// when some ops already failed decoding.
 	opIndex := make([]int, 0, len(wireOps))
+	inserts := 0
 	for i, wop := range wireOps {
-		var del bool
-		switch wop.Op {
-		case "insert", "":
-			del = false
-		case "delete":
-			del = true
-		default:
+		del := wop.Op == "delete"
+		if !del && wop.Op != "insert" && wop.Op != "" {
 			resp.Errors = append(resp.Errors, WireOpError{Index: i, Error: fmt.Sprintf("unknown op %q (want insert or delete)", wop.Op)})
 			continue
 		}
@@ -416,6 +412,9 @@ func (a *api) handlePostRules(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			resp.Errors = append(resp.Errors, WireOpError{Index: i, Error: err.Error()})
 			continue
+		}
+		if !del {
+			inserts++
 		}
 		ops = append(ops, sdnpc.UpdateOp{Delete: del, Rule: rule})
 		opIndex = append(opIndex, i)
@@ -426,7 +425,14 @@ func (a *api) handlePostRules(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	t.rulesMu.Lock()
+	if n := t.Classifier.RuleCount(); n+inserts > maxTenantRules {
+		t.rulesMu.Unlock()
+		writeError(w, http.StatusConflict, fmt.Errorf("tenant rule ceiling reached: %q holds %d rules, %d inserts would pass its %d", t.ID, n, inserts, maxTenantRules))
+		return
+	}
 	_, errs, err := t.Classifier.Apply(ops)
+	t.rulesMu.Unlock()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("applying rule batch: %w", err))
 		return

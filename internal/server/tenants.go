@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -30,6 +31,12 @@ var (
 	ErrTenantExists   = errors.New("server: tenant already exists")
 	ErrTenantNotFound = errors.New("server: tenant not found")
 )
+
+// maxTenantRules is the most rules one tenant holds: a rule batch whose
+// inserts (its deletes not counted) would pass it is a 409. Only the field
+// engine has a fixed capacity (its Rule Filter); under a whole-packet engine
+// this bounds the table, and every rebuild over it, one client can push.
+const maxTenantRules = 1 << 16
 
 // tenantIDPattern constrains tenant identifiers to URL-path-safe names so
 // they can be used verbatim in /v1/tenants/{id} routes.
@@ -59,6 +66,9 @@ type Tenant struct {
 	Config  TenantConfig
 
 	Classifier *sdnpc.Classifier
+
+	// rulesMu makes a rule batch's ceiling check and its apply one step.
+	rulesMu sync.Mutex
 }
 
 // Manager owns the tenant table. All methods are safe for concurrent use;
@@ -82,7 +92,7 @@ func (m *Manager) Create(id string, cfg TenantConfig) (*Tenant, error) {
 	if !tenantIDPattern.MatchString(id) {
 		return nil, fmt.Errorf("server: invalid tenant id %q (want %s)", id, tenantIDPattern)
 	}
-	if cfg.Engine != "" && !engineSelectable(cfg.Engine) {
+	if cfg.Engine != "" && !slices.Contains(sdnpc.Engines(), cfg.Engine) {
 		return nil, fmt.Errorf("server: unknown engine %q (selectable: %v)", cfg.Engine, sdnpc.Engines())
 	}
 	opts := []sdnpc.Option{}
@@ -147,15 +157,4 @@ func (m *Manager) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return len(m.tenants)
-}
-
-// engineSelectable reports whether name is a selectable engine of either
-// tier.
-func engineSelectable(name string) bool {
-	for _, n := range sdnpc.Engines() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }

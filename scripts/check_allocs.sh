@@ -15,7 +15,10 @@
 # table and the structure must copy the chunks a publish writes, not
 # themselves), TestFieldTierUpdateAllocs, which bounds them under a field
 # engine (the clone must share the tries, the Rule Filter, the rule table and
-# the label bank, not copy them), TestNewFieldTierAllocs, which bounds what
+# the label bank, not copy them), TestNoOpUpdateAllocs, which holds an
+# update that applies nothing (a delete of a rule that is not installed, a
+# batch whose every op fails) to the allocations of its errors on every
+# engine (it must not clone the snapshot), TestNewFieldTierAllocs, which bounds what
 # building an empty field-tier classifier allocates on every IP engine (what
 # the tier serves, no simulated memory blocks), and, below the engine
 # adapter, the TestDeltaAllocs of hypercuts and of dcfl, which bound one
@@ -38,7 +41,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-go test -count=1 -run 'TestLookupZeroAllocs|TestLookupBatchZeroAllocs|TestLookupZeroAllocsCrossProduct|TestLookupAllZeroAllocs|TestPacketTierUpdateAllocs|TestFieldTierUpdateAllocs|TestNewFieldTierAllocs|TestDeltaAllocs|TestLookupBatchInto|TestClassifyBatchAllocs' -v ./internal/core/ ./internal/algo/hypercuts/ ./internal/algo/dcfl/ . ./internal/server/ | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|PASS|FAIL|ok)' || {
+go test -count=1 -run 'TestLookupZeroAllocs|TestLookupBatchZeroAllocs|TestLookupZeroAllocsCrossProduct|TestLookupAllZeroAllocs|TestPacketTierUpdateAllocs|TestFieldTierUpdateAllocs|TestNoOpUpdateAllocs|TestNewFieldTierAllocs|TestDeltaAllocs|TestLookupBatchInto|TestClassifyBatchAllocs' -v ./internal/core/ ./internal/algo/hypercuts/ ./internal/algo/dcfl/ . ./internal/server/ | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|PASS|FAIL|ok)' || {
   echo "check_allocs: the allocation gate failed" >&2
   exit 1
 }

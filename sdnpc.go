@@ -279,9 +279,6 @@ func (c *Classifier) Rules() []Rule { return c.inner.InstalledRules() }
 // RuleCount returns the number of installed rules.
 func (c *Classifier) RuleCount() int { return c.inner.RuleCount() }
 
-// RuleCapacity returns the rule capacity under the active engine.
-func (c *Classifier) RuleCapacity() int { return c.inner.RuleCapacity() }
-
 // Report assembles the full observability snapshot in one call: data-plane
 // counters, served-request summary, update-plane counters, cache counters
 // and the memory breakdown, read against a single published snapshot so the
